@@ -558,8 +558,7 @@ func BenchmarkMeshPropagation(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			m, err := meshtest.New(meshtest.Options{
 				Nodes: nodes, Topology: meshtest.Random, Degree: 6, Fanout: 3, TTL: 6,
-				PullInterval: 2 * time.Second, PullPeers: 2, LongPoll: 2 * time.Second,
-				Seed: 63,
+				PullPeers: 2, Seed: 63,
 			})
 			if err != nil {
 				b.Fatal(err)

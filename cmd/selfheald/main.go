@@ -17,9 +17,10 @@
 //
 // With -serve and/or -peers the daemon is one node of a federated
 // knowledge plane: -serve exposes the ops endpoints (/healthz, /metrics,
-// /kb/snapshot, /kb/delta) and -peers pulls other daemons' knowledge
-// deltas on -sync-interval, so a fleet of daemons converges on pooled
-// experience at runtime with no human carrying files. A serving daemon
+// /kb/snapshot, /kb/delta) and -peers keeps one long-poll parked on each
+// other daemon's /kb/delta, pulling whatever it publishes as it is
+// published, so a fleet of daemons converges on pooled experience at
+// runtime with no human carrying files. A serving daemon
 // stays up after its campaign (episodes may be 0 for a pure
 // hub/aggregator) until SIGINT/SIGTERM; shutdown is graceful either way:
 // the campaign context is cancelled, the partial result is reported
@@ -27,8 +28,8 @@
 //
 // -gossip-fanout adds the push plane on top: every publish is pushed to
 // that many sampled peers immediately (POST /kb/push), so new fixes
-// spread in milliseconds while the pull loop repairs anything a dropped
-// push missed. -compact bounds the knowledge base's memory, compacting
+// spread in milliseconds while the parked polls repair anything a
+// dropped push missed. -compact bounds the knowledge base's memory, compacting
 // (dedup, near-duplicate merge within -compact-radius, oldest-first
 // eviction) whenever the cap is exceeded.
 //
@@ -37,7 +38,7 @@
 //	selfheald -episodes 24 -replicas 4 -target auction,replicated -share
 //	selfheald -episodes 32 -target replicated -kb-out fleetB.kb.json
 //	selfheald -episodes 32 -serve :8701 -kb-out hub.kb.json
-//	selfheald -episodes 32 -serve :8702 -peers http://hub:8701 -sync-interval 1s
+//	selfheald -episodes 32 -serve :8702 -peers http://hub:8701
 //	selfheald -episodes 0 -serve :8700 -peers http://a:8701,http://b:8702
 //	selfheald -episodes 0 -serve :8700 -peers http://a:8701 -gossip-fanout 3 -compact 100000
 package main
@@ -139,8 +140,7 @@ func main() {
 		kbIn     = flag.String("kb-in", "", "preload the knowledge base from this snapshot file before the campaign (implies -share)")
 		kbOut    = flag.String("kb-out", "", "save the knowledge base to this snapshot file on exit (implies -share)")
 		serve    = flag.String("serve", "", "serve the ops plane (/healthz /metrics /kb/...) on this address and stay up until SIGINT (implies -share)")
-		peers    = flag.String("peers", "", "comma-separated peer ops-plane URLs to pull knowledge deltas from (implies -share)")
-		syncIvl  = flag.Duration("sync-interval", 2*time.Second, "steady-state peer poll period (jittered ±25%)")
+		peers    = flag.String("peers", "", "comma-separated peer ops-plane URLs to long-poll for knowledge deltas (implies -share)")
 		gossipFl = flag.Int("gossip-fanout", 0, "push every knowledge-base publish to this many peers sampled from -peers (0 = pull-only federation)")
 		compactN = flag.Int("compact", 0, "bound the shared knowledge base to this many points, compacting when exceeded (0 = unbounded; implies -share)")
 		compactR = flag.Float64("compact-radius", 0, "merge near-duplicate observations within this euclidean distance when compacting")
@@ -266,7 +266,7 @@ func main() {
 		opts = append(opts, selfheal.WithServeAddr(*serve))
 	}
 	if len(peerURLs) > 0 {
-		opts = append(opts, selfheal.WithPeers(peerURLs...), selfheal.WithSyncInterval(*syncIvl))
+		opts = append(opts, selfheal.WithPeers(peerURLs...))
 	}
 	if *gossipFl > 0 {
 		opts = append(opts, selfheal.WithGossipFanout(*gossipFl))
@@ -310,7 +310,7 @@ func main() {
 			fmt.Printf("selfheald: ops plane listening on http://%s\n", ops.Addr())
 		}
 		for _, p := range ops.Peers() {
-			fmt.Printf("selfheald: pulling knowledge deltas from %s every %v\n", p.URL, *syncIvl)
+			fmt.Printf("selfheald: long-polling %s for knowledge deltas\n", p.URL)
 		}
 	}
 

@@ -17,8 +17,8 @@ import (
 // and/or WithPeers becomes one node of a distributed knowledge base.
 // ServeOps starts its ops plane — /healthz, /metrics, /kb/snapshot and
 // /kb/delta over HTTP — and, when peers are configured, a background
-// syncer that pulls their knowledge-base deltas on a jittered interval
-// and folds them in with Merge semantics. In any connected topology
+// syncer that keeps one long-poll parked on each of them and folds what
+// they publish in with Merge semantics. In any connected topology
 // (hub/spoke, chain, full mesh) the nodes converge: once syncing
 // quiesces, every node ranks fixes exactly as it would against
 // MergeKnowledgeBases of all nodes' snapshots. See KNOWLEDGE_BASES.md,
@@ -52,22 +52,10 @@ func WithPeers(urls ...string) Option {
 	}
 }
 
-// WithSyncInterval sets the steady-state peer poll period (default 2s;
-// each poll is jittered ±25%, and failing peers back off exponentially).
-func WithSyncInterval(d time.Duration) Option {
-	return func(c *config) error {
-		if d <= 0 {
-			return fmt.Errorf("selfheal: sync interval %v <= 0", d)
-		}
-		c.syncInterval = d
-		return nil
-	}
-}
-
 // WithGossipFanout turns on the push plane: every knowledge-base publish
 // is pushed to fanout peers sampled from WithPeers, epidemic style, so a
 // fix learned on one node is Suggest-able fleet-wide in milliseconds
-// instead of a poll interval. The pull syncer stays on as the
+// whether or not anyone pulls from it. The pull syncer stays on as the
 // anti-entropy fallback that repairs whatever a dropped push or a
 // partition cost the epidemic. Requires WithPeers.
 func WithGossipFanout(fanout int) Option {
@@ -161,9 +149,11 @@ func (o *Ops) URL() string {
 func (o *Ops) KnowledgeSeq() uint64 { return o.node.Seq() }
 
 // SyncNow pulls every configured peer once, immediately and
-// sequentially, returning how many new observations arrived — the
-// deterministic sync step convergence tests and drain-before-shutdown
-// use. A node with no peers returns (0, nil).
+// sequentially — without parking, and without waiting out a failing
+// peer's backoff — so that when it returns the node holds everything
+// its reachable peers had when asked. The count is what this call
+// itself applied; the background long-poll races it for the same
+// points. A node with no peers returns (0, nil).
 func (o *Ops) SyncNow(ctx context.Context) (int, error) {
 	if o.syncer == nil {
 		return 0, nil
@@ -252,7 +242,7 @@ func (o *Ops) Close(ctx context.Context) error {
 }
 
 // ServeOps starts the fleet's federated knowledge plane as configured by
-// WithServeAddr, WithPeers and WithSyncInterval: it binds the listener,
+// WithServeAddr, WithPeers and WithGossipFanout: it binds the listener,
 // serves the ops endpoints, and starts the background peer syncer. The
 // returned Ops reports the bound address and shuts everything down on
 // Close; cancelling ctx stops the syncer too. Calling it on a fleet with
@@ -306,11 +296,8 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 		// seed makes replicas reproducible, but a fleet of daemons
 		// launched with identical configs must not share poll-jitter
 		// streams or they all hit their hub at the same instants.
-		// Deterministic sync for tests goes through SyncNow, not the
-		// jittered background loop.
 		syncer, err := kbsync.NewSyncer(node, kbsync.Config{
-			Peers:    fl.cfg.peers,
-			Interval: fl.cfg.syncInterval,
+			Peers: fl.cfg.peers,
 			// The last per-peer statuses outlive the sync loops on
 			// /metrics, so an operator can still see which peer was
 			// failing, and why, after shutdown began.

@@ -5,7 +5,6 @@ import (
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/faults"
-	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
 )
 
@@ -395,27 +394,4 @@ func (hl *Healer) escalate(ctx context.Context, fctx *FailureContext, ep *Episod
 		ep.Recovered = true
 		ep.RecoveredAt = h.Target.Now()
 	}
-}
-
-// LabeledFailure produces one ground-truth-labeled failure observation for
-// test sets: inject f, wait for detection, snapshot the symptom, then apply
-// the correct fix so the service returns to health. Used to build the fixed
-// 1000-point test set of Figure 4 without polluting any learner.
-func LabeledFailure(ctx context.Context, h *Harness, f Fault, budget int) (synopsis.Point, bool) {
-	if err := h.Target.Inject(f); err != nil {
-		return synopsis.Point{}, false
-	}
-	if !h.RunUntilFailing(ctx, budget) {
-		h.Target.Reap()
-		return synopsis.Point{}, false
-	}
-	fctx := h.BuildContext()
-	fix, target := f.CorrectFix()
-	action := Action{Fix: fix, Target: target}
-	if settle, err := h.Target.Apply(action); err == nil {
-		h.StepN(int(settle))
-	}
-	h.RunUntilRecovered(ctx, 240)
-	h.Target.Reap()
-	return synopsis.Point{X: fctx.Features(), Action: action, Success: true}, true
 }

@@ -81,16 +81,6 @@ func (d *CallMatrixDetector) ResetCurrent() {
 	d.curTicks = 0
 }
 
-// ResetBaseline clears the baseline window (for online re-baselining after
-// configuration changes).
-func (d *CallMatrixDetector) ResetBaseline() {
-	d.baseline = zeroMatrix(d.rows, d.cols)
-	d.baseTicks = 0
-}
-
-// BaselineTicks returns how many ticks the baseline aggregates.
-func (d *CallMatrixDetector) BaselineTicks() int64 { return d.baseTicks }
-
 func add(dst, src [][]float64) {
 	for i := range dst {
 		for j := range dst[i] {

@@ -70,17 +70,6 @@ func (c *LearningCurve) AccuracyAt(n int) float64 {
 	return acc
 }
 
-// FixesToReach returns the smallest number of correct fixes at which the
-// curve reaches accuracy a (or -1 if never).
-func (c *LearningCurve) FixesToReach(a float64) int {
-	for i, y := range c.Y {
-		if y >= a {
-			return c.X[i]
-		}
-	}
-	return -1
-}
-
 // Figure4Result holds the three curves plus the shared test set size.
 type Figure4Result struct {
 	Config Figure4Config

@@ -595,9 +595,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 // handlePush accepts one gossip push: a delta body (gzipped when the
 // sender says so) with the rumor id, hop TTL, and sender URL in
 // X-KB-Rumor / X-KB-TTL / X-KB-From. With a Gossiper configured the
-// push runs the full rumor protocol — id dedup, apply, relay; without
-// one it just applies to the node, which is what `kbtool push` or a
-// one-shot script wants.
+// push runs the full rumor protocol — id dedup before the body is even
+// decoded, apply, relay; without one it just applies to the node, which
+// is what `kbtool push` or a one-shot script wants.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -607,6 +607,14 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		// A draining node stops accepting new knowledge; peers fall back
 		// to pulling from the rest of the mesh.
 		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	g, id := s.cfg.Gossiper, r.Header.Get("X-KB-Rumor")
+	if g != nil && g.Seen(id) {
+		// A re-delivery: drain the body so the connection is reusable,
+		// and skip the gunzip and decode.
+		io.Copy(io.Discard, r.Body)
+		s.writePushed(w, 0)
 		return
 	}
 	var body io.Reader = r.Body
@@ -634,11 +642,16 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		ttl = v
 	}
 	var added int
-	if g := s.cfg.Gossiper; g != nil {
-		added = g.Receive(d, r.Header.Get("X-KB-Rumor"), ttl, r.Header.Get("X-KB-From"))
+	if g != nil {
+		added = g.Receive(d, id, ttl, r.Header.Get("X-KB-From"))
 	} else {
 		added = s.cfg.Node.ApplyDelta(d)
 	}
+	s.writePushed(w, added)
+}
+
+// writePushed answers a push with how many of its points were new.
+func (s *Server) writePushed(w http.ResponseWriter, added int) {
 	w.Header().Set("X-KB-Seq", strconv.FormatUint(s.cfg.Node.Seq(), 10))
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"added\":%d}\n", added)

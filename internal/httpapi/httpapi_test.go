@@ -329,6 +329,56 @@ func TestPushEndpointAppliesDelta(t *testing.T) {
 	}
 }
 
+// TestPushSeenRumorSkipsDecode pins where a gossiping node spends on a
+// re-delivery: the rumor id is checked before the body is touched, so a
+// seen id is answered {"added":0} even over a body that would not parse.
+func TestPushSeenRumorSkipsDecode(t *testing.T) {
+	space := detect.NewSymptomSpace()
+	space.Indices([]string{"m.a", "m.b"})
+	node := kbsync.NewNode(synopsis.NewShared(synopsis.NewNearestNeighbor()), space)
+	gsp, err := kbsync.NewGossiper(node, kbsync.GossipConfig{Peers: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(Config{Node: node, Gossiper: gsp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &synopsis.Delta{
+		Seq:      1,
+		Symptoms: []string{"m.a", "m.b"},
+		Points: []synopsis.Point{{
+			X:       []float64{1, 2},
+			Action:  synopsis.Action{Fix: catalog.FixUpdateStats, Target: "items"},
+			Success: true,
+		}},
+	}
+	rumor := map[string]string{"X-KB-Rumor": "peerX:1"}
+	if w := pushDelta(t, srv, d, true, rumor); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"added":1`) {
+		t.Fatalf("first delivery = %d %s", w.Code, w.Body)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not gzip, not a delta"))
+	req.Header.Set("Content-Encoding", "gzip")
+	req.Header.Set("X-KB-Rumor", "peerX:1")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"added":0`) {
+		t.Fatalf("re-delivery over an unparseable body = %d %s; the id check must come first", rec.Code, rec.Body)
+	}
+	if st := gsp.Stats(); st.RumorsReceived != 1 || st.RumorsDuplicate != 1 {
+		t.Fatalf("stats = %+v, want one received and one duplicate", st)
+	}
+	// The same body under an unseen id is still refused.
+	req = httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not gzip, not a delta"))
+	req.Header.Set("Content-Encoding", "gzip")
+	req.Header.Set("X-KB-Rumor", "peerX:2")
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("garbage under a fresh id = %d, want 400", rec.Code)
+	}
+}
+
 // TestDeltaLongPollWakesOnPublish parks a ?wait= pull, publishes from
 // another goroutine, and expects the parked request to return the new
 // point well before the wait elapses.

@@ -15,10 +15,10 @@ import (
 	"selfheal/internal/synopsis"
 )
 
-// Gossiper is the push half of federation: where the Syncer pulls on a
-// timer, the gossiper pushes on publish. It hooks the knowledge base's
-// publish notification (synopsis.Shared.OnPublish) and, whenever new
-// observations land, POSTs the delta to Fanout peers sampled from a
+// Gossiper is the push half of federation: where the Syncer parks a pull
+// on each peer, the gossiper pushes on publish. It hooks the knowledge
+// base's publish notification (synopsis.Shared.OnPublish) and, whenever
+// new observations land, POSTs the delta to Fanout peers sampled from a
 // partial view of the fleet — epidemic style, so a fix published on one
 // node reaches n nodes in O(log n) rounds of sub-millisecond pushes
 // instead of O(poll interval).
@@ -28,21 +28,24 @@ import (
 //   - Rumor relay: a received push carries a rumor id ("epoch:seq" of its
 //     origin) and a hop TTL. A receiver that has not seen the id applies
 //     the delta and, if anything was actually new, relays the same rumor
-//     (TTL-1) to Fanout further peers. The id-cache kills re-deliveries
-//     cheaply before decoding; the TTL bounds how far one rumor's
+//     (TTL-1) to Fanout further peers. The id cache (which also holds
+//     the ids this node originated) kills re-deliveries before the body
+//     is decoded — see Seen; the TTL bounds how far one rumor's
 //     redundant copies chase each other.
 //   - Re-origination: applied foreign points re-enter the local arrival
 //     log, so the publish hook would push them onward as a fresh rumor
-//     anyway. The gossiper advances its push cursor past deltas it just
-//     relayed (the hook observes the apply while it is in progress), so
-//     steady state sends each batch once; when a local write interleaves
-//     mid-apply the cursor stays put and the next flush re-pushes a
-//     superset — receivers add nothing, do not relay, and the echo dies.
+//     anyway. A Receive therefore holds the hook's wakeup back while it
+//     applies and, on exit, advances the push cursor past its own
+//     publish when that was the next in sequence, so steady state sends
+//     each batch once. When a local write interleaved mid-apply the
+//     sequence ends up ahead of the cursor and Receive wakes the push
+//     loop itself: the local points go out, at worst beside a copy of
+//     the relayed ones that teaches nobody and dies.
 //
 // Either way a rumor stops the moment it stops teaching anyone anything,
 // which is the same convergence argument the pull plane makes: knowledge
 // spreads exactly until every node's canonical point set is the Merge of
-// everyone's history. The Syncer (ideally in long-poll mode) remains the
+// everyone's history. The Syncer's parked polls remain the
 // anti-entropy fallback that repairs nodes the epidemic missed — a
 // partition healing, a dropped push, a TTL that expired short of the
 // fleet's diameter.
@@ -57,7 +60,7 @@ type Gossiper struct {
 
 	// paused parks the push plane (a drained node must stop spreading
 	// rumors as well as refusing them); publishes made while paused are
-	// picked up by the first flush after a resume.
+	// pushed on resume.
 	paused atomic.Bool
 
 	rumorsOrigin    atomic.Uint64
@@ -74,7 +77,7 @@ type Gossiper struct {
 	view     []string // current partial view, resampled every ViewRefresh pushes
 	viewAge  int
 	pushed   uint64 // publish sequence everything at or below is already pushed
-	applying int    // Receive calls in flight; their publishes advance pushed instead of signalling
+	applying int    // Receive calls in flight; publishes meanwhile do not signal, the last Receive out does
 	seen     map[string]time.Time
 }
 
@@ -93,7 +96,7 @@ type GossipConfig struct {
 	// TTL is the relay hop budget a fresh rumor starts with (default 4).
 	// Fanout^TTL should comfortably exceed the fleet size; sparser
 	// views (a ring) need TTLs near the topology's diameter, with the
-	// long-poll pull fallback covering whatever the budget misses.
+	// pull fallback covering whatever the budget misses.
 	TTL int
 	// ViewSize is the partial-view size (default 2×Fanout, clamped to
 	// the peer count): the node only ever talks to this many peers per
@@ -103,10 +106,6 @@ type GossipConfig struct {
 	// ViewRefresh is how many pushes a view generation serves before
 	// being resampled (default 16).
 	ViewRefresh int
-	// Flush is the fallback push period (default 500ms): anything the
-	// publish hook's wakeup missed (a write that landed mid-apply) is
-	// pushed at the next flush.
-	Flush time.Duration
 	// SeenTTL is how long rumor ids are remembered (default 2m).
 	SeenTTL time.Duration
 	// Client is the HTTP client pushes ride (default 5s timeout).
@@ -149,9 +148,6 @@ func NewGossiper(node *Node, cfg GossipConfig) (*Gossiper, error) {
 	}
 	if cfg.ViewRefresh <= 0 {
 		cfg.ViewRefresh = 16
-	}
-	if cfg.Flush <= 0 {
-		cfg.Flush = 500 * time.Millisecond
 	}
 	if cfg.SeenTTL <= 0 {
 		cfg.SeenTTL = 2 * time.Minute
@@ -207,37 +203,36 @@ func (g *Gossiper) Stats() GossipStats {
 	}
 }
 
-// onPublish is the Shared publish hook. Publishes made by an in-flight
-// Receive advance the cursor (the relay already carries those points);
-// everything else wakes the push loop.
-func (g *Gossiper) onPublish(seq uint64) {
+// onPublish is the Shared publish hook: it wakes the push loop, unless
+// a Receive is applying — that publish is probably the apply's own, and
+// the Receive settles the cursor and signals on its way out.
+func (g *Gossiper) onPublish(uint64) {
 	g.mu.Lock()
-	if g.applying > 0 {
-		if seq == g.pushed+1 {
-			g.pushed = seq
-		}
-		g.mu.Unlock()
-		return
-	}
+	applying := g.applying > 0
 	g.mu.Unlock()
+	if !applying {
+		g.wake()
+	}
+}
+
+// wake signals the push loop without blocking.
+func (g *Gossiper) wake() {
 	select {
 	case g.signal <- struct{}{}:
 	default:
 	}
 }
 
-// Run pushes until ctx is cancelled: immediately on each publish wakeup,
-// and at every Flush period as the catch-all for writes the wakeup path
-// skipped.
+// Run pushes on every wakeup until ctx is cancelled. There is no timer:
+// the three events that can leave the publish sequence ahead of the push
+// cursor — a publish, a Receive that overlapped a local write, a resume
+// — each signal the loop.
 func (g *Gossiper) Run(ctx context.Context) {
-	t := time.NewTicker(g.cfg.Flush)
-	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-g.signal:
-		case <-t.C:
 		}
 		g.PushNow(ctx)
 	}
@@ -245,8 +240,8 @@ func (g *Gossiper) Run(ctx context.Context) {
 
 // PushNow pushes everything published since the cursor as one fresh
 // rumor to Fanout sampled peers, returning how many points it sent (0
-// when current). Exposed for deterministic tests and admin "sync now"
-// verbs; Run calls it on every wakeup.
+// when current). Exposed for deterministic tests; Run calls it on every
+// wakeup.
 func (g *Gossiper) PushNow(ctx context.Context) int {
 	if g.paused.Load() {
 		return 0
@@ -260,6 +255,11 @@ func (g *Gossiper) PushNow(ctx context.Context) int {
 		return 0
 	}
 	id := g.node.Epoch() + ":" + strconv.FormatUint(d.Seq, 10)
+	// Remember our own rumor: a peer that cannot tell who sent it (no
+	// X-KB-From) relays it straight back.
+	g.mu.Lock()
+	g.remember(id, time.Now())
+	g.mu.Unlock()
 	targets := g.sample(g.cfg.Fanout, "")
 	g.rumorsOrigin.Add(1)
 	g.broadcast(ctx, d, id, g.cfg.TTL, targets)
@@ -271,8 +271,13 @@ func (g *Gossiper) PushNow(ctx context.Context) int {
 
 // SetPaused parks or resumes the push plane. While paused, PushNow and
 // Receive are no-ops: nothing is sent, relayed, or applied. Resuming
-// lets the next flush tick push whatever was published in the meantime.
-func (g *Gossiper) SetPaused(paused bool) { g.paused.Store(paused) }
+// pushes whatever was published in the meantime.
+func (g *Gossiper) SetPaused(paused bool) {
+	g.paused.Store(paused)
+	if !paused {
+		g.wake()
+	}
+}
 
 // advance moves the push cursor forward to seq (never backward).
 func (g *Gossiper) advance(seq uint64) {
@@ -281,6 +286,32 @@ func (g *Gossiper) advance(seq uint64) {
 		g.pushed = seq
 	}
 	g.mu.Unlock()
+}
+
+// Seen reports whether rumor id was already received or originated
+// here, counting the duplicate when it was. The ops plane asks before it
+// gunzips and decodes a push body, so a re-delivery costs a map lookup.
+// It does not record id: Receive does, atomically with its own check.
+func (g *Gossiper) Seen(id string) bool {
+	g.mu.Lock()
+	exp, ok := g.seen[id]
+	g.mu.Unlock()
+	if !ok || time.Now().After(exp) {
+		return false
+	}
+	g.rumorsDuplicate.Add(1)
+	return true
+}
+
+// remember records rumor id, dropping expired ids on the way so the
+// cache stays bounded on a node that only originates. Callers hold g.mu.
+func (g *Gossiper) remember(id string, now time.Time) {
+	for k, exp := range g.seen {
+		if now.After(exp) {
+			delete(g.seen, k)
+		}
+	}
+	g.seen[id] = now.Add(g.cfg.SeenTTL)
 }
 
 // Receive applies a push a peer delivered (httpapi's POST /kb/push
@@ -297,28 +328,34 @@ func (g *Gossiper) Receive(d *synopsis.Delta, id string, ttl int, from string) i
 	}
 	now := time.Now()
 	g.mu.Lock()
-	for k, exp := range g.seen {
-		if now.After(exp) {
-			delete(g.seen, k)
-		}
-	}
 	if id != "" {
-		if _, dup := g.seen[id]; dup {
+		if exp, dup := g.seen[id]; dup && now.Before(exp) {
 			g.mu.Unlock()
 			g.rumorsDuplicate.Add(1)
 			return 0
 		}
-		g.seen[id] = now.Add(g.cfg.SeenTTL)
+		g.remember(id, now)
 	}
 	g.applying++
 	g.mu.Unlock()
 	g.rumorsReceived.Add(1)
 
-	added, _ := g.node.ApplyDeltaSeq(d)
+	added, seq := g.node.ApplyDeltaSeq(d)
 
 	g.mu.Lock()
 	g.applying--
+	if added > 0 && seq == g.pushed+1 {
+		// Our own publish was the next in sequence: the relay below
+		// carries those points, so the cursor steps over them.
+		g.pushed = seq
+	}
+	// Publishes held back while we applied — a local write — are still
+	// to push; the last Receive out says so.
+	behind := g.applying == 0 && g.node.Seq() > g.pushed
 	g.mu.Unlock()
+	if behind {
+		g.wake()
+	}
 	g.pointsReceived.Add(uint64(added))
 
 	if added > 0 && ttl > 1 {

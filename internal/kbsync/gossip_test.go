@@ -24,10 +24,19 @@ type gossipNode struct {
 }
 
 // newGossipMesh builds n nodes whose gossipers each know every other
-// node's URL, with the given fanout and TTL. The chicken-and-egg between
-// server URLs and peer lists is broken with an indirection: each server
-// delegates to a handler installed after all URLs exist.
+// node's URL and their own, with the given fanout and TTL.
 func newGossipMesh(t *testing.T, n, fanout, ttl int) []*gossipNode {
+	t.Helper()
+	return buildGossipMesh(t, n, fanout, ttl, true)
+}
+
+// buildGossipMesh is newGossipMesh with the choice of whether gossipers
+// know their own URL; the facade's do not (a daemon bound to ":8701"
+// cannot name itself), so their pushes carry no X-KB-From. The
+// chicken-and-egg between server URLs and peer lists is broken with an
+// indirection: each server delegates to a handler installed after all
+// URLs exist.
+func buildGossipMesh(t *testing.T, n, fanout, ttl int, knowSelf bool) []*gossipNode {
 	t.Helper()
 	nodes := make([]*gossipNode, n)
 	handlers := make([]atomic.Pointer[httpapi.Server], n)
@@ -47,13 +56,11 @@ func newGossipMesh(t *testing.T, n, fanout, ttl int) []*gossipNode {
 				peers = append(peers, other.srv.URL)
 			}
 		}
-		gsp, err := kbsync.NewGossiper(gn.node, kbsync.GossipConfig{
-			Peers:  peers,
-			Self:   gn.srv.URL,
-			Fanout: fanout,
-			TTL:    ttl,
-			Seed:   int64(i + 1),
-		})
+		cfg := kbsync.GossipConfig{Peers: peers, Fanout: fanout, TTL: ttl, Seed: int64(i + 1)}
+		if knowSelf {
+			cfg.Self = gn.srv.URL
+		}
+		gsp, err := kbsync.NewGossiper(gn.node, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,8 +108,7 @@ func TestGossipRelayCrossesHops(t *testing.T) {
 	// Relays run synchronously inside the push's HTTP handler, so by the
 	// time PushNow returns the epidemic either covered the mesh or died.
 	// With fanout 1 a relay can still pick an already-infected peer and
-	// stop early; the flush tick re-originates from any infected node, so
-	// drive a few rounds the way Run's ticker would.
+	// stop early; keep offering every node a push until it has.
 	deadline := time.Now().Add(5 * time.Second)
 	for !meshConverged(nodes, 1) {
 		if time.Now().After(deadline) {
@@ -191,6 +197,83 @@ func TestGossipReceiveSuppressesEcho(t *testing.T) {
 	nodes[0].kb.Add(pt([]float64{3, 4}, catalog.FixMicrorebootEJB, "items"))
 	if sent := nodes[0].gsp.PushNow(context.Background()); sent != 1 {
 		t.Fatalf("local write after receive pushed %d points, want 1", sent)
+	}
+}
+
+// TestGossipOwnRumorComingBackIsDuplicate: in a two-node fleet whose
+// gossipers cannot name themselves, B relays every rumor A originates
+// straight back to A. A must recognize its own id — one duplicate,
+// nothing received, no points re-examined.
+func TestGossipOwnRumorComingBackIsDuplicate(t *testing.T) {
+	nodes := buildGossipMesh(t, 2, 1, 4, false)
+	a, b := nodes[0], nodes[1]
+	a.kb.Add(pt([]float64{1, 2}, catalog.FixUpdateStats, "items"))
+	// Pushes and relays are synchronous: when PushNow returns, B has
+	// applied the rumor and its relay back to A has been answered.
+	if sent := a.gsp.PushNow(context.Background()); sent != 1 {
+		t.Fatalf("PushNow sent %d points, want 1", sent)
+	}
+	if st := b.gsp.Stats(); st.RumorsReceived != 1 || st.RumorsRelayed != 1 || st.PushesFailed != 0 {
+		t.Fatalf("relay stats on B = %+v, want the rumor received and relayed back", st)
+	}
+	if st := a.gsp.Stats(); st.RumorsDuplicate != 1 || st.RumorsReceived != 0 || st.PointsReceived != 0 {
+		t.Fatalf("origin stats on A = %+v, want its own rumor counted once as a duplicate", st)
+	}
+}
+
+// TestGossipLocalWriteDuringReceiveIsPushed: a local learner publishes
+// while a Receive is applying, the one moment the publish hook holds its
+// wakeup back. The Receive must hand that wakeup to the push loop on its
+// way out — no timer is left to find the write later.
+func TestGossipLocalWriteDuringReceiveIsPushed(t *testing.T) {
+	nodes := newGossipMesh(t, 2, 1, 4)
+	a, b := nodes[0], nodes[1]
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		a.gsp.Run(ctx)
+		close(done)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	// Publish hooks run on the writer's goroutine after the knowledge
+	// base's lock is released, so the first publish — the apply below —
+	// is still inside Receive when this local write lands.
+	local := pt([]float64{3, 4}, catalog.FixMicrorebootEJB, "items")
+	var wrote atomic.Bool
+	a.kb.OnPublish(func(uint64) {
+		if !wrote.CompareAndSwap(false, true) {
+			return // the local write's own publish
+		}
+		landed := make(chan struct{})
+		go func() {
+			a.kb.Add(local)
+			close(landed)
+		}()
+		<-landed
+	})
+	d := &synopsis.Delta{
+		Seq:      1,
+		Symptoms: []string{"m0", "m1"},
+		Points:   []synopsis.Point{pt([]float64{1, 2}, catalog.FixUpdateStats, "items")},
+	}
+	// TTL 1: the received rumor itself is not relayed, so whatever
+	// reaches B is what A's push loop originated.
+	if added := a.gsp.Receive(d, "peerX:1", 1, ""); added != 1 {
+		t.Fatalf("receive added %d, want 1", added)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for b.kb.TrainingSize() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the local write made during Receive was never pushed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if pts, _ := b.kb.Export(); len(pts) != 1 || pts[0].Action != local.Action {
+		t.Fatalf("B holds %+v, want only the local write (the applied rumor is not A's to re-originate)", pts)
 	}
 }
 

@@ -3,10 +3,13 @@
 // converge at runtime, extending §5.1's portability argument from files
 // a human carries to a protocol the fleet runs itself.
 //
-// The protocol is pull-based and versioned by each node's publish
-// sequence (synopsis.Shared.Seq): a peer that was current at sequence s
-// asks GET /kb/delta?since=s and receives exactly the observations
-// published after s, named by the producer's symptom-space table so a
+// Knowledge moves by two mechanisms: the Gossiper pushes every publish
+// to a few sampled peers, and the Syncer keeps one long-poll parked on
+// each peer as the anti-entropy repair for whatever a push missed. Both
+// carry deltas versioned by the producer's publish sequence
+// (synopsis.Shared.Seq): a peer that was current at sequence s asks
+// GET /kb/delta?since=s and receives exactly the observations published
+// after s, named by the producer's symptom-space table so a
 // heterogeneous receiver remaps them exactly (the snapshot-v2 remap).
 // Applying a delta follows synopsis.Merge semantics — points already
 // present in the receiving knowledge base, under their canonical
@@ -160,8 +163,9 @@ func (n *Node) ApplyDeltaSeq(d *synopsis.Delta) (int, uint64) {
 type PeerStatus struct {
 	// URL is the peer's base URL.
 	URL string
-	// Seq is the peer's publish sequence as of the last successful pull —
-	// the cursor the next pull presents.
+	// Seq is the peer's publish sequence as of the furthest successful
+	// pull — the cursor the next pull presents. Within one peer life it
+	// only moves forward.
 	Seq uint64
 	// Pulls counts successful pulls (including not-modified ones).
 	Pulls uint64
@@ -187,18 +191,36 @@ type peer struct {
 	lastErr  string
 }
 
+// The background loop's cadence is fixed, not configured: cadence is set
+// by publishes (the peer parks each pull until it has news), so the only
+// timers left are how long a pull may stay parked, how soon after one
+// returns the next may leave, and where failure backoff stops.
+const (
+	// pollWait is the ?wait= every background pull carries: below the
+	// default client timeout and the server's 30s park cap, so neither
+	// end kills a parked poll. An idle fleet holds one open request per
+	// peer and renews it this often.
+	pollWait = 8 * time.Second
+	// minGap is the least time between a pull returning and the next one
+	// leaving. A busy peer releases every parked poll at every publish;
+	// without the gap each gossip push would also be pulled, one point at
+	// a time. It is also where failure backoff starts.
+	minGap = 500 * time.Millisecond
+	// defaultMaxBackoff caps failure backoff when Config.MaxBackoff is unset.
+	defaultMaxBackoff = 30 * time.Second
+)
+
 // Config parameterizes a Syncer.
 type Config struct {
 	// Peers are the base URLs of the nodes to pull from, e.g.
 	// "http://host:8701". Trailing slashes are tolerated.
 	Peers []string
-	// Interval is the steady-state poll period (default 2s). Each poll
-	// is jittered ±25% so a fleet started together does not thunder.
-	Interval time.Duration
 	// MaxBackoff caps the exponential backoff applied after consecutive
-	// failures (default 16×Interval, at most 60s).
+	// failures (default 30s).
 	MaxBackoff time.Duration
-	// Client is the HTTP client (default: 10s-timeout client).
+	// Client is the HTTP client (default: 10s-timeout client). A timeout
+	// at or below the 8s poll wait shortens the wait to half the timeout,
+	// so the transport never kills a parked poll.
 	Client *http.Client
 	// Seed makes the jitter deterministic for tests. Zero (the default)
 	// seeds from the process clock: a fleet of daemons started together
@@ -209,13 +231,6 @@ type Config struct {
 	// Logf, when set, receives one line per state change (peer failed,
 	// peer recovered). Nil means silent.
 	Logf func(format string, args ...any)
-	// LongPoll, when positive, turns each pull into a long poll: the
-	// request carries ?wait=LongPoll and the peer parks it until
-	// something is published (or the wait elapses, answering 304). An
-	// idle fleet then holds one open connection per peer instead of
-	// polling, and news still arrives within a round trip. It is clamped
-	// below Client's timeout so the transport never kills a parked poll.
-	LongPoll time.Duration
 	// OnStop, when set, receives the final per-peer status snapshot as
 	// Run exits on context cancellation — the operator's last look at
 	// why a peer was failing (see httpapi.Collector.RecordFinalPeers).
@@ -238,28 +253,21 @@ func normalizePeers(urls []string) []string {
 	return out
 }
 
-// Syncer polls N peers for knowledge-base deltas on a jittered interval
-// with per-peer exponential backoff, applying everything it pulls
-// through the node. Start it with Run; drive it by hand with SyncOnce.
+// Syncer keeps one long-poll parked on each of N peers, applying
+// everything it pulls through the node, with per-peer exponential
+// backoff while a peer fails. Start it with Run; pull by hand, without
+// parking, with SyncOnce.
 type Syncer struct {
 	node  *Node
 	cfg   Config
+	wait  time.Duration // pollWait, shortened to fit under cfg.Client's timeout
 	peers []*peer
 }
 
 // NewSyncer builds a syncer over node for cfg.Peers.
 func NewSyncer(node *Node, cfg Config) (*Syncer, error) {
-	if len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("kbsync: no peers configured")
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
 	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 16 * cfg.Interval
-		if cfg.MaxBackoff > time.Minute {
-			cfg.MaxBackoff = time.Minute
-		}
+		cfg.MaxBackoff = defaultMaxBackoff
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
@@ -267,10 +275,10 @@ func NewSyncer(node *Node, cfg Config) (*Syncer, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = time.Now().UnixNano()
 	}
-	if cfg.LongPoll > 0 && cfg.Client.Timeout > 0 && cfg.LongPoll >= cfg.Client.Timeout {
-		cfg.LongPoll = cfg.Client.Timeout / 2
+	s := &Syncer{node: node, cfg: cfg, wait: pollWait}
+	if t := cfg.Client.Timeout; t > 0 && t <= s.wait {
+		s.wait = t / 2
 	}
-	s := &Syncer{node: node, cfg: cfg}
 	for _, u := range normalizePeers(cfg.Peers) {
 		s.peers = append(s.peers, &peer{url: u})
 	}
@@ -294,12 +302,12 @@ func (s *Syncer) Peers() []PeerStatus {
 	return out
 }
 
-// Run polls every peer until ctx is cancelled: one goroutine per peer,
-// each sleeping a jittered interval between pulls and backing off
-// exponentially (capped at MaxBackoff) while the peer keeps failing.
-// With LongPoll set the sleep collapses to a token pause — the peer
-// itself parks the request, so cadence is set by publishes, not timers.
-// On cancellation the final per-peer statuses are flushed to OnStop.
+// Run long-polls every peer until ctx is cancelled: one goroutine per
+// peer, each pull parked by the peer until it publishes (or the wait
+// elapses), the next leaving no sooner than minGap after the last
+// returned, and failures backing off exponentially from minGap up to
+// MaxBackoff. On cancellation the final per-peer statuses are flushed
+// to OnStop.
 func (s *Syncer) Run(ctx context.Context) {
 	var wg sync.WaitGroup
 	for i, p := range s.peers {
@@ -307,32 +315,15 @@ func (s *Syncer) Run(ctx context.Context) {
 		go func(i int, p *peer) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(s.cfg.Seed + int64(i)))
-			// In long-poll mode the peer parks our requests, so cadence
-			// is set by publishes, not this timer: the inter-pull sleep
-			// collapses to a token pause that only guards against a peer
-			// answering immediately despite ?wait= (an old server) —
-			// never a hot loop, still sub-interval latency.
-			pause := s.cfg.Interval/100 + time.Millisecond
-			if pause > 250*time.Millisecond {
-				pause = 250 * time.Millisecond
-			}
-			delay := s.jitter(rng, s.cfg.Interval)
-			if s.cfg.LongPoll > 0 {
-				delay = s.jitter(rng, pause)
-			}
+			var delay time.Duration // the first pull leaves at once
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-time.After(delay):
 				}
-				if _, err := s.syncPeer(ctx, p); err != nil {
-					delay = s.jitter(rng, s.backoff(p))
-				} else if s.cfg.LongPoll > 0 {
-					delay = s.jitter(rng, pause)
-				} else {
-					delay = s.jitter(rng, s.cfg.Interval)
-				}
+				s.syncPeer(ctx, p, s.wait)
+				delay = jitter(rng, s.backoff(p))
 			}
 		}(i, p)
 	}
@@ -342,39 +333,32 @@ func (s *Syncer) Run(ctx context.Context) {
 	}
 }
 
-// jitter spreads d by ±25%.
-func (s *Syncer) jitter(rng *rand.Rand, d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	spread := d / 2
-	return d - spread/2 + time.Duration(rng.Int63n(int64(spread)+1))
+// jitter stretches d by up to 50%, never shortening it.
+func jitter(rng *rand.Rand, d time.Duration) time.Duration {
+	return d + time.Duration(rng.Int63n(int64(d)/2+1))
 }
 
-// backoff returns the failure delay for p's current consecutive-failure
-// count: Interval×2^failures, capped at MaxBackoff.
+// backoff returns the delay before p's next background pull:
+// minGap×2^failures — minGap itself while p is healthy — capped at
+// MaxBackoff.
 func (s *Syncer) backoff(p *peer) time.Duration {
 	p.mu.Lock()
 	n := p.failures
 	p.mu.Unlock()
-	d := s.cfg.Interval
-	for i := uint64(0); i < n && d < s.cfg.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > s.cfg.MaxBackoff {
-		d = s.cfg.MaxBackoff
-	}
-	return d
+	return min(minGap<<min(n, 16), s.cfg.MaxBackoff)
 }
 
-// SyncOnce pulls every peer once, in configuration order, and returns
-// how many new points were applied. Errors are joined, not fatal to the
-// remaining peers — the deterministic sync step tests and kbtool use.
+// SyncOnce pulls every peer once, in configuration order and without
+// parking, whatever backoff the background loop is sitting out, and
+// returns how many new points it applied — the on-demand step behind
+// POST /admin/sync. While Run is going a parked poll overlaps every
+// such pull, so a point may be counted by either. Errors are joined,
+// not fatal to the remaining peers.
 func (s *Syncer) SyncOnce(ctx context.Context) (int, error) {
 	added := 0
 	var errs []error
 	for _, p := range s.peers {
-		n, err := s.syncPeer(ctx, p)
+		n, err := s.syncPeer(ctx, p, 0)
 		added += n
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", p.url, err))
@@ -383,11 +367,12 @@ func (s *Syncer) SyncOnce(ctx context.Context) (int, error) {
 	return added, errors.Join(errs...)
 }
 
-// syncPeer performs one conditional pull from p and applies the result.
-// The request carries the epoch the cursor came from, so a peer that
+// syncPeer performs one conditional pull from p, parked by the peer for
+// up to wait when it has nothing new, and applies the result. The
+// request carries the epoch the cursor came from, so a peer that
 // restarted (new epoch, incomparable sequence numbering) answers with
 // its full history instead of a silently misaligned tail.
-func (s *Syncer) syncPeer(ctx context.Context, p *peer) (int, error) {
+func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int, error) {
 	p.mu.Lock()
 	since, epoch, etag := p.seq, p.epoch, p.etag
 	p.mu.Unlock()
@@ -396,8 +381,8 @@ func (s *Syncer) syncPeer(ctx context.Context, p *peer) (int, error) {
 	if epoch != "" {
 		q += "&epoch=" + url.QueryEscape(epoch)
 	}
-	if s.cfg.LongPoll > 0 {
-		q += "&wait=" + strconv.FormatInt(s.cfg.LongPoll.Milliseconds(), 10) + "ms"
+	if wait > 0 {
+		q += "&wait=" + strconv.FormatInt(wait.Milliseconds(), 10) + "ms"
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+q, nil)
 	if err != nil {
@@ -452,18 +437,23 @@ func (s *Syncer) fail(p *peer, err error) error {
 	return err
 }
 
-// ok records a successful pull.
+// ok records a successful pull. Two pulls of one peer can be in flight
+// at once (SyncOnce beside Run's parked poll) and land in either order,
+// so within a peer life the cursor only moves forward; a new epoch
+// resets it.
 func (s *Syncer) ok(p *peer, seq uint64, epoch, etag string, added int) {
 	p.mu.Lock()
 	recovered := p.failures > 0
 	p.failures = 0
 	p.lastErr = ""
-	p.seq = seq
-	if epoch != "" {
-		p.epoch = epoch
-	}
-	if etag != "" {
-		p.etag = etag
+	if newLife := epoch != "" && epoch != p.epoch; newLife || seq >= p.seq {
+		p.seq = seq
+		if newLife {
+			p.epoch = epoch
+		}
+		if etag != "" {
+			p.etag = etag
+		}
 	}
 	p.pulls++
 	p.points += uint64(added)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,45 +248,185 @@ func mustServer(t *testing.T, node *kbsync.Node) *httpapi.Server {
 	return srv
 }
 
-// TestSyncerLongPollConverges pins the long-poll pull plane: with
-// LongPoll set and a deliberately glacial Interval, a point published on
-// the peer after the syncer parks still arrives promptly — only the
-// parked ?wait= request can explain that.
-func TestSyncerLongPollConverges(t *testing.T) {
-	nodeA, kbA := newNode("m.a")
-	nodeB, kbB := newNode("m.a")
-	srvA := httptest.NewServer(mustServer(t, nodeA))
-	defer srvA.Close()
+// deltaLog counts the /kb/delta requests a peer server sees: arrived
+// gets each request's raw query as it comes in, returned one token as
+// each is answered.
+type deltaLog struct {
+	arrived  chan string
+	returned chan struct{}
+}
 
-	s, err := kbsync.NewSyncer(nodeB, kbsync.Config{
-		Peers:    []string{srvA.URL},
-		Interval: time.Hour, // poll cadence can't be the explanation
-		LongPoll: 10 * time.Second,
+func newDeltaLog() *deltaLog {
+	return &deltaLog{arrived: make(chan string, 64), returned: make(chan struct{}, 64)}
+}
+
+func (l *deltaLog) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/kb/delta" {
+			next.ServeHTTP(w, r)
+			return
+		}
+		l.arrived <- r.URL.RawQuery
+		next.ServeHTTP(w, r)
+		l.returned <- struct{}{}
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// next waits for the next request to arrive and returns its query.
+func (l *deltaLog) next(t *testing.T) url.Values {
+	t.Helper()
+	select {
+	case raw := <-l.arrived:
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	case <-time.After(10 * time.Second):
+		t.Fatal("no /kb/delta request arrived")
+		return nil
 	}
+}
+
+// runSyncer runs s in the background until the test ends. Cleanups run
+// last-in first-out: register the peer servers' Close before calling
+// this, or Close waits out whatever poll is still parked on them.
+func runSyncer(t *testing.T, s *kbsync.Syncer) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		s.Run(ctx)
 		close(done)
 	}()
-	// Give the first pull time to drain (empty) and park, then publish.
-	time.Sleep(50 * time.Millisecond)
-	kbA.Add(pt([]float64{1}, catalog.FixUpdateStats, "items"))
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for kbB.TrainingSize() != 1 {
-		if time.Now().After(deadline) {
-			cancel()
-			<-done
-			t.Fatal("long-poll syncer never converged; Interval alone would take an hour")
-		}
-		time.Sleep(5 * time.Millisecond)
+// TestSyncerLongPollConverges pins the one background mode: an idle peer
+// holds exactly one parked ?wait= request from the syncer, no second one
+// is sent while it is parked, and a publish on the peer is what releases
+// it — by the time the syncer comes back for more, it holds the point.
+func TestSyncerLongPollConverges(t *testing.T) {
+	nodeA, kbA := newNode("m.a")
+	nodeB, kbB := newNode("m.a")
+	reqs := newDeltaLog()
+	srvA := httptest.NewServer(reqs.wrap(mustServer(t, nodeA)))
+	t.Cleanup(srvA.Close)
+
+	s, err := kbsync.NewSyncer(nodeB, kbsync.Config{Peers: []string{srvA.URL}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cancel()
-	<-done
+	runSyncer(t, s)
+
+	if q := reqs.next(t); q.Get("wait") == "" {
+		t.Fatalf("background pull %v carries no ?wait=", q)
+	}
+	// The peer has nothing, so the request is parked inside its handler;
+	// the syncer's loop is behind it and cannot have sent another.
+	if len(reqs.returned) != 0 || len(reqs.arrived) != 0 {
+		t.Fatalf("idle peer: %d requests answered, %d more arrived; want one parked request",
+			len(reqs.returned), len(reqs.arrived))
+	}
+
+	kbA.Add(pt([]float64{1}, catalog.FixUpdateStats, "items"))
+	<-reqs.returned
+	// The syncer applies what a pull returned before it pulls again.
+	if q := reqs.next(t); q.Get("since") != "1" {
+		t.Fatalf("second pull presents since=%s, want 1", q.Get("since"))
+	}
+	if got := kbB.TrainingSize(); got != 1 {
+		t.Fatalf("puller holds %d points when it re-polls, want 1", got)
+	}
+}
+
+// TestSyncOnceBesideParkedPollKeepsCursorForward: POST /admin/sync pulls
+// while the background poll is parked, so two answers from one peer land
+// in either order. The cursor must end at the larger sequence whichever
+// lands last — a delta captured earlier, a 304 for an older cursor, or
+// a stale on-demand answer.
+func TestSyncOnceBesideParkedPollKeepsCursorForward(t *testing.T) {
+	// A scripted peer: parked (?wait=) requests block until the test
+	// says what to answer; on-demand ones answer onDemand at once.
+	type answer struct {
+		seq         uint64
+		notModified bool
+	}
+	parked := make(chan url.Values, 8)
+	release := make(chan answer)
+	var onDemand atomic.Uint64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		a := answer{seq: onDemand.Load()}
+		if r.URL.Query().Get("wait") != "" {
+			parked <- r.URL.Query()
+			select {
+			case a = <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		if a.notModified {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		(&synopsis.Delta{Seq: a.seq, Epoch: "life-1"}).Encode(w)
+	}))
+	t.Cleanup(srv.Close)
+
+	node, _ := newNode("m.a")
+	s, err := kbsync.NewSyncer(node, kbsync.Config{Peers: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSyncer(t, s)
+	// awaitPulls waits until n pulls have been recorded, then reports the cursor.
+	awaitPulls := func(n uint64) uint64 {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Peers()[0].Pulls < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d pulls recorded", s.Peers()[0].Pulls, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return s.Peers()[0].Seq
+	}
+	syncOnce := func(seq uint64) {
+		t.Helper()
+		onDemand.Store(seq)
+		if _, err := s.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	<-parked
+	syncOnce(5)
+	release <- answer{seq: 3} // captured before the on-demand pull, lands after
+	if got := awaitPulls(2); got != 5 {
+		t.Fatalf("older delta landing last moved the cursor to %d, want 5", got)
+	}
+
+	if q := <-parked; q.Get("since") != "5" {
+		t.Fatalf("next poll presents since=%s, want 5", q.Get("since"))
+	}
+	syncOnce(7)
+	release <- answer{notModified: true} // the parked since=5 timing out
+	if got := awaitPulls(4); got != 7 {
+		t.Fatalf("304 for an older cursor moved the cursor to %d, want 7", got)
+	}
+
+	<-parked
+	release <- answer{seq: 9}
+	if got := awaitPulls(5); got != 9 {
+		t.Fatalf("parked poll's delta left the cursor at %d, want 9", got)
+	}
+	syncOnce(8) // a stale on-demand answer after the poll moved on
+	if got := s.Peers()[0].Seq; got != 9 {
+		t.Fatalf("stale on-demand answer moved the cursor to %d, want 9", got)
+	}
 }
 
 // TestSyncerOnStopFlushesFinalPeers pins the shutdown flush: when Run's
@@ -300,17 +442,22 @@ func TestSyncerOnStopFlushesFinalPeers(t *testing.T) {
 
 	final := make(chan []kbsync.PeerStatus, 1)
 	s, err := kbsync.NewSyncer(nodeB, kbsync.Config{
-		Peers:    []string{srvA.URL, "http://127.0.0.1:1"}, // port 1: refused
-		Interval: 10 * time.Millisecond,
-		OnStop:   func(ps []kbsync.PeerStatus) { final <- ps },
+		Peers:  []string{srvA.URL, "http://127.0.0.1:1"}, // port 1: refused
+		OnStop: func(ps []kbsync.PeerStatus) { final <- ps },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go s.Run(ctx)
-	// Let at least one round complete against both peers, then stop.
-	time.Sleep(100 * time.Millisecond)
+	// Let one pull complete against each peer, then stop.
+	deadline := time.Now().Add(10 * time.Second)
+	for ps := s.Peers(); ps[0].Pulls == 0 || ps[1].Failures == 0; ps = s.Peers() {
+		if time.Now().After(deadline) {
+			t.Fatalf("first round never completed: %+v", ps)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 
 	select {

@@ -66,8 +66,7 @@ func TestFiftyNodeMeshSubSecondPropagation(t *testing.T) {
 	}
 	m, err := New(Options{
 		Nodes: 50, Topology: Random, Degree: 6, Fanout: 3, TTL: 6,
-		PullInterval: 2 * time.Second, PullPeers: 2, LongPoll: 2 * time.Second,
-		Seed: 42,
+		PullPeers: 2, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +117,7 @@ func TestRingMeshConvergesOnTTL(t *testing.T) {
 func TestLossyMeshHealsByPull(t *testing.T) {
 	m, err := New(Options{
 		Nodes: 20, Topology: Random, Degree: 4, Fanout: 2, TTL: 4,
-		DropRate:     0.4,
-		PullInterval: 500 * time.Millisecond, PullPeers: 3, LongPoll: 2 * time.Second,
-		Seed: 11,
+		DropRate: 0.4, PullPeers: 3, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,8 +142,7 @@ func TestLossyMeshHealsByPull(t *testing.T) {
 func TestPartitionedMeshHealsOnRejoin(t *testing.T) {
 	m, err := New(Options{
 		Nodes: 20, Topology: Partitioned, Fanout: 3, TTL: 5,
-		PullInterval: 200 * time.Millisecond, PullPeers: 4, LongPoll: time.Second,
-		Seed: 23,
+		PullPeers: 4, Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +190,7 @@ func TestPartitionedMeshHealsOnRejoin(t *testing.T) {
 func TestMeshSurvivesChurn(t *testing.T) {
 	m, err := New(Options{
 		Nodes: 16, Topology: Random, Degree: 4, Fanout: 2, TTL: 5,
-		PullInterval: 300 * time.Millisecond, PullPeers: 3, LongPoll: time.Second,
-		Seed: 31,
+		PullPeers: 3, Seed: 31,
 	})
 	if err != nil {
 		t.Fatal(err)

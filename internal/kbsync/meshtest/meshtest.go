@@ -1,7 +1,8 @@
 // Package meshtest is an in-process federation mesh: N selfheal nodes,
 // each a real knowledge base behind a real HTTP ops plane, wired
-// together with the gossip push plane and (optionally) the long-poll
-// pull plane over loopback httptest servers. Tests and benchmarks use it
+// together with the two mechanisms a daemon runs — the gossip push plane
+// and (when PullPeers > 0) the long-poll pull plane — over loopback
+// httptest servers. Tests and benchmarks use it
 // to measure what the paper's federated-healing story actually promises
 // — that a fix learned on one node becomes Suggest-able fleet-wide in
 // sub-second time — and to prove the convergence invariant end to end:
@@ -62,18 +63,13 @@ type Options struct {
 	// Fanout and TTL are passed to every gossiper (gossip defaults
 	// apply when zero, except Ring which defaults TTL to Nodes).
 	Fanout, TTL int
-	// Flush is the gossip catch-all period (default 50ms — test scale).
-	Flush time.Duration
 	// DropRate rejects this fraction of /kb/push deliveries with a 503,
 	// modeling lossy gossip transport.
 	DropRate float64
-	// PullInterval, when positive, gives every node a pull-plane Syncer
-	// over PullPeers random peers. Zero disables the pull plane.
-	PullInterval time.Duration
-	// PullPeers is each syncer's peer count (default 2).
+	// PullPeers, when positive, gives every node a pull-plane Syncer over
+	// its ring successor plus PullPeers-1 random peers. Zero disables the
+	// pull plane.
 	PullPeers int
-	// LongPoll is passed to each syncer.
-	LongPoll time.Duration
 	// Compaction, when set, bounds every node's KB memory.
 	Compaction *synopsis.Compaction
 	// Seed makes topology wiring, gossip sampling, and drop decisions
@@ -136,12 +132,6 @@ func New(opts Options) (*Mesh, error) {
 	if opts.Degree <= 0 {
 		opts.Degree = 5
 	}
-	if opts.PullPeers <= 0 {
-		opts.PullPeers = 2
-	}
-	if opts.Flush <= 0 {
-		opts.Flush = 50 * time.Millisecond
-	}
 	if opts.TTL <= 0 && opts.Topology == Ring {
 		opts.TTL = opts.Nodes
 	}
@@ -187,8 +177,11 @@ func New(opts Options) (*Mesh, error) {
 	}
 
 	for i, n := range m.Nodes {
+		// What a harness must inject — its transport, seeds, its own URL
+		// and a test-scale backoff cap — is all that differs from how
+		// selfheal.Fleet.ServeOps builds the same two loops.
 		client := &http.Client{
-			Timeout:   5 * time.Second,
+			Timeout:   10 * time.Second,
 			Transport: groupTransport{group: strconv.Itoa(n.Group), base: http.DefaultTransport},
 		}
 		gsp, err := kbsync.NewGossiper(n.Node, kbsync.GossipConfig{
@@ -196,7 +189,6 @@ func New(opts Options) (*Mesh, error) {
 			Self:   n.URL,
 			Fanout: opts.Fanout,
 			TTL:    opts.TTL,
-			Flush:  opts.Flush,
 			Client: client,
 			Seed:   opts.Seed + int64(i)*7919,
 		})
@@ -204,13 +196,12 @@ func New(opts Options) (*Mesh, error) {
 			return nil, err
 		}
 		n.Gossiper = gsp
-		if opts.PullInterval > 0 {
+		if opts.PullPeers > 0 {
 			sy, err := kbsync.NewSyncer(n.Node, kbsync.Config{
-				Peers:    m.pullPeers(i, wiring),
-				Interval: opts.PullInterval,
-				LongPoll: opts.LongPoll,
-				Client:   client,
-				Seed:     opts.Seed + int64(i)*104729,
+				Peers:      m.pullPeers(i, wiring),
+				MaxBackoff: 2 * time.Second,
+				Client:     client,
+				Seed:       opts.Seed + int64(i)*104729,
 			})
 			if err != nil {
 				return nil, err

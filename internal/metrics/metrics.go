@@ -65,24 +65,13 @@ func (s *Schema) MustIndex(name string) int {
 	return i
 }
 
-// Matching returns the indexes of all columns for which pred is true.
-func (s *Schema) Matching(pred func(name string) bool) []int {
-	var out []int
-	for i, n := range s.names {
-		if pred(n) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Series is an append-only multidimensional time series: one row of float64
 // values per tick, all rows conforming to the same schema.
 //
 // Rows are stored in one flat backing array in row-major order. Appending a
 // row therefore costs a single amortized slice append instead of a fresh
 // per-row allocation, and whole-window scans (means, stddevs) walk memory
-// linearly. Views returned by Tail and Slice share the backing and remain
+// linearly. Views returned by Tail share the backing and remain
 // valid — rows are immutable once appended — even if a later Append grows
 // the parent's backing elsewhere.
 type Series struct {
@@ -149,12 +138,6 @@ func (t *Series) Tail(n int) *Series {
 	start := len(t.times) - n
 	w := t.schema.Len()
 	return &Series{schema: t.schema, times: t.times[start:], flat: t.flat[start*w:]}
-}
-
-// Slice returns a read-only view of rows [i,j).
-func (t *Series) Slice(i, j int) *Series {
-	w := t.schema.Len()
-	return &Series{schema: t.schema, times: t.times[i:j], flat: t.flat[i*w : j*w]}
 }
 
 // Reserve grows the backing arrays to hold at least rows rows without

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSchema(t *testing.T) {
 	s := NewSchema([]string{"a", "b.c", "d"})
@@ -18,10 +15,6 @@ func TestSchema(t *testing.T) {
 	}
 	if s.Name(2) != "d" {
 		t.Errorf("name %q", s.Name(2))
-	}
-	got := s.Matching(func(n string) bool { return len(n) == 1 })
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("matching %v", got)
 	}
 }
 
@@ -72,10 +65,6 @@ func TestSeriesAppendAndViews(t *testing.T) {
 	}
 	if tl := s.Tail(99); tl.Len() != 3 {
 		t.Errorf("oversized tail %d", tl.Len())
-	}
-	sl := s.Slice(1, 2)
-	if sl.Len() != 1 || sl.Row(0)[1] != 4 {
-		t.Error("slice wrong")
 	}
 }
 
@@ -177,74 +166,5 @@ func TestBaselineZScores(t *testing.T) {
 	far.Append(0, []float64{1e6})
 	if z := b.ZScores(far, 8); z[0] != 8 {
 		t.Errorf("clamped z %v", z[0])
-	}
-}
-
-func TestBaselineRatios(t *testing.T) {
-	base := NewSeries(NewSchema([]string{"m", "zero"}))
-	base.Append(0, []float64{10, 0})
-	base.Append(1, []float64{10, 0})
-	b := NewBaseline(base)
-	cur := NewSeries(base.Schema())
-	cur.Append(2, []float64{25, 5})
-	r := b.Ratios(cur, 10)
-	if r[0] != 2.5 {
-		t.Errorf("ratio %v", r[0])
-	}
-	if r[1] != 10 { // nonzero over zero baseline clamps
-		t.Errorf("zero-baseline ratio %v", r[1])
-	}
-}
-
-func TestTopK(t *testing.T) {
-	got := TopK([]float64{3, 9, 1, 9, 5}, 3)
-	want := []int{1, 3, 4}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Errorf("topk %v want %v", got, want)
-	}
-	if got := TopK([]float64{1, 2}, 10); len(got) != 2 {
-		t.Errorf("oversized k %v", got)
-	}
-}
-
-// Property: TopK returns distinct in-range indexes in descending score
-// order.
-func TestQuickTopK(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200}
-	if err := quick.Check(func(scores []float64, k uint8) bool {
-		got := TopK(scores, int(k)%10)
-		seen := map[int]bool{}
-		prev := 0.0
-		for i, idx := range got {
-			if idx < 0 || idx >= len(scores) || seen[idx] {
-				return false
-			}
-			seen[idx] = true
-			if i > 0 && scores[idx] > prev {
-				return false
-			}
-			prev = scores[idx]
-		}
-		return true
-	}, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDeltasAndAggregate(t *testing.T) {
-	s := NewSeries(NewSchema([]string{"m"}))
-	for i := 0; i < 10; i++ {
-		s.Append(int64(i), []float64{float64(i)})
-	}
-	d := Deltas(s)
-	if d[0] != 5 { // second-half mean 7, first-half mean 2
-		t.Errorf("delta %v", d[0])
-	}
-	agg := Aggregate(s, func(xs []float64) float64 { return xs[len(xs)-1] })
-	if agg[0] != 9 {
-		t.Errorf("aggregate %v", agg[0])
-	}
-	if c := Concat([]float64{1}, nil, []float64{2, 3}); len(c) != 3 || c[2] != 3 {
-		t.Errorf("concat %v", c)
 	}
 }

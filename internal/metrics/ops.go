@@ -58,107 +58,3 @@ func (b *Baseline) ZScores(current *Series, clamp float64) []float64 {
 	}
 	return out
 }
-
-// Ratios expresses current behaviour as per-column ratios to the baseline
-// mean (1 = unchanged), clamped to [0, clamp].
-func (b *Baseline) Ratios(current *Series, clamp float64) []float64 {
-	cur := current.ColMeans()
-	out := make([]float64, len(cur))
-	for i, v := range cur {
-		m := b.Means[i]
-		if math.Abs(m) < 1e-9 {
-			if math.Abs(v) < 1e-9 {
-				out[i] = 1
-			} else {
-				out[i] = clamp
-			}
-			continue
-		}
-		r := v / m
-		if clamp > 0 && r > clamp {
-			r = clamp
-		}
-		if r < 0 {
-			r = 0
-		}
-		out[i] = r
-	}
-	return out
-}
-
-// Aggregate reduces a window to one row per column using fn (for example
-// stats.Mean or stats.Max).
-func Aggregate(window *Series, fn func([]float64) float64) []float64 {
-	w := window.Schema().Len()
-	out := make([]float64, w)
-	for i := 0; i < w; i++ {
-		out[i] = fn(window.ColIdx(i))
-	}
-	return out
-}
-
-// Deltas returns the per-column difference between the means of the last
-// and first halves of the window — a cheap trend feature.
-func Deltas(window *Series) []float64 {
-	n := window.Len()
-	if n < 2 {
-		return make([]float64, window.Schema().Len())
-	}
-	first := window.Slice(0, n/2).ColMeans()
-	second := window.Slice(n/2, n).ColMeans()
-	out := make([]float64, len(first))
-	for i := range out {
-		out[i] = second[i] - first[i]
-	}
-	return out
-}
-
-// TopK returns the indexes of the k largest values of score (ties broken by
-// lower index). It is the feature-selection primitive used by the
-// correlation approach to pick the attributes most predictive of failure.
-func TopK(score []float64, k int) []int {
-	if k > len(score) {
-		k = len(score)
-	}
-	idx := make([]int, 0, k)
-	used := make([]bool, len(score))
-	for n := 0; n < k; n++ {
-		best := -1
-		for i, s := range score {
-			if used[i] {
-				continue
-			}
-			if best == -1 || s > score[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		idx = append(idx, best)
-	}
-	return idx
-}
-
-// AbsValues returns |xs| element-wise.
-func AbsValues(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = math.Abs(x)
-	}
-	return out
-}
-
-// Concat concatenates feature vectors into one.
-func Concat(vs ...[]float64) []float64 {
-	n := 0
-	for _, v := range vs {
-		n += len(v)
-	}
-	out := make([]float64, 0, n)
-	for _, v := range vs {
-		out = append(out, v...)
-	}
-	return out
-}

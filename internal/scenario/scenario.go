@@ -284,9 +284,6 @@ func (b *Builder) Scale(f float64) *Builder { b.workload().Scale = f; return b }
 // Diurnal enables day/night load modulation.
 func (b *Builder) Diurnal() *Builder { b.workload().Diurnal = true; return b }
 
-// Drift sets per-tick mix drift toward read-heavy classes.
-func (b *Builder) Drift(perTick float64) *Builder { b.workload().DriftPerTick = perTick; return b }
-
 // Surge schedules a whole-mix surge over [start, end) scenario ticks.
 func (b *Builder) Surge(start, end int64, factor float64) *Builder {
 	w := b.workload()

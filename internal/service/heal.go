@@ -192,6 +192,3 @@ func (s *Service) RestoreConfig() {
 	s.brokenKnob = KnobNone
 	s.knobTarget = ""
 }
-
-// BrokenKnob reports the currently applied operator misconfiguration.
-func (s *Service) BrokenKnob() (OperatorKnob, string) { return s.brokenKnob, s.knobTarget }

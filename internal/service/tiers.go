@@ -261,9 +261,6 @@ func (a *AppTier) EJB(name string) *EJB {
 	return e
 }
 
-// EJBs returns all components in canonical order.
-func (a *AppTier) EJBs() []*EJB { return a.ejbs }
-
 // heapOccupancy returns heap fullness in [0,1].
 func (a *AppTier) heapOccupancy() float64 {
 	if a.HeapMB <= 0 {
@@ -309,9 +306,6 @@ func (d *DBTier) Table(name string) *Table {
 	}
 	return t
 }
-
-// Tables returns all tables in canonical order.
-func (d *DBTier) Tables() []*Table { return d.tables }
 
 // workingSetMB sums the working sets of all tables.
 func (d *DBTier) workingSetMB() float64 {

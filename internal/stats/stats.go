@@ -41,21 +41,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// SampleVariance returns the unbiased (n-1) variance of xs.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
 // Stddev returns the population standard deviation of xs.
 func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 

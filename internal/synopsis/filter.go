@@ -12,7 +12,6 @@ package synopsis
 // simply pass nil.
 type ActionFilter struct {
 	exclude map[string]struct{}
-	fn      func(Action) bool
 }
 
 // ExcludeActions returns a filter excluding exactly the given actions.
@@ -29,38 +28,17 @@ func ExcludeActions(as ...Action) *ActionFilter {
 	return &ActionFilter{exclude: m}
 }
 
-// ExcludeWhere wraps a legacy exclusion predicate — the compat shim for
-// call sites still holding a func(Action) bool. A predicate-backed filter
-// works everywhere a set-backed one does but cannot be pushed down or
-// inspected; migrate to ExcludeActions.
-//
-// Deprecated: build filters with ExcludeActions.
-func ExcludeWhere(fn func(Action) bool) *ActionFilter {
-	if fn == nil {
-		return nil
-	}
-	return &ActionFilter{fn: fn}
-}
-
 // Excludes reports whether the filter rejects a. It is nil-safe: a nil
 // filter excludes nothing.
 func (f *ActionFilter) Excludes(a Action) bool {
 	if f == nil {
 		return false
 	}
-	if f.fn != nil && f.fn(a) {
-		return true
-	}
-	if f.exclude != nil {
-		if _, ok := f.exclude[a.Key()]; ok {
-			return true
-		}
-	}
-	return false
+	_, ok := f.exclude[a.Key()]
+	return ok
 }
 
-// Len returns the number of explicitly excluded actions (predicate-backed
-// exclusions are unsized and report 0).
+// Len returns the number of excluded actions.
 func (f *ActionFilter) Len() int {
 	if f == nil {
 		return 0

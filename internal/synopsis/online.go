@@ -138,39 +138,3 @@ func Accuracy(s Synopsis, test []Point) float64 {
 	}
 	return float64(correct) / float64(len(test))
 }
-
-// ActionAccuracy is the stricter variant requiring the full action —
-// fix and target — to match.
-func ActionAccuracy(s Synopsis, test []Point) float64 {
-	if len(test) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range test {
-		sug, ok := s.Suggest(test[i].X, nil)
-		if ok && sug.Action == test[i].Action {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(test))
-}
-
-// ConfusionMatrix counts suggested-vs-true action pairs over a test set,
-// keyed by action keys.
-func ConfusionMatrix(s Synopsis, test []Point) map[string]map[string]int {
-	out := make(map[string]map[string]int)
-	for i := range test {
-		truth := test[i].Action.Key()
-		pred := "(none)"
-		if sug, ok := s.Suggest(test[i].X, nil); ok {
-			pred = sug.Action.Key()
-		}
-		row := out[truth]
-		if row == nil {
-			row = make(map[string]int)
-			out[truth] = row
-		}
-		row[pred]++
-	}
-	return out
-}

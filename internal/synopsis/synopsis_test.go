@@ -109,17 +109,18 @@ func TestQuickSuggestNeverExcluded(t *testing.T) {
 		if len(ranked) == 0 {
 			return true
 		}
-		excluded := map[string]bool{}
+		var excluded []Action
 		for i, r := range ranked {
 			if mask&(1<<uint(i%8)) != 0 {
-				excluded[r.Action.Key()] = true
+				excluded = append(excluded, r.Action)
 			}
 		}
-		got, ok := nn.Suggest(x, ExcludeWhere(func(a Action) bool { return excluded[a.Key()] }))
+		filter := ExcludeActions(excluded...)
+		got, ok := nn.Suggest(x, filter)
 		if !ok {
 			return true
 		}
-		return !excluded[got.Action.Key()]
+		return !filter.Excludes(got.Action)
 	}, cfg); err != nil {
 		t.Error(err)
 	}

@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/core"
@@ -141,10 +140,6 @@ var (
 	// ExcludeActions builds a set-backed ActionFilter excluding exactly
 	// the given actions (nil — exclude nothing — for an empty list).
 	ExcludeActions = synopsis.ExcludeActions
-	// ExcludeWhere wraps a legacy exclusion predicate.
-	//
-	// Deprecated: build filters with ExcludeActions.
-	ExcludeWhere = synopsis.ExcludeWhere
 	// NewKDTreeIndex builds a KD-tree SynopsisIndex over a point set.
 	NewKDTreeIndex = synopsis.NewKDTreeIndex
 	// NewBruteForceIndex wraps a point set in the O(n) oracle index.
@@ -186,7 +181,6 @@ type config struct {
 	learnBatch          int
 	serveAddr           string
 	peers               []string
-	syncInterval        time.Duration
 	gossipFanout        int
 	compaction          *Compaction
 	shape               *WorkloadShape
