@@ -145,10 +145,6 @@ func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 	if h.Clock == nil {
 		h.Clock = clock.Logical{}
 	}
-	// The series trims back to HistoryTicks once it reaches 2× that, so its
-	// peak row count is known at construction; reserving it here means the
-	// campaign's hottest append path never reallocates the backing.
-	h.Coll.Series().Reserve(cfg.HistoryTicks*2 + 1)
 	if s, ok := t.(targets.CallMatrixSupporter); ok {
 		h.support = s.CallMatrixSupport()
 	}
@@ -250,10 +246,8 @@ func (h *Harness) Step() detect.Sample {
 		h.ringFilled++
 	}
 
-	// Bound history memory during long campaigns.
-	if h.Coll.Series().Len() > h.Cfg.HistoryTicks*2 {
-		h.Coll.Series().TrimFront(h.Cfg.HistoryTicks)
-	}
+	// Keep a sliding window of the last HistoryTicks rows.
+	h.Coll.Series().TrimFront(h.Cfg.HistoryTicks)
 	if h.OnStep != nil {
 		h.OnStep(st)
 	}

@@ -64,17 +64,13 @@ type Application struct {
 
 // Actuator applies fixes to a service.
 type Actuator struct {
-	svc     *service.Service
-	history []Application
+	svc *service.Service
 }
 
 // NewActuator builds an actuator for svc.
 func NewActuator(svc *service.Service) *Actuator {
 	return &Actuator{svc: svc}
 }
-
-// History returns every fix applied so far, oldest first.
-func (a *Actuator) History() []Application { return a.history }
 
 // Apply performs the fix against the service and returns its application
 // record. Unknown fixes and missing targets are reported as errors; the
@@ -126,9 +122,7 @@ func (a *Actuator) Apply(id catalog.FixID, target string) (Application, error) {
 	default:
 		return Application{}, fmt.Errorf("fixes: unhandled fix %v", id)
 	}
-	app := Application{Fix: id, Target: target, AppliedAt: svc.Now(), SettleTicks: p.SettleTicks}
-	a.history = append(a.history, app)
-	return app, nil
+	return Application{Fix: id, Target: target, AppliedAt: svc.Now(), SettleTicks: p.SettleTicks}, nil
 }
 
 // tierByName maps a tier name (or any unknown string) to a tier, defaulting

@@ -68,8 +68,8 @@ func TestApplyEveryFix(t *testing.T) {
 			t.Errorf("apply %v: %v", id, err)
 			continue
 		}
-		if app.Fix != id {
-			t.Errorf("application records %v for %v", app.Fix, id)
+		if app.Fix != id || app.Target != targets[id] || app.AppliedAt != svc.Now() {
+			t.Errorf("application records %+v for %v on %q at %d", app, id, targets[id], svc.Now())
 		}
 		if app.SettleTicks != ProfileFor(id).SettleTicks {
 			t.Errorf("%v settle %d != profile %d", id, app.SettleTicks, ProfileFor(id).SettleTicks)
@@ -92,22 +92,8 @@ func TestApplyRejectsBadTargets(t *testing.T) {
 	if _, err := act.Apply(catalog.FixID(999), "x"); err == nil {
 		t.Error("unknown fix accepted")
 	}
-	if len(act.History()) != 0 {
-		t.Error("failed applications recorded in history")
-	}
-}
-
-func TestHistoryRecordsApplications(t *testing.T) {
-	svc := newService(t)
-	act := NewActuator(svc)
-	act.Apply(catalog.FixRepartitionMemory, "")
-	act.Apply(catalog.FixUpdateStats, "items")
-	h := act.History()
-	if len(h) != 2 {
-		t.Fatalf("history %d", len(h))
-	}
-	if h[0].Fix != catalog.FixRepartitionMemory || h[1].Target != "items" {
-		t.Errorf("history wrong: %+v", h)
+	if app, _ := act.Apply(catalog.FixUpdateStats, "ItemBean"); app != (Application{}) {
+		t.Errorf("failed application returned a record: %+v", app)
 	}
 }
 

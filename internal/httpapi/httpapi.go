@@ -280,14 +280,13 @@ func (sr *statusRecorder) Flush() {
 // gzip the body is compressed (deltas and snapshots are JSON full of
 // repeated names — they shrink 5-10×) and Content-Encoding set. Callers
 // must call the returned close before returning.
-func bodyWriter(w http.ResponseWriter, r *http.Request) (io.Writer, func()) {
+func bodyWriter(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) {
 	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		return w, func() {}
+		return w, func() error { return nil }
 	}
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Del("Content-Length")
-	zw := gzip.NewWriter(w)
-	return zw, func() { zw.Close() }
+	return kbsync.GzipTo(w)
 }
 
 // ServeHTTP implements http.Handler, serving through the middleware

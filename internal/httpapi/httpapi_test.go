@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -489,4 +490,48 @@ func TestMetricsKBLogGauge(t *testing.T) {
 	if !strings.Contains(body, "selfheal_kb_log_points 2") {
 		t.Errorf("metrics missing selfheal_kb_log_points 2")
 	}
+}
+
+// TestConcurrentGzipResponsesMatchPlainBodies hammers /kb/delta and
+// /kb/snapshot from several goroutines at once. The gzip writers behind
+// them are pooled: one handed to a second response while the first is
+// still writing through it would garble both streams, so every response
+// must gunzip to exactly the bytes the same request gets uncompressed.
+// Run it with -race -count=10.
+func TestConcurrentGzipResponsesMatchPlainBodies(t *testing.T) {
+	srv, kb, _ := newTestServer(t)
+	for i := 0; i < 300; i++ {
+		add(kb, float64(i), float64(i%7))
+	}
+	paths := []string{"/kb/snapshot", "/kb/delta?since=0", "/kb/delta?since=1", "/kb/delta?since=150", "/kb/delta?since=299"}
+	plain := make(map[string][]byte)
+	for _, p := range paths {
+		plain[p] = get(t, srv, p, nil).Body.Bytes()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				p := paths[(g+i)%len(paths)]
+				w := get(t, srv, p, map[string]string{"Accept-Encoding": "gzip"})
+				zr, err := gzip.NewReader(w.Body)
+				if err != nil {
+					t.Errorf("%s: %v", p, err)
+					return
+				}
+				body, err := io.ReadAll(zr)
+				if err != nil {
+					t.Errorf("%s: %v", p, err)
+					return
+				}
+				if !bytes.Equal(body, plain[p]) {
+					t.Errorf("%s: gzip body decodes to %d bytes that are not the %d plain ones", p, len(body), len(plain[p]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -391,6 +392,22 @@ func (g *Gossiper) sample(k int, exclude string) []string {
 	return out
 }
 
+// gzipWriters recycles deflate state: a fresh gzip.Writer allocates and
+// zeroes about a megabyte, and a busy node encodes a delta per episode.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+// GzipTo compresses onto w with a pooled writer. done, called once after
+// the body is written, ends the stream and takes zw back: no use after it.
+func GzipTo(w io.Writer) (zw io.Writer, done func() error) {
+	z := gzipWriters.Get().(*gzip.Writer)
+	z.Reset(w)
+	return z, func() error {
+		err := z.Close()
+		gzipWriters.Put(z)
+		return err
+	}
+}
+
 // broadcast encodes d once (gzipped) and POSTs it to every target
 // concurrently, waiting for all of them. Push latency is bounded by the
 // client timeout, not summed across targets.
@@ -399,12 +416,9 @@ func (g *Gossiper) broadcast(ctx context.Context, d *synopsis.Delta, id string, 
 		return
 	}
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := d.Encode(zw); err != nil {
-		g.pushesFailed.Add(uint64(len(targets)))
-		return
-	}
-	if err := zw.Close(); err != nil {
+	zw, done := GzipTo(&buf)
+	err := d.Encode(zw)
+	if cerr := done(); err != nil || cerr != nil {
 		g.pushesFailed.Add(uint64(len(targets)))
 		return
 	}

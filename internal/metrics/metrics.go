@@ -47,9 +47,6 @@ func (s *Schema) Len() int { return len(s.names) }
 // Names returns the column names. The returned slice must not be modified.
 func (s *Schema) Names() []string { return s.names }
 
-// Name returns the name of column i.
-func (s *Schema) Name(i int) string { return s.names[i] }
-
 // Index returns the position of the named column and whether it exists.
 func (s *Schema) Index(name string) (int, bool) {
 	i, ok := s.index[name]
@@ -65,50 +62,72 @@ func (s *Schema) MustIndex(name string) int {
 	return i
 }
 
+// blockRows is the number of rows one storage block holds.
+const blockRows = 256
+
+// block is one fixed-size run of consecutive rows. A row, once written, is
+// never rewritten, so a block may be shared by any number of series.
+type block struct {
+	times [blockRows]int64
+	flat  []float64 // blockRows rows of schema.Len() values, row-major
+}
+
 // Series is an append-only multidimensional time series: one row of float64
 // values per tick, all rows conforming to the same schema.
 //
-// Rows are stored in one flat backing array in row-major order. Appending a
-// row therefore costs a single amortized slice append instead of a fresh
-// per-row allocation, and whole-window scans (means, stddevs) walk memory
-// linearly. Views returned by Tail share the backing and remain
-// valid — rows are immutable once appended — even if a later Append grows
-// the parent's backing elsewhere.
+// Rows are stored in fixed-size blocks. Append fills the last block and
+// starts a new one when it is full; no row is ever moved. TrimFront advances
+// the first-row offset and lets go of the blocks wholly before it, so a
+// sliding window costs the same per tick however long it has been sliding.
+// A view returned by Tail holds the blocks it covers and stays valid — rows
+// are immutable once appended — whatever its parent appends or trims later.
+// Whole-window scans (means, stddevs) walk the rows oldest first.
 type Series struct {
 	schema *Schema
-	times  []int64
-	flat   []float64 // len == len(times) * schema.Len()
+	blocks []*block
+	off    int // rows of blocks[0] that precede row 0
+	n      int
 }
 
 // NewSeries creates an empty series over the schema.
-func NewSeries(schema *Schema) *Series {
-	return &Series{schema: schema}
-}
+func NewSeries(schema *Schema) *Series { return &Series{schema: schema} }
 
 // Schema returns the series schema.
 func (t *Series) Schema() *Schema { return t.schema }
 
 // Len returns the number of rows.
-func (t *Series) Len() int { return len(t.times) }
+func (t *Series) Len() int { return t.n }
 
 // Append adds a row observed at tick now. The row is copied, so callers may
 // reuse their buffer. Rows of the wrong width are rejected with a panic.
 func (t *Series) Append(now int64, row []float64) {
-	if len(row) != t.schema.Len() {
-		panic(fmt.Sprintf("metrics: row width %d != schema width %d", len(row), t.schema.Len()))
+	w := t.schema.Len()
+	if len(row) != w {
+		panic(fmt.Sprintf("metrics: row width %d != schema width %d", len(row), w))
 	}
-	t.times = append(t.times, now)
-	t.flat = append(t.flat, row...)
+	j := t.off + t.n
+	if j == len(t.blocks)*blockRows {
+		t.blocks = append(t.blocks, &block{flat: make([]float64, blockRows*w)})
+	}
+	b, r := t.blocks[j/blockRows], j%blockRows
+	b.times[r] = now
+	copy(b.flat[r*w:(r+1)*w], row)
+	t.n++
 }
 
 // Row returns the i-th row. The returned slice must not be modified.
 func (t *Series) Row(i int) []float64 {
 	w := t.schema.Len()
-	return t.flat[i*w : (i+1)*w : (i+1)*w]
+	j := t.off + i
+	r := j % blockRows
+	return t.blocks[j/blockRows].flat[r*w : (r+1)*w : (r+1)*w]
 }
 
 // Time returns the tick of the i-th row.
-func (t *Series) Time(i int) int64 { return t.times[i] }
+func (t *Series) Time(i int) int64 {
+	j := t.off + i
+	return t.blocks[j/blockRows].times[j%blockRows]
+}
 
 // Col extracts a full column by name; unknown names yield nil.
 func (t *Series) Col(name string) []float64 {
@@ -121,79 +140,68 @@ func (t *Series) Col(name string) []float64 {
 
 // ColIdx extracts a full column by index.
 func (t *Series) ColIdx(i int) []float64 {
-	w := t.schema.Len()
-	out := make([]float64, len(t.times))
-	for r := range out {
-		out[r] = t.flat[r*w+i]
-	}
+	out := make([]float64, 0, t.n)
+	t.eachRow(func(row []float64) { out = append(out, row[i]) })
 	return out
 }
 
-// Tail returns a view of the last n rows (fewer if the series is shorter).
-// The view shares storage with the parent and must be treated as read-only.
-func (t *Series) Tail(n int) *Series {
-	if n > len(t.times) {
-		n = len(t.times)
-	}
-	start := len(t.times) - n
+// eachRow calls f on every row, oldest first.
+func (t *Series) eachRow(f func(row []float64)) {
 	w := t.schema.Len()
-	return &Series{schema: t.schema, times: t.times[start:], flat: t.flat[start*w:]}
+	lo, left := t.off, t.n
+	for _, b := range t.blocks {
+		hi := min(lo+left, blockRows)
+		for r := lo; r < hi; r++ {
+			f(b.flat[r*w : (r+1)*w])
+		}
+		left -= hi - lo
+		lo = 0
+	}
 }
 
-// Reserve grows the backing arrays to hold at least rows rows without
-// further allocation. Long-running loops that know their retention bound
-// (harnesses trim at 2× history) reserve it up front, so the flat backing
-// never crawls through the allocator's growth steps — each of which copies
-// the whole multi-megabyte array.
-func (t *Series) Reserve(rows int) {
-	if rows <= cap(t.times) {
-		return
+// Tail returns a view of the last n rows (fewer if the series is shorter).
+// The view shares the blocks it covers with the parent and must be treated
+// as read-only.
+func (t *Series) Tail(n int) *Series {
+	if n > t.n {
+		n = t.n
 	}
-	w := t.schema.Len()
-	times := make([]int64, len(t.times), rows)
-	copy(times, t.times)
-	flat := make([]float64, len(t.flat), rows*w)
-	copy(flat, t.flat)
-	t.times = times
-	t.flat = flat
+	start := t.off + t.n - n
+	return &Series{
+		schema: t.schema,
+		blocks: append([]*block(nil), t.blocks[start/blockRows:]...),
+		off:    start % blockRows,
+		n:      n,
+	}
 }
 
 // TrimFront drops all but the last keep rows, bounding memory during long
-// campaigns. It reallocates — never shifts in place — so retained views of
-// the old rows stay intact and the dropped prefix can be collected. The new
-// backing reserves room to grow back to the pre-trim length, so a
-// steady-state trim cycle costs one allocation per cycle rather than a
-// cascade of growth steps.
+// campaigns. No row is copied: the block list is re-sliced past the blocks
+// now wholly before the first row (a view that covers one keeps it alive).
 func (t *Series) TrimFront(keep int) {
-	n := len(t.times)
-	if n <= keep {
+	if t.n <= keep {
 		return
 	}
-	start := n - keep
-	w := t.schema.Len()
-	times := make([]int64, keep, n)
-	copy(times, t.times[start:])
-	flat := make([]float64, keep*w, n*w)
-	copy(flat, t.flat[start*w:])
-	t.times = times
-	t.flat = flat
+	t.off += t.n - keep
+	t.n = keep
+	for ; t.off >= blockRows; t.off -= blockRows {
+		t.blocks[0] = nil
+		t.blocks = t.blocks[1:]
+	}
 }
 
 // ColMeans returns per-column means over all rows.
 func (t *Series) ColMeans() []float64 {
-	w := t.schema.Len()
-	out := make([]float64, w)
-	n := len(t.times)
-	if n == 0 {
+	out := make([]float64, t.schema.Len())
+	if t.n == 0 {
 		return out
 	}
-	for r := 0; r < n; r++ {
-		row := t.flat[r*w : (r+1)*w]
+	t.eachRow(func(row []float64) {
 		for i, v := range row {
 			out[i] += v
 		}
-	}
-	inv := 1 / float64(n)
+	})
+	inv := 1 / float64(t.n)
 	for i := range out {
 		out[i] *= inv
 	}
@@ -202,21 +210,18 @@ func (t *Series) ColMeans() []float64 {
 
 // ColStddevs returns per-column population standard deviations.
 func (t *Series) ColStddevs() []float64 {
-	w := t.schema.Len()
 	means := t.ColMeans()
-	out := make([]float64, w)
-	n := len(t.times)
-	if n < 2 {
+	out := make([]float64, t.schema.Len())
+	if t.n < 2 {
 		return out
 	}
-	for r := 0; r < n; r++ {
-		row := t.flat[r*w : (r+1)*w]
+	t.eachRow(func(row []float64) {
 		for i, v := range row {
 			d := v - means[i]
 			out[i] += d * d
 		}
-	}
-	inv := 1 / float64(n)
+	})
+	inv := 1 / float64(t.n)
 	for i := range out {
 		out[i] = sqrt(out[i] * inv)
 	}
@@ -281,16 +286,6 @@ func (c *Collector) Collect(now int64) {
 
 // ParseName splits a structured metric name into its path segments.
 func ParseName(name string) []string { return strings.Split(name, ".") }
-
-// NamePart returns the i-th segment of a structured metric name, or ""
-// when the name has fewer segments.
-func NamePart(name string, i int) string {
-	parts := strings.Split(name, ".")
-	if i < 0 || i >= len(parts) {
-		return ""
-	}
-	return parts[i]
-}
 
 func sqrt(x float64) float64 {
 	if x <= 0 {

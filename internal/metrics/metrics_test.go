@@ -1,6 +1,10 @@
 package metrics
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestSchema(t *testing.T) {
 	s := NewSchema([]string{"a", "b.c", "d"})
@@ -13,8 +17,8 @@ func TestSchema(t *testing.T) {
 	if _, ok := s.Index("missing"); ok {
 		t.Error("found missing column")
 	}
-	if s.Name(2) != "d" {
-		t.Errorf("name %q", s.Name(2))
+	if s.Names()[2] != "d" {
+		t.Errorf("names %q", s.Names())
 	}
 }
 
@@ -141,9 +145,6 @@ func TestParseName(t *testing.T) {
 	if len(parts) != 4 || parts[2] != "items" {
 		t.Errorf("parts %v", parts)
 	}
-	if NamePart("a.b", 1) != "b" || NamePart("a.b", 5) != "" || NamePart("a.b", -1) != "" {
-		t.Error("NamePart wrong")
-	}
 }
 
 func TestBaselineZScores(t *testing.T) {
@@ -166,5 +167,161 @@ func TestBaselineZScores(t *testing.T) {
 	far.Append(0, []float64{1e6})
 	if z := b.ZScores(far, 8); z[0] != 8 {
 		t.Errorf("clamped z %v", z[0])
+	}
+}
+
+// refSeries is the naive model the block-structured Series is checked
+// against: one slice per row, trimmed by re-slicing.
+type refSeries struct {
+	times []int64
+	rows  [][]float64
+}
+
+func (m *refSeries) tail(n int) *refSeries {
+	if n > len(m.rows) {
+		n = len(m.rows)
+	}
+	return &refSeries{times: m.times[len(m.times)-n:], rows: m.rows[len(m.rows)-n:]}
+}
+
+// colStats sums in row order, the way Series promises to.
+func (m *refSeries) colStats(w int) (means, stds []float64) {
+	means, stds = make([]float64, w), make([]float64, w)
+	n := len(m.rows)
+	if n == 0 {
+		return
+	}
+	for _, row := range m.rows {
+		for i, v := range row {
+			means[i] += v
+		}
+	}
+	inv := 1 / float64(n)
+	for i := range means {
+		means[i] *= inv
+	}
+	if n < 2 {
+		return
+	}
+	for _, row := range m.rows {
+		for i, v := range row {
+			d := v - means[i]
+			stds[i] += d * d
+		}
+	}
+	for i := range stds {
+		stds[i] = sqrt(stds[i] * inv)
+	}
+	return
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func checkAgainst(t *testing.T, what string, s *Series, m *refSeries) {
+	t.Helper()
+	w := s.Schema().Len()
+	if s.Len() != len(m.rows) {
+		t.Fatalf("%s: len %d, model %d", what, s.Len(), len(m.rows))
+	}
+	for i, row := range m.rows {
+		if !sameBits(s.Row(i), row) || s.Time(i) != m.times[i] {
+			t.Fatalf("%s: row %d = %v @%d, model %v @%d", what, i, s.Row(i), s.Time(i), row, m.times[i])
+		}
+	}
+	for c := 0; c < w; c++ {
+		col := s.ColIdx(c)
+		if len(col) != len(m.rows) {
+			t.Fatalf("%s: col %d has %d values, model %d", what, c, len(col), len(m.rows))
+		}
+		for i, row := range m.rows {
+			if math.Float64bits(col[i]) != math.Float64bits(row[c]) {
+				t.Fatalf("%s: col %d row %d = %v, model %v", what, c, i, col[i], row[c])
+			}
+		}
+	}
+	means, stds := m.colStats(w)
+	if got := s.ColMeans(); !sameBits(got, means) {
+		t.Fatalf("%s: means %v, model %v", what, got, means)
+	}
+	if got := s.ColStddevs(); !sameBits(got, stds) {
+		t.Fatalf("%s: stddevs %v, model %v", what, got, stds)
+	}
+}
+
+func TestSeriesMatchesNaiveModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	schema := NewSchema([]string{"a", "b", "c"})
+	s, m := NewSeries(schema), &refSeries{}
+	type held struct {
+		view  *Series
+		model *refSeries
+	}
+	var views []held
+	row := make([]float64, schema.Len())
+	now := int64(0)
+	for op := 0; op < 4000; op++ {
+		switch k := rng.Intn(10); {
+		case k < 6: // a burst of appends, often crossing a block boundary
+			for i := rng.Intn(blockRows/2) + 1; i > 0; i-- {
+				for c := range row {
+					row[c] = rng.NormFloat64() * 1e3
+				}
+				now += int64(rng.Intn(3) + 1)
+				s.Append(now, row)
+				m.times = append(m.times, now)
+				m.rows = append(m.rows, append([]float64(nil), row...))
+			}
+		case k < 8:
+			keep := rng.Intn(3 * blockRows)
+			if rng.Intn(8) == 0 {
+				keep = 0
+			}
+			s.TrimFront(keep)
+			if len(m.rows) > keep {
+				m.times, m.rows = m.times[len(m.times)-keep:], m.rows[len(m.rows)-keep:]
+			}
+		default:
+			n := rng.Intn(2*blockRows + 2)
+			v := held{s.Tail(n), m.tail(n)}
+			checkAgainst(t, "fresh view", v.view, v.model)
+			if len(views) < 40 {
+				views = append(views, v)
+			}
+		}
+		if op%97 == 0 {
+			checkAgainst(t, "series", s, m)
+		}
+	}
+	checkAgainst(t, "series", s, m)
+	// Every view still reads the rows it was taken over, whatever was
+	// appended to or trimmed from the parent since.
+	for _, v := range views {
+		checkAgainst(t, "old view", v.view, v.model)
+	}
+}
+
+func TestTrimFrontReleasesWholeBlocks(t *testing.T) {
+	s := NewSeries(NewSchema([]string{"a"}))
+	const window = 3*blockRows + 17
+	maxBlocks := (window+blockRows-1)/blockRows + 1
+	for i := 0; i < 20*window; i++ {
+		s.Append(int64(i), []float64{float64(i)})
+		s.TrimFront(window)
+		if len(s.blocks) > maxBlocks {
+			t.Fatalf("after %d rows: %d blocks held for a %d-row window, want at most %d", i+1, len(s.blocks), window, maxBlocks)
+		}
+	}
+	if s.Len() != window || s.Row(0)[0] != float64(20*window-window) {
+		t.Fatalf("window holds %d rows starting at %v", s.Len(), s.Row(0))
 	}
 }

@@ -177,6 +177,8 @@ type Replicated struct {
 	callMatrix  [][]float64
 	last        replTick
 	metricNames []string
+	// Per-tick scratch Tick fills and keeps no reference to.
+	ratesBuf, arrivalsBuf []float64
 }
 
 // NewReplicated builds the replicated-topology target at cfg.
@@ -209,6 +211,8 @@ func NewReplicated(cfg Config) (*Replicated, error) {
 	}
 	r.last.classRate = make([]float64, len(replClasses))
 	r.last.classLatMS = make([]float64, len(replClasses))
+	r.ratesBuf = make([]float64, len(r.baseRates))
+	r.arrivalsBuf = make([]float64, len(replClasses))
 	return r, nil
 }
 
@@ -241,9 +245,10 @@ func replInflation(u float64) float64 {
 // rates returns the expected per-class rates at the current tick: the
 // base mix through the workload-shaping knobs (scale, diurnal, drift,
 // scheduled surges), plus any active fault surge. With the shaping knobs
-// at their defaults this reduces to the base mix exactly.
+// at their defaults this reduces to the base mix exactly. The result is
+// r.ratesBuf, overwritten by the next call.
 func (r *Replicated) rates() []float64 {
-	out := make([]float64, len(r.baseRates))
+	out := r.ratesBuf
 	copy(out, r.baseRates)
 	mod := r.loadScale
 	if r.diurnal {
@@ -356,7 +361,7 @@ func (r *Replicated) Tick() detect.Sample {
 
 	// Arrivals (Poisson per class, multiplicative demand noise).
 	rates := r.rates()
-	arrivals := make([]float64, len(replClasses))
+	arrivals := r.arrivalsBuf
 	for c, rate := range rates {
 		a := float64(r.rng.Poisson(rate))
 		n := 1 + r.rng.Normal(0, replNoiseFrac)

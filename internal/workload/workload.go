@@ -74,14 +74,20 @@ type Generator struct {
 	// traffic over time (workload evolution, §5.2).
 	driftPerTick float64
 	drift        float64
-	surges       []Surge
-	buf          []float64
-	ratesBuf     []float64
+	driftDir     []int8 // per class, from driftDirs
+	// surges holds, in the order added, the surges that have not ended:
+	// a tick costs by the live ones, not by the campaign's age.
+	surges []Surge
+	buf    []float64
 	// samplers holds one Poisson sampler per class, so steady per-class
 	// rates keep their CDF tables hot instead of rescanning the RNG's
 	// shared cache on every draw.
 	samplers []sim.PoissonStream
 }
+
+// driftDirs is where drift takes a class: browse/search/view classes grow
+// (+1), write classes shrink (-1), the rest stay.
+var driftDirs = map[string]int8{"Browse": 1, "Search": 1, "ViewItem": 1, "Bid": -1, "BuyNow": -1, "Sell": -1, "Register": -1}
 
 // NewGenerator builds a generator over mix with the given seed.
 func NewGenerator(mix Mix, seed int64) *Generator {
@@ -90,8 +96,11 @@ func NewGenerator(mix Mix, seed int64) *Generator {
 		rng:      sim.NewRNG(seed),
 		scale:    1,
 		buf:      make([]float64, len(mix.Rates)),
-		ratesBuf: make([]float64, len(mix.Rates)),
 		samplers: make([]sim.PoissonStream, len(mix.Rates)),
+		driftDir: make([]int8, len(mix.Rates)),
+	}
+	for i, name := range service.ClassNames()[:len(mix.Rates)] {
+		g.driftDir[i] = driftDirs[name]
 	}
 	for i := range g.samplers {
 		g.samplers[i] = g.rng.PoissonStream()
@@ -101,9 +110,6 @@ func NewGenerator(mix Mix, seed int64) *Generator {
 
 // SetScale applies a constant multiplier to the whole mix.
 func (g *Generator) SetScale(f float64) { g.scale = f }
-
-// Scale returns the current constant multiplier.
-func (g *Generator) Scale() float64 { return g.scale }
 
 // EnableDiurnal turns on a ±25% day/night modulation (period 24 simulated
 // hours).
@@ -117,11 +123,10 @@ func (g *Generator) SetDrift(f float64) { g.driftPerTick = f }
 // AddSurge schedules a load surge.
 func (g *Generator) AddSurge(s Surge) { g.surges = append(g.surges, s) }
 
-// ClearSurges removes all scheduled surges.
-func (g *Generator) ClearSurges() { g.surges = nil }
-
-// Rates returns the expected (noise-free) per-class rates at tick t. The
-// returned slice is freshly allocated; callers may retain it.
+// Rates returns the expected (noise-free) per-class rates at tick t, for t
+// at or after the last tick Arrivals was asked for: a surge that ended
+// before that tick has been forgotten. The returned slice is freshly
+// allocated; callers may retain it.
 func (g *Generator) Rates(t int64) []float64 {
 	return g.ratesInto(t, make([]float64, len(g.mix.Rates)))
 }
@@ -136,17 +141,11 @@ func (g *Generator) ratesInto(t int64, out []float64) []float64 {
 		mod *= DiurnalFactor(t)
 	}
 	g.drift += g.driftPerTick
+	// The drift multiplier by direction: shrink, stay, grow. With no drift
+	// all three are exactly 1.
+	mul := [3]float64{1 / (1 + g.drift), 1, 1 + g.drift}
 	for i, r := range g.mix.Rates {
-		v := r * mod
-		if g.drift != 0 {
-			// Drift: browse/search/view classes grow, write classes shrink.
-			switch service.ClassNames()[i] {
-			case "Browse", "Search", "ViewItem":
-				v *= 1 + g.drift
-			case "Bid", "BuyNow", "Sell", "Register":
-				v *= 1 / (1 + g.drift)
-			}
-		}
+		v := r * mod * mul[1+g.driftDir[i]]
 		for _, s := range g.surges {
 			if !s.active(t) {
 				continue
@@ -167,28 +166,27 @@ func (g *Generator) ratesInto(t int64, out []float64) []float64 {
 }
 
 // Arrivals returns Poisson-sampled per-class arrivals for tick t. The
-// returned slice is reused between calls.
+// returned slice is reused between calls. Arrivals is the tick clock: ticks
+// come in increasing order, and a surge that has ended by t is dropped here
+// (the rest keep their order, so every rate is the same product).
 func (g *Generator) Arrivals(t int64) []float64 {
-	rates := g.ratesInto(t, g.ratesBuf)
-	for i, r := range rates {
+	live := g.surges[:0]
+	for _, s := range g.surges {
+		if s.End > t {
+			live = append(live, s)
+		}
+	}
+	g.surges = live
+	for i, r := range g.ratesInto(t, g.buf) {
 		g.buf[i] = float64(g.samplers[i].Sample(r))
 	}
 	return g.buf
 }
 
 // DiurnalFactor returns the ±25% day/night modulation multiplier at tick
-// t — what EnableDiurnal applies, exported so targets with their own
-// arrival loops share the same day shape.
-func DiurnalFactor(t int64) float64 { return 1 + 0.25*sinDay(t) }
-
-// sinDay is a 24-hour sine with period 86400 ticks.
-func sinDay(t int64) float64 {
-	const period = 86400.0
-	x := float64(t%86400) / period
-	// Small-angle-free sine via the math import would be fine; a cheap
-	// parabolic approximation keeps this hot path trivial and smooth.
-	return parabolicSine(x)
-}
+// t (period 86400 ticks) — what EnableDiurnal applies, exported so targets
+// with their own arrival loops share the same day shape.
+func DiurnalFactor(t int64) float64 { return 1 + 0.25*parabolicSine(float64(t%86400)/86400.0) }
 
 // parabolicSine approximates sin(2πx) for x in [0,1) within ~6% — plenty
 // for workload shaping.

@@ -62,9 +62,6 @@ func TestScale(t *testing.T) {
 			t.Fatalf("class %d rate %v want %v", i, r, want)
 		}
 	}
-	if g.Scale() != 2 {
-		t.Error("scale getter")
-	}
 }
 
 func TestSurgeWindowAndClasses(t *testing.T) {
@@ -81,10 +78,6 @@ func TestSurgeWindowAndClasses(t *testing.T) {
 	}
 	if after[0] != before[0] {
 		t.Error("surge persisted past End")
-	}
-	g.ClearSurges()
-	if got := g.Rates(150); got[0] != before[0] {
-		t.Error("ClearSurges did not clear")
 	}
 }
 
@@ -144,5 +137,85 @@ func TestDiurnalBounds(t *testing.T) {
 	}
 	if hi-lo < base*0.2 {
 		t.Error("diurnal modulation too weak to be meaningful")
+	}
+}
+
+// sameArrivals asserts two generators emit bitwise-equal arrivals for the
+// ticks [from, to).
+func sameArrivals(t *testing.T, a, b *Generator, from, to int64) {
+	t.Helper()
+	for tick := from; tick < to; tick++ {
+		x, y := a.Arrivals(tick), b.Arrivals(tick)
+		for c := range x {
+			if math.Float64bits(x[c]) != math.Float64bits(y[c]) {
+				t.Fatalf("tick %d class %d: %v != %v", tick, c, x[c], y[c])
+			}
+		}
+	}
+}
+
+func TestExpiredSurgesAreForgotten(t *testing.T) {
+	const n = 50
+	g, twin := NewGenerator(BiddingMix(), 9), NewGenerator(BiddingMix(), 9)
+	g.SetDrift(1e-5)
+	twin.SetDrift(1e-5)
+	// n back-to-back surges, every one over by tick 10*n. They scale the
+	// rates the samplers see, so the twin follows the same schedule up to
+	// there; from then on it is compared against a twin whose surges were
+	// never scheduled at all.
+	for i := int64(0); i < n; i++ {
+		s := Surge{Start: 10 * i, End: 10*i + 10, Factor: 1.5, Classes: []int{int(i) % 3}}
+		g.AddSurge(s)
+		twin.AddSurge(s)
+	}
+	sameArrivals(t, g, twin, 0, 10*n)
+	twin.surges = nil
+	sameArrivals(t, g, twin, 10*n, 10*n+500)
+	if len(g.surges) != 0 {
+		t.Errorf("%d surges still held after all %d ended", len(g.surges), n)
+	}
+}
+
+func TestOverlappingSurgesMultiplyInInsertionOrder(t *testing.T) {
+	g := NewGenerator(BiddingMix(), 1)
+	// Factors chosen so that the two association orders round differently.
+	f1, f2, f3 := 1.1, 1.3, 1.7
+	g.AddSurge(Surge{Start: 0, End: 100, Factor: f1})
+	g.AddSurge(Surge{Start: 0, End: 5, Factor: 9}) // ends first, from the middle
+	g.AddSurge(Surge{Start: 0, End: 100, Factor: f2, Classes: []int{0}})
+	g.AddSurge(Surge{Start: 0, End: 100, Factor: f3})
+	g.Arrivals(10)
+	if len(g.surges) != 3 {
+		t.Fatalf("%d live surges, want 3", len(g.surges))
+	}
+	base := BiddingMix().Rates
+	got := g.Rates(10)
+	if want := base[0] * f1 * f2 * f3; math.Float64bits(got[0]) != math.Float64bits(want) {
+		t.Errorf("class 0 rate %v, want %v (f1, f2, f3 in that order)", got[0], want)
+	}
+	if want := base[1] * f1 * f3; math.Float64bits(got[1]) != math.Float64bits(want) {
+		t.Errorf("class 1 rate %v, want %v", got[1], want)
+	}
+}
+
+func TestFutureSurgeSurvivesUntilItEnds(t *testing.T) {
+	g := NewGenerator(BiddingMix(), 1)
+	g.AddSurge(Surge{Start: 50, End: 60, Factor: 2})
+	base := BiddingMix().Rates[0]
+	for tick := int64(0); tick < 70; tick++ {
+		g.Arrivals(tick)
+		want, held := base, 1
+		if tick >= 50 && tick < 60 {
+			want = base * 2
+		}
+		if tick >= 60 {
+			held = 0
+		}
+		if got := g.Rates(tick)[0]; got != want {
+			t.Fatalf("tick %d rate %v want %v", tick, got, want)
+		}
+		if len(g.surges) != held {
+			t.Fatalf("tick %d: %d surges held, want %d", tick, len(g.surges), held)
+		}
 	}
 }

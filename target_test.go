@@ -266,3 +266,18 @@ func TestWorkloadMixScopedPerKind(t *testing.T) {
 		t.Error("single auction system accepted a replicated-only mix")
 	}
 }
+
+// TestSteadyStateStepAllocatesNothing pins the tick path of both shipped
+// targets: past warm-up and a full history window, a Step allocates
+// nothing of its own. The one thing that still allocates is the metric
+// history taking a new block every few hundred ticks, which AllocsPerRun's
+// whole-number average leaves at zero; a per-tick allocation reads 1.
+func TestSteadyStateStepAllocatesNothing(t *testing.T) {
+	for _, kind := range []selfheal.TargetKind{selfheal.TargetAuction, selfheal.TargetReplicated} {
+		sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(3), selfheal.WithTarget(kind))
+		sys.StepN(5000)
+		if allocs := testing.AllocsPerRun(2000, func() { sys.Step() }); allocs != 0 {
+			t.Errorf("%s: %v allocations per steady-state Step, want 0", kind, allocs)
+		}
+	}
+}
