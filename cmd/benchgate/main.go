@@ -16,11 +16,15 @@
 //     size=1000 vs size=1000000) must keep the big row's query latency
 //     within a fixed factor of the small row's, which pins the index's
 //     sublinear behavior — a linear scan would be ~1000× at the big size,
-//     so any return to linear scaling fails immediately.
+//     so any return to linear scaling fails immediately. Those rows are
+//     2 coordinates wide; the real-width rows (width=104/size=20000) must
+//     keep the indexed read's mean within 0.6× the brute scan's mean
+//     measured in the same row, which pins the trees' projected heads —
+//     KD nodes alone prune nothing at that width.
 //
 // A missing baseline file records instead of gates, so the first run on a
-// fresh branch bootstraps itself. The scaling gate needs no baseline —
-// it compares rows within the fresh run.
+// fresh branch bootstraps itself. The ratio gates need no baseline —
+// they compare numbers within the fresh run, so machine speed cancels.
 package main
 
 import (
@@ -39,25 +43,35 @@ import (
 // throughputKey is the metric the regression gate compares.
 const throughputKey = "episodes_per_sec"
 
-// scalingGate pins sublinear index scaling: metric at the big benchmark
-// row must stay within factor× the same metric at the small row, inside
-// one run. Both rows absent skips the gate (a bench sweep that never ran
-// the scaling rows); exactly one absent fails via the missing-benchmark
-// check against the baseline.
-type scalingGate struct {
-	small, big string
-	metric     string
-	factor     float64
+// ratioGate pins a ratio inside one run: heldMetric of the held row must
+// stay within factor× refMetric of the ref row. Sublinear index scaling
+// holds a big row against a small one; the real-width gate holds one
+// metric of a row against another of the same row. Both rows absent skips
+// the gate (a bench sweep that never ran them); exactly one absent fails
+// via the missing-benchmark check against the baseline.
+type ratioGate struct {
+	held, heldMetric string
+	ref, refMetric   string
+	factor           float64
+	broken           string // what a failure means
 }
 
-// scalingGates lists the pinned ratios: a million-point KB must answer
+const (
+	towardLinear = "index scaling regressed toward linear"
+	headGone     = "the index no longer prunes at real width"
+)
+
+// ratioGates lists the pinned ratios: a million-point KB must answer
 // Suggest/RankK within 3× the thousand-point latency (p99 and mean both,
-// so neither the tail nor the bulk drifts back toward linear).
-var scalingGates = []scalingGate{
-	{"SynopsisSuggest/size=1000", "SynopsisSuggest/size=1000000", "p99_ns", 3},
-	{"SynopsisSuggest/size=1000", "SynopsisSuggest/size=1000000", "mean_ns", 3},
-	{"SynopsisRankK/size=1000", "SynopsisRankK/size=1000000", "p99_ns", 3},
-	{"SynopsisRankK/size=1000", "SynopsisRankK/size=1000000", "mean_ns", 3},
+// so neither the tail nor the bulk drifts back toward linear), and a
+// 20,000-point KB of real-width vectors within 0.6× the brute scan.
+var ratioGates = []ratioGate{
+	{"SynopsisSuggest/size=1000000", "p99_ns", "SynopsisSuggest/size=1000", "p99_ns", 3, towardLinear},
+	{"SynopsisSuggest/size=1000000", "mean_ns", "SynopsisSuggest/size=1000", "mean_ns", 3, towardLinear},
+	{"SynopsisRankK/size=1000000", "p99_ns", "SynopsisRankK/size=1000", "p99_ns", 3, towardLinear},
+	{"SynopsisRankK/size=1000000", "mean_ns", "SynopsisRankK/size=1000", "mean_ns", 3, towardLinear},
+	{"SynopsisSuggest/width=104/size=20000", "mean_ns", "SynopsisSuggest/width=104/size=20000", "brute_mean_ns", 0.6, headGone},
+	{"SynopsisRankK/width=104/size=20000", "mean_ns", "SynopsisRankK/width=104/size=20000", "brute_mean_ns", 0.6, headGone},
 }
 
 // baselineFile is the on-disk format: one record of metric->value per
@@ -174,32 +188,32 @@ func main() {
 		fmt.Printf("benchgate: wrote %d benchmark records to %s\n", len(fresh), *out)
 	}
 
-	// The scaling gate compares rows of the fresh run against each other,
-	// so it runs even when there is no baseline yet.
+	// The ratio gates compare numbers of the fresh run against each other,
+	// so they run even when there is no baseline yet.
 	var scalefails []string
-	for _, g := range scalingGates {
-		small, okS := fresh[g.small]
-		big, okB := fresh[g.big]
-		if !okS && !okB {
-			continue // scaling rows not part of this sweep
+	for _, g := range ratioGates {
+		ref, okR := fresh[g.ref]
+		held, okH := fresh[g.held]
+		if !okR && !okH {
+			continue // these rows are not part of this sweep
 		}
-		sv, bv := small[g.metric], big[g.metric]
-		if sv <= 0 || bv <= 0 {
+		rv, hv := ref[g.refMetric], held[g.heldMetric]
+		if rv <= 0 || hv <= 0 {
 			scalefails = append(scalefails,
-				fmt.Sprintf("%s vs %s: %s missing or zero (have %.1f / %.1f)", g.small, g.big, g.metric, sv, bv))
+				fmt.Sprintf("%s %s vs %s %s: missing or zero (have %.1f / %.1f)", g.held, g.heldMetric, g.ref, g.refMetric, hv, rv))
 			continue
 		}
-		ratio := bv / sv
-		fmt.Printf("  scale %.2fx <= %.0fx  %s -> %s (%s %.0f -> %.0f)\n",
-			ratio, g.factor, g.small, g.big, g.metric, sv, bv)
+		ratio := hv / rv
+		fmt.Printf("  scale %.2fx <= %gx  %s %s %.0f vs %s %s %.0f\n",
+			ratio, g.factor, g.held, g.heldMetric, hv, g.ref, g.refMetric, rv)
 		if ratio > g.factor {
 			scalefails = append(scalefails,
-				fmt.Sprintf("%s: %s %.0f is %.2fx the %s row's %.0f (limit %.0fx) — index scaling regressed toward linear",
-					g.big, g.metric, bv, ratio, g.small, sv, g.factor))
+				fmt.Sprintf("%s: %s %.0f is %.2fx %s %s %.0f (limit %gx) — %s",
+					g.held, g.heldMetric, hv, ratio, g.ref, g.refMetric, rv, g.factor, g.broken))
 		}
 	}
 	if len(scalefails) > 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: KB-size scaling past the pinned factor:")
+		fmt.Fprintln(os.Stderr, "benchgate: index ratios past their pinned factor:")
 		for _, s := range scalefails {
 			fmt.Fprintln(os.Stderr, "  "+s)
 		}

@@ -58,7 +58,7 @@ func NewKDTreeIndex(pts []Point) Index {
 	for i := range ords {
 		ords[i] = i
 	}
-	return &kdIndex{t: buildKD(pts, ords)}
+	return &kdIndex{t: buildKD(pts, ords, nil)}
 }
 
 // bruteIndex is the O(n) oracle.
@@ -163,6 +163,10 @@ type kdtree struct {
 	// order (see kdtree.packTags); group queries read it to know which
 	// class's bound a candidate competes against.
 	tags []int32
+	// head, when the tree is big and wide enough to keep one (see head.go),
+	// holds a short projection of every row in ords order; leaf scans test
+	// it first and open only the rows it cannot rule out.
+	head *kdHead
 }
 
 // kdnode is one tree node. left < 0 marks a leaf over ords[lo:hi].
@@ -178,20 +182,24 @@ type kdnode struct {
 const kdLeafCap = 16
 
 // buildKD builds a tree over pts[ords...]; it partitions ords in place and
-// keeps it as the tree's backing, so callers must hand over ownership.
-func buildKD(pts []Point, ords []int) *kdtree {
+// keeps it as the tree's backing, so callers must hand over ownership. A
+// tree that keeps a head projects onto basis when the caller has one
+// (reindex shares one across the trees it builds; any orthonormal set
+// gives a valid bound, whatever rows it was fitted to) and fits its own
+// otherwise.
+func buildKD(pts []Point, ords []int, basis *headBasis) *kdtree {
 	t := &kdtree{pts: pts, ords: ords}
 	t.nodes = make([]kdnode, 0, 2*(len(ords)/kdLeafCap)+1)
 	if len(ords) > 0 {
 		t.build(0, len(ords))
 	}
-	t.pack()
+	t.pack(basis)
 	return t
 }
 
 // pack fills xs/stride once the recursion has settled ords into leaf
-// order.
-func (t *kdtree) pack() {
+// order, and the head over them when the tree keeps one.
+func (t *kdtree) pack(basis *headBasis) {
 	w := 0
 	for _, ord := range t.ords {
 		if len(t.pts[ord].X) > w {
@@ -202,6 +210,15 @@ func (t *kdtree) pack() {
 	t.xs = make([]float64, len(t.ords)*w)
 	for i, ord := range t.ords {
 		copy(t.xs[i*w:(i+1)*w], t.pts[ord].X)
+	}
+	if len(t.ords) < headMinRows || w <= headDirs {
+		return // too small to earn a fit back, or no wider than its head
+	}
+	if basis == nil {
+		basis = fitHeadBasis(t.xs, len(t.ords), w)
+	}
+	if basis != nil {
+		t.head = newHead(basis, t.xs, len(t.ords), w)
 	}
 }
 
@@ -241,7 +258,11 @@ func (t *kdtree) build(lo, hi int) int32 {
 }
 
 // widestDim returns the dimension with the largest value spread over
-// ords[lo:hi] and that spread.
+// ords[lo:hi] and that spread (the lowest such dimension on a tie). It
+// walks point by point, each vector once front to back, keeping every
+// dimension's running minimum and maximum: a wide vector is a cache line
+// run, where walking dimension by dimension would fetch every vector once
+// per dimension.
 func (t *kdtree) widestDim(lo, hi int) (int, float64) {
 	dims := 0
 	for _, ord := range t.ords[lo:hi] {
@@ -249,19 +270,30 @@ func (t *kdtree) widestDim(lo, hi int) (int, float64) {
 			dims = len(t.pts[ord].X)
 		}
 	}
-	best, bestSpread := 0, -1.0
-	for d := 0; d < dims; d++ {
-		mn := feature(t.pts[t.ords[lo]].X, d)
-		mx := mn
-		for _, ord := range t.ords[lo+1 : hi] {
-			v := feature(t.pts[ord].X, d)
-			if v < mn {
-				mn = v
-			} else if v > mx {
-				mx = v
+	mn := make([]float64, 2*dims)
+	mx := mn[dims:]
+	copy(mn, t.pts[t.ords[lo]].X)
+	copy(mx, mn[:dims])
+	for _, ord := range t.ords[lo+1 : hi] {
+		x := t.pts[ord].X
+		for d, v := range x {
+			if v < mn[d] {
+				mn[d] = v
+			} else if v > mx[d] {
+				mx[d] = v
 			}
 		}
-		if s := mx - mn; s > bestSpread {
+		for d := len(x); d < dims; d++ { // a shorter vector reads zero there
+			if 0 < mn[d] {
+				mn[d] = 0
+			} else if 0 > mx[d] {
+				mx[d] = 0
+			}
+		}
+	}
+	best, bestSpread := 0, -1.0
+	for d := 0; d < dims; d++ {
+		if s := mx[d] - mn[d]; s > bestSpread {
 			best, bestSpread = d, s
 		}
 	}
@@ -306,27 +338,44 @@ func (t *kdtree) selectNth(lo, hi, n, dim int) {
 }
 
 // euclideanUnder computes euclidean(a, b) unless the distance provably
-// exceeds limit, bailing out early (ok=false) as soon as the partial
-// squared sum alone puts the point past the limit. When ok is true, d
-// is bitwise equal to euclidean(a, b): the sum accumulates in the same
-// order, so the final sqrt sees the same float64. The bail condition is
-// strict — sqrt(partial) > limit implies the full distance beats limit
-// even after sqrt rounding (the full sum only grows and sqrt is
-// monotonic), so a point at exactly the limit distance is never
-// skipped and ordinal tie-breaks stay reachable.
+// exceeds limit, bailing out early (ok=false) once the partial squared
+// sum alone puts the point past the limit. When ok is true, d is bitwise
+// equal to euclidean(a, b): the same terms accumulate in the same order,
+// so the final sqrt sees the same float64. The bail condition is strict
+// — sqrt(partial) > limit implies the full distance beats limit even
+// after sqrt rounding (the full sum only grows and sqrt is monotonic), so
+// a point at exactly the limit distance is never skipped and ordinal
+// tie-breaks stay reachable. Over the coordinates both vectors have, the
+// bound is looked at once per four: a later look sees a larger partial
+// sum, so it bails on no point an earlier look would have kept.
 func euclideanUnder(a, b []float64, limit float64) (float64, bool) {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
+	if len(a) < len(b) {
+		a, b = b, a // (−d)² is d², bit for bit
 	}
 	lim2 := limit * limit
 	s := 0.0
-	for i := 0; i < n; i++ {
-		d := feature(a, i) - feature(b, i)
-		s += d * d
+	i, n := 0, len(b)
+	a4 := a[:n]
+	for ; i+4 <= n; i += 4 {
+		d0, d1, d2, d3 := a4[i]-b[i], a4[i+1]-b[i+1], a4[i+2]-b[i+2], a4[i+3]-b[i+3]
+		s += d0 * d0
+		s += d1 * d1
+		s += d2 * d2
+		s += d3 * d3
 		if s > lim2 && math.Sqrt(s) > limit {
 			return 0, false
 		}
+	}
+	for ; i < n; i++ {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	// Past the shorter vector the other is compared with zeros.
+	for _, d := range a[n:] {
+		s += d * d
+	}
+	if s > lim2 && math.Sqrt(s) > limit {
+		return 0, false
 	}
 	return math.Sqrt(s), true
 }
@@ -365,6 +414,10 @@ func (t *kdtree) search1(ni int32, x []float64, best *nearest1, accept func(ord 
 	}
 	var stack [64]frame
 	sp := 0
+	var hq headQuery
+	if t.head != nil {
+		hq = t.head.query(x)
+	}
 	for {
 		n := &t.nodes[ni]
 		for n.left >= 0 {
@@ -378,6 +431,9 @@ func (t *kdtree) search1(ni int32, x []float64, best *nearest1, accept func(ord 
 			n = &t.nodes[first]
 		}
 		for i := n.lo; i < n.hi; i++ {
+			if best.found && t.head != nil && t.head.beyond(i, &hq, best.d) {
+				continue
+			}
 			ord := t.ords[i]
 			if accept != nil && !accept(ord) {
 				continue
@@ -474,6 +530,10 @@ func (t *kdtree) searchGroup(x []float64, g *groupBest) {
 	var stack [64]frame
 	sp := 0
 	ni := int32(0)
+	var hq headQuery
+	if t.head != nil {
+		hq = t.head.query(x)
+	}
 	for {
 		n := &t.nodes[ni]
 		for n.left >= 0 {
@@ -489,6 +549,9 @@ func (t *kdtree) searchGroup(x []float64, g *groupBest) {
 		for i := n.lo; i < n.hi; i++ {
 			tag := t.tags[i]
 			if g.found[tag] {
+				if t.head != nil && t.head.beyond(i, &hq, g.d[tag]) {
+					continue
+				}
 				if d, ok := euclideanUnder(x, t.row(i), g.d[tag]); ok {
 					g.consider(tag, t.ords[i], d)
 				}
@@ -584,7 +647,7 @@ func (fi *fixIndex) flush(pts []Point) {
 		ords = append(ords, trees[slot].ords...)
 		trees[slot] = nil
 	}
-	t := buildKD(pts, ords)
+	t := buildKD(pts, ords, nil)
 	if fi.tagOf != nil {
 		t.packTags(fi.tagOf)
 	}
@@ -601,12 +664,13 @@ func (fi *fixIndex) flush(pts []Point) {
 // parked at the slot whose capacity matches the point count so later
 // incremental inserts keep their amortized bound: lower slots fill
 // normally and the compact tree is only merged once the carries reach
-// it, exactly as if it had been built by insertion.
-func (fi *fixIndex) bulkLoad(pts []Point) {
+// it, exactly as if it had been built by insertion. It returns the basis
+// of the tree's head (see buildKD), nil when it keeps none.
+func (fi *fixIndex) bulkLoad(pts []Point, basis *headBasis) *headBasis {
 	fi.tail = nil
 	fi.trees = nil
 	if len(pts) == 0 {
-		return
+		return nil
 	}
 	ords := make([]int, len(pts))
 	for i := range ords {
@@ -616,11 +680,16 @@ func (fi *fixIndex) bulkLoad(pts []Point) {
 	for kdBlock<<slot < len(pts) {
 		slot++
 	}
-	fi.trees = make([]*kdtree, slot+1)
-	fi.trees[slot] = buildKD(pts, ords)
+	t := buildKD(pts, ords, basis)
 	if fi.tagOf != nil {
-		fi.trees[slot].packTags(fi.tagOf)
+		t.packTags(fi.tagOf)
 	}
+	fi.trees = make([]*kdtree, slot+1)
+	fi.trees[slot] = t
+	if t.head == nil {
+		return nil
+	}
+	return t.head.basis
 }
 
 // clone returns a read snapshot sharing the immutable trees; the tail

@@ -155,17 +155,20 @@ func width(ps []Point) int {
 
 // euclidean returns the L2 distance between two vectors in the symptom
 // space, zero-extending the shorter one: a dimension only one side
-// measures contributes that side's full anomaly magnitude. (Equal-length
-// vectors — every single-target-kind process — are compared exactly as
-// before.)
+// measures contributes that side's full anomaly magnitude. The coordinates
+// both vectors have are summed first, then the longer one's remainder
+// against zeros — the terms and the order feature() would give, without
+// its two length tests per coordinate.
 func euclidean(a, b []float64) float64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
+	if len(a) < len(b) {
+		a, b = b, a // (−d)² is d², bit for bit
 	}
 	s := 0.0
-	for i := 0; i < n; i++ {
-		d := feature(a, i) - feature(b, i)
+	for i, v := range b {
+		d := a[i] - v
+		s += d * d
+	}
+	for _, d := range a[len(b):] {
 		s += d * d
 	}
 	return math.Sqrt(s)
@@ -272,27 +275,31 @@ func (e *exemplars) appendOnly(p Point) {
 // leave a logarithmic forest whose every slot pays its own descend and
 // leaf scan — on a million-point load that forest overhead, not the
 // tree depth, is what dominates read latency.
+//
+// The per-fix trees project onto the basis the global tree fitted (its
+// sample is a sample of their rows too), so one reindex pays for one fit.
 func (e *exemplars) reindex() {
+	e.gidx = &fixIndex{tagOf: e.fixOf}
+	basis := e.gidx.bulkLoad(e.all, nil)
 	for fix, pts := range e.byFix {
 		fi := &fixIndex{}
-		fi.bulkLoad(pts)
+		fi.bulkLoad(pts, basis)
 		e.idx[fix] = fi
 	}
-	e.gidx = &fixIndex{tagOf: e.fixOf}
-	e.gidx.bulkLoad(e.all)
 }
 
 // forget keeps only the most recent keep points (strictly by arrival
-// order) and rebuilds the per-fix index.
+// order) and rebuilds the indexes over them in one step: one compact tree
+// per fix, as after a bulk load.
 func (e *exemplars) forget(keep int) {
 	if e.n <= keep {
 		return
 	}
-	all := e.all[len(e.all)-keep:]
 	rebuilt := newExemplars()
-	for _, p := range all {
-		rebuilt.add(p)
+	for _, p := range e.all[len(e.all)-keep:] {
+		rebuilt.appendOnly(p)
 	}
+	rebuilt.reindex()
 	*e = *rebuilt
 }
 
