@@ -83,6 +83,17 @@ func WithCompaction(cfg Compaction) Option {
 	}
 }
 
+// advertisedURL is the base URL peers know this node by when serveAddr
+// names one host and a fixed port, else "" (no listener, wildcard host,
+// port 0). Gossip sends it as X-KB-From so no rumor is relayed to its sender.
+func advertisedURL(serveAddr string) string {
+	host, port, err := net.SplitHostPort(serveAddr)
+	if ip := net.ParseIP(host); err != nil || host == "" || port == "0" || ip.IsUnspecified() {
+		return ""
+	}
+	return "http://" + net.JoinHostPort(host, port)
+}
+
 // federated reports whether any federation option is set.
 func (c *config) federated() bool { return c.serveAddr != "" || len(c.peers) > 0 }
 
@@ -277,6 +288,7 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 		}
 		gsp, err := kbsync.NewGossiper(node, kbsync.GossipConfig{
 			Peers:  fl.cfg.peers,
+			Self:   advertisedURL(fl.cfg.serveAddr),
 			Fanout: fl.cfg.gossipFanout,
 		})
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -484,6 +485,76 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 	}
 	if _, ok := kbB.Suggest([]float64{3, 4}, nil); !ok {
 		t.Fatal("compacted KB cannot suggest")
+	}
+}
+
+// TestServeOpsGossipDoesNotEchoToSender: two gossiping nodes serving on
+// fixed loopback ports advertise themselves (X-KB-From is derived from
+// WithServeAddr), so a rumor's receiver does not relay it straight back
+// to the node it came from. A push returns only after the receiver has
+// finished relaying, so once A has pushed every point any echo would
+// already be counted.
+func TestServeOpsGossipDoesNotEchoToSender(t *testing.T) {
+	ctx := context.Background()
+	// Two free fixed ports (":0" cannot be advertised before it is
+	// bound), both held until both are chosen so they differ.
+	var addrs [2]string
+	var held [2]net.Listener
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i], held[i] = ln.Addr().String(), ln
+	}
+	for _, ln := range held {
+		ln.Close()
+	}
+	serve := func(i int) (*selfheal.SharedSynopsis, *selfheal.Ops) {
+		kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
+		fleet, err := selfheal.NewFleet(ctx, 1,
+			selfheal.WithSeed(int64(70+i)),
+			selfheal.WithTarget(selfheal.TargetAuction),
+			selfheal.WithSynopsis(kb),
+			selfheal.WithServeAddr(addrs[i]),
+			selfheal.WithPeers("http://"+addrs[1-i]),
+			selfheal.WithGossipFanout(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, err := fleet.ServeOps(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ops.Close(ctx) })
+		return kb, ops
+	}
+	kbA, opsA := serve(0)
+	kbB, opsB := serve(1)
+
+	const publishes = 20
+	for i := 0; i < publishes; i++ {
+		kbA.Add(selfheal.Point{
+			X:       []float64{float64(i + 1), 1},
+			Action:  synopsis.Action{Fix: catalog.FixRebootAppTier, Target: "app"},
+			Success: true,
+		})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	stA, _ := opsA.GossipStats()
+	for stA.PointsPushed < publishes || kbB.LogSize() < publishes {
+		if time.Now().After(deadline) {
+			t.Fatalf("A pushed %d of %d points, B holds %d: %+v", stA.PointsPushed, publishes, kbB.LogSize(), stA)
+		}
+		time.Sleep(5 * time.Millisecond)
+		stA, _ = opsA.GossipStats()
+	}
+	stB, _ := opsB.GossipStats()
+	if stA.RumorsDuplicate != 0 {
+		t.Errorf("%d of A's own rumors came back to it: %+v", stA.RumorsDuplicate, stA)
+	}
+	if stB.RumorsRelayed != 0 || stB.RumorsReceived == 0 {
+		t.Errorf("B received %d rumors and relayed %d; its only peer is their sender: %+v", stB.RumorsReceived, stB.RumorsRelayed, stB)
 	}
 }
 

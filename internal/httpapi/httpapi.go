@@ -18,8 +18,10 @@
 package httpapi
 
 import (
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -28,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"selfheal/internal/controlplane"
@@ -170,6 +173,8 @@ type Server struct {
 	// parked /kb/delta?wait= elapses.
 	closing   chan struct{}
 	closeOnce sync.Once
+
+	pushesRejected atomic.Uint64 // /kb/push bodies refused with 400 or 413
 }
 
 // NewServer builds the handler.
@@ -276,19 +281,6 @@ func (sr *statusRecorder) Flush() {
 	}
 }
 
-// bodyWriter negotiates response compression: when the client accepts
-// gzip the body is compressed (deltas and snapshots are JSON full of
-// repeated names — they shrink 5-10×) and Content-Encoding set. Callers
-// must call the returned close before returning.
-func bodyWriter(w http.ResponseWriter, r *http.Request) (io.Writer, func() error) {
-	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		return w, func() error { return nil }
-	}
-	w.Header().Set("Content-Encoding", "gzip")
-	w.Header().Del("Content-Length")
-	return kbsync.GzipTo(w)
-}
-
 // ServeHTTP implements http.Handler, serving through the middleware
 // stack.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
@@ -360,6 +352,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 		float64(s.cfg.Node.KB().LogSize()))
 	gauge("selfheal_kb_seq", "knowledge-base publish sequence",
 		float64(s.cfg.Node.Seq()))
+	counter("selfheal_kb_pushes_rejected_total", "pushes refused as oversized, undecodable or with a malformed TTL",
+		float64(s.pushesRejected.Load()))
 
 	if b := s.cfg.Broker; b != nil {
 		gauge("selfheal_events_subscribers", "live /events subscribers",
@@ -490,9 +484,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("ETag", s.etag(snap.Seq))
 	w.Header().Set("X-KB-Seq", strconv.FormatUint(snap.Seq, 10))
 	w.Header().Set("Content-Type", "application/json")
-	bw, done := bodyWriter(w, r)
-	snap.Encode(bw)
-	done()
+	// A snapshot is JSON full of repeated names: gzip shrinks it 5-10×.
+	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		defer zw.Close()
+		snap.Encode(zw)
+		return
+	}
+	snap.Encode(w)
 }
 
 // maxDeltaWait caps how long a long-poll request is parked.
@@ -585,18 +585,27 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	d := s.cfg.Node.Delta(since)
 	w.Header().Set("ETag", s.etag(d.Seq))
 	w.Header().Set("X-KB-Seq", strconv.FormatUint(d.Seq, 10))
-	w.Header().Set("Content-Type", "application/json")
-	bw, done := bodyWriter(w, r)
-	d.Encode(bw)
-	done()
+	// Never content-encoded: raw float64s do not deflate.
+	w.Header().Set("Content-Type", "application/octet-stream")
+	d.Encode(w)
 }
 
-// handlePush accepts one gossip push: a delta body (gzipped when the
-// sender says so) with the rumor id, hop TTL, and sender URL in
-// X-KB-Rumor / X-KB-TTL / X-KB-From. With a Gossiper configured the
-// push runs the full rumor protocol — id dedup before the body is even
-// decoded, apply, relay; without one it just applies to the node, which
-// is what `kbtool push` or a one-shot script wants.
+// What one push may claim: about 9,000 real-width points (a sender with
+// more, say a first push after a preload, is refused and repaired by the
+// pull plane) and a hop budget past any fleet diameter gossip is meant for.
+const (
+	maxPushBytes = 8 << 20
+	maxPushTTL   = 64
+)
+
+// handlePush accepts one gossip push: a delta body (whatever Content-Type
+// labels it: there is one format) with the rumor id, hop TTL, and sender
+// URL in X-KB-Rumor / X-KB-TTL / X-KB-From. With a Gossiper configured
+// the push runs the full rumor protocol — id dedup before the body is
+// even decoded, apply, relay; without one it just applies to the node,
+// which is what a one-shot script wants. The TTL is clamped to
+// [1, maxPushTTL]; an oversized or undecodable body, or a TTL that is not
+// a number, is refused and counted.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -608,37 +617,33 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
+	body := http.MaxBytesReader(w, r.Body, maxPushBytes)
 	g, id := s.cfg.Gossiper, r.Header.Get("X-KB-Rumor")
 	if g != nil && g.Seen(id) {
 		// A re-delivery: drain the body so the connection is reusable,
-		// and skip the gunzip and decode.
-		io.Copy(io.Discard, r.Body)
+		// and skip the decode.
+		io.Copy(io.Discard, body)
 		s.writePushed(w, 0)
 		return
 	}
-	var body io.Reader = r.Body
-	if strings.Contains(r.Header.Get("Content-Encoding"), "gzip") {
-		zr, err := gzip.NewReader(r.Body)
-		if err != nil {
-			http.Error(w, "bad gzip body: "+err.Error(), http.StatusBadRequest)
-			return
+	reject := func(msg string, err error) {
+		s.pushesRejected.Add(1)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		defer zr.Close()
-		body = zr
+		http.Error(w, msg+": "+err.Error(), code)
 	}
-	d, err := synopsis.DecodeDelta(body)
+	ttl, err := strconv.Atoi(cmp.Or(r.Header.Get("X-KB-TTL"), "1"))
 	if err != nil {
-		http.Error(w, "bad delta: "+err.Error(), http.StatusBadRequest)
+		reject("bad ttl", err)
 		return
 	}
-	ttl := 1
-	if raw := r.Header.Get("X-KB-TTL"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil {
-			http.Error(w, "bad ttl: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		ttl = v
+	ttl = min(max(ttl, 1), maxPushTTL)
+	d, err := synopsis.DecodeDelta(body)
+	if err != nil {
+		reject("bad delta", err)
+		return
 	}
 	var added int
 	if g != nil {

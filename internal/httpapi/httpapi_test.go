@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -250,24 +251,14 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
-// pushDelta POSTs a delta to /kb/push, gzipped when zip is set.
-func pushDelta(t *testing.T, srv *Server, d *synopsis.Delta, zip bool, hdr map[string]string) *httptest.ResponseRecorder {
+// pushDelta POSTs a delta to /kb/push.
+func pushDelta(t *testing.T, srv *Server, d *synopsis.Delta, hdr map[string]string) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
-	if zip {
-		zw := gzip.NewWriter(&buf)
-		if err := d.Encode(zw); err != nil {
-			t.Fatal(err)
-		}
-		zw.Close()
-	} else if err := d.Encode(&buf); err != nil {
+	if err := d.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/kb/push", &buf)
-	req.Header.Set("Content-Type", "application/json")
-	if zip {
-		req.Header.Set("Content-Encoding", "gzip")
-	}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
@@ -276,11 +267,9 @@ func pushDelta(t *testing.T, srv *Server, d *synopsis.Delta, zip bool, hdr map[s
 	return w
 }
 
-// TestPushEndpointAppliesDelta pins the no-gossiper push path: a gzipped
-// delta lands in the node, idempotently, and bad bodies answer 400.
-func TestPushEndpointAppliesDelta(t *testing.T) {
-	srv, kb, _ := newTestServer(t)
-	d := &synopsis.Delta{
+// onePointDelta is the smallest delta worth pushing.
+func onePointDelta() *synopsis.Delta {
+	return &synopsis.Delta{
 		Seq:      1,
 		Symptoms: []string{"m.a", "m.b"},
 		Points: []synopsis.Point{{
@@ -289,7 +278,15 @@ func TestPushEndpointAppliesDelta(t *testing.T) {
 			Success: true,
 		}},
 	}
-	w := pushDelta(t, srv, d, true, nil)
+}
+
+// TestPushEndpointAppliesDelta pins the no-gossiper push path: a delta
+// lands in the node, idempotently and whatever Content-Type labels it;
+// a body that is not a delta answers 400.
+func TestPushEndpointAppliesDelta(t *testing.T) {
+	srv, kb, _ := newTestServer(t)
+	d := onePointDelta()
+	w := pushDelta(t, srv, d, nil)
 	if w.Code != http.StatusOK {
 		t.Fatalf("push = %d: %s", w.Code, w.Body)
 	}
@@ -302,31 +299,91 @@ func TestPushEndpointAppliesDelta(t *testing.T) {
 	if resp.Added != 1 || kb.TrainingSize() != 1 {
 		t.Fatalf("push added %d (KB %d), want 1", resp.Added, kb.TrainingSize())
 	}
-	// Same push again (uncompressed this time): idempotent.
-	w = pushDelta(t, srv, d, false, nil)
+	// Same push again, mislabelled as JSON the way older senders do:
+	// there is one delta format, so the label is ignored. Idempotent.
+	w = pushDelta(t, srv, d, map[string]string{"Content-Type": "application/json"})
 	if w.Code != http.StatusOK {
-		t.Fatalf("second push = %d", w.Code)
+		t.Fatalf("second push = %d: %s", w.Code, w.Body)
 	}
 	if kb.TrainingSize() != 1 {
 		t.Fatalf("duplicate push grew the KB to %d", kb.TrainingSize())
 	}
 
-	// Garbage body and garbage gzip both answer 400.
-	req := httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("{nope"))
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("garbage push = %d, want 400", rec.Code)
+	// Garbage, and the JSON delta of the retired format 1, answer 400.
+	for _, body := range []string{"{nope", `{"version":1,"since":0,"seq":1,"points":[]}`} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("push of %q = %d, want 400", body, rec.Code)
+		}
 	}
-	req = httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not gzip"))
-	req.Header.Set("Content-Encoding", "gzip")
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad-gzip push = %d, want 400", rec.Code)
+}
+
+// TestPushBoundsBodyAndTTL pins what /kb/push refuses and what it
+// clamps: a body over the cap answers 413 without being decoded, a
+// malformed TTL 400, both counted on /metrics; a numeric TTL outside
+// [1, maxPushTTL] is clamped, so a negative one is never relayed and a
+// huge one relays with the ceiling less the hop just taken.
+func TestPushBoundsBodyAndTTL(t *testing.T) {
+	relayedTTL := make(chan string, 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		relayedTTL <- r.Header.Get("X-KB-TTL")
+	}))
+	defer peer.Close()
+	space := detect.NewSymptomSpace()
+	space.Indices([]string{"m.a", "m.b"})
+	node := kbsync.NewNode(synopsis.NewShared(synopsis.NewNearestNeighbor()), space)
+	gsp, err := kbsync.NewGossiper(node, kbsync.GossipConfig{Peers: []string{peer.URL}, Fanout: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w := pushDelta(t, srv, d, false, map[string]string{"X-KB-TTL": "zork"}); w.Code != http.StatusBadRequest {
+	srv, err := NewServer(Config{Node: node, Gossiper: gsp})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := onePointDelta()
+	if w := pushDelta(t, srv, d, map[string]string{"X-KB-Rumor": "p:1", "X-KB-TTL": "zork"}); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad-ttl push = %d, want 400", w.Code)
+	}
+	// A valid header over a body one byte past the cap.
+	var huge bytes.Buffer
+	d.Encode(&huge)
+	huge.Write(make([]byte, maxPushBytes+1-huge.Len()))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/kb/push", &huge))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized push = %d, want 413", rec.Code)
+	}
+	// A declared count the body cannot hold is refused before anything
+	// is allocated for it.
+	var lying bytes.Buffer
+	(&synopsis.Delta{}).Encode(&lying)
+	body := append(lying.Bytes()[:lying.Len()-1], 0xff, 0xff, 0xff, 0xff, 0x0f) // 2^32-1 points
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/kb/push", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized-count push = %d, want 400", rec.Code)
+	}
+	if node.KB().TrainingSize() != 0 {
+		t.Fatalf("refused pushes left %d points in the KB", node.KB().TrainingSize())
+	}
+	if m := get(t, srv, "/metrics", nil).Body.String(); !strings.Contains(m, "selfheal_kb_pushes_rejected_total 3\n") {
+		t.Fatalf("metrics do not count 3 rejected pushes:\n%s", m)
+	}
+
+	if w := pushDelta(t, srv, d, map[string]string{"X-KB-Rumor": "p:1", "X-KB-TTL": "-5"}); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"added":1`) {
+		t.Fatalf("negative-ttl push = %d %s, want it applied", w.Code, w.Body)
+	}
+	if st := gsp.Stats(); st.RumorsRelayed != 0 {
+		t.Fatalf("a TTL of -5 was relayed: %+v", st)
+	}
+	d.Points[0].X = []float64{3, 4}
+	if w := pushDelta(t, srv, d, map[string]string{"X-KB-Rumor": "p:2", "X-KB-TTL": "2000000000"}); w.Code != http.StatusOK {
+		t.Fatalf("huge-ttl push = %d %s", w.Code, w.Body)
+	}
+	if got, want := <-relayedTTL, strconv.Itoa(maxPushTTL-1); got != want {
+		t.Fatalf("a TTL of 2000000000 relayed as %s, want %s", got, want)
 	}
 }
 
@@ -345,21 +402,11 @@ func TestPushSeenRumorSkipsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &synopsis.Delta{
-		Seq:      1,
-		Symptoms: []string{"m.a", "m.b"},
-		Points: []synopsis.Point{{
-			X:       []float64{1, 2},
-			Action:  synopsis.Action{Fix: catalog.FixUpdateStats, Target: "items"},
-			Success: true,
-		}},
-	}
 	rumor := map[string]string{"X-KB-Rumor": "peerX:1"}
-	if w := pushDelta(t, srv, d, true, rumor); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"added":1`) {
+	if w := pushDelta(t, srv, onePointDelta(), rumor); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"added":1`) {
 		t.Fatalf("first delivery = %d %s", w.Code, w.Body)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not gzip, not a delta"))
-	req.Header.Set("Content-Encoding", "gzip")
+	req := httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not a delta"))
 	req.Header.Set("X-KB-Rumor", "peerX:1")
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -370,8 +417,7 @@ func TestPushSeenRumorSkipsDecode(t *testing.T) {
 		t.Fatalf("stats = %+v, want one received and one duplicate", st)
 	}
 	// The same body under an unseen id is still refused.
-	req = httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not gzip, not a delta"))
-	req.Header.Set("Content-Encoding", "gzip")
+	req = httptest.NewRequest(http.MethodPost, "/kb/push", strings.NewReader("not a delta"))
 	req.Header.Set("X-KB-Rumor", "peerX:2")
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -429,34 +475,44 @@ func TestDeltaLongPollTimesOutTo304(t *testing.T) {
 	}
 }
 
-// TestDeltaGzipNegotiation pins response compression: an
-// Accept-Encoding: gzip pull gets a gzipped body that decodes to the
-// same delta a plain pull serves.
+// TestDeltaGzipNegotiation pins that deltas do not negotiate: whatever
+// Accept-Encoding a pull presents, the response is never content-encoded
+// and its body decodes with DecodeDelta as is (a delta is mostly raw
+// float64s, which do not deflate). The snapshot, the human-readable
+// JSON view, still compresses on request.
 func TestDeltaGzipNegotiation(t *testing.T) {
 	srv, kb, _ := newTestServer(t)
 	add(kb, 1, 2)
 	add(kb, 3, 4)
 
 	plain := get(t, srv, "/kb/delta?since=0", nil)
-	zipped := get(t, srv, "/kb/delta?since=0", map[string]string{"Accept-Encoding": "gzip"})
-	if enc := zipped.Header().Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("Content-Encoding %q, want gzip", enc)
+	for _, accept := range []string{"gzip", "gzip, deflate, br", "identity", "*"} {
+		w := get(t, srv, "/kb/delta?since=0", map[string]string{"Accept-Encoding": accept})
+		if enc := w.Header().Get("Content-Encoding"); enc != "" {
+			t.Fatalf("Accept-Encoding %q: delta is content-encoded %q", accept, enc)
+		}
+		if !bytes.Equal(w.Body.Bytes(), plain.Body.Bytes()) {
+			t.Fatalf("Accept-Encoding %q changed the delta body", accept)
+		}
+		d, err := synopsis.DecodeDelta(w.Body)
+		if err != nil {
+			t.Fatalf("Accept-Encoding %q: %v", accept, err)
+		}
+		if len(d.Points) != 2 || d.Seq != 2 {
+			t.Fatalf("Accept-Encoding %q: %d points at seq %d, want 2 at 2", accept, len(d.Points), d.Seq)
+		}
 	}
-	zr, err := gzip.NewReader(zipped.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unzipped, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(unzipped, plain.Body.Bytes()) {
-		t.Fatalf("gzip body decodes to %d bytes, plain body is %d", len(unzipped), plain.Body.Len())
-	}
-	// Snapshot negotiates the same way.
+
 	zsnap := get(t, srv, "/kb/snapshot", map[string]string{"Accept-Encoding": "gzip"})
 	if enc := zsnap.Header().Get("Content-Encoding"); enc != "gzip" {
 		t.Fatalf("snapshot Content-Encoding %q, want gzip", enc)
+	}
+	zr, err := gzip.NewReader(zsnap.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := synopsis.Decode(zr); err != nil {
+		t.Fatalf("gzipped snapshot does not decode: %v", err)
 	}
 }
 
@@ -493,11 +549,11 @@ func TestMetricsKBLogGauge(t *testing.T) {
 }
 
 // TestConcurrentGzipResponsesMatchPlainBodies hammers /kb/delta and
-// /kb/snapshot from several goroutines at once. The gzip writers behind
-// them are pooled: one handed to a second response while the first is
-// still writing through it would garble both streams, so every response
-// must gunzip to exactly the bytes the same request gets uncompressed.
-// Run it with -race -count=10.
+// /kb/snapshot from several goroutines at once, every request accepting
+// gzip. A snapshot must come back gzipped and gunzip to exactly the bytes
+// the same request gets uncompressed; a delta must come back raw and
+// equal, byte for byte, an encode no other response shares. Run it with
+// -race -count=10.
 func TestConcurrentGzipResponsesMatchPlainBodies(t *testing.T) {
 	srv, kb, _ := newTestServer(t)
 	for i := 0; i < 300; i++ {
@@ -516,18 +572,24 @@ func TestConcurrentGzipResponsesMatchPlainBodies(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p := paths[(g+i)%len(paths)]
 				w := get(t, srv, p, map[string]string{"Accept-Encoding": "gzip"})
-				zr, err := gzip.NewReader(w.Body)
-				if err != nil {
-					t.Errorf("%s: %v", p, err)
+				body, snapshot := w.Body.Bytes(), p == "/kb/snapshot"
+				if enc := w.Header().Get("Content-Encoding"); (enc == "gzip") != snapshot {
+					t.Errorf("%s: Content-Encoding %q", p, enc)
 					return
 				}
-				body, err := io.ReadAll(zr)
-				if err != nil {
-					t.Errorf("%s: %v", p, err)
-					return
+				if snapshot {
+					zr, err := gzip.NewReader(w.Body)
+					if err != nil {
+						t.Errorf("%s: %v", p, err)
+						return
+					}
+					if body, err = io.ReadAll(zr); err != nil {
+						t.Errorf("%s: %v", p, err)
+						return
+					}
 				}
 				if !bytes.Equal(body, plain[p]) {
-					t.Errorf("%s: gzip body decodes to %d bytes that are not the %d plain ones", p, len(body), len(plain[p]))
+					t.Errorf("%s: answered %d bytes that are not the %d plain ones", p, len(body), len(plain[p]))
 					return
 				}
 			}

@@ -2,10 +2,8 @@ package kbsync
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -291,7 +289,7 @@ func (g *Gossiper) advance(seq uint64) {
 
 // Seen reports whether rumor id was already received or originated
 // here, counting the duplicate when it was. The ops plane asks before it
-// gunzips and decodes a push body, so a re-delivery costs a map lookup.
+// decodes a push body, so a re-delivery costs a map lookup.
 // It does not record id: Receive does, atomically with its own check.
 func (g *Gossiper) Seen(id string) bool {
 	g.mu.Lock()
@@ -360,8 +358,11 @@ func (g *Gossiper) Receive(d *synopsis.Delta, id string, ttl int, from string) i
 	g.pointsReceived.Add(uint64(added))
 
 	if added > 0 && ttl > 1 {
-		g.rumorsRelayed.Add(1)
-		g.broadcast(context.Background(), d, id, ttl-1, g.sample(g.cfg.Fanout, from))
+		// A node whose only peer is the sender has nobody to relay to.
+		if targets := g.sample(g.cfg.Fanout, from); len(targets) > 0 {
+			g.rumorsRelayed.Add(1)
+			g.broadcast(context.Background(), d, id, ttl-1, targets)
+		}
 	}
 	return added
 }
@@ -392,33 +393,13 @@ func (g *Gossiper) sample(k int, exclude string) []string {
 	return out
 }
 
-// gzipWriters recycles deflate state: a fresh gzip.Writer allocates and
-// zeroes about a megabyte, and a busy node encodes a delta per episode.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-
-// GzipTo compresses onto w with a pooled writer. done, called once after
-// the body is written, ends the stream and takes zw back: no use after it.
-func GzipTo(w io.Writer) (zw io.Writer, done func() error) {
-	z := gzipWriters.Get().(*gzip.Writer)
-	z.Reset(w)
-	return z, func() error {
-		err := z.Close()
-		gzipWriters.Put(z)
-		return err
-	}
-}
-
-// broadcast encodes d once (gzipped) and POSTs it to every target
-// concurrently, waiting for all of them. Push latency is bounded by the
-// client timeout, not summed across targets.
+// broadcast encodes d once and POSTs it to every target concurrently,
+// waiting for all of them: push latency is bounded by the client timeout,
+// not summed across targets. The body is not compressed — it is mostly
+// raw float64s, and gzip cost more than the hop it shortened.
 func (g *Gossiper) broadcast(ctx context.Context, d *synopsis.Delta, id string, ttl int, targets []string) {
-	if len(targets) == 0 {
-		return
-	}
 	var buf bytes.Buffer
-	zw, done := GzipTo(&buf)
-	err := d.Encode(zw)
-	if cerr := done(); err != nil || cerr != nil {
+	if err := d.Encode(&buf); err != nil {
 		g.pushesFailed.Add(uint64(len(targets)))
 		return
 	}
@@ -441,14 +422,13 @@ func (g *Gossiper) broadcast(ctx context.Context, d *synopsis.Delta, id string, 
 	wg.Wait()
 }
 
-// push POSTs one gzipped delta to one peer.
+// push POSTs one encoded delta to one peer.
 func (g *Gossiper) push(ctx context.Context, target string, body []byte, id string, ttl int) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/kb/push", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Content-Encoding", "gzip")
+	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set("X-KB-Rumor", id)
 	req.Header.Set("X-KB-TTL", strconv.Itoa(ttl))
 	if g.cfg.Self != "" {

@@ -2,7 +2,6 @@ package kbsync_test
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,10 +17,9 @@ import (
 
 // TestConcurrentGossipPushesCarryIntactBodies relays many rumors at once
 // through one gossiper while its node's /kb/delta and /kb/snapshot are
-// being pulled. Push bodies and pull responses take their gzip writers
-// from one pool: every push a peer receives must gunzip to the bytes a
-// plain encode of that rumor's delta produces, and every pull must gunzip
-// to a body that decodes. Run it with -race -count=10.
+// being pulled. Every push a peer receives must be, byte for byte, what
+// an unshared encode of that rumor's delta produces — uncompressed — and
+// every pull must answer a body that decodes. Run it with -race -count=10.
 func TestConcurrentGossipPushesCarryIntactBodies(t *testing.T) {
 	const rumors = 32
 	deltas := make(map[string]*synopsis.Delta, rumors)
@@ -39,19 +37,15 @@ func TestConcurrentGossipPushesCarryIntactBodies(t *testing.T) {
 		deltas[id], want[id] = d, buf.Bytes()
 	}
 
-	gunzip := func(r io.Reader) ([]byte, error) {
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		return io.ReadAll(zr)
-	}
 	var mu sync.Mutex
 	got := make(map[string][]byte, rumors)
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := gunzip(r.Body)
+		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			t.Errorf("push %s: %v", r.Header.Get("X-KB-Rumor"), err)
+		}
+		if enc := r.Header.Get("Content-Encoding"); enc != "" {
+			t.Errorf("push %s is content-encoded %q", r.Header.Get("X-KB-Rumor"), enc)
 		}
 		mu.Lock()
 		got[r.Header.Get("X-KB-Rumor")] = body
@@ -89,18 +83,12 @@ func TestConcurrentGossipPushesCarryIntactBodies(t *testing.T) {
 				if (g+i)%2 == 1 {
 					path, decode = "/kb/snapshot", func(r io.Reader) error { _, err := synopsis.Decode(r); return err }
 				}
-				req := httptest.NewRequest(http.MethodGet, path, nil)
-				req.Header.Set("Accept-Encoding", "gzip")
 				w := httptest.NewRecorder()
-				api.ServeHTTP(w, req)
+				api.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
 				if w.Code == http.StatusNotModified {
 					continue // nothing applied yet
 				}
-				body, err := gunzip(w.Body)
-				if err == nil {
-					err = decode(bytes.NewReader(body))
-				}
-				if err != nil {
+				if err := decode(w.Body); err != nil {
 					t.Errorf("%s: %v", path, err)
 					return
 				}

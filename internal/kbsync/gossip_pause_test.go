@@ -1,7 +1,6 @@
 package kbsync
 
 import (
-	"compress/gzip"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -19,12 +18,7 @@ import (
 func TestGossipPushesOnResume(t *testing.T) {
 	pushed := make(chan *synopsis.Delta, 4)
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		zr, err := gzip.NewReader(r.Body)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		d, err := synopsis.DecodeDelta(zr)
+		d, err := synopsis.DecodeDelta(r.Body)
 		if err != nil {
 			t.Error(err)
 			return

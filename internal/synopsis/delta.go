@@ -1,9 +1,11 @@
 package synopsis
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"selfheal/internal/detect"
 )
@@ -37,19 +39,10 @@ type Delta struct {
 	Points []Point
 }
 
-// deltaWire is the JSON form of Delta.
-type deltaWire struct {
-	Version  int         `json:"version"`
-	Since    uint64      `json:"since"`
-	Seq      uint64      `json:"seq"`
-	Epoch    string      `json:"epoch,omitempty"`
-	Symptoms []string    `json:"symptoms,omitempty"`
-	Points   []jsonPoint `json:"points,omitempty"`
-}
-
-// deltaFormat is the wire version of Delta; it is versioned independently
-// of the snapshot format so the two can evolve apart.
-const deltaFormat = 1
+// deltaMagic opens every encoded delta: three letters and the format
+// version. Deltas are wire-only — never stored, both ends are this code
+// — so a new format replaces the version; no old reader stays behind.
+const deltaMagic = "KBD\x02"
 
 // CaptureDelta builds the Delta of everything s published after sequence
 // since, naming the vectors from space (nil: detect.DefaultSymptomSpace).
@@ -64,43 +57,146 @@ func CaptureDelta(s *Shared, since uint64, space *detect.SymptomSpace) *Delta {
 	return &Delta{Since: since, Seq: seq, Symptoms: space.Names(), Points: pts}
 }
 
-// Encode writes the delta as JSON.
+// Encode writes the delta in its binary form: deltaMagic, Since and Seq
+// as uvarints, the epoch, the symptom-name table, then each point's fix
+// name, target, outcome byte, width and little-endian float64 bits, every
+// string and table behind its uvarint length (KNOWLEDGE_BASES.md has the
+// table).
 func (d *Delta) Encode(w io.Writer) error {
-	wire := deltaWire{Version: deltaFormat, Since: d.Since, Seq: d.Seq, Epoch: d.Epoch, Symptoms: d.Symptoms}
-	for _, p := range d.Points {
-		wire.Points = append(wire.Points, jsonPoint{
-			X: p.X, Fix: p.Action.Fix.String(), Target: p.Action.Target, Success: p.Success,
-		})
+	b := make([]byte, 0, 64+32*len(d.Symptoms)+len(d.Points)*(64+8*len(d.Symptoms)))
+	b = append(b, deltaMagic...)
+	b = binary.AppendUvarint(b, d.Since)
+	b = binary.AppendUvarint(b, d.Seq)
+	b = appendString(b, d.Epoch)
+	b = binary.AppendUvarint(b, uint64(len(d.Symptoms)))
+	for _, name := range d.Symptoms {
+		b = appendString(b, name)
 	}
-	return json.NewEncoder(w).Encode(wire)
+	b = binary.AppendUvarint(b, uint64(len(d.Points)))
+	for _, p := range d.Points {
+		b = appendString(b, p.Action.Fix.String())
+		b = appendString(b, p.Action.Target)
+		b = append(b, outcomeByte(p.Success))
+		b = binary.AppendUvarint(b, uint64(len(p.X)))
+		for _, v := range p.X {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	_, err := w.Write(b)
+	return err
 }
 
-// DecodeDelta parses a delta, rejecting unknown versions, unresolvable
-// fix names and vectors wider than the name table — the same hygiene
-// Decode applies to snapshots.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func outcomeByte(success bool) byte {
+	if success {
+		return 1
+	}
+	return 0
+}
+
+// DecodeDelta parses a delta, rejecting a foreign magic or version,
+// unresolvable fix names, vectors wider than the name table, trailing
+// bytes, and any declared count or length the remaining bytes cannot hold
+// — checked before anything is allocated for it.
 func DecodeDelta(r io.Reader) (*Delta, error) {
-	var wire deltaWire
-	if err := json.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("synopsis: decoding delta: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("synopsis: reading delta: %w", err)
 	}
-	if wire.Version != deltaFormat {
-		return nil, fmt.Errorf("synopsis: unsupported delta version %d", wire.Version)
+	if !bytes.HasPrefix(b, []byte(deltaMagic)) {
+		return nil, fmt.Errorf("synopsis: not a delta of version %d (it starts % x)", deltaMagic[3], b[:min(len(b), 4)])
 	}
-	d := &Delta{Since: wire.Since, Seq: wire.Seq, Epoch: wire.Epoch, Symptoms: wire.Symptoms}
-	for i, jp := range wire.Points {
-		fix, ok := fixByName(jp.Fix)
-		if !ok {
-			return nil, fmt.Errorf("synopsis: delta point %d has unknown fix %q", i, jp.Fix)
+	in := deltaReader{b: b[len(deltaMagic):]}
+	d := &Delta{Since: in.uvarint(), Seq: in.uvarint(), Epoch: in.str()}
+	for n := in.count(1); n > 0 && in.err == nil; n-- {
+		d.Symptoms = append(d.Symptoms, in.str())
+	}
+	// A point takes at least 4 bytes: two lengths, outcome and width.
+	if n := in.count(4); n > 0 {
+		d.Points = make([]Point, n)
+	}
+	for i := range d.Points {
+		p := &d.Points[i]
+		name := in.str()
+		var ok bool
+		if p.Action.Fix, ok = fixByName(name); !ok {
+			in.fail("point %d has unknown fix %q", i, name)
 		}
-		if len(d.Symptoms) > 0 && len(jp.X) > len(d.Symptoms) {
-			return nil, fmt.Errorf("synopsis: delta point %d has %d dimensions but the name table covers %d",
-				i, len(jp.X), len(d.Symptoms))
+		p.Action.Target = in.str()
+		// 0 and 1 as uvarints are the bytes 0 and 1; anything else is refused.
+		outcome := in.uvarint()
+		if p.Success = outcome == 1; outcome > 1 {
+			in.fail("point %d has outcome byte %d", i, outcome)
 		}
-		d.Points = append(d.Points, Point{
-			X:       jp.X,
-			Action:  Action{Fix: fix, Target: jp.Target},
-			Success: jp.Success,
-		})
+		width := in.count(8)
+		if len(d.Symptoms) > 0 && width > len(d.Symptoms) {
+			in.fail("point %d has %d dimensions but the name table covers %d", i, width, len(d.Symptoms))
+		}
+		if in.err != nil {
+			break
+		}
+		if width > 0 {
+			p.X = make([]float64, width)
+			for j, raw := 0, in.take(8*width); j < width; j++ {
+				p.X[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+			}
+		}
+	}
+	if len(in.b) > 0 {
+		in.fail("%d trailing bytes", len(in.b))
+	}
+	if in.err != nil {
+		return nil, fmt.Errorf("synopsis: decoding delta: %w", in.err)
 	}
 	return d, nil
 }
+
+// deltaReader consumes an encoded delta front to back. The first
+// malformed field sets err and empties the reader; every later read then
+// returns zeros, so DecodeDelta checks once per point, not per field.
+type deltaReader struct {
+	b   []byte
+	err error
+}
+
+func (r *deltaReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+	r.b = nil
+}
+
+// uvarint reads one uvarint, refusing any but its shortest form, so that
+// a delta has exactly one encoding.
+func (r *deltaReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.fail("truncated or malformed varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// count reads a declared number of items of at least unit bytes each,
+// refusing one the remaining bytes cannot hold.
+func (r *deltaReader) count(unit int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)/unit) {
+		r.fail("declared size %d exceeds the %d bytes left", v, len(r.b))
+		return 0
+	}
+	return int(v)
+}
+
+// take returns the next n bytes, n having passed count.
+func (r *deltaReader) take(n int) []byte {
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *deltaReader) str() string { return string(r.take(r.count(1))) }

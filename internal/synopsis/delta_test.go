@@ -2,7 +2,12 @@ package synopsis
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"selfheal/internal/catalog"
@@ -96,18 +101,244 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// wireBuilder writes the documented delta layout by hand, independently
+// of Encode, remembering where every count and length sits.
+type wireBuilder struct {
+	b      []byte
+	counts []int // offset of each count or length uvarint
+}
+
+func (w *wireBuilder) count(n int) {
+	w.counts = append(w.counts, len(w.b))
+	w.b = binary.AppendUvarint(w.b, uint64(n))
+}
+
+func (w *wireBuilder) str(s string) {
+	w.count(len(s))
+	w.b = append(w.b, s...)
+}
+
+// point appends one point with fix spelled as given, so a test can write
+// names the catalog does not hold.
+func (w *wireBuilder) point(fix string, p Point) {
+	w.str(fix)
+	w.str(p.Action.Target)
+	if p.Success {
+		w.b = append(w.b, 1)
+	} else {
+		w.b = append(w.b, 0)
+	}
+	w.count(len(p.X))
+	for _, v := range p.X {
+		w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
+	}
+}
+
+// header appends everything before the points: magic, version, cursor,
+// epoch, name table and the point count.
+func (w *wireBuilder) header(version byte, d *Delta, points int) {
+	w.b = append(w.b, 'K', 'B', 'D', version)
+	w.b = binary.AppendUvarint(w.b, d.Since)
+	w.b = binary.AppendUvarint(w.b, d.Seq)
+	w.str(d.Epoch)
+	w.count(len(d.Symptoms))
+	for _, name := range d.Symptoms {
+		w.str(name)
+	}
+	w.count(points)
+}
+
+func handEncode(d *Delta) *wireBuilder {
+	w := &wireBuilder{}
+	w.header(2, d, len(d.Points))
+	for _, p := range d.Points {
+		w.point(p.Action.Fix.String(), p)
+	}
+	return w
+}
+
 func TestDecodeDeltaRejectsBadInput(t *testing.T) {
-	if _, err := DecodeDelta(bytes.NewBufferString(`{"version":9}`)); err == nil {
-		t.Error("unknown delta version accepted")
+	good := pt([]float64{1}, catalog.FixUpdateStats, "items")
+	reject := func(what string, build func(w *wireBuilder)) {
+		t.Helper()
+		w := &wireBuilder{}
+		build(w)
+		if _, err := DecodeDelta(bytes.NewReader(w.b)); err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
-	if _, err := DecodeDelta(bytes.NewBufferString(
-		`{"version":1,"points":[{"x":[1],"fix":"no-such-fix"}]}`)); err == nil {
-		t.Error("unknown fix name accepted")
+	reject("unknown delta version", func(w *wireBuilder) { w.header(9, &Delta{}, 0) })
+	reject("foreign magic", func(w *wireBuilder) { w.header(2, &Delta{}, 0); w.b[0] = 'k' })
+	reject("the retired JSON format", func(w *wireBuilder) { w.b = []byte(`{"version":1,"since":0,"seq":1,"points":[]}`) })
+	reject("unknown fix name", func(w *wireBuilder) {
+		w.header(2, &Delta{}, 1)
+		w.point("no-such-fix", good)
+	})
+	reject("vector wider than the name table", func(w *wireBuilder) {
+		w.header(2, &Delta{Symptoms: []string{"a"}}, 1)
+		w.point("update-statistics", pt([]float64{1, 2}, catalog.FixUpdateStats, "items"))
+	})
+	reject("trailing bytes", func(w *wireBuilder) {
+		w.header(2, &Delta{}, 1)
+		w.point("update-statistics", good)
+		w.b = append(w.b, 0)
+	})
+	reject("point count beyond the body", func(w *wireBuilder) {
+		w.header(2, &Delta{}, 1<<40)
+		w.point("update-statistics", good)
+	})
+	reject("width beyond the body", func(w *wireBuilder) {
+		w.header(2, &Delta{}, 1)
+		w.point("update-statistics", good)
+		w.b[w.counts[len(w.counts)-1]] = 2
+	})
+}
+
+// randomDelta draws a small delta that exercises every shape the codec
+// must carry: empty and unnamed deltas, 0-width and ragged vectors,
+// ±Inf, -0, NaN payloads, non-ASCII targets, every fix id.
+func randomDelta(rng *rand.Rand) *Delta {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8000000000abc), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	names := []string{"", "app", "items", "db/主", "réplica-2", "a|b", "\x00"}
+	d := &Delta{Since: rng.Uint64() >> uint(rng.Intn(64)), Seq: rng.Uint64() >> uint(rng.Intn(64))}
+	if rng.Intn(3) > 0 {
+		d.Epoch = names[rng.Intn(len(names))] + "beef"
 	}
-	if _, err := DecodeDelta(bytes.NewBufferString(
-		`{"version":1,"symptoms":["a"],"points":[{"x":[1,2],"fix":"update-statistics"}]}`)); err == nil {
-		t.Error("vector wider than the name table accepted")
+	table := 0
+	if rng.Intn(4) > 0 { // else unnamed
+		table = 1 + rng.Intn(10)
+		for i := 0; i < table; i++ {
+			d.Symptoms = append(d.Symptoms, fmt.Sprintf("%s.m%d", names[rng.Intn(len(names))], i))
+		}
 	}
+	fixes := catalog.FixIDs()
+	for i, n := 0, rng.Intn(7); i < n; i++ { // n == 0: an empty delta
+		p := Point{
+			Action:  Action{Fix: fixes[rng.Intn(len(fixes))], Target: names[rng.Intn(len(names))]},
+			Success: rng.Intn(2) == 0,
+		}
+		width := rng.Intn(12)
+		if table > 0 {
+			width = rng.Intn(table + 1)
+		}
+		for j := 0; j < width; j++ {
+			v := rng.NormFloat64()
+			if rng.Intn(3) == 0 {
+				v = specials[rng.Intn(len(specials))]
+			}
+			p.X = append(p.X, v)
+		}
+		d.Points = append(d.Points, p)
+	}
+	return d
+}
+
+// sameDelta compares two deltas bit for bit: floats by their bits (NaN
+// payloads and the sign of zero included), empty and nil slices alike.
+func sameDelta(a, b *Delta) bool {
+	if a.Since != b.Since || a.Seq != b.Seq || a.Epoch != b.Epoch ||
+		len(a.Symptoms) != len(b.Symptoms) || len(a.Points) != len(b.Points) {
+		return false
+	}
+	for i := range a.Symptoms {
+		if a.Symptoms[i] != b.Symptoms[i] {
+			return false
+		}
+	}
+	for i, p := range a.Points {
+		q := b.Points[i]
+		if p.Action != q.Action || p.Success != q.Success || len(p.X) != len(q.X) {
+			return false
+		}
+		for j := range p.X {
+			if math.Float64bits(p.X[j]) != math.Float64bits(q.X[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// allocatedBy returns the bytes fn allocated (tests here run one at a
+// time, so nothing else allocates meanwhile).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDeltaCodecProperties runs seeded random deltas through the codec.
+// Encode writes exactly the documented layout (the hand encoder's bytes)
+// and DecodeDelta returns the delta bit for bit. Every strict prefix of
+// an encoding is refused. A single-byte corruption of a count or length
+// is refused too, unless the damaged bytes happen to be the one valid
+// encoding of some other delta (a length that swallows exactly the rest
+// of the body, say) — the framing carries no checksum, the transport
+// does — and that must stay rare. Either way a corrupted size never
+// panics and never makes the decoder allocate more than a small multiple
+// of the bytes it was given.
+func TestDeltaCodecProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	corruptions, accepted := 0, 0
+	for n := 0; n < 60; n++ {
+		d := randomDelta(rng)
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		wire := buf.Bytes()
+		hand := handEncode(d)
+		if !bytes.Equal(wire, hand.b) {
+			t.Fatalf("delta %d: Encode wrote\n%x\nthe documented layout is\n%x", n, wire, hand.b)
+		}
+		back, err := DecodeDelta(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("delta %d: %v", n, err)
+		}
+		if !sameDelta(d, back) {
+			t.Fatalf("delta %d: round trip changed it:\n got %+v\nwant %+v", n, back, d)
+		}
+		for cut := 0; cut < len(wire); cut++ {
+			if _, err := DecodeDelta(bytes.NewReader(wire[:cut])); err == nil {
+				t.Fatalf("delta %d: the %d-byte prefix of its %d bytes decoded", n, cut, len(wire))
+			}
+		}
+		bad := append([]byte(nil), wire...)
+		for _, off := range hand.counts {
+			for v := 0; v < 256; v++ {
+				if byte(v) == wire[off] {
+					continue
+				}
+				bad[off] = byte(v)
+				corruptions++
+				decode := func() {
+					other, err := DecodeDelta(bytes.NewReader(bad))
+					if err != nil {
+						return
+					}
+					accepted++
+					var again bytes.Buffer
+					if other.Encode(&again); !bytes.Equal(again.Bytes(), bad) {
+						t.Fatalf("delta %d: count at offset %d corrupted %#x -> %#x decoded, and not as the delta those bytes encode", n, off, wire[off], v)
+					}
+				}
+				if v != 0x7f && v != 0xff { // the largest one- and multi-byte claims get measured
+					decode()
+				} else if got, limit := allocatedBy(decode), uint64(32*len(bad)+2048); got > limit {
+					t.Fatalf("delta %d: count at offset %d corrupted to %#x: decoding %d bytes allocated %d, limit %d",
+						n, off, v, len(bad), got, limit)
+				}
+			}
+			bad[off] = wire[off]
+		}
+	}
+	if accepted*1000 > corruptions {
+		t.Fatalf("%d of %d corrupted counts still decoded; expected well under 1 in 1,000", accepted, corruptions)
+	}
+	t.Logf("%d corrupted counts, %d of them another delta's valid encoding", corruptions, accepted)
 }
 
 func TestCaptureDeltaNamesCoverPoints(t *testing.T) {
@@ -163,5 +394,74 @@ func TestCanonicalKeyTrimsTrailingZeros(t *testing.T) {
 	neg.Success = false
 	if CanonicalKey(b) == CanonicalKey(neg) {
 		t.Error("outcome not part of the canonical identity")
+	}
+	if len(CanonicalKey(a)) != 32 {
+		t.Errorf("canonical key is %d bytes, want a fixed 32", len(CanonicalKey(a)))
+	}
+	negZero := math.Copysign(0, -1)
+	if CanonicalKey(pt([]float64{1, 2, negZero}, catalog.FixUpdateStats, "items")) != CanonicalKey(b) {
+		t.Error("a trailing -0 is a zero and must be trimmed")
+	}
+	if CanonicalKey(pt([]float64{negZero, 2}, catalog.FixUpdateStats, "items")) == CanonicalKey(pt([]float64{0, 2}, catalog.FixUpdateStats, "items")) {
+		t.Error("-0 and 0 in a kept coordinate share a key")
+	}
+	nan1 := pt([]float64{math.NaN(), 2}, catalog.FixUpdateStats, "items")
+	nan2 := pt([]float64{math.Float64frombits(0xfff8000000000123), 2}, catalog.FixUpdateStats, "items")
+	if CanonicalKey(nan1) != CanonicalKey(nan2) {
+		t.Error("two NaN payloads keyed differently; every NaN is one coordinate value")
+	}
+}
+
+// TestCanonicalKeyIsPointIdentity draws point pairs — half of them one
+// point represented two ways, half independent draws from a domain small
+// enough to collide — and checks the key against the definition: two
+// keys are equal exactly when fix, target, outcome and the trimmed
+// vectors' coordinates (bit for bit, all NaNs alike) are equal. The
+// targets include separators and prefixes of one another, so a framing
+// that let one field bleed into the next would show.
+func TestCanonicalKeyIsPointIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	coords := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.NaN(), math.Float64frombits(0x7ff8000000000001)}
+	targets := []string{"", "a", "ab", "a\x00", "\x01", "a|true"}
+	draw := func() Point {
+		p := Point{
+			Action:  Action{Fix: catalog.FixID(1 + rng.Intn(3)), Target: targets[rng.Intn(len(targets))]},
+			Success: rng.Intn(2) == 0,
+		}
+		for i, n := 0, rng.Intn(4); i < n; i++ {
+			p.X = append(p.X, coords[rng.Intn(len(coords))])
+		}
+		return p
+	}
+	same := func(a, b Point) bool {
+		x, y := trimZeros(a.X), trimZeros(b.X)
+		if a.Action != b.Action || a.Success != b.Success || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := draw(), draw()
+		if i%2 == 0 {
+			// The same identity, represented differently: other NaN
+			// payloads, zeros of either sign appended.
+			b = a
+			b.X = append([]float64(nil), a.X...)
+			for j, v := range b.X {
+				if math.IsNaN(v) {
+					b.X[j] = math.Float64frombits(0xfff8000000000000 | uint64(rng.Intn(1<<20)))
+				}
+			}
+			b.X = append(b.X, 0, math.Copysign(0, -1))[:len(a.X)+rng.Intn(3)]
+		}
+		want := same(a, b)
+		if got := CanonicalKey(a) == CanonicalKey(b); got != want {
+			t.Fatalf("CanonicalKey equality is %v, identity says %v:\n%+v\n%+v", got, want, a, b)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 package synopsis
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"strconv"
-	"strings"
+	"math"
 
 	"selfheal/internal/detect"
 )
@@ -140,17 +141,22 @@ func trimZeros(x []float64) []float64 {
 	return x[:n]
 }
 
-// dedupKey is a stable identity for a canonicalized point: the exact
-// coordinates (round-trip float formatting) plus the full action and
-// outcome.
+// dedupKey is a stable identity for a canonicalized point: SHA-256 over
+// its fix, target, outcome and exact coordinate bits (every NaN as one
+// pattern; -0 and 0 distinct), as a 32-byte string. Fixed size keeps the
+// identity sets small at any vector width; collision resistance means a
+// peer cannot craft a point that shadows another.
 func dedupKey(p Point) string {
-	var b strings.Builder
-	b.WriteString(p.Action.Key())
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatBool(p.Success))
+	b := make([]byte, 0, 1024) // on the stack at every shipped width
+	b = binary.AppendVarint(b, int64(p.Action.Fix))
+	b = appendString(b, p.Action.Target)
+	b = append(b, outcomeByte(p.Success))
 	for _, v := range p.X {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		if v != v {
+			v = math.NaN()
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return b.String()
+	sum := sha256.Sum256(b)
+	return string(sum[:])
 }
