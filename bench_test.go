@@ -1,8 +1,8 @@
 package selfheal_test
 
 // One benchmark per table and figure of the paper's evaluation, plus one
-// per §5 research-agenda ablation. These drive the same harnesses as the
-// cmd/ tools at reduced-but-meaningful sizes and report the headline
+// per §5 research-agenda ablation. These drive the same harnesses as
+// cmd/paper at reduced-but-meaningful sizes and report the headline
 // numbers as custom benchmark metrics, so `go test -bench=. -benchmem`
 // regenerates every artifact's shape in one run.
 
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"selfheal"
+	"selfheal/internal/experiments"
 	"selfheal/internal/kbsync/meshtest"
 )
 
@@ -22,7 +23,7 @@ import (
 // against its candidate fixes plus a control.
 func BenchmarkTable1FaultFixMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunTable1(71)
+		res := experiments.RunTable1(71)
 		candOK, candN, ctrlOK, ctrlN := 0, 0, 0, 0
 		for _, row := range res.Rows {
 			for _, o := range row.Outcomes {
@@ -47,7 +48,7 @@ func BenchmarkTable1FaultFixMatrix(b *testing.B) {
 // BenchmarkFigure1FailureCauses regenerates Figure 1's cause distribution.
 func BenchmarkFigure1FailureCauses(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunFigure1(18, 40)
+		res := experiments.RunFigure1(18, 40)
 		// Operator share of the Online profile is the paper's headline.
 		b.ReportMetric(100*res.Share[0][0], "online-operator-%")
 	}
@@ -56,7 +57,7 @@ func BenchmarkFigure1FailureCauses(b *testing.B) {
 // BenchmarkFigure2RecoveryTimes regenerates Figure 2's TTR-by-cause table.
 func BenchmarkFigure2RecoveryTimes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunFigure2(18, 30)
+		res := experiments.RunFigure2(18, 30)
 		// Operator vs. software recovery-time ratio (paper: operator slowest).
 		op, sw := res.MeanTTR[0][0], res.MeanTTR[0][1]
 		if sw > 0 {
@@ -68,8 +69,8 @@ func BenchmarkFigure2RecoveryTimes(b *testing.B) {
 // BenchmarkTable2ApproachComparison regenerates the Table 2 matrix.
 func BenchmarkTable2ApproachComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := selfheal.QuickTable2Config()
-		res := selfheal.RunTable2(cfg)
+		cfg := experiments.QuickTable2Config()
+		res := experiments.RunTable2(cfg)
 		// FixSym's recurring-scenario first-try rate vs. manual rules'.
 		b.ReportMetric(100*res.Cells[4][0].CorrectFirst, "fixsym-recurring-first-%")
 		b.ReportMetric(100*res.Cells[0][0].CorrectFirst, "manual-recurring-first-%")
@@ -79,8 +80,8 @@ func BenchmarkTable2ApproachComparison(b *testing.B) {
 // BenchmarkFigure4SynopsisAccuracy regenerates Figure 4's learning curves.
 func BenchmarkFigure4SynopsisAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := selfheal.QuickFigure4Config()
-		res := selfheal.RunFigure4(cfg)
+		cfg := experiments.QuickFigure4Config()
+		res := experiments.RunFigure4(cfg)
 		b.ReportMetric(100*res.Curves[0].FinalAcc, "adaboost-%")
 		b.ReportMetric(100*res.Curves[1].FinalAcc, "nn-%")
 		b.ReportMetric(100*res.Curves[2].FinalAcc, "kmeans-%")
@@ -90,8 +91,8 @@ func BenchmarkFigure4SynopsisAccuracy(b *testing.B) {
 // BenchmarkTable3SynopsisCost regenerates Table 3's learning-cost ratios.
 func BenchmarkTable3SynopsisCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := selfheal.QuickFigure4Config()
-		res := selfheal.RunFigure4(cfg)
+		cfg := experiments.QuickFigure4Config()
+		res := experiments.RunFigure4(cfg)
 		ada, nn := res.Curves[0], res.Curves[1]
 		if nn.TimeToReport > 0 {
 			b.ReportMetric(float64(ada.TimeToReport)/float64(nn.TimeToReport), "adaboost/nn-time")
@@ -102,7 +103,7 @@ func BenchmarkTable3SynopsisCost(b *testing.B) {
 // BenchmarkAblationHybrid runs the §5.1 combination ablation.
 func BenchmarkAblationHybrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunHybridAblation(71, 10)
+		res := experiments.RunHybridAblation(71, 10)
 		b.ReportMetric(100*res.Escalated[0], "fixsym-escalated-%")
 		b.ReportMetric(100*res.Escalated[2], "hybrid-escalated-%")
 	}
@@ -111,7 +112,7 @@ func BenchmarkAblationHybrid(b *testing.B) {
 // BenchmarkAblationOnlineDrift runs the §5.2 online-learning ablation.
 func BenchmarkAblationOnlineDrift(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunOnlineDriftAblation(71, 18)
+		res := experiments.RunOnlineDriftAblation(71, 18)
 		b.ReportMetric(100*res.FrozenAccuracy, "frozen-%")
 		b.ReportMetric(100*res.OnlineAccuracy, "online-%")
 	}
@@ -120,7 +121,7 @@ func BenchmarkAblationOnlineDrift(b *testing.B) {
 // BenchmarkAblationConfidenceRanking runs the §5.2 ranking ablation.
 func BenchmarkAblationConfidenceRanking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunConfidenceAblation(71, 8)
+		res := experiments.RunConfidenceAblation(71, 8)
 		b.ReportMetric(res.RankedMeanAttempts, "ranked-attempts")
 		b.ReportMetric(res.UnrankedMeanAttempts, "antiranked-attempts")
 	}
@@ -129,7 +130,7 @@ func BenchmarkAblationConfidenceRanking(b *testing.B) {
 // BenchmarkAblationNegativeData runs the §5.2 negative-samples ablation.
 func BenchmarkAblationNegativeData(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunNegativeDataAblation(71, 10)
+		res := experiments.RunNegativeDataAblation(71, 10)
 		b.ReportMetric(100*res.WithNegatives, "with-neg-first-%")
 		b.ReportMetric(100*res.WithoutNegatives, "without-neg-first-%")
 	}
@@ -139,7 +140,7 @@ func BenchmarkAblationNegativeData(b *testing.B) {
 // ablation.
 func BenchmarkAblationProactive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunProactiveAblation(71, 1800)
+		res := experiments.RunProactiveAblation(71, 1800)
 		b.ReportMetric(float64(res.ReactiveBadTicks), "reactive-bad-ticks")
 		b.ReportMetric(float64(res.ProactiveBadTicks), "proactive-bad-ticks")
 	}
@@ -148,7 +149,7 @@ func BenchmarkAblationProactive(b *testing.B) {
 // BenchmarkAblationControl runs the §5.4 stability analysis.
 func BenchmarkAblationControl(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := selfheal.RunControlAblation(71)
+		res := experiments.RunControlAblation(71)
 		b.ReportMetric(float64(res.SettlingTime), "settling-ticks")
 		b.ReportMetric(float64(res.Flapping.Worst), "flap-repeats")
 	}

@@ -1,54 +1,44 @@
-// Command benchgate turns `go test -bench` output into a benchmark
-// baseline file and gates CI on throughput regressions against the
-// committed baseline.
+// Command benchgate gates CI on the ratios `go test -bench` output must
+// keep inside one run, where machine speed cancels:
 //
-//	go test -run='^$' -bench='FleetCampaign|Synopsis' -benchtime=1x . | tee bench.txt
-//	benchgate -in bench.txt -baseline BENCH_PR7.json -out BENCH_PR7.json
+//	go test -run='^$' -bench='SynopsisSuggest|SynopsisRankK' -benchtime=1x . > bench.txt
+//	benchgate -in bench.txt
 //
-// The baseline records every custom metric each benchmark reports
-// (episodes/sec, recovered-%, mean-ttr-ticks, p99-ns, ...) plus ns/op.
-// Two gates run against it:
+// Two kinds of ratio are pinned:
 //
-//   - regression: episodes/sec — the fleet's headline throughput — must
-//     not drop more than -max-regress (default 15%) on any benchmark
-//     present in both files;
 //   - scaling: the KB-size-scaling rows (SynopsisSuggest/SynopsisRankK at
 //     size=1000 vs size=1000000) must keep the big row's query latency
 //     within a fixed factor of the small row's, which pins the index's
 //     sublinear behavior — a linear scan would be ~1000× at the big size,
 //     so any return to linear scaling fails immediately. Those rows are
-//     2 coordinates wide; the real-width rows (width=104/size=20000) must
-//     keep the indexed read's mean within 0.6× the brute scan's mean
-//     measured in the same row, which pins the trees' projected heads —
-//     KD nodes alone prune nothing at that width.
+//     2 coordinates wide;
+//   - real width: the width=104/size=20000 rows must keep the indexed
+//     read's mean within 0.6× the brute scan's mean measured in the same
+//     row, which pins the trees' projected heads — KD nodes alone prune
+//     nothing at that width.
 //
-// A missing baseline file records instead of gates, so the first run on a
-// fresh branch bootstraps itself. The ratio gates need no baseline —
-// they compare numbers within the fresh run, so machine speed cancels.
+// Absolute throughput is not gated here: a number from one run of one
+// machine says little about another. The committed benchmark's paired
+// parent/change comparison (benchmark/run.sh --compare) does that job.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// throughputKey is the metric the regression gate compares.
-const throughputKey = "episodes_per_sec"
 
 // ratioGate pins a ratio inside one run: heldMetric of the held row must
 // stay within factor× refMetric of the ref row. Sublinear index scaling
 // holds a big row against a small one; the real-width gate holds one
 // metric of a row against another of the same row. Both rows absent skips
 // the gate (a bench sweep that never ran them); exactly one absent fails
-// via the missing-benchmark check against the baseline.
+// it.
 type ratioGate struct {
 	held, heldMetric string
 	ref, refMetric   string
@@ -74,20 +64,11 @@ var ratioGates = []ratioGate{
 	{"SynopsisRankK/width=104/size=20000", "mean_ns", "SynopsisRankK/width=104/size=20000", "brute_mean_ns", 0.6, headGone},
 }
 
-// baselineFile is the on-disk format: one record of metric->value per
-// benchmark, keyed by the benchmark's name without the Benchmark prefix
-// or the -GOMAXPROCS suffix (which would churn across CI runners).
-type baselineFile struct {
-	Version    int                           `json:"version"`
-	Bench      string                        `json:"bench"`
-	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-}
-
 // gomaxprocsSuffix strips the trailing -N a parallel benchmark name
 // carries when GOMAXPROCS != 1.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// metricKey normalizes a benchmark unit into a JSON-friendly key:
+// metricKey normalizes a benchmark unit into an identifier-like key:
 // "episodes/sec" -> "episodes_per_sec", "recovered-%" -> "recovered_pct",
 // "ns/op" -> "ns_per_op".
 func metricKey(unit string) string {
@@ -124,25 +105,8 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 	return out, sc.Err()
 }
 
-func readBaseline(path string) (*baselineFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return &bf, nil
-}
-
 func main() {
-	var (
-		in         = flag.String("in", "", "benchmark output file (default: stdin)")
-		baseline   = flag.String("baseline", "BENCH_PR7.json", "committed baseline to gate against (missing file: no gate)")
-		out        = flag.String("out", "", "write the freshly measured baseline JSON here (empty: don't)")
-		maxRegress = flag.Float64("max-regress", 0.15, "max tolerated fractional episodes/sec regression")
-	)
+	in := flag.String("in", "", "benchmark output file (default: stdin)")
 	flag.Parse()
 
 	src := io.Reader(os.Stdin)
@@ -165,31 +129,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Read the baseline before any -out write: -baseline and -out may
-	// name the same file (measure, gate, leave the refreshed baseline
-	// ready to commit).
-	old, baseErr := readBaseline(*baseline)
-	if baseErr != nil && !os.IsNotExist(baseErr) {
-		fmt.Fprintln(os.Stderr, "benchgate:", baseErr)
-		os.Exit(2)
-	}
-
-	if *out != "" {
-		bf := baselineFile{Version: 1, Bench: "go test -bench -benchtime=1x", Benchmarks: fresh}
-		data, err := json.MarshalIndent(bf, "", " ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("benchgate: wrote %d benchmark records to %s\n", len(fresh), *out)
-	}
-
-	// The ratio gates compare numbers of the fresh run against each other,
-	// so they run even when there is no baseline yet.
 	var scalefails []string
 	for _, g := range ratioGates {
 		ref, okR := fresh[g.ref]
@@ -219,72 +158,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-
-	if os.IsNotExist(baseErr) {
-		fmt.Printf("benchgate: no baseline at %s; recorded only, nothing to gate\n", *baseline)
-		return
-	}
-
-	names := make([]string, 0, len(fresh))
-	for name := range fresh {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var regressions []string
-	for _, name := range names {
-		rec := fresh[name]
-		was, ok := old.Benchmarks[name]
-		if !ok {
-			fmt.Printf("  new   %-48s %10.1f eps\n", name, rec[throughputKey])
-			continue
-		}
-		now, prev := rec[throughputKey], was[throughputKey]
-		if prev <= 0 {
-			// The baseline never recorded throughput for this benchmark;
-			// there is nothing to gate against.
-			continue
-		}
-		if now <= 0 {
-			// A gated benchmark that stops reporting episodes/sec (metric
-			// renamed, throughput collapsed to zero) must fail loudly, not
-			// slip through ungated.
-			regressions = append(regressions,
-				fmt.Sprintf("%s: episodes/sec missing or zero this run (baseline %.1f)", name, prev))
-			continue
-		}
-		delta := now/prev - 1
-		fmt.Printf("  %+5.1f%% %-48s %10.1f -> %7.1f eps\n", 100*delta, name, prev, now)
-		if now < prev*(1-*maxRegress) {
-			regressions = append(regressions,
-				fmt.Sprintf("%s: %.1f -> %.1f episodes/sec (%.1f%% < -%.0f%% floor)",
-					name, prev, now, 100*delta, 100**maxRegress))
-		}
-	}
-	// A benchmark in the baseline but absent from this run means the gate
-	// silently stopped protecting it (renamed, filtered, or crashed out).
-	// Fail loudly; an intentional rename updates the committed baseline.
-	var missing []string
-	for name := range old.Benchmarks {
-		if _, ok := fresh[name]; !ok {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(missing)
-
-	if len(regressions) > 0 || len(missing) > 0 {
-		if len(regressions) > 0 {
-			fmt.Fprintln(os.Stderr, "benchgate: throughput regressions past the floor:")
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "  "+r)
-			}
-		}
-		if len(missing) > 0 {
-			fmt.Fprintln(os.Stderr, "benchgate: baseline benchmarks missing from this run (rename? crash? refresh the baseline):")
-			for _, m := range missing {
-				fmt.Fprintln(os.Stderr, "  "+m)
-			}
-		}
-		os.Exit(1)
-	}
-	fmt.Println("benchgate: no episodes/sec regression past the floor")
+	fmt.Println("benchgate: every index ratio inside its pinned factor")
 }

@@ -38,7 +38,9 @@ func main() {
 		log.Fatal(err)
 	}
 	p := sys.NewProactive()
-	sys.Inj.Inject(selfheal.NewAging(selfheal.TierApp, 0.004))
+	if err := sys.Target().Inject(selfheal.NewAging(selfheal.TierApp, 0.004)); err != nil {
+		log.Fatal(err)
+	}
 	actions, badTicks := p.RunWithProactive(2400)
 	fmt.Printf("proactive: %d preemptive reboot(s); %d SLO-violating ticks over the same horizon\n", actions, badTicks)
 	fmt.Println()

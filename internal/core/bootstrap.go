@@ -5,6 +5,7 @@ import (
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/faults"
+	"selfheal/internal/targets"
 )
 
 // This file implements the paper's §4.2 active data collection: "during
@@ -81,19 +82,33 @@ func Bootstrap(ctx context.Context, plan BootstrapPlan, approach Approach) int {
 				cfg.Seed = plan.Seed + seq*977
 				cfg.Service.Seed = cfg.Seed*7919 + 17
 				h := NewHarness(cfg)
-				h.Gen.SetScale(scale)
+				h.Target.(targets.WorkloadShaper).SetLoadScale(scale)
 				h.StepN(40) // settle at the stimulated load
-				f := gen.NextOfKind(kind)
-				h.Inj.Inject(f)
-				if !h.RunUntilFailing(ctx, budget) {
+				fctx, label, ok := h.LabeledFailure(ctx, gen.NextOfKind(kind), budget)
+				if !ok {
 					continue
 				}
-				fctx := h.BuildContext()
-				fix, target := f.CorrectFix()
-				approach.Observe(fctx, Action{Fix: fix, Target: target}, true)
+				approach.Observe(fctx, label, true)
 				trained++
 			}
 		}
 	}
 	return trained
+}
+
+// LabeledFailure injects f, waits up to budget ticks for it to become
+// SLO-visible, and returns what the approaches would observe about the
+// failure together with its ground-truth fix — one labeled observation of
+// the kind preproduction stimulation and held-out test sets are made of.
+// ok is false when the target refused the fault or the failure was never
+// detected.
+func (h *Harness) LabeledFailure(ctx context.Context, f Fault, budget int) (fctx *FailureContext, label Action, ok bool) {
+	if err := h.Target.Inject(f); err != nil {
+		return nil, Action{}, false
+	}
+	if !h.RunUntilFailing(ctx, budget) {
+		return nil, Action{}, false
+	}
+	fix, target := f.CorrectFix()
+	return h.BuildContext(), Action{Fix: fix, Target: target}, true
 }

@@ -36,7 +36,7 @@ func TestBootstrapPretrainsApproach(t *testing.T) {
 	// First production failure of a bootstrapped kind: no escalation.
 	h := core.NewHarness(core.DefaultHarnessConfig())
 	hl := core.NewHealer(h, fs, core.DefaultHealerConfig())
-	hl.AdminOracle = core.OracleFromInjector(h.Inj)
+	hl.AdminOracle = h.Target.CorrectFix
 	ep := hl.RunEpisode(context.Background(), faults.NewBufferContention(0.8))
 	if !ep.Recovered {
 		t.Fatal("bootstrapped healer did not recover")
@@ -55,7 +55,7 @@ func TestBootstrapColdComparison(t *testing.T) {
 	cold := core.NewFixSym(synopsis.NewNearestNeighbor())
 	h := core.NewHarness(core.DefaultHarnessConfig())
 	hl := core.NewHealer(h, cold, core.DefaultHealerConfig())
-	hl.AdminOracle = core.OracleFromInjector(h.Inj)
+	hl.AdminOracle = h.Target.CorrectFix
 	ep := hl.RunEpisode(context.Background(), faults.NewBufferContention(0.8))
 	if !ep.Escalated {
 		t.Error("cold healer should have escalated on its first-ever failure")

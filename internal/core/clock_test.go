@@ -22,7 +22,7 @@ func TestLogicalClockByteIdentical(t *testing.T) {
 		cfg.Clock = ck
 		h := core.NewHarness(cfg)
 		hl := core.NewHealer(h, core.NewFixSym(synopsis.NewNearestNeighbor()), core.DefaultHealerConfig())
-		hl.AdminOracle = core.OracleFromInjector(h.Inj)
+		hl.AdminOracle = h.Target.CorrectFix
 		gen := faults.MustNewGenerator(11)
 		var eps []core.Episode
 		for i := 0; i < 4; i++ {

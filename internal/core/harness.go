@@ -5,8 +5,6 @@ import (
 
 	"selfheal/internal/clock"
 	"selfheal/internal/detect"
-	"selfheal/internal/faults"
-	"selfheal/internal/fixes"
 	"selfheal/internal/metrics"
 	"selfheal/internal/service"
 	"selfheal/internal/targets"
@@ -64,39 +62,23 @@ type Harness struct {
 	// Target is the managed system under healing.
 	Target targets.Target
 
-	// Auction-simulator conveniences, populated only when Target is the
-	// default auction target (nil for every other target kind). The
-	// harness itself never reads them; they exist for the paper's
-	// experiment harnesses and tests that manipulate simulator state
-	// directly.
-	Svc *service.Service
-	Gen *workload.Generator
-	Inj *faults.Injector
-	Act *fixes.Actuator
-
 	Coll    *metrics.Collector
 	Monitor *detect.Monitor
 	Builder *detect.SymptomBuilder
 	CallDet *detect.CallMatrixDetector
 
-	// ring holds copies of the last WindowTicks call matrices so the
-	// current χ² window always covers the moments before detection. The
-	// backing arrays are allocated once at construction and refilled in
+	// ring holds the last WindowTicks call matrices so the current χ²
+	// window always covers the moments before detection. Slot i holds one
+	// retained tick's values at the support cells, in support order: call
+	// matrices are ~90% empty, so the per-tick copy and the χ² folds touch
+	// only the cells the target's static call topology can fill. The
+	// backing array is allocated once at construction and refilled in
 	// place each tick, so the steady-state tick path allocates nothing
 	// for call-matrix retention no matter how long the campaign runs.
-	//
-	// When the target reports its static call topology
-	// (targets.CallMatrixSupporter), the dense ring is replaced by
-	// support-order value slices: slot i of sparseRing holds the values at
-	// support[i] cells for one retained tick. Call matrices are ~90% empty,
-	// so the per-tick copy and the χ² folds shrink by the same factor.
-	ring       [][][]float64
 	support    [][2]int
-	sparseRing [][]float64
+	ring       [][]float64
 	ringPos    int
 	ringFilled int
-
-	baselineFrozen bool
 
 	// Clock paces Step: a no-op for simulator targets, a wall-period
 	// sleep for targets whose ticks are real time. Set from the config
@@ -148,29 +130,22 @@ func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 	if s, ok := t.(targets.CallMatrixSupporter); ok {
 		h.support = s.CallMatrixSupport()
 	}
-	if h.support != nil {
-		h.sparseRing = make([][]float64, cfg.WindowTicks)
-		backing := make([]float64, cfg.WindowTicks*len(h.support))
-		w := len(h.support)
-		for i := range h.sparseRing {
-			h.sparseRing[i] = backing[i*w : (i+1)*w : (i+1)*w]
-		}
-	} else {
+	if h.support == nil {
+		// The target does not report its call topology: every cell may
+		// be nonzero.
 		rows, cols := t.CallMatrixRows(), len(t.CallCallees())
-		h.ring = make([][][]float64, cfg.WindowTicks)
-		for i := range h.ring {
-			h.ring[i] = make([][]float64, rows)
-			backing := make([]float64, rows*cols)
-			for r := 0; r < rows; r++ {
-				h.ring[i][r] = backing[r*cols : (r+1)*cols : (r+1)*cols]
+		h.support = make([][2]int, 0, rows*cols)
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				h.support = append(h.support, [2]int{r, c})
 			}
 		}
 	}
-	if a, ok := t.(*targets.Auction); ok {
-		h.Svc = a.Service()
-		h.Gen = a.Workload()
-		h.Inj = a.Injector()
-		h.Act = a.Actuator()
+	w := len(h.support)
+	backing := make([]float64, cfg.WindowTicks*w)
+	h.ring = make([][]float64, cfg.WindowTicks)
+	for i := range h.ring {
+		h.ring[i] = backing[i*w : (i+1)*w : (i+1)*w]
 	}
 	h.WarmUp()
 	return h
@@ -190,7 +165,6 @@ func (h *Harness) WarmUp() {
 	// pool experience in one knowledge base. A single-kind process gets
 	// the identity mapping (vectors identical to schema order).
 	h.Builder = detect.NewAlignedSymptomBuilder(base, detect.DefaultSymptomSpace, series.Schema().Names())
-	h.baselineFrozen = true
 }
 
 // SetPaceContext binds the context that bounds wall-clock pacing sleeps
@@ -223,24 +197,13 @@ func (h *Harness) Step() detect.Sample {
 
 	m := h.Target.CallMatrix()
 	healthy := !h.Monitor.Failing() && h.Monitor.CleanFor() > h.Cfg.WindowTicks
-	if h.support != nil {
-		cp := h.sparseRing[h.ringPos]
-		for i, rc := range h.support {
-			cp[i] = m[rc[0]][rc[1]]
-		}
-		h.ringPos = (h.ringPos + 1) % len(h.sparseRing)
-		if healthy {
-			h.CallDet.AccumulateBaselineCells(h.support, cp)
-		}
-	} else {
-		cp := h.ring[h.ringPos]
-		for i := range m {
-			copy(cp[i], m[i])
-		}
-		h.ringPos = (h.ringPos + 1) % len(h.ring)
-		if healthy {
-			h.CallDet.AccumulateBaseline(cp)
-		}
+	cp := h.ring[h.ringPos]
+	for i, rc := range h.support {
+		cp[i] = m[rc[0]][rc[1]]
+	}
+	h.ringPos = (h.ringPos + 1) % len(h.ring)
+	if healthy {
+		h.CallDet.AccumulateBaselineCells(h.support, cp)
 	}
 	if h.ringFilled < h.Cfg.WindowTicks {
 		h.ringFilled++
@@ -271,14 +234,8 @@ func (h *Harness) BuildContext() *FailureContext {
 	// written this early in the run are skipped, exactly as the lazily
 	// allocated ring used to skip nil entries.
 	h.CallDet.ResetCurrent()
-	if h.support != nil {
-		for i := 0; i < h.ringFilled; i++ {
-			h.CallDet.AccumulateCurrentCells(h.support, h.sparseRing[i])
-		}
-	} else {
-		for i := 0; i < h.ringFilled; i++ {
-			h.CallDet.AccumulateCurrent(h.ring[i])
-		}
+	for i := 0; i < h.ringFilled; i++ {
+		h.CallDet.AccumulateCurrentCells(h.support, h.ring[i])
 	}
 	return &FailureContext{
 		DetectedAt:    h.Target.Now(),
@@ -292,12 +249,6 @@ func (h *Harness) BuildContext() *FailureContext {
 		CallAnomalies: h.CallDet.AnomalousCallees(),
 		Paths:         h.Target.SamplePaths(),
 	}
-}
-
-// Symptom returns the current symptom vector without building a full
-// context (used by the proactive forecaster and tests).
-func (h *Harness) Symptom() []float64 {
-	return h.Builder.Vector(h.Coll.Series().Tail(h.Cfg.WindowTicks))
 }
 
 // RunUntilFailing steps until the monitor declares a failure, maxTicks

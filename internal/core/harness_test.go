@@ -1,9 +1,13 @@
 package core_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"selfheal/internal/core"
+	"selfheal/internal/faults"
+	"selfheal/internal/targets"
 )
 
 // TestHistoryIsASlidingWindow steps a harness for twenty times its
@@ -32,5 +36,45 @@ func TestHistoryIsASlidingWindow(t *testing.T) {
 	// The view taken before all of that still reads its own rows.
 	if early.Len() != n || early.Time(0) != first {
 		t.Errorf("early view now holds %d rows from tick %d, was %d from %d", early.Len(), early.Time(0), n, first)
+	}
+}
+
+// opaqueTarget shows the harness the Target interface and nothing else:
+// the wrapped target's optional capabilities, CallMatrixSupport among
+// them, are hidden.
+type opaqueTarget struct{ targets.Target }
+
+// TestDerivedCallSupportMatchesReported: a target that does not report its
+// call topology gets the full rows×cols support, and the χ² localization
+// and the symptom vector come out exactly as they do for the same target
+// reporting its sparse support — the cells outside the support only ever
+// hold zeros.
+func TestDerivedCallSupportMatchesReported(t *testing.T) {
+	run := func(hide bool) *core.FailureContext {
+		a, err := targets.NewAuction(targets.Config{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tg targets.Target = a
+		if hide {
+			tg = opaqueTarget{a}
+		}
+		h := core.NewTargetHarness(tg, core.DefaultHarnessConfig())
+		h.StepN(200) // grow the call baseline
+		fctx, _, ok := h.LabeledFailure(context.Background(), faults.NewDeadlock("ItemBean"), 200)
+		if !ok {
+			t.Fatal("deadlock not detected")
+		}
+		return fctx
+	}
+	reported, derived := run(false), run(true)
+	if len(reported.CallAnomalies) == 0 {
+		t.Fatal("no call-matrix anomalies for the deadlocked component")
+	}
+	if !reflect.DeepEqual(reported.CallAnomalies, derived.CallAnomalies) {
+		t.Errorf("call anomalies differ:\n reported support: %v\n derived support:  %v", reported.CallAnomalies, derived.CallAnomalies)
+	}
+	if !reflect.DeepEqual(reported.Symptom, derived.Symptom) {
+		t.Errorf("symptom vectors differ:\n reported support: %v\n derived support:  %v", reported.Symptom, derived.Symptom)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"selfheal/internal/catalog"
-	"selfheal/internal/faults"
 	"selfheal/internal/targets"
 )
 
@@ -123,8 +122,8 @@ type Healer struct {
 	Learn *Gate
 
 	// AdminOracle plays the administrator of Figure 3 lines 19–20: it
-	// returns the correct fix for the live fault. Wired to the target's
-	// ground truth by the experiment harnesses; nil means the
+	// returns the correct fix for the live fault. The facade wires it to
+	// the target's ground truth (Target.CorrectFix); nil means the
 	// administrator merely restarts and the episode ends unlabeled.
 	AdminOracle func() (Action, bool)
 
@@ -141,29 +140,6 @@ type Healer struct {
 // NewHealer builds a healer over an environment and an approach.
 func NewHealer(h *Harness, a Approach, cfg HealerConfig) *Healer {
 	return &Healer{Cfg: cfg, H: h, Approach: a, targetName: h.Target.Spec().Name}
-}
-
-// OracleFromInjector returns an AdminOracle that reveals the correct fix of
-// the first uncleared fault — the administrator's diagnosis. It is the
-// auction-simulator special case of OracleFromTarget, kept for experiment
-// harnesses that hold the injector directly.
-func OracleFromInjector(inj *faults.Injector) func() (Action, bool) {
-	return func() (Action, bool) {
-		for _, f := range inj.Active() {
-			if f.Cleared(inj.Env()) {
-				continue
-			}
-			fix, target := f.CorrectFix()
-			return Action{Fix: fix, Target: target}, true
-		}
-		return Action{}, false
-	}
-}
-
-// OracleFromTarget returns an AdminOracle backed by the target's own
-// ground truth — the generic administrator for any target kind.
-func OracleFromTarget(t targets.Target) func() (Action, bool) {
-	return t.CorrectFix
 }
 
 // observe routes one learn event: straight to the approach when

@@ -19,7 +19,7 @@ func TestEpisodeLifecycle(t *testing.T) {
 	h := core.NewHarness(core.DefaultHarnessConfig())
 	fs := core.NewFixSym(synopsis.NewNearestNeighbor())
 	hl := core.NewHealer(h, fs, core.DefaultHealerConfig())
-	hl.AdminOracle = core.OracleFromInjector(h.Inj)
+	hl.AdminOracle = h.Target.CorrectFix
 
 	// First occurrence: nothing learned yet → escalation path.
 	ep1 := hl.RunEpisode(context.Background(), faults.NewStaleStats("items", 6))
@@ -65,7 +65,7 @@ func TestEpisodeDistinctFaults(t *testing.T) {
 	h := core.NewHarness(core.DefaultHarnessConfig())
 	fs := core.NewFixSym(synopsis.NewNearestNeighbor())
 	hl := core.NewHealer(h, fs, core.DefaultHealerConfig())
-	hl.AdminOracle = core.OracleFromInjector(h.Inj)
+	hl.AdminOracle = h.Target.CorrectFix
 
 	teach := []faults.Fault{
 		faults.NewStaleStats("items", 6),
@@ -107,11 +107,10 @@ func TestEpisodeDistinctFaults(t *testing.T) {
 func TestDeadlockCallMatrixLocalization(t *testing.T) {
 	h := core.NewHarness(core.DefaultHarnessConfig())
 	h.StepN(200) // grow the call baseline
-	h.Inj.Inject(faults.NewDeadlock("ItemBean"))
-	if !h.RunUntilFailing(context.Background(), 200) {
+	ctx, _, ok := h.LabeledFailure(context.Background(), faults.NewDeadlock("ItemBean"), 200)
+	if !ok {
 		t.Fatal("deadlock not detected")
 	}
-	ctx := h.BuildContext()
 	if len(ctx.CallAnomalies) == 0 {
 		t.Fatal("no call-matrix anomalies for deadlocked component")
 	}
@@ -126,8 +125,10 @@ func TestDeadlockCallMatrixLocalization(t *testing.T) {
 func TestAdminOracleMatchesTable1(t *testing.T) {
 	h := core.NewHarness(core.DefaultHarnessConfig())
 	f := faults.NewBlockContention("bids", 150)
-	h.Inj.Inject(f)
-	oracle := core.OracleFromInjector(h.Inj)
+	if err := h.Target.Inject(f); err != nil {
+		t.Fatal(err)
+	}
+	oracle := h.Target.CorrectFix
 	action, ok := oracle()
 	if !ok {
 		t.Fatal("oracle found no fault")

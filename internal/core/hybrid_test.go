@@ -96,7 +96,9 @@ func TestProactiveHoltVariant(t *testing.T) {
 		h := core.NewHarness(cfg)
 		p := core.NewProactive(h)
 		p.UseHolt = useHolt
-		h.Inj.Inject(faults.NewAging(catalog.TierApp, 0.004))
+		if err := h.Target.Inject(faults.NewAging(catalog.TierApp, 0.004)); err != nil {
+			t.Fatal(err)
+		}
 		actions, bad := p.RunWithProactive(1800)
 		if actions == 0 {
 			t.Errorf("useHolt=%v: forecaster never acted", useHolt)
@@ -112,9 +114,11 @@ func TestHarnessDeterminism(t *testing.T) {
 		cfg := core.DefaultHarnessConfig()
 		cfg.Seed = 123
 		h := core.NewHarness(cfg)
-		h.Inj.Inject(faults.NewStaleStats("items", 8))
-		h.RunUntilFailing(context.Background(), 600)
-		return h.BuildContext().Symptom
+		fctx, _, ok := h.LabeledFailure(context.Background(), faults.NewStaleStats("items", 8), 600)
+		if !ok {
+			t.Fatal("stale statistics never became SLO-visible")
+		}
+		return fctx.Symptom
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -42,24 +42,11 @@ func zeroMatrix(r, c int) [][]float64 {
 	return m
 }
 
-// AccumulateBaseline folds one healthy tick's call matrix into the baseline
-// (the Nb window).
-func (d *CallMatrixDetector) AccumulateBaseline(m [][]float64) {
-	add(d.baseline, m)
-	d.baseTicks++
-}
-
-// AccumulateCurrent folds one tick's call matrix into the current window
-// (the Nc window).
-func (d *CallMatrixDetector) AccumulateCurrent(m [][]float64) {
-	add(d.current, m)
-	d.curTicks++
-}
-
-// AccumulateBaselineCells folds one healthy tick given only the matrix's
-// support: vals[i] is the value at cells[i], every other cell is zero.
-// Harnesses whose target reports a static call topology use this to fold
-// the ~10% of cells that can be nonzero instead of the dense matrix.
+// AccumulateBaselineCells folds one healthy tick into the baseline (the Nb
+// window) given the matrix's support: vals[i] is the value at cells[i],
+// every other cell is zero. A target's call topology is static and ~90%
+// empty, so the harness folds the cells that can be nonzero instead of the
+// dense matrix.
 func (d *CallMatrixDetector) AccumulateBaselineCells(cells [][2]int, vals []float64) {
 	for i, rc := range cells {
 		d.baseline[rc[0]][rc[1]] += vals[i]
@@ -67,7 +54,8 @@ func (d *CallMatrixDetector) AccumulateBaselineCells(cells [][2]int, vals []floa
 	d.baseTicks++
 }
 
-// AccumulateCurrentCells is AccumulateCurrent over a support cell list.
+// AccumulateCurrentCells folds one tick into the current window (the Nc
+// window) over a support cell list.
 func (d *CallMatrixDetector) AccumulateCurrentCells(cells [][2]int, vals []float64) {
 	for i, rc := range cells {
 		d.current[rc[0]][rc[1]] += vals[i]
@@ -79,14 +67,6 @@ func (d *CallMatrixDetector) AccumulateCurrentCells(cells [][2]int, vals []float
 func (d *CallMatrixDetector) ResetCurrent() {
 	d.current = zeroMatrix(d.rows, d.cols)
 	d.curTicks = 0
-}
-
-func add(dst, src [][]float64) {
-	for i := range dst {
-		for j := range dst[i] {
-			dst[i][j] += src[i][j]
-		}
-	}
 }
 
 // Anomaly is one implicated callee EJB column with its aggregate score.

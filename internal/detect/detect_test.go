@@ -111,32 +111,32 @@ func TestUserActivityMonitor(t *testing.T) {
 func TestCallMatrixDetectorFindsShift(t *testing.T) {
 	const rows, cols = 4, 3
 	d := NewCallMatrixDetector(rows, cols)
-	base := [][]float64{
-		{50, 30, 20},
-		{10, 80, 10},
-		{0, 0, 0},
-		{40, 40, 20},
+	// Row 2 never calls anything: it is outside the support.
+	cells := [][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {3, 0}, {3, 1}, {3, 2}}
+	base := []float64{
+		50, 30, 20,
+		10, 80, 10,
+		40, 40, 20,
 	}
 	for i := 0; i < 60; i++ {
-		d.AccumulateBaseline(base)
+		d.AccumulateBaselineCells(cells, base)
 	}
 	// Same distribution: no anomaly.
 	for i := 0; i < 10; i++ {
-		d.AccumulateCurrent(base)
+		d.AccumulateCurrentCells(cells, base)
 	}
 	if as := d.AnomalousCallees(); len(as) != 0 {
 		t.Fatalf("false positive on identical distribution: %v", as)
 	}
 	// Row 0's split shifts hard toward column 2.
 	d.ResetCurrent()
-	shifted := [][]float64{
-		{10, 10, 80},
-		{10, 80, 10},
-		{0, 0, 0},
-		{40, 40, 20},
+	shifted := []float64{
+		10, 10, 80,
+		10, 80, 10,
+		40, 40, 20,
 	}
 	for i := 0; i < 10; i++ {
-		d.AccumulateCurrent(shifted)
+		d.AccumulateCurrentCells(cells, shifted)
 	}
 	as := d.AnomalousCallees()
 	if len(as) == 0 {
@@ -152,7 +152,7 @@ func TestCallMatrixDetectorEmptyWindows(t *testing.T) {
 	if as := d.AnomalousCallees(); as != nil {
 		t.Error("anomalies without data")
 	}
-	d.AccumulateBaseline([][]float64{{1, 1}, {1, 1}})
+	d.AccumulateBaselineCells([][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}, []float64{1, 1, 1, 1})
 	if as := d.AnomalousCallees(); as != nil {
 		t.Error("anomalies without a current window")
 	}

@@ -18,11 +18,11 @@ func failingContext(t *testing.T, seed int64, f faults.Fault) *core.FailureConte
 	cfg.Seed = seed
 	cfg.Service.Seed = seed*7919 + 17
 	h := core.NewHarness(cfg)
-	h.Inj.Inject(f)
-	if !h.RunUntilFailing(context.Background(), 2500) {
+	fctx, _, ok := h.LabeledFailure(context.Background(), f, 2500)
+	if !ok {
 		t.Fatalf("fault %v never became SLO-visible", f.Kind())
 	}
-	return h.BuildContext()
+	return fctx
 }
 
 func TestAnomalyLocalizesDeadlock(t *testing.T) {

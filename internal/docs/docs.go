@@ -2,8 +2,8 @@
 // code blocks in the markdown guides must stay real code (complete
 // programs must build against this module, fragments must at least
 // parse), and relative links — including #anchors — must point at files
-// and headings that exist. CI runs it through cmd/doccheck and `go test`
-// runs it through this package's tests, so the docs cannot rot silently.
+// and headings that exist. CI and `go test ./...` both run it through
+// this package's tests, so the docs cannot rot silently.
 package docs
 
 import (

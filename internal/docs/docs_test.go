@@ -2,8 +2,7 @@ package docs
 
 import "testing"
 
-// RepoDocs are the guides the docs gate covers. New guides join here
-// and in .github/workflows/ci.yml.
+// RepoDocs are the guides the docs gate covers. New guides join here.
 var repoDocs = []string{
 	"README.md", "ADDING_TARGETS.md", "KNOWLEDGE_BASES.md",
 	"SCENARIOS.md", "PERFORMANCE.md", "OPERATIONS.md",

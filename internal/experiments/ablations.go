@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 
+	"selfheal"
 	"selfheal/internal/catalog"
-	"selfheal/internal/control"
 	"selfheal/internal/core"
 	"selfheal/internal/diagnose"
 	"selfheal/internal/faults"
@@ -42,17 +41,15 @@ func RunHybridAblation(seed int64, episodes int) HybridAblation {
 			)
 		},
 	}
+	ctx := context.Background()
 	res := HybridAblation{}
 	for _, make := range mk {
 		a := make()
 		gen := faults.MustNewGenerator(seed+11, LearningKinds()...)
-		hcfg := core.DefaultHealerConfig()
 		var stats EpisodeStats
 		for i := 0; i < episodes; i++ {
-			h := episodeEnv(seed + int64(i)*211)
-			hl := core.NewHealer(h, a, hcfg)
-			hl.AdminOracle = core.OracleFromInjector(h.Inj)
-			stats.AddEpisode(hl.RunEpisode(context.Background(), gen.Next()))
+			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*211), selfheal.WithApproachInstance(a))
+			stats.AddEpisode(sys.HealEpisode(ctx, gen.Next()))
 		}
 		res.Names = append(res.Names, a.Name())
 		res.Escalated = append(res.Escalated, stats.EscalationRate())
@@ -86,6 +83,7 @@ type OnlineDriftAblation struct {
 // expressed against the stale baseline; the frozen one keeps predicting
 // from obsolete ones.
 func RunOnlineDriftAblation(seed int64, episodes int) OnlineDriftAblation {
+	ctx := context.Background()
 	frozen := synopsis.NewNearestNeighbor()
 	online := synopsis.NewOnline(synopsis.NewNearestNeighbor(), episodes/2+4)
 	ref := buildReferenceBaseline(seed)
@@ -101,25 +99,20 @@ func RunOnlineDriftAblation(seed int64, episodes int) OnlineDriftAblation {
 			drift = 0.4
 		}
 		f := gen.Next()
-		h := episodeEnv(seed + int64(i)*173)
-		h.Gen.SetScale(1 + drift)
-		h.StepN(60)
-		h.Builder = ref // stale deployment-time baseline
-		h.Inj.Inject(f)
-		if !h.RunUntilFailing(context.Background(), 2500) {
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*173))
+		driftTo(sys, 1+drift, ref)
+		fctx, want, ok := sys.LabeledFailure(ctx, f, 2500)
+		if !ok {
 			continue
 		}
-		ctx := h.BuildContext()
-		fix, target := f.CorrectFix()
-		want := core.Action{Fix: fix, Target: target}
 		n++
-		if sug, ok := frozen.Suggest(ctx.Features(), nil); ok && sug.Action.Fix == want.Fix {
+		if sug, ok := frozen.Suggest(fctx.Features(), nil); ok && sug.Action.Fix == want.Fix {
 			frozenOK++
 		}
-		if sug, ok := online.Suggest(ctx.Features(), nil); ok && sug.Action.Fix == want.Fix {
+		if sug, ok := online.Suggest(fctx.Features(), nil); ok && sug.Action.Fix == want.Fix {
 			onlineOK++
 		}
-		p := synopsis.Point{X: ctx.Features(), Action: want, Success: true}
+		p := synopsis.Point{X: fctx.Features(), Action: want, Success: true}
 		// The frozen synopsis stops learning after the undrifted prefix;
 		// the online one keeps folding new signatures in and forgetting
 		// old ones.
@@ -158,16 +151,14 @@ func RunConfidenceAblation(seed int64, episodes int) ConfidenceAblation {
 	for _, p := range train {
 		nb.Add(p)
 	}
-	hcfg := core.DefaultHealerConfig()
+	ctx := context.Background()
 
 	run := func(a core.Approach) float64 {
 		var stats EpisodeStats
 		gen2 := faults.MustNewGenerator(seed+29, LearningKinds()...)
 		for i := 0; i < episodes; i++ {
-			h := episodeEnv(seed + int64(i)*307)
-			hl := core.NewHealer(h, a, hcfg)
-			hl.AdminOracle = core.OracleFromInjector(h.Inj)
-			stats.AddEpisode(hl.RunEpisode(context.Background(), gen2.Next()))
+			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*307), selfheal.WithApproachInstance(a))
+			stats.AddEpisode(sys.HealEpisode(ctx, gen2.Next()))
 		}
 		return stats.MeanAttempts()
 	}
@@ -286,38 +277,33 @@ type ProactiveAblation struct {
 
 // RunProactiveAblation injects a slow leak and runs the horizon both ways.
 func RunProactiveAblation(seed int64, horizonTicks int) ProactiveAblation {
+	ctx := context.Background()
 	res := ProactiveAblation{}
 
-	// Reactive: the leak runs to SLO violation/crash, then the healer
-	// reboots. Count violating ticks.
+	// Reactive: the leak runs to SLO violation/crash, then the
+	// administrator-grade fix is applied (best case for the reactive
+	// baseline: no misdiagnosis). Count violating ticks.
 	{
-		h := episodeEnv(seed)
-		h.Inj.Inject(faults.NewAging(catalog.TierApp, 0.004))
-		a := core.NewFixSym(synopsis.NewNearestNeighbor())
-		hl := core.NewHealer(h, a, core.DefaultHealerConfig())
-		hl.AdminOracle = core.OracleFromInjector(h.Inj)
-		start := h.Svc.Now()
-		for h.Svc.Now()-start < int64(horizonTicks) {
-			st := h.Step()
-			if h.Cfg.SLO.Violated(st) {
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
+		t := sys.Target()
+		inject(sys, faults.NewAging(catalog.TierApp, 0.004))
+		step := func() {
+			if sys.Cfg.SLO.Violated(sys.Step()) {
 				res.ReactiveBadTicks++
 			}
-			if h.Monitor.Failing() {
-				ctx := h.BuildContext()
-				_ = ctx
-				// Administrator-grade reactive fix (best case for the
-				// reactive baseline: no misdiagnosis).
-				if action, ok := hl.AdminOracle(); ok {
-					if app, err := h.Act.Apply(action.Fix, action.Target); err == nil {
-						for i := int64(0); i < app.SettleTicks; i++ {
-							st := h.Step()
-							if h.Cfg.SLO.Violated(st) {
-								res.ReactiveBadTicks++
-							}
+		}
+		start := t.Now()
+		for t.Now()-start < int64(horizonTicks) {
+			step()
+			if sys.Monitor.Failing() {
+				if action, ok := t.CorrectFix(); ok {
+					if settle, err := t.Apply(action); err == nil {
+						for i := int64(0); i < settle; i++ {
+							step()
 						}
 					}
 				}
-				h.Inj.Reap()
+				t.Reap()
 			}
 		}
 	}
@@ -325,12 +311,9 @@ func RunProactiveAblation(seed int64, horizonTicks int) ProactiveAblation {
 	// Proactive: the forecaster watches the leak trend and schedules the
 	// reboot before the crash.
 	{
-		h := episodeEnv(seed)
-		h.Inj.Inject(faults.NewAging(catalog.TierApp, 0.004))
-		p := core.NewProactive(h)
-		actions, bad := p.RunWithProactive(horizonTicks)
-		res.ProactiveBadTicks = bad
-		res.ProactiveActions = actions
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
+		inject(sys, faults.NewAging(catalog.TierApp, 0.004))
+		res.ProactiveActions, res.ProactiveBadTicks = sys.NewProactive().RunWithProactive(horizonTicks)
 	}
 	return res
 }
@@ -349,30 +332,34 @@ type ControlAblation struct {
 	SettlingTime int
 	Overshoot    float64
 	SteadyErr    float64
-	Flapping     control.Flapping
+	Flapping     flapping
 }
 
 // RunControlAblation measures a latency recovery transient and a
 // deliberately flapping kill-hung-query policy against a deadlock.
 func RunControlAblation(seed int64) ControlAblation {
+	ctx := context.Background()
 	res := ControlAblation{}
 
 	// Transient: stale stats fixed by update-statistics; track latency
 	// back to baseline.
 	{
-		h := episodeEnv(seed)
-		target := h.Coll.Series().Tail(60).ColMeans()[h.Coll.Schema().MustIndex("svc.latency.avg")]
-		h.Inj.Inject(faults.NewStaleStats("items", 8))
-		h.RunUntilFailing(context.Background(), 600)
-		h.Act.Apply(catalog.FixUpdateStats, "items")
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
+		idx := sys.Coll.Schema().MustIndex("svc.latency.avg")
+		target := sys.Coll.Series().Tail(60).ColMeans()[idx]
+		inject(sys, faults.NewStaleStats("items", 8))
+		sys.RunUntilFailing(ctx, 600)
+		// The series below starts at the fix, settle window included,
+		// so the settle time is not stepped through separately;
+		// update-statistics on a table is never refused.
+		_, _ = sys.Target().Apply(selfheal.Action{Fix: catalog.FixUpdateStats, Target: "items"})
 		var lat []float64
-		idx := h.Coll.Schema().MustIndex("svc.latency.avg")
 		for i := 0; i < 120; i++ {
-			h.Step()
-			row := h.Coll.Series().Row(h.Coll.Series().Len() - 1)
+			sys.Step()
+			row := sys.Coll.Series().Row(sys.Coll.Series().Len() - 1)
 			lat = append(lat, row[idx])
 		}
-		tr := control.AnalyzeTransient(lat, target, 0.25)
+		tr := analyzeTransient(lat, target, 0.25)
 		res.Settled = tr.Settled
 		res.SettlingTime = tr.SettlingTime
 		res.Overshoot = tr.Overshoot
@@ -383,17 +370,20 @@ func RunControlAblation(seed int64) ControlAblation {
 	// moment but never clears it; a policy without success checks keeps
 	// re-applying it.
 	{
-		h := episodeEnv(seed + 1)
-		h.Inj.Inject(faults.NewDeadlock("ItemBean"))
-		h.RunUntilFailing(context.Background(), 600)
-		var events []control.FixEvent
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+1))
+		t := sys.Target()
+		inject(sys, faults.NewDeadlock("ItemBean"))
+		sys.RunUntilFailing(ctx, 600)
+		kill := selfheal.Action{Fix: catalog.FixKillHungQuery}
+		var events []fixEvent
 		for i := 0; i < 12; i++ {
-			if app, err := h.Act.Apply(catalog.FixKillHungQuery, ""); err == nil {
-				events = append(events, control.FixEvent{Fix: app.Fix, Target: app.Target, At: app.AppliedAt})
-				h.StepN(int(app.SettleTicks) + 5)
+			at := t.Now()
+			if settle, err := t.Apply(kill); err == nil {
+				events = append(events, fixEvent{Fix: kill.Fix, Target: kill.Target, At: at})
+				sys.StepN(int(settle) + 5)
 			}
 		}
-		res.Flapping = control.DetectFlapping(events, 200, 3)
+		res.Flapping = detectFlapping(events, 200, 3)
 	}
 	return res
 }

@@ -219,7 +219,7 @@ func TestAblationsRun(t *testing.T) {
 // learner, and the shipped cascade breaks at least one learner — the
 // regime single-fault campaigns never reach.
 func TestScenarioSweepShape(t *testing.T) {
-	res := RunScenarioSweep(DefaultScenarioSweepConfig())
+	res := RunScenarioSweep(42)
 	if len(res.Scenarios) != 4 || len(res.Learners) != 4 {
 		t.Fatalf("sweep is %d scenarios x %d learners", len(res.Scenarios), len(res.Learners))
 	}

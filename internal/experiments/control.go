@@ -1,21 +1,20 @@
-// Package control provides the control-theoretic analysis the paper's §5.4
-// calls for: a self-healing service is a feedback controller over its own
-// metrics, so its behaviour should be judged by stability, steady-state
-// error, settling time and overshooting (after Hellerstein et al. [15]).
-//
-// The functions here analyze a recovery transient — a metric series
-// starting at a fix application — and the fix history of a healing loop.
-package control
+package experiments
 
 import (
 	"math"
 
 	"selfheal/internal/catalog"
-	"selfheal/internal/stats"
 )
 
-// Transient describes a recovery transient of one metric toward a target.
-type Transient struct {
+// The control-theoretic analysis the paper's §5.4 calls for: a
+// self-healing service is a feedback controller over its own metrics, so
+// its behaviour should be judged by stability, steady-state error, settling
+// time and overshooting (after Hellerstein et al. [15]). The functions here
+// analyze a recovery transient — a metric series starting at a fix
+// application — and the fix history of a healing loop.
+
+// transient describes a recovery transient of one metric toward a target.
+type transient struct {
 	// Settled reports whether the series entered and stayed inside the
 	// band around target.
 	Settled bool
@@ -30,11 +29,11 @@ type Transient struct {
 	SteadyStateError float64
 }
 
-// AnalyzeTransient measures the recovery of series toward target with a
+// analyzeTransient measures the recovery of series toward target with a
 // relative tolerance band (e.g. 0.1 = ±10%).
-func AnalyzeTransient(series []float64, target, band float64) Transient {
+func analyzeTransient(series []float64, target, band float64) transient {
 	n := len(series)
-	tr := Transient{}
+	tr := transient{}
 	if n == 0 || target <= 0 {
 		return tr
 	}
@@ -92,18 +91,17 @@ func AnalyzeTransient(series []float64, target, band float64) Transient {
 	return tr
 }
 
-// FixEvent is one fix application at a tick (a thin mirror of
-// fixes.Application that keeps this package dependency-light).
-type FixEvent struct {
+// fixEvent is one fix application at a tick.
+type fixEvent struct {
 	Fix    catalog.FixID
 	Target string
 	At     int64
 }
 
-// Flapping reports whether the healing loop is unstable in the
+// flapping reports whether the healing loop is unstable in the
 // control-theoretic sense: the same action applied repeatedly within a
 // window, indicating oscillation rather than convergence.
-type Flapping struct {
+type flapping struct {
 	Unstable bool
 	// Worst is the highest repetition count of one action inside any
 	// window.
@@ -112,10 +110,10 @@ type Flapping struct {
 	Action string
 }
 
-// DetectFlapping scans fix history with the given window (ticks) and
+// detectFlapping scans fix history with the given window (ticks) and
 // repetition threshold.
-func DetectFlapping(events []FixEvent, windowTicks int64, maxRepeats int) Flapping {
-	out := Flapping{}
+func detectFlapping(events []fixEvent, windowTicks int64, maxRepeats int) flapping {
+	out := flapping{}
 	for i := range events {
 		key := events[i].Fix.String() + "|" + events[i].Target
 		count := 1
@@ -134,30 +132,4 @@ func DetectFlapping(events []FixEvent, windowTicks int64, maxRepeats int) Flappi
 	}
 	out.Unstable = out.Worst > maxRepeats
 	return out
-}
-
-// Damping estimates how oscillatory a recovery is: the ratio of direction
-// changes to samples after smoothing. 0 is monotone; values near 1 are
-// ringing.
-func Damping(series []float64) float64 {
-	if len(series) < 3 {
-		return 0
-	}
-	sm := make([]float64, 0, len(series))
-	e := stats.EWMA{Alpha: 0.3}
-	for _, v := range series {
-		sm = append(sm, e.Add(v))
-	}
-	changes := 0
-	prev := 0.0
-	for i := 1; i < len(sm); i++ {
-		d := sm[i] - sm[i-1]
-		if d*prev < 0 {
-			changes++
-		}
-		if d != 0 {
-			prev = d
-		}
-	}
-	return float64(changes) / float64(len(sm)-2)
 }

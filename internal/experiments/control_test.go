@@ -1,4 +1,4 @@
-package control
+package experiments
 
 import (
 	"testing"
@@ -9,7 +9,7 @@ import (
 func TestTransientMonotoneRecovery(t *testing.T) {
 	// Latency decays from 800 toward target 100, settles inside ±10%.
 	series := []float64{800, 500, 300, 180, 130, 108, 104, 102, 101, 100, 100, 100}
-	tr := AnalyzeTransient(series, 100, 0.1)
+	tr := analyzeTransient(series, 100, 0.1)
 	if !tr.Settled {
 		t.Fatal("monotone recovery did not settle")
 	}
@@ -27,7 +27,7 @@ func TestTransientMonotoneRecovery(t *testing.T) {
 func TestTransientOvershoot(t *testing.T) {
 	// Recovery dips below the target (overshoots) before settling.
 	series := []float64{800, 400, 100, 60, 70, 95, 100, 101, 100, 100}
-	tr := AnalyzeTransient(series, 100, 0.1)
+	tr := analyzeTransient(series, 100, 0.1)
 	if tr.Overshoot < 0.3 {
 		t.Errorf("overshoot %v, want ≥ 0.4-ish for the dip to 60", tr.Overshoot)
 	}
@@ -35,7 +35,7 @@ func TestTransientOvershoot(t *testing.T) {
 
 func TestTransientNeverSettles(t *testing.T) {
 	series := []float64{800, 700, 800, 750, 820, 790, 810, 800}
-	tr := AnalyzeTransient(series, 100, 0.1)
+	tr := analyzeTransient(series, 100, 0.1)
 	if tr.Settled {
 		t.Fatal("oscillating-high series settled")
 	}
@@ -45,71 +45,50 @@ func TestTransientNeverSettles(t *testing.T) {
 }
 
 func TestTransientDegenerate(t *testing.T) {
-	if tr := AnalyzeTransient(nil, 100, 0.1); tr.Settled {
+	if tr := analyzeTransient(nil, 100, 0.1); tr.Settled {
 		t.Error("empty series settled")
 	}
-	if tr := AnalyzeTransient([]float64{1, 2}, 0, 0.1); tr.Settled {
+	if tr := analyzeTransient([]float64{1, 2}, 0, 0.1); tr.Settled {
 		t.Error("non-positive target settled")
 	}
 }
 
 func TestDetectFlapping(t *testing.T) {
-	mk := func(fix catalog.FixID, at int64) FixEvent {
-		return FixEvent{Fix: fix, At: at}
+	mk := func(fix catalog.FixID, at int64) fixEvent {
+		return fixEvent{Fix: fix, At: at}
 	}
 	// The same fix five times in 100 ticks: unstable.
-	events := []FixEvent{
+	events := []fixEvent{
 		mk(catalog.FixKillHungQuery, 0),
 		mk(catalog.FixKillHungQuery, 20),
 		mk(catalog.FixKillHungQuery, 40),
 		mk(catalog.FixKillHungQuery, 60),
 		mk(catalog.FixKillHungQuery, 80),
 	}
-	f := DetectFlapping(events, 100, 3)
+	f := detectFlapping(events, 100, 3)
 	if !f.Unstable || f.Worst != 5 {
 		t.Errorf("flapping not detected: %+v", f)
 	}
 	// Same five applications spread over a long horizon: stable.
-	spread := []FixEvent{
+	spread := []fixEvent{
 		mk(catalog.FixKillHungQuery, 0),
 		mk(catalog.FixKillHungQuery, 500),
 		mk(catalog.FixKillHungQuery, 1000),
 		mk(catalog.FixKillHungQuery, 1500),
 		mk(catalog.FixKillHungQuery, 2000),
 	}
-	f = DetectFlapping(spread, 100, 3)
+	f = detectFlapping(spread, 100, 3)
 	if f.Unstable {
 		t.Errorf("spread applications flagged: %+v", f)
 	}
 	// Different fixes within the window do not flap.
-	varied := []FixEvent{
+	varied := []fixEvent{
 		mk(catalog.FixKillHungQuery, 0),
 		mk(catalog.FixUpdateStats, 10),
 		mk(catalog.FixRepartitionMemory, 20),
 	}
-	f = DetectFlapping(varied, 100, 2)
+	f = detectFlapping(varied, 100, 2)
 	if f.Unstable {
 		t.Errorf("varied fixes flagged: %+v", f)
-	}
-}
-
-func TestDamping(t *testing.T) {
-	monotone := []float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	if d := Damping(monotone); d > 0.01 {
-		t.Errorf("monotone damping %v", d)
-	}
-	ringing := make([]float64, 40)
-	for i := range ringing {
-		if i%2 == 0 {
-			ringing[i] = 10
-		} else {
-			ringing[i] = -10
-		}
-	}
-	if d := Damping(ringing); d < 0.3 {
-		t.Errorf("ringing damping %v too low", d)
-	}
-	if Damping([]float64{1}) != 0 {
-		t.Error("degenerate damping")
 	}
 }

@@ -4,49 +4,50 @@
 // simulation — nothing is hard-coded — and returns a result struct whose
 // Format method prints the same rows/series the paper reports.
 //
+// The package is a client of the facade, internal only so it is not
+// importable API: every environment is a selfheal.System built with
+// selfheal.New and driven through HealEpisode, RunScenario and the
+// targets.Target vocabulary, exactly as a program outside this module
+// would. cmd/paper prints the artifacts.
+//
 // The reproduction target is shape, not absolute numbers: who wins, by
-// roughly what factor, and where the crossovers fall (see EXPERIMENTS.md).
+// roughly what factor, and where the crossovers fall.
 package experiments
 
 import (
 	"context"
-
 	"time"
 
+	"selfheal"
 	"selfheal/internal/catalog"
 	"selfheal/internal/core"
-	"selfheal/internal/detect"
 	"selfheal/internal/faults"
 	"selfheal/internal/synopsis"
 )
 
-// episodeEnv builds a fresh, independent harness for one failure episode.
-// Independent episodes mirror the paper's simulator, which "generates
-// time-series data corresponding to different failed and working service
-// states": no state leaks from one failure to the next, and every episode
-// sees an identically-provisioned service.
-func episodeEnv(seed int64) *core.Harness {
-	cfg := core.DefaultHarnessConfig()
-	cfg.Seed = seed
-	cfg.Service.Seed = seed*7919 + 17
-	return core.NewHarness(cfg)
+// Every episode of every experiment runs on a fresh system of its own
+// (selfheal.New at the episode's seed), mirroring the paper's simulator,
+// which "generates time-series data corresponding to different failed and
+// working service states": no state leaks from one failure to the next,
+// and every episode sees an identically-provisioned service.
+
+// inject strikes sys with f outside a healing episode.
+func inject(sys *selfheal.System, f selfheal.Fault) {
+	if err := sys.Target().Inject(f); err != nil {
+		panic(err) // an auction fault on the auction target is never refused
+	}
 }
 
 // LabeledPoint generates one ground-truth-labeled failure observation on a
 // fresh environment. ok is false when the fault never became SLO-visible.
 func LabeledPoint(seed int64, f faults.Fault) (synopsis.Point, bool) {
-	h := episodeEnv(seed)
-	h.Inj.Inject(f)
-	if !h.RunUntilFailing(context.Background(), 2500) {
+	ctx := context.Background()
+	sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
+	fctx, label, ok := sys.LabeledFailure(ctx, f, 2500)
+	if !ok {
 		return synopsis.Point{}, false
 	}
-	ctx := h.BuildContext()
-	fix, target := f.CorrectFix()
-	return synopsis.Point{
-		X:       ctx.Features(),
-		Action:  core.Action{Fix: fix, Target: target},
-		Success: true,
-	}, true
+	return synopsis.Point{X: fctx.Features(), Action: label, Success: true}, true
 }
 
 // BuildTestSet generates size labeled failure points drawn from the given
@@ -117,7 +118,6 @@ func (t *timed) Rank(x []float64) []synopsis.Suggestion { return t.RankK(x, -1) 
 // EpisodeStats aggregates healing episodes into the metrics Table 2 and
 // Figure 2 report.
 type EpisodeStats struct {
-	Episodes     int
 	Detected     int
 	Recovered    int
 	CorrectFirst int
@@ -128,7 +128,6 @@ type EpisodeStats struct {
 
 // AddEpisode folds one episode in.
 func (s *EpisodeStats) AddEpisode(ep core.Episode) {
-	s.Episodes++
 	if ep.Detected {
 		s.Detected++
 	}
@@ -178,6 +177,3 @@ func (s *EpisodeStats) MeanTTR() float64 {
 	}
 	return float64(s.TotalTTR) / float64(s.Recovered)
 }
-
-// builderAlias re-exports the symptom builder type for experiment files.
-type builderAlias = detect.SymptomBuilder

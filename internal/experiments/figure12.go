@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 
+	"selfheal"
 	"selfheal/internal/catalog"
-	"selfheal/internal/core"
 	"selfheal/internal/diagnose"
 	"selfheal/internal/faults"
 	"selfheal/internal/sim"
@@ -74,6 +73,7 @@ type Figure1Result struct {
 // RunFigure1 regenerates Figure 1: inject the profile's fault mix and
 // tally the causes of the failures that became user-visible.
 func RunFigure1(seed int64, perProfile int) Figure1Result {
+	ctx := context.Background()
 	profiles := ServiceProfiles()
 	causes := catalog.Causes()
 	res := Figure1Result{Causes: causes}
@@ -84,9 +84,9 @@ func RunFigure1(seed int64, perProfile int) Figure1Result {
 		detected := 0
 		for i := 0; i < perProfile; i++ {
 			f := gen.Next()
-			h := episodeEnv(seed + int64(pi)*100000 + int64(i)*37)
-			h.Inj.Inject(f)
-			if h.RunUntilFailing(context.Background(), 1800) {
+			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(pi)*100000+int64(i)*37))
+			inject(sys, f)
+			if sys.RunUntilFailing(ctx, 1800) {
 				counts[f.Cause()]++
 				detected++
 			}
@@ -154,6 +154,7 @@ func adminDelayFactor(c catalog.Cause) float64 {
 // rule-based operations model of §3 (static rules plus human escalation),
 // measuring time to recover per cause category.
 func RunFigure2(seed int64, perProfile int) Figure2Result {
+	ctx := context.Background()
 	profiles := ServiceProfiles()
 	causes := catalog.Causes()
 	res := Figure2Result{Causes: causes}
@@ -165,15 +166,14 @@ func RunFigure2(seed int64, perProfile int) Figure2Result {
 		ttrN := make([]int, len(causes))
 		for i := 0; i < perProfile; i++ {
 			f := gen.Next()
-			h := episodeEnv(seed + int64(pi)*100000 + int64(i)*37)
-			hcfg := core.DefaultHealerConfig()
 			// Human response time at the paper's minutes timescale with a
 			// cause-dependent diagnosis cost and lognormal jitter.
 			base := 600 * adminDelayFactor(f.Cause())
-			hcfg.AdminDelayTicks = int(base * rng.LogNormal(0, 0.35))
-			hl := core.NewHealer(h, diagnose.NewManualRules(), hcfg)
-			hl.AdminOracle = core.OracleFromInjector(h.Inj)
-			ep := hl.RunEpisode(context.Background(), f)
+			sys := selfheal.MustNew(ctx,
+				selfheal.WithSeed(seed+int64(pi)*100000+int64(i)*37),
+				selfheal.WithApproachInstance(diagnose.NewManualRules()),
+				selfheal.WithAdminDelayTicks(int(base*rng.LogNormal(0, 0.35))))
+			ep := sys.HealEpisode(ctx, f)
 			if !ep.Detected || !ep.Recovered {
 				continue
 			}

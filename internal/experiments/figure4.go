@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 	"time"
 
+	"selfheal"
 	"selfheal/internal/core"
 	"selfheal/internal/faults"
 	"selfheal/internal/synopsis"
@@ -100,22 +100,20 @@ func RunFigure4(cfg Figure4Config) Figure4Result {
 // runLearning drives the FixSym loop (Figure 3) for one synopsis until
 // TargetFixes correct fixes have been learned.
 func runLearning(cfg Figure4Config, name string, syn synopsis.Synopsis, test []synopsis.Point) LearningCurve {
+	ctx := context.Background()
 	ts := &timed{inner: syn}
 	approach := core.NewFixSym(ts)
 	gen := faults.MustNewGenerator(cfg.Seed+999, LearningKinds()...)
 	curve := LearningCurve{Synopsis: name}
 	start := time.Now()
-	hcfg := core.DefaultHealerConfig()
 
 	for i := 0; ts.TrainingSize() < cfg.TargetFixes; i++ {
 		if i > cfg.TargetFixes*6 {
 			break // safety net against undetectable faults
 		}
-		h := episodeEnv(cfg.Seed + int64(i)*101)
-		hl := core.NewHealer(h, approach, hcfg)
-		hl.AdminOracle = core.OracleFromInjector(h.Inj)
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(cfg.Seed+int64(i)*101), selfheal.WithApproachInstance(approach))
 		before := ts.TrainingSize()
-		hl.RunEpisode(context.Background(), gen.Next())
+		sys.HealEpisode(ctx, gen.Next())
 		after := ts.TrainingSize()
 		if after == before {
 			continue // undetected or unlabeled episode

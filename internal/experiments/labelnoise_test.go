@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"context"
-
 	"testing"
 
+	"selfheal"
 	"selfheal/internal/core"
 	"selfheal/internal/faults"
 	"selfheal/internal/synopsis"
@@ -23,17 +23,15 @@ func TestLoopLabelQuality(t *testing.T) {
 	syn := synopsis.NewNearestNeighbor()
 	approach := core.NewFixSym(syn)
 	gen := faults.MustNewGenerator(999+2007, LearningKinds()...)
-	hcfg := core.DefaultHealerConfig()
+	ctx := context.Background()
 
 	perKind := map[string][2]int{} // injected, labeled
 	clean, noisy, undetected := 0, 0, 0
 	for i := 0; i < 80; i++ {
-		h := episodeEnv(2007 + int64(i)*101)
-		hl := core.NewHealer(h, approach, hcfg)
-		hl.AdminOracle = core.OracleFromInjector(h.Inj)
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(2007+int64(i)*101), selfheal.WithApproachInstance(approach))
 		f := gen.Next()
 		before := syn.TrainingSize()
-		ep := hl.RunEpisode(context.Background(), f)
+		ep := sys.HealEpisode(ctx, f)
 		pk := perKind[f.Kind().String()]
 		pk[0]++
 		if syn.TrainingSize() > before {

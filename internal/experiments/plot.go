@@ -6,7 +6,7 @@ import (
 )
 
 // PlotCurves renders learning curves as an ASCII chart (y: accuracy 0–100%,
-// x: correct fixes learned), one glyph per curve, so cmd/fixbench can show
+// x: correct fixes learned), one glyph per curve, so cmd/paper can show
 // Figure 4 as a figure rather than a table.
 func PlotCurves(curves []LearningCurve, width, height int) string {
 	if width < 20 {

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"strings"
 
+	"selfheal"
 	"selfheal/internal/core"
 	"selfheal/internal/diagnose"
 	"selfheal/internal/scenario"
 	"selfheal/internal/synopsis"
-	"selfheal/internal/targets"
 )
 
 // The adversarial-scenario sweep: every shipped scenario (correlated
@@ -18,14 +18,6 @@ import (
 // the failures it was built for; this sweep measures where each one
 // breaks — overlapping symptom vectors, evidence that evaporates
 // mid-diagnosis, damage below detection thresholds, load no fix clears.
-
-// ScenarioSweepConfig sizes the adversarial-scenario sweep.
-type ScenarioSweepConfig struct {
-	Seed int64
-}
-
-// DefaultScenarioSweepConfig is the standard size.
-func DefaultScenarioSweepConfig() ScenarioSweepConfig { return ScenarioSweepConfig{Seed: 42} }
 
 // ScenarioSweepResult is the sweep matrix: per-scenario, per-learner run
 // stats.
@@ -51,20 +43,9 @@ func sweepLearners() []core.Approach {
 	}
 }
 
-// sweepTarget constructs the target a scenario is written for (the
-// default auction simulator when the scenario is kind-agnostic).
-func sweepTarget(kind string, seed int64) (targets.Target, error) {
-	switch kind {
-	case targets.ReplicatedName:
-		return targets.NewReplicated(targets.Config{Seed: seed})
-	default:
-		return targets.NewAuction(targets.Config{Seed: seed})
-	}
-}
-
 // RunScenarioSweep drives every library scenario through every learner
-// on a fresh system each and collects the run stats.
-func RunScenarioSweep(cfg ScenarioSweepConfig) ScenarioSweepResult {
+// on a fresh system each, all at the same seed, and collects the run stats.
+func RunScenarioSweep(seed int64) ScenarioSweepResult {
 	res := ScenarioSweepResult{Scenarios: scenario.LibraryNames()}
 	for _, a := range sweepLearners() {
 		res.Learners = append(res.Learners, a.Name())
@@ -73,23 +54,17 @@ func RunScenarioSweep(cfg ScenarioSweepConfig) ScenarioSweepResult {
 	for _, sc := range scenario.Library() {
 		var row []*scenario.Stats
 		for li := range res.Learners {
-			// Fresh target, harness and learner per cell: no knowledge
-			// leaks across scenarios or learners.
-			t, err := sweepTarget(sc.Target, cfg.Seed)
-			if err != nil {
-				panic(err) // built-in targets at a valid seed cannot fail
-			}
-			hcfg := core.DefaultHarnessConfig()
-			hcfg.Seed = cfg.Seed
-			hcfg.SLO = t.Spec().SLO
-			h := core.NewTargetHarness(t, hcfg)
-			hl := core.NewHealer(h, sweepLearners()[li], core.DefaultHealerConfig())
-			hl.AdminOracle = core.OracleFromTarget(t)
-			r, err := scenario.NewRunner(sc, hl)
+			// Fresh system and learner per cell: no knowledge leaks
+			// across scenarios or learners. The scenario's own target
+			// pin selects the kind.
+			sys, err := selfheal.New(ctx,
+				selfheal.WithSeed(seed),
+				selfheal.WithApproachInstance(sweepLearners()[li]),
+				selfheal.WithScenario(sc))
 			if err != nil {
 				panic(err) // the library validates against its own targets
 			}
-			st, err := r.Run(ctx)
+			st, err := sys.RunScenario(ctx, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 
+	"selfheal"
 	"selfheal/internal/catalog"
 	"selfheal/internal/faults"
 	"selfheal/internal/fixes"
@@ -39,26 +39,21 @@ type FixOutcome struct {
 // substituting a plausible default when the fault's own target is of the
 // wrong kind (e.g. a control fix applied to an unrelated failure).
 func targetFor(fix catalog.FixID, f faults.Fault) string {
-	t := f.Target()
+	var fallback string
 	switch fix {
 	case catalog.FixMicrorebootEJB:
-		if fixes.ValidTarget(fix, t) {
-			return t
-		}
-		return "ItemBean"
+		fallback = "ItemBean"
 	case catalog.FixUpdateStats, catalog.FixRepartitionTable, catalog.FixRebuildIndex:
-		if fixes.ValidTarget(fix, t) {
-			return t
-		}
-		return "items"
+		fallback = "items"
 	case catalog.FixProvisionTier, catalog.FixFailoverNode:
-		if fixes.ValidTarget(fix, t) {
-			return t
-		}
-		return "app"
+		fallback = "app"
 	default:
 		return ""
 	}
+	if t := f.Target(); fixes.ValidTarget(fix, t) {
+		return t
+	}
+	return fallback
 }
 
 // controlFix returns a plausible-looking but wrong fix for the kind.
@@ -103,12 +98,14 @@ func drawFault(rowSeed int64, kind catalog.FaultKind) faults.Fault {
 // tryFix injects the row's fault instance on a fresh environment and
 // applies fix once.
 func tryFix(rowSeed, trial int64, kind catalog.FaultKind, fix catalog.FixID, control bool) FixOutcome {
+	ctx := context.Background()
 	f := drawFault(rowSeed, kind)
-	h := episodeEnv(rowSeed + trial*17 + 1)
-	injectedAt := h.Svc.Now()
-	h.Inj.Inject(f)
+	sys := selfheal.MustNew(ctx, selfheal.WithSeed(rowSeed+trial*17+1))
+	t := sys.Target()
+	injectedAt := t.Now()
+	inject(sys, f)
 	out := FixOutcome{Fix: fix, Control: control}
-	if !h.RunUntilFailing(context.Background(), 2500) {
+	if !sys.RunUntilFailing(ctx, 2500) {
 		out.TTR = -1
 		return out
 	}
@@ -116,17 +113,17 @@ func tryFix(rowSeed, trial int64, kind catalog.FaultKind, fix catalog.FixID, con
 	if fix == catalog.FixNotifyAdmin {
 		// The administrator applies the ground-truth fix at human
 		// timescale.
-		h.StepN(600)
+		sys.StepN(600)
 		cf, ct := f.CorrectFix()
 		fix, target = cf, ct
 	}
 	out.Target = target
-	if app, err := h.Act.Apply(fix, target); err == nil {
-		h.StepN(int(app.SettleTicks))
+	if settle, err := t.Apply(selfheal.Action{Fix: fix, Target: target}); err == nil {
+		sys.StepN(int(settle))
 	}
-	if h.RunUntilRecovered(context.Background(), 80) {
+	if sys.RunUntilRecovered(ctx, 80) {
 		out.Recovered = true
-		out.TTR = h.Svc.Now() - injectedAt
+		out.TTR = t.Now() - injectedAt
 	} else {
 		out.TTR = -1
 	}

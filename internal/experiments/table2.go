@@ -2,15 +2,17 @@ package experiments
 
 import (
 	"context"
-
 	"fmt"
 	"strings"
 
+	"selfheal"
 	"selfheal/internal/catalog"
 	"selfheal/internal/core"
+	"selfheal/internal/detect"
 	"selfheal/internal/diagnose"
 	"selfheal/internal/faults"
 	"selfheal/internal/synopsis"
+	"selfheal/internal/targets"
 )
 
 // Table2Config sizes the approach-comparison experiment.
@@ -101,11 +103,11 @@ func RunTable2(cfg Table2Config) Table2Result {
 // runScenario drives one approach through one scenario and aggregates the
 // measured half of the episodes.
 func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Cell {
+	ctx := context.Background()
 	n := cfg.Episodes
 	gen := faults.MustNewGenerator(cfg.Seed+hashString(scen), scenarioKinds(scen)...)
-	hcfg := core.DefaultHealerConfig()
 	var stats EpisodeStats
-	var refBuilder = buildReferenceBaseline(cfg.Seed)
+	refBuilder := buildReferenceBaseline(cfg.Seed)
 
 	warmup := 0
 	if scen == "recurring" || scen == "rare" || scen == "drift" {
@@ -122,7 +124,7 @@ func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Ce
 			}
 		}
 		seed := cfg.Seed + hashString(scen)*31 + int64(i)*101
-		h := episodeEnv(seed)
+		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed), selfheal.WithApproachInstance(approach))
 		if scen == "drift" {
 			// System evolution: the workload the service actually runs has
 			// drifted away from what the baselines were frozen on — capped
@@ -132,13 +134,9 @@ func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Ce
 			if drift > 0.4 {
 				drift = 0.4
 			}
-			h.Gen.SetScale(1 + drift)
-			h.StepN(60) // let utilization settle at the drifted level
-			h.Builder = refBuilder
+			driftTo(sys, 1+drift, refBuilder)
 		}
-		hl := core.NewHealer(h, approach, hcfg)
-		hl.AdminOracle = core.OracleFromInjector(h.Inj)
-		ep := hl.RunEpisode(context.Background(), f)
+		ep := sys.HealEpisode(ctx, f)
 		if i < warmup {
 			continue
 		}
@@ -168,14 +166,18 @@ func commonKinds() []catalog.FaultKind {
 
 // buildReferenceBaseline freezes a symptom baseline on the undrifted
 // workload, standing in for the baselines captured at deployment time.
-func buildReferenceBaseline(seed int64) *detectSymptomBuilder {
-	h := episodeEnv(seed + 424243)
-	return h.Builder
+func buildReferenceBaseline(seed int64) *detect.SymptomBuilder {
+	return selfheal.MustNew(context.Background(), selfheal.WithSeed(seed+424243)).Builder
 }
 
-// detectSymptomBuilder aliases the detect package type so this file reads
-// without the extra import at use sites.
-type detectSymptomBuilder = builderAlias
+// driftTo models system evolution: the workload sys actually runs has
+// drifted to scale times what the deployment-time baseline ref was frozen
+// on, and symptoms are still expressed against that stale baseline.
+func driftTo(sys *selfheal.System, scale float64, ref *detect.SymptomBuilder) {
+	sys.Target().(targets.WorkloadShaper).SetLoadScale(scale)
+	sys.StepN(60) // let utilization settle at the drifted level
+	sys.Builder = ref
+}
 
 // Format renders the comparison matrix.
 func (r Table2Result) Format() string {

@@ -33,7 +33,7 @@ func newHealer(t *testing.T, kind string, seed int64, approach core.Approach, si
 	hcfg.SLO = tg.Spec().SLO
 	h := core.NewTargetHarness(tg, hcfg)
 	hl := core.NewHealer(h, approach, core.DefaultHealerConfig())
-	hl.AdminOracle = core.OracleFromTarget(tg)
+	hl.AdminOracle = tg.CorrectFix
 	hl.Sink = sink
 	return hl
 }

@@ -64,8 +64,8 @@ func NewAuction(cfg Config) (*Auction, error) {
 }
 
 // NewAuctionWith builds the default target from explicit simulator
-// configuration — the constructor the experiment harnesses use to size
-// the service and workload directly.
+// configuration — the constructor behind core.NewHarness, whose config
+// sizes the service and workload directly.
 func NewAuctionWith(scfg service.Config, mix workload.Mix, seed int64) *Auction {
 	svc := service.New(scfg)
 	gen := workload.NewGenerator(mix, seed)
@@ -78,19 +78,9 @@ func NewAuctionWith(scfg service.Config, mix workload.Mix, seed int64) *Auction 
 	}
 }
 
-// Service exposes the underlying simulator, for experiment harnesses and
-// fault constructors that manipulate simulator state directly.
-func (a *Auction) Service() *service.Service { return a.svc }
-
-// Workload exposes the workload generator (load scaling, drift, surges).
+// Workload exposes the workload generator, for tests that inspect its
+// state (live surges) directly.
 func (a *Auction) Workload() *workload.Generator { return a.gen }
-
-// Injector exposes the fault injector's ground truth, used by experiment
-// harnesses that label test data.
-func (a *Auction) Injector() *faults.Injector { return a.inj }
-
-// Actuator exposes the fix actuator and its application history.
-func (a *Auction) Actuator() *fixes.Actuator { return a.act }
 
 // Spec implements Target.
 func (a *Auction) Spec() Spec { return a.spec }

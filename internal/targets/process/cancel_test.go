@@ -42,7 +42,7 @@ func TestCancelMidEpisodeReapsChildren(t *testing.T) {
 	hlcfg.AdminDelayTicks = tun.AdminDelayTicks
 	hlcfg.EpisodeBudget = tun.EpisodeBudget
 	hl := core.NewHealer(h, core.NewFixSym(synopsis.NewNearestNeighbor()), hlcfg)
-	hl.AdminOracle = core.OracleFromTarget(p)
+	hl.AdminOracle = p.CorrectFix
 
 	// Cancel the episode the instant detection fires, so cancellation
 	// lands mid-episode: inside the attempt/escalate loop, never after

@@ -6,6 +6,7 @@ import (
 
 	"selfheal"
 	"selfheal/internal/catalog"
+	"selfheal/internal/targets"
 )
 
 // TestLongCampaignHoldsNoExpiredSurges heals 300 bottleneck faults — each
@@ -20,12 +21,13 @@ func TestLongCampaignHoldsNoExpiredSurges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := sys.Target().(*targets.Auction).Workload()
 	most := 0
 	for i := 0; i < 300; i++ {
 		if ep := sys.HealEpisode(ctx, faults.Next()); ep.Err != nil {
 			t.Fatalf("episode %d: %v", i, ep.Err)
 		}
-		if n := sys.Harness.Gen.LiveSurges(); n > most {
+		if n := gen.LiveSurges(); n > most {
 			most = n
 		}
 	}
@@ -35,7 +37,7 @@ func TestLongCampaignHoldsNoExpiredSurges(t *testing.T) {
 		t.Errorf("%d surges held at once during the campaign", most)
 	}
 	sys.StepN(2000) // past the longest surge a bottleneck schedules
-	if n := sys.Harness.Gen.LiveSurges(); n != 0 {
+	if n := gen.LiveSurges(); n != 0 {
 		t.Errorf("%d surges still held after every one has ended", n)
 	}
 }

@@ -57,7 +57,6 @@ import (
 	"selfheal/internal/core"
 	"selfheal/internal/faults"
 	"selfheal/internal/scenario"
-	"selfheal/internal/service"
 	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
 )
@@ -566,7 +565,7 @@ func newSystem(cfg *config, kind TargetKind, seed int64, sink EventSink) (*Syste
 	}
 	hlcfg.LearnBatch = cfg.learnBatch
 	hl := core.NewHealer(h, approach, hlcfg)
-	hl.AdminOracle = core.OracleFromTarget(t)
+	hl.AdminOracle = t.CorrectFix
 	hl.Sink = sink
 	hl.Learn = cfg.learnGate
 	if cfg.scenario != nil {
@@ -645,16 +644,6 @@ func (s *System) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-// ServiceConfig returns the simulated service's configuration. It is
-// meaningful only for the default auction target; other targets return
-// the zero Config.
-func (s *System) ServiceConfig() service.Config {
-	if s.Svc == nil {
-		return service.Config{}
-	}
-	return s.Svc.Config()
 }
 
 // NewProactive attaches a §5.3 forecast-driven healer to the system.

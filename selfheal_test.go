@@ -95,13 +95,13 @@ func TestCancelledEpisode(t *testing.T) {
 	sys := selfheal.MustNew(ctx, selfheal.WithSeed(13), selfheal.WithApproach(selfheal.ApproachBottleneck))
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	start := sys.Svc.Now()
+	start := sys.Target().Now()
 	ep := sys.HealEpisode(cancelled, selfheal.NewBottleneck(selfheal.TierDB, 3.9, 1200))
 	if ep.Recovered || ep.Detected {
 		t.Errorf("cancelled episode still ran: detected=%v recovered=%v", ep.Detected, ep.Recovered)
 	}
-	if sys.Svc.Now() != start {
-		t.Errorf("cancelled episode advanced simulated time by %d ticks", sys.Svc.Now()-start)
+	if sys.Target().Now() != start {
+		t.Errorf("cancelled episode advanced simulated time by %d ticks", sys.Target().Now()-start)
 	}
 }
 
@@ -186,7 +186,9 @@ func TestCandidateFixesExported(t *testing.T) {
 func TestProactiveAttachment(t *testing.T) {
 	sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(17))
 	p := sys.NewProactive()
-	sys.Inj.Inject(selfheal.NewAging(selfheal.TierApp, 0.004))
+	if err := sys.Target().Inject(selfheal.NewAging(selfheal.TierApp, 0.004)); err != nil {
+		t.Fatal(err)
+	}
 	actions, bad := p.RunWithProactive(1500)
 	if actions == 0 {
 		t.Error("forecaster never acted on a steady leak")

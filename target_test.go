@@ -68,9 +68,6 @@ func TestWithTargetValidation(t *testing.T) {
 	if sys.TargetSpec().Name != string(selfheal.TargetReplicated) {
 		t.Errorf("system runs target %q", sys.TargetSpec().Name)
 	}
-	if sys.Svc != nil || sys.Inj != nil {
-		t.Error("replicated system leaked auction-simulator conveniences")
-	}
 }
 
 // TestReplicatedSystemHealsEndToEnd is the acceptance criterion: the
