@@ -13,9 +13,10 @@
 //     so any return to linear scaling fails immediately. Those rows are
 //     2 coordinates wide;
 //   - real width: the width=104/size=20000 rows must keep the indexed
-//     read's mean within 0.6× the brute scan's mean measured in the same
-//     row, which pins the trees' projected heads — KD nodes alone prune
-//     nothing at that width.
+//     read's mean within 0.25× the brute scan's mean measured in the same
+//     row, which pins the trees' projected heads and the boxes over them —
+//     KD nodes split on raw coordinates prune nothing at that width, and
+//     row heads alone read 0.32–0.45.
 //
 // Absolute throughput is not gated here: a number from one run of one
 // machine says little about another. The committed benchmark's paired
@@ -54,14 +55,15 @@ const (
 // ratioGates lists the pinned ratios: a million-point KB must answer
 // Suggest/RankK within 3× the thousand-point latency (p99 and mean both,
 // so neither the tail nor the bulk drifts back toward linear), and a
-// 20,000-point KB of real-width vectors within 0.6× the brute scan.
+// 20,000-point KB of real-width vectors within 0.25× the brute scan
+// (three local runs read 0.16–0.19; a third of margin on top).
 var ratioGates = []ratioGate{
 	{"SynopsisSuggest/size=1000000", "p99_ns", "SynopsisSuggest/size=1000", "p99_ns", 3, towardLinear},
 	{"SynopsisSuggest/size=1000000", "mean_ns", "SynopsisSuggest/size=1000", "mean_ns", 3, towardLinear},
 	{"SynopsisRankK/size=1000000", "p99_ns", "SynopsisRankK/size=1000", "p99_ns", 3, towardLinear},
 	{"SynopsisRankK/size=1000000", "mean_ns", "SynopsisRankK/size=1000", "mean_ns", 3, towardLinear},
-	{"SynopsisSuggest/width=104/size=20000", "mean_ns", "SynopsisSuggest/width=104/size=20000", "brute_mean_ns", 0.6, headGone},
-	{"SynopsisRankK/width=104/size=20000", "mean_ns", "SynopsisRankK/width=104/size=20000", "brute_mean_ns", 0.6, headGone},
+	{"SynopsisSuggest/width=104/size=20000", "mean_ns", "SynopsisSuggest/width=104/size=20000", "brute_mean_ns", 0.25, headGone},
+	{"SynopsisRankK/width=104/size=20000", "mean_ns", "SynopsisRankK/width=104/size=20000", "brute_mean_ns", 0.25, headGone},
 }
 
 // gomaxprocsSuffix strips the trailing -N a parallel benchmark name

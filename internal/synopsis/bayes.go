@@ -162,12 +162,12 @@ func (s *NaiveBayes) rankFixes(x []float64) []fixScore {
 
 // Suggest implements Synopsis.
 func (s *NaiveBayes) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
-	return suggestFrom(s.rankFixes(x), s.ex, x, filter)
+	return suggestFrom(s.rankFixes(x), s.ex, &probe{x: x}, filter)
 }
 
 // RankK implements Synopsis.
 func (s *NaiveBayes) RankK(x []float64, k int) []Suggestion {
-	return rankKFrom(s.rankFixes(x), s.ex, x, k)
+	return rankKFrom(s.rankFixes(x), s.ex, &probe{x: x}, k)
 }
 
 // Rank implements Synopsis.

@@ -264,10 +264,16 @@ func TestSharedChangedAndOnPublish(t *testing.T) {
 	}
 }
 
+// unresettable is a learner Shared accepts — it clones — but cannot compact:
+// it has no Reset.
+type unresettable struct{ opaque }
+
+func (u unresettable) Clone() Synopsis { return unresettable{opaque{u.s.(Cloner).Clone()}} }
+
 // TestEnableCompactionValidation pins the error cases: bases without
 // Reset, and configurations that could never hold their own cap.
 func TestEnableCompactionValidation(t *testing.T) {
-	if err := NewShared(opaque{NewNearestNeighbor()}).EnableCompaction(Compaction{}); err == nil {
+	if err := NewShared(unresettable{opaque{NewNearestNeighbor()}}).EnableCompaction(Compaction{}); err == nil {
 		t.Fatal("EnableCompaction accepted a base without Reset")
 	}
 	sh := NewShared(NewNearestNeighbor())

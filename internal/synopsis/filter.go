@@ -11,7 +11,7 @@ package synopsis
 // A nil *ActionFilter excludes nothing, so call sites with no exclusions
 // simply pass nil.
 type ActionFilter struct {
-	exclude map[string]struct{}
+	exclude map[Action]struct{}
 }
 
 // ExcludeActions returns a filter excluding exactly the given actions.
@@ -21,9 +21,9 @@ func ExcludeActions(as ...Action) *ActionFilter {
 	if len(as) == 0 {
 		return nil
 	}
-	m := make(map[string]struct{}, len(as))
+	m := make(map[Action]struct{}, len(as))
 	for _, a := range as {
-		m[a.Key()] = struct{}{}
+		m[a] = struct{}{}
 	}
 	return &ActionFilter{exclude: m}
 }
@@ -34,7 +34,7 @@ func (f *ActionFilter) Excludes(a Action) bool {
 	if f == nil {
 		return false
 	}
-	_, ok := f.exclude[a.Key()]
+	_, ok := f.exclude[a]
 	return ok
 }
 

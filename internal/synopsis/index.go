@@ -1,6 +1,9 @@
 package synopsis
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Sublinear nearest-neighbor search over immutable point sets.
 //
@@ -84,7 +87,9 @@ func (i *kdIndex) Len() int { return len(i.t.ords) }
 
 func (i *kdIndex) Nearest(x []float64, k int, accept func(ord int) bool) []Neighbor {
 	col := newCollector(k)
-	i.t.searchK(0, x, col, accept)
+	if k != 0 && len(i.t.ords) > 0 {
+		i.t.searchK(&probe{x: x}, col, accept)
+	}
 	return col.nbs
 }
 
@@ -103,10 +108,18 @@ func newCollector(k int) *collector {
 	return c
 }
 
-// worse reports whether (d1,o1) orders after (d2,o2).
+// worse reports whether (d1,o1) orders after (d2,o2). A NaN distance orders
+// after every number, so the order is total and a result does not depend on
+// the order its points were offered in.
 func worse(d1 float64, o1 int, d2 float64, o2 int) bool {
-	if d1 != d2 {
-		return d1 > d2
+	if d1 < d2 {
+		return false
+	}
+	if d1 > d2 {
+		return true
+	}
+	if nan1, nan2 := d1 != d1, d2 != d2; nan1 != nan2 {
+		return nan1
 	}
 	return o1 > o2
 }
@@ -131,22 +144,20 @@ func (c *collector) consider(ord int, d float64) {
 	c.nbs[i] = Neighbor{Ord: ord, Dist: d}
 }
 
-// bound returns the prune radius: the current worst kept distance, or
-// +Inf-like "no bound" (ok=false) while the collector still has room.
-func (c *collector) bound() (float64, bool) {
-	if c.k == 0 {
-		return 0, true // collecting nothing: prune everything off-axis
-	}
+// bound returns the prune radius: the current worst kept distance, +Inf
+// while the collector still has room.
+func (c *collector) bound() float64 {
 	if c.k < 0 || len(c.nbs) < c.k {
-		return 0, false
+		return math.Inf(1)
 	}
-	return c.nbs[len(c.nbs)-1].Dist, true
+	return c.nbs[len(c.nbs)-1].Dist
 }
 
 // kdtree is an immutable KD-tree over a subset (ords) of a point slice.
-// Internal nodes split on the widest-spread dimension at the median;
-// leaves hold up to kdLeafCap ordinals scanned brute-force with the same
-// euclidean() as everything else.
+// Internal nodes split at the median of the widest-spread dimension of the
+// rows' keys — their head coordinates when the tree keeps a head (see
+// head.go), their raw coordinates otherwise; leaves hold up to kdLeafCap
+// ordinals scanned brute-force with the same euclidean() as everything else.
 type kdtree struct {
 	pts   []Point
 	ords  []int
@@ -161,11 +172,14 @@ type kdtree struct {
 	stride int
 	// tags, when present, holds each leaf point's dense class tag in ords
 	// order (see kdtree.packTags); group queries read it to know which
-	// class's bound a candidate competes against.
-	tags []int32
+	// class's bound a candidate competes against. masks, kept by a headed
+	// tree whose tags all fit, holds per node the set of tags beneath it.
+	tags  []int32
+	masks []uint64
 	// head, when the tree is big and wide enough to keep one (see head.go),
-	// holds a short projection of every row in ords order; leaf scans test
-	// it first and open only the rows it cannot rule out.
+	// holds a short projection of every row in ords order and a box over
+	// them per node; searches test those first and open only the rows they
+	// cannot rule out.
 	head *kdHead
 }
 
@@ -183,43 +197,33 @@ const kdLeafCap = 16
 
 // buildKD builds a tree over pts[ords...]; it partitions ords in place and
 // keeps it as the tree's backing, so callers must hand over ownership. A
-// tree that keeps a head projects onto basis when the caller has one
-// (reindex shares one across the trees it builds; any orthonormal set
-// gives a valid bound, whatever rows it was fitted to) and fits its own
-// otherwise.
+// tree big and wide enough keeps a head and is built over it; it projects
+// onto basis when the caller has one (reindex shares one across the trees it
+// builds; any orthonormal set gives a valid bound, whatever rows it was
+// fitted to) and fits its own otherwise.
 func buildKD(pts []Point, ords []int, basis *headBasis) *kdtree {
 	t := &kdtree{pts: pts, ords: ords}
 	t.nodes = make([]kdnode, 0, 2*(len(ords)/kdLeafCap)+1)
+	for _, ord := range ords {
+		if len(pts[ord].X) > t.stride {
+			t.stride = len(pts[ord].X)
+		}
+	}
+	if len(ords) >= headMinRows && t.stride > headDirs {
+		t.head = newHead(basis, pts, ords, t.stride)
+	}
 	if len(ords) > 0 {
 		t.build(0, len(ords))
 	}
-	t.pack(basis)
+	// The recursion has settled ords into leaf order: pack the rows.
+	t.xs = make([]float64, len(ords)*t.stride)
+	for i, ord := range ords {
+		copy(t.row(int32(i)), pts[ord].X)
+	}
+	if t.head != nil {
+		t.head.finish(t)
+	}
 	return t
-}
-
-// pack fills xs/stride once the recursion has settled ords into leaf
-// order, and the head over them when the tree keeps one.
-func (t *kdtree) pack(basis *headBasis) {
-	w := 0
-	for _, ord := range t.ords {
-		if len(t.pts[ord].X) > w {
-			w = len(t.pts[ord].X)
-		}
-	}
-	t.stride = w
-	t.xs = make([]float64, len(t.ords)*w)
-	for i, ord := range t.ords {
-		copy(t.xs[i*w:(i+1)*w], t.pts[ord].X)
-	}
-	if len(t.ords) < headMinRows || w <= headDirs {
-		return // too small to earn a fit back, or no wider than its head
-	}
-	if basis == nil {
-		basis = fitHeadBasis(t.xs, len(t.ords), w)
-	}
-	if basis != nil {
-		t.head = newHead(basis, t.xs, len(t.ords), w)
-	}
 }
 
 // row returns the packed coordinates of the point at position i of ords.
@@ -229,11 +233,49 @@ func (t *kdtree) row(i int32) []float64 {
 
 // packTags stores each point's dense class tag alongside the packed
 // coordinates so group-query leaf scans read the tag from the same cache
-// lines they stream anyway.
+// lines they stream anyway, and, for a headed tree whose tags all fit a
+// word, every node's set of tags (children before parents).
 func (t *kdtree) packTags(tagOf []int32) {
 	t.tags = make([]int32, len(t.ords))
+	fits := t.head != nil
 	for i, ord := range t.ords {
 		t.tags[i] = tagOf[ord]
+		fits = fits && tagOf[ord] < 64
+	}
+	if !fits {
+		return
+	}
+	t.masks = make([]uint64, len(t.nodes))
+	for ni := len(t.nodes) - 1; ni >= 0; ni-- {
+		n := &t.nodes[ni]
+		if n.left >= 0 {
+			t.masks[ni] = t.masks[n.left] | t.masks[n.right]
+			continue
+		}
+		for _, tag := range t.tags[n.lo:n.hi] {
+			t.masks[ni] |= 1 << uint(tag)
+		}
+	}
+}
+
+// keys returns the coordinates the build splits the row at position i of
+// ords on: the split key is the one thing a headed build does differently.
+func (t *kdtree) keys(i int) []float64 {
+	if t.head != nil {
+		return t.head.proj[i*headDirs : (i+1)*headDirs]
+	}
+	return t.pts[t.ords[i]].X
+}
+
+// swap exchanges positions i and j of ords, and the keys that travel with
+// them.
+func (t *kdtree) swap(i, j int) {
+	t.ords[i], t.ords[j] = t.ords[j], t.ords[i]
+	if t.head != nil {
+		a, b := t.keys(i), t.keys(j)
+		for k := range a {
+			a[k], b[k] = b[k], a[k]
+		}
 	}
 }
 
@@ -244,12 +286,12 @@ func (t *kdtree) build(lo, hi int) int32 {
 		return me
 	}
 	dim, spread := t.widestDim(lo, hi)
-	if spread <= 0 {
+	if !(spread > 0) {
 		return me // all points identical on every axis: leaf
 	}
 	mid := (lo + hi) / 2
 	t.selectNth(lo, hi, mid, dim)
-	split := feature(t.pts[t.ords[mid]].X, dim)
+	split := feature(t.keys(mid), dim)
 	l := t.build(lo, mid)
 	r := t.build(mid, hi)
 	n := &t.nodes[me] // re-take after child appends may have grown nodes
@@ -257,36 +299,39 @@ func (t *kdtree) build(lo, hi int) int32 {
 	return me
 }
 
-// widestDim returns the dimension with the largest value spread over
-// ords[lo:hi] and that spread (the lowest such dimension on a tie). It
-// walks point by point, each vector once front to back, keeping every
+// widestDim returns the dimension with the largest value spread over the
+// keys of ords[lo:hi] and that spread (the lowest such dimension on a tie).
+// It walks point by point, each vector once front to back, keeping every
 // dimension's running minimum and maximum: a wide vector is a cache line
 // run, where walking dimension by dimension would fetch every vector once
 // per dimension.
 func (t *kdtree) widestDim(lo, hi int) (int, float64) {
 	dims := 0
-	for _, ord := range t.ords[lo:hi] {
-		if len(t.pts[ord].X) > dims {
-			dims = len(t.pts[ord].X)
+	for i := lo; i < hi; i++ {
+		if n := len(t.keys(i)); n > dims {
+			dims = n
 		}
 	}
 	mn := make([]float64, 2*dims)
 	mx := mn[dims:]
-	copy(mn, t.pts[t.ords[lo]].X)
-	copy(mx, mn[:dims])
-	for _, ord := range t.ords[lo+1 : hi] {
-		x := t.pts[ord].X
+	for d := range mx {
+		mn[d], mx[d] = math.Inf(1), math.Inf(-1) // a NaN moves neither
+	}
+	for i := lo; i < hi; i++ {
+		x := t.keys(i)
 		for d, v := range x {
 			if v < mn[d] {
 				mn[d] = v
-			} else if v > mx[d] {
+			}
+			if v > mx[d] {
 				mx[d] = v
 			}
 		}
 		for d := len(x); d < dims; d++ { // a shorter vector reads zero there
 			if 0 < mn[d] {
 				mn[d] = 0
-			} else if 0 > mx[d] {
+			}
+			if 0 > mx[d] {
 				mx[d] = 0
 			}
 		}
@@ -301,31 +346,31 @@ func (t *kdtree) widestDim(lo, hi int) (int, float64) {
 }
 
 // selectNth partially sorts ords[lo:hi] so ords[n] holds the n-th smallest
-// coordinate on dim, everything left of n is <= it and everything right is
-// >= it (deterministic median-of-three quickselect).
+// key on dim, everything left of n is <= it and everything right is >= it
+// (deterministic median-of-three quickselect).
 func (t *kdtree) selectNth(lo, hi, n, dim int) {
-	key := func(i int) float64 { return feature(t.pts[t.ords[i]].X, dim) }
+	key := func(i int) float64 { return feature(t.keys(i), dim) }
 	for hi-lo > 1 {
 		// Median-of-three pivot, moved to lo.
 		mid := lo + (hi-lo)/2
 		if key(mid) < key(lo) {
-			t.ords[mid], t.ords[lo] = t.ords[lo], t.ords[mid]
+			t.swap(mid, lo)
 		}
 		if key(hi-1) < key(lo) {
-			t.ords[hi-1], t.ords[lo] = t.ords[lo], t.ords[hi-1]
+			t.swap(hi-1, lo)
 		}
 		if key(mid) < key(hi-1) {
-			t.ords[mid], t.ords[hi-1] = t.ords[hi-1], t.ords[mid]
+			t.swap(mid, hi-1)
 		}
 		pivot := key(hi - 1)
 		store := lo
 		for i := lo; i < hi-1; i++ {
 			if key(i) < pivot {
-				t.ords[i], t.ords[store] = t.ords[store], t.ords[i]
+				t.swap(i, store)
 				store++
 			}
 		}
-		t.ords[hi-1], t.ords[store] = t.ords[store], t.ords[hi-1]
+		t.swap(hi-1, store)
 		switch {
 		case store == n:
 			return
@@ -345,9 +390,10 @@ func (t *kdtree) selectNth(lo, hi, n, dim int) {
 // — sqrt(partial) > limit implies the full distance beats limit even
 // after sqrt rounding (the full sum only grows and sqrt is monotonic), so
 // a point at exactly the limit distance is never skipped and ordinal
-// tie-breaks stay reachable. Over the coordinates both vectors have, the
-// bound is looked at once per four: a later look sees a larger partial
-// sum, so it bails on no point an earlier look would have kept.
+// tie-breaks stay reachable; an infinite limit never bails. Over the
+// coordinates both vectors have, the bound is looked at once per four: a
+// later look sees a larger partial sum, so it bails on no point an earlier
+// look would have kept.
 func euclideanUnder(a, b []float64, limit float64) (float64, bool) {
 	if len(a) < len(b) {
 		a, b = b, a // (−d)² is d², bit for bit
@@ -380,8 +426,80 @@ func euclideanUnder(a, b []float64, limit float64) (float64, bool) {
 	return math.Sqrt(s), true
 }
 
+// The three searches below share one traversal. It is an explicit-stack
+// loop rather than recursion — the descend-check-pop cycle is the single
+// hottest code in a big-KB query, and the call overhead of recursing once
+// per node costs more than the arithmetic at each. Nodes wait on the stack
+// (the root first); a popped node is tested against the bound known at pop
+// time and, if it may still matter, descended to its near leaf, pushing the
+// far sibling at every level. What the test is depends on the tree:
+//
+//   - an unheaded tree compares the query's gap to the split plane the node
+//     lies beyond with the bound, visiting the node whenever the gap does
+//     not exceed it (equal-distance candidates must stay reachable so the
+//     ordinal tie-break matches the brute scan bitwise);
+//   - a headed tree is split in head space, where a gap is not exact without
+//     the slack, so it compares the query's distance to the node's box
+//     instead (kdHead.boxBeyond), which subsumes the plane test — on popped
+//     nodes and once more on the leaf a descent ends in — and then each
+//     row's own head (kdHead.beyond) before opening the row.
+//
+// Either test skips only what is provably farther than the bound.
+
+// kdFrame is a node waiting on a search's stack: diff is the query's signed
+// gap to the split plane the node lies beyond (0 for the root).
+type kdFrame struct {
+	node int32
+	diff float64
+}
+
+// kdStack holds the nodes a search has still to look at. Median splits halve
+// each level, so depth ≤ log2(n/kdLeafCap)+1; 64 frames covers any point
+// count a process can hold. A search starts it at n = 1: the zero frame is
+// the root.
+type kdStack struct {
+	frames [64]kdFrame
+	n      int
+}
+
+// start projects the query for a search of t and returns it with the
+// coordinates a descent compares with the nodes' splits.
+func (t *kdtree) start(pr *probe, hq *headQuery) []float64 {
+	if t.head == nil {
+		return pr.x
+	}
+	*hq = pr.head(t.head)
+	return hq.q[:headDirs]
+}
+
+// far reports whether a waiting node provably holds no row within limit.
+func (t *kdtree) far(f kdFrame, hq *headQuery, limit float64) bool {
+	if t.head != nil {
+		return t.head.boxBeyond(f.node, hq, limit)
+	}
+	return f.diff*f.diff > limit*limit
+}
+
+// descend walks from node ni to the leaf on the query's side of every split,
+// pushing the far siblings, and returns the leaf's index.
+func (t *kdtree) descend(ni int32, q []float64, stack *kdStack) int32 {
+	for n := &t.nodes[ni]; n.left >= 0; n = &t.nodes[ni] {
+		diff := feature(q, int(n.dim)) - n.split
+		far := n.right
+		ni = n.left
+		if diff > 0 {
+			ni, far = far, ni
+		}
+		stack.frames[stack.n] = kdFrame{node: far, diff: diff}
+		stack.n++
+	}
+	return ni
+}
+
 // nearest1 tracks the single best (distance, ordinal) candidate — the
-// exact winner the brute insertion-order scan would pick.
+// exact winner the brute insertion-order scan would pick. d is +Inf until
+// one is found: like that scan, it never takes a point at an infinite or
+// NaN distance.
 type nearest1 struct {
 	d     float64
 	ord   int
@@ -389,72 +507,36 @@ type nearest1 struct {
 }
 
 func (b *nearest1) consider(ord int, d float64) {
-	if !b.found || d < b.d || (d == b.d && ord < b.ord) {
+	if d < b.d || (d == b.d && ord < b.ord && b.found) {
 		b.d, b.ord, b.found = d, ord, true
 	}
 }
 
-// search1 finds the nearest accepted point. The far child is visited
-// whenever the axis distance does not exceed the current best (<=, not
-// <): equal-distance candidates must stay reachable so the ordinal
-// tie-break matches the brute scan bitwise.
-//
-// The traversal is an explicit-stack loop rather than recursion — the
-// descend-check-pop cycle is the single hottest code in a big-KB query,
-// and the call overhead of recursing once per node costs more than the
-// arithmetic at each. Visit order and bound checks are exactly the
-// recursive formulation's: descend near children pushing far siblings,
-// pop LIFO, test each popped sibling against the best known at pop time.
-func (t *kdtree) search1(ni int32, x []float64, best *nearest1, accept func(ord int) bool) {
-	// Median splits halve each level, so depth ≤ log2(n/kdLeafCap)+1;
-	// 64 frames covers any point count a process can hold.
-	type frame struct {
-		node int32
-		diff float64
-	}
-	var stack [64]frame
-	sp := 0
+// search1 finds the nearest accepted point.
+func (t *kdtree) search1(pr *probe, best *nearest1, accept func(ord int) bool) {
 	var hq headQuery
-	if t.head != nil {
-		hq = t.head.query(x)
-	}
-	for {
-		n := &t.nodes[ni]
-		for n.left >= 0 {
-			diff := feature(x, int(n.dim)) - n.split
-			first, second := n.left, n.right
-			if diff > 0 {
-				first, second = n.right, n.left
-			}
-			stack[sp] = frame{node: second, diff: diff}
-			sp++
-			n = &t.nodes[first]
+	q := t.start(pr, &hq)
+	stack := kdStack{n: 1}
+	for stack.n > 0 {
+		stack.n--
+		f := stack.frames[stack.n]
+		if t.far(f, &hq, best.d) {
+			continue
 		}
-		for i := n.lo; i < n.hi; i++ {
-			if best.found && t.head != nil && t.head.beyond(i, &hq, best.d) {
+		leaf := t.descend(f.node, q, &stack)
+		if leaf != f.node && t.head != nil && t.head.boxBeyond(leaf, &hq, best.d) {
+			continue
+		}
+		for n, i := &t.nodes[leaf], t.nodes[leaf].lo; i < n.hi; i++ {
+			if t.head != nil && t.head.beyond(i, &hq, best.d) {
 				continue
 			}
 			ord := t.ords[i]
 			if accept != nil && !accept(ord) {
 				continue
 			}
-			if best.found {
-				if d, ok := euclideanUnder(x, t.row(i), best.d); ok {
-					best.consider(ord, d)
-				}
-			} else {
-				best.consider(ord, euclidean(x, t.row(i)))
-			}
-		}
-		for {
-			if sp == 0 {
-				return
-			}
-			sp--
-			f := stack[sp]
-			if !best.found || f.diff*f.diff <= best.d*best.d {
-				ni = f.node
-				break
+			if d, ok := euclideanUnder(pr.x, t.row(i), best.d); ok {
+				best.consider(ord, d)
 			}
 		}
 	}
@@ -462,10 +544,10 @@ func (t *kdtree) search1(ni int32, x []float64, best *nearest1, accept func(ord 
 
 // groupBest tracks, for every dense class tag, the best (distance,
 // ordinal) candidate seen so far: one nearest-neighbor search fanned out
-// across all classes in a single traversal. bound is the shared prune
-// radius — the worst per-class best, infinite while any class is still
-// unseen — since a subtree farther than every class's current best can
-// improve none of them.
+// across all classes in a single traversal. d is +Inf for a class still
+// unseen. bound is the shared prune radius — the worst per-class best,
+// infinite while any class is still unseen — since a subtree farther than
+// every class's current best can improve none of them.
 type groupBest struct {
 	d      []float64
 	ord    []int
@@ -490,10 +572,11 @@ func newGroupBest(k int) *groupBest {
 // consider offers (ord, d) as tag's candidate, keeping the (distance,
 // ordinal)-minimal one — the same winner nearest1 and the brute scan pick.
 func (g *groupBest) consider(tag int32, ord int, d float64) {
+	if !(d < g.d[tag] || (d == g.d[tag] && ord < g.ord[tag] && g.found[tag])) {
+		return // a NaN or infinite distance never gets past this
+	}
 	if !g.found[tag] {
 		g.found[tag], g.nFound = true, g.nFound+1
-	} else if d > g.d[tag] || (d == g.d[tag] && ord >= g.ord[tag]) {
-		return
 	}
 	g.d[tag], g.ord[tag] = d, ord
 	g.refreshBound()
@@ -515,88 +598,83 @@ func (g *groupBest) refreshBound() {
 	g.bound = m
 }
 
+// limit returns the loosest bound a row under node ni of t competes against:
+// the worst best among the classes the node holds when the tree keeps their
+// masks (+Inf while one of them is unseen), the shared bound otherwise.
+func (g *groupBest) limit(t *kdtree, ni int32) float64 {
+	if t.masks == nil {
+		return g.bound
+	}
+	lim := 0.0
+	for m := t.masks[ni]; m != 0; m &= m - 1 {
+		if d := g.d[bits.TrailingZeros64(m)]; d > lim {
+			lim = d
+		}
+	}
+	return lim
+}
+
 // searchGroup is search1 fanned out across every class at once: one
-// traversal maintains all per-class bests, descending with the shared
-// bound and bailing per point on that point's own class bound. For k
-// classes over a dense store this replaces k independent searches — each
-// re-descending the same top levels and re-establishing its bound from
-// scratch — with one, so a full per-fix scoring pass costs barely more
-// than a single nearest-neighbor query. The tree must have packed tags.
-func (t *kdtree) searchGroup(x []float64, g *groupBest) {
-	type frame struct {
-		node int32
-		diff float64
-	}
-	var stack [64]frame
-	sp := 0
-	ni := int32(0)
+// traversal maintains all per-class bests, skipping nodes on the loosest
+// bound among the classes they hold and bailing per point on that point's
+// own class bound. For k classes over a dense store this replaces k
+// independent searches — each re-descending the same top levels and
+// re-establishing its bound from scratch — with one, so a full per-fix
+// scoring pass costs barely more than a single nearest-neighbor query. The
+// tree must have packed tags.
+func (t *kdtree) searchGroup(pr *probe, g *groupBest) {
 	var hq headQuery
-	if t.head != nil {
-		hq = t.head.query(x)
-	}
-	for {
-		n := &t.nodes[ni]
-		for n.left >= 0 {
-			diff := feature(x, int(n.dim)) - n.split
-			first, second := n.left, n.right
-			if diff > 0 {
-				first, second = n.right, n.left
-			}
-			stack[sp] = frame{node: second, diff: diff}
-			sp++
-			n = &t.nodes[first]
+	q := t.start(pr, &hq)
+	stack := kdStack{n: 1}
+	for stack.n > 0 {
+		stack.n--
+		f := stack.frames[stack.n]
+		if t.far(f, &hq, g.limit(t, f.node)) {
+			continue
 		}
-		for i := n.lo; i < n.hi; i++ {
+		leaf := t.descend(f.node, q, &stack)
+		if leaf != f.node && t.head != nil && t.head.boxBeyond(leaf, &hq, g.limit(t, leaf)) {
+			continue
+		}
+		for n, i := &t.nodes[leaf], t.nodes[leaf].lo; i < n.hi; i++ {
 			tag := t.tags[i]
-			if g.found[tag] {
-				if t.head != nil && t.head.beyond(i, &hq, g.d[tag]) {
-					continue
-				}
-				if d, ok := euclideanUnder(x, t.row(i), g.d[tag]); ok {
-					g.consider(tag, t.ords[i], d)
-				}
-			} else {
-				g.consider(tag, t.ords[i], euclidean(x, t.row(i)))
+			if t.head != nil && t.head.beyond(i, &hq, g.d[tag]) {
+				continue
 			}
-		}
-		for {
-			if sp == 0 {
-				return
-			}
-			sp--
-			f := stack[sp]
-			if f.diff*f.diff <= g.bound*g.bound {
-				ni = f.node
-				break
+			if d, ok := euclideanUnder(pr.x, t.row(i), g.d[tag]); ok {
+				g.consider(tag, t.ords[i], d)
 			}
 		}
 	}
 }
 
 // searchK is search1 generalized to a k-bounded collector.
-func (t *kdtree) searchK(ni int32, x []float64, col *collector, accept func(ord int) bool) {
-	if len(t.ords) == 0 {
-		return
-	}
-	n := &t.nodes[ni]
-	if n.left < 0 {
-		for i := n.lo; i < n.hi; i++ {
+func (t *kdtree) searchK(pr *probe, col *collector, accept func(ord int) bool) {
+	var hq headQuery
+	q := t.start(pr, &hq)
+	stack := kdStack{n: 1}
+	for stack.n > 0 {
+		stack.n--
+		f := stack.frames[stack.n]
+		if t.far(f, &hq, col.bound()) {
+			continue
+		}
+		leaf := t.descend(f.node, q, &stack)
+		if leaf != f.node && t.head != nil && t.head.boxBeyond(leaf, &hq, col.bound()) {
+			continue
+		}
+		for n, i := &t.nodes[leaf], t.nodes[leaf].lo; i < n.hi; i++ {
+			if t.head != nil && t.head.beyond(i, &hq, col.bound()) {
+				continue
+			}
 			ord := t.ords[i]
 			if accept != nil && !accept(ord) {
 				continue
 			}
-			col.consider(ord, euclidean(x, t.row(i)))
+			if d, ok := euclideanUnder(pr.x, t.row(i), col.bound()); ok {
+				col.consider(ord, d)
+			}
 		}
-		return
-	}
-	diff := feature(x, int(n.dim)) - n.split
-	first, second := n.left, n.right
-	if diff > 0 {
-		first, second = n.right, n.left
-	}
-	t.searchK(first, x, col, accept)
-	if bd, ok := col.bound(); !ok || diff*diff <= bd*bd {
-		t.searchK(second, x, col, accept)
 	}
 }
 
@@ -704,27 +782,23 @@ func (fi *fixIndex) clone() *fixIndex {
 
 // nearest returns the (distance, ordinal)-minimal accepted point across
 // the forest and tail; pts must be the fix's current arrival slice.
-func (fi *fixIndex) nearest(pts []Point, x []float64, f *ActionFilter) (int, float64, bool) {
-	var best nearest1
+func (fi *fixIndex) nearest(pts []Point, pr *probe, f *ActionFilter) (int, float64, bool) {
+	best := nearest1{d: math.Inf(1)}
 	var accept func(int) bool
 	if f != nil {
 		accept = func(ord int) bool { return !f.Excludes(pts[ord].Action) }
 	}
 	for _, t := range fi.trees {
 		if t != nil {
-			t.search1(0, x, &best, accept)
+			t.search1(pr, &best, accept)
 		}
 	}
 	for _, ord := range fi.tail {
 		if f != nil && f.Excludes(pts[ord].Action) {
 			continue
 		}
-		if best.found {
-			if d, ok := euclideanUnder(x, pts[ord].X, best.d); ok {
-				best.consider(ord, d)
-			}
-		} else {
-			best.consider(ord, euclidean(x, pts[ord].X))
+		if d, ok := euclideanUnder(pr.x, pts[ord].X, best.d); ok {
+			best.consider(ord, d)
 		}
 	}
 	return best.ord, best.d, best.found
@@ -737,20 +811,16 @@ func (fi *fixIndex) nearest(pts []Point, x []float64, f *ActionFilter) (int, flo
 // later (bigger) tree is searched with the tightest bounds available.
 // pts must be the store's full arrival slice and the forest must have
 // been built with tagOf set.
-func (fi *fixIndex) nearestAll(pts []Point, x []float64, g *groupBest) {
+func (fi *fixIndex) nearestAll(pts []Point, pr *probe, g *groupBest) {
 	for _, ord := range fi.tail {
 		tag := fi.tagOf[ord]
-		if g.found[tag] {
-			if d, ok := euclideanUnder(x, pts[ord].X, g.d[tag]); ok {
-				g.consider(tag, ord, d)
-			}
-		} else {
-			g.consider(tag, ord, euclidean(x, pts[ord].X))
+		if d, ok := euclideanUnder(pr.x, pts[ord].X, g.d[tag]); ok {
+			g.consider(tag, ord, d)
 		}
 	}
 	for _, t := range fi.trees {
 		if t != nil {
-			t.searchGroup(x, g)
+			t.searchGroup(pr, g)
 		}
 	}
 }

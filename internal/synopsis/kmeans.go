@@ -167,12 +167,12 @@ func (s *KMeans) rankFixes(x []float64) []fixScore {
 
 // Suggest implements Synopsis.
 func (s *KMeans) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
-	return suggestFrom(s.rankFixes(x), s.ex, x, filter)
+	return suggestFrom(s.rankFixes(x), s.ex, &probe{x: x}, filter)
 }
 
 // RankK implements Synopsis.
 func (s *KMeans) RankK(x []float64, k int) []Suggestion {
-	return rankKFrom(s.rankFixes(x), s.ex, x, k)
+	return rankKFrom(s.rankFixes(x), s.ex, &probe{x: x}, k)
 }
 
 // Rank implements Synopsis.

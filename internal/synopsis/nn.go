@@ -143,8 +143,9 @@ func (s *NearestNeighbor) Forget(keep int) {
 // that repeated work dominates query latency. The exemplar found while
 // scoring is cached on the fixScore so the suggest/rank helpers resolve
 // targets without a second search.
-func (s *NearestNeighbor) rankFixes(x []float64) []fixScore {
-	if g := s.ex.nearestPerFix(x); g != nil {
+func (s *NearestNeighbor) rankFixes(pr *probe) []fixScore {
+	x := pr.x
+	if g := s.ex.nearestPerFix(pr); g != nil {
 		out := make([]fixScore, 0, len(g.d))
 		for i, fix := range s.ex.cls.fixes {
 			if !g.found[i] {
@@ -163,7 +164,7 @@ func (s *NearestNeighbor) rankFixes(x []float64) []fixScore {
 	}
 	out := make([]fixScore, 0, len(s.ex.byFix))
 	for fix := range s.ex.byFix {
-		action, d, ok := s.ex.resolve(x, fix, nil)
+		action, d, ok := s.ex.resolve(pr, fix, nil)
 		if !ok {
 			continue
 		}
@@ -192,12 +193,14 @@ func (s *NearestNeighbor) scoreFix(x []float64, fix catalog.FixID, d float64) fl
 
 // Suggest implements Synopsis.
 func (s *NearestNeighbor) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
-	return suggestFrom(s.rankFixes(x), s.ex, x, filter)
+	pr := &probe{x: x}
+	return suggestFrom(s.rankFixes(pr), s.ex, pr, filter)
 }
 
 // RankK implements Synopsis.
 func (s *NearestNeighbor) RankK(x []float64, k int) []Suggestion {
-	return rankKFrom(s.rankFixes(x), s.ex, x, k)
+	pr := &probe{x: x}
+	return rankKFrom(s.rankFixes(pr), s.ex, pr, k)
 }
 
 // Rank implements Synopsis.

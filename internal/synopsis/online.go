@@ -67,8 +67,8 @@ func (s *Online) AddBatch(ps []Point) {
 }
 
 // Clone implements Cloner when the base does. It returns nil — "cannot
-// snapshot" — when the base is not cloneable or its clone loses Forget;
-// callers (Shared) must treat a nil clone as unsupported.
+// be cloned" — when the base is not cloneable or its clone loses Forget;
+// NewShared refuses such a synopsis.
 func (s *Online) Clone() Synopsis {
 	c, ok := s.base.(Cloner)
 	if !ok {

@@ -24,10 +24,8 @@ import (
 // without changing that discipline.
 //
 // A reader may act on a snapshot that is one write behind — exactly the
-// staleness any replica already tolerates between its own episodes. When
-// the base synopsis cannot produce snapshots (a custom learner without
-// Clone), Shared degrades to the previous behavior: every operation under
-// the mutex.
+// staleness any replica already tolerates between its own episodes. The
+// base synopsis must therefore be a Cloner, as every built-in learner is.
 //
 // Every write also advances a monotonic publish sequence and appends its
 // observations to an arrival log, so a federation peer that was current
@@ -40,7 +38,7 @@ type Shared struct {
 	name string
 	mu   sync.Mutex // serializes writers; guards base and the delta log
 	base Synopsis
-	// snap is the published read snapshot; nil means locked mode.
+	// snap is the published read snapshot, never nil.
 	snap atomic.Pointer[Synopsis]
 
 	// seq is the publish sequence, bumped once per write (an AddBatch is
@@ -67,27 +65,17 @@ type Shared struct {
 }
 
 // NewShared wraps base for concurrent use. The base must no longer be used
-// directly while the wrapper is live.
+// directly while the wrapper is live. It panics when base cannot be cloned
+// (it is no Cloner, or its Clone returns nil): reads are served from clones
+// and from nothing else.
 func NewShared(base Synopsis) *Shared {
 	s := &Shared{name: "shared-" + base.Name(), base: base}
-	if c, ok := base.(Cloner); ok {
-		if sn := c.Clone(); sn != nil {
-			s.snap.Store(&sn)
-		}
-	}
+	s.republish()
 	return s
 }
 
-// reader returns a synopsis safe to read from and a release function: the
-// lock-free snapshot when one is published, otherwise the mutex-guarded
-// base.
-func (s *Shared) reader() (Synopsis, func()) {
-	if p := s.snap.Load(); p != nil {
-		return *p, func() {}
-	}
-	s.mu.Lock()
-	return s.base, s.mu.Unlock
-}
+// reader returns the published snapshot, safe to read with no lock.
+func (s *Shared) reader() Synopsis { return *s.snap.Load() }
 
 // versioned is implemented by learners that count their effective
 // mutations: a write that changes nothing the read path can observe (a
@@ -100,14 +88,15 @@ type versioned interface {
 	Version() uint64
 }
 
-// republish installs a fresh snapshot of the base. Callers hold s.mu.
+// republish installs a fresh snapshot of the base. Callers hold s.mu (or,
+// in NewShared, the only reference).
 func (s *Shared) republish() {
-	if s.snap.Load() == nil {
-		return
+	var sn Synopsis
+	if c, ok := s.base.(Cloner); ok {
+		sn = c.Clone()
 	}
-	sn := s.base.(Cloner).Clone()
 	if sn == nil {
-		return
+		panic(fmt.Sprintf("synopsis: Shared: %s cannot be cloned (no Cloner, or Clone returned nil), and reads are served from clones", s.base.Name()))
 	}
 	s.snap.Store(&sn)
 }
@@ -344,38 +333,29 @@ func (s *Shared) DeltaSince(since uint64) ([]Point, uint64) {
 
 // Suggest implements Synopsis, reading the current snapshot lock-free.
 func (s *Shared) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
-	r, release := s.reader()
-	defer release()
-	return r.Suggest(x, filter)
+	return s.reader().Suggest(x, filter)
 }
 
 // RankK implements Synopsis, reading the current snapshot lock-free.
 func (s *Shared) RankK(x []float64, k int) []Suggestion {
-	r, release := s.reader()
-	defer release()
-	return r.RankK(x, k)
+	return s.reader().RankK(x, k)
 }
 
 // Rank implements Synopsis, reading the current snapshot lock-free.
 func (s *Shared) Rank(x []float64) []Suggestion {
-	r, release := s.reader()
-	defer release()
-	return r.Rank(x)
+	return s.reader().Rank(x)
 }
 
 // TrainingSize implements Synopsis.
 func (s *Shared) TrainingSize() int {
-	r, release := s.reader()
-	defer release()
-	return r.TrainingSize()
+	return s.reader().TrainingSize()
 }
 
 // Export implements Exporter when the wrapped synopsis does, so a shared
 // knowledge base can still be persisted with Save. A base without Export
 // yields an error wrapping ErrNotExportable.
 func (s *Shared) Export() ([]Point, error) {
-	r, release := s.reader()
-	defer release()
+	r := s.reader()
 	if ex, ok := r.(Exporter); ok {
 		return ex.Export()
 	}

@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,8 +112,8 @@ func TestSharedReadersDuringBatchedWrites(t *testing.T) {
 	}
 }
 
-// opaque hides everything but the Synopsis interface, forcing Shared into
-// its mutex-only fallback (no Cloner, no Batcher).
+// opaque hides everything but the Synopsis interface: a learner that
+// cannot be cloned.
 type opaque struct{ s Synopsis }
 
 func (o opaque) Name() string { return o.s.Name() }
@@ -124,30 +125,31 @@ func (o opaque) RankK(x []float64, k int) []Suggestion { return o.s.RankK(x, k) 
 func (o opaque) Rank(x []float64) []Suggestion         { return o.s.Rank(x) }
 func (o opaque) TrainingSize() int                     { return o.s.TrainingSize() }
 
-// TestSharedLockedFallbackMatchesSnapshotMode: a non-cloneable base must
-// degrade to mutex-guarded access with identical observable behavior.
-func TestSharedLockedFallbackMatchesSnapshotMode(t *testing.T) {
-	snap := NewShared(NewNearestNeighbor())
-	locked := NewShared(opaque{s: NewNearestNeighbor()})
-	pts := []Point{
-		{X: []float64{1, 0, 0}, Action: Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true},
-		{X: []float64{0, 1, 0}, Action: Action{Fix: catalog.FixMicrorebootEJB, Target: "ItemBean"}, Success: true},
-		{X: []float64{0, 0, 1}, Action: Action{Fix: catalog.FixRebootAppTier, Target: "app"}, Success: true},
-		{X: []float64{0, 1, 1}, Action: Action{Fix: catalog.FixRebootAppTier, Target: "app"}, Success: false},
-	}
-	snap.AddBatch(pts)
-	locked.AddBatch(pts)
-	if snap.TrainingSize() != locked.TrainingSize() {
-		t.Errorf("TrainingSize: snapshot %d, locked %d", snap.TrainingSize(), locked.TrainingSize())
-	}
-	for _, p := range pts {
-		a, aok := snap.Suggest(p.X, nil)
-		b, bok := locked.Suggest(p.X, nil)
-		if aok != bok || a != b {
-			t.Errorf("Suggest(%v): snapshot=(%v,%v) locked=(%v,%v)", p.X, a, aok, b, bok)
-		}
+// TestSharedRejectsNonCloner: Shared serves reads from clones and has no
+// other mode, so a base that cannot be cloned — no Clone at all, or a
+// wrapper whose Clone gives up — is refused at construction, by name.
+func TestSharedRejectsNonCloner(t *testing.T) {
+	for name, base := range map[string]Synopsis{
+		"no-clone":  opaque{s: NewNearestNeighbor()},
+		"nil-clone": NewOnline(forgetful{opaque{s: NewNearestNeighbor()}}, 8),
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, base.Name()) || !strings.Contains(msg, "cannot be cloned") {
+					t.Errorf("NewShared(%s) panicked with %q, want a message naming it and the reason", base.Name(), msg)
+				}
+			}()
+			NewShared(base)
+			t.Errorf("NewShared(%s) accepted a base that cannot be cloned", base.Name())
+		})
 	}
 }
+
+// forgetful gives opaque the Forget the online wrapper needs.
+type forgetful struct{ opaque }
+
+func (forgetful) Forget(int) {}
 
 // TestSharedIsTransparent verifies the wrapper changes nothing but the
 // name: a Shared NN and a bare NN fed the same points agree on every

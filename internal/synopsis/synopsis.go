@@ -120,8 +120,9 @@ func AddAll(s Synopsis, ps []Point) {
 // what is later Added to the original, and vice versa. Shared uses clones
 // as lock-free read snapshots; every built-in learner implements it.
 type Cloner interface {
-	// Clone returns the independent read snapshot, or nil for "cannot
-	// snapshot right now" (callers must fall back to locking).
+	// Clone returns the independent read snapshot, or nil when the
+	// synopsis cannot be cloned (a wrapper around a base that is no
+	// Cloner); Shared refuses such a synopsis.
 	Clone() Synopsis
 }
 
@@ -332,11 +333,11 @@ func (e *exemplars) clone() *exemplars {
 // through the fix's index when it has one, by brute scan otherwise. Both
 // paths return bitwise-identical results (the oracle property test pins
 // this).
-func (e *exemplars) resolve(x []float64, fix catalog.FixID, f *ActionFilter) (Action, float64, bool) {
+func (e *exemplars) resolve(pr *probe, fix catalog.FixID, f *ActionFilter) (Action, float64, bool) {
 	pts := e.byFix[fix]
 	if indexResolve {
 		if fi := e.idx[fix]; fi != nil {
-			ord, d, ok := fi.nearest(pts, x, f)
+			ord, d, ok := fi.nearest(pts, pr, f)
 			if !ok {
 				return Action{}, 0, false
 			}
@@ -350,7 +351,7 @@ func (e *exemplars) resolve(x []float64, fix catalog.FixID, f *ActionFilter) (Ac
 		if f.Excludes(p.Action) {
 			continue
 		}
-		d := euclidean(x, p.X)
+		d := euclidean(pr.x, p.X)
 		if d < bestD {
 			best, bestD, found = p.Action, d, true
 		}
@@ -362,15 +363,15 @@ func (e *exemplars) resolve(x []float64, fix catalog.FixID, f *ActionFilter) (Ac
 // traversal of the tagged global forest, or nil when the store is empty
 // or the indexed path is gated off (callers then fall back to per-fix
 // resolve, which brute-scans). Results are bitwise identical to calling
-// resolve(x, fix, nil) for each fix: within one fix, global arrival order
+// resolve(pr, fix, nil) for each fix: within one fix, global arrival order
 // preserves per-fix arrival order, so the (distance, ordinal) tie-break
 // selects the same exemplar either way.
-func (e *exemplars) nearestPerFix(x []float64) *groupBest {
+func (e *exemplars) nearestPerFix(pr *probe) *groupBest {
 	if !indexResolve || e.cls.len() == 0 {
 		return nil
 	}
 	g := newGroupBest(e.cls.len())
-	e.gidx.nearestAll(e.all, x, g)
+	e.gidx.nearestAll(e.all, pr, g)
 	return g
 }
 
@@ -398,7 +399,7 @@ func sortFixScores(fs []fixScore) {
 
 // suggestFrom converts a ranked fix list into the best concrete action not
 // rejected by the filter, resolving targets through the exemplar store.
-func suggestFrom(ranked []fixScore, ex *exemplars, x []float64, f *ActionFilter) (Suggestion, bool) {
+func suggestFrom(ranked []fixScore, ex *exemplars, pr *probe, f *ActionFilter) (Suggestion, bool) {
 	total := 0.0
 	for _, r := range ranked {
 		if r.score > 0 {
@@ -410,7 +411,7 @@ func suggestFrom(ranked []fixScore, ex *exemplars, x []float64, f *ActionFilter)
 		if !ok || f != nil {
 			// A filter can exclude the cached exemplar; re-resolve with
 			// the filter pushed into the search.
-			action, _, ok = ex.resolve(x, r.fix, f)
+			action, _, ok = ex.resolve(pr, r.fix, f)
 		}
 		if !ok {
 			continue
@@ -426,10 +427,10 @@ func suggestFrom(ranked []fixScore, ex *exemplars, x []float64, f *ActionFilter)
 
 // rankKFrom converts a ranked fix list into the top k resolved suggestions
 // (no exclusions). Confidences are normalized over the full ranked list —
-// not the returned prefix — so rankKFrom(ranked, ex, x, k) is exactly the
+// not the returned prefix — so rankKFrom(ranked, ex, pr, k) is exactly the
 // first k entries of the full ranking, while only the returned fixes pay
 // the exemplar-store resolution. k < 0 resolves everything.
-func rankKFrom(ranked []fixScore, ex *exemplars, x []float64, k int) []Suggestion {
+func rankKFrom(ranked []fixScore, ex *exemplars, pr *probe, k int) []Suggestion {
 	total := 0.0
 	for _, r := range ranked {
 		if r.score > 0 {
@@ -447,7 +448,7 @@ func rankKFrom(ranked []fixScore, ex *exemplars, x []float64, k int) []Suggestio
 		}
 		action, ok := r.action, r.hasAction
 		if !ok {
-			action, _, ok = ex.resolve(x, r.fix, nil)
+			action, _, ok = ex.resolve(pr, r.fix, nil)
 		}
 		if !ok {
 			continue

@@ -463,7 +463,9 @@ func WithWorkers(n int) Option {
 // NewSharedSynopsis wraps base as a fleet-wide knowledge base: Suggest and
 // Rank read an immutable copy-on-write snapshot through an atomic pointer
 // (no lock), while writers — ideally episode batches via WithLearnBatch —
-// serialize behind a mutex and republish the snapshot once per write.
+// serialize behind a mutex and republish the snapshot once per write. The
+// snapshots are clones, so base must implement Clone() Synopsis, as every
+// built-in synopsis does; NewSharedSynopsis panics on one that does not.
 func NewSharedSynopsis(base Synopsis) *SharedSynopsis { return synopsis.NewShared(base) }
 
 // System is one managed-system target with a healing loop attached.
