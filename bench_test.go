@@ -173,7 +173,7 @@ func BenchmarkServiceTick(b *testing.B) {
 func BenchmarkHarnessStepAllocs(b *testing.B) {
 	for _, kind := range []selfheal.TargetKind{selfheal.TargetAuction, selfheal.TargetReplicated} {
 		b.Run("target="+string(kind), func(b *testing.B) {
-			sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(3), selfheal.WithTarget(kind))
+			sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(3), selfheal.WithTargets(kind))
 			// Run past the history-trim threshold so the measured window
 			// is genuine steady state, not series warm-up growth.
 			sys.StepN(5000)

@@ -34,7 +34,7 @@ func newCancelSystem(t *testing.T, kind selfheal.TargetKind, sink selfheal.Event
 	t.Helper()
 	opts := []selfheal.Option{
 		selfheal.WithSeed(13),
-		selfheal.WithTarget(kind),
+		selfheal.WithTargets(kind),
 		selfheal.WithApproach(selfheal.ApproachHybrid),
 	}
 	if sink != nil {

@@ -17,13 +17,12 @@ func topFleet(t *testing.T, seed int64) (*selfheal.Fleet, *selfheal.Ops) {
 	kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 	fleet, err := selfheal.NewFleet(context.Background(), 1,
 		selfheal.WithSeed(seed),
-		selfheal.WithSynopsis(kb),
-		selfheal.WithServeAddr("127.0.0.1:0"))
+		selfheal.WithSynopsis(kb))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	ops, err := fleet.ServeOps(context.Background())
+	ops, err := fleet.ServeOps(context.Background(), selfheal.NodeSpec{Serve: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,9 @@
 // spread in milliseconds while the parked polls repair anything a
 // dropped push missed. -compact bounds the knowledge base's memory, compacting
 // (dedup, near-duplicate merge within -compact-radius, oldest-first
-// eviction) whenever the cap is exceeded.
+// eviction) whenever the cap is exceeded. The ops flags (-serve, -peers,
+// -gossip-fanout, -auth-token, -admin-token, -rate-limit, -request-log)
+// are the fields of the node's selfheal.NodeSpec.
 //
 //	selfheald -episodes 20 -approach hybrid -seed 7
 //	selfheald -episodes 64 -replicas 8 -workers 4 -share -batch 1
@@ -125,34 +127,83 @@ func (c *console) summary() string {
 	return s
 }
 
+// settings is one parsed command line: the node spec the ops flags bind
+// into, and the campaign around it.
+type settings struct {
+	spec                               selfheal.NodeSpec
+	episodes, replicas, workers, batch int
+	approach, target, faults, mix      string
+	targetSet                          bool // -target given explicitly
+	seed                               int64
+	share                              bool
+	kbIn, kbOut                        string
+	compact                            selfheal.Compaction
+	scenario                           string
+	scenarioHorizon                    int64
+	scenarioJSON                       bool
+}
+
+// parseFlags parses a selfheald command line (without the program name).
+func parseFlags(args []string) (*settings, error) {
+	s := &settings{}
+	fs := flag.NewFlagSet("selfheald", flag.ContinueOnError)
+	fs.IntVar(&s.episodes, "episodes", 12, "total failure episodes to inject and heal (0: no campaign, serve/sync only)")
+	fs.IntVar(&s.replicas, "replicas", 1, "service replicas healing concurrently")
+	fs.IntVar(&s.workers, "workers", 0, "max concurrently-healing replicas (0 = all)")
+	fs.StringVar(&s.approach, "approach", string(selfheal.ApproachHybrid), "healing approach (see ApproachKinds)")
+	fs.StringVar(&s.target, "target", string(selfheal.TargetAuction), "managed-system target kind(s), comma-separated for a heterogeneous fleet (see TargetKinds)")
+	fs.StringVar(&s.faults, "faults", "", "comma-separated fault kinds to inject (canonical names, e.g. hardware-degradation; empty = each target's full catalog)")
+	fs.StringVar(&s.mix, "mix", "", "workload mix name from the target's spec (empty = target default)")
+	fs.Int64Var(&s.seed, "seed", 7, "deterministic seed")
+	fs.BoolVar(&s.share, "share", false, "replicas learn into one shared knowledge base")
+	fs.IntVar(&s.batch, "batch", 0, "flush learn events every N episodes in one batch (0 = learn per attempt)")
+	fs.StringVar(&s.kbIn, "kb-in", "", "preload the knowledge base from this snapshot file before the campaign (implies -share)")
+	fs.StringVar(&s.kbOut, "kb-out", "", "save the knowledge base to this snapshot file on exit (implies -share)")
+	fs.StringVar(&s.spec.Serve, "serve", "", "serve the ops plane (/healthz /metrics /kb/...) on this address and stay up until SIGINT (implies -share)")
+	fs.Func("peers", "comma-separated peer ops-plane URLs to long-poll for knowledge deltas (implies -share)", func(v string) error {
+		s.spec.Peers = splitList(v)
+		return nil
+	})
+	fs.IntVar(&s.spec.GossipFanout, "gossip-fanout", 0, "push every knowledge-base publish to this many peers sampled from -peers (0 = pull-only federation)")
+	fs.IntVar(&s.compact.MaxPoints, "compact", 0, "bound the shared knowledge base to this many points, compacting when exceeded (0 = unbounded; implies -share)")
+	fs.Float64Var(&s.compact.MergeRadius, "compact-radius", 0, "merge near-duplicate observations within this euclidean distance when compacting")
+	fs.StringVar(&s.scenario, "scenario", "", "run a scripted adversarial scenario instead of the random campaign: a library name ("+strings.Join(selfheal.ScenarioNames(), ", ")+") or a JSON file path")
+	fs.Int64Var(&s.scenarioHorizon, "scenario-horizon", 0, "override the scenario's horizon in ticks (0 = as scripted)")
+	fs.BoolVar(&s.scenarioJSON, "scenario-json", false, "print the resolved scenario as canonical JSON and exit")
+	fs.StringVar(&s.spec.AuthToken, "auth-token", "", "bearer token required to read the ops plane (empty = reads open)")
+	fs.StringVar(&s.spec.AdminToken, "admin-token", "", "bearer token enabling the POST /admin/* verbs (empty = admin verbs disabled)")
+	fs.Float64Var(&s.spec.RateLimit, "rate-limit", 0, "ops-plane requests per second allowed per remote address (0 = unlimited)")
+	fs.BoolVar(&s.spec.RequestLog, "request-log", false, "log one line per ops-plane request to stderr")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	fs.Visit(func(f *flag.Flag) { s.targetSet = s.targetSet || f.Name == "target" })
+	return s, nil
+}
+
+// federated reports whether the command line makes this daemon a node
+// of the knowledge plane.
+func (s *settings) federated() bool { return s.spec.Serve != "" || len(s.spec.Peers) > 0 }
+
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(v string) []string {
+	var out []string
+	for _, f := range strings.Split(v, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func main() {
-	var (
-		episodes = flag.Int("episodes", 12, "total failure episodes to inject and heal (0: no campaign, serve/sync only)")
-		replicas = flag.Int("replicas", 1, "service replicas healing concurrently")
-		workers  = flag.Int("workers", 0, "max concurrently-healing replicas (0 = all)")
-		approach = flag.String("approach", string(selfheal.ApproachHybrid), "healing approach (see ApproachKinds)")
-		target   = flag.String("target", string(selfheal.TargetAuction), "managed-system target kind(s), comma-separated for a heterogeneous fleet (see TargetKinds)")
-		faultsFl = flag.String("faults", "", "comma-separated fault kinds to inject (canonical names, e.g. hardware-degradation; empty = each target's full catalog)")
-		mix      = flag.String("mix", "", "workload mix name from the target's spec (empty = target default)")
-		seed     = flag.Int64("seed", 7, "deterministic seed")
-		share    = flag.Bool("share", false, "replicas learn into one shared knowledge base")
-		batch    = flag.Int("batch", 0, "flush learn events every N episodes in one batch (0 = learn per attempt)")
-		kbIn     = flag.String("kb-in", "", "preload the knowledge base from this snapshot file before the campaign (implies -share)")
-		kbOut    = flag.String("kb-out", "", "save the knowledge base to this snapshot file on exit (implies -share)")
-		serve    = flag.String("serve", "", "serve the ops plane (/healthz /metrics /kb/...) on this address and stay up until SIGINT (implies -share)")
-		peers    = flag.String("peers", "", "comma-separated peer ops-plane URLs to long-poll for knowledge deltas (implies -share)")
-		gossipFl = flag.Int("gossip-fanout", 0, "push every knowledge-base publish to this many peers sampled from -peers (0 = pull-only federation)")
-		compactN = flag.Int("compact", 0, "bound the shared knowledge base to this many points, compacting when exceeded (0 = unbounded; implies -share)")
-		compactR = flag.Float64("compact-radius", 0, "merge near-duplicate observations within this euclidean distance when compacting")
-		scenFlag = flag.String("scenario", "", "run a scripted adversarial scenario instead of the random campaign: a library name ("+strings.Join(selfheal.ScenarioNames(), ", ")+") or a JSON file path")
-		scenHrz  = flag.Int64("scenario-horizon", 0, "override the scenario's horizon in ticks (0 = as scripted)")
-		scenJSON = flag.Bool("scenario-json", false, "print the resolved scenario as canonical JSON and exit")
-		authTok  = flag.String("auth-token", "", "bearer token required to read the ops plane (empty = reads open)")
-		adminTok = flag.String("admin-token", "", "bearer token enabling the POST /admin/* verbs (empty = admin verbs disabled)")
-		rateLim  = flag.Float64("rate-limit", 0, "ops-plane requests per second allowed per remote address (0 = unlimited)")
-		reqLog   = flag.Bool("request-log", false, "log one line per ops-plane request to stderr")
-	)
-	flag.Parse()
+	s, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
 	// One context gates everything; SIGINT/SIGTERM cancels it, which
 	// stops the campaign at its next step and starts the graceful
@@ -162,10 +213,8 @@ func main() {
 	defer stop()
 
 	var targetKinds []selfheal.TargetKind
-	for _, name := range strings.Split(*target, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			targetKinds = append(targetKinds, selfheal.TargetKind(name))
-		}
+	for _, name := range splitList(s.target) {
+		targetKinds = append(targetKinds, selfheal.TargetKind(name))
 	}
 	if len(targetKinds) == 0 {
 		targetKinds = []selfheal.TargetKind{selfheal.TargetAuction}
@@ -185,10 +234,7 @@ func main() {
 		}
 	}
 	var faultKinds []selfheal.FaultKind
-	for _, name := range strings.Split(*faultsFl, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
-		}
+	for _, name := range splitList(s.faults) {
 		k, err := selfheal.ParseFaultKind(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "selfheald:", err)
@@ -196,30 +242,23 @@ func main() {
 		}
 		faultKinds = append(faultKinds, k)
 	}
-	var peerURLs []string
-	for _, u := range strings.Split(*peers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			peerURLs = append(peerURLs, u)
-		}
-	}
 
 	// -scenario: library name first, then file path. A scenario pinned to
 	// a target kind selects that kind unless -target was given explicitly.
 	var scen *selfheal.Scenario
-	if *scenFlag != "" {
-		var err error
-		scen, err = selfheal.ScenarioByName(*scenFlag)
+	if s.scenario != "" {
+		scen, err = selfheal.ScenarioByName(s.scenario)
 		if err != nil {
-			scen, err = selfheal.LoadScenarioFile(*scenFlag)
+			scen, err = selfheal.LoadScenarioFile(s.scenario)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "selfheald:", err)
 			os.Exit(2)
 		}
-		if *scenHrz > 0 {
-			scen.Horizon = *scenHrz
+		if s.scenarioHorizon > 0 {
+			scen.Horizon = s.scenarioHorizon
 		}
-		if *scenJSON {
+		if s.scenarioJSON {
 			if err := selfheal.EncodeScenario(os.Stdout, scen); err != nil {
 				fmt.Fprintln(os.Stderr, "selfheald:", err)
 				os.Exit(1)
@@ -227,70 +266,43 @@ func main() {
 			return
 		}
 	}
-	targetSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "target" {
-			targetSet = true
-		}
-	})
 
 	sink := &console{}
 	opts := []selfheal.Option{
-		selfheal.WithSeed(*seed),
-		selfheal.WithApproach(selfheal.ApproachKind(*approach)),
-		selfheal.WithWorkloadMix(*mix),
+		selfheal.WithSeed(s.seed),
+		selfheal.WithApproach(selfheal.ApproachKind(s.approach)),
+		selfheal.WithWorkloadMix(s.mix),
 		selfheal.WithEventSink(sink),
 	}
-	if scen == nil || targetSet || scen.Target == "" {
+	if scen == nil || s.targetSet || scen.Target == "" {
 		opts = append(opts, selfheal.WithTargets(targetKinds...))
 	}
 	if scen != nil {
 		opts = append(opts, selfheal.WithScenario(scen))
 	}
 	var kb *selfheal.SharedSynopsis
-	if *share || *kbIn != "" || *kbOut != "" || *serve != "" || len(peerURLs) > 0 || *compactN > 0 {
+	if s.share || s.kbIn != "" || s.kbOut != "" || s.federated() || s.compact.MaxPoints > 0 {
 		// A shared knowledge base means FixSym over one synopsis; the
 		// -approach flag is superseded. -kb-in/-kb-out and the federation
 		// flags force one so the fleet's whole experience lives in a
 		// single persistable, versioned KB.
 		kb = selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
+		if s.compact.MaxPoints > 0 {
+			if err := kb.EnableCompaction(s.compact); err != nil {
+				fmt.Fprintln(os.Stderr, "selfheald:", err)
+				os.Exit(2)
+			}
+		}
 		opts = append(opts, selfheal.WithSynopsis(kb))
 	}
-	if *workers != 0 {
-		opts = append(opts, selfheal.WithWorkers(*workers))
+	if s.workers != 0 {
+		opts = append(opts, selfheal.WithWorkers(s.workers))
 	}
-	if *batch != 0 {
-		opts = append(opts, selfheal.WithLearnBatch(*batch))
-	}
-	if *serve != "" {
-		opts = append(opts, selfheal.WithServeAddr(*serve))
-	}
-	if len(peerURLs) > 0 {
-		opts = append(opts, selfheal.WithPeers(peerURLs...))
-	}
-	if *gossipFl > 0 {
-		opts = append(opts, selfheal.WithGossipFanout(*gossipFl))
-	}
-	if *compactN > 0 {
-		opts = append(opts, selfheal.WithCompaction(selfheal.Compaction{
-			MaxPoints:   *compactN,
-			MergeRadius: *compactR,
-		}))
-	}
-	if *authTok != "" {
-		opts = append(opts, selfheal.WithAuthToken(*authTok))
-	}
-	if *adminTok != "" {
-		opts = append(opts, selfheal.WithAdminToken(*adminTok))
-	}
-	if *rateLim > 0 {
-		opts = append(opts, selfheal.WithRateLimit(*rateLim, 0))
-	}
-	if *reqLog {
-		opts = append(opts, selfheal.WithRequestLog())
+	if s.batch != 0 {
+		opts = append(opts, selfheal.WithLearnBatch(s.batch))
 	}
 
-	fleet, err := selfheal.NewFleet(ctx, *replicas, opts...)
+	fleet, err := selfheal.NewFleet(ctx, s.replicas, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "selfheald:", err)
 		os.Exit(2)
@@ -300,8 +312,8 @@ func main() {
 	defer fleet.Close()
 
 	var ops *selfheal.Ops
-	if *serve != "" || len(peerURLs) > 0 {
-		ops, err = fleet.ServeOps(ctx)
+	if s.federated() {
+		ops, err = fleet.ServeOps(ctx, s.spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "selfheald:", err)
 			os.Exit(2)
@@ -314,19 +326,19 @@ func main() {
 		}
 	}
 
-	if *kbIn != "" {
+	if s.kbIn != "" {
 		// Load after NewFleet: the replicas' warmups have registered this
 		// process's metric schemas, so the snapshot's vectors remap into
 		// an already-populated symptom space.
-		n, err := loadKB(*kbIn, kb)
+		n, err := loadKB(s.kbIn, kb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "selfheald:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("selfheald: knowledge base preloaded from %s (%d signatures)\n", *kbIn, n)
+		fmt.Printf("selfheald: knowledge base preloaded from %s (%d signatures)\n", s.kbIn, n)
 	}
 	fmt.Printf("selfheald: %d episodes over %d replica(s), approach=%s, target=%s, seed=%d, shared-kb=%v, learn-batch=%d\n\n",
-		*episodes, *replicas, fleet.Replica(0).Approach().Name(), *target, *seed, kb != nil, *batch)
+		s.episodes, s.replicas, fleet.Replica(0).Approach().Name(), s.target, s.seed, kb != nil, s.batch)
 
 	interrupted := false
 	if scen != nil {
@@ -345,8 +357,8 @@ func main() {
 		fmt.Println()
 		fmt.Print(st.Format())
 		fmt.Println(sink.summary())
-	} else if *episodes > 0 {
-		result, err := fleet.RunCampaign(ctx, selfheal.Campaign{Episodes: *episodes, Kinds: faultKinds})
+	} else if s.episodes > 0 {
+		result, err := fleet.RunCampaign(ctx, selfheal.Campaign{Episodes: s.episodes, Kinds: faultKinds})
 		switch {
 		case err == nil:
 		case ctx.Err() != nil:
@@ -357,7 +369,7 @@ func main() {
 			if result != nil {
 				completed = result.Stats.Episodes
 			}
-			fmt.Fprintf(os.Stderr, "\nselfheald: interrupted: %d/%d episodes completed\n", completed, *episodes)
+			fmt.Fprintf(os.Stderr, "\nselfheald: interrupted: %d/%d episodes completed\n", completed, s.episodes)
 		default:
 			fmt.Fprintln(os.Stderr, "selfheald:", err)
 			fleet.Close()
@@ -368,7 +380,7 @@ func main() {
 	}
 
 	if ops != nil && !interrupted && ctx.Err() == nil {
-		if *serve != "" {
+		if s.spec.Serve != "" {
 			fmt.Println("selfheald: campaign done; serving until SIGINT/SIGTERM")
 		} else {
 			fmt.Println("selfheald: campaign done; syncing peers until SIGINT/SIGTERM")
@@ -386,8 +398,8 @@ func main() {
 		}
 		cancel()
 	}
-	if *kbOut != "" {
-		if err := saveKB(*kbOut, kb); err != nil {
+	if s.kbOut != "" {
+		if err := saveKB(s.kbOut, kb); err != nil {
 			fmt.Fprintln(os.Stderr, "selfheald:", err)
 			fleet.Close()
 			os.Exit(1)
@@ -396,7 +408,7 @@ func main() {
 		if interrupted {
 			what = " (partial campaign)"
 		}
-		fmt.Printf("knowledge base saved to %s (%d signatures, seq %d)%s\n", *kbOut, kb.TrainingSize(), kb.Seq(), what)
+		fmt.Printf("knowledge base saved to %s (%d signatures, seq %d)%s\n", s.kbOut, kb.TrainingSize(), kb.Seq(), what)
 	}
 }
 

@@ -1,15 +1,11 @@
 package selfheal
 
-import (
-	"fmt"
+import "selfheal/internal/controlplane"
 
-	"selfheal/internal/controlplane"
-)
-
-// The operator control plane: the options and re-exports that turn a
-// federated fleet's ops endpoints into an operable surface — a live
-// event stream (GET /events), bearer-token auth, per-remote rate
-// limiting, and the POST /admin/* verbs. See OPERATIONS.md.
+// The operator control plane: the re-exports behind a federated node's
+// operable surface — a live event stream (GET /events), bearer-token
+// auth, per-remote rate limiting, and the POST /admin/* verbs, all
+// configured by the node's NodeSpec. See OPERATIONS.md.
 
 // EventBroker fans the fleet's healing event stream out to live
 // subscribers: every event any replica emits is stamped with a
@@ -33,59 +29,3 @@ type EventSubOptions = controlplane.SubOptions
 // EventSubscription is one live subscriber: receive on C, check lost
 // events with Dropped, Cancel when done.
 type EventSubscription = controlplane.Subscription
-
-// WithAuthToken protects the ops plane's read endpoints (/healthz,
-// /metrics, /kb/*, /events) with a bearer token: requests must carry
-// "Authorization: Bearer <token>" (or ?access_token=<token>, for SSE
-// clients that cannot set headers). Without this option reads stay
-// open, matching a metrics-scrape-friendly default. The admin token,
-// when set, is accepted for reads too.
-func WithAuthToken(token string) Option {
-	return func(c *config) error {
-		if token == "" {
-			return fmt.Errorf("selfheal: WithAuthToken(\"\")")
-		}
-		c.authToken = token
-		return nil
-	}
-}
-
-// WithAdminToken enables the POST /admin/* verbs, protected by this
-// bearer token. Without it every admin verb answers 403 — mutation
-// never defaults open.
-func WithAdminToken(token string) Option {
-	return func(c *config) error {
-		if token == "" {
-			return fmt.Errorf("selfheal: WithAdminToken(\"\")")
-		}
-		c.adminToken = token
-		return nil
-	}
-}
-
-// WithRateLimit applies a token bucket per remote address to the whole
-// ops plane: rps requests per second sustained, bursts up to burst
-// (0: 2×rps). Requests over the limit answer 429 with Retry-After.
-func WithRateLimit(rps float64, burst int) Option {
-	return func(c *config) error {
-		if rps <= 0 {
-			return fmt.Errorf("selfheal: rate limit %v rps <= 0", rps)
-		}
-		if burst < 0 {
-			return fmt.Errorf("selfheal: rate limit burst %d < 0", burst)
-		}
-		c.rateRPS = rps
-		c.rateBurst = burst
-		return nil
-	}
-}
-
-// WithRequestLog turns on one structured log line per ops-plane request
-// (remote, method, path, status, bytes, duration) on the process's
-// default logger.
-func WithRequestLog() Option {
-	return func(c *config) error {
-		c.logRequests = true
-		return nil
-	}
-}

@@ -12,30 +12,32 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"selfheal"
+	"selfheal/internal/catalog"
+	"selfheal/internal/synopsis"
 )
 
-// opsFleet builds a serving fleet with a shared KB and the given extra
-// options, returning the fleet, its KB, and the running ops plane.
-func opsFleet(t *testing.T, replicas int, extra ...selfheal.Option) (*selfheal.Fleet, *selfheal.SharedSynopsis, *selfheal.Ops) {
+// opsFleet builds a fleet with a shared KB and serves spec on a
+// loopback port, returning the fleet, its KB, and the running ops plane.
+func opsFleet(t *testing.T, replicas int, spec selfheal.NodeSpec) (*selfheal.Fleet, *selfheal.SharedSynopsis, *selfheal.Ops) {
 	t.Helper()
 	kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
-	opts := append([]selfheal.Option{
+	fleet, err := selfheal.NewFleet(context.Background(), replicas,
 		selfheal.WithSeed(11),
-		selfheal.WithSynopsis(kb),
-		selfheal.WithServeAddr("127.0.0.1:0"),
-	}, extra...)
-	fleet, err := selfheal.NewFleet(context.Background(), replicas, opts...)
+		selfheal.WithSynopsis(kb))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fleet.Close() })
-	ops, err := fleet.ServeOps(context.Background())
+	spec.Serve = "127.0.0.1:0"
+	ops, err := fleet.ServeOps(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func postVerb(t *testing.T, ops *selfheal.Ops, verb, token, body string) *http.R
 // the right kind and a valid replica stamp, and kb-publish events as the
 // knowledge plane advances.
 func TestSSEObservesLiveHealing(t *testing.T) {
-	fleet, _, ops := opsFleet(t, 2)
+	fleet, _, ops := opsFleet(t, 2, selfheal.NodeSpec{})
 
 	resp, err := http.Get(ops.URL() + "/events?kind=recovered,kb-publish")
 	if err != nil {
@@ -153,7 +155,7 @@ func TestSSEObservesLiveHealing(t *testing.T) {
 // is 401 without (or with a wrong) token and acts with the right one;
 // reads stay open.
 func TestAdminVerbsRequireToken(t *testing.T) {
-	_, _, ops := opsFleet(t, 1, selfheal.WithAdminToken("s3cret"))
+	fleet, _, ops := opsFleet(t, 1, selfheal.NodeSpec{AdminToken: "s3cret"})
 
 	for _, verb := range []string{"sync", "compact", "learning", "drain"} {
 		if resp := postVerb(t, ops, verb, "", ""); resp.StatusCode != http.StatusUnauthorized {
@@ -169,7 +171,7 @@ func TestAdminVerbsRequireToken(t *testing.T) {
 	if resp := postVerb(t, ops, "learning", "s3cret", `{"freeze":true}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("authenticated learning: %d", resp.StatusCode)
 	}
-	if !ops.LearningFrozen() {
+	if !fleet.LearningFrozen() {
 		t.Fatal("verb did not freeze learning")
 	}
 	if resp := postVerb(t, ops, "sync", "s3cret", ""); resp.StatusCode != http.StatusConflict {
@@ -204,7 +206,7 @@ func TestAdminVerbsRequireToken(t *testing.T) {
 // TestAdminVerbsDisabledWithoutToken: no admin token configured means
 // 403 for every verb — no credential helps.
 func TestAdminVerbsDisabledWithoutToken(t *testing.T) {
-	_, _, ops := opsFleet(t, 1)
+	_, _, ops := opsFleet(t, 1, selfheal.NodeSpec{})
 	for _, verb := range []string{"sync", "compact", "learning", "drain"} {
 		if resp := postVerb(t, ops, verb, "anything", ""); resp.StatusCode != http.StatusForbidden {
 			t.Fatalf("%s with no admin token configured: %d, want 403", verb, resp.StatusCode)
@@ -216,7 +218,7 @@ func TestAdminVerbsDisabledWithoutToken(t *testing.T) {
 // the admin verb stops knowledge-base sequence growth under a running
 // campaign, and thawing resumes it.
 func TestFreezeLearningStopsKBGrowth(t *testing.T) {
-	fleet, kb, ops := opsFleet(t, 2, selfheal.WithAdminToken("adm"))
+	fleet, kb, ops := opsFleet(t, 2, selfheal.NodeSpec{AdminToken: "adm"})
 
 	// Warm campaign: learning on, the KB must grow.
 	if _, err := fleet.RunCampaign(context.Background(), selfheal.Campaign{Episodes: 6}); err != nil {
@@ -252,7 +254,7 @@ func TestFreezeLearningStopsKBGrowth(t *testing.T) {
 // episodes, /healthz reports drained, gossip pushes are refused, and the
 // audit trail records the verb.
 func TestDrainStopsWork(t *testing.T) {
-	fleet, _, ops := opsFleet(t, 2, selfheal.WithAdminToken("adm"))
+	fleet, _, ops := opsFleet(t, 2, selfheal.NodeSpec{AdminToken: "adm"})
 
 	sub := ops.Events().Subscribe(selfheal.EventSubOptions{})
 	defer sub.Cancel()
@@ -260,7 +262,7 @@ func TestDrainStopsWork(t *testing.T) {
 	if resp := postVerb(t, ops, "drain", "adm", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain: %d", resp.StatusCode)
 	}
-	if !ops.Draining() || !fleet.Draining() {
+	if !fleet.Draining() {
 		t.Fatal("drain verb did not set the drain flag")
 	}
 
@@ -319,13 +321,12 @@ func TestOpsCloseReleasesParkedClients(t *testing.T) {
 	kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 	fleet, err := selfheal.NewFleet(context.Background(), 1,
 		selfheal.WithSeed(3),
-		selfheal.WithSynopsis(kb),
-		selfheal.WithServeAddr("127.0.0.1:0"))
+		selfheal.WithSynopsis(kb))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	ops, err := fleet.ServeOps(context.Background())
+	ops, err := fleet.ServeOps(context.Background(), selfheal.NodeSpec{Serve: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +395,10 @@ func TestOpsCloseReleasesParkedClients(t *testing.T) {
 	}
 }
 
-// TestRateLimitedOpsPlane: WithRateLimit turns 429s on over the real
-// listener.
+// TestRateLimitedOpsPlane: NodeSpec.RateLimit turns 429s on over the
+// real listener, bursting to twice the rate.
 func TestRateLimitedOpsPlane(t *testing.T) {
-	_, _, ops := opsFleet(t, 1, selfheal.WithRateLimit(1, 2))
+	_, _, ops := opsFleet(t, 1, selfheal.NodeSpec{RateLimit: 1})
 	codes := make(map[int]int)
 	for i := 0; i < 6; i++ {
 		r, err := http.Get(ops.URL() + "/healthz")
@@ -412,5 +413,110 @@ func TestRateLimitedOpsPlane(t *testing.T) {
 	}
 	if codes[http.StatusOK] < 2 {
 		t.Fatalf("burst not admitted: %v", codes)
+	}
+}
+
+// TestServeOpsCloseLeaksNoGoroutines: a node serving and a node pulling
+// from it with gossip on, carrying a live /events subscriber and a
+// parked /kb/delta long-poll, return to the goroutine count from before
+// ServeOps once both Ops and both fleets are closed. It also pins that
+// episodes run after ServeOps are counted on /metrics, which needs the
+// replicas' event sinks re-pointed at the ops plane.
+func TestServeOpsCloseLeaksNoGoroutines(t *testing.T) {
+	ctx := context.Background()
+	newFleet := func(seed int64) (*selfheal.Fleet, *selfheal.SharedSynopsis) {
+		kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
+		fleet, err := selfheal.NewFleet(ctx, 1, selfheal.WithSeed(seed), selfheal.WithSynopsis(kb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fleet, kb
+	}
+	fleetA, _ := newFleet(81)
+	fleetB, kbB := newFleet(82)
+	client := &http.Client{Transport: &http.Transport{}}
+	base := runtime.NumGoroutine()
+
+	opsA, err := fleetA.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opsB, err := fleetB.ServeOps(ctx, selfheal.NodeSpec{
+		Serve:        "127.0.0.1:0",
+		Peers:        []string{opsA.URL()},
+		GossipFanout: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	events, err := client.Get(opsA.URL() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamDone := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, events.Body)
+		events.Body.Close()
+		close(streamDone)
+	}()
+	// A cursor far past any sequence parks until the wait or shutdown.
+	pollDone := make(chan struct{})
+	go func() {
+		if resp, err := client.Get(opsA.URL() + "/kb/delta?since=1000000000&wait=25s"); err == nil {
+			resp.Body.Close()
+		}
+		close(pollDone)
+	}()
+
+	const episodes = 3
+	if _, err := fleetA.RunCampaign(ctx, selfheal.Campaign{Episodes: episodes}); err != nil {
+		t.Fatal(err)
+	}
+	// A point learned on B reaches A by push.
+	kbB.Add(selfheal.Point{
+		X:       []float64{4, 1},
+		Action:  synopsis.Action{Fix: catalog.FixRebootAppTier, Target: "app"},
+		Success: true,
+	})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _ := opsB.GossipStats()
+		if st.PointsPushed > 0 && opsA.Events().Subscribers() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no push or no subscriber: gossip %+v, %d subscribers", st, opsA.Events().Subscribers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err := client.Get(opsA.URL() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	metrics.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("selfheal_episodes_injected_total %d\n", episodes); !strings.Contains(metrics.String(), want) {
+		t.Fatalf("/metrics does not count the campaign run after ServeOps (want %q):\n%s", want, metrics.String())
+	}
+
+	for _, ops := range []*selfheal.Ops{opsB, opsA} {
+		if err := ops.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleetA.Close()
+	fleetB.Close()
+	<-streamDone
+	<-pollDone
+	client.CloseIdleConnections()
+	deadline = time.Now().Add(10 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before ServeOps:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

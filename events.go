@@ -47,9 +47,3 @@ const (
 	EventAdmin     = core.EventAdmin
 	EventKBPublish = core.EventKBPublish
 )
-
-// MultiSink fans one event stream out to several sinks in order.
-func MultiSink(sinks ...EventSink) EventSink { return core.MultiSink(sinks...) }
-
-// ReplicaSink stamps events with a replica id before forwarding.
-func ReplicaSink(replica int, sink EventSink) EventSink { return core.ReplicaSink(replica, sink) }

@@ -13,74 +13,74 @@ import (
 	"selfheal/internal/kbsync"
 )
 
-// The federated knowledge plane: a Fleet configured with WithServeAddr
-// and/or WithPeers becomes one node of a distributed knowledge base.
-// ServeOps starts its ops plane — /healthz, /metrics, /kb/snapshot and
-// /kb/delta over HTTP — and, when peers are configured, a background
-// syncer that keeps one long-poll parked on each of them and folds what
-// they publish in with Merge semantics. In any connected topology
-// (hub/spoke, chain, full mesh) the nodes converge: once syncing
-// quiesces, every node ranks fixes exactly as it would against
-// MergeKnowledgeBases of all nodes' snapshots. See KNOWLEDGE_BASES.md,
-// "Running a federated fleet".
+// The federated knowledge plane: ServeOps makes a Fleet learning into a
+// shared knowledge base one node of a distributed knowledge base, as a
+// NodeSpec declares it. The node serves its ops plane — /healthz,
+// /metrics, /kb/snapshot and /kb/delta over HTTP — and, when peers are
+// given, runs a background syncer that keeps one long-poll parked on
+// each of them and folds what they publish in with Merge semantics. In
+// any connected topology (hub/spoke, chain, full mesh) the nodes
+// converge: once syncing quiesces, every node ranks fixes exactly as it
+// would against MergeKnowledgeBases of all nodes' snapshots. See
+// KNOWLEDGE_BASES.md, "Running a federated fleet", and OPERATIONS.md.
 
-// WithServeAddr makes the fleet serve its ops plane on addr (e.g.
-// ":8701" or "127.0.0.1:0") once ServeOps is called. Requires a shared
-// knowledge base (WithSynopsis + NewSharedSynopsis) — the ops plane
-// serves that knowledge.
-func WithServeAddr(addr string) Option {
-	return func(c *config) error {
-		if addr == "" {
-			return fmt.Errorf("selfheal: WithServeAddr(\"\")")
-		}
-		c.serveAddr = addr
-		return nil
-	}
+// NodeSpec declares one node of the federated knowledge plane: where its
+// ops plane listens, which peers it syncs with, and the guards in front
+// of it. cmd/selfheald binds its ops flags straight into one. Serve or
+// Peers must be set; every other zero field leaves its feature off.
+type NodeSpec struct {
+	// Serve is the ops plane's listen address (e.g. ":8701" or
+	// "127.0.0.1:0"); empty for a pull-only node.
+	Serve string
+	// Peers are the base URLs of peer ops planes (e.g.
+	// "http://host:8701") whose knowledge-base deltas this node pulls.
+	Peers []string
+	// GossipFanout turns on the push plane: every knowledge-base publish
+	// is pushed to this many peers sampled from Peers, epidemic style,
+	// so a fix learned on one node is Suggest-able fleet-wide in
+	// milliseconds whether or not anyone pulls from it. The pull syncer
+	// stays on as the anti-entropy fallback that repairs whatever a
+	// dropped push or a partition cost the epidemic. Requires Peers.
+	GossipFanout int
+	// AuthToken protects the read endpoints (/healthz, /metrics, /kb/*,
+	// /events) with a bearer token: requests must carry
+	// "Authorization: Bearer <token>" (or ?access_token=<token>, for SSE
+	// clients that cannot set headers). Empty leaves reads open, a
+	// metrics-scrape-friendly default. AdminToken is accepted for reads
+	// too.
+	AuthToken string
+	// AdminToken enables the POST /admin/* verbs, protected by this
+	// bearer token. Empty answers every admin verb 403 — mutation never
+	// defaults open.
+	AdminToken string
+	// RateLimit applies a token bucket per remote address to the whole
+	// ops plane: this many requests per second sustained, bursts up to
+	// twice that. Requests over the limit answer 429 with Retry-After.
+	// Zero is unlimited.
+	RateLimit float64
+	// RequestLog turns on one structured log line per ops-plane request
+	// (remote, method, path, status, bytes, duration) on the process's
+	// default logger.
+	RequestLog bool
 }
 
-// WithPeers makes the fleet pull knowledge-base deltas from the given
-// peer ops planes (base URLs, e.g. "http://host:8701") once ServeOps is
-// called. Requires a shared knowledge base, which the pulled experience
-// is folded into.
-func WithPeers(urls ...string) Option {
-	return func(c *config) error {
-		if len(urls) == 0 {
-			return fmt.Errorf("selfheal: WithPeers needs at least one URL")
-		}
-		c.peers = append([]string(nil), urls...)
-		return nil
+// check validates the spec and returns the shared knowledge base the
+// node serves out of syn: the knowledge plane exchanges the KB's publish
+// sequence, which only SharedSynopsis tracks.
+func (s NodeSpec) check(syn Synopsis) (*SharedSynopsis, error) {
+	switch {
+	case s.Serve == "" && len(s.Peers) == 0:
+		return nil, fmt.Errorf("selfheal: NodeSpec needs Serve or Peers")
+	case s.GossipFanout < 0 || s.RateLimit < 0:
+		return nil, fmt.Errorf("selfheal: NodeSpec with negative GossipFanout %d or RateLimit %v", s.GossipFanout, s.RateLimit)
+	case s.GossipFanout > 0 && len(s.Peers) == 0:
+		return nil, fmt.Errorf("selfheal: NodeSpec.GossipFanout needs Peers")
 	}
-}
-
-// WithGossipFanout turns on the push plane: every knowledge-base publish
-// is pushed to fanout peers sampled from WithPeers, epidemic style, so a
-// fix learned on one node is Suggest-able fleet-wide in milliseconds
-// whether or not anyone pulls from it. The pull syncer stays on as the
-// anti-entropy fallback that repairs whatever a dropped push or a
-// partition cost the epidemic. Requires WithPeers.
-func WithGossipFanout(fanout int) Option {
-	return func(c *config) error {
-		if fanout <= 0 {
-			return fmt.Errorf("selfheal: gossip fanout %d <= 0", fanout)
-		}
-		c.gossipFanout = fanout
-		return nil
+	kb, ok := syn.(*SharedSynopsis)
+	if !ok || kb == nil {
+		return nil, fmt.Errorf("selfheal: a federated node needs a fleet built WithSynopsis(NewSharedSynopsis(...))")
 	}
-}
-
-// WithCompaction bounds the shared knowledge base's memory: once its
-// arrival log exceeds cfg.MaxPoints, exact duplicates collapse,
-// near-duplicates (within cfg.MergeRadius) merge, and the oldest
-// lowest-value observations are evicted — failures before successes,
-// never below cfg.MinPerAction successes per distinct action. The
-// surviving set still ranks byte-identically to replaying it fresh, so
-// federation keeps its convergence guarantee. Requires
-// WithSynopsis(NewSharedSynopsis(...)).
-func WithCompaction(cfg Compaction) Option {
-	return func(c *config) error {
-		c.compaction = &cfg
-		return nil
-	}
+	return kb, nil
 }
 
 // advertisedURL is the base URL peers know this node by when serveAddr
@@ -92,20 +92,6 @@ func advertisedURL(serveAddr string) string {
 		return ""
 	}
 	return "http://" + net.JoinHostPort(host, port)
-}
-
-// federated reports whether any federation option is set.
-func (c *config) federated() bool { return c.serveAddr != "" || len(c.peers) > 0 }
-
-// sharedKB returns the fleet's shared knowledge base, or an error when
-// federation is configured over anything else: the knowledge plane
-// exchanges the KB's publish sequence, which only SharedSynopsis tracks.
-func (c *config) sharedKB() (*SharedSynopsis, error) {
-	kb, ok := c.syn.(*SharedSynopsis)
-	if !ok || kb == nil {
-		return nil, fmt.Errorf("selfheal: federation (WithServeAddr/WithPeers) needs WithSynopsis(NewSharedSynopsis(...))")
-	}
-	return kb, nil
 }
 
 // KnowledgeSeq returns the publish sequence of the fleet's shared
@@ -127,6 +113,7 @@ func (fl *Fleet) KnowledgeSeq() uint64 {
 type Ops struct {
 	fleet    *Fleet
 	node     *kbsync.Node
+	broker   *controlplane.Broker
 	syncer   *kbsync.Syncer
 	gossiper *kbsync.Gossiper
 	srv      *http.Server
@@ -148,16 +135,13 @@ func (o *Ops) Addr() string {
 }
 
 // URL returns the node's base URL ("" for a pull-only node) — what a
-// peer passes to WithPeers or kbtool fetch.
+// peer lists in NodeSpec.Peers or passes to kbtool fetch.
 func (o *Ops) URL() string {
 	if o.ln == nil {
 		return ""
 	}
 	return "http://" + o.Addr()
 }
-
-// KnowledgeSeq returns the served knowledge base's publish sequence.
-func (o *Ops) KnowledgeSeq() uint64 { return o.node.Seq() }
 
 // SyncNow pulls every configured peer once, immediately and
 // sequentially — without parking, and without waiting out a failing
@@ -182,7 +166,7 @@ func (o *Ops) Peers() []kbsync.PeerStatus {
 }
 
 // GossipStats snapshots the push plane's counters; ok is false when
-// gossip is not configured (no WithGossipFanout).
+// gossip is not configured (NodeSpec.GossipFanout zero).
 func (o *Ops) GossipStats() (kbsync.GossipStats, bool) {
 	if o.gossiper == nil {
 		return kbsync.GossipStats{}, false
@@ -193,15 +177,7 @@ func (o *Ops) GossipStats() (kbsync.GossipStats, bool) {
 // Events returns the node's live event broker — the same stream
 // GET /events serves, for in-process subscribers (kbtool top's tests,
 // embedding programs). Never nil on an Ops returned by ServeOps.
-func (o *Ops) Events() *EventBroker { return o.fleet.broker }
-
-// FreezeLearning freezes or thaws the fleet's learn path (see
-// Fleet.FreezeLearning); POST /admin/learning acts through the same
-// switch.
-func (o *Ops) FreezeLearning(freeze bool) bool { return o.fleet.FreezeLearning(freeze) }
-
-// LearningFrozen reports whether the fleet's learn path is frozen.
-func (o *Ops) LearningFrozen() bool { return o.fleet.LearningFrozen() }
+func (o *Ops) Events() *EventBroker { return o.broker }
 
 // Drain puts the node into drain: campaigns stop starting episodes
 // (Fleet.Drain), the gossip push plane pauses both directions, and
@@ -213,13 +189,6 @@ func (o *Ops) Drain() {
 		o.gossiper.SetPaused(true)
 	}
 }
-
-// Draining reports whether Drain was requested.
-func (o *Ops) Draining() bool { return o.fleet.Draining() }
-
-// ActiveEpisodes counts episodes still in flight; after Drain, zero
-// means the node is drained.
-func (o *Ops) ActiveEpisodes() int64 { return o.fleet.ActiveEpisodes() }
 
 // Close shuts the ops plane down: parked long-polls and /events streams
 // are released immediately, the syncer stops, and the HTTP server
@@ -235,9 +204,7 @@ func (o *Ops) Close(ctx context.Context) error {
 	if o.handler != nil {
 		o.handler.Close()
 	}
-	if o.fleet.broker != nil {
-		o.fleet.broker.Close()
-	}
+	o.broker.Close()
 	var err error
 	if o.srv != nil {
 		err = o.srv.Shutdown(ctx)
@@ -252,47 +219,47 @@ func (o *Ops) Close(ctx context.Context) error {
 	return err
 }
 
-// ServeOps starts the fleet's federated knowledge plane as configured by
-// WithServeAddr, WithPeers and WithGossipFanout: it binds the listener,
-// serves the ops endpoints, and starts the background peer syncer. The
+// ServeOps starts the node spec declares on this fleet: it binds the
+// listener, serves the ops endpoints, and starts the background peer
+// syncer and, with a gossip fanout, the push plane. Every precondition
+// is checked here: Serve or Peers set, a fanout only with peers, no
+// negative values, and a fleet built over NewSharedSynopsis. The
 // returned Ops reports the bound address and shuts everything down on
-// Close; cancelling ctx stops the syncer too. Calling it on a fleet with
-// no federation options is an error.
-func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
-	if !fl.cfg.federated() {
-		return nil, fmt.Errorf("selfheal: ServeOps needs WithServeAddr or WithPeers")
-	}
-	kb, err := fl.cfg.sharedKB()
+// Close; cancelling ctx stops the syncer too.
+//
+// ServeOps re-points every replica's event sink so /metrics and
+// /events see the healing, ahead of the fleet's WithEventSink consumer;
+// call it before running campaigns on the fleet.
+func (fl *Fleet) ServeOps(ctx context.Context, spec NodeSpec) (*Ops, error) {
+	kb, err := spec.check(fl.cfg.syn)
 	if err != nil {
 		return nil, err
 	}
+	collector := httpapi.NewCollector()
+	broker := controlplane.NewBroker(0)
 	node := kbsync.NewNode(kb, nil)
 	runCtx, cancel := context.WithCancel(ctx)
-	o := &Ops{fleet: fl, node: node, cancel: cancel}
+	o := &Ops{fleet: fl, node: node, broker: broker, cancel: cancel}
 
 	// Every knowledge-base publish becomes a kb-publish event on the
 	// live stream, so an /events subscriber (or kbtool top) sees the
 	// knowledge plane advance interleaved with the healing that fed it.
 	kb.OnPublish(func(seq uint64) {
-		fl.broker.Emit(core.Event{
+		broker.Emit(core.Event{
 			Kind:    core.EventKBPublish,
 			Replica: -1,
 			Label:   fmt.Sprintf("seq %d", seq),
 		})
 	})
 
-	if fl.cfg.gossipFanout > 0 {
-		if len(fl.cfg.peers) == 0 {
-			cancel()
-			return nil, fmt.Errorf("selfheal: WithGossipFanout needs WithPeers")
-		}
+	if spec.GossipFanout > 0 {
 		gsp, err := kbsync.NewGossiper(node, kbsync.GossipConfig{
-			Peers:  fl.cfg.peers,
-			Self:   advertisedURL(fl.cfg.serveAddr),
-			Fanout: fl.cfg.gossipFanout,
+			Peers:  spec.Peers,
+			Self:   advertisedURL(spec.Serve),
+			Fanout: spec.GossipFanout,
 		})
 		if err != nil {
-			cancel()
+			o.Close(ctx)
 			return nil, err
 		}
 		o.gossiper = gsp
@@ -303,20 +270,20 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 		}()
 	}
 
-	if len(fl.cfg.peers) > 0 {
+	if len(spec.Peers) > 0 {
 		// Seed is deliberately left zero (clock-seeded): the campaign
 		// seed makes replicas reproducible, but a fleet of daemons
 		// launched with identical configs must not share poll-jitter
 		// streams or they all hit their hub at the same instants.
 		syncer, err := kbsync.NewSyncer(node, kbsync.Config{
-			Peers: fl.cfg.peers,
+			Peers: spec.Peers,
 			// The last per-peer statuses outlive the sync loops on
 			// /metrics, so an operator can still see which peer was
 			// failing, and why, after shutdown began.
-			OnStop: fl.collector.RecordFinalPeers,
+			OnStop: collector.RecordFinalPeers,
 		})
 		if err != nil {
-			cancel()
+			o.Close(ctx)
 			return nil, err
 		}
 		o.syncer = syncer
@@ -327,8 +294,11 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 		}()
 	}
 
-	if fl.cfg.serveAddr != "" {
+	if spec.Serve != "" {
 		hooks := controlplane.AdminHooks{
+			// A knowledge base without a compaction cap refuses Compact,
+			// which /admin/compact answers 409.
+			Compact:        kb.Compact,
 			FreezeLearning: fl.FreezeLearning,
 			LearningFrozen: fl.LearningFrozen,
 			Drain:          o.Drain,
@@ -336,30 +306,27 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 				return fl.Draining(), fl.ActiveEpisodes()
 			},
 		}
-		if len(fl.cfg.peers) > 0 {
+		if len(spec.Peers) > 0 {
 			hooks.SyncNow = o.SyncNow
 		}
-		if fl.cfg.compaction != nil {
-			hooks.Compact = kb.Compact
-		}
 		var rl *controlplane.RateLimitConfig
-		if fl.cfg.rateRPS > 0 {
-			rl = &controlplane.RateLimitConfig{RPS: fl.cfg.rateRPS, Burst: fl.cfg.rateBurst}
+		if spec.RateLimit > 0 {
+			rl = &controlplane.RateLimitConfig{RPS: spec.RateLimit}
 		}
 		handler, err := httpapi.NewServer(httpapi.Config{
 			Node:      node,
-			Collector: fl.collector,
+			Collector: collector,
 			Syncer:    o.syncer,
 			Gossiper:  o.gossiper,
 			Catalogs:  TargetCatalogs(),
-			Broker:    fl.broker,
-			Admin:     controlplane.NewAdmin(hooks, fl.broker),
+			Broker:    broker,
+			Admin:     controlplane.NewAdmin(hooks, broker),
 			Auth: controlplane.AuthConfig{
-				ReadToken:  fl.cfg.authToken,
-				AdminToken: fl.cfg.adminToken,
+				ReadToken:  spec.AuthToken,
+				AdminToken: spec.AdminToken,
 			},
 			RateLimit:   rl,
-			LogRequests: fl.cfg.logRequests,
+			LogRequests: spec.RequestLog,
 			Drain:       fl,
 		})
 		if err != nil {
@@ -367,7 +334,7 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 			return nil, err
 		}
 		o.handler = handler
-		ln, err := net.Listen("tcp", fl.cfg.serveAddr)
+		ln, err := net.Listen("tcp", spec.Serve)
 		if err != nil {
 			o.Close(ctx)
 			return nil, fmt.Errorf("selfheal: ops listener: %w", err)
@@ -382,6 +349,14 @@ func (fl *Fleet) ServeOps(ctx context.Context) (*Ops, error) {
 				_ = err
 			}
 		}()
+	}
+
+	// /metrics tallies the same event stream the fleet's own sink
+	// consumes, and the broker fans it out live to /events subscribers;
+	// both sit ahead of that sink.
+	sink := core.MultiSink(collector, broker, fl.cfg.sink)
+	for i, sys := range fl.replicas {
+		sys.Healer.Sink = core.ReplicaSink(i, sink)
 	}
 	return o, nil
 }

@@ -257,22 +257,21 @@ func TestFederationThreeNodeChainConvergesUnderConcurrentLearning(t *testing.T) 
 	assertRanksMatchMerge(t, a, b, c)
 }
 
-// TestServeOpsEndToEnd exercises the facade path proper: WithServeAddr
-// binds a real listener, WithPeers pulls from it, KnowledgeSeq reports
-// the version, and /kb/snapshot serves the same knowledge base
-// SaveKnowledgeBase writes.
+// TestServeOpsEndToEnd exercises the facade path proper: a NodeSpec's
+// Serve binds a real listener, another node's Peers pulls from it,
+// KnowledgeSeq reports the version, and /kb/snapshot serves the same
+// knowledge base SaveKnowledgeBase writes.
 func TestServeOpsEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	kbA := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 	fleetA, err := selfheal.NewFleet(ctx, 1,
 		selfheal.WithSeed(51),
-		selfheal.WithTarget(selfheal.TargetAuction),
-		selfheal.WithSynopsis(kbA),
-		selfheal.WithServeAddr("127.0.0.1:0"))
+		selfheal.WithTargets(selfheal.TargetAuction),
+		selfheal.WithSynopsis(kbA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsA, err := fleetA.ServeOps(ctx)
+	opsA, err := fleetA.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,21 +282,20 @@ func TestServeOpsEndToEnd(t *testing.T) {
 	if _, err := fleetA.RunCampaign(ctx, selfheal.Campaign{Episodes: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if fleetA.KnowledgeSeq() == 0 || fleetA.KnowledgeSeq() != opsA.KnowledgeSeq() {
-		t.Fatalf("KnowledgeSeq fleet=%d ops=%d", fleetA.KnowledgeSeq(), opsA.KnowledgeSeq())
+	if fleetA.KnowledgeSeq() == 0 || fleetA.KnowledgeSeq() != kbA.Seq() {
+		t.Fatalf("KnowledgeSeq %d, KB seq %d", fleetA.KnowledgeSeq(), kbA.Seq())
 	}
 
 	// A pull-only node (no listener) drains A through the facade.
 	kbB := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 	fleetB, err := selfheal.NewFleet(ctx, 1,
 		selfheal.WithSeed(52),
-		selfheal.WithTarget(selfheal.TargetReplicated),
-		selfheal.WithSynopsis(kbB),
-		selfheal.WithPeers(opsA.URL()))
+		selfheal.WithTargets(selfheal.TargetReplicated),
+		selfheal.WithSynopsis(kbB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsB, err := fleetB.ServeOps(ctx)
+	opsB, err := fleetB.ServeOps(ctx, selfheal.NodeSpec{Peers: []string{opsA.URL()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +325,8 @@ func TestServeOpsEndToEnd(t *testing.T) {
 		}
 	}
 	st := opsB.Peers()
-	if len(st) != 1 || st[0].Seq != opsA.KnowledgeSeq() || st[0].Failures != 0 {
-		t.Fatalf("peer status %+v, want caught up to seq %d", st, opsA.KnowledgeSeq())
+	if len(st) != 1 || st[0].Seq != fleetA.KnowledgeSeq() || st[0].Failures != 0 {
+		t.Fatalf("peer status %+v, want caught up to seq %d", st, fleetA.KnowledgeSeq())
 	}
 
 	// The served snapshot is the same knowledge base SaveKnowledgeBase
@@ -341,7 +339,7 @@ func TestServeOpsEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /kb/snapshot: %s", resp.Status)
 	}
-	if got, want := resp.Header.Get("X-KB-Seq"), fmt.Sprint(opsA.KnowledgeSeq()); got != want {
+	if got, want := resp.Header.Get("X-KB-Seq"), fmt.Sprint(fleetA.KnowledgeSeq()); got != want {
 		t.Fatalf("X-KB-Seq %q, want %q", got, want)
 	}
 	fetched, err := synopsis.Decode(resp.Body)
@@ -364,38 +362,47 @@ func TestServeOpsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFederationOptionValidation pins the construction-time contract.
+// TestFederationOptionValidation pins the NodeSpec contract, all of it
+// raised at ServeOps: federation needs a shared knowledge base, a spec
+// with neither Serve nor Peers starts nothing, and no value may be
+// negative.
 func TestFederationOptionValidation(t *testing.T) {
 	ctx := context.Background()
-	// Federation without a shared KB fails at NewFleet, not ServeOps.
-	_, err := selfheal.NewFleet(ctx, 1, selfheal.WithServeAddr("127.0.0.1:0"))
-	if err == nil {
-		t.Error("WithServeAddr without NewSharedSynopsis accepted")
-	}
-	_, err = selfheal.NewFleet(ctx, 1,
-		selfheal.WithSynopsis(selfheal.NewNNSynopsis()),
-		selfheal.WithPeers("http://localhost:1"))
-	if err == nil {
-		t.Error("WithPeers over an unshared synopsis accepted")
-	}
-	// Fleet-scoped options are rejected on a single System.
-	_, err = selfheal.New(ctx, selfheal.WithServeAddr(":0"))
-	if err == nil {
-		t.Error("System with WithServeAddr accepted")
-	}
-	// ServeOps without federation options is an error.
+	serve := selfheal.NodeSpec{Serve: "127.0.0.1:0"}
 	fl, err := selfheal.NewFleet(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fl.ServeOps(ctx); err == nil {
-		t.Error("ServeOps without federation options accepted")
+	if _, err := fl.ServeOps(ctx, serve); err == nil {
+		t.Error("ServeOps without a shared knowledge base accepted")
+	}
+	fl, err = selfheal.NewFleet(ctx, 1, selfheal.WithSynopsis(selfheal.NewNNSynopsis()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.ServeOps(ctx, selfheal.NodeSpec{Peers: []string{"http://localhost:1"}}); err == nil {
+		t.Error("Peers over an unshared synopsis accepted")
+	}
+	fl, err = selfheal.NewFleet(ctx, 1, selfheal.WithSynopsis(selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []selfheal.NodeSpec{
+		{},
+		{AdminToken: "t", RateLimit: 5},
+		{Serve: "127.0.0.1:0", RateLimit: -1},
+		{Peers: []string{"http://localhost:1"}, GossipFanout: -1},
+	} {
+		if ops, err := fl.ServeOps(ctx, bad); err == nil {
+			ops.Close(ctx)
+			t.Errorf("NodeSpec %+v accepted", bad)
+		}
 	}
 }
 
 // TestServeOpsGossipAndCompaction exercises the push plane and the
-// memory bound through the facade only: node B is configured with
-// WithGossipFanout and WithCompaction, node A just serves. A point
+// memory bound through the facade only: node B gossips and its
+// knowledge base compacts, node A just serves. A point
 // added on B must arrive at A via push — A pulls from nobody —
 // and B's arrival log must stay under the compaction cap no matter how
 // much it learns.
@@ -404,34 +411,33 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 	kbA := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 	fleetA, err := selfheal.NewFleet(ctx, 1,
 		selfheal.WithSeed(61),
-		selfheal.WithTarget(selfheal.TargetAuction),
-		selfheal.WithSynopsis(kbA),
-		selfheal.WithServeAddr("127.0.0.1:0"))
+		selfheal.WithTargets(selfheal.TargetAuction),
+		selfheal.WithSynopsis(kbA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsA, err := fleetA.ServeOps(ctx)
+	opsA, err := fleetA.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opsA.Close(ctx)
 	if _, ok := opsA.GossipStats(); ok {
-		t.Fatal("node without WithGossipFanout reports gossip stats")
+		t.Fatal("node without a gossip fanout reports gossip stats")
 	}
 
 	const maxPoints = 48
 	kbB := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
+	if err := kbB.EnableCompaction(selfheal.Compaction{MaxPoints: maxPoints, MergeRadius: 0.25}); err != nil {
+		t.Fatal(err)
+	}
 	fleetB, err := selfheal.NewFleet(ctx, 1,
 		selfheal.WithSeed(62),
-		selfheal.WithTarget(selfheal.TargetAuction),
-		selfheal.WithSynopsis(kbB),
-		selfheal.WithPeers(opsA.URL()),
-		selfheal.WithGossipFanout(2),
-		selfheal.WithCompaction(selfheal.Compaction{MaxPoints: maxPoints, MergeRadius: 0.25}))
+		selfheal.WithTargets(selfheal.TargetAuction),
+		selfheal.WithSynopsis(kbB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsB, err := fleetB.ServeOps(ctx)
+	opsB, err := fleetB.ServeOps(ctx, selfheal.NodeSpec{Peers: []string{opsA.URL()}, GossipFanout: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +461,7 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 	}
 	st, ok := opsB.GossipStats()
 	if !ok {
-		t.Fatal("WithGossipFanout node reports no gossip stats")
+		t.Fatal("gossiping node reports no gossip stats")
 	}
 	// The pushed point lands on A before B's gossiper tallies the push
 	// (counters update after the HTTP round-trip returns), so poll the
@@ -490,7 +496,7 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 
 // TestServeOpsGossipDoesNotEchoToSender: two gossiping nodes serving on
 // fixed loopback ports advertise themselves (X-KB-From is derived from
-// WithServeAddr), so a rumor's receiver does not relay it straight back
+// NodeSpec.Serve), so a rumor's receiver does not relay it straight back
 // to the node it came from. A push returns only after the receiver has
 // finished relaying, so once A has pushed every point any echo would
 // already be counted.
@@ -514,15 +520,16 @@ func TestServeOpsGossipDoesNotEchoToSender(t *testing.T) {
 		kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 		fleet, err := selfheal.NewFleet(ctx, 1,
 			selfheal.WithSeed(int64(70+i)),
-			selfheal.WithTarget(selfheal.TargetAuction),
-			selfheal.WithSynopsis(kb),
-			selfheal.WithServeAddr(addrs[i]),
-			selfheal.WithPeers("http://"+addrs[1-i]),
-			selfheal.WithGossipFanout(1))
+			selfheal.WithTargets(selfheal.TargetAuction),
+			selfheal.WithSynopsis(kb))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops, err := fleet.ServeOps(ctx)
+		ops, err := fleet.ServeOps(ctx, selfheal.NodeSpec{
+			Serve:        addrs[i],
+			Peers:        []string{"http://" + addrs[1-i]},
+			GossipFanout: 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,20 +570,12 @@ func TestServeOpsGossipDoesNotEchoToSender(t *testing.T) {
 func TestServeOpsGossipNeedsPeers(t *testing.T) {
 	ctx := context.Background()
 	fl, err := selfheal.NewFleet(ctx, 1,
-		selfheal.WithSynopsis(selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())),
-		selfheal.WithServeAddr("127.0.0.1:0"),
-		selfheal.WithGossipFanout(3))
+		selfheal.WithSynopsis(selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fl.ServeOps(ctx); err == nil {
-		t.Error("WithGossipFanout without WithPeers accepted at ServeOps")
-	}
-	// Compaction over an unshared synopsis is rejected at NewFleet.
-	_, err = selfheal.NewFleet(ctx, 1,
-		selfheal.WithSynopsis(selfheal.NewNNSynopsis()),
-		selfheal.WithCompaction(selfheal.Compaction{MaxPoints: 10}))
-	if err == nil {
-		t.Error("WithCompaction over an unshared synopsis accepted")
+	if ops, err := fl.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0", GossipFanout: 3}); err == nil {
+		ops.Close(ctx)
+		t.Error("GossipFanout without Peers accepted at ServeOps")
 	}
 }

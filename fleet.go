@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"selfheal/internal/controlplane"
 	"selfheal/internal/core"
-	"selfheal/internal/httpapi"
 )
 
 // Fleet is N independent deterministic service replicas, each with its own
@@ -25,12 +23,6 @@ type Fleet struct {
 	cfg      config
 	replicas []*System
 	seeds    []int64
-	// collector tallies the event stream for the ops plane's /metrics;
-	// nil unless the fleet is federated (WithServeAddr / WithPeers).
-	collector *httpapi.Collector
-	// broker fans the same event stream out to live /events subscribers;
-	// nil unless the fleet is federated.
-	broker *controlplane.Broker
 	// gate is the fleet-wide learning freeze switch every replica's
 	// Healer shares (FreezeLearning / POST /admin/learning).
 	gate *core.Gate
@@ -78,35 +70,7 @@ func NewFleet(ctx context.Context, n int, opts ...Option) (*Fleet, error) {
 	if err := cfg.checkMix(); err != nil {
 		return nil, err
 	}
-	if cfg.compaction != nil {
-		kb, ok := cfg.syn.(*SharedSynopsis)
-		if !ok || kb == nil {
-			return nil, fmt.Errorf("selfheal: WithCompaction needs WithSynopsis(NewSharedSynopsis(...))")
-		}
-		if err := kb.EnableCompaction(*cfg.compaction); err != nil {
-			return nil, err
-		}
-	}
 	fl := &Fleet{cfg: cfg, gate: core.NewGate()}
-	cfg.learnGate = fl.gate
-	if cfg.federated() {
-		// Fail at construction, not at ServeOps, when federation is
-		// configured without a sequence-tracking shared knowledge base.
-		if _, err := cfg.sharedKB(); err != nil {
-			return nil, err
-		}
-		// The ops plane's /metrics tallies the same event stream any
-		// user sink consumes, and the broker fans it out live to /events
-		// subscribers; both sit next to the user's sink.
-		fl.collector = httpapi.NewCollector()
-		fl.broker = controlplane.NewBroker(0)
-		if cfg.sink != nil {
-			cfg.sink = MultiSink(fl.collector, fl.broker, cfg.sink)
-		} else {
-			cfg.sink = MultiSink(fl.collector, fl.broker)
-		}
-	}
-	fl.cfg = cfg
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -120,6 +84,7 @@ func NewFleet(ctx context.Context, n int, opts ...Option) (*Fleet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("selfheal: building replica %d: %w", i, err)
 		}
+		sys.Healer.Learn = fl.gate
 		fl.replicas = append(fl.replicas, sys)
 		fl.seeds = append(fl.seeds, seed)
 	}

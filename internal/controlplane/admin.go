@@ -26,8 +26,9 @@ type AdminHooks struct {
 	// SyncNow pulls every configured peer once (Ops.SyncNow); nil when
 	// the node has no peers.
 	SyncNow func(ctx context.Context) (int, error)
-	// Compact forces a knowledge-base compaction (Shared.Compact); nil
-	// when compaction is not enabled.
+	// Compact forces a knowledge-base compaction (Shared.Compact). Nil,
+	// or an error — Shared.Compact's refusal without a compaction cap —
+	// answers 409.
 	Compact func() (int, error)
 	// FreezeLearning freezes or thaws the fleet's learn path, reporting
 	// whether the call changed the state. Required.
@@ -187,7 +188,7 @@ func (a *Admin) handleCompact(r *http.Request) verbResult {
 	}
 	dropped, err := a.hooks.Compact()
 	if err != nil {
-		return verbResult{code: http.StatusInternalServerError, body: errBody(err.Error())}
+		return verbResult{code: http.StatusConflict, body: errBody(err.Error())}
 	}
 	return verbResult{
 		code:  http.StatusOK,

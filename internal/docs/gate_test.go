@@ -1,9 +1,9 @@
-// Package docs implements the repository's documentation gate: the `go`
-// code blocks in the markdown guides must stay real code (complete
-// programs must build against this module, fragments must at least
-// parse), and relative links — including #anchors — must point at files
-// and headings that exist. CI and `go test ./...` both run it through
-// this package's tests, so the docs cannot rot silently.
+// Package docs is the repository's documentation gate, and holds nothing
+// but tests: the `go` code blocks in the markdown guides must stay real
+// code (complete programs must build against this module, fragments must
+// at least parse), and relative links — including #anchors — must point
+// at files and headings that exist. CI and `go test ./...` both run it,
+// so the docs cannot rot silently.
 package docs
 
 import (

@@ -25,7 +25,7 @@ func teach(t *testing.T, kind selfheal.TargetKind, seed int64, faults []selfheal
 	syn := selfheal.NewNNSynopsis()
 	sys, err := selfheal.New(ctx,
 		selfheal.WithSeed(seed),
-		selfheal.WithTarget(kind),
+		selfheal.WithTargets(kind),
 		selfheal.WithSynopsis(syn))
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestMergedKnowledgeBaseHealsBothKinds(t *testing.T) {
 	for _, tc := range cases {
 		sys, err := selfheal.New(ctx,
 			selfheal.WithSeed(29),
-			selfheal.WithTarget(tc.kind),
+			selfheal.WithTargets(tc.kind),
 			selfheal.WithSynopsis(kb))
 		if err != nil {
 			t.Fatal(err)

@@ -124,7 +124,7 @@ var targetRegistry = struct {
 }{specs: make(map[TargetKind]TargetSpec), factories: make(map[TargetKind]TargetFactory)}
 
 // RegisterTarget installs a new managed-system kind under spec.Name,
-// making it available to New, NewFleet, WithTarget/WithTargets and every
+// making it available to New, NewFleet, WithTargets and every
 // cmd/ tool without editing the facade — the mirror of RegisterApproach
 // for the system being healed. Registering an empty name, a nil factory,
 // an empty fault catalog, or a name that is already taken returns an

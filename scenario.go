@@ -79,42 +79,6 @@ var (
 	MergeScenarioStats = scenario.Merge
 )
 
-// WorkloadShape is a standing workload regime applied to a System or
-// every Fleet replica at construction, before warmup — the facade form
-// of the WorkloadShaper capability for plain (non-scenario) runs.
-// Surge Start/End are ticks on the target's clock, which starts at 0
-// and includes warmup.
-type WorkloadShape struct {
-	// Scale multiplies the whole mix (0 = leave unchanged).
-	Scale float64
-	// Diurnal enables ±25% day/night load modulation.
-	Diurnal bool
-	// DriftPerTick shifts the mix toward read-heavy classes every tick.
-	DriftPerTick float64
-	// Surges multiply the whole mix by Factor over [Start, End) ticks.
-	Surges []LoadSurge
-}
-
-// WithWorkloadShape applies a standing workload regime — load scale,
-// diurnal modulation, drift, scheduled surges — to the system (or every
-// fleet replica) at construction. Construction fails if the configured
-// target kind does not implement WorkloadShaper (both built-in kinds
-// do).
-func WithWorkloadShape(shape WorkloadShape) Option {
-	return func(c *config) error {
-		if shape.Scale < 0 {
-			return fmt.Errorf("selfheal: negative workload scale %v", shape.Scale)
-		}
-		for _, s := range shape.Surges {
-			if s.End <= s.Start || s.Factor <= 0 {
-				return fmt.Errorf("selfheal: malformed load surge [%d,%d)×%v", s.Start, s.End, s.Factor)
-			}
-		}
-		c.shape = &shape
-		return nil
-	}
-}
-
 // WithScenario pins a scenario to the System or Fleet: the scenario is
 // validated against the target at construction (catalog coverage,
 // capabilities, component names), and RunScenario(ctx, nil) runs it.
@@ -130,22 +94,6 @@ func WithScenario(sc *Scenario) Option {
 		}
 		c.scenario = sc
 		return nil
-	}
-}
-
-// applyShape drives the WorkloadShaper capability from a WorkloadShape.
-func applyShape(ws targets.WorkloadShaper, shape WorkloadShape) {
-	if shape.Scale != 0 {
-		ws.SetLoadScale(shape.Scale)
-	}
-	if shape.Diurnal {
-		ws.EnableDiurnal()
-	}
-	if shape.DriftPerTick != 0 {
-		ws.SetLoadDrift(shape.DriftPerTick)
-	}
-	for _, s := range shape.Surges {
-		ws.AddLoadSurge(s.Start, s.End, s.Factor)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestWithScenarioRejectsWrongTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = selfheal.New(ctx,
-		selfheal.WithTarget(selfheal.TargetReplicated),
+		selfheal.WithTargets(selfheal.TargetReplicated),
 		selfheal.WithScenario(sc))
 	if err == nil || !strings.Contains(err.Error(), "written for target") {
 		t.Fatalf("auction scenario accepted on replicated target: %v", err)
@@ -94,14 +94,18 @@ func TestFleetRunScenarioMerges(t *testing.T) {
 	}
 }
 
-func TestWithWorkloadShape(t *testing.T) {
+// TestScenarioWorkloadBlock: a scenario's workload block is the standing
+// load regime of a run — its 3x scale raises offered load well past a
+// baseline system's, and a malformed block is refused at WithScenario.
+func TestScenarioWorkloadBlock(t *testing.T) {
 	ctx := context.Background()
-	// A standing 3x overload pushes the auction target into SLO trouble
-	// that a baseline run never sees.
-	shaped, err := selfheal.New(ctx,
-		selfheal.WithSeed(9),
-		selfheal.WithWorkloadShape(selfheal.WorkloadShape{Scale: 3, Diurnal: true}))
-	if err != nil {
+	shape := &selfheal.Scenario{
+		Name:     "overload",
+		Horizon:  1,
+		Workload: &selfheal.ScenarioWorkload{Scale: 3, Diurnal: true},
+	}
+	shaped := selfheal.MustNew(ctx, selfheal.WithSeed(9), selfheal.WithScenario(shape))
+	if _, err := shaped.RunScenario(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
 	base := selfheal.MustNew(ctx, selfheal.WithSeed(9))
@@ -114,15 +118,16 @@ func TestWithWorkloadShape(t *testing.T) {
 	}
 	b, sh := sum(base), sum(shaped)
 	if sh <= 2*b {
-		t.Fatalf("3x shape raised offered load only %.0f -> %.0f", b, sh)
+		t.Fatalf("3x workload block raised offered load only %.0f -> %.0f", b, sh)
 	}
 
-	for _, bad := range []selfheal.WorkloadShape{
+	for _, bad := range []selfheal.ScenarioWorkload{
 		{Scale: -1},
 		{Surges: []selfheal.LoadSurge{{Start: 10, End: 5, Factor: 2}}},
 	} {
-		if _, err := selfheal.New(ctx, selfheal.WithWorkloadShape(bad)); err == nil {
-			t.Fatalf("malformed shape %+v accepted", bad)
+		sc := &selfheal.Scenario{Name: "bad", Horizon: 100, Workload: &bad}
+		if _, err := selfheal.New(ctx, selfheal.WithScenario(sc)); err == nil {
+			t.Fatalf("malformed workload block %+v accepted", bad)
 		}
 	}
 }

@@ -27,15 +27,18 @@
 // NewSharedSynopsis): reads ride lock-free copy-on-write snapshots, writes
 // batch at episode granularity (WithLearnBatch). New techniques plug into
 // everything above through RegisterApproach, without editing this package.
+// A fleet over a shared knowledge base becomes one node of a federated
+// knowledge plane with Fleet.ServeOps and a NodeSpec: its ops endpoints,
+// its peers, and the guards in front of them.
 //
 // The system being healed is itself pluggable: a Target (internal/targets)
 // is any managed system that can advance a tick under workload, expose
 // metric samples and a call matrix, accept fault injection and apply
 // recovery actions, carrying its own fault/fix catalog (TargetSpec). Two
 // targets ship — the default "auction" simulator and a "replicated"
-// three-tier topology with failover routing — selected per System with
-// WithTarget and mixed across a Fleet with WithTargets; new target kinds
-// plug in through RegisterTarget exactly as approaches do through
+// three-tier topology with failover routing — selected per System and
+// mixed across a Fleet with WithTargets; new target kinds plug in
+// through RegisterTarget exactly as approaches do through
 // RegisterApproach. See ADDING_TARGETS.md.
 //
 // Everything underneath lives in internal/ packages: the managed-system
@@ -74,7 +77,7 @@ type (
 	// constructors and generators produce faults only that target can
 	// inject.
 	Fault = core.Fault
-	// Target is one managed system under healing; see WithTarget and
+	// Target is one managed system under healing; see WithTargets and
 	// RegisterTarget.
 	Target = targets.Target
 	// TargetSpec is a target kind's static catalog: its fault kinds,
@@ -109,7 +112,8 @@ type (
 	SharedSynopsis = synopsis.Shared
 	// Compaction is the bounded-memory mode of a shared knowledge base:
 	// exact-duplicate collapse, near-duplicate merge, and capped arrival
-	// log with oldest-first, failures-first eviction. See WithCompaction.
+	// log with oldest-first, failures-first eviction. Turn it on with
+	// SharedSynopsis.EnableCompaction.
 	Compaction = synopsis.Compaction
 	// FixID identifies one of Table 1's candidate fixes.
 	FixID = catalog.FixID
@@ -165,37 +169,22 @@ const (
 
 // config is the resolved option set shared by New and NewFleet.
 type config struct {
-	seed                int64
-	approachKind        ApproachKind
-	approach            Approach
-	syn                 Synopsis
-	targetKinds         []TargetKind
-	targetInstance      Target
-	mix                 string
-	threshold           int
-	adminDelayTicks     int
-	noEscalationRestart bool
-	sink                EventSink
-	workers             int
-	learnBatch          int
-	serveAddr           string
-	peers               []string
-	gossipFanout        int
-	compaction          *Compaction
-	shape               *WorkloadShape
-	scenario            *Scenario
-	// Control-plane settings (see controlplane.go). learnGate is set by
-	// NewFleet so every replica's Healer shares one freeze/thaw switch.
-	learnGate   *core.Gate
-	authToken   string
-	adminToken  string
-	rateRPS     float64
-	rateBurst   int
-	logRequests bool
+	seed            int64
+	approachKind    ApproachKind
+	approach        Approach
+	syn             Synopsis
+	targetKinds     []TargetKind
+	targetInstance  Target
+	mix             string
+	adminDelayTicks int
+	sink            EventSink
+	workers         int
+	learnBatch      int
+	scenario        *Scenario
 }
 
 // applyScenarioDefaults lets a pinned scenario select the target kind
-// when no WithTarget/WithTargets was given.
+// when no WithTargets was given.
 func (c *config) applyScenarioDefaults() {
 	if c.scenario != nil && c.scenario.Target != "" && len(c.targetKinds) == 0 {
 		c.targetKinds = []TargetKind{TargetKind(c.scenario.Target)}
@@ -207,8 +196,8 @@ func defaultConfig() config {
 }
 
 // targetKindFor returns the target kind replica i runs: WithTargets
-// round-robins a heterogeneous fleet, WithTarget pins one kind, and the
-// default is the auction simulator.
+// round-robins a heterogeneous fleet, and the default is the auction
+// simulator.
 func (c *config) targetKindFor(i int) TargetKind {
 	if len(c.targetKinds) == 0 {
 		return TargetAuction
@@ -324,25 +313,14 @@ func WithSynopsis(s Synopsis) Option {
 	}
 }
 
-// WithTarget picks the managed system being healed by registered target
-// kind (default TargetAuction, the RUBiS-style simulator). The target's
-// spec supplies its fault catalog, candidate fixes, workload mixes and
-// default SLO.
-func WithTarget(kind TargetKind) Option {
-	return func(c *config) error {
-		if kind == "" {
-			kind = TargetAuction
-		}
-		c.targetKinds = []TargetKind{kind}
-		return nil
-	}
-}
-
-// WithTargets builds a heterogeneous fleet: replica i runs target kind
-// kinds[i mod len(kinds)]. With a shared knowledge base the targets pool
-// experience across kinds — symptom dimensions with shared metric names
-// align, target-specific dimensions only discriminate within their own
-// kind. A single System uses kinds[0].
+// WithTargets picks the managed systems being healed by registered
+// target kind (default TargetAuction, the RUBiS-style simulator); each
+// kind's spec supplies its fault catalog, candidate fixes, workload
+// mixes and default SLO. A single System runs kinds[0]; fleet replica i
+// runs kinds[i mod len(kinds)]. With a shared knowledge base a
+// heterogeneous fleet pools experience across kinds — symptom dimensions
+// with shared metric names align, target-specific dimensions only
+// discriminate within their own kind.
 func WithTargets(kinds ...TargetKind) Option {
 	return func(c *config) error {
 		if len(kinds) == 0 {
@@ -381,24 +359,6 @@ func WithWorkloadMix(name string) Option {
 	return func(c *config) error { c.mix = name; return nil }
 }
 
-// WithBrowsingMix switches the workload to the read-only RUBiS browsing
-// mix — shorthand for WithWorkloadMix("browsing") on the auction target.
-func WithBrowsingMix() Option {
-	return WithWorkloadMix("browsing")
-}
-
-// WithThreshold overrides the Figure 3 THRESHOLD: failed attempts before
-// escalation.
-func WithThreshold(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("selfheal: threshold %d < 1", n)
-		}
-		c.threshold = n
-		return nil
-	}
-}
-
 // WithAdminDelayTicks overrides the human response time after NotifyAdmin
 // (default 600 simulated seconds).
 func WithAdminDelayTicks(n int) Option {
@@ -409,11 +369,6 @@ func WithAdminDelayTicks(n int) Option {
 		c.adminDelayTicks = n
 		return nil
 	}
-}
-
-// WithoutEscalationRestart disables the full restart at escalation.
-func WithoutEscalationRestart() Option {
-	return func(c *config) error { c.noEscalationRestart = true; return nil }
 }
 
 // WithEventSink attaches an episode event stream consumer. A sink given to
@@ -492,9 +447,6 @@ func New(ctx context.Context, opts ...Option) (*System, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.federated() {
-		return nil, fmt.Errorf("selfheal: WithServeAddr/WithPeers are fleet-scoped; use NewFleet (a fleet of 1 is the single system)")
-	}
 	cfg.applyScenarioDefaults()
 	if err := cfg.checkMix(); err != nil {
 		return nil, err
@@ -515,13 +467,6 @@ func newSystem(cfg *config, kind TargetKind, seed int64, sink EventSink) (*Syste
 		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.shape != nil {
-		ws, ok := t.(targets.WorkloadShaper)
-		if !ok {
-			return nil, fmt.Errorf("selfheal: target %q does not implement WorkloadShaper; WithWorkloadShape needs one that does", kind)
-		}
-		applyShape(ws, *cfg.shape)
 	}
 	hcfg := core.DefaultHarnessConfig()
 	hcfg.Seed = seed
@@ -556,20 +501,13 @@ func newSystem(cfg *config, kind TargetKind, seed int64, sink EventSink) (*Syste
 		}
 	}
 	h := core.NewTargetHarness(t, hcfg)
-	if cfg.threshold > 0 {
-		hlcfg.Threshold = cfg.threshold
-	}
 	if cfg.adminDelayTicks > 0 {
 		hlcfg.AdminDelayTicks = cfg.adminDelayTicks
-	}
-	if cfg.noEscalationRestart {
-		hlcfg.EscalateRestart = false
 	}
 	hlcfg.LearnBatch = cfg.learnBatch
 	hl := core.NewHealer(h, approach, hlcfg)
 	hl.AdminOracle = t.CorrectFix
 	hl.Sink = sink
-	hl.Learn = cfg.learnGate
 	if cfg.scenario != nil {
 		// Validate the pinned scenario against this concrete target now —
 		// catalog coverage, capabilities, component names — instead of at

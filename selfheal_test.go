@@ -41,7 +41,6 @@ func TestSystemDefaults(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	ctx := context.Background()
 	bad := []selfheal.Option{
-		selfheal.WithThreshold(0),
 		selfheal.WithAdminDelayTicks(-1),
 		selfheal.WithWorkers(0),
 		selfheal.WithEventSink(nil),

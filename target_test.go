@@ -51,16 +51,16 @@ func TestTargetRegistry(t *testing.T) {
 
 func TestWithTargetValidation(t *testing.T) {
 	ctx := context.Background()
-	if _, err := selfheal.New(ctx, selfheal.WithTarget("nope")); err == nil {
+	if _, err := selfheal.New(ctx, selfheal.WithTargets("nope")); err == nil {
 		t.Error("unknown target accepted")
 	}
 	if _, err := selfheal.New(ctx,
-		selfheal.WithTarget(selfheal.TargetReplicated),
+		selfheal.WithTargets(selfheal.TargetReplicated),
 		selfheal.WithWorkloadMix("bidding")); err == nil {
 		t.Error("replicated target accepted the auction bidding mix")
 	}
 	sys, err := selfheal.New(ctx,
-		selfheal.WithTarget(selfheal.TargetReplicated),
+		selfheal.WithTargets(selfheal.TargetReplicated),
 		selfheal.WithWorkloadMix("readheavy"))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestReplicatedSystemHealsEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	sys, err := selfheal.New(ctx,
 		selfheal.WithSeed(9),
-		selfheal.WithTarget(selfheal.TargetReplicated))
+		selfheal.WithTargets(selfheal.TargetReplicated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCampaignKindsValidatedPerTarget(t *testing.T) {
 
 func TestSystemNewFaultsScoped(t *testing.T) {
 	ctx := context.Background()
-	sys, err := selfheal.New(ctx, selfheal.WithTarget(selfheal.TargetReplicated))
+	sys, err := selfheal.New(ctx, selfheal.WithTargets(selfheal.TargetReplicated))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestEventTargetStamp(t *testing.T) {
 	var targets []string
 	sys := selfheal.MustNew(ctx,
 		selfheal.WithSeed(9),
-		selfheal.WithTarget(selfheal.TargetReplicated),
+		selfheal.WithTargets(selfheal.TargetReplicated),
 		selfheal.WithEventSink(selfheal.EventFunc(func(ev selfheal.Event) {
 			targets = append(targets, ev.Target)
 		})),
@@ -271,7 +271,7 @@ func TestWorkloadMixScopedPerKind(t *testing.T) {
 // whole-number average leaves at zero; a per-tick allocation reads 1.
 func TestSteadyStateStepAllocatesNothing(t *testing.T) {
 	for _, kind := range []selfheal.TargetKind{selfheal.TargetAuction, selfheal.TargetReplicated} {
-		sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(3), selfheal.WithTarget(kind))
+		sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(3), selfheal.WithTargets(kind))
 		sys.StepN(5000)
 		if allocs := testing.AllocsPerRun(2000, func() { sys.Step() }); allocs != 0 {
 			t.Errorf("%s: %v allocations per steady-state Step, want 0", kind, allocs)
