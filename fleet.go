@@ -164,6 +164,10 @@ type FleetStats struct {
 	Episodes int
 	// Detected counts episodes whose failure the monitor declared.
 	Detected int
+	// Latent counts undetected episodes that never violated the SLO (see
+	// Episode.Latent); the rest of the undetected are the detector's
+	// misses.
+	Latent int
 	// Recovered counts episodes that ended with a clean service window.
 	Recovered int
 	// Escalated counts episodes that reached the administrator.
@@ -293,6 +297,9 @@ func (fl *Fleet) RunCampaign(ctx context.Context, c Campaign) (*FleetResult, err
 			res.Stats.Episodes++
 			if ep.Detected {
 				res.Stats.Detected++
+			}
+			if ep.Latent {
+				res.Stats.Latent++
 			}
 			if ep.Escalated {
 				res.Stats.Escalated++

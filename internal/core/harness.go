@@ -26,7 +26,9 @@ type HarnessConfig struct {
 	WindowTicks int
 	// DetectK of WindowTicks violated ticks declares a failure.
 	DetectK int
-	// HistoryTicks bounds the retained metric history.
+	// HistoryTicks bounds the retained metric history, and with it the
+	// healer's wait for an injected fault to become detectable: a failure
+	// surfacing later would have its injection outside that history.
 	HistoryTicks int
 	SLO          detect.SLO
 	// Clock paces the tick loop. Nil means: the target's own clock when

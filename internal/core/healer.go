@@ -24,6 +24,8 @@ type HealerConfig struct {
 	// recovery "limited to slower human timescales" (§1).
 	AdminDelayTicks int
 	// EpisodeBudget bounds one episode's total ticks as a safety net.
+	// RunEpisode's wait for detection is further bounded by the harness's
+	// HistoryTicks (see RunEpisode).
 	EpisodeBudget int
 	// EscalateRestart applies the full restart at threshold (Figure 3
 	// line 19). Disable for learning experiments where downtime accounting
@@ -65,11 +67,16 @@ type Episode struct {
 	// Err records why the episode never ran: the fault was built for a
 	// different target kind and injection was refused. Nil for every
 	// episode the loop actually drove, including failed ones.
-	Err         error
-	Fault       Fault
-	InjectedAt  int64
-	Detected    bool
-	DetectedAt  int64
+	Err        error
+	Fault      Fault
+	InjectedAt int64
+	Detected   bool
+	DetectedAt int64
+	// Latent reports an undetected episode whose wait for detection saw
+	// not one SLO-violating tick: the fault did no visible harm at this
+	// load, so it is not a miss of the detector. False for a cancelled
+	// wait, which is neither latent nor missed.
+	Latent      bool
 	Attempts    []Attempt
 	Escalated   bool
 	Recovered   bool
@@ -182,6 +189,7 @@ func (hl *Healer) FlushLearned() {
 	if hl.Learn != nil && hl.Learn.Frozen() {
 		// Frozen between buffering and flush: the operator asked for no
 		// new knowledge, so the buffered labels are dropped, not parked.
+		clear(hl.pending)
 		hl.pending = hl.pending[:0]
 		return
 	}
@@ -192,6 +200,9 @@ func (hl *Healer) FlushLearned() {
 			hl.Approach.Observe(o.Ctx, o.Action, o.Success)
 		}
 	}
+	// Nil the contexts before truncating: each one's History pins its
+	// window of metric blocks, which the backing array would keep alive.
+	clear(hl.pending)
 	hl.pending = hl.pending[:0]
 }
 
@@ -220,6 +231,12 @@ func (hl *Healer) applyAction(a Action) {
 // A fault built for a different target kind is refused by the target: the
 // episode returns immediately with Err set and nothing injected —
 // campaigns should draw from the target's own fault generator.
+//
+// The wait for detection lasts at most min(EpisodeBudget, HistoryTicks)
+// ticks: a failure surfacing later has its injection outside the History
+// BuildContext hands to diagnosis, so waiting longer buys no evidence
+// about this fault. EpisodeBudget still bounds the whole episode from
+// InjectedAt.
 func (hl *Healer) RunEpisode(ctx context.Context, f Fault) Episode {
 	h := hl.H
 	// Bind the episode context to the clock for the whole episode, so
@@ -236,8 +253,10 @@ func (hl *Healer) RunEpisode(ctx context.Context, f Fault) Episode {
 	hl.emit(Event{Kind: EventFaultInjected, Tick: ep.InjectedAt, Fault: f})
 
 	budget := hl.Cfg.EpisodeBudget
-	if !h.RunUntilFailing(ctx, budget) {
+	violations := h.Monitor.Violations
+	if !h.RunUntilFailing(ctx, min(budget, h.Cfg.HistoryTicks)) {
 		// The fault never became SLO-visible; let it age out quietly.
+		ep.Latent = ctx.Err() == nil && h.Monitor.Violations == violations
 		h.Target.Reap()
 		hl.endEpisode()
 		return ep

@@ -86,6 +86,10 @@ type Monitor struct {
 	// violCount is the number of true entries in window, maintained
 	// incrementally so Failing is O(1) on the per-tick path.
 	violCount int
+
+	// Violations counts every violating tick ever observed; Reset keeps
+	// it, so a caller can tell whether any tick between two reads was bad.
+	Violations int64
 }
 
 // NewMonitor builds a K-of-N monitor.
@@ -111,6 +115,7 @@ func (m *Monitor) Observe(st Sample) bool {
 	}
 	if v {
 		m.violCount++
+		m.Violations++
 	}
 	m.window[m.pos] = v
 	m.pos = (m.pos + 1) % m.N

@@ -290,7 +290,8 @@ type HarnessTuning struct {
 	WindowTicks int
 	// DetectK of WindowTicks violated ticks declares a failure.
 	DetectK int
-	// HistoryTicks bounds retained metric history.
+	// HistoryTicks bounds retained metric history and the healer's wait
+	// for an injected fault to be detected.
 	HistoryTicks int
 	// CheckTicks bounds the post-fix clean-window wait.
 	CheckTicks int
