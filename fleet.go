@@ -168,6 +168,9 @@ type FleetStats struct {
 	// Episode.Latent); the rest of the undetected are the detector's
 	// misses.
 	Latent int
+	// Withdrawn counts episodes whose fault was still live at the end
+	// and was withdrawn (see Episode.Withdrawn).
+	Withdrawn int
 	// Recovered counts episodes that ended with a clean service window.
 	Recovered int
 	// Escalated counts episodes that reached the administrator.
@@ -300,6 +303,9 @@ func (fl *Fleet) RunCampaign(ctx context.Context, c Campaign) (*FleetResult, err
 			}
 			if ep.Latent {
 				res.Stats.Latent++
+			}
+			if ep.Withdrawn {
+				res.Stats.Withdrawn++
 			}
 			if ep.Escalated {
 				res.Stats.Escalated++

@@ -81,6 +81,10 @@ type Episode struct {
 	Escalated   bool
 	Recovered   bool
 	RecoveredAt int64
+	// Withdrawn reports that the fault was still live when the episode
+	// ended — undetected, unrecovered, or masked by a recovery that left
+	// its cause in place — and the target's FaultClearer withdrew it.
+	Withdrawn bool
 	// CorrectFirst reports whether the first attempt succeeded.
 	CorrectFirst bool
 }
@@ -226,8 +230,11 @@ func (hl *Healer) applyAction(a Action) {
 }
 
 // RunEpisode injects f and heals the resulting failure to completion. The
-// context cancels the episode: on cancellation or deadline the loop stops
-// stepping, reaps the fault, and returns the episode as observed so far.
+// episode owns its fault: when it returns, f is gone — healed, or
+// withdrawn through the target's FaultClearer (see withdraw) — so the
+// next episode starts from a clean slate. The context cancels the
+// episode: on cancellation or deadline the loop stops stepping, reaps,
+// and returns the episode as observed so far, its fault still in place.
 // A fault built for a different target kind is refused by the target: the
 // episode returns immediately with Err set and nothing injected —
 // campaigns should draw from the target's own fault generator.
@@ -255,8 +262,10 @@ func (hl *Healer) RunEpisode(ctx context.Context, f Fault) Episode {
 	budget := hl.Cfg.EpisodeBudget
 	violations := h.Monitor.Violations
 	if !h.RunUntilFailing(ctx, min(budget, h.Cfg.HistoryTicks)) {
-		// The fault never became SLO-visible; let it age out quietly.
+		// The fault never became SLO-visible: withdraw it rather than
+		// leave it to stack under the next episode's fault.
 		ep.Latent = ctx.Err() == nil && h.Monitor.Violations == violations
+		hl.withdraw(ctx, &ep)
 		h.Target.Reap()
 		hl.endEpisode()
 		return ep
@@ -266,12 +275,28 @@ func (hl *Healer) RunEpisode(ctx context.Context, f Fault) Episode {
 	hl.emit(Event{Kind: EventDetected, Tick: ep.DetectedAt})
 
 	hl.attemptLoop(ctx, &ep, budget)
+	hl.withdraw(ctx, &ep)
 	h.Target.Reap()
 	if ep.Recovered {
 		hl.emit(Event{Kind: EventRecovered, Tick: ep.RecoveredAt, TTR: ep.TTR()})
 	}
 	hl.endEpisode()
 	return ep
+}
+
+// withdraw clears the episode's fault when it is still live at the
+// episode's end and the target is a FaultClearer: one outage is counted
+// once, not again by every later episode on the replica. A cancelled
+// episode withdraws nothing — a real target's clearing does I/O that
+// must not run during shutdown.
+func (hl *Healer) withdraw(ctx context.Context, ep *Episode) {
+	c, ok := hl.H.Target.(targets.FaultClearer)
+	if !ok || ctx.Err() != nil {
+		return
+	}
+	if _, live := hl.H.Target.CorrectFix(); live {
+		ep.Withdrawn = c.ClearFault(ep.Fault) == nil
+	}
 }
 
 // HealDetected heals a failure the SLO monitor has already declared,

@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/service"
@@ -33,6 +34,10 @@ type Fault interface {
 	Inject(env *Env)
 	// Cleared reports whether the fault's effect is gone from the service.
 	Cleared(env *Env) bool
+	// Clear is the exact inverse of Inject: it withdraws this fault's own
+	// effect without a fix, after which Cleared reports true at once.
+	// Clearing a fault that Cleared already reports gone is a no-op.
+	Clear(env *Env)
 }
 
 // Env is everything a fault may touch: the service and (for offered-load
@@ -97,6 +102,15 @@ func (in *Injector) Reap() []Fault {
 	}
 	in.active = live
 	return cleared
+}
+
+// Withdraw clears f's effect if f is still active, then reaps. A fault
+// already reaped is left alone: its state may since belong to another.
+func (in *Injector) Withdraw(f Fault) {
+	if slices.Contains(in.active, f) {
+		f.Clear(&in.env)
+		in.Reap()
+	}
 }
 
 // Reset clears the active set without touching the service (used after a

@@ -34,6 +34,9 @@ func (f *Deadlock) Inject(env *Env) { env.Svc.App.EJB(f.target).Deadlocked = tru
 // Cleared implements Fault.
 func (f *Deadlock) Cleared(env *Env) bool { return !env.Svc.App.EJB(f.target).Deadlocked }
 
+// Clear implements Fault.
+func (f *Deadlock) Clear(env *Env) { env.Svc.App.EJB(f.target).Deadlocked = false }
+
 // Exception makes a fraction of one EJB's invocations fail fast
 // (Table 1 row 2).
 type Exception struct {
@@ -54,6 +57,9 @@ func (f *Exception) Inject(env *Env) { env.Svc.App.EJB(f.target).ErrorRate = f.R
 
 // Cleared implements Fault.
 func (f *Exception) Cleared(env *Env) bool { return env.Svc.App.EJB(f.target).ErrorRate == 0 }
+
+// Clear implements Fault.
+func (f *Exception) Clear(env *Env) { env.Svc.App.EJB(f.target).ErrorRate = 0 }
 
 // Aging leaks resources in one tier until it crashes (Table 1 row 3,
 // ref [26]).
@@ -88,6 +94,19 @@ func (f *Aging) Cleared(env *Env) bool {
 	return ts.Aging.LeakRate == 0 && ts.Aging.Level < 0.05
 }
 
+// Clear implements Fault: the leak stops and what it leaked is returned,
+// including the app tier's heap.
+func (f *Aging) Clear(env *Env) {
+	if f.Cleared(env) {
+		return
+	}
+	env.Svc.Tier(f.tier).Aging = service.Aging{}
+	if f.tier == catalog.TierApp {
+		env.Svc.App.LeakMBTick = 0
+		env.Svc.App.HeapUsedMB = env.Svc.Config().BaseHeapMB
+	}
+}
+
 // StaleStats makes the optimizer pick a suboptimal plan for one table's
 // queries (Table 1 row 4, ref [1]).
 type StaleStats struct {
@@ -113,6 +132,10 @@ func (f *StaleStats) Inject(env *Env) {
 // Cleared implements Fault.
 func (f *StaleStats) Cleared(env *Env) bool { return !env.Svc.DB.Table(f.target).StatsStale }
 
+// Clear implements Fault: the planner ignores PlanSlowdown once the
+// statistics are fresh.
+func (f *StaleStats) Clear(env *Env) { env.Svc.DB.Table(f.target).StatsStale = false }
+
 // BlockContention adds read/write contention on one table's hot block
 // (Table 1 row 5, ref [12]).
 type BlockContention struct {
@@ -135,6 +158,9 @@ func (f *BlockContention) Inject(env *Env) { env.Svc.DB.Table(f.target).Contenti
 
 // Cleared implements Fault.
 func (f *BlockContention) Cleared(env *Env) bool { return env.Svc.DB.Table(f.target).Contention == 0 }
+
+// Clear implements Fault.
+func (f *BlockContention) Clear(env *Env) { env.Svc.DB.Table(f.target).Contention = 0 }
 
 // BufferContention shrinks the effective database buffer allocation
 // (Table 1 row 6, ref [24]).
@@ -165,6 +191,13 @@ func (f *BufferContention) Cleared(env *Env) bool {
 	return b.EffectiveMB >= b.ConfiguredMB*0.95
 }
 
+// Clear implements Fault.
+func (f *BufferContention) Clear(env *Env) {
+	if !f.Cleared(env) {
+		env.Svc.DB.Buffer.Rebalance()
+	}
+}
+
 // Bottleneck drives offered load past one tier's capacity (Table 1 row 7,
 // ref [25]). It manipulates the workload generator rather than the service.
 type Bottleneck struct {
@@ -172,7 +205,9 @@ type Bottleneck struct {
 	tier     catalog.Tier
 	Factor   float64
 	Duration int64
-	start    int64
+	// surge is the load this fault added; its End closes the fault's
+	// clearance window, early when Clear withdraws it.
+	surge workload.Surge
 }
 
 // NewBottleneck builds a load-surge fault stressing the given tier.
@@ -219,19 +254,20 @@ func surgeClasses(tier catalog.Tier) []int {
 
 // Inject implements Fault.
 func (f *Bottleneck) Inject(env *Env) {
-	f.start = env.Svc.Now()
-	env.Gen.AddSurge(workload.Surge{
-		Start:   f.start,
-		End:     f.start + f.Duration,
+	start := env.Svc.Now()
+	f.surge = workload.Surge{
+		Start:   start,
+		End:     start + f.Duration,
 		Factor:  f.Factor,
 		Classes: surgeClasses(f.tier),
-	})
+	}
+	env.Gen.AddSurge(f.surge)
 }
 
 // Cleared implements Fault: the bottleneck is gone when the surge expired
 // or the tier has been provisioned enough to absorb it.
 func (f *Bottleneck) Cleared(env *Env) bool {
-	if env.Svc.Now() >= f.start+f.Duration {
+	if env.Svc.Now() >= f.surge.End {
 		return true
 	}
 	st := env.Svc.Last()
@@ -253,6 +289,17 @@ func (f *Bottleneck) Cleared(env *Env) bool {
 		}
 	}
 	return u < 0.88 && !st.Down
+}
+
+// Clear implements Fault: the surge ends now, in the generator and in the
+// fault's own clearance window.
+func (f *Bottleneck) Clear(env *Env) {
+	if f.Cleared(env) {
+		return
+	}
+	now := env.Svc.Now()
+	env.Gen.EndSurge(f.surge, now)
+	f.surge.End = now
 }
 
 // CodeBug is a persistent application defect (Table 1 row 8): its error
@@ -281,6 +328,9 @@ func (f *CodeBug) Inject(env *Env) { env.Svc.App.EJB(f.target).BugErrorRate = f.
 
 // Cleared implements Fault.
 func (f *CodeBug) Cleared(env *Env) bool { return env.Svc.App.EJB(f.target).BugErrorRate == 0 }
+
+// Clear implements Fault.
+func (f *CodeBug) Clear(env *Env) { env.Svc.App.EJB(f.target).BugErrorRate = 0 }
 
 // OperatorConfig is an operator misconfiguration (the dominant Figure 1
 // cause).
@@ -323,16 +373,29 @@ func (f *OperatorConfig) Cleared(env *Env) bool {
 	}
 }
 
+// Clear implements Fault: only this fault's knob goes back to its
+// known-good setting.
+func (f *OperatorConfig) Clear(env *Env) {
+	if !f.Cleared(env) {
+		env.Svc.RestoreKnob(f.Knob, f.target)
+	}
+}
+
 // Hardware takes nodes of one tier out of service.
 type Hardware struct {
 	base
 	tier  catalog.Tier
 	Nodes int
+	// taken counts the nodes this fault holds down; withdrawn marks them
+	// given back by Clear, while other faults may still hold the tier's
+	// remaining failed nodes.
+	taken     int
+	withdrawn bool
 }
 
 // NewHardware builds a hardware-failure fault.
 func NewHardware(tier catalog.Tier, nodes int) *Hardware {
-	return &Hardware{base{catalog.FaultHardware, catalog.CauseHardware, tier.String()}, tier, nodes}
+	return &Hardware{base: base{catalog.FaultHardware, catalog.CauseHardware, tier.String()}, tier: tier, Nodes: nodes}
 }
 
 // CorrectFix implements Fault.
@@ -343,14 +406,30 @@ func (f *Hardware) CorrectFix() (catalog.FixID, string) {
 // Inject implements Fault.
 func (f *Hardware) Inject(env *Env) {
 	ts := env.Svc.Tier(f.tier)
-	ts.NodesDown += f.Nodes
-	if ts.NodesDown >= ts.Nodes {
-		ts.NodesDown = ts.Nodes - 1 // at least one node limps on
+	if ts.NodesDown == 0 {
+		f.taken = 0 // a failover gave every node back
 	}
+	down := min(ts.NodesDown+f.Nodes, ts.Nodes-1) // at least one node limps on
+	f.taken += down - ts.NodesDown
+	ts.NodesDown = down
+	f.withdrawn = false
 }
 
 // Cleared implements Fault.
-func (f *Hardware) Cleared(env *Env) bool { return env.Svc.Tier(f.tier).NodesDown == 0 }
+func (f *Hardware) Cleared(env *Env) bool {
+	return f.withdrawn || env.Svc.Tier(f.tier).NodesDown == 0
+}
+
+// Clear implements Fault: only the nodes this fault took come back.
+func (f *Hardware) Clear(env *Env) {
+	if f.Cleared(env) {
+		return
+	}
+	ts := env.Svc.Tier(f.tier)
+	ts.NodesDown = max(ts.NodesDown-f.taken, 0)
+	f.taken = 0
+	f.withdrawn = true
+}
 
 // Network degrades inter-tier networking.
 type Network struct {
@@ -379,4 +458,10 @@ func (f *Network) Inject(env *Env) {
 // Cleared implements Fault.
 func (f *Network) Cleared(env *Env) bool {
 	return env.Svc.Net.ExtraLatencyMS == 0 && env.Svc.Net.LossRate == 0
+}
+
+// Clear implements Fault.
+func (f *Network) Clear(env *Env) {
+	env.Svc.Net.ExtraLatencyMS = 0
+	env.Svc.Net.LossRate = 0
 }

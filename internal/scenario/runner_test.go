@@ -28,6 +28,11 @@ func newHealer(t *testing.T, kind string, seed int64, approach core.Approach, si
 	if err != nil {
 		t.Fatal(err)
 	}
+	return healerFor(tg, seed, approach, sink)
+}
+
+// healerFor builds the harness+healer stack around an existing target.
+func healerFor(tg targets.Target, seed int64, approach core.Approach, sink core.EventSink) *core.Healer {
 	hcfg := core.DefaultHarnessConfig()
 	hcfg.Seed = seed
 	hcfg.SLO = tg.Spec().SLO
@@ -52,6 +57,13 @@ func (r *recordSink) Emit(ev core.Event) {
 		ev.Kind, ev.Tick, ev.Episode, ev.Label, ev.Severity, ev.Attempt, ev.Success, ev.Action, ev.TTR, fault))
 }
 
+// noClearer is a target without the FaultClearer capability that still
+// makes scenario faults.
+type noClearer struct {
+	targets.Target
+	targets.FaultMaker
+}
+
 func TestRunnerCapabilityValidation(t *testing.T) {
 	// Grey severity on the auction target: no PartialInjector.
 	grey := New("g").Horizon(500).
@@ -60,11 +72,28 @@ func TestRunnerCapabilityValidation(t *testing.T) {
 	if _, err := NewRunner(grey, hl); err == nil {
 		t.Fatal("grey scenario accepted on a target without PartialInjector")
 	}
-	// Flapping on the auction target: no FaultClearer.
+	// Flapping on a target without FaultClearer: the auction target with
+	// that capability hidden and its FaultMaker kept.
 	flap := New("f").Horizon(500).
 		Flapping(10, "a", FaultSpec{Kind: "aging"}, 50, 50, 2).MustBuild()
-	if _, err := NewRunner(flap, newHealer(t, targets.AuctionName, 1, nnApproach(), nil)); err == nil {
+	auction, err := targets.NewAuction(targets.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(flap, healerFor(noClearer{auction, auction}, 1, nnApproach(), nil)); err == nil {
 		t.Fatal("flapping scenario accepted on a target without FaultClearer")
+	}
+	// The auction target itself clears faults, so the same scenario runs.
+	r, err := NewRunner(flap, newHealer(t, targets.AuctionName, 1, nnApproach(), nil))
+	if err != nil {
+		t.Fatalf("flapping scenario refused on auction: %v", err)
+	}
+	st, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatalf("flapping auction run: %v", err)
+	}
+	if st.Injections != 2 || st.Clears != 2 {
+		t.Fatalf("flapping auction run: %d injections, %d clears, want 2 and 2", st.Injections, st.Clears)
 	}
 	// Kind outside the target's catalog.
 	off := New("o").Horizon(500).

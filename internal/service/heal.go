@@ -178,16 +178,37 @@ func (s *Service) BreakConfig(knob OperatorKnob, target string, severity float64
 	}
 }
 
+// RestoreKnob reverts one operator misconfiguration to the known-good
+// configuration and leaves every other setting as it is. target names the
+// table for KnobDroppedIndex, as in BreakConfig.
+func (s *Service) RestoreKnob(knob OperatorKnob, target string) {
+	switch knob {
+	case KnobSmallThreadPool:
+		s.App.Threads = s.goodConfig.AppThreads
+	case KnobSmallConnPool:
+		s.DB.Connections = s.goodConfig.DBConnections
+	case KnobRoutingSkew:
+		s.Web.RoutingSkew = 0
+		s.App.RoutingSkew = 0
+	case KnobDroppedIndex:
+		s.DB.Table(target).IndexDropped = false
+	case KnobSmallBuffer:
+		s.DB.Buffer.EffectiveMB = s.goodConfig.BufferMB
+	}
+	if s.brokenKnob == knob && s.knobTarget == target {
+		s.brokenKnob = KnobNone
+		s.knobTarget = ""
+	}
+}
+
 // RestoreConfig reverts every operator misconfiguration to the last
 // known-good configuration.
 func (s *Service) RestoreConfig() {
-	s.App.Threads = s.goodConfig.AppThreads
-	s.DB.Connections = s.goodConfig.DBConnections
-	s.Web.RoutingSkew = 0
-	s.App.RoutingSkew = 0
-	s.DB.Buffer.EffectiveMB = s.goodConfig.BufferMB
+	for _, k := range []OperatorKnob{KnobSmallThreadPool, KnobSmallConnPool, KnobRoutingSkew, KnobSmallBuffer} {
+		s.RestoreKnob(k, "")
+	}
 	if s.brokenKnob == KnobDroppedIndex && s.knobTarget != "" {
-		s.DB.Table(s.knobTarget).IndexDropped = false
+		s.RestoreKnob(KnobDroppedIndex, s.knobTarget)
 	}
 	s.brokenKnob = KnobNone
 	s.knobTarget = ""

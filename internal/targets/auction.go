@@ -151,6 +151,18 @@ func (a *Auction) Inject(f Fault) error {
 // Reap implements Target.
 func (a *Auction) Reap() { a.inj.Reap() }
 
+// ClearFault implements FaultClearer: f's own effect is withdrawn (its
+// Clear, the inverse of its Inject) and f leaves the active set at once.
+// A fault no longer active is left alone.
+func (a *Auction) ClearFault(f Fault) error {
+	sf, ok := f.(faults.Fault)
+	if !ok {
+		return fmt.Errorf("targets: auction target cannot clear %T (%v)", f, f.Kind())
+	}
+	a.inj.Withdraw(sf)
+	return nil
+}
+
 // CorrectFix implements Target: the ground-truth fix of the first
 // uncleared fault — the administrator's diagnosis from live state.
 func (a *Auction) CorrectFix() (Action, bool) {

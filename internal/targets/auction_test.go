@@ -1,0 +1,145 @@
+package targets
+
+import (
+	"reflect"
+	"testing"
+
+	"selfheal/internal/catalog"
+	"selfheal/internal/detect"
+	"selfheal/internal/faults"
+	"selfheal/internal/service"
+)
+
+// TestAuctionClearFaultEveryKind: for every kind MakeFault builds,
+// ClearFault withdraws the fault at once — Cleared reports true, the
+// active set empties, and the SLO monitor sees a clean window within the
+// detection window plus a settle — and a second ClearFault is a no-op.
+func TestAuctionClearFaultEveryKind(t *testing.T) {
+	const (
+		window, k = 15, 8 // the harness's default WindowTicks and DetectK
+		settle    = 45
+		stepped   = 30 // ticks the fault acts before it is withdrawn
+	)
+	kinds := catalog.FaultKinds()
+	if len(kinds) != 11 {
+		t.Fatalf("catalog has %d fault kinds, the test expects 11", len(kinds))
+	}
+	for _, kind := range kinds {
+		// twin receives the same injection and one ClearFault, so any
+		// state the second ClearFault changed shows up as divergence.
+		var pair [2]*Auction
+		var fs [2]faults.Fault
+		for i := range pair {
+			a, err := NewAuction(Config{Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := a.MakeFault(kind, "", 0, 0)
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			for range 60 {
+				a.Tick()
+			}
+			if err := a.Inject(f); err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			for range stepped {
+				a.Tick()
+			}
+			if err := a.ClearFault(f); err != nil {
+				t.Fatalf("%v: clear: %v", kind, err)
+			}
+			pair[i], fs[i] = a, f.(faults.Fault)
+		}
+		a, f := pair[0], fs[0]
+		if !f.Cleared(a.inj.Env()) {
+			t.Errorf("%v: Cleared false right after ClearFault", kind)
+		}
+		if n := len(a.inj.Active()); n != 0 {
+			t.Errorf("%v: %d faults active after ClearFault", kind, n)
+		}
+		a.Reap()
+		if n := len(a.inj.Active()); n != 0 {
+			t.Errorf("%v: %d faults active after ClearFault and Reap", kind, n)
+		}
+		if err := a.ClearFault(f); err != nil {
+			t.Fatalf("%v: second clear: %v", kind, err)
+		}
+		m := detect.NewMonitor(a.Spec().SLO, k, window)
+		recoveredAt := -1
+		for i := range window + settle {
+			got, want := a.Tick(), pair[1].Tick()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: tick %d after a second ClearFault differs: %+v, want %+v", kind, i, got, want)
+			}
+			m.Observe(got)
+			if recoveredAt < 0 && m.Recovered() {
+				recoveredAt = i + 1
+			}
+		}
+		if recoveredAt < 0 {
+			t.Errorf("%v: no clean %d-tick window within %d ticks of ClearFault", kind, window, window+settle)
+		}
+		// Only aging leaks heap; its Clear gives the heap back and stops
+		// the leak.
+		if heap, base := a.svc.App.HeapUsedMB, a.svc.Config().BaseHeapMB; heap != base {
+			t.Errorf("%v: app heap %v MB after ClearFault, want the base %v", kind, heap, base)
+		}
+	}
+}
+
+// TestAuctionClearFaultLeavesOthers: clearing one fault gives back only
+// its own effect — its own nodes of a shared tier, its own operator knob
+// — and leaves a second fault on the same state active.
+func TestAuctionClearFaultLeavesOthers(t *testing.T) {
+	a, err := NewAuction(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := a.inj.Env()
+	hw1, hw2 := faults.NewHardware(catalog.TierApp, 1), faults.NewHardware(catalog.TierApp, 1)
+	pool := faults.NewOperatorConfig(service.KnobSmallConnPool, "", 0.85)
+	threads := faults.NewOperatorConfig(service.KnobSmallThreadPool, "", 0.85)
+	net := faults.NewNetwork(130, 0.05)
+	for _, f := range []faults.Fault{hw1, hw2, pool, threads, net} {
+		if err := a.Inject(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Tick()
+	for _, f := range []faults.Fault{hw1, pool, net} {
+		if err := a.ClearFault(f); err != nil {
+			t.Fatal(err)
+		}
+		if !f.Cleared(env) {
+			t.Errorf("%s: Cleared false right after ClearFault", faults.Describe(f))
+		}
+	}
+	if down := a.svc.App.NodesDown; down != 1 {
+		t.Errorf("app tier has %d nodes down after clearing one of two one-node faults, want 1", down)
+	}
+	if hw2.Cleared(env) || threads.Cleared(env) {
+		t.Errorf("a fault sharing state with a cleared one reads cleared: hardware %v, thread pool %v", hw2.Cleared(env), threads.Cleared(env))
+	}
+	if !reflect.DeepEqual(a.inj.Active(), []faults.Fault{hw2, threads}) {
+		t.Errorf("active after clearing three of five: %v", a.inj.Active())
+	}
+
+	// A fault already withdrawn is left alone, even once a later fault
+	// has broken the same state again.
+	old, fresh := faults.NewDeadlock("ItemBean"), faults.NewDeadlock("ItemBean")
+	for _, step := range []func() error{
+		func() error { return a.Inject(old) },
+		func() error { return a.ClearFault(old) },
+		func() error { return a.Inject(fresh) },
+		func() error { return a.ClearFault(old) },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh.Cleared(env) {
+		t.Error("clearing a withdrawn deadlock again cleared a later one on the same component")
+	}
+}

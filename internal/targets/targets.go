@@ -181,7 +181,9 @@ type Target interface {
 	// Inject applies a fault manufactured by this target's NewFaults (or
 	// constructors). Faults built for another target kind are rejected.
 	Inject(f Fault) error
-	// Reap drops faults whose effects are gone from the live state.
+	// Reap drops faults whose effects are gone from the live state. A
+	// fault still live stays active until it clears, is healed, or a
+	// FaultClearer withdraws it.
 	Reap()
 	// CorrectFix plays the administrator of Figure 3 lines 19–20: the
 	// ground-truth fix for the first still-active fault, diagnosed from
@@ -203,9 +205,12 @@ type Target interface {
 // when the assertion fails. The scenario engine (internal/scenario) is
 // the main consumer: its workload directives need a WorkloadShaper, its
 // declarative fault specs a FaultMaker, its flapping faults a
-// FaultClearer, and its grey failures a PartialInjector. Both built-in
-// targets implement WorkloadShaper and FaultMaker; the replicated target
-// additionally implements FaultClearer and PartialInjector.
+// FaultClearer, and its grey failures a PartialInjector. The healer
+// needs a FaultClearer too: RunEpisode withdraws the fault its episode
+// injected before returning, so the next episode starts clean. Every
+// built-in target implements FaultMaker and FaultClearer; the auction and
+// replicated targets also implement WorkloadShaper, and the replicated
+// target PartialInjector.
 
 // WorkloadShaper reshapes a target's offered load at runtime: constant
 // scaling, the ±25% diurnal modulation, slow mix drift, and scheduled
@@ -237,10 +242,11 @@ type FaultMaker interface {
 }
 
 // FaultClearer actively reverts an injected fault's effect — the
-// scripted "repair" between a flapping fault's on-phases, distinct from
-// healing: no fix is applied, the underlying cause simply goes quiet.
-// Clearing is keyed by the fault's type and strike target, so it also
-// clears a severity-scaled clone injected by InjectPartial.
+// scripted "repair" between a flapping fault's on-phases, and the end of
+// a campaign episode whose fault is still live — distinct from healing:
+// no fix is applied, the underlying cause simply goes quiet. The
+// replicated target keys clearing by the fault's type and strike target,
+// so it also clears a severity-scaled clone injected by InjectPartial.
 type FaultClearer interface {
 	ClearFault(f Fault) error
 }

@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"selfheal/internal/service"
 	"selfheal/internal/sim"
@@ -122,6 +123,17 @@ func (g *Generator) SetDrift(f float64) { g.driftPerTick = f }
 
 // AddSurge schedules a load surge.
 func (g *Generator) AddSurge(s Surge) { g.surges = append(g.surges, s) }
+
+// EndSurge ends, from tick t on, the first live surge equal to s (equal
+// surges are interchangeable): the inverse of AddSurge.
+func (g *Generator) EndSurge(s Surge, t int64) {
+	for i, have := range g.surges {
+		if have.Start == s.Start && have.End == s.End && have.Factor == s.Factor && slices.Equal(have.Classes, s.Classes) {
+			g.surges[i].End = min(have.End, t)
+			return
+		}
+	}
+}
 
 // Rates returns the expected (noise-free) per-class rates at tick t, for t
 // at or after the last tick Arrivals was asked for: a surge that ended

@@ -50,7 +50,8 @@ type (
 	// FaultMaker constructs catalog faults from declarative specs.
 	FaultMaker = targets.FaultMaker
 	// FaultClearer reverts an injected fault without applying a fix —
-	// the quiet phase of a flapping fault.
+	// the quiet phase of a flapping fault, and the withdrawal of a fault
+	// still live when its HealEpisode ends.
 	FaultClearer = targets.FaultClearer
 	// PartialInjector injects a severity-scaled fraction of a fault —
 	// the grey-failure model.
