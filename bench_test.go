@@ -17,6 +17,7 @@ import (
 	"selfheal"
 	"selfheal/internal/experiments"
 	"selfheal/internal/kbsync/meshtest"
+	"selfheal/internal/synopsis"
 )
 
 // BenchmarkTable1FaultFixMatrix regenerates Table 1: every fault kind
@@ -537,7 +538,7 @@ func realKB(b *testing.B) (selfheal.Synopsis, []selfheal.Point, []selfheal.Point
 func benchRealWidth(b *testing.B, read func(kb selfheal.Synopsis, x []float64) selfheal.Action) {
 	b.Run(fmt.Sprintf("width=%d/size=%d", realWidth, realKBSize), func(b *testing.B) {
 		kb, pts, queries := realKB(b)
-		brute := selfheal.NewBruteForceIndex(pts)
+		brute := synopsis.NewBruteForceIndex(pts)
 		for _, q := range queries[:16] {
 			if got, want := read(kb, q.X), pts[brute.Nearest(q.X, 1, nil)[0].Ord].Action; got != want {
 				b.Fatalf("indexed read answers %v, the brute scan's nearest is %v", got, want)

@@ -27,10 +27,6 @@ type HealerConfig struct {
 	// RunEpisode's wait for detection is further bounded by the harness's
 	// HistoryTicks (see RunEpisode).
 	EpisodeBudget int
-	// EscalateRestart applies the full restart at threshold (Figure 3
-	// line 19). Disable for learning experiments where downtime accounting
-	// is irrelevant and restarts would erase the fault being labeled.
-	EscalateRestart bool
 	// LearnBatch batches learn events at episode granularity: 0 (the
 	// default) delivers every attempt's outcome to the approach
 	// immediately, the paper's per-attempt Figure 3 behavior; n ≥ 1
@@ -50,7 +46,6 @@ func DefaultHealerConfig() HealerConfig {
 		CheckTicks:      40,
 		AdminDelayTicks: 600,
 		EpisodeBudget:   6000,
-		EscalateRestart: true,
 	}
 }
 
@@ -399,9 +394,7 @@ func (hl *Healer) escalate(ctx context.Context, fctx *FailureContext, ep *Episod
 		adminAction, haveAdmin = hl.AdminOracle()
 	}
 	hl.emit(Event{Kind: EventEscalated, Tick: h.Target.Now(), Action: adminAction})
-	if hl.Cfg.EscalateRestart {
-		hl.applyAction(Action{Fix: catalog.FixFullRestart})
-	}
+	hl.applyAction(Action{Fix: catalog.FixFullRestart})
 	if _, err := h.Target.Apply(Action{Fix: catalog.FixNotifyAdmin}); err == nil {
 		h.StepN(hl.Cfg.AdminDelayTicks)
 	}

@@ -276,27 +276,23 @@ type kdHead struct {
 }
 
 // newHead starts the head of a tree about to be built over pts[ords...],
-// w wide: the basis (fitted to a stride through those rows when the caller
-// has none to share) and each row's first-stage coordinates, which are what
-// the build splits on. It returns nil when no basis can be fitted.
-func newHead(basis *headBasis, pts []Point, ords []int, w int) *kdHead {
+// w wide: the basis, fitted to a stride through those rows, and each row's
+// first-stage coordinates, which are what the build splits on. It returns
+// nil when no basis can be fitted.
+func newHead(pts []Point, ords []int, w int) *kdHead {
+	m := min(len(ords), headSample)
+	step := len(ords) / m
+	sample := make([]float64, 0, m*w)
+	for i := 0; i < m; i++ {
+		x := pts[ords[i*step]].X
+		if n := dot(x, x); n != n || math.IsInf(n, 0) {
+			continue // never a neighbour, and it would poison the covariance
+		}
+		sample = append(append(sample, x...), make([]float64, w-len(x))...)
+	}
+	basis := fitHeadBasis(sample, len(sample)/w, w)
 	if basis == nil {
-		m := len(ords)
-		if m > headSample {
-			m = headSample
-		}
-		step := len(ords) / m
-		sample := make([]float64, 0, m*w)
-		for i := 0; i < m; i++ {
-			x := pts[ords[i*step]].X
-			if n := dot(x, x); n != n || math.IsInf(n, 0) {
-				continue // never a neighbour, and it would poison the covariance
-			}
-			sample = append(append(sample, x...), make([]float64, w-len(x))...)
-		}
-		if basis = fitHeadBasis(sample, len(sample)/w, w); basis == nil {
-			return nil
-		}
+		return nil
 	}
 	h := &kdHead{basis: basis, proj: make([]float64, len(ords)*headDirs)}
 	for i, ord := range ords {
@@ -352,9 +348,8 @@ func (h *kdHead) finish(t *kdtree) {
 }
 
 // probe is one read's query vector with its projections, one per basis met
-// so far: a read searches several trees that share a basis (reindex hands
-// one to the global tree and to every per-fix tree), and a projection is
-// ≈2,500 flops at real width.
+// so far: a read may traverse the forest twice (the scoring pass, then a
+// filtered re-search), and a projection is ≈2,500 flops at real width.
 type probe struct {
 	x     []float64
 	norm  float64

@@ -104,14 +104,31 @@ func TestHeadedForestMatchesBruteAtRealWidth(t *testing.T) {
 		s.Add(p)
 	}
 	if n := headedTrees(s.ex.gidx); n < 2 || len(s.ex.gidx.tail) == 0 {
-		t.Fatalf("global forest has %d headed trees and a tail of %d; the test needs ≥2 and a non-empty tail", n, len(s.ex.gidx.tail))
+		t.Fatalf("the forest has %d headed trees and a tail of %d; the test needs ≥2 and a non-empty tail", n, len(s.ex.gidx.tail))
 	}
-	perFix := 0
-	for _, fi := range s.ex.idx {
-		perFix += headedTrees(fi)
+	// assertOracle's derived filters exclude each query's own answer, so a
+	// filtered Suggest re-searches the forest past that row: some stored
+	// query's answer must sit in a headed tree and some in the tail, or the
+	// accept tests behind a head and on the tail go unexercised.
+	where := map[int]string{}
+	for _, tr := range s.ex.gidx.trees {
+		if tr != nil && tr.head != nil {
+			for _, ord := range tr.ords {
+				where[ord] = "headed"
+			}
+		}
 	}
-	if perFix == 0 {
-		t.Fatal("no per-fix tree keeps a head: filtered Suggest would not exercise search1's skip")
+	for _, ord := range s.ex.gidx.tail {
+		where[ord] = "tail"
+	}
+	answered := map[string]bool{}
+	for _, x := range stored {
+		sug, _ := s.Suggest(x, nil)
+		g := s.ex.nearestPerFix(&probe{x: x}, nil)
+		answered[where[g.ord[s.ex.cls.byFix[sug.Action.Fix]]]] = true
+	}
+	if !answered["headed"] || !answered["tail"] {
+		t.Fatalf("stored queries are answered from %v; the test needs a headed tree and the tail", answered)
 	}
 
 	queries := stored
@@ -153,7 +170,7 @@ func TestHeadedForestMatchesBruteAtRealWidth(t *testing.T) {
 	assertOracle(t, "headed-nn", s, queries)
 
 	// The same store behind the learners that only resolve targets through
-	// it (per-fix search1), and behind Shared's published clone.
+	// it (one group traversal per read), and behind Shared's published clone.
 	km := NewKMeans()
 	km.AddBatch(pts)
 	assertOracle(t, "headed-kmeans", km, queries[:24])
@@ -197,7 +214,7 @@ func TestHeadedForestMatchesBruteAtRealWidth(t *testing.T) {
 	big := s.ex.gidx.trees[len(s.ex.gidx.trees)-1]
 	x := queries[len(stored)]
 	pr := &probe{x: x}
-	g := s.ex.nearestPerFix(pr)
+	g := s.ex.nearestPerFix(pr, nil)
 	hq := pr.head(big.head)
 	skipped := 0
 	for i := range big.ords {
@@ -232,8 +249,8 @@ func jitteredQueries(rng *rand.Rand, pts []Point, n int) [][]float64 {
 }
 
 // bulkThenSingles builds a nearest-neighbour learner over pts: the first
-// two thirds as one bulk load (compact headed trees sharing a basis), the
-// rest one by one (a forest and a tail on top).
+// two thirds as one bulk load (one compact headed tree), the rest one by
+// one (a forest and a tail on top).
 func bulkThenSingles(pts []Point) *NearestNeighbor {
 	s := NewNearestNeighbor()
 	s.AddBatch(pts[:len(pts)*2/3])
@@ -289,7 +306,7 @@ func testSkewedClass(t *testing.T, rng *rand.Rand) {
 	s := bulkThenSingles(pts)
 	big := s.ex.gidx.trees[len(s.ex.gidx.trees)-1]
 	if big.head == nil || big.masks == nil {
-		t.Fatal("the bulk-loaded global tree keeps no head or no class sets")
+		t.Fatal("the bulk-loaded tree keeps no head or no class sets")
 	}
 	queries := append(jitteredQueries(rng, pts, 24), far, pts[3].X)
 	assertOracle(t, "skewed-nn", s, queries)
@@ -317,7 +334,7 @@ func testManyClasses(t *testing.T, rng *rand.Rand) {
 	}
 	big := s.ex.gidx.trees[len(s.ex.gidx.trees)-1]
 	if big.head == nil || big.masks != nil {
-		t.Fatal("the global tree over more than 64 classes must keep a head and no class sets")
+		t.Fatal("the tree over more than 64 classes must keep a head and no class sets")
 	}
 	assertOracle(t, "many-classes-nn", s, jitteredQueries(rng, pts, 16))
 }
@@ -370,7 +387,7 @@ func testNaNInf(t *testing.T, rng *rand.Rand) {
 }
 
 // testSplitTwins: two exemplars of one fix at bitwise-equal distance from
-// the query, filed on opposite sides of the global tree's root split, the
+// the query, filed on opposite sides of the tree's root split, the
 // later arrival on the side the search enters first. The earlier one wins in
 // the brute scan; the index must still cross the split for it with the bound
 // already at exactly its distance, and then prefer it.
@@ -451,7 +468,7 @@ func testSplitTwins(t *testing.T, rng *rand.Rand) {
 // testCarriesThenForget: a sliding-window learner grown one observation at
 // a time, so its headed trees are the forest's own carries (each fits its
 // own basis), then pushed past its window, so every further observation
-// rebuilds the store compact on one shared basis.
+// rebuilds the store as one compact tree.
 func testCarriesThenForget(t *testing.T, rng *rand.Rand) {
 	const window = 1700
 	pts := clusteredPoints(rng, window+40)
@@ -557,11 +574,11 @@ func assertOrthonormal(t *testing.T, b *headBasis) {
 	}
 }
 
-// FuzzHeadBoundIsLower: for a basis fitted to a random sample, a tree of
-// random rows built over it and a random query — near one of the rows, far
-// from it, equal to it, shorter or longer than it, displaced from it along a
-// direction of the basis itself (where the head sees the whole distance), at
-// any magnitude — the whole chain of bounds holds in floating point: every
+// FuzzHeadBoundIsLower: for a tree of random rows, the basis it fits to
+// them and a random query — near one of the rows, far from it, equal to it,
+// shorter or longer than it, displaced from it along a direction of the
+// basis itself (where the head sees the whole distance), at any magnitude —
+// the whole chain of bounds holds in floating point: every
 // node's box sum is no larger than the first-stage head sum of every row
 // under it, and neither that sum nor the cumulative one over both stages
 // rules a row out against a limit equal to the distance euclidean computes
@@ -587,15 +604,6 @@ func FuzzHeadBoundIsLower(f *testing.F) {
 			t.Skip() // squares must stay finite for the distance to mean anything
 		}
 		rng := rand.New(rand.NewSource(seed))
-		sample := make([]float64, headSample*w)
-		for i := range sample {
-			sample[i] = rng.NormFloat64() * float64(1+i%w%5)
-		}
-		b := fitHeadBasis(sample, headSample, w)
-		if b == nil {
-			t.Skip()
-		}
-		assertOrthonormal(t, b)
 		// Row 0 is the one the query is placed against; the rest share its
 		// scale, a third of them huddled around it so that leaves near the
 		// query hold more than one candidate, a few ragged, and one NaN, whose
@@ -613,6 +621,17 @@ func FuzzHeadBoundIsLower(f *testing.F) {
 			pts[i] = Point{X: x}
 		}
 		pts[17].X[w/2] = math.NaN()
+		ords := make([]int, len(pts))
+		for i := range ords {
+			ords[i] = i
+		}
+		tr := buildKD(pts, ords)
+		h := tr.head
+		if h == nil {
+			t.Skip() // rows with no spread a fit can see: all zero, or squares that underflow
+		}
+		b := h.basis
+		assertOrthonormal(t, b)
 		row := pts[0].X
 		x := make([]float64, int(queryLen))
 		for d := range x {
@@ -634,15 +653,6 @@ func FuzzHeadBoundIsLower(f *testing.F) {
 					x[d] = row[d] + queryScale*dirCoord(b, headDirs+int(queryLen)%headTailDirs, d)
 				}
 			}
-		}
-		ords := make([]int, len(pts))
-		for i := range ords {
-			ords[i] = i
-		}
-		tr := buildKD(pts, ords, b)
-		h := tr.head
-		if h == nil || h.basis != b {
-			t.Fatal("a tree of headMinRows rows wider than a head keeps none")
 		}
 		hq := (&probe{x: x}).head(h)
 		where := func(i int32) string {
@@ -716,12 +726,12 @@ func TestEuclideanMatchesFeatureLoopBitwise(t *testing.T) {
 }
 
 // TestForgetRebuildsCompactTrees: a sliding-window learner rebuilds its
-// store on every eviction. The rebuild must leave one compact tree per fix
-// (and one global one) with no tail, and the learner must keep answering
+// store on every eviction. The rebuild must leave one compact tree holding
+// every fix's exemplars and no tail, and the learner must keep answering
 // exactly as the brute scan does while three windows' worth of points pass
 // through it.
 func TestForgetRebuildsCompactTrees(t *testing.T) {
-	const window = 560 // big enough that the rebuilt global tree keeps a head
+	const window = 560 // big enough that the rebuilt tree keeps a head
 	rng := rand.New(rand.NewSource(23))
 	pts := clusteredPoints(rng, 4*window)
 	for i := range pts {
@@ -762,16 +772,27 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 				t.Fatalf("after %d points %s has %d trees and a tail of %d, want one compact tree", at, name, trees, len(fi.tail))
 			}
 		}
-		compact("the global forest", base.ex.gidx)
-		for fix, fi := range base.ex.idx {
-			compact(fmt.Sprintf("fix %v", fix), fi)
+		compact("the forest", base.ex.gidx)
+		// Every fix's exemplars are in that one tree, under the fix's tag.
+		tagged := map[int32]int{}
+		for _, tr := range base.ex.gidx.trees {
+			if tr != nil {
+				for _, tag := range tr.tags {
+					tagged[tag]++
+				}
+			}
+		}
+		for fix, fixPts := range base.ex.byFix {
+			if n := tagged[int32(base.ex.cls.byFix[fix])]; n != len(fixPts) {
+				t.Fatalf("after %d points fix %v has %d exemplars and %d rows tagged with it", at, fix, len(fixPts), n)
+			}
 		}
 		if at%7 == 0 || at == len(pts) {
 			assertOracle(t, "online-nn", s, queries)
 		}
 	}
 	if headedTrees(base.ex.gidx) != 1 {
-		t.Error("the rebuilt global tree keeps no head")
+		t.Error("the rebuilt tree keeps no head")
 	}
 	if got, want := base.ex.all[0].X, pts[len(pts)-window].X; &got[0] != &want[0] {
 		t.Error("the window does not start at the oldest surviving point")

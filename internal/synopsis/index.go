@@ -15,11 +15,12 @@ import (
 //   - Index: the pluggable build-from-points / Nearest(x, k) interface,
 //     with a KD-tree implementation and a brute-force implementation that
 //     doubles as the correctness oracle;
-//   - a per-fix Bentley–Saxe forest (fixIndex) the exemplar store
-//     maintains incrementally on its write path, so index (re)builds are
-//     amortized onto Add/AddBatch — which Shared serializes behind its
-//     writer lock — and never happen on the lock-free read path. Readers
-//     (snapshot clones) only ever traverse immutable trees.
+//   - the exemplar store's one index: a Bentley–Saxe forest (fixIndex)
+//     whose trees tag every point with its fix class, maintained
+//     incrementally on the write path, so index (re)builds are amortized
+//     onto Add/AddBatch — which Shared serializes behind its writer lock —
+//     and never happen on the lock-free read path. Readers (snapshot
+//     clones) only ever traverse immutable trees.
 //
 // Results are byte-identical to the brute scan they replace: distances are
 // computed by the same euclidean() on the same float64s, and the winner is
@@ -61,7 +62,7 @@ func NewKDTreeIndex(pts []Point) Index {
 	for i := range ords {
 		ords[i] = i
 	}
-	return &kdIndex{t: buildKD(pts, ords, nil)}
+	return &kdIndex{t: buildKD(pts, ords)}
 }
 
 // bruteIndex is the O(n) oracle.
@@ -197,11 +198,9 @@ const kdLeafCap = 16
 
 // buildKD builds a tree over pts[ords...]; it partitions ords in place and
 // keeps it as the tree's backing, so callers must hand over ownership. A
-// tree big and wide enough keeps a head and is built over it; it projects
-// onto basis when the caller has one (reindex shares one across the trees it
-// builds; any orthonormal set gives a valid bound, whatever rows it was
-// fitted to) and fits its own otherwise.
-func buildKD(pts []Point, ords []int, basis *headBasis) *kdtree {
+// tree big and wide enough keeps a head, fitted to its own rows, and is
+// built over it.
+func buildKD(pts []Point, ords []int) *kdtree {
 	t := &kdtree{pts: pts, ords: ords}
 	t.nodes = make([]kdnode, 0, 2*(len(ords)/kdLeafCap)+1)
 	for _, ord := range ords {
@@ -210,7 +209,7 @@ func buildKD(pts []Point, ords []int, basis *headBasis) *kdtree {
 		}
 	}
 	if len(ords) >= headMinRows && t.stride > headDirs {
-		t.head = newHead(basis, pts, ords, t.stride)
+		t.head = newHead(pts, ords, t.stride)
 	}
 	if len(ords) > 0 {
 		t.build(0, len(ords))
@@ -426,7 +425,7 @@ func euclideanUnder(a, b []float64, limit float64) (float64, bool) {
 	return math.Sqrt(s), true
 }
 
-// The three searches below share one traversal. It is an explicit-stack
+// The two searches below share one traversal. It is an explicit-stack
 // loop rather than recursion — the descend-check-pop cycle is the single
 // hottest code in a big-KB query, and the call overhead of recursing once
 // per node costs more than the arithmetic at each. Nodes wait on the stack
@@ -496,58 +495,13 @@ func (t *kdtree) descend(ni int32, q []float64, stack *kdStack) int32 {
 	return ni
 }
 
-// nearest1 tracks the single best (distance, ordinal) candidate — the
-// exact winner the brute insertion-order scan would pick. d is +Inf until
-// one is found: like that scan, it never takes a point at an infinite or
-// NaN distance.
-type nearest1 struct {
-	d     float64
-	ord   int
-	found bool
-}
-
-func (b *nearest1) consider(ord int, d float64) {
-	if d < b.d || (d == b.d && ord < b.ord && b.found) {
-		b.d, b.ord, b.found = d, ord, true
-	}
-}
-
-// search1 finds the nearest accepted point.
-func (t *kdtree) search1(pr *probe, best *nearest1, accept func(ord int) bool) {
-	var hq headQuery
-	q := t.start(pr, &hq)
-	stack := kdStack{n: 1}
-	for stack.n > 0 {
-		stack.n--
-		f := stack.frames[stack.n]
-		if t.far(f, &hq, best.d) {
-			continue
-		}
-		leaf := t.descend(f.node, q, &stack)
-		if leaf != f.node && t.head != nil && t.head.boxBeyond(leaf, &hq, best.d) {
-			continue
-		}
-		for n, i := &t.nodes[leaf], t.nodes[leaf].lo; i < n.hi; i++ {
-			if t.head != nil && t.head.beyond(i, &hq, best.d) {
-				continue
-			}
-			ord := t.ords[i]
-			if accept != nil && !accept(ord) {
-				continue
-			}
-			if d, ok := euclideanUnder(pr.x, t.row(i), best.d); ok {
-				best.consider(ord, d)
-			}
-		}
-	}
-}
-
 // groupBest tracks, for every dense class tag, the best (distance,
 // ordinal) candidate seen so far: one nearest-neighbor search fanned out
 // across all classes in a single traversal. d is +Inf for a class still
-// unseen. bound is the shared prune radius — the worst per-class best,
-// infinite while any class is still unseen — since a subtree farther than
-// every class's current best can improve none of them.
+// unseen: like the brute insertion-order scan, a class never takes a point
+// at an infinite or NaN distance. bound is the shared prune radius — the
+// worst per-class best, infinite while any class is still unseen — since a
+// subtree farther than every class's current best can improve none of them.
 type groupBest struct {
 	d      []float64
 	ord    []int
@@ -570,7 +524,7 @@ func newGroupBest(k int) *groupBest {
 }
 
 // consider offers (ord, d) as tag's candidate, keeping the (distance,
-// ordinal)-minimal one — the same winner nearest1 and the brute scan pick.
+// ordinal)-minimal one — the winner the brute scan picks.
 func (g *groupBest) consider(tag int32, ord int, d float64) {
 	if !(d < g.d[tag] || (d == g.d[tag] && ord < g.ord[tag] && g.found[tag])) {
 		return // a NaN or infinite distance never gets past this
@@ -614,15 +568,15 @@ func (g *groupBest) limit(t *kdtree, ni int32) float64 {
 	return lim
 }
 
-// searchGroup is search1 fanned out across every class at once: one
-// traversal maintains all per-class bests, skipping nodes on the loosest
-// bound among the classes they hold and bailing per point on that point's
-// own class bound. For k classes over a dense store this replaces k
-// independent searches — each re-descending the same top levels and
-// re-establishing its bound from scratch — with one, so a full per-fix
-// scoring pass costs barely more than a single nearest-neighbor query. The
-// tree must have packed tags.
-func (t *kdtree) searchGroup(pr *probe, g *groupBest) {
+// searchGroup finds every class's nearest point that filter does not exclude
+// (nil excludes nothing) in one traversal: it maintains all per-class
+// bests, skipping nodes on the loosest bound among the classes they hold
+// and bailing per point on that point's own class bound. For k classes over
+// a dense store this replaces k independent searches — each re-descending
+// the same top levels and re-establishing its bound from scratch — with
+// one, so a full per-fix scoring pass costs barely more than a single
+// nearest-neighbor query. The tree must have packed tags.
+func (t *kdtree) searchGroup(pr *probe, g *groupBest, filter *ActionFilter) {
 	var hq headQuery
 	q := t.start(pr, &hq)
 	stack := kdStack{n: 1}
@@ -641,14 +595,20 @@ func (t *kdtree) searchGroup(pr *probe, g *groupBest) {
 			if t.head != nil && t.head.beyond(i, &hq, g.d[tag]) {
 				continue
 			}
+			ord := t.ords[i]
+			// Testing nil first spares an unfiltered read the load of
+			// every surviving row's Point.
+			if filter != nil && filter.Excludes(t.pts[ord].Action) {
+				continue
+			}
 			if d, ok := euclideanUnder(pr.x, t.row(i), g.d[tag]); ok {
-				g.consider(tag, t.ords[i], d)
+				g.consider(tag, ord, d)
 			}
 		}
 	}
 }
 
-// searchK is search1 generalized to a k-bounded collector.
+// searchK finds the k nearest accepted points into a k-bounded collector.
 func (t *kdtree) searchK(pr *probe, col *collector, accept func(ord int) bool) {
 	var hq headQuery
 	q := t.start(pr, &hq)
@@ -678,8 +638,9 @@ func (t *kdtree) searchK(pr *probe, col *collector, accept func(ord int) bool) {
 	}
 }
 
-// fixIndex is the incrementally-maintained per-fix index: a Bentley–Saxe
-// logarithmic forest of immutable KD-trees (slot i holds a tree of exactly
+// fixIndex is the exemplar store's incrementally-maintained index, tagged by
+// fix class: a Bentley–Saxe logarithmic forest of immutable KD-trees (slot
+// i holds a tree of exactly
 // kdBlock<<i points, or nil) plus a small tail of not-yet-indexed
 // ordinals. Inserts append to the tail; when the tail reaches kdBlock it
 // is flushed into the forest with a carry-propagate merge (build a block
@@ -695,19 +656,19 @@ func (t *kdtree) searchK(pr *probe, col *collector, accept func(ord int) bool) {
 type fixIndex struct {
 	trees []*kdtree
 	tail  []int
-	// tagOf, when non-nil, maps every point ordinal to its dense class
-	// tag (see classSet); trees built by this forest then carry packed
-	// per-leaf tags, enabling group queries (nearestAll) that score all
-	// classes in one traversal. The owner refreshes the slice header
-	// before every mutation; the prefix a built tree has read is
-	// immutable, so clones and old trees stay consistent.
+	// tagOf maps every point ordinal to its dense class tag (see
+	// classSet); every tree this forest builds carries packed per-leaf
+	// tags, so a group query (nearestAll) finds every class's nearest
+	// point in one traversal. The owner refreshes the slice header before
+	// every mutation; the prefix a built tree has read is immutable, so
+	// clones and old trees stay consistent.
 	tagOf []int32
 }
 
 // kdBlock is the forest's base tree size and the tail-scan bound.
 const kdBlock = 32
 
-// insert adds the point at ordinal ord of pts (the fix's full arrival
+// insert adds the point at ordinal ord of pts (the store's full arrival
 // slice) to the index.
 func (fi *fixIndex) insert(pts []Point, ord int) {
 	fi.tail = append(fi.tail, ord)
@@ -725,10 +686,8 @@ func (fi *fixIndex) flush(pts []Point) {
 		ords = append(ords, trees[slot].ords...)
 		trees[slot] = nil
 	}
-	t := buildKD(pts, ords, nil)
-	if fi.tagOf != nil {
-		t.packTags(fi.tagOf)
-	}
+	t := buildKD(pts, ords)
+	t.packTags(fi.tagOf)
 	if slot == len(trees) {
 		trees = append(trees, t)
 	} else {
@@ -742,13 +701,12 @@ func (fi *fixIndex) flush(pts []Point) {
 // parked at the slot whose capacity matches the point count so later
 // incremental inserts keep their amortized bound: lower slots fill
 // normally and the compact tree is only merged once the carries reach
-// it, exactly as if it had been built by insertion. It returns the basis
-// of the tree's head (see buildKD), nil when it keeps none.
-func (fi *fixIndex) bulkLoad(pts []Point, basis *headBasis) *headBasis {
+// it, exactly as if it had been built by insertion.
+func (fi *fixIndex) bulkLoad(pts []Point) {
 	fi.tail = nil
 	fi.trees = nil
 	if len(pts) == 0 {
-		return nil
+		return
 	}
 	ords := make([]int, len(pts))
 	for i := range ords {
@@ -758,16 +716,10 @@ func (fi *fixIndex) bulkLoad(pts []Point, basis *headBasis) *headBasis {
 	for kdBlock<<slot < len(pts) {
 		slot++
 	}
-	t := buildKD(pts, ords, basis)
-	if fi.tagOf != nil {
-		t.packTags(fi.tagOf)
-	}
+	t := buildKD(pts, ords)
+	t.packTags(fi.tagOf)
 	fi.trees = make([]*kdtree, slot+1)
 	fi.trees[slot] = t
-	if t.head == nil {
-		return nil
-	}
-	return t.head.basis
 }
 
 // clone returns a read snapshot sharing the immutable trees; the tail
@@ -780,39 +732,18 @@ func (fi *fixIndex) clone() *fixIndex {
 	}
 }
 
-// nearest returns the (distance, ordinal)-minimal accepted point across
-// the forest and tail; pts must be the fix's current arrival slice.
-func (fi *fixIndex) nearest(pts []Point, pr *probe, f *ActionFilter) (int, float64, bool) {
-	best := nearest1{d: math.Inf(1)}
-	var accept func(int) bool
-	if f != nil {
-		accept = func(ord int) bool { return !f.Excludes(pts[ord].Action) }
-	}
-	for _, t := range fi.trees {
-		if t != nil {
-			t.search1(pr, &best, accept)
-		}
-	}
+// nearestAll runs the per-class nearest search over the whole forest in
+// group mode, skipping the points f excludes (nil excludes nothing): tail
+// first — the newest points are where previously-unseen classes live, so
+// scanning them up front turns the shared bound finite as early as
+// possible — then trees from the smallest slot up, so each later (bigger)
+// tree is searched with the tightest bounds available. pts must be the
+// store's full arrival slice.
+func (fi *fixIndex) nearestAll(pts []Point, pr *probe, g *groupBest, f *ActionFilter) {
 	for _, ord := range fi.tail {
 		if f != nil && f.Excludes(pts[ord].Action) {
 			continue
 		}
-		if d, ok := euclideanUnder(pr.x, pts[ord].X, best.d); ok {
-			best.consider(ord, d)
-		}
-	}
-	return best.ord, best.d, best.found
-}
-
-// nearestAll runs the per-class nearest search over the whole forest in
-// group mode: tail first — the newest points are where previously-unseen
-// classes live, so scanning them up front turns the shared bound finite
-// as early as possible — then trees from the smallest slot up, so each
-// later (bigger) tree is searched with the tightest bounds available.
-// pts must be the store's full arrival slice and the forest must have
-// been built with tagOf set.
-func (fi *fixIndex) nearestAll(pts []Point, pr *probe, g *groupBest) {
-	for _, ord := range fi.tail {
 		tag := fi.tagOf[ord]
 		if d, ok := euclideanUnder(pr.x, pts[ord].X, g.d[tag]); ok {
 			g.consider(tag, ord, d)
@@ -820,7 +751,7 @@ func (fi *fixIndex) nearestAll(pts []Point, pr *probe, g *groupBest) {
 	}
 	for _, t := range fi.trees {
 		if t != nil {
-			t.searchGroup(pr, g)
+			t.searchGroup(pr, g, f)
 		}
 	}
 }

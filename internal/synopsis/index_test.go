@@ -95,10 +95,13 @@ func withBruteResolve(f func()) {
 
 // assertOracle checks that a learner's indexed Suggest/RankK answers are
 // byte-identical to its brute-force answers for a battery of queries,
-// filters, and k values.
+// filters, and k values. Besides fixed filters, each query gets two derived
+// from its indexed, unfiltered answer — one excluding the action Suggest
+// names, one every action RankK(x, 3) names — so every query's filtered
+// Suggest has to search past the exemplar the unfiltered read found.
 func assertOracle(t *testing.T, name string, s Synopsis, queries [][]float64) {
 	t.Helper()
-	filters := []*ActionFilter{
+	fixed := []*ActionFilter{
 		nil,
 		ExcludeActions(Action{Fix: catalog.FixUpdateStats, Target: "t0"}),
 		ExcludeActions(
@@ -115,6 +118,12 @@ func assertOracle(t *testing.T, name string, s Synopsis, queries [][]float64) {
 		),
 	}
 	for qi, x := range queries {
+		sug, _ := s.Suggest(x, nil)
+		var top []Action
+		for _, r := range s.RankK(x, 3) {
+			top = append(top, r.Action)
+		}
+		filters := append(fixed[:len(fixed):len(fixed)], ExcludeActions(sug.Action), ExcludeActions(top...))
 		for fi, f := range filters {
 			gotSug, gotOK := s.Suggest(x, f)
 			var wantSug Suggestion

@@ -59,13 +59,12 @@ func (s *NearestNeighbor) Version() uint64 { return s.version }
 const bulkLoadMin = 128
 
 // AddBatch implements Batcher. Small batches — an episode's flushed
-// learn events — fold point by point into the Bentley–Saxe forests. A
+// learn events — fold point by point into the Bentley–Saxe forest. A
 // batch that dominates the store (a knowledge-base snapshot load, a
 // federation catch-up, a merge) is bulk-loaded instead: points are
-// appended index-less and every touched fix is reindexed once into a
-// single compact tree, so the build cost is paid once per batch and
-// reads afterwards pay one tree descend per fix instead of one per
-// forest slot.
+// appended index-less and the store is reindexed once into a single
+// compact tree, so the build cost is paid once per batch and reads
+// afterwards pay one tree descend instead of one per forest slot.
 func (s *NearestNeighbor) AddBatch(ps []Point) {
 	wins := 0
 	for _, p := range ps {
@@ -137,15 +136,15 @@ func (s *NearestNeighbor) Forget(keep int) {
 
 // rankFixes scores each fix by its nearest successful exemplar. On the
 // indexed path every fix's nearest is found by one group traversal of
-// the tagged global forest (nearestPerFix) rather than one index search
-// per fix — the per-fix searches each re-descend the same top levels and
+// the tagged forest (nearestPerFix) rather than one search per fix —
+// per-fix searches would each re-descend the same top levels and
 // re-establish their bound from scratch, and on a million-point store
 // that repeated work dominates query latency. The exemplar found while
 // scoring is cached on the fixScore so the suggest/rank helpers resolve
 // targets without a second search.
 func (s *NearestNeighbor) rankFixes(pr *probe) []fixScore {
 	x := pr.x
-	if g := s.ex.nearestPerFix(pr); g != nil {
+	if g := s.ex.nearestPerFix(pr, nil); g != nil {
 		out := make([]fixScore, 0, len(g.d))
 		for i, fix := range s.ex.cls.fixes {
 			if !g.found[i] {
@@ -164,7 +163,7 @@ func (s *NearestNeighbor) rankFixes(pr *probe) []fixScore {
 	}
 	out := make([]fixScore, 0, len(s.ex.byFix))
 	for fix := range s.ex.byFix {
-		action, d, ok := s.ex.resolve(pr, fix, nil)
+		action, d, ok := s.ex.bruteNearest(x, fix, nil)
 		if !ok {
 			continue
 		}

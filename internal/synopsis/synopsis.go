@@ -207,24 +207,21 @@ func (c *classSet) clone() *classSet {
 	return &classSet{byFix: byFix, fixes: c.fixes[:len(c.fixes):len(c.fixes)]}
 }
 
-// exemplars stores successful observations per fix for target resolution:
-// given a symptom and a fix class, the recommended target is the target
-// that worked for the nearest matching signature. Arrival order is kept so
-// the online wrapper's sliding window evicts the globally oldest points.
+// exemplars stores successful observations for target resolution: given a
+// symptom and a fix class, the recommended target is the target that
+// worked for the nearest matching signature. Arrival order is kept so the
+// online wrapper's sliding window evicts the globally oldest points.
 //
-// Each fix's points are shadowed by an incrementally-maintained KD-tree
-// forest (see fixIndex) so resolve is sublinear in the fix's exemplar
-// count. The forest is only ever mutated on the write path (add/forget),
-// which Shared serializes; clones share the immutable trees.
+// The store keeps one index: an incrementally-maintained KD-tree forest
+// (gidx, see fixIndex) over all of it, whose trees tag every point with
+// its fix's dense class (cls assigns the tags; fixOf[i] is the tag of
+// all[i]), so every fix's nearest exemplar is found by one group traversal
+// (nearestPerFix) instead of one search per fix. The forest is only ever
+// mutated on the write path (add/forget), which Shared serializes; clones
+// share the immutable trees.
 type exemplars struct {
 	all   []Point
 	byFix map[catalog.FixID][]Point
-	idx   map[catalog.FixID]*fixIndex
-	// cls assigns dense tags to the fixes seen; fixOf[i] is the tag of
-	// all[i]. gidx is a second forest over the whole store whose trees
-	// carry those tags, so a scoring pass that needs every fix's nearest
-	// exemplar (nearestPerFix) runs as one group traversal instead of one
-	// search per fix.
 	cls   *classSet
 	fixOf []int32
 	gidx  *fixIndex
@@ -238,31 +235,20 @@ var indexResolve = true
 func newExemplars() *exemplars {
 	return &exemplars{
 		byFix: make(map[catalog.FixID][]Point),
-		idx:   make(map[catalog.FixID]*fixIndex),
 		cls:   newClassSet(),
 		gidx:  &fixIndex{},
 	}
 }
 
 func (e *exemplars) add(p Point) {
-	e.all = append(e.all, p)
-	fixPts := append(e.byFix[p.Action.Fix], p)
-	e.byFix[p.Action.Fix] = fixPts
-	fi := e.idx[p.Action.Fix]
-	if fi == nil {
-		fi = &fixIndex{}
-		e.idx[p.Action.Fix] = fi
-	}
-	fi.insert(fixPts, len(fixPts)-1)
-	e.fixOf = append(e.fixOf, int32(e.cls.index(p.Action.Fix)))
+	e.appendOnly(p)
 	e.gidx.tagOf = e.fixOf
 	e.gidx.insert(e.all, len(e.all)-1)
-	e.n++
 }
 
-// appendOnly adds p without maintaining the indexes; the caller owns
+// appendOnly adds p without maintaining the index; the caller owns
 // calling reindex before the next read. Bulk loads use it so index
-// construction happens once per fix, not once per forest carry.
+// construction happens once per load, not once per forest carry.
 func (e *exemplars) appendOnly(p Point) {
 	e.all = append(e.all, p)
 	e.byFix[p.Action.Fix] = append(e.byFix[p.Action.Fix], p)
@@ -270,28 +256,20 @@ func (e *exemplars) appendOnly(p Point) {
 	e.n++
 }
 
-// reindex rebuilds every fix's index as one compact tree over its full
-// point set. A freshly bulk-loaded store answers a query with a single
-// tree descend per fix, where the same points inserted one by one would
-// leave a logarithmic forest whose every slot pays its own descend and
-// leaf scan — on a million-point load that forest overhead, not the
-// tree depth, is what dominates read latency.
-//
-// The per-fix trees project onto the basis the global tree fitted (its
-// sample is a sample of their rows too), so one reindex pays for one fit.
+// reindex rebuilds the index as one compact tree over the whole store. A
+// freshly bulk-loaded store answers a query with a single tree descend,
+// where the same points inserted one by one would leave a logarithmic
+// forest whose every slot pays its own descend and leaf scan — on a
+// million-point load that forest overhead, not the tree depth, is what
+// dominates read latency.
 func (e *exemplars) reindex() {
 	e.gidx = &fixIndex{tagOf: e.fixOf}
-	basis := e.gidx.bulkLoad(e.all, nil)
-	for fix, pts := range e.byFix {
-		fi := &fixIndex{}
-		fi.bulkLoad(pts, basis)
-		e.idx[fix] = fi
-	}
+	e.gidx.bulkLoad(e.all)
 }
 
 // forget keeps only the most recent keep points (strictly by arrival
-// order) and rebuilds the indexes over them in one step: one compact tree
-// per fix, as after a bulk load.
+// order) and rebuilds the index over them in one step: one compact tree,
+// as after a bulk load.
 func (e *exemplars) forget(keep int) {
 	if e.n <= keep {
 		return
@@ -313,14 +291,9 @@ func (e *exemplars) clone() *exemplars {
 	for k, v := range e.byFix {
 		byFix[k] = v[:len(v):len(v)]
 	}
-	idx := make(map[catalog.FixID]*fixIndex, len(e.idx))
-	for k, v := range e.idx {
-		idx[k] = v.clone()
-	}
 	return &exemplars{
 		all:   e.all[:len(e.all):len(e.all)],
 		byFix: byFix,
-		idx:   idx,
 		cls:   e.cls.clone(),
 		fixOf: e.fixOf[:len(e.fixOf):len(e.fixOf)],
 		gidx:  e.gidx.clone(),
@@ -328,30 +301,19 @@ func (e *exemplars) clone() *exemplars {
 	}
 }
 
-// resolve returns the action of the nearest non-excluded exemplar of fix,
-// with the exemplar's distance: the (distance, arrival)-minimal match,
-// through the fix's index when it has one, by brute scan otherwise. Both
-// paths return bitwise-identical results (the oracle property test pins
-// this).
-func (e *exemplars) resolve(pr *probe, fix catalog.FixID, f *ActionFilter) (Action, float64, bool) {
-	pts := e.byFix[fix]
-	if indexResolve {
-		if fi := e.idx[fix]; fi != nil {
-			ord, d, ok := fi.nearest(pts, pr, f)
-			if !ok {
-				return Action{}, 0, false
-			}
-			return pts[ord].Action, d, true
-		}
-	}
+// bruteNearest is the brute scan the index must match: the action of fix's
+// nearest exemplar to x that f does not exclude, with its distance — the
+// first strictly nearest in arrival order. Reads take it only while
+// indexResolve is off.
+func (e *exemplars) bruteNearest(x []float64, fix catalog.FixID, f *ActionFilter) (Action, float64, bool) {
 	best := Action{}
 	bestD := math.Inf(1)
 	found := false
-	for _, p := range pts {
+	for _, p := range e.byFix[fix] {
 		if f.Excludes(p.Action) {
 			continue
 		}
-		d := euclidean(pr.x, p.X)
+		d := euclidean(x, p.X)
 		if d < bestD {
 			best, bestD, found = p.Action, d, true
 		}
@@ -359,20 +321,49 @@ func (e *exemplars) resolve(pr *probe, fix catalog.FixID, f *ActionFilter) (Acti
 	return best, bestD, found
 }
 
-// nearestPerFix finds every fix's nearest exemplar to x in one group
-// traversal of the tagged global forest, or nil when the store is empty
-// or the indexed path is gated off (callers then fall back to per-fix
-// resolve, which brute-scans). Results are bitwise identical to calling
-// resolve(pr, fix, nil) for each fix: within one fix, global arrival order
-// preserves per-fix arrival order, so the (distance, ordinal) tie-break
-// selects the same exemplar either way.
-func (e *exemplars) nearestPerFix(pr *probe) *groupBest {
+// nearestPerFix finds every fix's nearest exemplar that f does not exclude
+// (nil excludes nothing) in one group traversal of the tagged forest, or
+// nil when the store is empty or the indexed path is gated off (callers
+// then fall back to bruteNearest per fix). Results are bitwise identical to
+// bruteNearest(pr.x, fix, f) for each fix: within one fix, global arrival
+// order preserves per-fix arrival order, so the (distance, ordinal)
+// tie-break selects the same exemplar either way.
+func (e *exemplars) nearestPerFix(pr *probe, f *ActionFilter) *groupBest {
 	if !indexResolve || e.cls.len() == 0 {
 		return nil
 	}
 	g := newGroupBest(e.cls.len())
-	e.gidx.nearestAll(e.all, pr, g)
+	e.gidx.nearestAll(e.all, pr, g, f)
 	return g
+}
+
+// targets resolves one read's fixes to the actions of their nearest
+// exemplars that f does not exclude. The indexed path answers every fix
+// from one group traversal, run when the first fix needs it; with the index
+// gated off each fix is brute-scanned.
+type targets struct {
+	ex *exemplars
+	pr *probe
+	f  *ActionFilter
+	g  *groupBest
+}
+
+func (t *targets) of(fix catalog.FixID) (Action, bool) {
+	if !indexResolve {
+		a, _, ok := t.ex.bruteNearest(t.pr.x, fix, t.f)
+		return a, ok
+	}
+	tag, ok := t.ex.cls.byFix[fix]
+	if !ok {
+		return Action{}, false
+	}
+	if t.g == nil {
+		t.g = t.ex.nearestPerFix(t.pr, t.f)
+	}
+	if !t.g.found[tag] {
+		return Action{}, false
+	}
+	return t.ex.all[t.g.ord[tag]].Action, true
 }
 
 // fixScore is a fix-level classification score. Learners whose scoring
@@ -406,12 +397,13 @@ func suggestFrom(ranked []fixScore, ex *exemplars, pr *probe, f *ActionFilter) (
 			total += r.score
 		}
 	}
+	tg := targets{ex: ex, pr: pr, f: f}
 	for _, r := range ranked {
 		action, ok := r.action, r.hasAction
-		if !ok || f != nil {
-			// A filter can exclude the cached exemplar; re-resolve with
-			// the filter pushed into the search.
-			action, _, ok = ex.resolve(pr, r.fix, f)
+		// A cached exemplar is the fix's nearest: unless the filter
+		// excludes it, it is also the nearest one the filter keeps.
+		if !ok || f.Excludes(action) {
+			action, ok = tg.of(r.fix)
 		}
 		if !ok {
 			continue
@@ -428,8 +420,8 @@ func suggestFrom(ranked []fixScore, ex *exemplars, pr *probe, f *ActionFilter) (
 // rankKFrom converts a ranked fix list into the top k resolved suggestions
 // (no exclusions). Confidences are normalized over the full ranked list —
 // not the returned prefix — so rankKFrom(ranked, ex, pr, k) is exactly the
-// first k entries of the full ranking, while only the returned fixes pay
-// the exemplar-store resolution. k < 0 resolves everything.
+// first k entries of the full ranking, while targets are looked up for the
+// returned fixes only. k < 0 resolves everything.
 func rankKFrom(ranked []fixScore, ex *exemplars, pr *probe, k int) []Suggestion {
 	total := 0.0
 	for _, r := range ranked {
@@ -442,13 +434,14 @@ func rankKFrom(ranked []fixScore, ex *exemplars, pr *probe, k int) []Suggestion 
 		n = k
 	}
 	out := make([]Suggestion, 0, n)
+	tg := targets{ex: ex, pr: pr}
 	for _, r := range ranked {
 		if len(out) == n {
 			break
 		}
 		action, ok := r.action, r.hasAction
 		if !ok {
-			action, _, ok = ex.resolve(pr, r.fix, nil)
+			action, ok = tg.of(r.fix)
 		}
 		if !ok {
 			continue

@@ -101,12 +101,6 @@ type (
 	// ActionFilter is the typed exclusion set Suggest consults (nil
 	// excludes nothing); build one with ExcludeActions.
 	ActionFilter = synopsis.ActionFilter
-	// SynopsisIndex answers k-nearest-neighbor queries over a fixed
-	// point set — the pluggable search structure behind sublinear
-	// Suggest/RankK.
-	SynopsisIndex = synopsis.Index
-	// Neighbor is one SynopsisIndex result: point ordinal and distance.
-	Neighbor = synopsis.Neighbor
 	// SharedSynopsis is a snapshot-published synopsis many replicas learn
 	// into: reads are lock-free, writes batch behind one mutex.
 	SharedSynopsis = synopsis.Shared
@@ -138,16 +132,9 @@ var (
 	NewNetwork          = faults.NewNetwork
 )
 
-// Filter and index constructors, re-exported from synopsis.
-var (
-	// ExcludeActions builds a set-backed ActionFilter excluding exactly
-	// the given actions (nil — exclude nothing — for an empty list).
-	ExcludeActions = synopsis.ExcludeActions
-	// NewKDTreeIndex builds a KD-tree SynopsisIndex over a point set.
-	NewKDTreeIndex = synopsis.NewKDTreeIndex
-	// NewBruteForceIndex wraps a point set in the O(n) oracle index.
-	NewBruteForceIndex = synopsis.NewBruteForceIndex
-)
+// ExcludeActions builds a set-backed ActionFilter excluding exactly the
+// given actions (nil — exclude nothing — for an empty list).
+var ExcludeActions = synopsis.ExcludeActions
 
 // Fault constructors for the replicated-topology target: replica-partial
 // failures whose fixes are rebalance/failover operations.
