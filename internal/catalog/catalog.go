@@ -174,10 +174,6 @@ func FixIDs() []FixID {
 	return out
 }
 
-// NumFixIDs returns the number of real fixes, which is also the class count
-// for the synopsis learners.
-func NumFixIDs() int { return int(numFixIDs) - 1 }
-
 // String returns the canonical name of the fix.
 func (f FixID) String() string {
 	switch f {

@@ -215,51 +215,3 @@ func (b *SymptomBuilder) Aligned(window *metrics.Series) []float64 {
 	}
 	return out
 }
-
-// UserActivityMonitor watches a service-level activity metric (the paper's
-// "number of searches done per minute") and flags sustained drops against
-// its own slow-moving history — a detector that needs no internal metrics
-// at all.
-type UserActivityMonitor struct {
-	fast, slow ema
-	// DropFrac is the fractional drop that triggers (e.g. 0.3 = 30%).
-	DropFrac float64
-}
-
-// NewUserActivityMonitor builds the monitor with the given trigger fraction.
-func NewUserActivityMonitor(dropFrac float64) *UserActivityMonitor {
-	return &UserActivityMonitor{
-		fast:     ema{alpha: 0.2},
-		slow:     ema{alpha: 0.01},
-		DropFrac: dropFrac,
-	}
-}
-
-// Observe folds one tick's activity level (e.g. served requests).
-func (u *UserActivityMonitor) Observe(activity float64) {
-	u.fast.add(activity)
-	u.slow.add(activity)
-}
-
-// Dropped reports whether activity has dropped by at least DropFrac
-// relative to the slow average.
-func (u *UserActivityMonitor) Dropped() bool {
-	if !u.slow.init || u.slow.val <= 0 {
-		return false
-	}
-	return u.fast.val < u.slow.val*(1-u.DropFrac)
-}
-
-type ema struct {
-	alpha float64
-	val   float64
-	init  bool
-}
-
-func (e *ema) add(x float64) {
-	if !e.init {
-		e.val, e.init = x, true
-		return
-	}
-	e.val = e.alpha*x + (1-e.alpha)*e.val
-}

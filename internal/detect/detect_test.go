@@ -92,22 +92,6 @@ func TestMonitorParamClamping(t *testing.T) {
 	}
 }
 
-func TestUserActivityMonitor(t *testing.T) {
-	u := NewUserActivityMonitor(0.3)
-	for i := 0; i < 300; i++ {
-		u.Observe(100)
-	}
-	if u.Dropped() {
-		t.Fatal("steady activity flagged")
-	}
-	for i := 0; i < 30; i++ {
-		u.Observe(20)
-	}
-	if !u.Dropped() {
-		t.Fatal("70% activity drop not flagged")
-	}
-}
-
 func TestCallMatrixDetectorFindsShift(t *testing.T) {
 	const rows, cols = 4, 3
 	d := NewCallMatrixDetector(rows, cols)

@@ -10,16 +10,17 @@ import (
 	"selfheal/internal/workload"
 )
 
-func newEnv(t *testing.T) (*Injector, *Env) {
+func newEnv(t *testing.T) *Env {
 	t.Helper()
-	svc := service.New(service.DefaultConfig())
-	gen := workload.NewGenerator(workload.BiddingMix(), 3)
-	inj := NewInjector(svc, gen)
+	env := &Env{
+		Svc: service.New(service.DefaultConfig()),
+		Gen: workload.NewGenerator(workload.BiddingMix(), 3),
+	}
 	// Warm the service so Last() is meaningful.
 	for i := 0; i < 50; i++ {
-		svc.Tick(gen.Arrivals(svc.Now()))
+		env.Svc.Tick(env.Gen.Arrivals(env.Svc.Now()))
 	}
-	return inj, inj.Env()
+	return env
 }
 
 // applyCorrectFix performs the fault's own ground-truth fix via the service
@@ -69,9 +70,9 @@ func TestEveryKindInjectsAndClears(t *testing.T) {
 	gen := MustNewGenerator(5)
 	for _, kind := range catalog.FaultKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			inj, env := newEnv(t)
+			env := newEnv(t)
 			f := gen.NextOfKind(kind)
-			inj.Inject(f)
+			f.Inject(env)
 			// A few ticks so surges and leaks take hold.
 			for i := 0; i < 5; i++ {
 				env.Svc.Tick(env.Gen.Arrivals(env.Svc.Now()))
@@ -87,75 +88,14 @@ func TestEveryKindInjectsAndClears(t *testing.T) {
 			if !f.Cleared(env) {
 				t.Fatalf("%v not cleared by its own correct fix", kind)
 			}
-			if reaped := inj.Reap(); len(reaped) != 1 {
-				t.Fatalf("reap returned %d faults", len(reaped))
-			}
-			if len(inj.Active()) != 0 {
-				t.Fatal("active set not empty after reap")
-			}
 		})
 	}
 }
 
-func TestInjectorAllCleared(t *testing.T) {
-	inj, env := newEnv(t)
-	f1 := NewException("BidBean", 0.5)
-	f2 := NewStaleStats("items", 7)
-	inj.Inject(f1)
-	inj.Inject(f2)
-	if inj.AllCleared() {
-		t.Fatal("two live faults reported cleared")
-	}
-	env.Svc.MicrorebootEJB("BidBean")
-	if inj.AllCleared() {
-		t.Fatal("one live fault reported cleared")
-	}
-	env.Svc.UpdateStats("items")
-	if !inj.AllCleared() {
-		t.Fatal("cleared faults not recognized")
-	}
-	inj.Reset()
-	if len(inj.Active()) != 0 {
-		t.Fatal("reset left active faults")
-	}
-}
-
-// TestInjectDedupsByIdentity: re-injecting the same fault instance (a
-// flapping fault's next on-phase) must not duplicate the bookkeeping
-// entry, while distinct faults of the same kind coexist and clear
-// independently.
-func TestInjectDedupsByIdentity(t *testing.T) {
-	inj, env := newEnv(t)
-	f := NewException("BidBean", 0.5)
-	inj.Inject(f)
-	inj.Inject(f)
-	inj.Inject(f)
-	if n := len(inj.Active()); n != 1 {
-		t.Fatalf("re-injecting one instance left %d active entries", n)
-	}
-
-	other := NewException("ItemBean", 0.5)
-	inj.Inject(other)
-	if n := len(inj.Active()); n != 2 {
-		t.Fatalf("two same-kind faults on different components: %d active entries", n)
-	}
-	env.Svc.MicrorebootEJB("BidBean")
-	if reaped := inj.Reap(); len(reaped) != 1 || reaped[0] != Fault(f) {
-		t.Fatalf("reap after fixing one of two same-kind faults: %v", reaped)
-	}
-	if inj.AllCleared() {
-		t.Fatal("sibling fault wrongly reported cleared")
-	}
-	env.Svc.MicrorebootEJB("ItemBean")
-	if !inj.AllCleared() {
-		t.Fatal("second same-kind fault not cleared by its own fix")
-	}
-}
-
 func TestCodeBugSurvivesMicroreboot(t *testing.T) {
-	inj, env := newEnv(t)
+	env := newEnv(t)
 	f := NewCodeBug("ItemBean", 0.5)
-	inj.Inject(f)
+	f.Inject(env)
 	env.Svc.MicrorebootEJB("ItemBean")
 	for i := 0; i < 5; i++ {
 		env.Svc.Tick(env.Gen.Arrivals(env.Svc.Now()))
@@ -170,9 +110,9 @@ func TestCodeBugSurvivesMicroreboot(t *testing.T) {
 }
 
 func TestDeadlockSurvivesTierReboot(t *testing.T) {
-	inj, env := newEnv(t)
+	env := newEnv(t)
 	f := NewDeadlock("ItemBean")
-	inj.Inject(f)
+	f.Inject(env)
 	env.Svc.RebootTier(catalog.TierApp)
 	if f.Cleared(env) {
 		t.Fatal("tier reboot cleared a deadlock; only microreboot should")
@@ -184,9 +124,9 @@ func TestDeadlockSurvivesTierReboot(t *testing.T) {
 }
 
 func TestBottleneckClearsWhenSurgeEnds(t *testing.T) {
-	inj, env := newEnv(t)
+	env := newEnv(t)
 	f := NewBottleneck(catalog.TierDB, 3.7, 30)
-	inj.Inject(f)
+	f.Inject(env)
 	for i := 0; i < 10; i++ {
 		env.Svc.Tick(env.Gen.Arrivals(env.Svc.Now()))
 	}

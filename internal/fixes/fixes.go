@@ -2,8 +2,7 @@
 // the Actuator that applies them to the simulated service. Each fix knows
 // its disruption profile: how long it takes before the service can be
 // re-checked (the check-fix delay of Figure 3 line 13 — "care should be
-// taken to let the service recover fully", §4.1) and a rough operational
-// cost used when ranking fixes by expected damage.
+// taken to let the service recover fully", §4.1).
 package fixes
 
 import (
@@ -13,45 +12,33 @@ import (
 	"selfheal/internal/service"
 )
 
-// Profile describes one fix's operational characteristics.
-type Profile struct {
-	ID catalog.FixID
-	// SettleTicks is how long after application the service needs before a
+// profile describes one fix's operational characteristics.
+type profile struct {
+	id catalog.FixID
+	// settleTicks is how long after application the service needs before a
 	// meaningful success check (includes any downtime the fix causes).
-	SettleTicks int64
-	// Cost is a unitless disruption score used to order otherwise-equal
-	// candidates (microreboot ≪ tier reboot ≪ full restart ≪ human).
-	Cost float64
-	// NeedsTarget reports whether the fix requires a component/table/tier
+	settleTicks int64
+	// needsTarget reports whether the fix requires a component/table/tier
 	// argument.
-	NeedsTarget bool
+	needsTarget bool
 }
 
 // profiles enumerates every fix the actuator can apply.
-var profiles = map[catalog.FixID]Profile{
-	catalog.FixMicrorebootEJB:    {catalog.FixMicrorebootEJB, 4, 1, true},
-	catalog.FixKillHungQuery:     {catalog.FixKillHungQuery, 3, 1, false},
-	catalog.FixRebootWebTier:     {catalog.FixRebootWebTier, 26, 20, false},
-	catalog.FixRebootAppTier:     {catalog.FixRebootAppTier, 36, 30, false},
-	catalog.FixRebootDBTier:      {catalog.FixRebootDBTier, 66, 60, false},
-	catalog.FixUpdateStats:       {catalog.FixUpdateStats, 6, 3, true},
-	catalog.FixRepartitionTable:  {catalog.FixRepartitionTable, 12, 8, true},
-	catalog.FixRepartitionMemory: {catalog.FixRepartitionMemory, 4, 2, false},
-	catalog.FixProvisionTier:     {catalog.FixProvisionTier, 16, 15, true},
-	catalog.FixRebuildIndex:      {catalog.FixRebuildIndex, 22, 12, true},
-	catalog.FixRestoreConfig:     {catalog.FixRestoreConfig, 12, 6, false},
-	catalog.FixFailoverNode:      {catalog.FixFailoverNode, 10, 8, true},
-	catalog.FixFullRestart:       {catalog.FixFullRestart, 126, 100, false},
-	catalog.FixNotifyAdmin:       {catalog.FixNotifyAdmin, 0, 500, false},
-}
-
-// ProfileFor returns the profile of a fix.
-func ProfileFor(id catalog.FixID) Profile {
-	p, ok := profiles[id]
-	if !ok {
-		panic(fmt.Sprintf("fixes: no profile for %v", id))
-	}
-	return p
+var profiles = map[catalog.FixID]profile{
+	catalog.FixMicrorebootEJB:    {catalog.FixMicrorebootEJB, 4, true},
+	catalog.FixKillHungQuery:     {catalog.FixKillHungQuery, 3, false},
+	catalog.FixRebootWebTier:     {catalog.FixRebootWebTier, 26, false},
+	catalog.FixRebootAppTier:     {catalog.FixRebootAppTier, 36, false},
+	catalog.FixRebootDBTier:      {catalog.FixRebootDBTier, 66, false},
+	catalog.FixUpdateStats:       {catalog.FixUpdateStats, 6, true},
+	catalog.FixRepartitionTable:  {catalog.FixRepartitionTable, 12, true},
+	catalog.FixRepartitionMemory: {catalog.FixRepartitionMemory, 4, false},
+	catalog.FixProvisionTier:     {catalog.FixProvisionTier, 16, true},
+	catalog.FixRebuildIndex:      {catalog.FixRebuildIndex, 22, true},
+	catalog.FixRestoreConfig:     {catalog.FixRestoreConfig, 12, false},
+	catalog.FixFailoverNode:      {catalog.FixFailoverNode, 10, true},
+	catalog.FixFullRestart:       {catalog.FixFullRestart, 126, false},
+	catalog.FixNotifyAdmin:       {catalog.FixNotifyAdmin, 0, false},
 }
 
 // Application records one applied fix.
@@ -80,7 +67,7 @@ func (a *Actuator) Apply(id catalog.FixID, target string) (Application, error) {
 	if !ok {
 		return Application{}, fmt.Errorf("fixes: unknown fix %v", id)
 	}
-	if p.NeedsTarget && target == "" {
+	if p.needsTarget && target == "" {
 		return Application{}, fmt.Errorf("fixes: %v needs a target", id)
 	}
 	if !ValidTarget(id, target) {
@@ -122,7 +109,7 @@ func (a *Actuator) Apply(id catalog.FixID, target string) (Application, error) {
 	default:
 		return Application{}, fmt.Errorf("fixes: unhandled fix %v", id)
 	}
-	return Application{Fix: id, Target: target, AppliedAt: svc.Now(), SettleTicks: p.SettleTicks}, nil
+	return Application{Fix: id, Target: target, AppliedAt: svc.Now(), SettleTicks: p.settleTicks}, nil
 }
 
 // tierByName maps a tier name (or any unknown string) to a tier, defaulting
@@ -146,7 +133,7 @@ func ValidTarget(id catalog.FixID, target string) bool {
 	if !ok {
 		return false
 	}
-	if !p.NeedsTarget {
+	if !p.needsTarget {
 		return true
 	}
 	switch id {

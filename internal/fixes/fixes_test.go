@@ -18,36 +18,19 @@ func newService(t *testing.T) *service.Service {
 	return svc
 }
 
+// TestProfileForEveryFix: the actuator has a profile for every fix in the
+// catalog, filed under its own ID.
 func TestProfileForEveryFix(t *testing.T) {
 	for _, id := range catalog.FixIDs() {
-		p := ProfileFor(id)
-		if p.ID != id {
-			t.Errorf("profile for %v has id %v", id, p.ID)
-		}
-		if p.Cost <= 0 {
-			t.Errorf("%v has non-positive cost", id)
+		p, ok := profiles[id]
+		if !ok {
+			t.Errorf("no profile for %v", id)
+		} else if p.id != id {
+			t.Errorf("profile for %v has id %v", id, p.id)
 		}
 	}
-}
-
-func TestProfileForUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown fix did not panic")
-		}
-	}()
-	ProfileFor(catalog.FixID(999))
-}
-
-func TestCostOrdering(t *testing.T) {
-	// The paper's cost hierarchy: microreboot ≪ tier reboot ≪ full
-	// restart ≪ human.
-	micro := ProfileFor(catalog.FixMicrorebootEJB).Cost
-	tier := ProfileFor(catalog.FixRebootAppTier).Cost
-	full := ProfileFor(catalog.FixFullRestart).Cost
-	human := ProfileFor(catalog.FixNotifyAdmin).Cost
-	if !(micro < tier && tier < full && full < human) {
-		t.Errorf("cost ordering broken: %v %v %v %v", micro, tier, full, human)
+	if len(profiles) != len(catalog.FixIDs()) {
+		t.Errorf("%d profiles for %d fixes", len(profiles), len(catalog.FixIDs()))
 	}
 }
 
@@ -71,8 +54,8 @@ func TestApplyEveryFix(t *testing.T) {
 		if app.Fix != id || app.Target != targets[id] || app.AppliedAt != svc.Now() {
 			t.Errorf("application records %+v for %v on %q at %d", app, id, targets[id], svc.Now())
 		}
-		if app.SettleTicks != ProfileFor(id).SettleTicks {
-			t.Errorf("%v settle %d != profile %d", id, app.SettleTicks, ProfileFor(id).SettleTicks)
+		if app.SettleTicks != profiles[id].settleTicks {
+			t.Errorf("%v settle %d != profile %d", id, app.SettleTicks, profiles[id].settleTicks)
 		}
 	}
 }

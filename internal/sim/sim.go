@@ -262,10 +262,5 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Fork derives an independent RNG from this one. Forked generators let
-// subsystems (workload, faults) consume randomness without perturbing each
-// other's streams.
-func (g *RNG) Fork() *RNG { return NewRNG(g.r.Int63()) }
-
 func expApprox(x float64) float64  { return math.Exp(x) }
 func sqrtApprox(x float64) float64 { return math.Sqrt(x) }

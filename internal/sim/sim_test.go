@@ -114,20 +114,6 @@ func TestUniformBounds(t *testing.T) {
 	}
 }
 
-func TestFork(t *testing.T) {
-	g := NewRNG(13)
-	f1 := g.Fork()
-	f2 := g.Fork()
-	if f1.Float64() == f2.Float64() {
-		// A single collision is possible but astronomically unlikely.
-		if f1.Float64() == f2.Float64() {
-			t.Error("forked streams identical")
-		}
-	}
-}
-
-// Property: distribution outputs stay within their mathematical domains for
-// arbitrary seeds and parameters.
 func TestQuickDistributionDomains(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(func(seed int64, lam float64) bool {

@@ -1,7 +1,7 @@
 package stats
 
 // Holt implements Holt's double exponential smoothing: a level plus a
-// smoothed trend, with multi-step forecasting. The proactive healer (§5.3)
+// smoothed trend, forecasting when a level will be crossed. The proactive healer (§5.3)
 // uses it as an alternative to OLS trend fitting — it tracks accelerating
 // leaks (where a straight-line fit lags) much more responsively because old
 // observations decay exponentially.
@@ -50,11 +50,6 @@ func (h *Holt) Level() float64 { return h.level }
 
 // Trend returns the current smoothed per-step trend.
 func (h *Holt) Trend() float64 { return h.trend }
-
-// Forecast returns the k-step-ahead forecast.
-func (h *Holt) Forecast(k int) float64 {
-	return h.level + float64(k)*h.trend
-}
 
 // StepsToCross returns how many steps ahead the forecast first reaches
 // level, and whether it does within maxSteps (a non-positive or wrong-way

@@ -72,50 +72,3 @@ func (f LinearFit) CrossingTime(level, from float64) (float64, bool) {
 	}
 	return x, true
 }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the range
-// are clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo,hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	b := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Fractions returns per-bin fractions of the total (zeros when empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}

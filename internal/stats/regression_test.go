@@ -56,30 +56,6 @@ func TestFitSeries(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-5, 0.5, 3, 7, 9.9, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // -5 clamps into the first bin alongside 0.5
-		t.Errorf("first bin %d", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.9 and clamped 42
-		t.Errorf("last bin %d", h.Counts[4])
-	}
-	fr := h.Fractions()
-	sum := 0.0
-	for _, f := range fr {
-		sum += f
-	}
-	if !almost(sum, 1, 1e-12) {
-		t.Errorf("fractions sum %v", sum)
-	}
-}
-
 // Property: R² stays in [0,1] and residuals of the fitted line never exceed
 // those of a flat mean line.
 func TestQuickFitQuality(t *testing.T) {

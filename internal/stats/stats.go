@@ -2,16 +2,13 @@
 // descriptive statistics, online (Welford) accumulators, EWMA smoothing,
 // correlation, the χ² goodness-of-fit test used by the anomaly detector
 // (paper Example 2), linear regression used by the proactive forecaster
-// (§5.3), histograms and quantiles.
+// (§5.3) and Holt's trend smoother.
 //
 // Everything here is implemented from scratch on the standard library so the
 // learning layers above have no external dependencies.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -81,41 +78,6 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It copies and sorts its input.
-func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for an already-sorted slice.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Pearson returns the Pearson correlation coefficient between xs and ys.
 // Slices of unequal length are truncated to the shorter one; fewer than two
 // points or a zero-variance input yields 0.
@@ -141,41 +103,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation between xs and ys.
-func Spearman(xs, ys []float64) float64 {
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	if n < 2 {
-		return 0
-	}
-	return Pearson(ranks(xs[:n]), ranks(ys[:n]))
-}
-
-// ranks returns average ranks (ties share the mean rank).
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	r := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			r[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return r
 }
 
 // Welford is an online accumulator for mean and variance, suitable for
@@ -239,6 +166,3 @@ func (e *EWMA) Add(x float64) float64 {
 
 // Value returns the current average.
 func (e *EWMA) Value() float64 { return e.val }
-
-// Initialized reports whether any sample has been added.
-func (e *EWMA) Initialized() bool { return e.init }

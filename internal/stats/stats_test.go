@@ -27,28 +27,6 @@ func TestDescriptive(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almost(got, c.want, 1e-12) {
-			t.Errorf("q=%v got %v want %v", c.q, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.5); !almost(got, 5, 1e-12) {
-		t.Errorf("interp got %v", got)
-	}
-	// Input must not be reordered.
-	in := []float64{3, 1, 2}
-	Quantile(in, 0.5)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
 func TestPearson(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -65,24 +43,6 @@ func TestPearson(t *testing.T) {
 	}
 	if r := Pearson(xs[:1], ys[:1]); r != 0 {
 		t.Errorf("single point r=%v", r)
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125} // nonlinear but monotone
-	if r := Spearman(xs, ys); !almost(r, 1, 1e-12) {
-		t.Errorf("monotone spearman %v", r)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	r := ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("ranks %v want %v", r, want)
-		}
 	}
 }
 
@@ -112,9 +72,6 @@ func TestWelfordMatchesBatch(t *testing.T) {
 
 func TestEWMA(t *testing.T) {
 	e := EWMA{Alpha: 0.5}
-	if e.Initialized() {
-		t.Fatal("uninitialized EWMA claims init")
-	}
 	e.Add(10)
 	if e.Value() != 10 {
 		t.Fatalf("first sample %v", e.Value())

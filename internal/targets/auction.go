@@ -35,14 +35,14 @@ func AuctionSpec() Spec {
 }
 
 // Auction is the default target: the analytical RUBiS-style simulator of
-// internal/service together with its workload generator, Table 1 fault
-// injector and fix actuator. It is a thin adapter — the simulator's
-// behavior is unchanged, tick for tick and random draw for random draw,
-// from when core.Harness held these four components directly.
+// internal/service together with its workload generator, the set of
+// active Table 1 faults, and the fix actuator. It is a thin adapter — the
+// simulator's behavior is unchanged, tick for tick and random draw for
+// random draw, from when core.Harness held these components directly.
 type Auction struct {
+	FaultSet[faults.Fault]
 	svc  *service.Service
 	gen  *workload.Generator
-	inj  *faults.Injector
 	act  *fixes.Actuator
 	spec Spec
 }
@@ -69,10 +69,14 @@ func NewAuction(cfg Config) (*Auction, error) {
 func NewAuctionWith(scfg service.Config, mix workload.Mix, seed int64) *Auction {
 	svc := service.New(scfg)
 	gen := workload.NewGenerator(mix, seed)
+	env := &faults.Env{Svc: svc, Gen: gen}
 	return &Auction{
+		FaultSet: NewFaultSet(AuctionName,
+			func(f faults.Fault) error { f.Inject(env); return nil },
+			func(f faults.Fault) error { f.Clear(env); return nil },
+			func(f faults.Fault) bool { return f.Cleared(env) }),
 		svc:  svc,
 		gen:  gen,
-		inj:  faults.NewInjector(svc, gen),
 		act:  fixes.NewActuator(svc),
 		spec: AuctionSpec(),
 	}
@@ -135,45 +139,6 @@ func (a *Auction) SamplePaths() []trace.Path {
 		}
 	}
 	return paths
-}
-
-// Inject implements Target: only simulator faults (internal/faults) make
-// sense here.
-func (a *Auction) Inject(f Fault) error {
-	sf, ok := f.(faults.Fault)
-	if !ok {
-		return fmt.Errorf("targets: auction target cannot inject %T (%v)", f, f.Kind())
-	}
-	a.inj.Inject(sf)
-	return nil
-}
-
-// Reap implements Target.
-func (a *Auction) Reap() { a.inj.Reap() }
-
-// ClearFault implements FaultClearer: f's own effect is withdrawn (its
-// Clear, the inverse of its Inject) and f leaves the active set at once.
-// A fault no longer active is left alone.
-func (a *Auction) ClearFault(f Fault) error {
-	sf, ok := f.(faults.Fault)
-	if !ok {
-		return fmt.Errorf("targets: auction target cannot clear %T (%v)", f, f.Kind())
-	}
-	a.inj.Withdraw(sf)
-	return nil
-}
-
-// CorrectFix implements Target: the ground-truth fix of the first
-// uncleared fault — the administrator's diagnosis from live state.
-func (a *Auction) CorrectFix() (Action, bool) {
-	for _, f := range a.inj.Active() {
-		if f.Cleared(a.inj.Env()) {
-			continue
-		}
-		fix, target := f.CorrectFix()
-		return Action{Fix: fix, Target: target}, true
-	}
-	return Action{}, false
 }
 
 // Apply implements Target.

@@ -53,14 +53,14 @@ func TestAuctionClearFaultEveryKind(t *testing.T) {
 			pair[i], fs[i] = a, f.(faults.Fault)
 		}
 		a, f := pair[0], fs[0]
-		if !f.Cleared(a.inj.Env()) {
+		if !f.Cleared(auctionEnv(a)) {
 			t.Errorf("%v: Cleared false right after ClearFault", kind)
 		}
-		if n := len(a.inj.Active()); n != 0 {
+		if n := len(a.Active()); n != 0 {
 			t.Errorf("%v: %d faults active after ClearFault", kind, n)
 		}
 		a.Reap()
-		if n := len(a.inj.Active()); n != 0 {
+		if n := len(a.Active()); n != 0 {
 			t.Errorf("%v: %d faults active after ClearFault and Reap", kind, n)
 		}
 		if err := a.ClearFault(f); err != nil {
@@ -97,7 +97,7 @@ func TestAuctionClearFaultLeavesOthers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := a.inj.Env()
+	env := auctionEnv(a)
 	hw1, hw2 := faults.NewHardware(catalog.TierApp, 1), faults.NewHardware(catalog.TierApp, 1)
 	pool := faults.NewOperatorConfig(service.KnobSmallConnPool, "", 0.85)
 	threads := faults.NewOperatorConfig(service.KnobSmallThreadPool, "", 0.85)
@@ -122,24 +122,80 @@ func TestAuctionClearFaultLeavesOthers(t *testing.T) {
 	if hw2.Cleared(env) || threads.Cleared(env) {
 		t.Errorf("a fault sharing state with a cleared one reads cleared: hardware %v, thread pool %v", hw2.Cleared(env), threads.Cleared(env))
 	}
-	if !reflect.DeepEqual(a.inj.Active(), []faults.Fault{hw2, threads}) {
-		t.Errorf("active after clearing three of five: %v", a.inj.Active())
-	}
-
-	// A fault already withdrawn is left alone, even once a later fault
-	// has broken the same state again.
-	old, fresh := faults.NewDeadlock("ItemBean"), faults.NewDeadlock("ItemBean")
-	for _, step := range []func() error{
-		func() error { return a.Inject(old) },
-		func() error { return a.ClearFault(old) },
-		func() error { return a.Inject(fresh) },
-		func() error { return a.ClearFault(old) },
-	} {
-		if err := step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fresh.Cleared(env) {
-		t.Error("clearing a withdrawn deadlock again cleared a later one on the same component")
+	if !reflect.DeepEqual(a.Active(), []faults.Fault{hw2, threads}) {
+		t.Errorf("active after clearing three of five: %v", a.Active())
 	}
 }
+
+// TestClearWithdrawnLeavesOthers: on every target, a fault already
+// withdrawn and reaped is left alone by a second ClearFault, even once a
+// later fault of the same kind has broken the same state again.
+func TestClearWithdrawnLeavesOthers(t *testing.T) {
+	type clearer interface {
+		Target
+		FaultClearer
+	}
+	cases := []struct {
+		name       string
+		target     func() (clearer, error)
+		old, fresh Fault
+		// live reports whether fresh's effect is still on the target.
+		live func(tg clearer, fresh Fault) bool
+	}{
+		{
+			name:   "auction/deadlock",
+			target: func() (clearer, error) { return NewAuction(Config{Seed: 3}) },
+			old:    faults.NewDeadlock("ItemBean"), fresh: faults.NewDeadlock("ItemBean"),
+			live: func(tg clearer, fresh Fault) bool {
+				return !fresh.(faults.Fault).Cleared(auctionEnv(tg.(*Auction)))
+			},
+		},
+		{
+			name:   "replicated/primary-degraded",
+			target: func() (clearer, error) { return NewReplicated(Config{Seed: 3}) },
+			old:    NewPrimaryDegraded(0.3), fresh: NewPrimaryDegraded(0.3),
+			live: func(tg clearer, _ Fault) bool { return tg.(*Replicated).primaryCapFactor == 0.3 },
+		},
+		{
+			name:   "replicated/search-surge",
+			target: func() (clearer, error) { return NewReplicated(Config{Seed: 3}) },
+			old:    NewSearchSurge(4, 100000), fresh: NewSearchSurge(4, 100000),
+			live: func(tg clearer, _ Fault) bool {
+				r := tg.(*Replicated)
+				return r.surgeUntil > r.now
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tg, err := tc.target()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range 20 {
+				tg.Tick()
+			}
+			for _, step := range []func() error{
+				func() error { return tg.Inject(tc.old) },
+				func() error { return tg.ClearFault(tc.old) },
+				func() error { tg.Reap(); return nil },
+				func() error { return tg.Inject(tc.fresh) },
+				func() error { return tg.ClearFault(tc.old) },
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+				tg.Tick()
+			}
+			if !tc.live(tg, tc.fresh) {
+				t.Error("clearing a withdrawn fault again cleared a later one of the same kind")
+			}
+			if _, ok := tg.CorrectFix(); !ok {
+				t.Error("the later fault left the active set")
+			}
+		})
+	}
+}
+
+// auctionEnv is the environment a's faults act on.
+func auctionEnv(a *Auction) *faults.Env { return &faults.Env{Svc: a.svc, Gen: a.gen} }

@@ -164,6 +164,7 @@ const (
 // concurrent use (each harness owns its target) and, uniquely among
 // the shipped targets, not deterministic: it manages a live process.
 type Proc struct {
+	targets.FaultSet[*fault]
 	cfg   Config
 	spec  targets.Spec
 	child *managed
@@ -180,7 +181,6 @@ type Proc struct {
 	vals       []float64
 	lastFailed bool
 	calls      [][]float64
-	active     []*fault
 }
 
 // New spawns and supervises the configured child, returning once it
@@ -192,6 +192,7 @@ func New(cfg Config) (*Proc, error) {
 	}
 
 	p := &Proc{cfg: cfg, spec: Spec(), clk: clock.NewWall(cfg.TickPeriod)}
+	p.FaultSet = targets.NewFaultSet(Name, p.inject, p.clear, p.faultCleared)
 
 	if cfg.Addr == "" {
 		addr, err := freeAddr()
@@ -444,15 +445,11 @@ func (p *Proc) SamplePaths() []trace.Path {
 	}}
 }
 
-// Inject performs the real injection behind f: SIGKILL for hardware
+// inject performs the real injection behind f: SIGKILL for hardware
 // death, SIGSTOP for a deadlock freeze, a corrupt config write for
 // operator error.
-func (p *Proc) Inject(f targets.Fault) error {
-	pf, ok := f.(*fault)
-	if !ok {
-		return fmt.Errorf("process: fault %T was not built for the %s target", f, Name)
-	}
-	switch pf.kind {
+func (p *Proc) inject(f *fault) error {
+	switch f.kind {
 	case catalog.FaultHardware:
 		p.child.kill()
 	case catalog.FaultDeadlock:
@@ -469,9 +466,8 @@ func (p *Proc) Inject(f targets.Fault) error {
 			return fmt.Errorf("process: corrupt config: %w", err)
 		}
 	default:
-		return fmt.Errorf("process: target %q has no fault kind %s", Name, pf.kind)
+		return fmt.Errorf("process: target %q has no fault kind %s", Name, f.kind)
 	}
-	p.active = append(p.active, pf)
 	return nil
 }
 
@@ -490,38 +486,10 @@ func (p *Proc) faultCleared(f *fault) bool {
 	return true
 }
 
-// Reap drops faults whose effects are gone from the live state.
-func (p *Proc) Reap() {
-	kept := p.active[:0]
-	for _, f := range p.active {
-		if !p.faultCleared(f) {
-			kept = append(kept, f)
-		}
-	}
-	p.active = kept
-}
-
-// CorrectFix diagnoses the first still-active fault from live state and
-// returns its ground-truth fix (the Figure 3 administrator).
-func (p *Proc) CorrectFix() (targets.Action, bool) {
-	for _, f := range p.active {
-		if p.faultCleared(f) {
-			continue
-		}
-		fix, tgt := f.CorrectFix()
-		return targets.Action{Fix: fix, Target: tgt}, true
-	}
-	return targets.Action{}, false
-}
-
-// ClearFault reverts a fault's effect without a fix (targets.FaultClearer):
-// the scripted off-phase of a flapping fault.
-func (p *Proc) ClearFault(f targets.Fault) error {
-	pf, ok := f.(*fault)
-	if !ok {
-		return fmt.Errorf("process: fault %T was not built for the %s target", f, Name)
-	}
-	switch pf.kind {
+// clear reverts f's effect without a fix: the scripted off-phase of a
+// flapping fault, or the end of an episode whose fault is still live.
+func (p *Proc) clear(f *fault) error {
+	switch f.kind {
 	case catalog.FaultHardware:
 		if !p.child.alive() {
 			return p.child.respawn()

@@ -168,8 +168,8 @@ func TestKillDetectFailover(t *testing.T) {
 		t.Fatal("child not healthy after failover respawn")
 	}
 	p.Reap()
-	if len(p.active) != 0 {
-		t.Fatalf("fault survived Reap after recovery: %d active", len(p.active))
+	if len(p.Active()) != 0 {
+		t.Fatalf("fault survived Reap after recovery: %d active", len(p.Active()))
 	}
 	if p.child.restartCount() == 0 {
 		t.Fatal("failover did not count a restart")
@@ -200,8 +200,33 @@ func TestPauseThaw(t *testing.T) {
 		t.Fatal("child still reads paused after thaw")
 	}
 	p.Reap()
-	if len(p.active) != 0 {
+	if len(p.Active()) != 0 {
 		t.Fatal("deadlock fault survived Reap after thaw")
+	}
+}
+
+// TestReinjectDedups: a fault injected twice — a flapping fault's next
+// on-phase — is one entry in the active set, and one ClearFault
+// withdraws it.
+func TestReinjectDedups(t *testing.T) {
+	p := newHelperProc(t)
+	f, err := newFault(catalog.FaultOperatorConfig, p.cfg.Component)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := p.Inject(f); err != nil {
+			t.Fatalf("Inject: %v", err)
+		}
+	}
+	if n := len(p.Active()); n != 1 {
+		t.Fatalf("one fault injected twice left %d active entries", n)
+	}
+	if err := p.ClearFault(f); err != nil {
+		t.Fatalf("ClearFault: %v", err)
+	}
+	if n := len(p.Active()); n != 0 || !p.configGood() {
+		t.Fatalf("after ClearFault: %d active entries, config good %v", n, p.configGood())
 	}
 }
 

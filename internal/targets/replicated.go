@@ -138,6 +138,7 @@ type replTick struct {
 
 // Replicated is the replicated-topology target.
 type Replicated struct {
+	FaultSet[replFault]
 	spec Spec
 	rng  *sim.RNG
 	now  int64
@@ -160,19 +161,15 @@ type Replicated struct {
 	drift        float64
 	loadSurges   []workload.Surge
 
-	webDownTicks int64
-	weights      [2]float64
-	replicas     [2]*appReplica
+	weights  [2]float64
+	replicas [2]*appReplica
 
 	primaryCapFactor float64 // hardware degradation of the primary
 	usingStandby     bool
-	switchTicks      int64 // remaining failover switchover outage
-	failovers        int
+	switchTicks      int64   // remaining failover switchover outage
 	dbCapBoost       float64 // provisioning multiplier
 
 	globalDownTicks int64 // full-restart outage
-
-	active []replFault // injected, unreaped faults
 
 	callMatrix  [][]float64
 	last        replTick
@@ -201,6 +198,10 @@ func NewReplicated(cfg Config) (*Replicated, error) {
 		dbCapBoost:       1,
 		loadScale:        1,
 	}
+	r.FaultSet = NewFaultSet(ReplicatedName,
+		func(f replFault) error { f.inject(r); return nil },
+		func(f replFault) error { f.clear(r); return nil },
+		func(f replFault) bool { return f.cleared(r) })
 	for i, name := range replicaNames() {
 		r.replicas[i] = &appReplica{name: name, cap: replAppCap}
 	}
@@ -324,9 +325,6 @@ func (r *Replicated) Tick() detect.Sample {
 	if r.switchTicks > 0 {
 		r.switchTicks--
 	}
-	if r.webDownTicks > 0 {
-		r.webDownTicks--
-	}
 	if r.globalDownTicks > 0 {
 		r.globalDownTicks--
 	}
@@ -372,7 +370,7 @@ func (r *Replicated) Tick() detect.Sample {
 		st.arrivals += arrivals[c]
 	}
 
-	outage := r.globalDownTicks > 0 || r.webDownTicks > 0 || r.switchTicks > 0
+	outage := r.globalDownTicks > 0 || r.switchTicks > 0
 	// Effective rotation: weights over in-rotation replicas.
 	inRot := [2]bool{}
 	totalW := 0.0
@@ -545,8 +543,7 @@ func (r *Replicated) MetricNames() []string {
 			"db.on.standby",
 			"db.primary.capfactor",
 		}
-		for i, name := range replicaNames() {
-			_ = i
+		for _, name := range replicaNames() {
 			names = append(names,
 				"app.replica."+name+".util",
 				"app.replica."+name+".up",
@@ -696,7 +693,6 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 		if a.Target == "db" {
 			// Promote the standby; the switchover is a short outage.
 			r.usingStandby = !r.usingStandby
-			r.failovers++
 			r.switchTicks = replSwitchTicks
 			return replSwitchTicks + 4, nil
 		}
@@ -765,56 +761,13 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 // --- Faults ---------------------------------------------------------------
 
 // replFault is the injection contract replicated faults implement on top
-// of the target-agnostic Fault descriptor.
+// of the target-agnostic Fault descriptor: the three mechanics the
+// target's FaultSet is built from.
 type replFault interface {
 	Fault
 	inject(r *Replicated)
+	clear(r *Replicated)
 	cleared(r *Replicated) bool
-}
-
-// Inject implements Target. Like faults.Injector, the active set is
-// tracked by fault identity: re-injecting an already-active instance (a
-// flapping fault's next on-phase) re-applies its effect without
-// duplicating the bookkeeping entry, and several faults of the same kind
-// coexist and clear independently.
-func (r *Replicated) Inject(f Fault) error {
-	rf, ok := f.(replFault)
-	if !ok {
-		return fmt.Errorf("targets: replicated target cannot inject %T (%v)", f, f.Kind())
-	}
-	rf.inject(r)
-	for _, have := range r.active {
-		if have == rf {
-			return nil
-		}
-	}
-	r.active = append(r.active, rf)
-	return nil
-}
-
-// active tracks injected, unreaped faults.
-
-// Reap implements Target.
-func (r *Replicated) Reap() {
-	var live []replFault
-	for _, f := range r.active {
-		if !f.cleared(r) {
-			live = append(live, f)
-		}
-	}
-	r.active = live
-}
-
-// CorrectFix implements Target.
-func (r *Replicated) CorrectFix() (Action, bool) {
-	for _, f := range r.active {
-		if f.cleared(r) {
-			continue
-		}
-		fix, target := f.CorrectFix()
-		return Action{Fix: fix, Target: target}, true
-	}
-	return Action{}, false
 }
 
 // ReplicaDown is a hardware loss of one app replica: the balancer keeps
@@ -834,6 +787,12 @@ func (f *ReplicaDown) CorrectFix() (catalog.FixID, string) {
 func (f *ReplicaDown) inject(r *Replicated) {
 	if i := r.replicaIndex(f.Replica); i >= 0 {
 		r.replicas[i].down = true
+		r.replicas[i].rebootTicks = 0
+	}
+}
+func (f *ReplicaDown) clear(r *Replicated) {
+	if i := r.replicaIndex(f.Replica); i >= 0 {
+		r.replicas[i].down = false
 		r.replicas[i].rebootTicks = 0
 	}
 }
@@ -857,6 +816,7 @@ func (f *PrimaryDegraded) CorrectFix() (catalog.FixID, string) {
 	return catalog.FixFailoverNode, "db"
 }
 func (f *PrimaryDegraded) inject(r *Replicated) { r.primaryCapFactor = f.Factor }
+func (f *PrimaryDegraded) clear(r *Replicated)  { r.primaryCapFactor = 1 }
 func (f *PrimaryDegraded) cleared(r *Replicated) bool {
 	return r.usingStandby || r.primaryCapFactor >= 0.95
 }
@@ -879,6 +839,7 @@ func (f *RoutingSkew) CorrectFix() (catalog.FixID, string) {
 func (f *RoutingSkew) inject(r *Replicated) {
 	r.weights = [2]float64{f.Fraction, 1 - f.Fraction}
 }
+func (f *RoutingSkew) clear(r *Replicated) { r.weights = [2]float64{0.5, 0.5} }
 func (f *RoutingSkew) cleared(r *Replicated) bool {
 	return math.Abs(r.weights[0]-0.5) < 0.05
 }
@@ -904,6 +865,12 @@ func (f *ReplicaLeak) CorrectFix() (catalog.FixID, string) {
 func (f *ReplicaLeak) inject(r *Replicated) {
 	if i := r.replicaIndex(f.Replica); i >= 0 {
 		r.replicas[i].leakRate = f.Rate
+	}
+}
+func (f *ReplicaLeak) clear(r *Replicated) {
+	if i := r.replicaIndex(f.Replica); i >= 0 {
+		r.replicas[i].leakRate = 0
+		r.replicas[i].leakLevel = 0
 	}
 }
 func (f *ReplicaLeak) cleared(r *Replicated) bool {
@@ -933,6 +900,11 @@ func (f *BadDeploy) CorrectFix() (catalog.FixID, string) {
 func (f *BadDeploy) inject(r *Replicated) {
 	if i := r.replicaIndex(f.Replica); i >= 0 {
 		r.replicas[i].errorRate = f.Rate
+	}
+}
+func (f *BadDeploy) clear(r *Replicated) {
+	if i := r.replicaIndex(f.Replica); i >= 0 {
+		r.replicas[i].errorRate = 0
 	}
 }
 func (f *BadDeploy) cleared(r *Replicated) bool {
@@ -967,6 +939,7 @@ func (f *SearchSurge) inject(r *Replicated) {
 	r.surgeClass = 2 // Search
 	r.surgeUntil = r.now + f.Duration
 }
+func (f *SearchSurge) clear(r *Replicated) { r.surgeUntil = min(r.surgeUntil, r.now) }
 func (f *SearchSurge) cleared(r *Replicated) bool {
 	if r.now >= f.start+f.Duration {
 		return true
@@ -976,42 +949,6 @@ func (f *SearchSurge) cleared(r *Replicated) bool {
 
 // --- Optional capabilities ------------------------------------------------
 
-// ClearFault implements FaultClearer: revert the effect of a previously
-// injected fault without applying any fix — the scripted quiet phase of
-// a flapping fault. Clearing is keyed by the fault's type and strike
-// target, so it also quiets a severity-scaled clone injected by
-// InjectPartial. The cleared entry leaves the active set at the next
-// Reap, exactly as a healed fault would.
-func (r *Replicated) ClearFault(f Fault) error {
-	switch ft := f.(type) {
-	case *ReplicaDown:
-		if i := r.replicaIndex(ft.Replica); i >= 0 {
-			r.replicas[i].down = false
-			r.replicas[i].rebootTicks = 0
-		}
-	case *PrimaryDegraded:
-		r.primaryCapFactor = 1
-	case *RoutingSkew:
-		r.weights = [2]float64{0.5, 0.5}
-	case *ReplicaLeak:
-		if i := r.replicaIndex(ft.Replica); i >= 0 {
-			r.replicas[i].leakRate = 0
-			r.replicas[i].leakLevel = 0
-		}
-	case *BadDeploy:
-		if i := r.replicaIndex(ft.Replica); i >= 0 {
-			r.replicas[i].errorRate = 0
-		}
-	case *SearchSurge:
-		if r.surgeUntil > r.now {
-			r.surgeUntil = r.now
-		}
-	default:
-		return fmt.Errorf("targets: replicated target cannot clear %T", f)
-	}
-	return nil
-}
-
 // InjectPartial implements PartialInjector: inject a severity-scaled
 // clone of f — the grey-failure model. Severity s in (0,1) interpolates
 // each fault's main knob between "no effect" and the full fault: a bad
@@ -1019,6 +956,8 @@ func (r *Replicated) ClearFault(f Fault) error {
 // its rate, a routing skew moves s of the way off balance, a degraded
 // primary keeps 1-(1-factor)·s of its capacity, a surge multiplies by
 // 1+(factor-1)·s. A dead replica has no fractional form and is refused.
+// The clone is tracked under f, so ClearFault(f) quiets a grey fault
+// that flaps.
 func (r *Replicated) InjectPartial(f Fault, severity float64) error {
 	if severity <= 0 || severity > 1 {
 		return fmt.Errorf("targets: partial injection severity %v outside (0, 1]", severity)
@@ -1026,7 +965,7 @@ func (r *Replicated) InjectPartial(f Fault, severity float64) error {
 	if severity == 1 {
 		return r.Inject(f)
 	}
-	var scaled Fault
+	var scaled replFault
 	switch ft := f.(type) {
 	case *BadDeploy:
 		scaled = NewBadDeploy(ft.Replica, ft.Rate*severity)
@@ -1043,7 +982,7 @@ func (r *Replicated) InjectPartial(f Fault, severity float64) error {
 	default:
 		return fmt.Errorf("targets: replicated target cannot partially inject %T", f)
 	}
-	return r.Inject(scaled)
+	return r.injectAs(f, scaled)
 }
 
 // MakeFault implements FaultMaker: deterministic construction of any

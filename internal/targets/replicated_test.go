@@ -247,28 +247,28 @@ func TestReplicatedInjectDedups(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(r.active); n != 1 {
+	if n := len(r.Active()); n != 1 {
 		t.Fatalf("re-injecting one instance left %d active entries", n)
 	}
 	deploy := NewBadDeploy("app-1", 0.5)
 	if err := r.Inject(deploy); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(r.active); n != 2 {
+	if n := len(r.Active()); n != 2 {
 		t.Fatalf("distinct faults collapsed: %d active entries", n)
 	}
 	if err := r.ClearFault(deploy); err != nil {
 		t.Fatal(err)
 	}
 	r.Reap()
-	if n := len(r.active); n != 1 {
+	if n := len(r.Active()); n != 1 {
 		t.Fatalf("clearing one fault left %d active entries", n)
 	}
 	if err := r.ClearFault(leak); err != nil {
 		t.Fatal(err)
 	}
 	r.Reap()
-	if n := len(r.active); n != 0 {
+	if n := len(r.Active()); n != 0 {
 		t.Fatalf("active set not empty after clearing both: %d", n)
 	}
 }
@@ -297,7 +297,7 @@ func TestReplicatedClearFault(t *testing.T) {
 		// drain after a surge stops), so settle before reaping.
 		warm(r, 30)
 		r.Reap()
-		if n := len(r.active); n != 0 {
+		if n := len(r.Active()); n != 0 {
 			t.Fatalf("%v not reaped after ClearFault", f.Kind())
 		}
 	}
@@ -339,6 +339,35 @@ func TestReplicatedInjectPartial(t *testing.T) {
 	}
 	if r2.replicas[0].errorRate != 0.5 {
 		t.Fatalf("severity 1 should be a plain injection, errorRate %v", r2.replicas[0].errorRate)
+	}
+}
+
+// TestReplicatedGreyFlap: a grey fault that flaps is tracked under the
+// fault the scenario passed, so each ClearFault(f) quiets the
+// severity-scaled copy InjectPartial applied, and one on-phase injected
+// twice keeps one entry.
+func TestReplicatedGreyFlap(t *testing.T) {
+	r := newRepl(t, 19)
+	warm(r, 20)
+	f := NewBadDeploy("app-0", 0.5)
+	for cycle := range 3 {
+		for range 2 {
+			if err := r.InjectPartial(f, 0.2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(r.Active()); n != 1 {
+			t.Fatalf("cycle %d: one grey fault injected twice left %d entries", cycle, n)
+		}
+		warm(r, 10)
+		if err := r.ClearFault(f); err != nil {
+			t.Fatal(err)
+		}
+		r.Reap()
+		if n, rate := len(r.Active()), r.replicas[0].errorRate; n != 0 || rate != 0 {
+			t.Fatalf("cycle %d: after ClearFault(f) and Reap: %d entries, errorRate %v", cycle, n, rate)
+		}
+		warm(r, 10)
 	}
 }
 

@@ -208,9 +208,9 @@ type Target interface {
 // FaultClearer, and its grey failures a PartialInjector. The healer
 // needs a FaultClearer too: RunEpisode withdraws the fault its episode
 // injected before returning, so the next episode starts clean. Every
-// built-in target implements FaultMaker and FaultClearer; the auction and
-// replicated targets also implement WorkloadShaper, and the replicated
-// target PartialInjector.
+// built-in target implements FaultMaker, and gets FaultClearer from the
+// FaultSet it embeds; the auction and replicated targets also implement
+// WorkloadShaper, and the replicated target PartialInjector.
 
 // WorkloadShaper reshapes a target's offered load at runtime: constant
 // scaling, the ±25% diurnal modulation, slow mix drift, and scheduled
@@ -244,9 +244,11 @@ type FaultMaker interface {
 // FaultClearer actively reverts an injected fault's effect — the
 // scripted "repair" between a flapping fault's on-phases, and the end of
 // a campaign episode whose fault is still live — distinct from healing:
-// no fix is applied, the underlying cause simply goes quiet. The
-// replicated target keys clearing by the fault's type and strike target,
-// so it also clears a severity-scaled clone injected by InjectPartial.
+// no fix is applied, the underlying cause simply goes quiet. A fault is
+// withdrawn only while the target still holds it, by the identity the
+// caller injected; a severity-scaled copy from InjectPartial is held
+// under the caller's fault, so clearing that fault quiets the copy. See
+// FaultSet for the whole rule.
 type FaultClearer interface {
 	ClearFault(f Fault) error
 }
