@@ -42,8 +42,11 @@ type FailureContext struct {
 	Baseline *metrics.Baseline
 	// Recent is the raw metric window around detection (the Nc window).
 	Recent *metrics.Series
-	// History is a longer raw window including healthy operation, for
-	// correlation analysis (Example 3).
+	// History is the longer raw window correlation analysis reads
+	// (Example 3): the last HistoryTicks rows, healthy operation
+	// included. The harness keeps that much history only for an approach
+	// that declares it reads History (HistoryReader); for any other
+	// approach History is the Recent window.
 	History *metrics.Series
 	// CallCallees names the callee columns of the call matrix.
 	CallCallees []string
@@ -146,6 +149,22 @@ type ObserveBatcher interface {
 // misroute credit for later outcomes of the same action.
 type ProposalAborter interface {
 	AbandonProposal(action Action)
+}
+
+// HistoryReader is implemented by approaches that read
+// FailureContext.History. NewHealer consults it: the harness keeps
+// HistoryTicks rows of metric history for an approach that reads History,
+// and only the warm-up window for any other, whose History is then the
+// Recent window.
+type HistoryReader interface {
+	ReadsHistory() bool
+}
+
+// readsHistory reports whether a declares that it reads
+// FailureContext.History.
+func readsHistory(a Approach) bool {
+	r, ok := a.(HistoryReader)
+	return ok && r.ReadsHistory()
 }
 
 // triedSet builds the typed exclusion filter synopses consume: nil (no

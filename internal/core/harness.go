@@ -26,9 +26,13 @@ type HarnessConfig struct {
 	WindowTicks int
 	// DetectK of WindowTicks violated ticks declares a failure.
 	DetectK int
-	// HistoryTicks bounds the retained metric history, and with it the
-	// healer's wait for an injected fault to become detectable: a failure
-	// surfacing later would have its injection outside that history.
+	// HistoryTicks is the metric history FailureContext.History carries
+	// for correlation analysis, and it bounds the healer's wait for an
+	// injected fault to become detectable: a failure surfacing later
+	// would have its injection outside that history. The harness keeps
+	// HistoryTicks rows only while its healer's approach reads History
+	// (HistoryReader); otherwise it keeps the WarmupTicks window, and the
+	// wait is bounded all the same.
 	HistoryTicks int
 	SLO          detect.SLO
 	// Clock paces the tick loop. Nil means: the target's own clock when
@@ -81,6 +85,12 @@ type Harness struct {
 	ring       [][]float64
 	ringPos    int
 	ringFilled int
+
+	// shortHistory is set by NewHealer when the healer's approach does not
+	// read FailureContext.History: Step then keeps only the rows the other
+	// readers need (see retained), and BuildContext hands out the
+	// detection window as History.
+	shortHistory bool
 
 	// Clock paces Step: a no-op for simulator targets, a wall-period
 	// sleep for targets whose ticks are real time. Set from the config
@@ -211,12 +221,23 @@ func (h *Harness) Step() detect.Sample {
 		h.ringFilled++
 	}
 
-	// Keep a sliding window of the last HistoryTicks rows.
-	h.Coll.Series().TrimFront(h.Cfg.HistoryTicks)
+	// Keep a sliding window of the last retained() rows.
+	h.Coll.Series().TrimFront(h.retained())
 	if h.OnStep != nil {
 		h.OnStep(st)
 	}
 	return st
+}
+
+// retained is how many metric rows Step keeps: HistoryTicks, or with a
+// short history the warm-up window, which covers every other reader — the
+// detection window, the warm-up baseline, the §5.3 forecaster's fit window
+// and the ablations' reads.
+func (h *Harness) retained() int {
+	if h.shortHistory {
+		return min(h.Cfg.HistoryTicks, max(h.Cfg.WarmupTicks, h.Cfg.WindowTicks))
+	}
+	return h.Cfg.HistoryTicks
 }
 
 // StepN advances n ticks and returns the last tick's sample.
@@ -232,6 +253,10 @@ func (h *Harness) StepN(n int) detect.Sample {
 func (h *Harness) BuildContext() *FailureContext {
 	series := h.Coll.Series()
 	recent := series.Tail(h.Cfg.WindowTicks)
+	history := recent
+	if !h.shortHistory {
+		history = series.Tail(h.Cfg.HistoryTicks)
+	}
 	// Rebuild the χ² current window from the matrix ring. Slots not yet
 	// written this early in the run are skipped, exactly as the lazily
 	// allocated ring used to skip nil entries.
@@ -246,7 +271,7 @@ func (h *Harness) BuildContext() *FailureContext {
 		Schema:        series.Schema(),
 		Baseline:      h.Builder.Baseline(),
 		Recent:        recent,
-		History:       series.Tail(h.Cfg.HistoryTicks),
+		History:       history,
 		CallCallees:   h.Target.CallCallees(),
 		CallAnomalies: h.CallDet.AnomalousCallees(),
 		Paths:         h.Target.SamplePaths(),

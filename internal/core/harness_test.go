@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"selfheal/internal/core"
+	"selfheal/internal/diagnose"
 	"selfheal/internal/faults"
+	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
 )
 
@@ -36,6 +38,42 @@ func TestHistoryIsASlidingWindow(t *testing.T) {
 	// The view taken before all of that still reads its own rows.
 	if early.Len() != n || early.Time(0) != first {
 		t.Errorf("early view now holds %d rows from tick %d, was %d from %d", early.Len(), early.Time(0), n, first)
+	}
+}
+
+// TestRetentionFollowsTheApproach: a harness keeps HistoryTicks rows of
+// metric history only for a healer whose approach reads
+// FailureContext.History, correlation analysis alone or inside a Hybrid.
+// Under any other approach it keeps the WarmupTicks window, at most two
+// 256-row blocks, and History is the detection window.
+func TestRetentionFollowsTheApproach(t *testing.T) {
+	cfg := core.DefaultHarnessConfig()
+	fixsym := func() core.Approach { return core.NewFixSym(synopsis.NewNearestNeighbor()) }
+	for _, tc := range []struct {
+		name       string
+		approach   core.Approach
+		rows, hist int
+	}{
+		{"fixsym", fixsym(), cfg.WarmupTicks, cfg.WindowTicks},
+		{"hybrid without correlation", core.NewHybrid(fixsym(), diagnose.NewAnomaly(), diagnose.NewBottleneck()), cfg.WarmupTicks, cfg.WindowTicks},
+		{"correlation", diagnose.NewCorrelation(), cfg.HistoryTicks, cfg.HistoryTicks},
+		{"hybrid with correlation", core.NewHybrid(fixsym(), diagnose.NewCorrelation()), cfg.HistoryTicks, cfg.HistoryTicks},
+	} {
+		h := core.NewHarness(cfg)
+		core.NewHealer(h, tc.approach, core.DefaultHealerConfig())
+		series := h.Coll.Series()
+		for i := 0; i < 10000; i++ {
+			h.Step()
+			if series.Len() > tc.rows {
+				t.Fatalf("%s, tick %d: %d rows retained, want at most %d", tc.name, i, series.Len(), tc.rows)
+			}
+		}
+		if series.Len() != tc.rows {
+			t.Errorf("%s: %d rows retained, want %d", tc.name, series.Len(), tc.rows)
+		}
+		if got := h.BuildContext().History.Len(); got != tc.hist {
+			t.Errorf("%s: History holds %d rows, want %d", tc.name, got, tc.hist)
+		}
 	}
 }
 

@@ -143,8 +143,12 @@ type Healer struct {
 	sinceFlush int
 }
 
-// NewHealer builds a healer over an environment and an approach.
+// NewHealer builds a healer over an environment and an approach, and sets
+// the environment's metric retention by the approach: HistoryTicks rows
+// when it reads FailureContext.History (HistoryReader), the warm-up
+// window otherwise.
 func NewHealer(h *Harness, a Approach, cfg HealerConfig) *Healer {
+	h.shortHistory = !readsHistory(a)
 	return &Healer{Cfg: cfg, H: h, Approach: a, targetName: h.Target.Spec().Name}
 }
 

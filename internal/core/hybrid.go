@@ -126,6 +126,17 @@ func (h *Hybrid) AbandonProposal(action Action) {
 	}
 }
 
+// ReadsHistory implements HistoryReader: the hybrid reads History when
+// any of its approaches does.
+func (h *Hybrid) ReadsHistory() bool {
+	for _, a := range h.approaches {
+		if readsHistory(a) {
+			return true
+		}
+	}
+	return false
+}
+
 // creditProposal moves the oldest pending proposer's reliability weight
 // toward the observed outcome and retires that proposal.
 func (h *Hybrid) creditProposal(action Action, success bool) {

@@ -117,6 +117,10 @@ func (c *Correlation) Name() string { return "correlation-analysis" }
 // Observe implements core.Approach.
 func (c *Correlation) Observe(*core.FailureContext, core.Action, bool) {}
 
+// ReadsHistory implements core.HistoryReader: the correlations are taken
+// over the whole History window.
+func (c *Correlation) ReadsHistory() bool { return true }
+
 // Recommend implements core.Approach.
 func (c *Correlation) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {
 	hist := ctx.History

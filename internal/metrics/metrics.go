@@ -65,11 +65,14 @@ func (s *Schema) MustIndex(name string) int {
 // blockRows is the number of rows one storage block holds.
 const blockRows = 256
 
-// block is one fixed-size run of consecutive rows. A row, once written, is
-// never rewritten, so a block may be shared by any number of series.
+// block is one fixed-size run of consecutive rows. A block a view has
+// covered is never rewritten, so it may be shared by any number of series.
 type block struct {
 	times [blockRows]int64
 	flat  []float64 // blockRows rows of schema.Len() values, row-major
+	// viewed is set once a Tail view covers the block: its rows are then
+	// immutable, and TrimFront lets the block go instead of reusing it.
+	viewed bool
 }
 
 // Series is an append-only multidimensional time series: one row of float64
@@ -77,16 +80,20 @@ type block struct {
 //
 // Rows are stored in fixed-size blocks. Append fills the last block and
 // starts a new one when it is full; no row is ever moved. TrimFront advances
-// the first-row offset and lets go of the blocks wholly before it, so a
-// sliding window costs the same per tick however long it has been sliding.
-// A view returned by Tail holds the blocks it covers and stays valid — rows
-// are immutable once appended — whatever its parent appends or trims later.
-// Whole-window scans (means, stddevs) walk the rows oldest first.
+// the first-row offset and drops the blocks wholly before it, so a sliding
+// window costs the same per tick however long it has been sliding. A
+// dropped block that no view ever covered goes on the series' free list,
+// and Append refills it before allocating: a window that slides with no
+// view taken allocates nothing once warm. A view returned by Tail marks the
+// blocks it covers, which are then never reused, so the view stays valid
+// whatever its parent appends or trims later. Whole-window scans (means,
+// stddevs) walk the rows oldest first.
 type Series struct {
 	schema *Schema
 	blocks []*block
 	off    int // rows of blocks[0] that precede row 0
 	n      int
+	free   []*block // dropped blocks no view covers, for Append to refill
 }
 
 // NewSeries creates an empty series over the schema.
@@ -107,7 +114,7 @@ func (t *Series) Append(now int64, row []float64) {
 	}
 	j := t.off + t.n
 	if j == len(t.blocks)*blockRows {
-		t.blocks = append(t.blocks, &block{flat: make([]float64, blockRows*w)})
+		t.blocks = append(t.blocks, t.newBlock())
 	}
 	b, r := t.blocks[j/blockRows], j%blockRows
 	b.times[r] = now
@@ -115,7 +122,24 @@ func (t *Series) Append(now int64, row []float64) {
 	t.n++
 }
 
-// Row returns the i-th row. The returned slice must not be modified.
+// newBlock takes the last block off the free list, or allocates one when
+// the list is empty. A refilled block's old rows are never read: Append
+// overwrites each row before Len counts it.
+func (t *Series) newBlock() *block {
+	k := len(t.free) - 1
+	if k < 0 {
+		return &block{flat: make([]float64, blockRows*t.schema.Len())}
+	}
+	b := t.free[k]
+	t.free[k] = nil
+	t.free = t.free[:k]
+	return b
+}
+
+// Row returns the i-th row. The returned slice must not be modified, and it
+// shares the series' storage: once TrimFront has dropped the row, Append
+// may refill its block with newer rows. Read it before the series is next
+// trimmed, or read it through a Tail view, whose rows never change.
 func (t *Series) Row(i int) []float64 {
 	w := t.schema.Len()
 	j := t.off + i
@@ -161,33 +185,54 @@ func (t *Series) eachRow(f func(row []float64)) {
 
 // Tail returns a view of the last n rows (fewer if the series is shorter).
 // The view shares the blocks it covers with the parent and must be treated
-// as read-only.
+// as read-only. Those blocks are marked viewed, so the parent never reuses
+// them: the view reads the same rows for as long as it lives.
 func (t *Series) Tail(n int) *Series {
 	if n > t.n {
 		n = t.n
 	}
 	start := t.off + t.n - n
+	covered := t.blocks[start/blockRows:]
+	for _, b := range covered {
+		// Only a block no view covers yet is written to, so a view's own
+		// Tail, which may run on another goroutine, writes nothing.
+		if !b.viewed {
+			b.viewed = true
+		}
+	}
 	return &Series{
 		schema: t.schema,
-		blocks: append([]*block(nil), t.blocks[start/blockRows:]...),
+		blocks: append([]*block(nil), covered...),
 		off:    start % blockRows,
 		n:      n,
 	}
 }
 
 // TrimFront drops all but the last keep rows, bounding memory during long
-// campaigns. No row is copied: the block list is re-sliced past the blocks
-// now wholly before the first row (a view that covers one keeps it alive).
+// campaigns. No row is copied: the blocks now wholly before the first row
+// leave the block list, and each one no view covers goes on the free list
+// for Append to refill.
 func (t *Series) TrimFront(keep int) {
 	if t.n <= keep {
 		return
 	}
 	t.off += t.n - keep
 	t.n = keep
-	for ; t.off >= blockRows; t.off -= blockRows {
-		t.blocks[0] = nil
-		t.blocks = t.blocks[1:]
+	d := t.off / blockRows
+	if d == 0 {
+		return
 	}
+	for _, b := range t.blocks[:d] {
+		if !b.viewed {
+			t.free = append(t.free, b)
+		}
+	}
+	// Shift rather than re-slice, so the block list keeps its capacity and
+	// Append does not reallocate it every few blocks.
+	n := copy(t.blocks, t.blocks[d:])
+	clear(t.blocks[n:])
+	t.blocks = t.blocks[:n]
+	t.off -= d * blockRows
 }
 
 // ColMeans returns per-column means over all rows.

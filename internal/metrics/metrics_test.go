@@ -258,6 +258,10 @@ func checkAgainst(t *testing.T, what string, s *Series, m *refSeries) {
 	}
 }
 
+// TestSeriesMatchesNaiveModel runs random appends, trims and views against
+// the naive model. Trims drop blocks, Append refills the dropped blocks no
+// view covered, and every view taken along the way must still read its
+// rows bit for bit at the end.
 func TestSeriesMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	schema := NewSchema([]string{"a", "b", "c"})
@@ -267,6 +271,10 @@ func TestSeriesMatchesNaiveModel(t *testing.T) {
 		model *refSeries
 	}
 	var views []held
+	// dropped holds the blocks trims let go of; one that turns up in the
+	// series again has been refilled.
+	dropped := map[*block]bool{}
+	reused := 0
 	row := make([]float64, schema.Len())
 	now := int64(0)
 	for op := 0; op < 4000; op++ {
@@ -281,12 +289,22 @@ func TestSeriesMatchesNaiveModel(t *testing.T) {
 				m.times = append(m.times, now)
 				m.rows = append(m.rows, append([]float64(nil), row...))
 			}
+			for _, b := range s.blocks {
+				if dropped[b] {
+					delete(dropped, b)
+					reused++
+				}
+			}
 		case k < 8:
 			keep := rng.Intn(3 * blockRows)
 			if rng.Intn(8) == 0 {
 				keep = 0
 			}
+			before := append([]*block(nil), s.blocks...)
 			s.TrimFront(keep)
+			for _, b := range before[:len(before)-len(s.blocks)] {
+				dropped[b] = true
+			}
 			if len(m.rows) > keep {
 				m.times, m.rows = m.times[len(m.times)-keep:], m.rows[len(m.rows)-keep:]
 			}
@@ -294,17 +312,18 @@ func TestSeriesMatchesNaiveModel(t *testing.T) {
 			n := rng.Intn(2*blockRows + 2)
 			v := held{s.Tail(n), m.tail(n)}
 			checkAgainst(t, "fresh view", v.view, v.model)
-			if len(views) < 40 {
-				views = append(views, v)
-			}
+			views = append(views, v)
 		}
 		if op%97 == 0 {
 			checkAgainst(t, "series", s, m)
 		}
 	}
 	checkAgainst(t, "series", s, m)
+	if reused == 0 {
+		t.Error("no dropped block was refilled: the run never exercised reuse")
+	}
 	// Every view still reads the rows it was taken over, whatever was
-	// appended to or trimmed from the parent since.
+	// appended to, trimmed from or refilled in the parent since.
 	for _, v := range views {
 		checkAgainst(t, "old view", v.view, v.model)
 	}
@@ -323,5 +342,25 @@ func TestTrimFrontReleasesWholeBlocks(t *testing.T) {
 	}
 	if s.Len() != window || s.Row(0)[0] != float64(20*window-window) {
 		t.Fatalf("window holds %d rows starting at %v", s.Len(), s.Row(0))
+	}
+}
+
+// TestSlidingWindowAllocatesNothing: once warm, a window that slides with
+// no view taken refills the blocks it drops, so a thousand appends and
+// trims allocate nothing at all, not even a block every 256 rows.
+func TestSlidingWindowAllocatesNothing(t *testing.T) {
+	s := NewSeries(NewSchema([]string{"a", "b", "c"}))
+	row := make([]float64, 3)
+	now := int64(0)
+	slide := func() {
+		for i := 0; i < 4*blockRows; i++ {
+			now++
+			s.Append(now, row)
+			s.TrimFront(240)
+		}
+	}
+	slide()
+	if allocs := testing.AllocsPerRun(1, slide); allocs != 0 {
+		t.Errorf("%v allocations over %d sliding steps, want 0", allocs, 4*blockRows)
 	}
 }

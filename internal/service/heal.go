@@ -83,9 +83,7 @@ func (s *Service) UpdateStats(table string) {
 // RepartitionTable repartitions the named table to balance block accesses
 // across partitions (ref [12]), clearing hot-block contention.
 func (s *Service) RepartitionTable(table string) {
-	t := s.DB.Table(table)
-	t.Contention = 0
-	t.Partitions++
+	s.DB.Table(table).Contention = 0
 }
 
 // RepartitionMemory rebalances memory across the database buffers

@@ -231,7 +231,7 @@ func New(cfg Config) *Service {
 		byTable:     make(map[string]*Table, len(defaultTables)),
 	}
 	for _, def := range defaultTables {
-		t := &Table{Def: def, PlanSlowdown: 1, Partitions: 1}
+		t := &Table{Def: def, PlanSlowdown: 1}
 		s.DB.tables = append(s.DB.tables, t)
 		s.DB.byTable[def.Name] = t
 	}

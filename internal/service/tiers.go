@@ -160,8 +160,6 @@ type Table struct {
 	// read/write contention on a hot block (Table 1 row 5). Repartitioning
 	// the table clears it.
 	Contention float64
-	// Partitions counts table partitions; repartitioning increments it.
-	Partitions int
 
 	// IndexDropped marks the table's index as missing (an operator
 	// mistake); selective queries degrade to scans until it is rebuilt.

@@ -782,9 +782,13 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 				}
 			}
 		}
-		for fix, fixPts := range base.ex.byFix {
-			if n := tagged[int32(base.ex.cls.byFix[fix])]; n != len(fixPts) {
-				t.Fatalf("after %d points fix %v has %d exemplars and %d rows tagged with it", at, fix, len(fixPts), n)
+		stored := map[int32]int{}
+		for _, tag := range base.ex.fixOf {
+			stored[tag]++
+		}
+		for tag, n := range stored {
+			if tagged[tag] != n {
+				t.Fatalf("after %d points fix %v has %d exemplars and %d rows tagged with it", at, base.ex.cls.fixes[tag], n, tagged[tag])
 			}
 		}
 		if at%7 == 0 || at == len(pts) {

@@ -118,23 +118,26 @@ func (s *KMeans) Forget(keep int) {
 // rebuild rides the write path (Add/AddBatch/Forget), so readers of a
 // snapshot clone only ever see a finished, immutable index.
 func (s *KMeans) recluster() {
-	for fix, pts := range s.ex.byFix {
-		if len(pts) == 0 {
-			delete(s.centroids, fix)
-			continue
+	// A fix's points are those tagged with its class, summed in arrival order.
+	ex := s.ex
+	sums := make([][]float64, ex.cls.len())
+	counts := make([]int, ex.cls.len())
+	for i, p := range ex.all {
+		c := ex.fixOf[i]
+		if grow := len(p.X) - len(sums[c]); grow > 0 {
+			sums[c] = append(sums[c], make([]float64, grow)...)
 		}
-		dim := width(pts)
-		c := make([]float64, dim)
-		for _, p := range pts {
-			for d := 0; d < len(p.X); d++ {
-				c[d] += p.X[d]
-			}
+		for d, v := range p.X {
+			sums[c][d] += v
 		}
-		inv := 1 / float64(len(pts))
-		for d := range c {
-			c[d] *= inv
+		counts[c]++
+	}
+	for c, fix := range ex.cls.fixes {
+		inv := 1 / float64(counts[c])
+		for d := range sums[c] {
+			sums[c][d] *= inv
 		}
-		s.centroids[fix] = c
+		s.centroids[fix] = sums[c]
 	}
 	fixes := make([]catalog.FixID, 0, len(s.centroids))
 	for fix := range s.centroids {

@@ -161,8 +161,8 @@ func (s *NearestNeighbor) rankFixes(pr *probe) []fixScore {
 		sortFixScores(out)
 		return out
 	}
-	out := make([]fixScore, 0, len(s.ex.byFix))
-	for fix := range s.ex.byFix {
+	out := make([]fixScore, 0, s.ex.cls.len())
+	for _, fix := range s.ex.cls.fixes {
 		action, d, ok := s.ex.bruteNearest(x, fix, nil)
 		if !ok {
 			continue

@@ -212,16 +212,16 @@ func (c *classSet) clone() *classSet {
 // worked for the nearest matching signature. Arrival order is kept so the
 // online wrapper's sliding window evicts the globally oldest points.
 //
-// The store keeps one index: an incrementally-maintained KD-tree forest
-// (gidx, see fixIndex) over all of it, whose trees tag every point with
-// its fix's dense class (cls assigns the tags; fixOf[i] is the tag of
-// all[i]), so every fix's nearest exemplar is found by one group traversal
-// (nearestPerFix) instead of one search per fix. The forest is only ever
-// mutated on the write path (add/forget), which Shared serializes; clones
-// share the immutable trees.
+// The store keeps one list and one index: all, in arrival order, and an
+// incrementally-maintained KD-tree forest (gidx, see fixIndex) over it,
+// whose trees tag every point with its fix's dense class (cls assigns the
+// tags; fixOf[i] is the tag of all[i]). A fix's exemplars are the points of
+// all carrying its tag, so every fix's nearest exemplar is found by one
+// group traversal (nearestPerFix) instead of one search per fix. The
+// forest is only ever mutated on the write path (add/forget), which Shared
+// serializes; clones share the immutable trees.
 type exemplars struct {
 	all   []Point
-	byFix map[catalog.FixID][]Point
 	cls   *classSet
 	fixOf []int32
 	gidx  *fixIndex
@@ -234,9 +234,8 @@ var indexResolve = true
 
 func newExemplars() *exemplars {
 	return &exemplars{
-		byFix: make(map[catalog.FixID][]Point),
-		cls:   newClassSet(),
-		gidx:  &fixIndex{},
+		cls:  newClassSet(),
+		gidx: &fixIndex{},
 	}
 }
 
@@ -251,7 +250,6 @@ func (e *exemplars) add(p Point) {
 // construction happens once per load, not once per forest carry.
 func (e *exemplars) appendOnly(p Point) {
 	e.all = append(e.all, p)
-	e.byFix[p.Action.Fix] = append(e.byFix[p.Action.Fix], p)
 	e.fixOf = append(e.fixOf, int32(e.cls.index(p.Action.Fix)))
 	e.n++
 }
@@ -287,13 +285,8 @@ func (e *exemplars) forget(keep int) {
 // backing arrays; the capped slice headers force either side's future
 // appends to reallocate rather than write where the other can see.
 func (e *exemplars) clone() *exemplars {
-	byFix := make(map[catalog.FixID][]Point, len(e.byFix))
-	for k, v := range e.byFix {
-		byFix[k] = v[:len(v):len(v)]
-	}
 	return &exemplars{
 		all:   e.all[:len(e.all):len(e.all)],
-		byFix: byFix,
 		cls:   e.cls.clone(),
 		fixOf: e.fixOf[:len(e.fixOf):len(e.fixOf)],
 		gidx:  e.gidx.clone(),
@@ -303,14 +296,18 @@ func (e *exemplars) clone() *exemplars {
 
 // bruteNearest is the brute scan the index must match: the action of fix's
 // nearest exemplar to x that f does not exclude, with its distance — the
-// first strictly nearest in arrival order. Reads take it only while
-// indexResolve is off.
+// first strictly nearest in arrival order among the points tagged with fix.
+// Reads take it only while indexResolve is off.
 func (e *exemplars) bruteNearest(x []float64, fix catalog.FixID, f *ActionFilter) (Action, float64, bool) {
 	best := Action{}
 	bestD := math.Inf(1)
 	found := false
-	for _, p := range e.byFix[fix] {
-		if f.Excludes(p.Action) {
+	tag, ok := e.cls.byFix[fix]
+	if !ok {
+		return best, bestD, found
+	}
+	for i, p := range e.all {
+		if int(e.fixOf[i]) != tag || f.Excludes(p.Action) {
 			continue
 		}
 		d := euclidean(x, p.X)

@@ -298,8 +298,9 @@ type HarnessTuning struct {
 	WindowTicks int
 	// DetectK of WindowTicks violated ticks declares a failure.
 	DetectK int
-	// HistoryTicks bounds retained metric history and the healer's wait
-	// for an injected fault to be detected.
+	// HistoryTicks bounds the metric history an approach that reads
+	// FailureContext.History sees, and the healer's wait for an injected
+	// fault to be detected.
 	HistoryTicks int
 	// CheckTicks bounds the post-fix clean-window wait.
 	CheckTicks int

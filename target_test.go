@@ -266,9 +266,8 @@ func TestWorkloadMixScopedPerKind(t *testing.T) {
 
 // TestSteadyStateStepAllocatesNothing pins the tick path of both shipped
 // targets: past warm-up and a full history window, a Step allocates
-// nothing of its own. The one thing that still allocates is the metric
-// history taking a new block every few hundred ticks, which AllocsPerRun's
-// whole-number average leaves at zero; a per-tick allocation reads 1.
+// nothing of its own. The metric history refills the blocks its window
+// drops, so it takes no new block either; a per-tick allocation reads 1.
 func TestSteadyStateStepAllocatesNothing(t *testing.T) {
 	for _, kind := range []selfheal.TargetKind{selfheal.TargetAuction, selfheal.TargetReplicated} {
 		sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(3), selfheal.WithTargets(kind))
