@@ -44,8 +44,8 @@ func TestHistoryIsASlidingWindow(t *testing.T) {
 // TestRetentionFollowsTheApproach: a harness keeps HistoryTicks rows of
 // metric history only for a healer whose approach reads
 // FailureContext.History, correlation analysis alone or inside a Hybrid.
-// Under any other approach it keeps the WarmupTicks window, at most two
-// 256-row blocks, and History is the detection window.
+// Under any other approach it keeps the WarmupTicks window, 240 rows at the
+// defaults, and History is the detection window.
 func TestRetentionFollowsTheApproach(t *testing.T) {
 	cfg := core.DefaultHarnessConfig()
 	fixsym := func() core.Approach { return core.NewFixSym(synopsis.NewNearestNeighbor()) }

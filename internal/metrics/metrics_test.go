@@ -347,7 +347,7 @@ func TestTrimFrontReleasesWholeBlocks(t *testing.T) {
 
 // TestSlidingWindowAllocatesNothing: once warm, a window that slides with
 // no view taken refills the blocks it drops, so a thousand appends and
-// trims allocate nothing at all, not even a block every 256 rows.
+// trims allocate nothing at all, not even a block every blockRows rows.
 func TestSlidingWindowAllocatesNothing(t *testing.T) {
 	s := NewSeries(NewSchema([]string{"a", "b", "c"}))
 	row := make([]float64, 3)

@@ -92,35 +92,53 @@ func (s *Service) RepartitionMemory() {
 	s.DB.Buffer.Rebalance()
 }
 
+// MaxProvisionGrowth bounds dynamic provisioning: a tier's nodes, and the
+// database's disk capability and connection slots, grow to at most this many
+// times their configured size, and no count past 2^52. A runaway campaign
+// replica's first 250 episodes peak near 5.1e11 database nodes, below the
+// bound; without it the compounding growth reaches 8e18 within 2,000
+// episodes, where Go leaves the conversion back to an int
+// implementation-dependent.
+const MaxProvisionGrowth = 1 << 40
+
+// provisionLimit is the largest count provisioning may grow a configured
+// size of n to.
+func provisionLimit(n float64) float64 {
+	return math.Min(math.Max(n, 1)*MaxProvisionGrowth, 1<<52)
+}
+
 // ProvisionTier adds capacity to the named tier, sizing to the measured
 // demand the way dynamic provisioning systems do (ref [25]): enough nodes
 // to bring the tier back to a ~65% operating point, with a minimum growth
-// of half the current fleet.
+// of half the current fleet, up to MaxProvisionGrowth times the configured
+// size.
 func (s *Service) ProvisionTier(t catalog.Tier) {
 	ts := s.Tier(t)
 	var util float64
+	var configured int
 	switch t {
 	case catalog.TierWeb:
-		util = s.last.WebUtil
+		util, configured = s.last.WebUtil, s.cfg.WebNodes
 	case catalog.TierApp:
-		util = math.Max(s.last.AppUtil, s.last.ThreadUtil)
+		util, configured = math.Max(s.last.AppUtil, s.last.ThreadUtil), s.cfg.AppNodes
 	default:
-		util = math.Max(s.last.DBCPUUtil, math.Max(s.last.DBIOUtil, s.last.ConnUtil))
+		util, configured = math.Max(s.last.DBCPUUtil, math.Max(s.last.DBIOUtil, s.last.ConnUtil)), s.cfg.DBNodes
 	}
 	grow := util / 0.65
-	if grow < 1.5 {
+	if !(grow >= 1.5) {
 		grow = 1.5
 	}
-	newNodes := int(math.Ceil(float64(ts.Nodes) * grow))
-	if newNodes <= ts.Nodes {
-		newNodes = ts.Nodes + 1
+	nodes := float64(ts.Nodes)
+	want := math.Min(math.Max(math.Ceil(nodes*grow), nodes+1), provisionLimit(float64(configured)))
+	if !(want > nodes) {
+		return // at the bound
 	}
-	actual := float64(newNodes) / float64(ts.Nodes)
-	ts.Nodes = newNodes
+	actual := want / nodes
+	ts.Nodes = int(want)
 	if t == catalog.TierDB {
 		// Database nodes bring their own disks and connection slots.
-		s.DB.IOOpsPerSec *= actual
-		s.DB.Connections = int(float64(s.DB.Connections) * actual)
+		s.DB.IOOpsPerSec = math.Min(s.DB.IOOpsPerSec*actual, s.cfg.IOOpsPerSec*MaxProvisionGrowth)
+		s.DB.Connections = int(math.Min(float64(s.DB.Connections)*actual, provisionLimit(float64(s.cfg.DBConnections))))
 	}
 }
 

@@ -798,7 +798,7 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 	if headedTrees(base.ex.gidx) != 1 {
 		t.Error("the rebuilt tree keeps no head")
 	}
-	if got, want := base.ex.all[0].X, pts[len(pts)-window].X; &got[0] != &want[0] {
-		t.Error("the window does not start at the oldest surviving point")
-	}
+	// The window starts at the oldest surviving point, and every survivor
+	// holds its caller's values in the rebuilt tree's packed row.
+	assertOneCopy(t, "the rebuilt window", base.ex, vectorsOf(pts[len(pts)-window:]))
 }

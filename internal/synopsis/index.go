@@ -168,7 +168,9 @@ type kdtree struct {
 	// distance). Leaf scans stream this contiguous block instead of
 	// chasing pts[ord].X pointers across the heap; on a million-point
 	// tree the pointer chase's cache misses, not arithmetic, dominate
-	// the scan.
+	// the scan. In an exemplar store that owns its points the rows are
+	// also the points' storage: each indexed point's X is its row, capped
+	// at its own length (see exemplars.adopt).
 	xs     []float64
 	stride int
 	// tags, when present, holds each leaf point's dense class tag in ords
@@ -669,16 +671,19 @@ type fixIndex struct {
 const kdBlock = 32
 
 // insert adds the point at ordinal ord of pts (the store's full arrival
-// slice) to the index.
-func (fi *fixIndex) insert(pts []Point, ord int) {
+// slice) to the index, returning the tree a flush built (nil when the
+// point only joined the tail).
+func (fi *fixIndex) insert(pts []Point, ord int) *kdtree {
 	fi.tail = append(fi.tail, ord)
-	if len(fi.tail) >= kdBlock {
-		fi.flush(pts)
+	if len(fi.tail) < kdBlock {
+		return nil
 	}
+	return fi.flush(pts)
 }
 
-// flush merges the tail into the forest: carry-propagate from slot 0.
-func (fi *fixIndex) flush(pts []Point) {
+// flush merges the tail into the forest, carry-propagating from slot 0, and
+// returns the tree it built.
+func (fi *fixIndex) flush(pts []Point) *kdtree {
 	ords := append([]int(nil), fi.tail...)
 	trees := append([]*kdtree(nil), fi.trees...)
 	slot := 0
@@ -695,18 +700,20 @@ func (fi *fixIndex) flush(pts []Point) {
 	}
 	fi.trees = trees
 	fi.tail = nil
+	return t
 }
 
 // bulkLoad replaces the forest with one compact tree over all of pts,
 // parked at the slot whose capacity matches the point count so later
 // incremental inserts keep their amortized bound: lower slots fill
 // normally and the compact tree is only merged once the carries reach
-// it, exactly as if it had been built by insertion.
-func (fi *fixIndex) bulkLoad(pts []Point) {
+// it, exactly as if it had been built by insertion. It returns the tree
+// (nil for no points).
+func (fi *fixIndex) bulkLoad(pts []Point) *kdtree {
 	fi.tail = nil
 	fi.trees = nil
 	if len(pts) == 0 {
-		return
+		return nil
 	}
 	ords := make([]int, len(pts))
 	for i := range ords {
@@ -720,6 +727,7 @@ func (fi *fixIndex) bulkLoad(pts []Point) {
 	t.packTags(fi.tagOf)
 	fi.trees = make([]*kdtree, slot+1)
 	fi.trees[slot] = t
+	return t
 }
 
 // clone returns a read snapshot sharing the immutable trees; the tail

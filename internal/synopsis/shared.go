@@ -47,10 +47,13 @@ type Shared struct {
 	// logPts and logSeqs are the arrival log: logPts[i] was published by
 	// the write that advanced the sequence to logSeqs[i]. logSeqs is
 	// non-decreasing, which is what lets DeltaSince binary-search its
-	// cursor instead of scanning the history. Log entries share the
-	// points' backing arrays with the base learner (Points are
-	// immutable), so the log costs one slice header and one uint64 per
-	// observation, not a second copy of the vectors.
+	// cursor instead of scanning the history. Log entries hold the
+	// vectors the writers handed in. Every publish clones the base, so its
+	// exemplar store is shared and keeps those same vectors rather than
+	// re-pointing them at its trees' packed rows (exemplars.adopt): the
+	// log costs one slice header and one uint64 per observation, not a
+	// copy of the vectors. The one exception is a compaction's retrain,
+	// whose fresh store adopts its rows before the next publish.
 	logPts  []Point
 	logSeqs []uint64
 

@@ -219,13 +219,19 @@ func (c *classSet) clone() *classSet {
 // all carrying its tag, so every fix's nearest exemplar is found by one
 // group traversal (nearestPerFix) instead of one search per fix. The
 // forest is only ever mutated on the write path (add/forget), which Shared
-// serializes; clones share the immutable trees.
+// serializes; clones share the immutable trees. Until a store is cloned, an
+// indexed point's X is its tree's packed row (see adopt), and only the
+// tail's points hold their callers' vectors.
 type exemplars struct {
 	all   []Point
 	cls   *classSet
 	fixOf []int32
 	gidx  *fixIndex
 	n     int
+	// shared is set once clone has handed all's backing array to another
+	// store: a snapshot may be reading its points, so adopt leaves them
+	// alone. forget and a reset start a fresh, unshared list.
+	shared bool
 }
 
 // indexResolve gates the KD-tree read path; the oracle property test
@@ -242,7 +248,23 @@ func newExemplars() *exemplars {
 func (e *exemplars) add(p Point) {
 	e.appendOnly(p)
 	e.gidx.tagOf = e.fixOf
-	e.gidx.insert(e.all, len(e.all)-1)
+	e.adopt(e.gidx.insert(e.all, len(e.all)-1))
+}
+
+// adopt makes t's packed rows the storage of the points it indexes: each
+// point's X is re-pointed at its row, capped at its own length, and the
+// vector it held before is garbage once its caller lets go. The floats are
+// the same, so every distance and answer is too. A shared store adopts
+// nothing, since a snapshot may be reading its points' X.
+func (e *exemplars) adopt(t *kdtree) {
+	if t == nil || e.shared {
+		return
+	}
+	for i, ord := range t.ords {
+		if x := e.all[ord].X; len(x) > 0 {
+			e.all[ord].X = t.row(int32(i))[:len(x):len(x)]
+		}
+	}
 }
 
 // appendOnly adds p without maintaining the index; the caller owns
@@ -262,12 +284,14 @@ func (e *exemplars) appendOnly(p Point) {
 // dominates read latency.
 func (e *exemplars) reindex() {
 	e.gidx = &fixIndex{tagOf: e.fixOf}
-	e.gidx.bulkLoad(e.all)
+	e.adopt(e.gidx.bulkLoad(e.all))
 }
 
 // forget keeps only the most recent keep points (strictly by arrival
 // order) and rebuilds the index over them in one step: one compact tree,
-// as after a bulk load.
+// as after a bulk load. The survivors go to a fresh arrival list, which no
+// snapshot shares, so the new tree's rows become their storage even when
+// this store was shared.
 func (e *exemplars) forget(keep int) {
 	if e.n <= keep {
 		return
@@ -284,13 +308,23 @@ func (e *exemplars) forget(keep int) {
 // KD-trees are immutable, so both sides can keep reading the shared
 // backing arrays; the capped slice headers force either side's future
 // appends to reallocate rather than write where the other can see.
+//
+// Ownership: a store owns its points' X until it is cloned. From then on
+// both sides are shared, and neither re-points a point (adopt) while it
+// keeps that arrival list. Only the writer's side ever finds the flag
+// clear, so cloning a clone, even from many goroutines at once, only reads
+// it.
 func (e *exemplars) clone() *exemplars {
+	if !e.shared {
+		e.shared = true
+	}
 	return &exemplars{
-		all:   e.all[:len(e.all):len(e.all)],
-		cls:   e.cls.clone(),
-		fixOf: e.fixOf[:len(e.fixOf):len(e.fixOf)],
-		gidx:  e.gidx.clone(),
-		n:     e.n,
+		all:    e.all[:len(e.all):len(e.all)],
+		cls:    e.cls.clone(),
+		fixOf:  e.fixOf[:len(e.fixOf):len(e.fixOf)],
+		gidx:   e.gidx.clone(),
+		n:      e.n,
+		shared: true,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"selfheal/internal/catalog"
 	"selfheal/internal/detect"
 	"selfheal/internal/metrics"
+	"selfheal/internal/service"
 	"selfheal/internal/sim"
 	"selfheal/internal/trace"
 	"selfheal/internal/workload"
@@ -724,17 +725,19 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 		r.weights = [2]float64{0.5, 0.5}
 		return 6, nil
 	case catalog.FixProvisionTier:
+		// Growth stops at the auction engine's bound, relative to the
+		// configured capacity.
 		switch a.Target {
 		case "db":
 			grow := r.last.dbUtil / 0.65
-			if grow < 1.5 {
+			if !(grow >= 1.5) {
 				grow = 1.5
 			}
-			r.dbCapBoost *= grow
+			r.dbCapBoost = math.Min(r.dbCapBoost*grow, service.MaxProvisionGrowth)
 			return 16, nil
 		case "app":
 			for _, rep := range r.replicas {
-				rep.cap *= 1.5
+				rep.cap = math.Min(rep.cap*1.5, replAppCap*service.MaxProvisionGrowth)
 			}
 			return 16, nil
 		default:
