@@ -93,13 +93,11 @@ func (a *Admin) Requests() []AdminRequestCount {
 	return out
 }
 
-// CountRequest records one verb request's final status code. The
-// mounting server calls it from a middleware outside the auth and
-// rate-limit stages, so the metric counts denied attempts (401/403/429)
-// too — those are the rows an operator alerts on.
-func (a *Admin) CountRequest(verb string, code int) { a.count(verb, code) }
-
-func (a *Admin) count(verb string, code int) {
+// CountRequest records one verb request's final status code. CountAdmin
+// calls it from a middleware outside the auth and rate-limit stages, so
+// the metric counts denied attempts (401/403/429) too — those are the
+// rows an operator alerts on.
+func (a *Admin) CountRequest(verb string, code int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	byCode := a.requests[verb]
@@ -132,9 +130,8 @@ type verbResult struct {
 }
 
 // verb wraps one handler with the shared envelope: POST-only, JSON
-// response, audit emission. Request counting lives in the mounting
-// server's outermost middleware (CountRequest), where middleware
-// rejections are visible too.
+// response, audit emission. Request counting lives in the CountAdmin
+// middleware outside auth, where middleware rejections are visible too.
 func (a *Admin) verb(name string, h func(*http.Request) verbResult) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var res verbResult

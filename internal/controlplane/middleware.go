@@ -51,9 +51,6 @@ type AuthConfig struct {
 	AdminToken string
 }
 
-// enabled reports whether the config changes any request's fate.
-func (c AuthConfig) enabled() bool { return c.ReadToken != "" || c.AdminToken != "" }
-
 // token extracts the caller's bearer token: the Authorization header
 // normally, or an access_token query parameter as the fallback for
 // EventSource clients, which cannot set headers on /events.
@@ -215,9 +212,9 @@ func RateLimit(cfg RateLimitConfig) Middleware {
 	}
 }
 
-// statusWriter captures the response status for logging while remaining
-// transparent to streaming handlers (Flush passes through, which SSE
-// needs).
+// statusWriter captures the response status and size for RequestLog and
+// CountAdmin while remaining transparent to streaming handlers (Flush
+// passes through, which SSE needs).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -247,6 +244,14 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
+// code returns the final status; a handler that wrote nothing sent 200.
+func (sw *statusWriter) code() int {
+	if sw.status == 0 {
+		return http.StatusOK
+	}
+	return sw.status
+}
+
 // RequestLog logs one line per request in key=value form: time (from
 // the logger), remote, method, path, status, bytes and duration. A nil
 // logger uses the process default.
@@ -259,12 +264,30 @@ func RequestLog(l *log.Logger) Middleware {
 			sw := &statusWriter{ResponseWriter: w}
 			start := time.Now()
 			next.ServeHTTP(sw, r)
-			status := sw.status
-			if status == 0 {
-				status = http.StatusOK
-			}
 			l.Printf("ops remote=%s method=%s path=%s status=%d bytes=%d dur=%s",
-				remoteKey(r), r.Method, r.URL.Path, status, sw.bytes, time.Since(start).Round(time.Microsecond))
+				remoteKey(r), r.Method, r.URL.Path, sw.code(), sw.bytes, time.Since(start).Round(time.Microsecond))
+		})
+	}
+}
+
+// CountAdmin records every /admin/* response's final status into a's
+// request counters. Chained outside Auth and RateLimit, it counts their
+// 401/403/429 rejections too, which never reach the verb handlers. A nil
+// a yields a nil stage, which Chain skips.
+func CountAdmin(a *Admin) Middleware {
+	if a == nil {
+		return nil
+	}
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			verb, ok := strings.CutPrefix(r.URL.Path, "/admin/")
+			if !ok {
+				next.ServeHTTP(w, r)
+				return
+			}
+			sw := &statusWriter{ResponseWriter: w}
+			next.ServeHTTP(sw, r)
+			a.CountRequest(verb, sw.code())
 		})
 	}
 }

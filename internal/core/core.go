@@ -3,8 +3,9 @@
 // interface every fix-identification technique implements (manual rules,
 // the three diagnosis-based approaches, and FixSym), the FailureContext
 // those approaches observe, the FixSym signature-based approach itself
-// (§4.3.4), the Figure 3 healing loop, the hybrid combination with
-// confidence ranking (§5.1) and the proactive forecaster (§5.3).
+// (§4.3.4), the Figure 3 healing loop and the hybrid combination with
+// confidence ranking (§5.1). The §5.3 proactive forecaster is the
+// experiments package's ablation code; no healer runs it.
 package core
 
 import (

@@ -231,8 +231,8 @@ func (h *Harness) Step() detect.Sample {
 
 // retained is how many metric rows Step keeps: HistoryTicks, or with a
 // short history the warm-up window, which covers every other reader — the
-// detection window, the warm-up baseline, the §5.3 forecaster's fit window
-// and the ablations' reads.
+// detection window, the warm-up baseline and the ablations' reads (the
+// §5.3 proactive ablation's 120-tick fit among them).
 func (h *Harness) retained() int {
 	if h.shortHistory {
 		return min(h.Cfg.HistoryTicks, max(h.Cfg.WarmupTicks, h.Cfg.WindowTicks))

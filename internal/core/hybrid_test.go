@@ -86,29 +86,6 @@ func TestHybridFeedsAllObservers(t *testing.T) {
 	}
 }
 
-func TestProactiveHoltVariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	for _, useHolt := range []bool{false, true} {
-		cfg := core.DefaultHarnessConfig()
-		cfg.Seed = 99
-		h := core.NewHarness(cfg)
-		p := core.NewProactive(h)
-		p.UseHolt = useHolt
-		if err := h.Target.Inject(faults.NewAging(catalog.TierApp, 0.004)); err != nil {
-			t.Fatal(err)
-		}
-		actions, bad := p.RunWithProactive(1800)
-		if actions == 0 {
-			t.Errorf("useHolt=%v: forecaster never acted", useHolt)
-		}
-		if bad > 150 {
-			t.Errorf("useHolt=%v: %d bad ticks", useHolt, bad)
-		}
-	}
-}
-
 func TestHarnessDeterminism(t *testing.T) {
 	run := func() []float64 {
 		cfg := core.DefaultHarnessConfig()

@@ -146,14 +146,6 @@ func (m *Monitor) Recovered() bool { return m.cleanFor >= m.N }
 // CleanFor returns the length of the current violation-free run.
 func (m *Monitor) CleanFor() int { return m.cleanFor }
 
-// Reset clears the monitor's memory (used after restarts).
-func (m *Monitor) Reset() {
-	for i := range m.window {
-		m.window[i] = false
-	}
-	m.pos, m.filled, m.cleanFor, m.violCount = 0, 0, 0, 0
-}
-
 // SymptomBuilder turns metric windows into the symptom vectors the
 // synopses learn over: per-column z-scores of the current window against a
 // frozen healthy baseline, clamped so no single metric dominates distances.

@@ -3,7 +3,9 @@ package diagnose
 import (
 	"math"
 
+	"selfheal/internal/catalog"
 	"selfheal/internal/core"
+	"selfheal/internal/metrics"
 	"selfheal/internal/stats"
 )
 
@@ -38,7 +40,7 @@ func (a *Anomaly) Recommend(ctx *core.FailureContext, tried []core.Action) (core
 	// Component-level localization first: the paper's Example 2 flow.
 	if e := topCallAnomaly(ctx); e != "" {
 		cands = append(cands, candidate{
-			action: core.Action{Fix: fixMicroreboot(), Target: e},
+			action: core.Action{Fix: catalog.FixMicrorebootEJB, Target: e},
 			score:  100 + ctx.CallAnomalies[0].Score,
 		})
 	}
@@ -216,8 +218,8 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 	plan := util("db.plan.slowdown")
 	if plan > 1.4 {
 		if t := worstTable(ctx, "costops"); t != "" {
-			add(core.Action{Fix: fixUpdateStats(), Target: t}, 10+plan)
-			add(core.Action{Fix: fixRebuildIndex(), Target: t}, 4+plan)
+			add(core.Action{Fix: catalog.FixUpdateStats, Target: t}, 10+plan)
+			add(core.Action{Fix: catalog.FixRebuildIndex, Target: t}, 4+plan)
 		}
 	} else if util("db.cpu.util") > b.HotUtil {
 		// CPU hot with a good plan: either genuine volume (queries grew
@@ -225,37 +227,37 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 		// table (an index went missing — rebuild). The ratio of cost to
 		// query count against baseline separates the two.
 		if t, infl := mostInflatedTable(ctx); t != "" && infl > 3 {
-			add(core.Action{Fix: fixRebuildIndex(), Target: t}, 9)
-			add(core.Action{Fix: fixUpdateStats(), Target: t}, 8)
+			add(core.Action{Fix: catalog.FixRebuildIndex, Target: t}, 9)
+			add(core.Action{Fix: catalog.FixUpdateStats, Target: t}, 8)
 		}
-		add(core.Action{Fix: fixProvision(), Target: "db"}, util("db.cpu.util"))
+		add(core.Action{Fix: catalog.FixProvisionTier, Target: "db"}, util("db.cpu.util"))
 	}
 	if util("db.io.util") > 0.6 || ctx.ZScore("db.buffer.hitratio") < -3 {
-		add(core.Action{Fix: fixRepartitionMemory()}, 6+util("db.io.util"))
+		add(core.Action{Fix: catalog.FixRepartitionMemory}, 6+util("db.io.util"))
 	}
 	if util("db.conns.util") > b.HotUtil && util("db.cpu.util") < 0.8 {
 		// Connection-limited but CPU idle: the pool is misconfigured.
-		add(core.Action{Fix: fixRestoreConfig()}, 7)
+		add(core.Action{Fix: catalog.FixRestoreConfig}, 7)
 	}
 	if lw := util("db.lockwait.avgms"); lw > 15 {
 		if t := worstTable(ctx, "lockms"); t != "" {
-			add(core.Action{Fix: fixRepartitionTable(), Target: t}, 8+lw/100)
+			add(core.Action{Fix: catalog.FixRepartitionTable, Target: t}, 8+lw/100)
 		}
 	}
 	if util("app.heap.occ") > 0.8 || util("app.gc.overhead") > 0.25 {
-		add(core.Action{Fix: fixRebootApp(), Target: "app"}, 6)
+		add(core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 6)
 	}
 	if util("web.cpu.util") > b.HotUtil {
-		add(core.Action{Fix: fixProvision(), Target: "web"}, util("web.cpu.util"))
+		add(core.Action{Fix: catalog.FixProvisionTier, Target: "web"}, util("web.cpu.util"))
 	}
 	if util("app.cpu.util") > b.HotUtil {
-		add(core.Action{Fix: fixProvision(), Target: "app"}, util("app.cpu.util"))
+		add(core.Action{Fix: catalog.FixProvisionTier, Target: "app"}, util("app.cpu.util"))
 	}
 	if util("app.threads.util") > b.HotUtil && util("app.cpu.util") < 0.8 {
 		// Threads exhausted while CPU is idle: work is parked, not queued —
 		// a hang, not a capacity problem. Bottleneck analysis can only
 		// restore thread capacity.
-		add(core.Action{Fix: fixRestoreConfig()}, 5)
+		add(core.Action{Fix: catalog.FixRestoreConfig}, 5)
 	}
 	return pickUntried(dedupe(cands), tried)
 }
@@ -265,7 +267,7 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 func mostInflatedTable(ctx *core.FailureContext) (string, float64) {
 	best, bestInfl := "", 1.0
 	for _, name := range ctx.Schema.Names() {
-		parts := splitName(name)
+		parts := metrics.ParseName(name)
 		if len(parts) != 4 || parts[0] != "db" || parts[1] != "table" || parts[3] != "costops" {
 			continue
 		}
@@ -315,16 +317,16 @@ func (m *ManualRules) Recommend(ctx *core.FailureContext, tried []core.Action) (
 	}
 	// "if the miss rate in the database buffer-cache ... exceeds 35%, then
 	// increase the cache size" (§3's example rule).
-	rule(cur("db.buffer.hitratio") < 0.65, core.Action{Fix: fixRepartitionMemory()}, 9)
-	rule(cur("app.heap.occ") > 0.85, core.Action{Fix: fixRebootApp(), Target: "app"}, 8)
-	rule(cur("db.lockwait.avgms") > 40, core.Action{Fix: fixRepartitionTable(), Target: worstTableByMean(ctx, "lockms")}, 7)
-	rule(cur("db.cpu.util") > 0.95, core.Action{Fix: fixProvision(), Target: "db"}, 6)
-	rule(cur("web.cpu.util") > 0.95, core.Action{Fix: fixProvision(), Target: "web"}, 5)
-	rule(cur("app.cpu.util") > 0.95, core.Action{Fix: fixProvision(), Target: "app"}, 4)
-	rule(cur("app.threads.util") > 0.95, core.Action{Fix: fixRebootApp(), Target: "app"}, 3)
-	rule(cur("svc.errorrate") > 0.05, core.Action{Fix: fixRebootApp(), Target: "app"}, 2)
+	rule(cur("db.buffer.hitratio") < 0.65, core.Action{Fix: catalog.FixRepartitionMemory}, 9)
+	rule(cur("app.heap.occ") > 0.85, core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 8)
+	rule(cur("db.lockwait.avgms") > 40, core.Action{Fix: catalog.FixRepartitionTable, Target: worstTableByMean(ctx, "lockms")}, 7)
+	rule(cur("db.cpu.util") > 0.95, core.Action{Fix: catalog.FixProvisionTier, Target: "db"}, 6)
+	rule(cur("web.cpu.util") > 0.95, core.Action{Fix: catalog.FixProvisionTier, Target: "web"}, 5)
+	rule(cur("app.cpu.util") > 0.95, core.Action{Fix: catalog.FixProvisionTier, Target: "app"}, 4)
+	rule(cur("app.threads.util") > 0.95, core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 3)
+	rule(cur("svc.errorrate") > 0.05, core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 2)
 	// The coarse universal fallback.
-	cands = append(cands, candidate{action: core.Action{Fix: fixFullRestart()}, score: 0.5})
+	cands = append(cands, candidate{action: core.Action{Fix: catalog.FixFullRestart}, score: 0.5})
 	return pickUntried(dedupe(cands), tried)
 }
 
@@ -333,7 +335,7 @@ func (m *ManualRules) Recommend(ctx *core.FailureContext, tried []core.Action) (
 func worstTableByMean(ctx *core.FailureContext, field string) string {
 	best, bestV := "items", 0.0
 	for i, name := range ctx.Schema.Names() {
-		parts := splitName(name)
+		parts := metrics.ParseName(name)
 		if len(parts) == 4 && parts[0] == "db" && parts[1] == "table" && parts[3] == field {
 			col := ctx.Recent.ColIdx(i)
 			v := stats.Mean(col)

@@ -10,6 +10,8 @@ import (
 	"selfheal/internal/core"
 	"selfheal/internal/diagnose"
 	"selfheal/internal/faults"
+	"selfheal/internal/metrics"
+	"selfheal/internal/stats"
 	"selfheal/internal/synopsis"
 )
 
@@ -309,13 +311,78 @@ func RunProactiveAblation(seed int64, horizonTicks int) ProactiveAblation {
 	}
 
 	// Proactive: the forecaster watches the leak trend and schedules the
-	// reboot before the crash.
+	// reboot before the crash. After a reboot it waits out the settle time
+	// and one fit window, so the next fit sees only post-reboot ticks.
 	{
 		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
 		inject(sys, faults.NewAging(catalog.TierApp, 0.004))
-		res.ProactiveActions, res.ProactiveBadTicks = sys.NewProactive().RunWithProactive(horizonTicks)
+		cooldown := 0
+		for i := 0; i < horizonTicks; i++ {
+			if sys.Cfg.SLO.Violated(sys.Step()) {
+				res.ProactiveBadTicks++
+			}
+			if cooldown > 0 {
+				cooldown--
+				continue
+			}
+			if action, ok := forecast(sys.Coll.Series()); ok {
+				if settle, err := sys.Target().Apply(action); err == nil {
+					res.ProactiveActions++
+					cooldown = int(settle) + forecastWindow
+				}
+			}
+		}
 	}
 	return res
+}
+
+// The §5.3 forecaster ("failures predicted in advance and fixes applied
+// proactively") fits OLS trends to Table 1's software-aging metrics and
+// reboots the aging tier before the forecast crossing, turning a crash
+// plus emergency recovery into a short planned restart.
+const (
+	forecastHorizon = 240 // ticks ahead a forecast crossing must fall to act
+	forecastWindow  = 120 // recent ticks fitted
+	forecastMinR2   = 0.7 // fit quality gate, so noise triggers no reboot
+	forecastLevel   = 0.95
+)
+
+// agingRules: heap occupancy predicts app-tier crashes; rising utilization
+// at constant throughput predicts web/db aging.
+var agingRules = []struct {
+	metric string
+	action core.Action
+}{
+	{"app.heap.occ", core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}},
+	{"web.cpu.util", core.Action{Fix: catalog.FixRebootWebTier, Target: "web"}},
+	{"db.cpu.util", core.Action{Fix: catalog.FixRebootDBTier, Target: "db"}},
+}
+
+// forecast returns the reboot of the first rule whose metric is forecast to
+// cross forecastLevel within the horizon. Utilization rules additionally
+// require flat throughput, so organic load growth is not mistaken for aging.
+func forecast(series *metrics.Series) (core.Action, bool) {
+	if series.Len() < forecastWindow {
+		return core.Action{}, false
+	}
+	window := series.Tail(forecastWindow)
+	tput := stats.FitSeries(window.Col("svc.throughput"))
+	tputFlat := tput.Slope < tput.Intercept*0.0015 // <0.15%/tick growth
+	now := float64(forecastWindow - 1)
+	for _, r := range agingRules {
+		col := window.Col(r.metric)
+		if col == nil || (r.metric != "app.heap.occ" && !tputFlat) {
+			continue
+		}
+		fit := stats.FitSeries(col)
+		if fit.Slope <= 0 || fit.R2 < forecastMinR2 {
+			continue
+		}
+		if x, ok := fit.CrossingTime(forecastLevel, now); ok && x-now <= forecastHorizon {
+			return r.action, true
+		}
+	}
+	return core.Action{}, false
 }
 
 // Format renders the proactive ablation.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -193,14 +194,27 @@ func TestAblationsRun(t *testing.T) {
 		}
 	})
 	t.Run("proactive", func(t *testing.T) {
-		res := RunProactiveAblation(71, 1800)
-		t.Log(res.Format())
-		if res.ProactiveActions == 0 {
-			t.Error("forecaster never acted")
-		}
-		if res.ProactiveBadTicks >= res.ReactiveBadTicks {
-			t.Errorf("proactive %d bad ticks not below reactive %d",
-				res.ProactiveBadTicks, res.ReactiveBadTicks)
+		// Each row is a seed, the horizon in ticks, and a bound on the
+		// SLO-violating ticks the forecaster may leave on a steady leak.
+		for _, row := range []struct {
+			seed           int64
+			horizon, bound int
+		}{{71, 1800, 150}, {17, 1500, 200}, {99, 1800, 150}} {
+			t.Run(fmt.Sprintf("seed=%d", row.seed), func(t *testing.T) {
+				res := RunProactiveAblation(row.seed, row.horizon)
+				t.Log(res.Format())
+				if res.ProactiveActions == 0 {
+					t.Error("forecaster never acted")
+				}
+				if res.ProactiveBadTicks > row.bound {
+					t.Errorf("proactive run had %d bad ticks, want at most %d",
+						res.ProactiveBadTicks, row.bound)
+				}
+				if res.ProactiveBadTicks >= res.ReactiveBadTicks {
+					t.Errorf("proactive %d bad ticks not below reactive %d",
+						res.ProactiveBadTicks, res.ReactiveBadTicks)
+				}
+			})
 		}
 	})
 	t.Run("control", func(t *testing.T) {

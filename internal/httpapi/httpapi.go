@@ -213,7 +213,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.handler = controlplane.Chain(
 		controlplane.Recover(cfg.Logger),
-		s.countAdmin(),
+		controlplane.CountAdmin(cfg.Admin),
 		logMW,
 		rateMW,
 		authMW,
@@ -228,57 +228,6 @@ func NewServer(cfg Config) (*Server, error) {
 // server's own wait logic.)
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { close(s.closing) })
-}
-
-// countAdmin records every /admin/* response's final status into the
-// Admin counters — including 401/403/429 rejections produced by inner
-// middleware stages, which never reach the verb handlers.
-func (s *Server) countAdmin() controlplane.Middleware {
-	if s.cfg.Admin == nil {
-		return nil
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !strings.HasPrefix(r.URL.Path, "/admin/") {
-				next.ServeHTTP(w, r)
-				return
-			}
-			rec := &statusRecorder{ResponseWriter: w}
-			next.ServeHTTP(rec, r)
-			code := rec.status
-			if code == 0 {
-				code = http.StatusOK
-			}
-			s.cfg.Admin.CountRequest(strings.TrimPrefix(r.URL.Path, "/admin/"), code)
-		})
-	}
-}
-
-// statusRecorder captures the response status code.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sr *statusRecorder) WriteHeader(code int) {
-	if sr.status == 0 {
-		sr.status = code
-	}
-	sr.ResponseWriter.WriteHeader(code)
-}
-
-func (sr *statusRecorder) Write(p []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
-	}
-	return sr.ResponseWriter.Write(p)
-}
-
-// Flush keeps SSE streaming through the recorder.
-func (sr *statusRecorder) Flush() {
-	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // ServeHTTP implements http.Handler, serving through the middleware

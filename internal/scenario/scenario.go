@@ -240,16 +240,6 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-// event returns the named event, nil when absent.
-func (sc *Scenario) event(name string) *Event {
-	for _, ev := range sc.Events {
-		if ev.Name == name {
-			return ev
-		}
-	}
-	return nil
-}
-
 // Builder assembles a Scenario fluently; errors accumulate and surface
 // at Build.
 type Builder struct {

@@ -307,10 +307,6 @@ func (s *Service) Config() Config { return s.cfg }
 // Now returns the simulation tick.
 func (s *Service) Now() int64 { return s.clock.Now() }
 
-// RNG exposes the service's random source so fault campaigns can derive
-// sub-streams deterministically.
-func (s *Service) RNG() *sim.RNG { return s.rng }
-
 // Classes returns the request-class definitions.
 func (s *Service) Classes() []RequestClass { return s.classes }
 

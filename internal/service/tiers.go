@@ -304,12 +304,3 @@ func (d *DBTier) Table(name string) *Table {
 	}
 	return t
 }
-
-// workingSetMB sums the working sets of all tables.
-func (d *DBTier) workingSetMB() float64 {
-	s := 0.0
-	for _, t := range d.tables {
-		s += t.Def.WorkingSetMB
-	}
-	return s
-}

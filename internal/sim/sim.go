@@ -31,9 +31,6 @@ func (c *Clock) Advance(n int64) int64 {
 	return c.now
 }
 
-// Reset rewinds the clock to zero.
-func (c *Clock) Reset() { c.now = 0 }
-
 // RNG is a seeded random source with the distributions used by the
 // simulator. It is not safe for concurrent use; each simulation owns one.
 type RNG struct {
@@ -69,9 +66,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0,n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform int64, useful for deriving sub-seeds.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
 	if p <= 0 {
@@ -86,15 +80,6 @@ func (g *RNG) Bool(p float64) bool {
 // Normal returns a sample from N(mu, sigma²).
 func (g *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*g.r.NormFloat64()
-}
-
-// Exp returns an exponential sample with the given mean. A non-positive
-// mean yields zero.
-func (g *RNG) Exp(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return g.r.ExpFloat64() * mean
 }
 
 // LogNormal returns a log-normal sample where mu and sigma are the
@@ -255,12 +240,6 @@ func (g *RNG) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Shuffle permutes the n-element collection using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 func expApprox(x float64) float64  { return math.Exp(x) }
 func sqrtApprox(x float64) float64 { return math.Sqrt(x) }

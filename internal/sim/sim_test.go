@@ -20,10 +20,6 @@ func TestClock(t *testing.T) {
 	if got := c.Advance(-3); got != 5 {
 		t.Fatalf("negative advance moved clock to %d", got)
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatal("reset did not rewind")
-	}
 }
 
 func TestRNGDeterminism(t *testing.T) {
@@ -124,11 +120,7 @@ func TestQuickDistributionDomains(t *testing.T) {
 		}
 		lo, hi := -math.Abs(lam), math.Abs(lam)+1
 		u := g.Uniform(lo, hi)
-		if u < lo || u >= hi {
-			return false
-		}
-		e := g.Exp(lam + 0.1)
-		return e >= 0
+		return u >= lo && u < hi
 	}, cfg); err != nil {
 		t.Error(err)
 	}

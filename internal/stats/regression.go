@@ -3,8 +3,9 @@ package stats
 import "math"
 
 // LinearFit is an ordinary least-squares line y = Intercept + Slope·x with
-// its coefficient of determination. The proactive healer (§5.3) fits these
-// to leak/aging metrics to forecast when a threshold will be crossed.
+// its coefficient of determination. The proactive-healing ablation (§5.3)
+// fits these to leak/aging metrics to forecast when a threshold will be
+// crossed.
 type LinearFit struct {
 	Slope     float64
 	Intercept float64
@@ -55,9 +56,6 @@ func FitSeries(ys []float64) LinearFit {
 	}
 	return FitLine(xs, ys)
 }
-
-// At evaluates the fitted line at x.
-func (f LinearFit) At(x float64) float64 { return f.Intercept + f.Slope*x }
 
 // CrossingTime returns the x at which the fitted line reaches level, and
 // whether such a crossing lies ahead of from (i.e. the line is actually

@@ -12,8 +12,8 @@ func TestFitLineExact(t *testing.T) {
 	if !almost(f.Slope, 2, 1e-12) || !almost(f.Intercept, 1, 1e-12) || !almost(f.R2, 1, 1e-12) {
 		t.Errorf("fit %+v", f)
 	}
-	if got := f.At(10); !almost(got, 21, 1e-12) {
-		t.Errorf("At(10)=%v", got)
+	if got := f.Intercept + f.Slope*10; !almost(got, 21, 1e-12) {
+		t.Errorf("fit at x=10 is %v", got)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestQuickFitQuality(t *testing.T) {
 		mean := Mean(clean)
 		var sseFit, sseMean float64
 		for i, y := range clean {
-			d1 := y - f.At(float64(i))
+			d1 := y - (f.Intercept + f.Slope*float64(i))
 			d2 := y - mean
 			sseFit += d1 * d1
 			sseMean += d2 * d2

@@ -46,8 +46,8 @@
 // internal/service), Table 1's faults and fixes (internal/faults,
 // internal/fixes), SLO and χ² detection (internal/detect), the learned
 // synopses (internal/synopsis), the diagnosis-based approaches
-// (internal/diagnose), and the FixSym healing loop with its hybrid and
-// proactive extensions (internal/core).
+// (internal/diagnose), and the FixSym healing loop with its hybrid
+// extension (internal/core).
 package selfheal
 
 import (
@@ -572,9 +572,6 @@ func (s *System) Close() error {
 	}
 	return nil
 }
-
-// NewProactive attaches a §5.3 forecast-driven healer to the system.
-func (s *System) NewProactive() *core.Proactive { return core.NewProactive(s.Harness) }
 
 // RandomFaults returns a deterministic random fault generator for the
 // default auction target over the given kinds (all Table 1 kinds when

@@ -182,21 +182,6 @@ func TestCandidateFixesExported(t *testing.T) {
 	}
 }
 
-func TestProactiveAttachment(t *testing.T) {
-	sys := selfheal.MustNew(context.Background(), selfheal.WithSeed(17))
-	p := sys.NewProactive()
-	if err := sys.Target().Inject(selfheal.NewAging(selfheal.TierApp, 0.004)); err != nil {
-		t.Fatal(err)
-	}
-	actions, bad := p.RunWithProactive(1500)
-	if actions == 0 {
-		t.Error("forecaster never acted on a steady leak")
-	}
-	if bad > 200 {
-		t.Errorf("proactive run had %d bad ticks; forecaster too slow", bad)
-	}
-}
-
 // TestLearnBatchDefersSynopsisUpdates: with WithLearnBatch(n) the synopsis
 // must see nothing until n episodes have completed, then the whole buffer
 // in one flush; FlushLearned drains a partial batch on demand.
