@@ -41,22 +41,26 @@ type FailureContext struct {
 	Schema *metrics.Schema
 	// Baseline is the frozen healthy baseline.
 	Baseline *metrics.Baseline
-	// Recent is the raw metric window around detection (the Nc window).
+	// Recent is the raw metric window around detection (the Nc window),
+	// copied out of the harness's history so it pins none of its blocks.
 	Recent *metrics.Series
 	// History is the longer raw window correlation analysis reads
 	// (Example 3): the last HistoryTicks rows, healthy operation
 	// included. The harness keeps that much history only for an approach
-	// that declares it reads History (HistoryReader); for any other
-	// approach History is the Recent window.
+	// that declares EvidenceHistory; for any other approach History is
+	// the Recent window.
 	History *metrics.Series
 	// CallCallees names the callee columns of the call matrix.
 	CallCallees []string
 	// CallAnomalies is the χ² call-matrix localization (Example 2),
 	// strongest first; empty when no component's call split deviates.
+	// CallCallees and CallAnomalies are nil unless the approach declares
+	// EvidenceCalls.
 	CallAnomalies []detect.Anomaly
 	// Paths are request paths sampled around detection (§4.2's "path
 	// (control and data flow) ... of requests through the multitier
-	// service"), for path-based failure management (ref [8]).
+	// service"), for path-based failure management (ref [8]). Nil unless
+	// the approach declares EvidencePaths.
 	Paths []trace.Path
 }
 
@@ -152,20 +156,41 @@ type ProposalAborter interface {
 	AbandonProposal(action Action)
 }
 
-// HistoryReader is implemented by approaches that read
-// FailureContext.History. NewHealer consults it: the harness keeps
-// HistoryTicks rows of metric history for an approach that reads History,
-// and only the warm-up window for any other, whose History is then the
-// Recent window.
-type HistoryReader interface {
-	ReadsHistory() bool
+// Evidence is a set of the optional evidence a FailureContext can carry
+// beyond the symptom vector and the detection window. Gathering it costs
+// the harness work every tick or at every detection, so a harness gathers
+// only what its healer's approach declares it reads (EvidenceReader).
+type Evidence uint8
+
+// The optional evidence an approach may declare.
+const (
+	// EvidenceHistory is FailureContext.History past the detection
+	// window: the harness keeps HistoryTicks rows of metric history.
+	EvidenceHistory Evidence = 1 << iota
+	// EvidencePaths is FailureContext.Paths, sampled at detection.
+	EvidencePaths
+	// EvidenceCalls is FailureContext.CallCallees and CallAnomalies: the
+	// harness retains every tick's call matrix for the χ² test.
+	EvidenceCalls
+
+	// EvidenceAll is everything; a harness no healer has configured
+	// gathers it.
+	EvidenceAll = EvidenceHistory | EvidencePaths | EvidenceCalls
+)
+
+// EvidenceReader is implemented by approaches that read optional evidence.
+// An approach that does not implement it reads none: its History is the
+// Recent window and its Paths and CallAnomalies are nil.
+type EvidenceReader interface {
+	Evidence() Evidence
 }
 
-// readsHistory reports whether a declares that it reads
-// FailureContext.History.
-func readsHistory(a Approach) bool {
-	r, ok := a.(HistoryReader)
-	return ok && r.ReadsHistory()
+// evidenceOf returns the optional evidence a declares it reads.
+func evidenceOf(a Approach) Evidence {
+	if r, ok := a.(EvidenceReader); ok {
+		return r.Evidence()
+	}
+	return 0
 }
 
 // triedSet builds the typed exclusion filter synopses consume: nil (no

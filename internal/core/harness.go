@@ -30,8 +30,8 @@ type HarnessConfig struct {
 	// for correlation analysis, and it bounds the healer's wait for an
 	// injected fault to become detectable: a failure surfacing later
 	// would have its injection outside that history. The harness keeps
-	// HistoryTicks rows only while its healer's approach reads History
-	// (HistoryReader); otherwise it keeps the WarmupTicks window, and the
+	// HistoryTicks rows only while its healer's approach declares
+	// EvidenceHistory; otherwise it keeps the WarmupTicks window, and the
 	// wait is bounded all the same.
 	HistoryTicks int
 	SLO          detect.SLO
@@ -74,11 +74,12 @@ type Harness struct {
 	CallDet *detect.CallMatrixDetector
 
 	// ring holds the last WindowTicks call matrices so the current χ²
-	// window always covers the moments before detection. Slot i holds one
-	// retained tick's values at the support cells, in support order: call
-	// matrices are ~90% empty, so the per-tick copy and the χ² folds touch
-	// only the cells the target's static call topology can fill. The
-	// backing array is allocated once at construction and refilled in
+	// window always covers the moments before detection; Step fills it,
+	// and the χ² baseline, only while evidence holds EvidenceCalls. Slot
+	// i holds one retained tick's values at the support cells, in support
+	// order: call matrices are ~90% empty, so the per-tick copy and the χ²
+	// folds touch only the cells the target's static call topology can
+	// fill. The backing array is allocated once at construction and refilled in
 	// place each tick, so the steady-state tick path allocates nothing
 	// for call-matrix retention no matter how long the campaign runs.
 	support    [][2]int
@@ -86,11 +87,12 @@ type Harness struct {
 	ringPos    int
 	ringFilled int
 
-	// shortHistory is set by NewHealer when the healer's approach does not
-	// read FailureContext.History: Step then keeps only the rows the other
+	// evidence is the optional evidence Step and BuildContext gather:
+	// EvidenceAll until NewHealer narrows it to what the healer's approach
+	// declares. Without EvidenceHistory Step keeps only the rows the other
 	// readers need (see retained), and BuildContext hands out the
 	// detection window as History.
-	shortHistory bool
+	evidence Evidence
 
 	// Clock paces Step: a no-op for simulator targets, a wall-period
 	// sleep for targets whose ticks are real time. Set from the config
@@ -123,12 +125,13 @@ func NewHarness(cfg HarnessConfig) *Harness {
 // target was built with its own sizing.
 func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 	h := &Harness{
-		Cfg:     cfg,
-		Target:  t,
-		Coll:    metrics.NewCollector(t.Sources()...),
-		Monitor: detect.NewMonitor(cfg.SLO, cfg.DetectK, cfg.WindowTicks),
-		CallDet: detect.NewCallMatrixDetector(t.CallMatrixRows(), len(t.CallCallees())),
-		paceCtx: context.Background(),
+		Cfg:      cfg,
+		Target:   t,
+		Coll:     metrics.NewCollector(t.Sources()...),
+		Monitor:  detect.NewMonitor(cfg.SLO, cfg.DetectK, cfg.WindowTicks),
+		CallDet:  detect.NewCallMatrixDetector(t.CallMatrixRows(), len(t.CallCallees())),
+		evidence: EvidenceAll,
+		paceCtx:  context.Background(),
 	}
 	h.Clock = cfg.Clock
 	if h.Clock == nil {
@@ -196,17 +199,31 @@ func (h *Harness) SetPaceContext(ctx context.Context) context.Context {
 
 // Step advances one tick: the clock paces to the next tick boundary
 // (instantly for simulators), then the target processes its workload,
-// metrics are collected, the monitor observes, and call matrices are
-// accumulated (into the χ² baseline only while the target looks
-// healthy). A cancelled pace still ticks — the surrounding loops check
-// their context every iteration, so cancellation costs at most one
-// extra tick rather than leaving Step without a sample to return.
+// metrics are collected, the monitor observes, and, for a reader of
+// EvidenceCalls, call matrices are accumulated (into the χ² baseline only
+// while the target looks healthy). A cancelled pace still ticks — the
+// surrounding loops check their context every iteration, so cancellation
+// costs at most one extra tick rather than leaving Step without a sample
+// to return.
 func (h *Harness) Step() detect.Sample {
 	_ = h.Clock.Pace(h.paceCtx)
 	st := h.Target.Tick()
 	h.Coll.Collect(h.Target.Now())
 	h.Monitor.Observe(st)
+	if h.evidence&EvidenceCalls != 0 {
+		h.retainCallMatrix()
+	}
+	// Keep a sliding window of the last retained() rows.
+	h.Coll.Series().TrimFront(h.retained())
+	if h.OnStep != nil {
+		h.OnStep(st)
+	}
+	return st
+}
 
+// retainCallMatrix copies this tick's call matrix into the ring, and into
+// the χ² baseline while the target looks healthy.
+func (h *Harness) retainCallMatrix() {
 	m := h.Target.CallMatrix()
 	healthy := !h.Monitor.Failing() && h.Monitor.CleanFor() > h.Cfg.WindowTicks
 	cp := h.ring[h.ringPos]
@@ -220,13 +237,6 @@ func (h *Harness) Step() detect.Sample {
 	if h.ringFilled < h.Cfg.WindowTicks {
 		h.ringFilled++
 	}
-
-	// Keep a sliding window of the last retained() rows.
-	h.Coll.Series().TrimFront(h.retained())
-	if h.OnStep != nil {
-		h.OnStep(st)
-	}
-	return st
 }
 
 // retained is how many metric rows Step keeps: HistoryTicks, or with a
@@ -234,7 +244,7 @@ func (h *Harness) Step() detect.Sample {
 // detection window, the warm-up baseline and the ablations' reads (the
 // §5.3 proactive ablation's 120-tick fit among them).
 func (h *Harness) retained() int {
-	if h.shortHistory {
+	if h.evidence&EvidenceHistory == 0 {
 		return min(h.Cfg.HistoryTicks, max(h.Cfg.WarmupTicks, h.Cfg.WindowTicks))
 	}
 	return h.Cfg.HistoryTicks
@@ -249,33 +259,39 @@ func (h *Harness) StepN(n int) detect.Sample {
 	return st
 }
 
-// BuildContext assembles the FailureContext for a failure detected now.
+// BuildContext assembles the FailureContext for a failure detected now,
+// with the optional evidence the harness gathers. Recent is a copy, so a
+// context pins none of the series' blocks unless it carries History.
 func (h *Harness) BuildContext() *FailureContext {
 	series := h.Coll.Series()
-	recent := series.Tail(h.Cfg.WindowTicks)
-	history := recent
-	if !h.shortHistory {
-		history = series.Tail(h.Cfg.HistoryTicks)
+	recent := series.TailCopy(h.Cfg.WindowTicks)
+	fctx := &FailureContext{
+		DetectedAt: h.Target.Now(),
+		Symptom:    h.Builder.Vector(recent),
+		KBSymptom:  h.Builder.Aligned(recent),
+		Schema:     series.Schema(),
+		Baseline:   h.Builder.Baseline(),
+		Recent:     recent,
+		History:    recent,
 	}
-	// Rebuild the χ² current window from the matrix ring. Slots not yet
-	// written this early in the run are skipped, exactly as the lazily
-	// allocated ring used to skip nil entries.
-	h.CallDet.ResetCurrent()
-	for i := 0; i < h.ringFilled; i++ {
-		h.CallDet.AccumulateCurrentCells(h.support, h.ring[i])
+	if h.evidence&EvidenceHistory != 0 {
+		fctx.History = series.Tail(h.Cfg.HistoryTicks)
 	}
-	return &FailureContext{
-		DetectedAt:    h.Target.Now(),
-		Symptom:       h.Builder.Vector(recent),
-		KBSymptom:     h.Builder.Aligned(recent),
-		Schema:        series.Schema(),
-		Baseline:      h.Builder.Baseline(),
-		Recent:        recent,
-		History:       history,
-		CallCallees:   h.Target.CallCallees(),
-		CallAnomalies: h.CallDet.AnomalousCallees(),
-		Paths:         h.Target.SamplePaths(),
+	if h.evidence&EvidenceCalls != 0 {
+		// Rebuild the χ² current window from the matrix ring. Slots not
+		// yet written this early in the run are skipped, exactly as the
+		// lazily allocated ring used to skip nil entries.
+		h.CallDet.ResetCurrent()
+		for i := 0; i < h.ringFilled; i++ {
+			h.CallDet.AccumulateCurrentCells(h.support, h.ring[i])
+		}
+		fctx.CallCallees = h.Target.CallCallees()
+		fctx.CallAnomalies = h.CallDet.AnomalousCallees()
 	}
+	if h.evidence&EvidencePaths != 0 {
+		fctx.Paths = h.Target.SamplePaths()
+	}
+	return fctx
 }
 
 // RunUntilFailing steps until the monitor declares a failure, maxTicks

@@ -143,12 +143,13 @@ type Healer struct {
 	sinceFlush int
 }
 
-// NewHealer builds a healer over an environment and an approach, and sets
-// the environment's metric retention by the approach: HistoryTicks rows
-// when it reads FailureContext.History (HistoryReader), the warm-up
-// window otherwise.
+// NewHealer builds a healer over an environment and an approach, and has
+// the environment gather only the optional evidence the approach declares
+// (EvidenceReader): HistoryTicks rows of metric history for
+// EvidenceHistory (the warm-up window otherwise), the call-matrix ring
+// and χ² test for EvidenceCalls, sampled paths for EvidencePaths.
 func NewHealer(h *Harness, a Approach, cfg HealerConfig) *Healer {
-	h.shortHistory = !readsHistory(a)
+	h.evidence = evidenceOf(a)
 	return &Healer{Cfg: cfg, H: h, Approach: a, targetName: h.Target.Spec().Name}
 }
 
@@ -203,8 +204,9 @@ func (hl *Healer) FlushLearned() {
 			hl.Approach.Observe(o.Ctx, o.Action, o.Success)
 		}
 	}
-	// Nil the contexts before truncating: each one's History pins its
-	// window of metric blocks, which the backing array would keep alive.
+	// Nil the contexts before truncating: each one holds its window's
+	// rows (a History reader's pins HistoryTicks of metric blocks), which
+	// the backing array would keep alive.
 	clear(hl.pending)
 	hl.pending = hl.pending[:0]
 }

@@ -126,15 +126,14 @@ func (h *Hybrid) AbandonProposal(action Action) {
 	}
 }
 
-// ReadsHistory implements HistoryReader: the hybrid reads History when
-// any of its approaches does.
-func (h *Hybrid) ReadsHistory() bool {
+// Evidence implements EvidenceReader: the hybrid reads what any of its
+// approaches reads.
+func (h *Hybrid) Evidence() Evidence {
+	var e Evidence
 	for _, a := range h.approaches {
-		if readsHistory(a) {
-			return true
-		}
+		e |= evidenceOf(a)
 	}
-	return false
+	return e
 }
 
 // creditProposal moves the oldest pending proposer's reliability weight

@@ -34,6 +34,10 @@ func (a *Anomaly) Name() string { return "anomaly-detection" }
 // state.
 func (a *Anomaly) Observe(*core.FailureContext, core.Action, bool) {}
 
+// Evidence implements core.EvidenceReader: the χ² call-matrix test
+// localizes component failures.
+func (a *Anomaly) Evidence() core.Evidence { return core.EvidenceCalls }
+
 // Recommend implements core.Approach.
 func (a *Anomaly) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {
 	var cands []candidate
@@ -119,9 +123,10 @@ func (c *Correlation) Name() string { return "correlation-analysis" }
 // Observe implements core.Approach.
 func (c *Correlation) Observe(*core.FailureContext, core.Action, bool) {}
 
-// ReadsHistory implements core.HistoryReader: the correlations are taken
-// over the whole History window.
-func (c *Correlation) ReadsHistory() bool { return true }
+// Evidence implements core.EvidenceReader: the correlations are taken over
+// the whole History window, and an implicated thread pool is localized by
+// the call-matrix test.
+func (c *Correlation) Evidence() core.Evidence { return core.EvidenceHistory | core.EvidenceCalls }
 
 // Recommend implements core.Approach.
 func (c *Correlation) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {

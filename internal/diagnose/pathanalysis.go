@@ -35,6 +35,10 @@ func (p *PathAnalysis) Name() string { return "path-analysis" }
 // Observe implements core.Approach; path inference is stateless.
 func (p *PathAnalysis) Observe(*core.FailureContext, core.Action, bool) {}
 
+// Evidence implements core.EvidenceReader: the inference reads the
+// sampled request paths.
+func (p *PathAnalysis) Evidence() core.Evidence { return core.EvidencePaths }
+
 // Recommend implements core.Approach.
 func (p *PathAnalysis) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {
 	if len(ctx.Paths) == 0 {

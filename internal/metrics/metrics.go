@@ -212,6 +212,29 @@ func (t *Series) Tail(n int) *Series {
 	}
 }
 
+// TailCopy returns an owned copy of the last n rows (fewer if the series
+// is shorter), their values in one allocation sized to them. It shares no
+// block with the parent, so unlike a Tail view it lets the parent reuse
+// every block the rows came from. The copy must be treated as read-only.
+func (t *Series) TailCopy(n int) *Series {
+	n = min(n, t.n)
+	w := t.schema.Len()
+	flat := make([]float64, n*w)
+	c := &Series{schema: t.schema, n: n}
+	for lo := 0; lo < n; lo += blockRows {
+		hi := min(lo+blockRows, n)
+		// A copied block is marked viewed: its flat is only as long as the
+		// rows it holds, so it must never be refilled.
+		b := &block{flat: flat[lo*w : hi*w : hi*w], viewed: true}
+		for i := lo; i < hi; i++ {
+			b.times[i-lo] = t.Time(t.n - n + i)
+			copy(b.flat[(i-lo)*w:], t.Row(t.n-n+i))
+		}
+		c.blocks = append(c.blocks, b)
+	}
+	return c
+}
+
 // TrimFront drops all but the last keep rows, bounding memory during long
 // campaigns. No row is copied: the blocks now wholly before the first row
 // leave the block list, and each one no view covers goes on the free list

@@ -260,8 +260,8 @@ func checkAgainst(t *testing.T, what string, s *Series, m *refSeries) {
 
 // TestSeriesMatchesNaiveModel runs random appends, trims and views against
 // the naive model. Trims drop blocks, Append refills the dropped blocks no
-// view covered, and every view taken along the way must still read its
-// rows bit for bit at the end.
+// view covered, and every view and copy taken along the way must still
+// read its rows bit for bit at the end.
 func TestSeriesMatchesNaiveModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	schema := NewSchema([]string{"a", "b", "c"})
@@ -312,7 +312,9 @@ func TestSeriesMatchesNaiveModel(t *testing.T) {
 			n := rng.Intn(2*blockRows + 2)
 			v := held{s.Tail(n), m.tail(n)}
 			checkAgainst(t, "fresh view", v.view, v.model)
-			views = append(views, v)
+			c := held{s.TailCopy(n), v.model}
+			checkAgainst(t, "fresh copy", c.view, c.model)
+			views = append(views, v, c)
 		}
 		if op%97 == 0 {
 			checkAgainst(t, "series", s, m)

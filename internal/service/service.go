@@ -110,9 +110,16 @@ type Service struct {
 	knobTarget string
 
 	callMatrix [][]float64 // rows: classes then EJBs; cols: EJBs
-	// cmBacking is callMatrix's single backing array, kept so the per-tick
-	// zeroing is one linear pass instead of a row-by-row loop.
+	// cmBacking is callMatrix's single backing array, kept so zeroing it
+	// is one linear pass instead of a row-by-row loop.
 	cmBacking []float64
+	// The call matrix is built on demand: Tick saves each class's noised
+	// arrivals and each EJB's deadlock state beside what it keeps anyway
+	// (last, scrHang, scrErr), and the first CallMatrix after it builds
+	// the rows from them.
+	cmStale      bool
+	cmArrivals   []float64
+	cmDeadlocked []bool
 	// stBacking backs every slice field of the TickStats returned by Tick;
 	// those slices are valid until the next Tick call.
 	stBacking   []float64
@@ -131,9 +138,9 @@ type Service struct {
 	baseAppOps []float64    // per class: AppExtraOps + Σ inv·AppOps
 	workingSet float64      // Σ table working sets (Defs are immutable)
 
-	// Tick-local scratch, reused across ticks. These never escape Tick;
-	// TickStats' own slices do (callers retain them), so those are freshly
-	// allocated — but from one backing array per tick.
+	// Tick-local scratch, reused across ticks. These never escape the
+	// service (scrHang and scrErr are read again by buildCallMatrix, until
+	// the next Tick); TickStats' own slices do, from stBacking.
 	scrFail, scrHang, scrErr    []float64
 	scrDBOps, scrReads, scrLock []float64
 
@@ -296,6 +303,8 @@ func (s *Service) buildResolved() {
 	s.scrFail = make([]float64, nC)
 	s.scrErr = make([]float64, len(s.App.ejbs))
 	s.scrHang = make([]float64, nC)
+	s.cmArrivals = make([]float64, nC)
+	s.cmDeadlocked = make([]bool, len(s.App.ejbs))
 	s.scrDBOps = make([]float64, nC)
 	s.scrReads = make([]float64, nC)
 	s.scrLock = make([]float64, nC)
@@ -467,13 +476,10 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	st.GCOverhead = gc
 	st.PlanSlowdownAvg = s.planSlowdownAvg()
 
+	s.cmStale = true
 	if !s.Web.Up() || !s.App.Up() || !s.DB.Up() {
 		// Whole-service outage: every arrival is a user-visible failure.
-		// No calls happen, so the call matrix reads zero (the steady-state
-		// path below zeroes only the cells it rewrites).
-		for i := range s.cmBacking {
-			s.cmBacking[i] = 0
-		}
+		// No calls happen, so the call matrix reads zero.
 		st.Down = true
 		st.Errors = st.Arrivals
 		st.SLOViolations = st.Arrivals
@@ -495,6 +501,7 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	errRate := s.scrErr
 	for e, ejb := range s.App.ejbs {
 		errRate[e] = ejb.effectiveErrorRate()
+		s.cmDeadlocked[e] = ejb.Deadlocked
 	}
 	for c := range s.classes {
 		okProb := 1.0
@@ -542,13 +549,8 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	}
 
 	for c, class := range s.classes {
-		// Each call-matrix row is written by exactly one owner loop; zeroing
-		// just the owned cells here replaces a full-matrix clear every tick.
-		cmRow := s.callMatrix[c]
-		for _, call := range s.classCalls[c] {
-			cmRow[call.callee] = 0
-		}
 		a := arrivals[c] * s.noise()
+		s.cmArrivals[c] = a
 		if a <= 0 {
 			continue
 		}
@@ -599,40 +601,6 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 			}
 		}
 		appDemand += appOps * (okA + 0.5*failA + 0.3*hangA)
-
-		// Call matrix rows: class → EJB direct calls. Calls into a
-		// deadlocked component are still initiated (and hang); calls the
-		// request would have made after the hang point never execute, so
-		// the class's call split shifts toward the deadlocked callee —
-		// the deviation Example 2's χ² test detects.
-		for _, call := range s.classCalls[c] {
-			ci := call.callee
-			factor := 1.0
-			if !s.App.ejbs[ci].Deadlocked {
-				factor = 1 - 0.5*pHang[c]
-			}
-			cmRow[ci] += call.count * a * factor
-		}
-	}
-	// EJB→EJB call matrix rows. A deadlocked component stops calling
-	// downstream; an erroring one calls less — the signal Example 2's χ²
-	// test picks up.
-	for e, ejb := range s.App.ejbs {
-		cmRow := s.callMatrix[nC+e]
-		for _, c := range s.ejbCalls[e] {
-			cmRow[c.callee] = 0
-		}
-		calls := st.EJBCalls[e]
-		if calls <= 0 {
-			continue
-		}
-		through := 1 - errRate[e]
-		if ejb.Deadlocked {
-			through = 0
-		}
-		for _, c := range s.ejbCalls[e] {
-			cmRow[c.callee] += c.count * calls * through
-		}
 	}
 
 	// Utilizations and admission control.
@@ -808,10 +776,65 @@ func (s *Service) tableIndex(name string) int {
 // Last returns the most recent tick's statistics.
 func (s *Service) Last() TickStats { return s.last }
 
-// CallMatrix returns the per-tick component call matrix: rows are request
-// classes followed by EJBs (callers), columns are EJBs (callees). The
-// returned slices are reused between ticks; callers must copy what they keep.
-func (s *Service) CallMatrix() [][]float64 { return s.callMatrix }
+// CallMatrix returns the last tick's component call matrix: rows are
+// request classes followed by EJBs (callers), columns are EJBs (callees).
+// The first call after a Tick builds it from the inputs that tick saved, so
+// a fix applied in between does not change it. The returned slices are
+// reused between ticks; callers must copy what they keep.
+func (s *Service) CallMatrix() [][]float64 {
+	if s.cmStale {
+		s.cmStale = false
+		s.buildCallMatrix()
+	}
+	return s.callMatrix
+}
+
+// buildCallMatrix fills the call matrix from the last tick's saved inputs.
+// Only the cells of the call topology are ever nonzero, and an outage
+// leaves them all zero.
+func (s *Service) buildCallMatrix() {
+	clear(s.cmBacking)
+	if s.last.Down {
+		return
+	}
+	nC := len(s.classes)
+	// Class → EJB direct calls. Calls into a deadlocked component are
+	// still initiated (and hang); calls the request would have made after
+	// the hang point never execute, so the class's call split shifts
+	// toward the deadlocked callee — the deviation Example 2's χ² test
+	// detects.
+	for c, calls := range s.classCalls {
+		cmRow := s.callMatrix[c]
+		a := s.cmArrivals[c]
+		if a <= 0 {
+			continue
+		}
+		for _, call := range calls {
+			ci := call.callee
+			factor := 1.0
+			if !s.cmDeadlocked[ci] {
+				factor = 1 - 0.5*s.scrHang[c]
+			}
+			cmRow[ci] += call.count * a * factor
+		}
+	}
+	// EJB → EJB calls. A deadlocked component stops calling downstream;
+	// an erroring one calls less — the signal Example 2's χ² test picks up.
+	for e, calls := range s.ejbCalls {
+		cmRow := s.callMatrix[nC+e]
+		n := s.last.EJBCalls[e]
+		if n <= 0 {
+			continue
+		}
+		through := 1 - s.scrErr[e]
+		if s.cmDeadlocked[e] {
+			through = 0
+		}
+		for _, c := range calls {
+			cmRow[c.callee] += c.count * n * through
+		}
+	}
+}
 
 // CallMatrixSupport lists the (row, col) cells of the call matrix that can
 // ever be nonzero — the resolved call topology, which is fixed for the

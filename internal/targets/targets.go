@@ -167,9 +167,11 @@ type Target interface {
 	// the multidimensional series of §4.2. Stable for the target's
 	// lifetime.
 	Sources() []metrics.Source
-	// CallMatrix returns the current tick's component call matrix (rows:
-	// callers, cols: callees). The returned slices may be reused between
-	// ticks; callers must copy what they keep.
+	// CallMatrix returns the last tick's component call matrix (rows:
+	// callers, cols: callees). It may be computed on demand, but any call
+	// before the next Tick, after an Apply too, returns that tick's
+	// matrix. The returned slices may be reused between ticks; callers
+	// must copy what they keep.
 	CallMatrix() [][]float64
 	// CallMatrixRows returns the number of caller rows.
 	CallMatrixRows() int

@@ -91,6 +91,9 @@ type (
 	Harness = core.Harness
 	// FailureContext is what approaches observe about a detected failure.
 	FailureContext = core.FailureContext
+	// Evidence is the optional evidence an approach declares it reads
+	// from a FailureContext, through an Evidence() Evidence method.
+	Evidence = core.Evidence
 	// Synopsis is a learned symptom→fix model (§5.2).
 	Synopsis = synopsis.Synopsis
 	// Point is one synopsis training observation: a symptom vector, the
@@ -152,6 +155,15 @@ const (
 	TierWeb = catalog.TierWeb
 	TierApp = catalog.TierApp
 	TierDB  = catalog.TierDB
+)
+
+// The optional evidence an approach may declare. A replica's harness
+// gathers only what its approach declares; an approach declaring nothing
+// gets History as the detection window and no paths or call anomalies.
+const (
+	EvidenceHistory = core.EvidenceHistory
+	EvidencePaths   = core.EvidencePaths
+	EvidenceCalls   = core.EvidenceCalls
 )
 
 // config is the resolved option set shared by New and NewFleet.
