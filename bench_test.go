@@ -200,11 +200,25 @@ func BenchmarkHealEpisode(b *testing.B) {
 	}
 }
 
+// auctionFaults is the default auction target's fault stream over every
+// Table 1 kind at seed.
+func auctionFaults(seed int64) selfheal.FaultGen {
+	t, err := selfheal.NewTarget(selfheal.TargetAuction, selfheal.TargetConfig{})
+	if err != nil {
+		panic(err)
+	}
+	gen, err := t.NewFaults(seed)
+	if err != nil {
+		panic(err)
+	}
+	return gen
+}
+
 // seedKBPoints builds n synthetic labeled observations spread over the
 // Table 1 candidate fixes, clustered per fix so nearest-neighbor lookups
 // have structure. Deterministic in the seed.
 func seedKBPoints(seed int64, n int) []selfheal.Point {
-	gen := selfheal.RandomFaults(seed)
+	gen := auctionFaults(seed)
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]selfheal.Point, 0, n)
 	for len(pts) < n {
@@ -367,7 +381,7 @@ var kbScaleSizes = []int{1_000, 100_000, 1_000_000}
 // tightens as the KB grows (PERFORMANCE.md discusses the unfavorable
 // regimes). Deterministic in the seed.
 func manifoldKBPoints(seed int64, n int) []selfheal.Point {
-	gen := selfheal.RandomFaults(seed)
+	gen := auctionFaults(seed)
 	rng := rand.New(rand.NewSource(seed))
 	pts := make([]selfheal.Point, 0, n)
 	for len(pts) < n {

@@ -294,11 +294,14 @@ func cmdCompact(args []string) error {
 	if *max <= 0 {
 		return fmt.Errorf("compact needs -max > 0")
 	}
+	cfg := synopsis.Compaction{MaxPoints: *max, MergeRadius: *radius, MinPerAction: *minPer}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	snap, err := decodeFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	cfg := synopsis.Compaction{MaxPoints: *max, MergeRadius: *radius, MinPerAction: *minPer}
 	kept := synopsis.CompactPoints(snap.Points, cfg, *max)
 	fmt.Fprintf(os.Stderr, "kbtool: compacted %d points to %d (max %d, radius %g)\n",
 		len(snap.Points), len(kept), *max, *radius)

@@ -24,7 +24,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen := selfheal.RandomFaults(99)
+	gen, err := sys.NewFaults(99)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	const episodes = 16
 	fmt.Println("auction: RUBiS bidding mix, hybrid healer, 16-failure campaign")

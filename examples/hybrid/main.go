@@ -27,7 +27,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen := selfheal.RandomFaults(61)
+		gen, err := sys.NewFaults(61)
+		if err != nil {
+			log.Fatal(err)
+		}
 		var recovered, escalated, firstTry int
 		var ttr int64
 		for i := 0; i < 10; i++ {

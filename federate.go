@@ -3,6 +3,7 @@ package selfheal
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"time"
@@ -71,8 +72,10 @@ func (s NodeSpec) check(syn Synopsis) (*SharedSynopsis, error) {
 	switch {
 	case s.Serve == "" && len(s.Peers) == 0:
 		return nil, fmt.Errorf("selfheal: NodeSpec needs Serve or Peers")
-	case s.GossipFanout < 0 || s.RateLimit < 0:
-		return nil, fmt.Errorf("selfheal: NodeSpec with negative GossipFanout %d or RateLimit %v", s.GossipFanout, s.RateLimit)
+	case s.GossipFanout < 0:
+		return nil, fmt.Errorf("selfheal: NodeSpec with negative GossipFanout %d", s.GossipFanout)
+	case !(s.RateLimit >= 0) || math.IsInf(s.RateLimit, 1):
+		return nil, fmt.Errorf("selfheal: NodeSpec.RateLimit %v is not a finite rate >= 0", s.RateLimit)
 	case s.GossipFanout > 0 && len(s.Peers) == 0:
 		return nil, fmt.Errorf("selfheal: NodeSpec.GossipFanout needs Peers")
 	}

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -391,6 +392,8 @@ func TestFederationOptionValidation(t *testing.T) {
 		{},
 		{AdminToken: "t", RateLimit: 5},
 		{Serve: "127.0.0.1:0", RateLimit: -1},
+		{Serve: "127.0.0.1:0", RateLimit: math.NaN()},
+		{Serve: "127.0.0.1:0", RateLimit: math.Inf(1)},
 		{Peers: []string{"http://localhost:1"}, GossipFanout: -1},
 	} {
 		if ops, err := fl.ServeOps(ctx, bad); err == nil {

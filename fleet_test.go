@@ -50,7 +50,10 @@ func TestFleetDeterminismUnderConcurrency(t *testing.T) {
 			selfheal.WithSeed(fleet.ReplicaSeed(i)),
 			selfheal.WithApproach(selfheal.ApproachAnomaly),
 		)
-		gen := selfheal.RandomFaults(faultSeed + int64(i)*7907)
+		gen, err := sys.NewFaults(faultSeed + int64(i)*7907)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var want []selfheal.Episode
 		for e := 0; e < per; e++ {
 			want = append(want, sys.HealEpisode(ctx, gen.Next()))
@@ -78,7 +81,10 @@ func TestFleetOfOneMatchesSequentialSystem(t *testing.T) {
 	}
 
 	sys := selfheal.MustNew(ctx, selfheal.WithSeed(11))
-	gen := selfheal.RandomFaults(12) // fleet default fault seed: seed+1
+	gen, err := sys.NewFaults(12) // fleet default fault seed: seed+1
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []selfheal.Episode
 	for e := 0; e < episodes; e++ {
 		want = append(want, sys.HealEpisode(ctx, gen.Next()))
@@ -128,7 +134,10 @@ func TestFleetOfOneLearnBatchMatchesSequential(t *testing.T) {
 		selfheal.WithSynopsis(selfheal.NewNNSynopsis()),
 		selfheal.WithLearnBatch(1),
 	)
-	gen := selfheal.RandomFaults(12) // fleet default fault seed: seed+1
+	gen, err := sys.NewFaults(12) // fleet default fault seed: seed+1
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want []selfheal.Episode
 	for e := 0; e < episodes; e++ {
 		want = append(want, sys.HealEpisode(ctx, gen.Next()))

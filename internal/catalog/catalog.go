@@ -5,7 +5,7 @@
 // diagnosis approaches consult.
 //
 // Keeping these identifiers in one dependency-free package lets the fault
-// model, the fix actuator and the learning approaches agree on labels
+// model, the targets' fixes and the learning approaches agree on labels
 // without importing each other.
 package catalog
 

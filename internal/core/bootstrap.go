@@ -71,7 +71,7 @@ func Bootstrap(ctx context.Context, plan BootstrapPlan, approach Approach) int {
 	trained := 0
 	seq := int64(0)
 	for _, kind := range kinds {
-		gen := faults.MustNewGenerator(plan.Seed+int64(kind)*131, kind)
+		gen := faults.NewGenerator(plan.Seed+int64(kind)*131, kind)
 		for rep := 0; rep < perKind; rep++ {
 			for _, scale := range scales {
 				if ctx.Err() != nil {
@@ -80,9 +80,10 @@ func Bootstrap(ctx context.Context, plan BootstrapPlan, approach Approach) int {
 				seq++
 				cfg := DefaultHarnessConfig()
 				cfg.Seed = plan.Seed + seq*977
-				cfg.Service.Seed = cfg.Seed*7919 + 17
-				h := NewHarness(cfg)
-				h.Target.(targets.WorkloadShaper).SetLoadScale(scale)
+				// The default mix ("") is always valid: no error.
+				t, _ := targets.NewAuction(targets.Config{Seed: cfg.Seed})
+				h := NewTargetHarness(t, cfg)
+				t.SetLoadScale(scale)
 				h.StepN(40) // settle at the stimulated load
 				fctx, label, ok := h.LabeledFailure(ctx, gen.NextOfKind(kind), budget)
 				if !ok {

@@ -23,7 +23,7 @@ func TestLogicalClockByteIdentical(t *testing.T) {
 		h := core.NewHarness(cfg)
 		hl := core.NewHealer(h, core.NewFixSym(synopsis.NewNearestNeighbor()), core.DefaultHealerConfig())
 		hl.AdminOracle = h.Target.CorrectFix
-		gen := faults.MustNewGenerator(11)
+		gen := faults.NewGenerator(11)
 		var eps []core.Episode
 		for i := 0; i < 4; i++ {
 			eps = append(eps, hl.RunEpisode(context.Background(), gen.Next()))

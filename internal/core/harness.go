@@ -13,11 +13,8 @@ import (
 
 // HarnessConfig sizes the monitoring/healing environment around a target.
 type HarnessConfig struct {
-	// Service and Mix size the default auction target; they are ignored
-	// when NewTargetHarness is handed an already-built target.
-	Service service.Config
-	Mix     workload.Mix
-	Seed    int64
+	// Seed is the default auction target's workload seed (NewHarness).
+	Seed int64
 	// WarmupTicks is the healthy run used to freeze the baseline (the Nb
 	// window of Example 2).
 	WarmupTicks int
@@ -46,8 +43,6 @@ type HarnessConfig struct {
 // DefaultHarnessConfig returns the standard experiment environment.
 func DefaultHarnessConfig() HarnessConfig {
 	return HarnessConfig{
-		Service:      service.DefaultConfig(),
-		Mix:          workload.BiddingMix(),
 		Seed:         42,
 		WarmupTicks:  240,
 		WindowTicks:  15,
@@ -113,16 +108,15 @@ type Harness struct {
 	OnStep func(detect.Sample)
 }
 
-// NewHarness builds the default environment — the auction simulator
-// target sized by cfg.Service and cfg.Mix — and runs the warmup to freeze
-// the healthy baseline.
+// NewHarness builds the default environment — the auction simulator at
+// its default sizing under the bidding mix, workload seeded by cfg.Seed —
+// and runs the warmup to freeze the healthy baseline.
 func NewHarness(cfg HarnessConfig) *Harness {
-	return NewTargetHarness(targets.NewAuctionWith(cfg.Service, cfg.Mix, cfg.Seed), cfg)
+	return NewTargetHarness(targets.NewAuctionWith(service.DefaultConfig(), workload.BiddingMix(), cfg.Seed), cfg)
 }
 
 // NewTargetHarness builds the environment around an already-constructed
-// target and runs the warmup. cfg.Service and cfg.Mix are ignored — the
-// target was built with its own sizing.
+// target and runs the warmup.
 func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 	h := &Harness{
 		Cfg:      cfg,

@@ -10,9 +10,11 @@ import (
 	"selfheal/internal/detect"
 	"selfheal/internal/diagnose"
 	"selfheal/internal/faults"
+	"selfheal/internal/service"
 	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
 	"selfheal/internal/trace"
+	"selfheal/internal/workload"
 )
 
 // TestHistoryIsASlidingWindow steps a harness for twenty times its
@@ -86,7 +88,7 @@ func TestRetentionFollowsTheApproach(t *testing.T) {
 		{"correlation", diagnose.NewCorrelation(), cfg.HistoryTicks, cfg.HistoryTicks, true, false, false},
 		{"hybrid with correlation", core.NewHybrid(fixsym(), diagnose.NewCorrelation()), cfg.HistoryTicks, cfg.HistoryTicks, true, false, false},
 	} {
-		tg := &countingTarget{Auction: targets.NewAuctionWith(cfg.Service, cfg.Mix, cfg.Seed)}
+		tg := &countingTarget{Auction: targets.NewAuctionWith(service.DefaultConfig(), workload.BiddingMix(), cfg.Seed)}
 		h := core.NewTargetHarness(tg, cfg)
 		hl := core.NewHealer(h, tc.approach, core.DefaultHealerConfig())
 		tg.callMatrix = 0

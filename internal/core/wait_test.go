@@ -6,8 +6,10 @@ import (
 
 	"selfheal/internal/detect"
 	"selfheal/internal/faults"
+	"selfheal/internal/service"
 	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
+	"selfheal/internal/workload"
 )
 
 // scriptedTarget wraps the auction simulator and replaces fault injection
@@ -45,7 +47,7 @@ func scriptedEpisode(t *testing.T, ctx context.Context, historyTicks, budget int
 	t.Helper()
 	cfg := DefaultHarnessConfig()
 	cfg.HistoryTicks = historyTicks
-	h := NewTargetHarness(&scriptedTarget{Target: targets.NewAuctionWith(cfg.Service, cfg.Mix, cfg.Seed), bad: bad}, cfg)
+	h := NewTargetHarness(&scriptedTarget{Target: targets.NewAuctionWith(service.DefaultConfig(), workload.BiddingMix(), cfg.Seed), bad: bad}, cfg)
 	hcfg := DefaultHealerConfig()
 	hcfg.EpisodeBudget = budget
 	hl := NewHealer(h, NewFixSym(synopsis.NewNearestNeighbor()), hcfg)

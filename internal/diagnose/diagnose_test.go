@@ -8,6 +8,7 @@ import (
 	"selfheal/internal/catalog"
 	"selfheal/internal/core"
 	"selfheal/internal/faults"
+	"selfheal/internal/targets"
 )
 
 // failingContext builds a real FailureContext by injecting f into a fresh
@@ -16,8 +17,11 @@ func failingContext(t *testing.T, seed int64, f faults.Fault) *core.FailureConte
 	t.Helper()
 	cfg := core.DefaultHarnessConfig()
 	cfg.Seed = seed
-	cfg.Service.Seed = seed*7919 + 17
-	h := core.NewHarness(cfg)
+	tg, err := targets.NewAuction(targets.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewTargetHarness(tg, cfg)
 	fctx, _, ok := h.LabeledFailure(context.Background(), f, 2500)
 	if !ok {
 		t.Fatalf("fault %v never became SLO-visible", f.Kind())

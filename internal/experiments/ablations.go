@@ -47,7 +47,7 @@ func RunHybridAblation(seed int64, episodes int) HybridAblation {
 	res := HybridAblation{}
 	for _, make := range mk {
 		a := make()
-		gen := faults.MustNewGenerator(seed+11, LearningKinds()...)
+		gen := faults.NewGenerator(seed+11, LearningKinds()...)
 		var stats EpisodeStats
 		for i := 0; i < episodes; i++ {
 			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*211), selfheal.WithApproachInstance(a))
@@ -89,7 +89,7 @@ func RunOnlineDriftAblation(seed int64, episodes int) OnlineDriftAblation {
 	frozen := synopsis.NewNearestNeighbor()
 	online := synopsis.NewOnline(synopsis.NewNearestNeighbor(), episodes/2+4)
 	ref := buildReferenceBaseline(seed)
-	gen := faults.MustNewGenerator(seed+3, LearningKinds()...)
+	gen := faults.NewGenerator(seed+3, LearningKinds()...)
 
 	res := OnlineDriftAblation{Episodes: episodes}
 	var frozenOK, onlineOK, n int
@@ -157,7 +157,7 @@ func RunConfidenceAblation(seed int64, episodes int) ConfidenceAblation {
 
 	run := func(a core.Approach) float64 {
 		var stats EpisodeStats
-		gen2 := faults.MustNewGenerator(seed+29, LearningKinds()...)
+		gen2 := faults.NewGenerator(seed+29, LearningKinds()...)
 		for i := 0; i < episodes; i++ {
 			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*307), selfheal.WithApproachInstance(a))
 			stats.AddEpisode(sys.HealEpisode(ctx, gen2.Next()))
@@ -220,7 +220,7 @@ type NegativeDataAblation struct {
 // channel). The plain synopsis repeats the poisoned suggestion on every
 // recurrence; the negative-aware one damps it after the first failure.
 func RunNegativeDataAblation(seed int64, episodes int) NegativeDataAblation {
-	gen := faults.MustNewGenerator(seed+41, catalog.FaultBufferContention)
+	gen := faults.NewGenerator(seed+41, catalog.FaultBufferContention)
 	// Recurrence stream of labeled failures.
 	var stream []synopsis.Point
 	for i := 0; len(stream) < episodes && i < episodes*4; i++ {

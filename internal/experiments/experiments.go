@@ -54,7 +54,7 @@ func LabeledPoint(seed int64, f faults.Fault) (synopsis.Point, bool) {
 // fault kinds — the paper's "fixed test set comprising 1000 failure states
 // (symptoms) and correct fixes generated by the simulator".
 func BuildTestSet(seed int64, size int, kinds []catalog.FaultKind) []synopsis.Point {
-	gen := faults.MustNewGenerator(seed, kinds...)
+	gen := faults.NewGenerator(seed, kinds...)
 	out := make([]synopsis.Point, 0, size)
 	for i := 0; len(out) < size; i++ {
 		p, ok := LabeledPoint(seed+int64(i)*13+1, gen.Next())

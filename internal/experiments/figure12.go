@@ -78,7 +78,7 @@ func RunFigure1(seed int64, perProfile int) Figure1Result {
 	causes := catalog.Causes()
 	res := Figure1Result{Causes: causes}
 	for pi, p := range profiles {
-		gen := faults.MustNewGenerator(seed+int64(pi)*1009, p.Kinds...)
+		gen := faults.NewGenerator(seed+int64(pi)*1009, p.Kinds...)
 		gen.SetWeights(p.Weights)
 		counts := make(map[catalog.Cause]int)
 		detected := 0
@@ -160,7 +160,7 @@ func RunFigure2(seed int64, perProfile int) Figure2Result {
 	res := Figure2Result{Causes: causes}
 	rng := sim.NewRNG(seed + 5)
 	for pi, p := range profiles {
-		gen := faults.MustNewGenerator(seed+int64(pi)*1009, p.Kinds...)
+		gen := faults.NewGenerator(seed+int64(pi)*1009, p.Kinds...)
 		gen.SetWeights(p.Weights)
 		ttrSum := make([]float64, len(causes))
 		ttrN := make([]int, len(causes))

@@ -103,7 +103,7 @@ func runLearning(cfg Figure4Config, name string, syn synopsis.Synopsis, test []s
 	ctx := context.Background()
 	ts := &timed{inner: syn}
 	approach := core.NewFixSym(ts)
-	gen := faults.MustNewGenerator(cfg.Seed+999, LearningKinds()...)
+	gen := faults.NewGenerator(cfg.Seed+999, LearningKinds()...)
 	curve := LearningCurve{Synopsis: name}
 	start := time.Now()
 

@@ -22,7 +22,7 @@ func TestLoopLabelQuality(t *testing.T) {
 	}
 	syn := synopsis.NewNearestNeighbor()
 	approach := core.NewFixSym(syn)
-	gen := faults.MustNewGenerator(999+2007, LearningKinds()...)
+	gen := faults.NewGenerator(999+2007, LearningKinds()...)
 	ctx := context.Background()
 
 	perKind := map[string][2]int{} // injected, labeled

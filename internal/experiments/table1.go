@@ -8,7 +8,7 @@ import (
 	"selfheal"
 	"selfheal/internal/catalog"
 	"selfheal/internal/faults"
-	"selfheal/internal/fixes"
+	"selfheal/internal/targets"
 )
 
 // Table1Result verifies the paper's Table 1 empirically: for each failure
@@ -50,7 +50,7 @@ func targetFor(fix catalog.FixID, f faults.Fault) string {
 	default:
 		return ""
 	}
-	if t := f.Target(); fixes.ValidTarget(fix, t) {
+	if t := f.Target(); targets.AuctionValidTarget(fix, t) {
 		return t
 	}
 	return fallback
@@ -92,7 +92,7 @@ func RunTable1(seed int64) Table1Result {
 
 // drawFault deterministically draws the row's canonical fault instance.
 func drawFault(rowSeed int64, kind catalog.FaultKind) faults.Fault {
-	return faults.MustNewGenerator(rowSeed, kind).NextOfKind(kind)
+	return faults.NewGenerator(rowSeed, kind).NextOfKind(kind)
 }
 
 // tryFix injects the row's fault instance on a fresh environment and

@@ -105,7 +105,7 @@ func RunTable2(cfg Table2Config) Table2Result {
 func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Cell {
 	ctx := context.Background()
 	n := cfg.Episodes
-	gen := faults.MustNewGenerator(cfg.Seed+hashString(scen), scenarioKinds(scen)...)
+	gen := faults.NewGenerator(cfg.Seed+hashString(scen), scenarioKinds(scen)...)
 	var stats EpisodeStats
 	refBuilder := buildReferenceBaseline(cfg.Seed)
 
@@ -120,7 +120,7 @@ func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Ce
 			// The rare failure's signature is taught at most once during
 			// warm-up; everything else is common-case traffic.
 			if i != warmup/2 {
-				f = faults.MustNewGenerator(cfg.Seed+int64(i)*7, commonKinds()...).Next()
+				f = faults.NewGenerator(cfg.Seed+int64(i)*7, commonKinds()...).Next()
 			}
 		}
 		seed := cfg.Seed + hashString(scen)*31 + int64(i)*101

@@ -303,13 +303,10 @@ func (f *Bottleneck) Clear(env *Env) {
 }
 
 // CodeBug is a persistent application defect (Table 1 row 8): its error
-// state survives microreboots; a tier restart masks it, and it may relapse.
+// state survives microreboots, and a tier restart masks it.
 type CodeBug struct {
 	base
 	Rate float64
-	// Relapse, when positive, re-manifests the bug that many ticks after a
-	// restart masks it (used by long-running campaign scenarios).
-	Relapse int64
 }
 
 // NewCodeBug builds a source-code-bug fault on the named EJB.

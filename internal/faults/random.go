@@ -1,19 +1,10 @@
 package faults
 
 import (
-	"fmt"
-	"strings"
-
 	"selfheal/internal/catalog"
 	"selfheal/internal/service"
 	"selfheal/internal/sim"
 )
-
-// targetName is the target kind this package's faults are built for —
-// the auction simulator. Spelled out here (rather than imported from
-// internal/targets, which imports this package) so NewGenerator errors
-// can say whose catalog refused a kind.
-const targetName = "auction"
 
 // Generator draws random fault instances for campaigns and learning
 // experiments: it picks a kind (by weight), a target, and a severity large
@@ -25,57 +16,19 @@ type Generator struct {
 	weights []float64
 }
 
-// NewGenerator builds a fault generator over the given kinds with uniform
-// weights. Every kind is validated against the Table 1 catalog up front;
-// unknown kinds return an error listing the valid ones, instead of the
-// old behavior of silently accepting them and panicking mid-campaign at
-// the first draw.
-func NewGenerator(seed int64, kinds ...catalog.FaultKind) (*Generator, error) {
+// NewGenerator builds a fault generator over the given kinds (every
+// Table 1 kind when empty) with uniform weights. Kinds must come from the
+// catalog — targets.Auction.NewFaults checks them against its spec; a
+// kind outside it panics at its first draw.
+func NewGenerator(seed int64, kinds ...catalog.FaultKind) *Generator {
 	if len(kinds) == 0 {
 		kinds = catalog.FaultKinds()
-	}
-	var bad []string
-	for _, k := range kinds {
-		if !validKind(k) {
-			bad = append(bad, k.String())
-		}
-	}
-	if len(bad) > 0 {
-		valid := make([]string, 0, len(catalog.FaultKinds()))
-		for _, k := range catalog.FaultKinds() {
-			valid = append(valid, k.String())
-		}
-		// Name the target kind whose catalog refused the draw: a campaign
-		// flag like -faults replica-down fails telling the user *which*
-		// target cannot inject it, not just what would have been valid.
-		return nil, fmt.Errorf("faults: target %q cannot draw fault kind(s) %s (valid kinds: %s)",
-			targetName, strings.Join(bad, ", "), strings.Join(valid, ", "))
 	}
 	w := make([]float64, len(kinds))
 	for i := range w {
 		w[i] = 1
 	}
-	return &Generator{rng: sim.NewRNG(seed), kinds: kinds, weights: w}, nil
-}
-
-// MustNewGenerator is NewGenerator panicking on invalid kinds, for
-// callers with statically-known catalogs (tests, experiment harnesses).
-func MustNewGenerator(seed int64, kinds ...catalog.FaultKind) *Generator {
-	g, err := NewGenerator(seed, kinds...)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// validKind reports whether k is a real Table 1 kind.
-func validKind(k catalog.FaultKind) bool {
-	for _, have := range catalog.FaultKinds() {
-		if have == k {
-			return true
-		}
-	}
-	return false
+	return &Generator{rng: sim.NewRNG(seed), kinds: kinds, weights: w}
 }
 
 // SetWeights overrides the kind weights (aligned with the kinds passed at

@@ -6,7 +6,8 @@
 // multidimensional metric row plus the EJB call matrix of Example 2.
 //
 // Faults (internal/faults) perturb the exported tier state; fixes
-// (internal/fixes) call the recovery methods at the bottom of this file.
+// (targets.Auction.Apply) call the recovery methods at the bottom of this
+// file.
 // The learning layers never see this package's internals — only the metric
 // stream — which preserves the paper's separation between the service and
 // the self-healing logic observing it.

@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds the mutable state of the three tiers. Faults perturb these
-// fields (via internal/faults) and fixes restore them (via internal/fixes);
+// fields (via internal/faults) and fixes restore them (via targets.Auction);
 // the per-tick flow computation in service.go only reads them.
 
 // Aging models software aging (Table 1, ref [26]): Level grows by LeakRate

@@ -64,13 +64,15 @@ type Resetter interface {
 // shrinks to 3/4 of MaxPoints so the next quarter-cap of writes is free.
 const compactTargetDivisor = 4
 
-// validate normalizes the configuration.
-func (c *Compaction) validate() error {
+// Validate normalizes the configuration and rejects one no compaction
+// can honor: a merge radius that is not a finite distance ≥ 0, a negative
+// cap, or a cap below MinPerAction.
+func (c *Compaction) Validate() error {
 	if c.MinPerAction <= 0 {
 		c.MinPerAction = 1
 	}
-	if c.MergeRadius < 0 {
-		return fmt.Errorf("synopsis: negative compaction merge radius %v", c.MergeRadius)
+	if !(c.MergeRadius >= 0) || math.IsInf(c.MergeRadius, 1) {
+		return fmt.Errorf("synopsis: compaction merge radius %v is not a finite distance >= 0", c.MergeRadius)
 	}
 	if c.MaxPoints < 0 {
 		return fmt.Errorf("synopsis: negative compaction cap %d", c.MaxPoints)

@@ -1,6 +1,7 @@
 package synopsis
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -271,7 +272,8 @@ type unresettable struct{ opaque }
 func (u unresettable) Clone() Synopsis { return unresettable{opaque{u.s.(Cloner).Clone()}} }
 
 // TestEnableCompactionValidation pins the error cases: bases without
-// Reset, and configurations that could never hold their own cap.
+// Reset, merge radii that are not finite distances, and configurations
+// that could never hold their own cap.
 func TestEnableCompactionValidation(t *testing.T) {
 	if err := NewShared(unresettable{opaque{NewNearestNeighbor()}}).EnableCompaction(Compaction{}); err == nil {
 		t.Fatal("EnableCompaction accepted a base without Reset")
@@ -279,6 +281,9 @@ func TestEnableCompactionValidation(t *testing.T) {
 	sh := NewShared(NewNearestNeighbor())
 	for _, bad := range []Compaction{
 		{MergeRadius: -1},
+		{MergeRadius: math.NaN()},
+		{MergeRadius: math.Inf(1)},
+		{MergeRadius: math.Inf(-1)},
 		{MaxPoints: -5},
 		{MaxPoints: 2, MinPerAction: 3},
 	} {

@@ -206,7 +206,7 @@ func (s *Shared) OnPublish(fn func(seq uint64)) {
 // learners do — because compaction retrains it from the compacted
 // history.
 func (s *Shared) EnableCompaction(cfg Compaction) error {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if _, ok := s.base.(Resetter); !ok {

@@ -2,11 +2,11 @@ package targets
 
 import (
 	"fmt"
+	"slices"
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/detect"
 	"selfheal/internal/faults"
-	"selfheal/internal/fixes"
 	"selfheal/internal/metrics"
 	"selfheal/internal/service"
 	"selfheal/internal/trace"
@@ -36,15 +36,54 @@ func AuctionSpec() Spec {
 
 // Auction is the default target: the analytical RUBiS-style simulator of
 // internal/service together with its workload generator, the set of
-// active Table 1 faults, and the fix actuator. It is a thin adapter — the
+// active Table 1 faults, and the Table 1 fixes. It is a thin adapter — the
 // simulator's behavior is unchanged, tick for tick and random draw for
 // random draw, from when core.Harness held these components directly.
 type Auction struct {
 	FaultSet[faults.Fault]
 	svc  *service.Service
 	gen  *workload.Generator
-	act  *fixes.Actuator
 	spec Spec
+}
+
+// auctionSettle is every Table 1 fix's settle time: how long after
+// application the service needs before a meaningful success check,
+// including any downtime the fix causes — the check-fix delay of Figure
+// 3 line 13 ("care should be taken to let the service recover fully",
+// §4.1).
+var auctionSettle = map[catalog.FixID]int64{
+	catalog.FixMicrorebootEJB:    4,
+	catalog.FixKillHungQuery:     3,
+	catalog.FixRebootWebTier:     26,
+	catalog.FixRebootAppTier:     36,
+	catalog.FixRebootDBTier:      66,
+	catalog.FixUpdateStats:       6,
+	catalog.FixRepartitionTable:  12,
+	catalog.FixRepartitionMemory: 4,
+	catalog.FixProvisionTier:     16,
+	catalog.FixRebuildIndex:      22,
+	catalog.FixRestoreConfig:     12,
+	catalog.FixFailoverNode:      10,
+	catalog.FixFullRestart:       126,
+	catalog.FixNotifyAdmin:       0,
+}
+
+// AuctionValidTarget reports whether target is a sensible argument for
+// the fix on the auction target: an EJB for a microreboot, a table for
+// the table fixes, a tier for provisioning and failover, anything for the
+// fixes that take none. Unknown fixes are invalid.
+func AuctionValidTarget(id catalog.FixID, target string) bool {
+	switch id {
+	case catalog.FixMicrorebootEJB:
+		return slices.Contains(service.EJBNames(), target)
+	case catalog.FixUpdateStats, catalog.FixRepartitionTable, catalog.FixRebuildIndex:
+		return slices.Contains(service.TableNames(), target)
+	case catalog.FixProvisionTier, catalog.FixFailoverNode:
+		_, err := catalog.ParseTier(target)
+		return err == nil
+	}
+	_, ok := auctionSettle[id]
+	return ok
 }
 
 // NewAuction builds the default target at cfg. The service's internal
@@ -64,8 +103,8 @@ func NewAuction(cfg Config) (*Auction, error) {
 }
 
 // NewAuctionWith builds the default target from explicit simulator
-// configuration — the constructor behind core.NewHarness, whose config
-// sizes the service and workload directly.
+// configuration — the constructor behind core.NewHarness, which keeps the
+// service's default seed and seeds only the workload.
 func NewAuctionWith(scfg service.Config, mix workload.Mix, seed int64) *Auction {
 	svc := service.New(scfg)
 	gen := workload.NewGenerator(mix, seed)
@@ -77,7 +116,6 @@ func NewAuctionWith(scfg service.Config, mix workload.Mix, seed int64) *Auction 
 			func(f faults.Fault) bool { return f.Cleared(env) }),
 		svc:  svc,
 		gen:  gen,
-		act:  fixes.NewActuator(svc),
 		spec: AuctionSpec(),
 	}
 }
@@ -141,27 +179,57 @@ func (a *Auction) SamplePaths() []trace.Path {
 	return paths
 }
 
-// Apply implements Target.
+// Apply implements Target: the fix's recovery action on the service, and
+// its settle time. A learned or diagnosed recommendation can carry a
+// target of the wrong kind (a table name for a component fix); that is an
+// error — a failed attempt — with no effect on the service.
 func (a *Auction) Apply(act Action) (int64, error) {
-	app, err := a.act.Apply(act.Fix, act.Target)
-	if err != nil {
-		return 0, err
+	if !AuctionValidTarget(act.Fix, act.Target) {
+		return 0, fmt.Errorf("targets: auction cannot apply %v to %q", act.Fix, act.Target)
 	}
-	return app.SettleTicks, nil
+	svc := a.svc
+	switch act.Fix {
+	case catalog.FixMicrorebootEJB:
+		svc.MicrorebootEJB(act.Target)
+	case catalog.FixKillHungQuery:
+		svc.KillHungQuery()
+	case catalog.FixRebootWebTier:
+		svc.RebootTier(catalog.TierWeb)
+	case catalog.FixRebootAppTier:
+		svc.RebootTier(catalog.TierApp)
+	case catalog.FixRebootDBTier:
+		svc.RebootTier(catalog.TierDB)
+	case catalog.FixUpdateStats:
+		svc.UpdateStats(act.Target)
+	case catalog.FixRepartitionTable:
+		svc.RepartitionTable(act.Target)
+	case catalog.FixRepartitionMemory:
+		svc.RepartitionMemory()
+	case catalog.FixProvisionTier:
+		tier, _ := catalog.ParseTier(act.Target)
+		svc.ProvisionTier(tier)
+	case catalog.FixRebuildIndex:
+		svc.RebuildIndex(act.Target)
+	case catalog.FixRestoreConfig:
+		svc.RestoreConfig()
+	case catalog.FixFailoverNode:
+		tier, _ := catalog.ParseTier(act.Target)
+		svc.FailoverNode(tier)
+	case catalog.FixFullRestart:
+		svc.FullRestart()
+	case catalog.FixNotifyAdmin:
+		// No service effect; the healing loop models the human response.
+	}
+	return auctionSettle[act.Fix], nil
 }
 
 // NewFaults implements Target: the Table 1 generator, validated against
-// the target's own spec (the Target contract) — faults.NewGenerator's
-// catalog check then never fires.
+// the target's own spec (the Target contract).
 func (a *Auction) NewFaults(seed int64, kinds ...catalog.FaultKind) (FaultGen, error) {
 	if err := a.Spec().ValidateKinds(kinds); err != nil {
 		return nil, err
 	}
-	g, err := faults.NewGenerator(seed, kinds...)
-	if err != nil {
-		return nil, err
-	}
-	return simFaultGen{g}, nil
+	return simFaultGen{faults.NewGenerator(seed, kinds...)}, nil
 }
 
 // simFaultGen adapts *faults.Generator to the target-agnostic FaultGen.

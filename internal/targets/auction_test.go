@@ -2,6 +2,7 @@ package targets
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"selfheal/internal/catalog"
@@ -199,3 +200,173 @@ func TestClearWithdrawnLeavesOthers(t *testing.T) {
 
 // auctionEnv is the environment a's faults act on.
 func auctionEnv(a *Auction) *faults.Env { return &faults.Env{Svc: a.svc, Gen: a.gen} }
+
+// liveAuction is an auction target 30 ticks into its bidding workload.
+func liveAuction(t *testing.T) *Auction {
+	t.Helper()
+	a, err := NewAuction(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 30 {
+		a.Tick()
+	}
+	return a
+}
+
+// TestAuctionSettleForEveryFix: every catalog fix has a settle time, and
+// the settle table holds no fix the catalog lacks.
+func TestAuctionSettleForEveryFix(t *testing.T) {
+	for _, id := range catalog.FixIDs() {
+		if _, ok := auctionSettle[id]; !ok {
+			t.Errorf("no settle time for %v", id)
+		}
+	}
+	if len(auctionSettle) != len(catalog.FixIDs()) {
+		t.Errorf("%d settle times for %d fixes", len(auctionSettle), len(catalog.FixIDs()))
+	}
+}
+
+// TestAuctionApplyEveryFix: every catalog fix applies to a live auction
+// at a valid target and returns its own settle time.
+func TestAuctionApplyEveryFix(t *testing.T) {
+	targets := map[catalog.FixID]string{
+		catalog.FixMicrorebootEJB:   "ItemBean",
+		catalog.FixUpdateStats:      "items",
+		catalog.FixRepartitionTable: "bids",
+		catalog.FixRebuildIndex:     "users",
+		catalog.FixProvisionTier:    "app",
+		catalog.FixFailoverNode:     "web",
+	}
+	for _, id := range catalog.FixIDs() {
+		settle, err := liveAuction(t).Apply(Action{Fix: id, Target: targets[id]})
+		if err != nil {
+			t.Errorf("apply %v: %v", id, err)
+		} else if settle != auctionSettle[id] {
+			t.Errorf("%v settles in %d ticks, the table says %d", id, settle, auctionSettle[id])
+		}
+	}
+}
+
+// TestAuctionApplyRejectsBadTargets: a missing, wrong-kind or unknown
+// target, or an unknown fix, is an error with no effect on the service —
+// the target then runs tick for tick like a twin that was never touched.
+func TestAuctionApplyRejectsBadTargets(t *testing.T) {
+	a, twin := liveAuction(t), liveAuction(t)
+	for _, act := range []Action{
+		{Fix: catalog.FixMicrorebootEJB},
+		{Fix: catalog.FixMicrorebootEJB, Target: "items"},
+		{Fix: catalog.FixUpdateStats, Target: "ItemBean"},
+		{Fix: catalog.FixRebuildIndex, Target: "nope"},
+		{Fix: catalog.FixProvisionTier, Target: "disk"},
+		{Fix: catalog.FixFailoverNode},
+		{Fix: catalog.FixNone},
+		{Fix: catalog.FixID(999), Target: "x"},
+	} {
+		if settle, err := a.Apply(act); err == nil || settle != 0 {
+			t.Errorf("Apply(%v) = %d, %v; want 0 and an error", act, settle, err)
+		}
+	}
+	if !reflect.DeepEqual(a.svc, twin.svc) {
+		t.Error("a rejected fix changed the service")
+	}
+	for i := range 60 {
+		if got, want := a.Tick(), twin.Tick(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tick %d after rejected fixes: %+v, want %+v", i, got, want)
+		}
+	}
+}
+
+// TestAuctionFixesActOnService: a fix changes the service state it is
+// named for.
+func TestAuctionFixesActOnService(t *testing.T) {
+	a := liveAuction(t)
+	svc := a.svc
+	apply := func(fix catalog.FixID, target string) {
+		t.Helper()
+		if _, err := a.Apply(Action{Fix: fix, Target: target}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	svc.DB.Table("items").StatsStale = true
+	svc.DB.Table("items").PlanSlowdown = 7
+	apply(catalog.FixUpdateStats, "items")
+	if svc.DB.Table("items").StatsStale {
+		t.Error("update-statistics did not clear staleness")
+	}
+
+	svc.App.EJB("BidBean").Deadlocked = true
+	apply(catalog.FixMicrorebootEJB, "BidBean")
+	if svc.App.EJB("BidBean").Deadlocked {
+		t.Error("microreboot did not clear the deadlock")
+	}
+
+	before := svc.App.Nodes
+	apply(catalog.FixProvisionTier, "app")
+	if svc.App.Nodes <= before {
+		t.Error("provisioning did not add nodes")
+	}
+
+	apply(catalog.FixRebootDBTier, "")
+	if svc.DB.Up() {
+		t.Error("db reboot did not take the tier down")
+	}
+}
+
+func TestAuctionValidTarget(t *testing.T) {
+	cases := []struct {
+		fix    catalog.FixID
+		target string
+		want   bool
+	}{
+		{catalog.FixMicrorebootEJB, "ItemBean", true},
+		{catalog.FixMicrorebootEJB, "nope", false},
+		{catalog.FixUpdateStats, "items", true},
+		{catalog.FixUpdateStats, "ItemBean", false},
+		{catalog.FixProvisionTier, "db", true},
+		{catalog.FixProvisionTier, "disk", false},
+		{catalog.FixFailoverNode, "", false},
+		{catalog.FixFullRestart, "", true},
+		{catalog.FixFullRestart, "anything", true},
+		{catalog.FixNone, "", false},
+	}
+	for _, c := range cases {
+		if got := AuctionValidTarget(c.fix, c.target); got != c.want {
+			t.Errorf("AuctionValidTarget(%v, %q) = %v want %v", c.fix, c.target, got, c.want)
+		}
+	}
+}
+
+// TestAuctionNewFaultsValidatesKinds: unknown kinds are rejected before
+// any draw, with an error naming the target whose catalog refused them —
+// a user mixing up catalogs ("-faults replica-down" on auction) sees which
+// target said no — and listing the valid kinds. Valid kinds draw the
+// Table 1 generator's stream at the same seed.
+func TestAuctionNewFaultsValidatesKinds(t *testing.T) {
+	a, err := NewAuction(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = a.NewFaults(1, catalog.FaultKind(99), catalog.FaultNone)
+	if err == nil {
+		t.Fatal("unknown kinds accepted")
+	}
+	for _, want := range []string{`target "auction"`, "fault(99)", "none", "valid kinds", catalog.FaultDeadlock.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+	for _, kinds := range [][]catalog.FaultKind{nil, {catalog.FaultDeadlock, catalog.FaultAging}} {
+		gen, err := a.NewFaults(7, kinds...)
+		if err != nil {
+			t.Fatalf("kinds %v rejected: %v", kinds, err)
+		}
+		ref := faults.NewGenerator(7, kinds...)
+		for i := range 20 {
+			if got, want := gen.Next(), ref.Next(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("kinds %v, draw %d: %+v, want %+v", kinds, i, got, want)
+			}
+		}
+	}
+}

@@ -18,13 +18,14 @@
 // one kind get dimensions of their own (zero — no anomaly — elsewhere),
 // and the synopsis distance tolerates the differing vector lengths.
 //
-// Two targets ship: Auction, wrapping the RUBiS-style simulator of
-// internal/service byte-for-byte unchanged in behavior, and Replicated, a
+// Three targets ship: Auction, wrapping the RUBiS-style simulator of
+// internal/service byte-for-byte unchanged in behavior; Replicated, a
 // three-tier topology (1 web, 2 app replicas, primary/standby DB with
 // failover routing) whose faults are replica-partial and whose fixes are
 // rebalance/failover — episodes the single-image auction service cannot
-// produce. New targets register through the facade's RegisterTarget; see
-// ADDING_TARGETS.md for the walkthrough.
+// produce; and process (internal/targets/process), which supervises a
+// real child process on wall-clock ticks. New targets register through
+// the facade's RegisterTarget; see ADDING_TARGETS.md for the walkthrough.
 package targets
 
 import (

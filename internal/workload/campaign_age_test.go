@@ -12,7 +12,7 @@ import (
 // TestLongCampaignHoldsNoExpiredSurges heals 300 bottleneck faults — each
 // schedules a surge — on one System. Once the last surge has run out the
 // generator holds none: what a tick costs does not depend on how many
-// faults the campaign has seen. (The actuator keeps no log of applied
+// faults the campaign has seen. (Auction.Apply keeps no log of applied
 // fixes at all, so there is nothing on that side to grow.)
 func TestLongCampaignHoldsNoExpiredSurges(t *testing.T) {
 	ctx := context.Background()

@@ -42,12 +42,11 @@
 // RegisterApproach. See ADDING_TARGETS.md.
 //
 // Everything underneath lives in internal/ packages: the managed-system
-// targets (internal/targets, over the analytical simulator of
-// internal/service), Table 1's faults and fixes (internal/faults,
-// internal/fixes), SLO and χ² detection (internal/detect), the learned
-// synopses (internal/synopsis), the diagnosis-based approaches
-// (internal/diagnose), and the FixSym healing loop with its hybrid
-// extension (internal/core).
+// targets with their fixes (internal/targets, over the analytical
+// simulator of internal/service), Table 1's faults (internal/faults), SLO
+// and χ² detection (internal/detect), the learned synopses
+// (internal/synopsis), the diagnosis-based approaches (internal/diagnose),
+// and the FixSym healing loop with its hybrid extension (internal/core).
 package selfheal
 
 import (
@@ -583,16 +582,6 @@ func (s *System) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-// RandomFaults returns a deterministic random fault generator for the
-// default auction target over the given kinds (all Table 1 kinds when
-// empty). Kinds are validated up front: unknown kinds panic at
-// construction with the valid list, instead of the old silent acceptance
-// that crashed mid-campaign. For error-returning, target-scoped
-// generation use System.NewFaults or Target.NewFaults.
-func RandomFaults(seed int64, kinds ...FaultKind) *faults.Generator {
-	return faults.MustNewGenerator(seed, kinds...)
 }
 
 // CandidateFixes re-exports the Table 1 fault→fix map of the default

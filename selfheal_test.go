@@ -153,7 +153,7 @@ func TestEventStream(t *testing.T) {
 }
 
 func TestRandomFaultsCoverKinds(t *testing.T) {
-	gen := selfheal.RandomFaults(3)
+	gen := auctionFaults(3)
 	seen := map[selfheal.FaultKind]bool{}
 	for i := 0; i < 300; i++ {
 		seen[gen.Next().Kind()] = true
@@ -164,7 +164,7 @@ func TestRandomFaultsCoverKinds(t *testing.T) {
 }
 
 func TestCandidateFixesExported(t *testing.T) {
-	gen := selfheal.RandomFaults(5)
+	gen := auctionFaults(5)
 	f := gen.Next()
 	cands := selfheal.CandidateFixes(f.Kind())
 	if len(cands) == 0 {
