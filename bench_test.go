@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -17,7 +18,9 @@ import (
 	"selfheal"
 	"selfheal/internal/experiments"
 	"selfheal/internal/kbsync/meshtest"
+	"selfheal/internal/service"
 	"selfheal/internal/synopsis"
+	"selfheal/internal/workload"
 )
 
 // BenchmarkTable1FaultFixMatrix regenerates Table 1: every fault kind
@@ -163,6 +166,32 @@ func BenchmarkServiceTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sys.Step()
+	}
+}
+
+// BenchmarkTickTerms measures one auction service tick at a fixed load
+// in steady state, where the state-keyed tick terms are reused, and with
+// a keyed field that changes every tick, so the terms are rebuilt on
+// each. cmd/benchgate holds the steady row well below the changing one: a
+// key that misses every tick (a NaN, or a field that drifts) fails CI
+// instead of silently giving the reuse up.
+func BenchmarkTickTerms(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		changing bool
+	}{{"state=steady", false}, {"state=changing", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			svc := service.New(service.DefaultConfig())
+			arrivals := slices.Clone(workload.BiddingMix().Rates)
+			comments := svc.DB.Table("comments")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.changing {
+					comments.Contention = float64(i & 1)
+				}
+				svc.Tick(arrivals)
+			}
+		})
 	}
 }
 

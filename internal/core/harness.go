@@ -28,8 +28,9 @@ type HarnessConfig struct {
 	// injected fault to become detectable: a failure surfacing later
 	// would have its injection outside that history. The harness keeps
 	// HistoryTicks rows only while its healer's approach declares
-	// EvidenceHistory; otherwise it keeps the WarmupTicks window, and the
-	// wait is bounded all the same.
+	// EvidenceHistory; otherwise, once the warm-up has frozen the
+	// baseline, it keeps the WindowTicks rows BuildContext reads (or what
+	// RetainRows asks for), and the wait is bounded all the same.
 	HistoryTicks int
 	SLO          detect.SLO
 	// Clock paces the tick loop. Nil means: the target's own clock when
@@ -88,6 +89,9 @@ type Harness struct {
 	// readers need (see retained), and BuildContext hands out the
 	// detection window as History.
 	evidence Evidence
+	// readRows is the most rows a direct reader of the series declared
+	// through RetainRows.
+	readRows int
 
 	// Clock paces Step: a no-op for simulator targets, a wall-period
 	// sleep for targets whose ticks are real time. Set from the config
@@ -233,16 +237,26 @@ func (h *Harness) retainCallMatrix() {
 	}
 }
 
-// retained is how many metric rows Step keeps: HistoryTicks, or with a
-// short history the warm-up window, which covers every other reader — the
-// detection window, the warm-up baseline and the ablations' reads (the
-// §5.3 proactive ablation's 120-tick fit among them).
+// retained is how many metric rows Step keeps: HistoryTicks for a reader
+// of EvidenceHistory. Otherwise it keeps the warm-up window until the
+// baseline is frozen, and from then on the detection window BuildContext
+// reads, or the rows RetainRows asked for if more; never more than
+// HistoryTicks.
 func (h *Harness) retained() int {
-	if h.evidence&EvidenceHistory == 0 {
-		return min(h.Cfg.HistoryTicks, max(h.Cfg.WarmupTicks, h.Cfg.WindowTicks))
+	if h.evidence&EvidenceHistory != 0 {
+		return h.Cfg.HistoryTicks
 	}
-	return h.Cfg.HistoryTicks
+	keep := max(h.Cfg.WindowTicks, h.readRows)
+	if h.Builder == nil {
+		keep = max(keep, h.Cfg.WarmupTicks)
+	}
+	return min(h.Cfg.HistoryTicks, keep)
 }
+
+// RetainRows declares that the caller reads the last n rows of the metric
+// series directly, the way an approach declares the evidence it reads:
+// from now on Step keeps at least n rows (up to HistoryTicks).
+func (h *Harness) RetainRows(n int) { h.readRows = max(h.readRows, n) }
 
 // StepN advances n ticks and returns the last tick's sample.
 func (h *Harness) StepN(n int) detect.Sample {

@@ -66,9 +66,10 @@ func (c *countingTarget) SamplePaths() []trace.Path {
 // TestRetentionFollowsTheApproach: a harness gathers the optional evidence
 // its healer's approach declares, and only that. It keeps HistoryTicks
 // rows of metric history only for a reader of History, correlation
-// analysis alone or inside a Hybrid; under any other approach it keeps the
-// WarmupTicks window, 240 rows at the defaults, and History is the
-// detection window. It asks the target for a call matrix every tick only
+// analysis alone or inside a Hybrid; under any other approach it keeps,
+// once the warm-up has frozen the baseline, the WindowTicks detection
+// window (15 rows at the defaults), which is also History, or the rows a
+// direct reader declared through RetainRows. It asks the target for a call matrix every tick only
 // for a reader of the χ² localization, and samples paths only for path
 // analysis. A FixSym harness then runs 200 episodes without allocating a
 // history block or asking for either.
@@ -78,19 +79,25 @@ func TestRetentionFollowsTheApproach(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		approach     core.Approach
+		readRows     int // declared through RetainRows
 		rows, hist   int
 		calls, paths bool
 		episodes     bool
 	}{
-		{"fixsym", fixsym(), cfg.WarmupTicks, cfg.WindowTicks, false, false, true},
-		{"path analysis", diagnose.NewPathAnalysis(), cfg.WarmupTicks, cfg.WindowTicks, false, true, false},
-		{"hybrid without correlation", core.NewHybrid(fixsym(), diagnose.NewAnomaly(), diagnose.NewBottleneck()), cfg.WarmupTicks, cfg.WindowTicks, true, false, false},
-		{"correlation", diagnose.NewCorrelation(), cfg.HistoryTicks, cfg.HistoryTicks, true, false, false},
-		{"hybrid with correlation", core.NewHybrid(fixsym(), diagnose.NewCorrelation()), cfg.HistoryTicks, cfg.HistoryTicks, true, false, false},
+		{"fixsym", fixsym(), 0, cfg.WindowTicks, cfg.WindowTicks, false, false, true},
+		{"fixsym with a direct reader", fixsym(), 120, 120, cfg.WindowTicks, false, false, false},
+		{"path analysis", diagnose.NewPathAnalysis(), 0, cfg.WindowTicks, cfg.WindowTicks, false, true, false},
+		{"hybrid without correlation", core.NewHybrid(fixsym(), diagnose.NewAnomaly(), diagnose.NewBottleneck()), 0, cfg.WindowTicks, cfg.WindowTicks, true, false, false},
+		{"correlation", diagnose.NewCorrelation(), 0, cfg.HistoryTicks, cfg.HistoryTicks, true, false, false},
+		{"hybrid with correlation", core.NewHybrid(fixsym(), diagnose.NewCorrelation()), 0, cfg.HistoryTicks, cfg.HistoryTicks, true, false, false},
 	} {
 		tg := &countingTarget{Auction: targets.NewAuctionWith(service.DefaultConfig(), workload.BiddingMix(), cfg.Seed)}
 		h := core.NewTargetHarness(tg, cfg)
+		if n := h.Coll.Series().Len(); n != cfg.WarmupTicks {
+			t.Fatalf("%s: %d rows after the warm-up, want the %d-row window the baseline froze", tc.name, n, cfg.WarmupTicks)
+		}
 		hl := core.NewHealer(h, tc.approach, core.DefaultHealerConfig())
+		h.RetainRows(tc.readRows)
 		tg.callMatrix = 0
 		series := h.Coll.Series()
 		const steps = 10000

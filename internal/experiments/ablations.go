@@ -315,6 +315,7 @@ func RunProactiveAblation(seed int64, horizonTicks int) ProactiveAblation {
 	// and one fit window, so the next fit sees only post-reboot ticks.
 	{
 		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
+		sys.RetainRows(forecastWindow)
 		inject(sys, faults.NewAging(catalog.TierApp, 0.004))
 		cooldown := 0
 		for i := 0; i < horizonTicks; i++ {
@@ -412,6 +413,7 @@ func RunControlAblation(seed int64) ControlAblation {
 	// back to baseline.
 	{
 		sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed))
+		sys.RetainRows(60) // the healthy latency target below
 		idx := sys.Coll.Schema().MustIndex("svc.latency.avg")
 		target := sys.Coll.Series().Tail(60).ColMeans()[idx]
 		inject(sys, faults.NewStaleStats("items", 8))

@@ -65,8 +65,8 @@ func (s *Schema) MustIndex(name string) int {
 // blockRows is the number of rows one storage block holds. A window of n rows
 // spans at most n/blockRows+2 blocks, and a view pins every block it covers,
 // so small blocks waste little past a window's edges: at the auction target's
-// 104 columns a block is 53 KB, and the 240-row window a FixSym harness keeps
-// spans at most five of them.
+// 104 columns a block is 53 KB, and the 15-row window a FixSym harness keeps
+// spans at most two of them.
 const blockRows = 64
 
 // block is one fixed-size run of consecutive rows. A block a view has

@@ -115,17 +115,17 @@ type Service struct {
 	// is one linear pass instead of a row-by-row loop.
 	cmBacking []float64
 	// The call matrix is built on demand: Tick saves each class's noised
-	// arrivals and each EJB's deadlock state beside what it keeps anyway
-	// (last, scrHang, scrErr), and the first CallMatrix after it builds
-	// the rows from them.
-	cmStale      bool
-	cmArrivals   []float64
-	cmDeadlocked []bool
+	// arrivals beside the tick terms it read (terms.hang, terms.errRate,
+	// terms.deadlocked), and the first CallMatrix after it builds the rows
+	// from them.
+	cmStale    bool
+	cmArrivals []float64
 	// stBacking backs every slice field of the TickStats returned by Tick;
-	// those slices are valid until the next Tick call.
+	// those slices are valid until the next Tick call. Its runs lie in
+	// metric-row order: per-class rate, latency and errors, per-EJB calls,
+	// per-table queries, lock wait and cost.
 	stBacking   []float64
 	last        TickStats
-	ticks       int64
 	metricNames []string
 
 	// Resolved topology, built once at construction. The Defs are immutable
@@ -139,11 +139,9 @@ type Service struct {
 	baseAppOps []float64    // per class: AppExtraOps + Σ inv·AppOps
 	workingSet float64      // Σ table working sets (Defs are immutable)
 
-	// Tick-local scratch, reused across ticks. These never escape the
-	// service (scrHang and scrErr are read again by buildCallMatrix, until
-	// the next Tick); TickStats' own slices do, from stBacking.
-	scrFail, scrHang, scrErr    []float64
-	scrDBOps, scrReads, scrLock []float64
+	// terms holds the tick terms that depend only on component state,
+	// with the state they were built from.
+	terms tickTerms
 
 	// env holds environmental telemetry unrelated to failures (host
 	// counters, background daemons, co-located tenants): real monitoring
@@ -160,16 +158,11 @@ type resolvedCall struct {
 }
 
 // resolvedQuery is a QueryDef with its table resolved to a pointer and
-// index (table pointers are stable for the life of the service). qc, er
-// and wait are the query's per-tick cost terms, computed once per tick
-// before the class loops — they depend only on table state, so computing
-// them per class would repeat identical work ten times over.
+// index (table pointers are stable for the life of the service).
 type resolvedQuery struct {
 	q  QueryDef
 	t  *Table
 	ti int
-
-	qc, er, wait float64
 }
 
 // pathTerm is one nonzero entry of pathInv[c]: EJB e is invoked inv times
@@ -177,6 +170,72 @@ type resolvedQuery struct {
 type pathTerm struct {
 	ejb int
 	inv float64
+}
+
+// tickTerms are the terms of a tick that depend only on component state,
+// not on arrivals: per-class failure and hang probabilities, per-query
+// costs and their products with each class's invocation counts, each
+// class's app ops and latency before queueing inflation. That state
+// changes only when a fault, a fix, a reboot timer or a crash touches it,
+// so Tick rebuilds the terms only when the state it reads differs from the
+// key they were built from.
+//
+// The key holds values, not a version: internal/faults writes these
+// fields directly. A NaN in the key never equals itself, so it rebuilds
+// every tick — slow, but exact. Each cached product keeps the association
+// the per-tick expression had, so every float keeps its bits.
+type tickTerms struct {
+	built  bool
+	ejbs   []ejbKey
+	tables []tableKey
+	tiers  tierKey
+
+	errRate    []float64 // per EJB: effective error rate
+	deadlocked []bool    // per EJB
+	// Per class: fail-fast and hang probabilities, and the fraction that
+	// does neither.
+	fail, hang, ok []float64
+	appOps         []float64 // per class: app ops per request, bug retries included
+	lock           []float64 // per class: lock wait per request
+	// Per class: web, app, db and io milliseconds per request before
+	// queueing inflation. A class without arrivals reads dbIdle and ioIdle
+	// for db and io, and no lock wait: it issued no queries.
+	webMS, appMS, dbMS, ioMS []float64
+	dbIdle, ioIdle           float64
+	missRatio, planSlowdown  float64
+
+	calls   [][]callTerm  // per class: its path terms, in pathSparse order
+	queries [][]queryTerm // per class: its path terms' queries, in order
+}
+
+// ejbKey, tableKey and tierKey are the state the tick terms read.
+type ejbKey struct {
+	errorRate, bugErrorRate float64
+	rebooting, deadlocked   bool
+}
+
+type tableKey struct {
+	indexDropped, statsStale bool
+	planSlowdown, contention float64
+}
+
+type tierKey struct {
+	webOps, appOps, dbOps, bufferMB float64
+}
+
+// callTerm is a path term with its EJB's bug retry multiplier.
+type callTerm struct {
+	ejb      int
+	inv, mul float64
+	bug      bool
+}
+
+// queryTerm is one query of a class's path term, its costs multiplied by
+// the term's invocations.
+type queryTerm struct {
+	ti                             int
+	inv, cost, reads, writes, wait float64
+	locks                          bool
 }
 
 // envWalk is one drifting environmental metric.
@@ -301,14 +360,138 @@ func (s *Service) buildResolved() {
 		s.workingSet += t.Def.WorkingSetMB
 	}
 	s.stBacking = make([]float64, 3*nC+len(s.App.ejbs)+3*len(s.DB.tables))
-	s.scrFail = make([]float64, nC)
-	s.scrErr = make([]float64, len(s.App.ejbs))
-	s.scrHang = make([]float64, nC)
 	s.cmArrivals = make([]float64, nC)
-	s.cmDeadlocked = make([]bool, len(s.App.ejbs))
-	s.scrDBOps = make([]float64, nC)
-	s.scrReads = make([]float64, nC)
-	s.scrLock = make([]float64, nC)
+	s.terms.alloc(s)
+}
+
+// alloc sizes the terms to the service's topology.
+func (tt *tickTerms) alloc(s *Service) {
+	nC, nE := len(s.classes), len(s.App.ejbs)
+	tt.ejbs = make([]ejbKey, nE)
+	tt.tables = make([]tableKey, len(s.DB.tables))
+	tt.errRate = make([]float64, nE)
+	tt.deadlocked = make([]bool, nE)
+	perClass := make([]float64, 9*nC)
+	for i, p := range []*[]float64{&tt.fail, &tt.hang, &tt.ok, &tt.appOps, &tt.lock, &tt.webMS, &tt.appMS, &tt.dbMS, &tt.ioMS} {
+		*p = perClass[i*nC : (i+1)*nC : (i+1)*nC]
+	}
+	tt.calls = make([][]callTerm, nC)
+	tt.queries = make([][]queryTerm, nC)
+	for c, pts := range s.pathSparse {
+		tt.calls[c] = make([]callTerm, len(pts))
+		n := 0
+		for _, pt := range pts {
+			n += len(s.ejbQueries[pt.ejb])
+		}
+		tt.queries[c] = make([]queryTerm, n)
+	}
+}
+
+// current returns the tick terms for the component state as it is now,
+// rebuilding them if any keyed value differs from the key.
+func (s *Service) current() *tickTerms {
+	tt := &s.terms
+	same := tt.built
+	for e, ejb := range s.App.ejbs {
+		k := ejbKey{ejb.ErrorRate, ejb.BugErrorRate, ejb.RebootTicks > 0, ejb.Deadlocked}
+		if k != tt.ejbs[e] {
+			tt.ejbs[e], same = k, false
+		}
+	}
+	for ti, t := range s.DB.tables {
+		k := tableKey{t.IndexDropped, t.StatsStale, t.PlanSlowdown, t.Contention}
+		if k != tt.tables[ti] {
+			tt.tables[ti], same = k, false
+		}
+	}
+	if k := (tierKey{s.Web.OpsPerNode, s.App.OpsPerNode, s.DB.OpsPerNode, s.DB.Buffer.EffectiveMB}); k != tt.tiers {
+		tt.tiers, same = k, false
+	}
+	if !same {
+		s.buildTerms()
+		tt.built = true
+	}
+	return tt
+}
+
+// buildTerms computes the tick terms from the component state.
+func (s *Service) buildTerms() {
+	tt := &s.terms
+	for e, ejb := range s.App.ejbs {
+		tt.errRate[e] = ejb.effectiveErrorRate()
+		tt.deadlocked[e] = ejb.Deadlocked
+	}
+	tt.missRatio = s.DB.Buffer.MissRatio(s.workingSet)
+	tt.planSlowdown = s.planSlowdownAvg()
+	tt.dbIdle = 0 / s.DB.OpsPerNode * 1000
+	tt.ioIdle = 0 * tt.missRatio * s.cfg.MissMS
+	for c, class := range s.classes {
+		okProb := 1.0
+		hang := 0.0
+		for _, pt := range s.pathSparse[c] {
+			if tt.deadlocked[pt.ejb] {
+				hang += pt.inv
+			}
+			if r := tt.errRate[pt.ejb]; r > 0 {
+				okProb *= math.Pow(1-r, pt.inv)
+			}
+		}
+		if hang > 1 {
+			hang = 1
+		}
+		tt.hang[c] = hang
+		tt.fail[c] = (1 - okProb) * (1 - hang)
+		tt.ok[c] = 1 - tt.fail[c] - tt.hang[c]
+
+		appOps := class.AppExtraOps
+		var dbOps, reads, lock float64
+		qi := 0
+		for pi, pt := range s.pathSparse[c] {
+			e, inv := pt.ejb, pt.inv
+			ejb := s.App.ejbs[e]
+			appOps += inv * ejb.Def.AppOps
+			ct := callTerm{ejb: e, inv: inv}
+			if ejb.BugErrorRate > 0 {
+				// A source-code bug triggers client retry storms: extra
+				// invocations and CPU burn that an unhandled exception
+				// (which fails cleanly) does not cause — the signature
+				// separating Table 1's rows 2 and 8.
+				retry := 2 * ejb.BugErrorRate
+				ct.mul, ct.bug = 1+retry, true
+				appOps += inv * ejb.Def.AppOps * retry
+			}
+			tt.calls[c][pi] = ct
+			for _, rq := range s.ejbQueries[e] {
+				qc := rq.t.QueryCost(rq.q)
+				er := rq.t.EffectiveReads(rq.q)
+				wait := 0.0
+				if rq.t.Contention > 0 {
+					w := 0.3 // readers wait less than writers
+					if rq.q.Writes > 0 {
+						w = 1
+					}
+					wait = rq.t.Contention * w
+				}
+				tt.queries[c][qi] = queryTerm{
+					ti: rq.ti, inv: inv,
+					cost: qc * inv, reads: er * inv, writes: rq.q.Writes * inv,
+					wait: wait * inv, locks: wait > 0,
+				}
+				qi++
+				dbOps += qc * inv
+				reads += er * inv
+				if wait > 0 {
+					lock += wait * inv
+				}
+			}
+		}
+		tt.appOps[c] = appOps
+		tt.lock[c] = lock
+		tt.webMS[c] = class.WebOps / s.Web.OpsPerNode * 1000
+		tt.appMS[c] = s.baseAppOps[c] / s.App.OpsPerNode * 1000
+		tt.dbMS[c] = dbOps / s.DB.OpsPerNode * 1000
+		tt.ioMS[c] = reads * tt.missRatio * s.cfg.MissMS
+	}
 }
 
 // Config returns the service's current configuration.
@@ -417,9 +600,7 @@ func inflation(u float64) float64 {
 // Tick advances the service one second with the given per-class arrival
 // counts (len must equal NumClasses).
 func (s *Service) Tick(arrivals []float64) TickStats {
-	now := s.clock.Advance(1)
-	_ = now
-	s.ticks++
+	s.clock.Advance(1)
 	s.stepEnv()
 
 	// Advance tier lifecycles: reboots, aging, crashes.
@@ -457,10 +638,9 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	// consumers read them within the tick (or copy), so the hot loop pays
 	// one 0.5KB clear instead of an allocation plus garbage per tick.
 	backing := s.stBacking
-	for i := range backing {
-		backing[i] = 0
-	}
-	st := TickStats{
+	clear(backing)
+	st := &s.last
+	*st = TickStats{
 		ClassRate:    backing[0:nC:nC],
 		ClassLatMS:   backing[nC : 2*nC : 2*nC],
 		ClassErrors:  backing[2*nC : 3*nC : 3*nC],
@@ -469,139 +649,72 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 		TableLockMS:  backing[3*nC+nE+nT : 3*nC+nE+2*nT : 3*nC+nE+2*nT],
 		TableCostOps: backing[3*nC+nE+2*nT : 3*nC+nE+3*nT : 3*nC+nE+3*nT],
 	}
+	arrived := 0.0
 	for _, a := range arrivals {
-		st.Arrivals += a
+		arrived += a
 	}
+	st.Arrivals = arrived
 	gc := s.App.gcOverhead()
 	st.HeapUsedMB = s.App.HeapUsedMB
 	st.GCOverhead = gc
-	st.PlanSlowdownAvg = s.planSlowdownAvg()
+	tt := s.current()
+	st.PlanSlowdownAvg = tt.planSlowdown
 
 	s.cmStale = true
 	if !s.Web.Up() || !s.App.Up() || !s.DB.Up() {
 		// Whole-service outage: every arrival is a user-visible failure.
 		// No calls happen, so the call matrix reads zero.
 		st.Down = true
-		st.Errors = st.Arrivals
-		st.SLOViolations = st.Arrivals
+		st.Errors = arrived
+		st.SLOViolations = arrived
 		for c := range s.classes {
 			st.ClassErrors[c] = arrivals[c]
 			st.ClassLatMS[c] = s.cfg.TimeoutMS
 		}
 		st.AvgLatencyMS = s.cfg.TimeoutMS
 		st.P95LatencyMS = s.cfg.TimeoutMS
-		s.last = st
-		return st
-	}
-
-	// Per-class failure semantics from component state.
-	pFail := s.scrFail // fail-fast probability (exceptions, bugs)
-	pHang := s.scrHang // probability of hanging on a deadlocked EJB
-	// Per-EJB failure state, read once per tick instead of once per
-	// class-path term (ten classes share the same nine EJBs).
-	errRate := s.scrErr
-	for e, ejb := range s.App.ejbs {
-		errRate[e] = ejb.effectiveErrorRate()
-		s.cmDeadlocked[e] = ejb.Deadlocked
-	}
-	for c := range s.classes {
-		okProb := 1.0
-		hang := 0.0
-		for _, pt := range s.pathSparse[c] {
-			if s.App.ejbs[pt.ejb].Deadlocked {
-				hang += pt.inv
-			}
-			if r := errRate[pt.ejb]; r > 0 {
-				okProb *= math.Pow(1-r, pt.inv)
-			}
-		}
-		if hang > 1 {
-			hang = 1
-		}
-		pHang[c] = hang
-		pFail[c] = (1 - okProb) * (1 - hang)
+		return *st
 	}
 
 	// Demand accumulation. Fail-fast and hanging requests consume partial
-	// work (they traverse the front tiers before dying).
+	// work (they traverse the front tiers before dying). Database work
+	// comes from ok requests only; failed ones die before or during data
+	// access.
 	var webDemand, appDemand, dbDemand, ioReads, ioWrites float64
-	classDBOps := fillZero(s.scrDBOps)
-	classReads := fillZero(s.scrReads)
-	classLock := fillZero(s.scrLock)
-	missRatio := s.DB.Buffer.MissRatio(s.workingSet)
-
-	// Per-query cost terms depend only on table state, not on the request
-	// class, so compute each one once per tick here rather than inside the
-	// class × path × query loop below.
-	for e := range s.ejbQueries {
-		for qi := range s.ejbQueries[e] {
-			rq := &s.ejbQueries[e][qi]
-			rq.qc = rq.t.QueryCost(rq.q)
-			rq.er = rq.t.EffectiveReads(rq.q)
-			rq.wait = 0
-			if rq.t.Contention > 0 {
-				w := 0.3 // readers wait less than writers
-				if rq.q.Writes > 0 {
-					w = 1
-				}
-				rq.wait = rq.t.Contention * w
-			}
-		}
-	}
-
 	for c, class := range s.classes {
 		a := arrivals[c] * s.noise()
 		s.cmArrivals[c] = a
 		if a <= 0 {
 			continue
 		}
-		okA := a * (1 - pFail[c] - pHang[c])
+		okA := a * tt.ok[c]
 		if okA < 0 {
 			okA = 0
 		}
-		failA := a * pFail[c]
-		hangA := a * pHang[c]
+		failA := a * tt.fail[c]
+		hangA := a * tt.hang[c]
 
 		webDemand += a * class.WebOps
-		appOps := class.AppExtraOps
-		for _, pt := range s.pathSparse[c] {
-			e, inv := pt.ejb, pt.inv
-			ejb := s.App.ejbs[e]
-			appOps += inv * ejb.Def.AppOps
-			calls := inv * (okA + 0.5*failA + 0.5*hangA)
-			if ejb.BugErrorRate > 0 {
-				// A source-code bug triggers client retry storms: extra
-				// invocations and CPU burn that an unhandled exception
-				// (which fails cleanly) does not cause — the signature
-				// separating Table 1's rows 2 and 8.
-				retry := 2 * ejb.BugErrorRate
-				calls *= 1 + retry
-				appOps += inv * ejb.Def.AppOps * retry
+		invoked := okA + 0.5*failA + 0.5*hangA
+		for _, ct := range tt.calls[c] {
+			calls := ct.inv * invoked
+			if ct.bug {
+				calls *= ct.mul
 			}
-			st.EJBCalls[e] += calls
-
-			// Database work from this EJB's queries (ok requests only;
-			// failed ones die before or during data access).
-			for qi := range s.ejbQueries[e] {
-				rq := &s.ejbQueries[e][qi]
-				ti := rq.ti
-				cost := rq.qc * inv * okA
-				reads := rq.er * inv * okA
-				writes := rq.q.Writes * inv * okA
-				dbDemand += cost
-				ioReads += reads
-				ioWrites += writes
-				classDBOps[c] += rq.qc * inv
-				classReads[c] += rq.er * inv
-				st.TableQueries[ti] += inv * okA
-				st.TableCostOps[ti] += cost
-				if rq.wait > 0 {
-					classLock[c] += rq.wait * inv
-					st.TableLockMS[ti] += rq.wait * inv * okA
-				}
+			st.EJBCalls[ct.ejb] += calls
+		}
+		for _, q := range tt.queries[c] {
+			cost := q.cost * okA
+			dbDemand += cost
+			ioReads += q.reads * okA
+			ioWrites += q.writes * okA
+			st.TableQueries[q.ti] += q.inv * okA
+			st.TableCostOps[q.ti] += cost
+			if q.locks {
+				st.TableLockMS[q.ti] += q.wait * okA
 			}
 		}
-		appDemand += appOps * (okA + 0.5*failA + 0.3*hangA)
+		appDemand += tt.appOps[c] * (okA + 0.5*failA + 0.3*hangA)
 	}
 
 	// Utilizations and admission control.
@@ -609,6 +722,7 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	appCap := s.App.Capacity() * (1 - gc)
 	dbCPUCap := s.DB.Capacity()
 	connCap := float64(s.DB.Connections) * s.cfg.DBConnOps
+	missRatio := tt.missRatio
 	ioDemand := ioReads*missRatio + ioWrites
 	ioCap := s.DB.IOOpsPerSec
 
@@ -620,7 +734,7 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	st.BufferHit = 1 - missRatio
 
 	admit := 1.0
-	for _, u := range []float64{st.WebUtil, st.AppUtil, st.DBCPUUtil, st.DBIOUtil, st.ConnUtil} {
+	for _, u := range [...]float64{st.WebUtil, st.AppUtil, st.DBCPUUtil, st.DBIOUtil, st.ConnUtil} {
 		if u > 1 {
 			f := 0.98 / u
 			if f < admit {
@@ -629,29 +743,32 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 		}
 	}
 
-	// Per-class latency and outcome.
+	// Per-class latency and outcome. The queueing inflation of each tier
+	// is the same for every class.
 	dbUtil := math.Max(st.DBCPUUtil, st.ConnUtil)
 	netMS := s.cfg.NetHops * (s.cfg.NetLatencyMS + s.Net.ExtraLatencyMS)
 	gcPauseMS := gc * 60
-	var latSum, latWeight, busyThreadS float64
-	for c, class := range s.classes {
+	webInfl, appInfl := inflation(st.WebUtil), inflation(st.AppUtil)
+	dbInfl, ioInfl := inflation(dbUtil), inflation(st.DBIOUtil)
+	var served, errors, violations, latSum, latWeight, busyThreadS float64
+	for c := range s.classes {
 		a := arrivals[c]
 		if a < 0 {
 			a = 0
 		}
-		okA := a * (1 - pFail[c] - pHang[c]) * admit
+		okA := a * tt.ok[c] * admit
 		if okA < 0 {
 			okA = 0
 		}
-		shed := a*(1-pFail[c]-pHang[c]) - okA
+		shed := a*tt.ok[c] - okA
 
-		webMS := class.WebOps / s.Web.OpsPerNode * 1000 * inflation(st.WebUtil)
-		appMS := s.baseAppOps[c] / s.App.OpsPerNode * 1000 * inflation(st.AppUtil) / (1 - gc)
-		dbMS := classDBOps[c] / s.DB.OpsPerNode * 1000 * inflation(dbUtil)
-		ioMS := classReads[c] * missRatio * s.cfg.MissMS * inflation(st.DBIOUtil)
-		lat := webMS + appMS + dbMS + ioMS + classLock[c] + netMS + gcPauseMS
+		dbMS, ioMS, lockMS := tt.dbMS[c], tt.ioMS[c], tt.lock[c]
+		if s.cmArrivals[c] <= 0 {
+			dbMS, ioMS, lockMS = tt.dbIdle, tt.ioIdle, 0
+		}
+		lat := tt.webMS[c]*webInfl + tt.appMS[c]*appInfl/(1-gc) + dbMS*dbInfl + ioMS*ioInfl + lockMS + netMS + gcPauseMS
 
-		errs := a*pFail[c] + a*pHang[c] + shed
+		errs := a*tt.fail[c] + a*tt.hang[c] + shed
 		if lat >= s.cfg.TimeoutMS {
 			// The whole class times out: successes become failures.
 			lat = s.cfg.TimeoutMS
@@ -666,22 +783,22 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 		st.ClassRate[c] = okA
 		st.ClassErrors[c] = errs
 		st.ClassLatMS[c] = lat
-		st.Served += okA
-		st.Errors += errs
+		served += okA
+		errors += errs
 		latSum += lat * (okA + 1e-9)
 		latWeight += okA + 1e-9
 		busyThreadS += okA * lat / 1000
 		if lat > s.cfg.SLOLatencyMS {
-			st.SLOViolations += okA
+			violations += okA
 		}
 	}
-	st.SLOViolations += st.Errors
+	violations += errors
 
 	// Thread occupancy: normal in-flight work plus requests parked on
 	// deadlocked components for the full timeout (Little's law).
 	hungThreads := 0.0
 	for c := range s.classes {
-		hungThreads += arrivals[c] * pHang[c] * s.cfg.TimeoutMS / 1000
+		hungThreads += arrivals[c] * tt.hang[c] * s.cfg.TimeoutMS / 1000
 	}
 	st.ThreadUtil = (busyThreadS + hungThreads) / float64(s.App.Threads)
 	if st.ThreadUtil > 1 {
@@ -692,15 +809,16 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 			st.ClassRate[c] -= dropped
 			st.ClassErrors[c] += dropped
 			st.ClassLatMS[c] = s.cfg.TimeoutMS
-			st.Served -= dropped
-			st.Errors += dropped
-			st.SLOViolations += dropped
+			served -= dropped
+			errors += dropped
+			violations += dropped
 		}
 		st.AvgLatencyMS = s.cfg.TimeoutMS
 	} else if latWeight > 0 {
 		st.AvgLatencyMS = latSum / latWeight
 	}
 	st.P95LatencyMS = st.AvgLatencyMS * 2.2
+	st.Served, st.Errors, st.SLOViolations = served, errors, violations
 
 	lockTotal, lockQueries := 0.0, 0.0
 	for t := range st.TableLockMS {
@@ -708,9 +826,7 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 		lockQueries += st.TableQueries[t]
 	}
 	st.LockWaitAvgMS = safeDiv(lockTotal, lockQueries)
-
-	s.last = st
-	return st
+	return *st
 }
 
 // noise draws the per-class multiplicative demand noise for this tick.
@@ -723,14 +839,6 @@ func (s *Service) noise() float64 {
 		n = 0.5
 	}
 	return n
-}
-
-// fillZero zeroes a scratch slice in place and returns it.
-func fillZero(xs []float64) []float64 {
-	for i := range xs {
-		xs[i] = 0
-	}
-	return xs
 }
 
 func safeDiv(a, b float64) float64 {
@@ -813,8 +921,8 @@ func (s *Service) buildCallMatrix() {
 		for _, call := range calls {
 			ci := call.callee
 			factor := 1.0
-			if !s.cmDeadlocked[ci] {
-				factor = 1 - 0.5*s.scrHang[c]
+			if !s.terms.deadlocked[ci] {
+				factor = 1 - 0.5*s.terms.hang[c]
 			}
 			cmRow[ci] += call.count * a * factor
 		}
@@ -827,8 +935,8 @@ func (s *Service) buildCallMatrix() {
 		if n <= 0 {
 			continue
 		}
-		through := 1 - s.scrErr[e]
-		if s.cmDeadlocked[e] {
+		through := 1 - s.terms.errRate[e]
+		if s.terms.deadlocked[e] {
 			through = 0
 		}
 		for _, c := range calls {

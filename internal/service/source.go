@@ -59,8 +59,6 @@ func (s *Service) buildMetricNames() []string {
 	return names
 }
 
-var _ = (*Service)(nil) // documentation anchor
-
 // MetricNames implements metrics.Source.
 func (s *Service) MetricNames() []string {
 	if s.metricNames == nil {
@@ -72,11 +70,6 @@ func (s *Service) MetricNames() []string {
 // ReadMetrics implements metrics.Source, writing the last tick's values.
 func (s *Service) ReadMetrics(dst []float64) {
 	st := &s.last
-	i := 0
-	put := func(v float64) {
-		dst[i] = v
-		i++
-	}
 	down := 0.0
 	if st.Down {
 		down = 1
@@ -85,58 +78,36 @@ func (s *Service) ReadMetrics(dst []float64) {
 	if st.Arrivals > 0 {
 		errRate = st.Errors / st.Arrivals
 	}
-	put(st.Served)
-	put(st.Errors)
-	put(errRate)
-	put(st.AvgLatencyMS)
-	put(st.P95LatencyMS)
-	put(st.SLOViolations)
-	put(down)
-	put(st.WebUtil)
-	put(float64(s.Web.UpNodes()))
-	put(st.AppUtil)
-	put(st.ThreadUtil)
-	put(st.HeapUsedMB)
-	put(s.App.heapOccupancy())
-	put(st.GCOverhead)
-	put(float64(s.App.UpNodes()))
-	put(st.DBCPUUtil)
-	put(st.DBIOUtil)
-	put(st.ConnUtil)
-	put(st.BufferHit)
-	put(s.DB.Buffer.EffectiveMB)
-	put(st.LockWaitAvgMS)
-	put(st.PlanSlowdownAvg)
-	put(float64(s.DB.UpNodes()))
-	put(s.cfg.NetLatencyMS + s.Net.ExtraLatencyMS)
-	put(s.Net.LossRate)
-	for c := range s.classes {
-		put(at(st.ClassRate, c))
+	head := [...]float64{
+		st.Served,
+		st.Errors,
+		errRate,
+		st.AvgLatencyMS,
+		st.P95LatencyMS,
+		st.SLOViolations,
+		down,
+		st.WebUtil,
+		float64(s.Web.UpNodes()),
+		st.AppUtil,
+		st.ThreadUtil,
+		st.HeapUsedMB,
+		s.App.heapOccupancy(),
+		st.GCOverhead,
+		float64(s.App.UpNodes()),
+		st.DBCPUUtil,
+		st.DBIOUtil,
+		st.ConnUtil,
+		st.BufferHit,
+		s.DB.Buffer.EffectiveMB,
+		st.LockWaitAvgMS,
+		st.PlanSlowdownAvg,
+		float64(s.DB.UpNodes()),
+		s.cfg.NetLatencyMS + s.Net.ExtraLatencyMS,
+		s.Net.LossRate,
 	}
-	for c := range s.classes {
-		put(at(st.ClassLatMS, c))
-	}
-	for c := range s.classes {
-		put(at(st.ClassErrors, c))
-	}
-	for e := range s.App.ejbs {
-		put(at(st.EJBCalls, e))
-	}
-	for t := range s.DB.tables {
-		put(at(st.TableQueries, t))
-	}
-	for t := range s.DB.tables {
-		put(at(st.TableLockMS, t))
-	}
-	for t := range s.DB.tables {
-		put(at(st.TableCostOps, t))
-	}
+	i := copy(dst, head[:])
+	// The per-class, per-EJB and per-table runs follow in the order
+	// stBacking holds them, zero before the first tick.
+	i += copy(dst[i:], s.stBacking)
 	s.readEnv(dst[i:])
-}
-
-func at(xs []float64, i int) float64 {
-	if i < len(xs) {
-		return xs[i]
-	}
-	return 0
 }

@@ -137,22 +137,21 @@ func (g *Generator) EndSurge(s Surge, t int64) {
 
 // Rates returns the expected (noise-free) per-class rates at tick t, for t
 // at or after the last tick Arrivals was asked for: a surge that ended
-// before that tick has been forgotten. The returned slice is freshly
-// allocated; callers may retain it.
+// before that tick has been forgotten, and the drift is the one that tick
+// drew at. Reading the rates moves nothing: only Arrivals advances the
+// drift. The returned slice is freshly allocated; callers may retain it.
 func (g *Generator) Rates(t int64) []float64 {
 	return g.ratesInto(t, make([]float64, len(g.mix.Rates)))
 }
 
 // ratesInto computes the expected rates at tick t into out (the per-tick
 // path reuses one buffer, so steady-state arrival generation allocates
-// nothing). It also advances the drift accumulator, exactly as every
-// Rates call always has.
+// nothing).
 func (g *Generator) ratesInto(t int64, out []float64) []float64 {
 	mod := g.scale
 	if g.diurnal {
 		mod *= DiurnalFactor(t)
 	}
-	g.drift += g.driftPerTick
 	// The drift multiplier by direction: shrink, stay, grow. With no drift
 	// all three are exactly 1.
 	mul := [3]float64{1 / (1 + g.drift), 1, 1 + g.drift}
@@ -179,9 +178,11 @@ func (g *Generator) ratesInto(t int64, out []float64) []float64 {
 
 // Arrivals returns Poisson-sampled per-class arrivals for tick t. The
 // returned slice is reused between calls. Arrivals is the tick clock: ticks
-// come in increasing order, and a surge that has ended by t is dropped here
-// (the rest keep their order, so every rate is the same product).
+// come in increasing order, each advances the drift by one tick's worth,
+// and a surge that has ended by t is dropped here (the rest keep their
+// order, so every rate is the same product).
 func (g *Generator) Arrivals(t int64) []float64 {
+	g.drift += g.driftPerTick
 	live := g.surges[:0]
 	for _, s := range g.surges {
 		if s.End > t {

@@ -107,7 +107,7 @@ func TestDriftDirection(t *testing.T) {
 	}
 	early := g.Rates(0)
 	for i := 0; i < 500; i++ {
-		g.Rates(int64(i))
+		g.Arrivals(int64(i))
 	}
 	late := g.Rates(501)
 	if late[idx("Browse")] <= early[idx("Browse")] {
@@ -115,6 +115,29 @@ func TestDriftDirection(t *testing.T) {
 	}
 	if late[idx("Bid")] >= early[idx("Bid")] {
 		t.Error("drift should shrink Bid traffic")
+	}
+}
+
+// TestReadingRatesMovesNoDrift: under drift, a generator whose Rates is
+// read between ticks draws the same arrivals as its same-seed twin that is
+// never read, and reading the rates twice gives the same rates.
+func TestReadingRatesMovesNoDrift(t *testing.T) {
+	read, quiet := NewGenerator(BiddingMix(), 3), NewGenerator(BiddingMix(), 3)
+	read.SetDrift(0.002)
+	quiet.SetDrift(0.002)
+	for tick := int64(0); tick < 400; tick++ {
+		a, b := read.Arrivals(tick), quiet.Arrivals(tick)
+		for c := range a {
+			if a[c] != b[c] {
+				t.Fatalf("tick %d, class %d: %v arrivals after reading the rates, %v without", tick, c, a[c], b[c])
+			}
+		}
+		first, second := read.Rates(tick+1), read.Rates(tick+1)
+		for c := range first {
+			if first[c] != second[c] {
+				t.Fatalf("tick %d, class %d: rates %v then %v", tick, c, first[c], second[c])
+			}
+		}
 	}
 }
 
