@@ -117,7 +117,7 @@ func (n *fedNode) snapshot(t *testing.T) *synopsis.Snapshot {
 	return snap
 }
 
-// assertRanksMatchMerge is the convergence oracle: every node's Rank
+// assertRanksMatchMerge is the convergence oracle: every node's RankK
 // over the probe set must equal ranking against one big Merge of all
 // the nodes' snapshots, byte for byte.
 func assertRanksMatchMerge(t *testing.T, nodes ...*fedNode) {
@@ -142,9 +142,9 @@ func assertRanksMatchMerge(t *testing.T, nodes ...*fedNode) {
 		probes = append(probes, p.X)
 	}
 	for pi, x := range probes {
-		want := oracle.Rank(x)
+		want := oracle.RankK(x, -1)
 		for ni, n := range nodes {
-			if got := n.kb.Rank(x); !reflect.DeepEqual(got, want) {
+			if got := n.kb.RankK(x, -1); !reflect.DeepEqual(got, want) {
 				t.Fatalf("probe %d: node %d ranks differently from Merge:\n got %+v\nwant %+v",
 					pi, ni, got, want)
 			}
@@ -188,7 +188,7 @@ func TestFederationDeltaIdempotence(t *testing.T) {
 	size := b.kb.TrainingSize()
 	seq := b.kb.Seq()
 	probe := b.snapshot(t).Points[0].X
-	want := b.kb.Rank(probe)
+	want := b.kb.RankK(probe, -1)
 
 	// Force a full re-delivery by applying the peer's since-0 delta by
 	// hand — the worst-case duplicate a cursor reset produces.
@@ -208,7 +208,7 @@ func TestFederationDeltaIdempotence(t *testing.T) {
 		t.Fatalf("replayed delta changed the KB: size %d→%d seq %d→%d",
 			size, b.kb.TrainingSize(), seq, b.kb.Seq())
 	}
-	if got := b.kb.Rank(probe); !reflect.DeepEqual(got, want) {
+	if got := b.kb.RankK(probe, -1); !reflect.DeepEqual(got, want) {
 		t.Fatal("replayed delta changed ranking")
 	}
 }

@@ -273,10 +273,11 @@ func (h *Harness) StepN(n int) detect.Sample {
 func (h *Harness) BuildContext() *FailureContext {
 	series := h.Coll.Series()
 	recent := series.TailCopy(h.Cfg.WindowTicks)
+	symptom, kbSymptom := h.Builder.Vectors(recent)
 	fctx := &FailureContext{
 		DetectedAt: h.Target.Now(),
-		Symptom:    h.Builder.Vector(recent),
-		KBSymptom:  h.Builder.Aligned(recent),
+		Symptom:    symptom,
+		KBSymptom:  kbSymptom,
 		Schema:     series.Schema(),
 		Baseline:   h.Builder.Baseline(),
 		Recent:     recent,

@@ -183,27 +183,24 @@ func NewAlignedSymptomBuilder(baseline *metrics.Baseline, space *SymptomSpace, n
 // Baseline returns the underlying baseline.
 func (b *SymptomBuilder) Baseline() *metrics.Baseline { return b.baseline }
 
-// Vector builds the symptom feature vector for the current window, in
-// schema-column order: Vector(w)[i] is the z-score of schema column i.
-// Diagnosis approaches rely on this positional correspondence.
-func (b *SymptomBuilder) Vector(window *metrics.Series) []float64 {
-	return b.baseline.ZScores(window, b.clamp)
-}
-
-// Aligned builds the name-aligned symptom vector for knowledge bases:
-// the same z-scores as Vector, scattered into the shared SymptomSpace
-// dimensions so vectors from different target kinds compare by metric
-// name. Dimensions belonging to names this schema lacks read zero (no
-// anomaly in a metric the target does not measure). A builder
-// constructed without a space returns Vector's positional layout.
-func (b *SymptomBuilder) Aligned(window *metrics.Series) []float64 {
-	z := b.baseline.ZScores(window, b.clamp)
+// Vectors builds both symptom vectors for the current window from one
+// pass of z-scores. Symptom is in schema-column order: symptom[i] is the
+// z-score of schema column i, the positional correspondence diagnosis
+// approaches rely on. Aligned is the name-aligned vector for knowledge
+// bases: the same z-scores scattered into the shared SymptomSpace
+// dimensions, so vectors from different target kinds compare by metric
+// name; dimensions belonging to names this schema lacks read zero (no
+// anomaly in a metric the target does not measure). A builder constructed
+// without a space returns a copy of symptom as aligned: the two never
+// share a backing array, so a consumer writing one cannot move the other.
+func (b *SymptomBuilder) Vectors(window *metrics.Series) (symptom, aligned []float64) {
+	symptom = b.baseline.ZScores(window, b.clamp)
 	if b.index == nil {
-		return z
+		return symptom, append([]float64(nil), symptom...)
 	}
-	out := make([]float64, b.dim)
-	for i, v := range z {
-		out[b.index[i]] = v
+	aligned = make([]float64, b.dim)
+	for i, v := range symptom {
+		aligned[b.index[i]] = v
 	}
-	return out
+	return symptom, aligned
 }

@@ -147,7 +147,7 @@ func TestSymptomBuilder(t *testing.T) {
 	b := NewSymptomBuilder(metrics.NewBaseline(base))
 	cur := metrics.NewSeries(schema)
 	cur.Append(50, []float64{200, 10})
-	v := b.Vector(cur)
+	v, kb := b.Vectors(cur)
 	if len(v) != 2 {
 		t.Fatalf("vector width %d", len(v))
 	}
@@ -156,6 +156,15 @@ func TestSymptomBuilder(t *testing.T) {
 	}
 	if v[1] > 1 || v[1] < -1 {
 		t.Errorf("unchanged metric z=%v", v[1])
+	}
+	// Without a space the aligned vector is the positional one, in a
+	// slice of its own.
+	if !reflect.DeepEqual(kb, v) {
+		t.Fatalf("aligned %v, want the positional %v", kb, v)
+	}
+	kb[0] = 0
+	if v[0] <= 3 {
+		t.Error("writing the aligned vector moved the positional one")
 	}
 }
 
@@ -204,26 +213,34 @@ func TestAlignedSymptomBuildersShareDimensions(t *testing.T) {
 	aNames := []string{"svc.errors", "a.only"}
 	aBase, aCur := mkSeries(aNames, 100)
 	aB := NewAlignedSymptomBuilder(metrics.NewBaseline(aBase), space, aNames)
-	av := aB.Aligned(aCur)
-	if len(av) != 2 {
-		t.Fatalf("first-registered builder width %d, want identity 2", len(av))
+	as, av := aB.Vectors(aCur)
+	if len(av) != 2 || !reflect.DeepEqual(as, av) {
+		t.Fatalf("first-registered builder gives %v aligned from %v, want the identity", av, as)
 	}
+	av[1] = 42
+	if as[1] == 42 {
+		t.Fatal("the identity mapping's aligned vector shares the positional one's array")
+	}
+	av[1] = as[1]
 
 	// Target B shares svc.errors (at a different schema position) and
 	// adds its own dimension.
 	bNames := []string{"b.only", "svc.errors"}
 	bBase, bCur := mkSeries(bNames, 0) // col 0 (b.only) dropped to 0
 	bB := NewAlignedSymptomBuilder(metrics.NewBaseline(bBase), space, bNames)
-	bv := bB.Aligned(bCur)
+	_, bv := bB.Vectors(bCur)
 	if len(bv) != 3 {
 		t.Fatalf("second builder width %d, want 3 (2 shared space + 1 own)", len(bv))
 	}
 	// svc.errors must land at the same dimension (0) for both targets.
 	bCur2 := metrics.NewSeries(metrics.NewSchema(bNames))
 	bCur2.Append(51, []float64{10, 100}) // elevated svc.errors
-	bv2 := bB.Aligned(bCur2)
+	bs2, bv2 := bB.Vectors(bCur2)
 	if bv2[0] <= 3 {
 		t.Errorf("target B's elevated svc.errors z=%v not at target A's dimension", bv2[0])
+	}
+	if bs2[1] != bv2[0] || bs2[0] != bv2[2] {
+		t.Errorf("positional %v and aligned %v disagree on target B's columns", bs2, bv2)
 	}
 	if av[1] > 1 || bv2[1] > 1 {
 		t.Errorf("unshared dimensions leaked anomalies: a=%v b=%v", av[1], bv2[1])

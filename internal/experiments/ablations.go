@@ -87,7 +87,7 @@ type OnlineDriftAblation struct {
 func RunOnlineDriftAblation(seed int64, episodes int) OnlineDriftAblation {
 	ctx := context.Background()
 	frozen := synopsis.NewNearestNeighbor()
-	online := synopsis.NewOnline(synopsis.NewNearestNeighbor(), episodes/2+4)
+	online := slidingWindow{synopsis.NewNearestNeighbor(), episodes/2 + 4}
 	ref := buildReferenceBaseline(seed)
 	gen := faults.NewGenerator(seed+3, LearningKinds()...)
 
@@ -128,6 +128,24 @@ func RunOnlineDriftAblation(seed int64, episodes int) OnlineDriftAblation {
 		res.OnlineAccuracy = float64(onlineOK) / float64(n)
 	}
 	return res
+}
+
+// slidingWindow is the online synopsis of the drift ablation: a nearest
+// neighbor that holds only its window most recent successes, so signatures
+// learned before the drift age out (§5.2's "kept up to date efficiently
+// as new data becomes available").
+type slidingWindow struct {
+	*synopsis.NearestNeighbor
+	window int
+}
+
+// Add folds p in, forgetting the oldest success once more than window
+// are held.
+func (s slidingWindow) Add(p synopsis.Point) {
+	s.NearestNeighbor.Add(p)
+	if s.TrainingSize() > s.window {
+		s.Forget(s.window)
+	}
 }
 
 // Format renders the drift ablation.
@@ -178,7 +196,7 @@ type unrankedApproach struct {
 func (u *unrankedApproach) Name() string { return "unranked" }
 
 func (u *unrankedApproach) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {
-	ranked := u.syn.Rank(ctx.Features())
+	ranked := u.syn.RankK(ctx.Features(), -1)
 	seen := map[string]bool{}
 	for _, a := range tried {
 		seen[a.Key()] = true

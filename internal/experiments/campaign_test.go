@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selfheal/internal/catalog"
+	"selfheal/internal/synopsis"
 )
 
 // TestFigure1Shape checks the campaign reproduces the paper's headline:
@@ -227,6 +228,33 @@ func TestAblationsRun(t *testing.T) {
 			t.Error("symptomatic-relief loop not flagged as flapping")
 		}
 	})
+}
+
+// TestOnlineForgets: the drift ablation's sliding window forgets a stale
+// signature once newer successes push it out, and never holds more than
+// its window of successes.
+func TestOnlineForgets(t *testing.T) {
+	oldAction := synopsis.Action{Fix: catalog.FixUpdateStats, Target: "items"}
+	newAction := synopsis.Action{Fix: catalog.FixRepartitionMemory}
+	on := slidingWindow{synopsis.NewNearestNeighbor(), 5}
+	// Old world: x≈+5 means update-stats.
+	for i := 0; i < 5; i++ {
+		on.Add(synopsis.Point{X: []float64{5, 0}, Action: oldAction, Success: true})
+	}
+	// Drifted world: the same region now means repartition-memory.
+	for i := 0; i < 6; i++ {
+		on.Add(synopsis.Point{X: []float64{5, 0}, Action: newAction, Success: true})
+		if on.TrainingSize() > on.window {
+			t.Fatalf("window of %d holds %d successes", on.window, on.TrainingSize())
+		}
+	}
+	sug, ok := on.Suggest([]float64{5, 0}, nil)
+	if !ok {
+		t.Fatal("abstained")
+	}
+	if sug.Action.Fix != newAction.Fix {
+		t.Errorf("online synopsis stuck on stale signature: %v", sug.Action)
+	}
 }
 
 // TestScenarioSweepShape: the sweep covers every library scenario and

@@ -113,8 +113,6 @@ func (t *timed) RankK(x []float64, k int) []synopsis.Suggestion {
 	return r
 }
 
-func (t *timed) Rank(x []float64) []synopsis.Suggestion { return t.RankK(x, -1) }
-
 // EpisodeStats aggregates healing episodes into the metrics Table 2 and
 // Figure 2 report.
 type EpisodeStats struct {

@@ -48,7 +48,7 @@ type Env struct {
 	Gen *workload.Generator
 }
 
-// String describes a fault for logs.
+// Describe renders a fault for logs.
 func Describe(f Fault) string {
 	fix, target := f.CorrectFix()
 	return fmt.Sprintf("%s on %q (cause %s, fix %s %s)", f.Kind(), f.Target(), f.Cause(), fix, target)

@@ -41,9 +41,6 @@ func (g *Generator) SetWeights(w []float64) {
 	copy(g.weights, w)
 }
 
-// Kinds returns the kinds this generator draws from.
-func (g *Generator) Kinds() []catalog.FaultKind { return g.kinds }
-
 // Targets eligible per fault mechanism. Rare EJBs and cold tables are left
 // out where a fault there would be too weak to violate the SLO.
 var (

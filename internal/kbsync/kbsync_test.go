@@ -44,13 +44,13 @@ func TestApplyDeltaIsIdempotent(t *testing.T) {
 		t.Fatalf("first apply added %d, want 2", added)
 	}
 	probe := []float64{1, 2}
-	want := kb.Rank(probe)
+	want := kb.RankK(probe, -1)
 	// Applying the identical delta again must be a no-op: same size,
 	// same sequence effect on content, byte-identical ranking.
 	if added := node.ApplyDelta(d); added != 0 {
 		t.Fatalf("second apply added %d, want 0", added)
 	}
-	if got := kb.Rank(probe); !reflect.DeepEqual(got, want) {
+	if got := kb.RankK(probe, -1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("second apply changed ranking:\n got %+v\nwant %+v", got, want)
 	}
 	if kb.TrainingSize() != 2 {

@@ -119,7 +119,6 @@ func (s *AdaBoost) Clone() Synopsis {
 	}
 }
 
-// Forget drops all but the last keep positives and refits.
 // Reset implements Resetter: back to empty, keeping the ensemble knobs.
 func (s *AdaBoost) Reset() {
 	s.classes = newClassSet()
@@ -129,18 +128,6 @@ func (s *AdaBoost) Reset() {
 	s.trees = nil
 	s.alphas = nil
 	s.version++
-}
-
-func (s *AdaBoost) Forget(keep int) {
-	if len(s.points) > keep {
-		s.points = append([]Point(nil), s.points[len(s.points)-keep:]...)
-		s.labels = append([]int(nil), s.labels[len(s.labels)-keep:]...)
-	}
-	s.ex = newExemplars()
-	for _, p := range s.points {
-		s.ex.add(p)
-	}
-	s.Retrain()
 }
 
 // Retrain refits the whole ensemble on the current training set.
@@ -375,6 +362,3 @@ func (s *AdaBoost) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool)
 func (s *AdaBoost) RankK(x []float64, k int) []Suggestion {
 	return rankKFrom(s.rankFixes(x), s.ex, &probe{x: x}, k)
 }
-
-// Rank implements Synopsis.
-func (s *AdaBoost) Rank(x []float64) []Suggestion { return s.RankK(x, -1) }

@@ -46,7 +46,6 @@ func learnersUnderTest() map[string]func() Synopsis {
 		"kmeans":   func() Synopsis { return NewKMeans() },
 		"adaboost": func() Synopsis { return NewAdaBoost(12) },
 		"bayes":    func() Synopsis { return NewNaiveBayes() },
-		"online":   func() Synopsis { return NewOnline(NewNearestNeighbor(), 24) },
 	}
 }
 
@@ -82,8 +81,8 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 				if oka != okb || sa != sb {
 					t.Errorf("Suggest(%v): sequential=(%v,%v) batched=(%v,%v)", pr.X, sa, oka, sb, okb)
 				}
-				if ra, rb := seq.Rank(pr.X), bat.Rank(pr.X); !reflect.DeepEqual(ra, rb) {
-					t.Errorf("Rank(%v): sequential=%v batched=%v", pr.X, ra, rb)
+				if ra, rb := seq.RankK(pr.X, -1), bat.RankK(pr.X, -1); !reflect.DeepEqual(ra, rb) {
+					t.Errorf("RankK(%v, -1): sequential=%v batched=%v", pr.X, ra, rb)
 				}
 			}
 		})
@@ -120,7 +119,7 @@ func TestCloneIsIndependent(t *testing.T) {
 				out := make([]view, len(probes))
 				for i, pr := range probes {
 					sug, ok := s.Suggest(pr.X, nil)
-					out[i] = view{sug: sug, ok: ok, rk: s.Rank(pr.X)}
+					out[i] = view{sug: sug, ok: ok, rk: s.RankK(pr.X, -1)}
 				}
 				return out
 			}
@@ -155,33 +154,22 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestCloneSurvivesForget(t *testing.T) {
 	pts := streamPoints(9, 50)
 	probes := streamPoints(10, 8)
-	type forgetter interface {
-		Synopsis
-		Cloner
-		Forget(keep int)
+	orig := NewNearestNeighbor()
+	for _, p := range pts {
+		orig.Add(p)
 	}
-	for _, mk := range []func() forgetter{
-		func() forgetter { return NewNearestNeighbor() },
-		func() forgetter { return NewKMeans() },
-		func() forgetter { return NewAdaBoost(12) },
-	} {
-		orig := mk()
-		for _, p := range pts {
-			orig.Add(p)
-		}
-		snap := orig.Clone()
-		size := snap.TrainingSize()
-		var want []Suggestion
-		for _, pr := range probes {
-			want = append(want, snap.Rank(pr.X)...)
-		}
-		orig.Forget(5)
-		var got []Suggestion
-		for _, pr := range probes {
-			got = append(got, snap.Rank(pr.X)...)
-		}
-		if snap.TrainingSize() != size || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: snapshot drifted after the original forgot", orig.Name())
-		}
+	snap := orig.Clone()
+	size := snap.TrainingSize()
+	var want []Suggestion
+	for _, pr := range probes {
+		want = append(want, snap.RankK(pr.X, -1)...)
+	}
+	orig.Forget(5)
+	var got []Suggestion
+	for _, pr := range probes {
+		got = append(got, snap.RankK(pr.X, -1)...)
+	}
+	if snap.TrainingSize() != size || !reflect.DeepEqual(got, want) {
+		t.Error("snapshot drifted after the original forgot")
 	}
 }

@@ -169,6 +169,3 @@ func (s *NaiveBayes) Suggest(x []float64, filter *ActionFilter) (Suggestion, boo
 func (s *NaiveBayes) RankK(x []float64, k int) []Suggestion {
 	return rankKFrom(s.rankFixes(x), s.ex, &probe{x: x}, k)
 }
-
-// Rank implements Synopsis.
-func (s *NaiveBayes) Rank(x []float64) []Suggestion { return s.RankK(x, -1) }

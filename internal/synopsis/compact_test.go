@@ -408,7 +408,6 @@ func TestCompactionAllLearners(t *testing.T) {
 		"kmeans":   func() Synopsis { return NewKMeans() },
 		"adaboost": func() Synopsis { return NewAdaBoost(5) },
 		"bayes":    func() Synopsis { return NewNaiveBayes() },
-		"online":   func() Synopsis { return NewOnline(NewNearestNeighbor(), 500) },
 	}
 	rng := rand.New(rand.NewSource(99))
 	stream := compactStream(rng, 400)

@@ -76,7 +76,7 @@ func headedTrees(fi *fixIndex) int {
 // points include exact duplicates at different ordinals, neighbours one ulp
 // and 1e-13 apart, and all-zero vectors; the queries include stored points
 // (limit 0), and vectors shorter and longer than the trees' stride. Every
-// Suggest (with and without filters), RankK and Rank answer must equal the
+// Suggest (with and without filters) and RankK answer must equal the
 // brute scan's bit for bit, with indexResolve the only switch, and every
 // Nearest of the exported KD index the exported brute-force index's. The
 // subtests repeat that on the stores the node boxes and class sets could
@@ -311,8 +311,8 @@ func testSkewedClass(t *testing.T, rng *rand.Rand) {
 	queries := append(jitteredQueries(rng, pts, 24), far, pts[3].X)
 	assertOracle(t, "skewed-nn", s, queries)
 	for _, x := range queries[:4] {
-		if r := s.Rank(x); len(r) != 5 {
-			t.Fatalf("Rank names %d fixes, want all 5 with the lone far exemplar's", len(r))
+		if r := s.RankK(x, -1); len(r) != 5 {
+			t.Fatalf("RankK names %d fixes, want all 5 with the lone far exemplar's", len(r))
 		}
 	}
 	assertIndexOracle(t, "skewed-index", pts, queries[:6])
@@ -375,12 +375,12 @@ func testNaNInf(t *testing.T, rng *rand.Rand) {
 		queries = append(queries, x)
 	}
 	assertOracle(t, "nan-inf-nn", s, queries)
-	for _, sug := range s.Rank(queries[0]) {
+	for _, sug := range s.RankK(queries[0], -1) {
 		if sug.Action.Fix == catalog.FixRebuildIndex {
 			t.Fatal("a fix with no finite exemplar is ranked")
 		}
 	}
-	if r := s.Rank(queries[len(queries)-3]); len(r) != 0 {
+	if r := s.RankK(queries[len(queries)-3], -1); len(r) != 0 {
 		t.Fatalf("a NaN query ranks %v; every distance from it is NaN", r)
 	}
 	assertIndexOracle(t, "nan-inf-index", pts, queries[len(queries)-5:])
@@ -472,13 +472,12 @@ func testSplitTwins(t *testing.T, rng *rand.Rand) {
 func testCarriesThenForget(t *testing.T, rng *rand.Rand) {
 	const window = 1700
 	pts := clusteredPoints(rng, window+40)
-	base := NewNearestNeighbor()
-	s := NewOnline(base, window)
+	s := NewNearestNeighbor()
 	for _, p := range pts[:1600] { // 1024 + 512 + 64
 		s.Add(p)
 	}
 	bases := map[*headBasis]bool{}
-	for _, tr := range base.ex.gidx.trees {
+	for _, tr := range s.ex.gidx.trees {
 		if tr != nil && tr.head != nil {
 			if len(tr.ords) < headMinRows {
 				t.Fatalf("a tree of %d rows keeps a head", len(tr.ords))
@@ -490,15 +489,18 @@ func testCarriesThenForget(t *testing.T, rng *rand.Rand) {
 		t.Fatalf("single inserts left %d headed trees with a basis of their own; the test needs 2", len(bases))
 	}
 	queries := jitteredQueries(rng, pts, 16)
-	assertOracle(t, "carries-online-nn", s, queries)
+	assertOracle(t, "carries-window-nn", s, queries)
 	for _, p := range pts[1600:] {
 		s.Add(p)
+		if s.TrainingSize() > window {
+			s.Forget(window)
+		}
 	}
-	if base.TrainingSize() != window || headedTrees(base.ex.gidx) != 1 || len(base.ex.gidx.tail) != 0 {
+	if s.TrainingSize() != window || headedTrees(s.ex.gidx) != 1 || len(s.ex.gidx.tail) != 0 {
 		t.Fatalf("past its window the store holds %d points in %d headed trees and a tail of %d, want %d in one compact tree",
-			base.TrainingSize(), headedTrees(base.ex.gidx), len(base.ex.gidx.tail), window)
+			s.TrainingSize(), headedTrees(s.ex.gidx), len(s.ex.gidx.tail), window)
 	}
-	assertOracle(t, "forgot-online-nn", s, queries)
+	assertOracle(t, "forgot-window-nn", s, queries)
 }
 
 // TestRankDeficientSampleGivesValidOrNoHead: a sample that spans fewer
@@ -737,8 +739,7 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 	for i := range pts {
 		pts[i].X = pts[i].X[:24]
 	}
-	base := NewNearestNeighbor()
-	s := NewOnline(base, window)
+	s := NewNearestNeighbor()
 	s.AddBatch(pts[:window])
 	queries := make([][]float64, 12)
 	for i := range queries {
@@ -757,9 +758,10 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 		} else {
 			s.AddBatch(pts[at : at+step])
 		}
+		s.Forget(window)
 		at += step
-		if base.TrainingSize() != window {
-			t.Fatalf("after %d points the window holds %d, want %d", at, base.TrainingSize(), window)
+		if s.TrainingSize() != window {
+			t.Fatalf("after %d points the window holds %d, want %d", at, s.TrainingSize(), window)
 		}
 		compact := func(name string, fi *fixIndex) {
 			trees := 0
@@ -772,10 +774,10 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 				t.Fatalf("after %d points %s has %d trees and a tail of %d, want one compact tree", at, name, trees, len(fi.tail))
 			}
 		}
-		compact("the forest", base.ex.gidx)
+		compact("the forest", s.ex.gidx)
 		// Every fix's exemplars are in that one tree, under the fix's tag.
 		tagged := map[int32]int{}
-		for _, tr := range base.ex.gidx.trees {
+		for _, tr := range s.ex.gidx.trees {
 			if tr != nil {
 				for _, tag := range tr.tags {
 					tagged[tag]++
@@ -783,22 +785,22 @@ func TestForgetRebuildsCompactTrees(t *testing.T) {
 			}
 		}
 		stored := map[int32]int{}
-		for _, tag := range base.ex.fixOf {
+		for _, tag := range s.ex.fixOf {
 			stored[tag]++
 		}
 		for tag, n := range stored {
 			if tagged[tag] != n {
-				t.Fatalf("after %d points fix %v has %d exemplars and %d rows tagged with it", at, base.ex.cls.fixes[tag], n, tagged[tag])
+				t.Fatalf("after %d points fix %v has %d exemplars and %d rows tagged with it", at, s.ex.cls.fixes[tag], n, tagged[tag])
 			}
 		}
 		if at%7 == 0 || at == len(pts) {
-			assertOracle(t, "online-nn", s, queries)
+			assertOracle(t, "window-nn", s, queries)
 		}
 	}
-	if headedTrees(base.ex.gidx) != 1 {
+	if headedTrees(s.ex.gidx) != 1 {
 		t.Error("the rebuilt tree keeps no head")
 	}
 	// The window starts at the oldest surviving point, and every survivor
 	// holds its caller's values in the rebuilt tree's packed row.
-	assertOneCopy(t, "the rebuilt window", base.ex, vectorsOf(pts[len(pts)-window:]))
+	assertOneCopy(t, "the rebuilt window", s.ex, vectorsOf(pts[len(pts)-window:]))
 }

@@ -142,8 +142,8 @@ func assertOracle(t *testing.T, name string, s Synopsis, queries [][]float64) {
 				t.Fatalf("%s: RankK(q%d, %d): indexed %v != brute %v", name, qi, k, got, want)
 			}
 		}
-		// The RankK(x, k) == Rank(x)[:k] contract, on the indexed path.
-		full := s.Rank(x)
+		// The RankK(x, k) == RankK(x, -1)[:k] contract, on the indexed path.
+		full := s.RankK(x, -1)
 		for _, k := range []int{0, 1, 3} {
 			want := full
 			if k < len(full) {
@@ -154,7 +154,7 @@ func assertOracle(t *testing.T, name string, s Synopsis, queries [][]float64) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: RankK(q%d, %d) = %v, want Rank prefix %v", name, qi, k, got, want)
+				t.Fatalf("%s: RankK(q%d, %d) = %v, want full-ranking prefix %v", name, qi, k, got, want)
 			}
 		}
 	}
@@ -163,9 +163,12 @@ func assertOracle(t *testing.T, name string, s Synopsis, queries [][]float64) {
 // TestIndexedLearnersMatchBruteOracle: the acceptance property — for every
 // learner, seed, and KB size, indexed Suggest/RankK results are identical
 // to the brute scan, including on KBs assembled by Merge and by delta
-// application.
+// application. The "online" row is the §5.2 drift ablation's sliding
+// window: a nearest neighbor that forgot all but its 24 latest successes.
 func TestIndexedLearnersMatchBruteOracle(t *testing.T) {
-	for name, fresh := range learnersUnderTest() {
+	learners := learnersUnderTest()
+	learners["online"] = func() Synopsis { return NewNearestNeighbor() }
+	for name, fresh := range learners {
 		for _, seed := range []int64{3, 17} {
 			for _, n := range []int{25, 300, 1500} {
 				if n == 1500 && name == "adaboost" {
@@ -175,6 +178,9 @@ func TestIndexedLearnersMatchBruteOracle(t *testing.T) {
 					pts := tiePoints(seed, n)
 					s := fresh()
 					AddAll(s, pts)
+					if name == "online" {
+						s.(*NearestNeighbor).Forget(24)
+					}
 					assertOracle(t, name, s, tieQueries(seed+1, pts, 25))
 				})
 			}

@@ -107,15 +107,9 @@ func (s *KMeans) Reset() {
 	s.version++
 }
 
-// Forget drops old observations and reclusters (for the online wrapper).
-func (s *KMeans) Forget(keep int) {
-	s.ex.forget(keep)
-	s.recluster()
-}
-
 // recluster recomputes every centroid from scratch — the "redone after each
 // failure is fixed" step — and rebuilds the centroid search index. The
-// rebuild rides the write path (Add/AddBatch/Forget), so readers of a
+// rebuild rides the write path (Add/AddBatch), so readers of a
 // snapshot clone only ever see a finished, immutable index.
 func (s *KMeans) recluster() {
 	// A fix's points are those tagged with its class, summed in arrival order.
@@ -177,6 +171,3 @@ func (s *KMeans) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
 func (s *KMeans) RankK(x []float64, k int) []Suggestion {
 	return rankKFrom(s.rankFixes(x), s.ex, &probe{x: x}, k)
 }
-
-// Rank implements Synopsis.
-func (s *KMeans) Rank(x []float64) []Suggestion { return s.RankK(x, -1) }

@@ -241,7 +241,7 @@ func TestSaveUnnamedSpaceStaysPositional(t *testing.T) {
 	nn := NewNearestNeighbor()
 	nn.Add(pt([]float64{1, 2, 3}, catalog.FixUpdateStats, "items"))
 	var buf bytes.Buffer
-	if err := SaveWith(&buf, nn, SaveOptions{Space: detect.NewSymptomSpace()}); err != nil {
+	if err := save(&buf, nn, SaveOptions{Space: detect.NewSymptomSpace()}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := Decode(bytes.NewReader(buf.Bytes()))
@@ -267,27 +267,31 @@ func TestSaveRejectsOverWideVectors(t *testing.T) {
 	space.Indices([]string{"svc.lat", "svc.err"})
 	nn := NewNearestNeighbor()
 	nn.Add(pt([]float64{1, 2, 3}, catalog.FixUpdateStats, "items"))
-	if err := SaveWith(&bytes.Buffer{}, nn, SaveOptions{Space: space}); err == nil {
+	if _, err := Capture(nn, SaveOptions{Space: space}); err == nil {
 		t.Error("3-dim vector accepted against a 2-name table")
 	}
 }
 
-// TestOnlineExportError pins the satellite fix: an Online wrapper over a
-// base without Export must fail loudly instead of silently exporting an
-// empty history that a later Save would persist as data loss.
-func TestOnlineExportError(t *testing.T) {
-	on := NewOnline(&noExportBase{NewNearestNeighbor()}, 4)
-	on.Add(pt([]float64{1}, catalog.FixUpdateStats, "items"))
-	if _, err := on.Export(); !errors.Is(err, ErrNotExportable) {
+// TestSharedExportError: a Shared knowledge base over a base without
+// Export must fail loudly instead of silently exporting an empty history
+// that a later save would persist as data loss.
+func TestSharedExportError(t *testing.T) {
+	sh := NewShared(&noExportBase{NewNearestNeighbor()})
+	sh.Add(pt([]float64{1}, catalog.FixUpdateStats, "items"))
+	if _, err := sh.Export(); !errors.Is(err, ErrNotExportable) {
 		t.Fatalf("Export error = %v, want ErrNotExportable", err)
 	}
-	if err := Save(&bytes.Buffer{}, on); !errors.Is(err, ErrNotExportable) {
-		t.Fatalf("Save error = %v, want ErrNotExportable", err)
+	if _, err := Capture(sh, SaveOptions{}); !errors.Is(err, ErrNotExportable) {
+		t.Fatalf("Capture error = %v, want ErrNotExportable", err)
 	}
 }
 
 // noExportBase hides the embedded learner's Export while keeping
-// Synopsis and Forget.
+// Synopsis and Cloner.
 type noExportBase struct{ *NearestNeighbor }
 
 func (b *noExportBase) Export() {} // different signature: not an Exporter
+
+func (b *noExportBase) Clone() Synopsis {
+	return &noExportBase{b.NearestNeighbor.Clone().(*NearestNeighbor)}
+}

@@ -121,7 +121,8 @@ func (s *NearestNeighbor) Reset() {
 	s.version++
 }
 
-// Forget drops old observations (for the online wrapper).
+// Forget drops all but the keep most recent successes (and negatives):
+// the eviction step of the §5.2 drift ablation's sliding window.
 func (s *NearestNeighbor) Forget(keep int) {
 	s.ex.forget(keep)
 	if len(s.negatives) > keep {
@@ -201,6 +202,3 @@ func (s *NearestNeighbor) RankK(x []float64, k int) []Suggestion {
 	pr := &probe{x: x}
 	return rankKFrom(s.rankFixes(pr), s.ex, pr, k)
 }
-
-// Rank implements Synopsis.
-func (s *NearestNeighbor) Rank(x []float64) []Suggestion { return s.RankK(x, -1) }

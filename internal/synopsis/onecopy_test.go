@@ -99,18 +99,20 @@ func TestIndexedPointsLiveInPackedRows(t *testing.T) {
 	assertOracle(t, "bulk then carries", bulk, queries)
 
 	const window = 520
-	base := NewNearestNeighbor()
-	online := NewOnline(base, window)
+	win := NewNearestNeighbor()
 	for at := 0; at < len(pts); {
 		n := 1 + at%60
 		if at+n > len(pts) {
 			n = len(pts) - at
 		}
-		online.AddBatch(pts[at : at+n])
+		win.AddBatch(pts[at : at+n])
+		if win.TrainingSize() > window {
+			win.Forget(window)
+		}
 		at += n
-		assertOneCopy(t, "forget", base.ex, caller[at-base.TrainingSize():at])
+		assertOneCopy(t, "forget", win.ex, caller[at-win.TrainingSize():at])
 	}
-	assertOracle(t, "forget", online, queries)
+	assertOracle(t, "forget", win, queries)
 
 	for i, p := range pts {
 		if !sameBits(p.X, caller[i]) {

@@ -45,8 +45,8 @@ const (
 )
 
 // ErrNotExportable reports a synopsis that implements Exporter but cannot
-// currently surrender its training history — e.g. an Online wrapper over
-// a base learner with no Export. Callers that persist knowledge bases
+// currently surrender its training history — e.g. a Shared knowledge base
+// over a base learner with no Export. Callers that persist knowledge bases
 // should treat it as "saving would silently write an empty history".
 var ErrNotExportable = errors.New("training history is not exportable")
 
@@ -132,7 +132,7 @@ func fixByName(name string) (catalog.FixID, bool) {
 	return catalog.FixNone, false
 }
 
-// SaveOptions parameterizes SaveWith.
+// SaveOptions parameterizes Capture.
 type SaveOptions struct {
 	// Space supplies the symptom-space name table recorded in the
 	// snapshot; nil means detect.DefaultSymptomSpace, the space every
@@ -143,26 +143,12 @@ type SaveOptions struct {
 	Targets map[string]TargetCatalog
 }
 
-// Save serializes the synopsis's training history as a format-v2 JSON
-// snapshot carrying the process-wide symptom-space name table
-// (detect.DefaultSymptomSpace), so the file stays portable across
-// processes that register target kinds in different orders. Synopses
-// whose history cannot be exported (see Exporter) return an error.
-func Save(w io.Writer, s Synopsis) error {
-	return SaveWith(w, s, SaveOptions{})
-}
-
-// SaveWith is Save with an explicit symptom space and target catalogs.
-func SaveWith(w io.Writer, s Synopsis, o SaveOptions) error {
-	snap, err := Capture(s, o)
-	if err != nil {
-		return err
-	}
-	return snap.Encode(w)
-}
-
-// Capture builds the format-v2 Snapshot of a live synopsis without
-// serializing it — the in-memory step shared by Save and the kbtool.
+// Capture builds the format-v2 Snapshot of a live synopsis: its training
+// history plus the symptom-space name table (o.Space, by default the
+// process-wide detect.DefaultSymptomSpace), so the file Encode writes
+// stays portable across processes that register target kinds in
+// different orders. Synopses whose history cannot be exported (see
+// Exporter) return an error.
 func Capture(s Synopsis, o SaveOptions) (*Snapshot, error) {
 	ex, ok := s.(Exporter)
 	if !ok {
@@ -271,40 +257,16 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// LoadOptions parameterizes LoadWith.
-type LoadOptions struct {
-	// Space is the symptom space snapshot vectors are remapped into; nil
-	// means detect.DefaultSymptomSpace.
-	Space *detect.SymptomSpace
-}
-
-// Load replays a serialized training history into the synopsis (which
-// need not be the same learner that produced it). Format-v2 snapshots
-// are remapped by metric name into the process-wide symptom space
-// (detect.DefaultSymptomSpace), so the file's target-registration order
-// does not matter. Version-1 files — and v2 files saved from an unnamed
-// space — carry no name table and are replayed positionally: they rank
-// fixes correctly only in a process that registered its target kinds in
-// the same order as the writer (single-kind processes always agree).
-func Load(r io.Reader, into Synopsis) error {
-	return LoadWith(r, into, LoadOptions{})
-}
-
-// LoadWith is Load with an explicit destination symptom space.
-func LoadWith(r io.Reader, into Synopsis, o LoadOptions) error {
-	snap, err := Decode(r)
-	if err != nil {
-		return err
-	}
-	return snap.Replay(into, o.Space)
-}
-
-// Replay folds the snapshot's history into a synopsis in one batch
-// (through AddBatch when the learner supports it, so refitting models pay
-// one refit for the whole file). When the snapshot carries a name table,
-// every vector is remapped into space (nil: detect.DefaultSymptomSpace)
-// first; unnamed snapshots replay positionally — see Load for the
-// portability caveat.
+// Replay folds the snapshot's history into a synopsis (which need not be
+// the learner that produced it) in one batch, through AddBatch when the
+// learner supports it, so refitting models pay one refit for the whole
+// file. When the snapshot carries a name table, every vector is remapped
+// by metric name into space (nil: detect.DefaultSymptomSpace) first, so
+// the writer's target-registration order does not matter. Version-1
+// files — and v2 files saved from an unnamed space — carry no name table
+// and replay positionally: they rank fixes correctly only in a process
+// that registered its target kinds in the same order as the writer
+// (single-kind processes always agree).
 func (snap *Snapshot) Replay(into Synopsis, space *detect.SymptomSpace) error {
 	pts := snap.Points
 	if len(snap.Symptoms) > 0 {
@@ -335,15 +297,3 @@ func (s *AdaBoost) Export() ([]Point, error) { return append([]Point(nil), s.poi
 
 // Export implements Exporter.
 func (s *NaiveBayes) Export() ([]Point, error) { return append([]Point(nil), s.ex.all...), nil }
-
-// Export implements Exporter (the base's view of the window). A base
-// without Export returns an error wrapping ErrNotExportable — the old
-// behavior of quietly returning an empty history let a later Save write
-// a knowledge base with every observation dropped.
-func (s *Online) Export() ([]Point, error) {
-	ex, ok := s.base.(Exporter)
-	if !ok {
-		return nil, fmt.Errorf("synopsis: %s: base %s: %w", s.Name(), s.base.Name(), ErrNotExportable)
-	}
-	return ex.Export()
-}

@@ -2,12 +2,31 @@ package synopsis
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/sim"
 )
+
+// save writes the synopsis's history as a snapshot: Capture, then Encode.
+func save(w io.Writer, s Synopsis, o SaveOptions) error {
+	snap, err := Capture(s, o)
+	if err != nil {
+		return err
+	}
+	return snap.Encode(w)
+}
+
+// load replays a snapshot file into the synopsis: Decode, then Replay.
+func load(r io.Reader, into Synopsis) error {
+	snap, err := Decode(r)
+	if err != nil {
+		return err
+	}
+	return snap.Replay(into, nil)
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(21)
@@ -19,12 +38,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		orig.Add(p)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
+	if err := save(&buf, orig, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
 	restored := NewNearestNeighbor()
-	if err := Load(&buf, restored); err != nil {
+	if err := load(&buf, restored); err != nil {
 		t.Fatal(err)
 	}
 	if restored.TrainingSize() != orig.TrainingSize() {
@@ -49,11 +68,11 @@ func TestLoadIntoDifferentLearner(t *testing.T) {
 		nn.Add(p)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, nn); err != nil {
+	if err := save(&buf, nn, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ada := NewAdaBoost(15)
-	if err := Load(&buf, ada); err != nil {
+	if err := load(&buf, ada); err != nil {
 		t.Fatal(err)
 	}
 	if acc := Accuracy(ada, twoClusterData(rng, 40, 4)); acc < 0.9 {
@@ -67,7 +86,7 @@ func TestSaveNegativesRoundTrip(t *testing.T) {
 	nn.Add(Point{X: []float64{1, 0}, Action: Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true})
 	nn.Add(Point{X: []float64{0, 0}, Action: Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: false})
 	var buf bytes.Buffer
-	if err := Save(&buf, nn); err != nil {
+	if err := save(&buf, nn, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"success": false`) {
@@ -75,7 +94,7 @@ func TestSaveNegativesRoundTrip(t *testing.T) {
 	}
 	back := NewNearestNeighbor()
 	back.UseNegatives = true
-	if err := Load(bytes.NewReader(buf.Bytes()), back); err != nil {
+	if err := load(bytes.NewReader(buf.Bytes()), back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.negatives) != 1 {
@@ -84,31 +103,14 @@ func TestSaveNegativesRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if err := Load(strings.NewReader("not json"), NewKMeans()); err == nil {
+	if _, err := Decode(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if err := Load(strings.NewReader(`{"version":9,"points":[]}`), NewKMeans()); err == nil {
+	if _, err := Decode(strings.NewReader(`{"version":9,"points":[]}`)); err == nil {
 		t.Error("future version accepted")
 	}
 	bad := `{"version":1,"points":[{"x":[1],"fix":"no-such-fix","success":true}]}`
-	if err := Load(strings.NewReader(bad), NewKMeans()); err == nil {
+	if _, err := Decode(strings.NewReader(bad)); err == nil {
 		t.Error("unknown fix accepted")
-	}
-}
-
-func TestOnlineExportReflectsWindow(t *testing.T) {
-	on := NewOnline(NewNearestNeighbor(), 3)
-	for i := 0; i < 6; i++ {
-		on.Add(Point{X: []float64{float64(i)}, Action: Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true})
-	}
-	pts, err := on.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("exported %d points, want the 3-point window", len(pts))
-	}
-	if pts[0].X[0] != 3 {
-		t.Errorf("window kept wrong points: %v", pts[0].X)
 	}
 }

@@ -79,7 +79,7 @@ func freshLearners() map[string]func() synopsis.Synopsis {
 
 // TestPermutedRegistrationRoundTrip is the headline acceptance test: a KB
 // saved by a process registering (replicated, auction) and loaded by one
-// registering (auction, replicated) produces identical Rank and Suggest
+// registering (auction, replicated) produces identical RankK and Suggest
 // output to a KB built natively in the reading process.
 func TestPermutedRegistrationRoundTrip(t *testing.T) {
 	auction := schemaNames(t, func(c targets.Config) (targets.Target, error) { return targets.NewAuction(c) })
@@ -124,23 +124,17 @@ func TestPermutedRegistrationRoundTrip(t *testing.T) {
 				native.Add(np)
 			}
 
-			var buf bytes.Buffer
-			if err := synopsis.SaveWith(&buf, writer, synopsis.SaveOptions{Space: writerSpace}); err != nil {
-				t.Fatal(err)
-			}
 			loaded := fresh()
-			if err := synopsis.LoadWith(&buf, loaded, synopsis.LoadOptions{Space: readerSpace}); err != nil {
-				t.Fatal(err)
-			}
+			roundTrip(t, writer, loaded, writerSpace, readerSpace)
 			if loaded.TrainingSize() != native.TrainingSize() {
 				t.Fatalf("loaded TrainingSize %d, native %d", loaded.TrainingSize(), native.TrainingSize())
 			}
 
 			for i := 0; i < 20; i++ {
 				q := scatter(readerSpace, schemaFor(i), 1000+i)
-				gotRank, wantRank := loaded.Rank(q), native.Rank(q)
+				gotRank, wantRank := loaded.RankK(q, -1), native.RankK(q, -1)
 				if !reflect.DeepEqual(gotRank, wantRank) {
-					t.Fatalf("query %d: Rank diverges\nloaded: %v\nnative: %v", i, gotRank, wantRank)
+					t.Fatalf("query %d: RankK diverges\nloaded: %v\nnative: %v", i, gotRank, wantRank)
 				}
 				gotSug, gotOK := loaded.Suggest(q, nil)
 				wantSug, wantOK := native.Suggest(q, nil)
@@ -188,18 +182,34 @@ func TestPermutedRegistrationProperty(t *testing.T) {
 			writer.Add(wp)
 			native.Add(np)
 		}
-		var buf bytes.Buffer
-		if err := synopsis.SaveWith(&buf, writer, synopsis.SaveOptions{Space: writerSpace}); err != nil {
-			t.Fatal(err)
-		}
-		if err := synopsis.LoadWith(&buf, loaded, synopsis.LoadOptions{Space: readerSpace}); err != nil {
-			t.Fatal(err)
-		}
+		roundTrip(t, writer, loaded, writerSpace, readerSpace)
 		for i := 0; i < 12; i++ {
 			q := scatter(readerSpace, schemas[i%len(schemas)], 5000+trial*100+i)
-			if !reflect.DeepEqual(loaded.Rank(q), native.Rank(q)) {
-				t.Fatalf("trial %d (order %v), query %d: Rank diverges", trial, order, i)
+			if !reflect.DeepEqual(loaded.RankK(q, -1), native.RankK(q, -1)) {
+				t.Fatalf("trial %d (order %v), query %d: RankK diverges", trial, order, i)
 			}
 		}
+	}
+}
+
+// roundTrip carries writer's history through the wire format into loaded:
+// Capture and Encode in writerSpace, then Decode and Replay into
+// readerSpace.
+func roundTrip(t *testing.T, writer, loaded synopsis.Synopsis, writerSpace, readerSpace *detect.SymptomSpace) {
+	t.Helper()
+	snap, err := synopsis.Capture(writer, synopsis.SaveOptions{Space: writerSpace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := snap.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := synopsis.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Replay(loaded, readerSpace); err != nil {
+		t.Fatal(err)
 	}
 }

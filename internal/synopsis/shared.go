@@ -11,7 +11,7 @@ import (
 // administrator escalation or successful fix becomes training data for all
 // of them.
 //
-// It is read-optimized for the healing hot path, where Suggest/Rank calls
+// It is read-optimized for the healing hot path, where Suggest/RankK calls
 // from N concurrently-healing replicas vastly outnumber writes. Readers
 // load an immutable snapshot through one atomic pointer and never take a
 // lock; writers serialize behind a mutex, fold their points into the
@@ -344,18 +344,13 @@ func (s *Shared) RankK(x []float64, k int) []Suggestion {
 	return s.reader().RankK(x, k)
 }
 
-// Rank implements Synopsis, reading the current snapshot lock-free.
-func (s *Shared) Rank(x []float64) []Suggestion {
-	return s.reader().Rank(x)
-}
-
 // TrainingSize implements Synopsis.
 func (s *Shared) TrainingSize() int {
 	return s.reader().TrainingSize()
 }
 
 // Export implements Exporter when the wrapped synopsis does, so a shared
-// knowledge base can still be persisted with Save. A base without Export
+// knowledge base can still be persisted with Capture. A base without Export
 // yields an error wrapping ErrNotExportable.
 func (s *Shared) Export() ([]Point, error) {
 	r := s.reader()

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSharedConcurrentAddSuggest hammers one Shared synopsis from 8
-// goroutines mixing Add, Suggest, Rank and TrainingSize. It is primarily a
+// goroutines mixing Add, Suggest, RankK and TrainingSize. It is primarily a
 // -race exercise; afterwards every observation must be present.
 func TestSharedConcurrentAddSuggest(t *testing.T) {
 	sh := NewShared(NewNearestNeighbor())
@@ -34,7 +34,7 @@ func TestSharedConcurrentAddSuggest(t *testing.T) {
 				if sug, ok := sh.Suggest(x, nil); ok && sug.Action.Fix == catalog.FixNone {
 					t.Errorf("worker %d: suggestion with no fix", w)
 				}
-				sh.Rank(x)
+				sh.RankK(x, -1)
 				sh.TrainingSize()
 			}
 		}(w)
@@ -88,7 +88,7 @@ func TestSharedReadersDuringBatchedWrites(t *testing.T) {
 					t.Errorf("reader %d: suggestion with no fix", r)
 					return
 				}
-				sh.Rank(x)
+				sh.RankK(x, -1)
 				sh.TrainingSize()
 			}
 		}(r)
@@ -122,16 +122,20 @@ func (o opaque) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
 	return o.s.Suggest(x, filter)
 }
 func (o opaque) RankK(x []float64, k int) []Suggestion { return o.s.RankK(x, k) }
-func (o opaque) Rank(x []float64) []Suggestion         { return o.s.Rank(x) }
 func (o opaque) TrainingSize() int                     { return o.s.TrainingSize() }
+
+// nilClone is a Cloner whose Clone gives up.
+type nilClone struct{ opaque }
+
+func (nilClone) Clone() Synopsis { return nil }
 
 // TestSharedRejectsNonCloner: Shared serves reads from clones and has no
 // other mode, so a base that cannot be cloned — no Clone at all, or a
-// wrapper whose Clone gives up — is refused at construction, by name.
+// Clone that gives up — is refused at construction, by name.
 func TestSharedRejectsNonCloner(t *testing.T) {
 	for name, base := range map[string]Synopsis{
 		"no-clone":  opaque{s: NewNearestNeighbor()},
-		"nil-clone": NewOnline(forgetful{opaque{s: NewNearestNeighbor()}}, 8),
+		"nil-clone": nilClone{opaque{s: NewNearestNeighbor()}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -145,11 +149,6 @@ func TestSharedRejectsNonCloner(t *testing.T) {
 		})
 	}
 }
-
-// forgetful gives opaque the Forget the online wrapper needs.
-type forgetful struct{ opaque }
-
-func (forgetful) Forget(int) {}
 
 // TestSharedIsTransparent verifies the wrapper changes nothing but the
 // name: a Shared NN and a bare NN fed the same points agree on every

@@ -3,8 +3,7 @@
 // techniques the paper evaluates in Figure 4 and Table 3 — nearest
 // neighbor, k-means clustering (one cluster per successful fix), and
 // AdaBoost (SAMME ensemble of decision stumps, 60 weak learners) — plus a
-// Gaussian naive-Bayes synopsis for confidence estimates and ranking, and a
-// sliding-window online wrapper for drifting workloads.
+// Gaussian naive-Bayes synopsis for confidence estimates and ranking.
 //
 // Learners classify at the fix level (the paper's classes: microreboot,
 // update statistics, repartition, ...) and resolve the fix's target
@@ -83,12 +82,10 @@ type Synopsis interface {
 	// RankK returns the k highest-confidence candidate actions, ordered
 	// by confidence. k < 0 means every candidate. Confidences are
 	// normalized over the full candidate set regardless of k, so
-	// RankK(x, k) is always exactly Rank(x)[:k] — but an indexed learner
-	// resolves targets only for the k returned fixes instead of
+	// RankK(x, k) is always exactly RankK(x, -1)[:k] — but an indexed
+	// learner resolves targets only for the k returned fixes instead of
 	// materializing the whole ranking.
 	RankK(x []float64, k int) []Suggestion
-	// Rank returns every candidate action: RankK(x, -1).
-	Rank(x []float64) []Suggestion
 	// TrainingSize returns the number of successful observations held.
 	TrainingSize() int
 }
@@ -114,15 +111,32 @@ func AddAll(s Synopsis, ps []Point) {
 	}
 }
 
+// Accuracy returns the fraction of test points whose suggested fix class
+// matches the point's labeled fix. This is the y-axis of the paper's
+// Figure 4 ("accuracy of the current synopsis computed on a fixed test
+// set"): the synopses classify fixes, with targets resolved separately.
+func Accuracy(s Synopsis, test []Point) float64 {
+	if len(test) == 0 {
+		return 0
+	}
+	correct := 0
+	for i := range test {
+		sug, ok := s.Suggest(test[i].X, nil)
+		if ok && sug.Action.Fix == test[i].Action.Fix {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(test))
+}
+
 // Cloner is implemented by synopses that can produce an independent copy
 // sharing immutable internals with the original. The contract: reads on
-// the clone (Suggest, Rank, TrainingSize, Export) remain correct no matter
+// the clone (Suggest, RankK, TrainingSize, Export) remain correct no matter
 // what is later Added to the original, and vice versa. Shared uses clones
 // as lock-free read snapshots; every built-in learner implements it.
 type Cloner interface {
 	// Clone returns the independent read snapshot, or nil when the
-	// synopsis cannot be cloned (a wrapper around a base that is no
-	// Cloner); Shared refuses such a synopsis.
+	// synopsis cannot be cloned; Shared refuses such a synopsis.
 	Clone() Synopsis
 }
 
@@ -209,8 +223,8 @@ func (c *classSet) clone() *classSet {
 
 // exemplars stores successful observations for target resolution: given a
 // symptom and a fix class, the recommended target is the target that
-// worked for the nearest matching signature. Arrival order is kept so the
-// online wrapper's sliding window evicts the globally oldest points.
+// worked for the nearest matching signature. Arrival order is kept so a
+// sliding window (NearestNeighbor.Forget) evicts the globally oldest points.
 //
 // The store keeps one list and one index: all, in arrival order, and an
 // incrementally-maintained KD-tree forest (gidx, see fixIndex) over it,

@@ -63,7 +63,7 @@ func TestEmptySynopsesAbstain(t *testing.T) {
 		if _, ok := s.Suggest([]float64{1, 2}, nil); ok {
 			t.Errorf("%s suggested from an empty synopsis", s.Name())
 		}
-		if r := s.Rank([]float64{1, 2}); len(r) != 0 {
+		if r := s.RankK([]float64{1, 2}, -1); len(r) != 0 {
 			t.Errorf("%s ranked from an empty synopsis", s.Name())
 		}
 	}
@@ -105,7 +105,7 @@ func TestQuickSuggestNeverExcluded(t *testing.T) {
 				x[i] = math.Mod(raw[i], 10)
 			}
 		}
-		ranked := nn.Rank(x)
+		ranked := nn.RankK(x, -1)
 		if len(ranked) == 0 {
 			return true
 		}
@@ -204,7 +204,7 @@ func TestNaiveBayesConfidencesSumToOne(t *testing.T) {
 	for _, p := range twoClusterData(rng, 30, 4) {
 		nb.Add(p)
 	}
-	r := nb.Rank([]float64{5, 0, 0, 0})
+	r := nb.RankK([]float64{5, 0, 0, 0}, -1)
 	total := 0.0
 	for _, s := range r {
 		if s.Confidence < 0 || s.Confidence > 1 {
@@ -217,30 +217,6 @@ func TestNaiveBayesConfidencesSumToOne(t *testing.T) {
 	}
 	if r[0].Confidence < 0.9 {
 		t.Errorf("confident case has confidence %v", r[0].Confidence)
-	}
-}
-
-func TestOnlineForgets(t *testing.T) {
-	oldAction := Action{Fix: catalog.FixUpdateStats, Target: "items"}
-	newAction := Action{Fix: catalog.FixRepartitionMemory}
-	on := NewOnline(NewNearestNeighbor(), 5)
-	// Old world: x≈+5 means update-stats.
-	for i := 0; i < 5; i++ {
-		on.Add(Point{X: []float64{5, 0}, Action: oldAction, Success: true})
-	}
-	// Drifted world: the same region now means repartition-memory.
-	for i := 0; i < 6; i++ {
-		on.Add(Point{X: []float64{5, 0}, Action: newAction, Success: true})
-	}
-	sug, ok := on.Suggest([]float64{5, 0}, nil)
-	if !ok {
-		t.Fatal("abstained")
-	}
-	if sug.Action.Fix != newAction.Fix {
-		t.Errorf("online synopsis stuck on stale signature: %v", sug.Action)
-	}
-	if on.TrainingSize() > 6 {
-		t.Errorf("window not enforced: %d", on.TrainingSize())
 	}
 }
 

@@ -235,8 +235,7 @@ func (a *Auction) NewFaults(seed int64, kinds ...catalog.FaultKind) (FaultGen, e
 // simFaultGen adapts *faults.Generator to the target-agnostic FaultGen.
 type simFaultGen struct{ g *faults.Generator }
 
-func (s simFaultGen) Next() Fault                { return s.g.Next() }
-func (s simFaultGen) Kinds() []catalog.FaultKind { return s.g.Kinds() }
+func (s simFaultGen) Next() Fault { return s.g.Next() }
 
 // --- Optional capabilities ------------------------------------------------
 

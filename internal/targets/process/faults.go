@@ -67,9 +67,3 @@ func (g *gen) Next() targets.Fault {
 	}
 	return f
 }
-
-func (g *gen) Kinds() []catalog.FaultKind {
-	out := make([]catalog.FaultKind, len(g.kinds))
-	copy(out, g.kinds)
-	return out
-}

@@ -259,17 +259,6 @@ func (m *managed) stop() {
 	}
 }
 
-// uptime returns how long the current child has been running (0 when
-// none is live).
-func (m *managed) uptime() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.aliveLocked() {
-		return 0
-	}
-	return time.Since(m.started)
-}
-
 // respawn replaces the child: graceful stop if one is live, then a
 // backoff-paced start. A child that ran past ResetAfter resets the
 // ladder; respawning a short-lived (or already-dead) child climbs it.

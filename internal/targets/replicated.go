@@ -1065,8 +1065,6 @@ func NewReplicatedFaults(spec Spec, seed int64, kinds ...catalog.FaultKind) (Fau
 	return &replFaultGen{rng: sim.NewRNG(seed), kinds: kinds}, nil
 }
 
-func (g *replFaultGen) Kinds() []catalog.FaultKind { return g.kinds }
-
 func (g *replFaultGen) Next() Fault {
 	kind := g.kinds[g.rng.Intn(len(g.kinds))]
 	r := g.rng

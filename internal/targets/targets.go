@@ -70,8 +70,6 @@ type Fault interface {
 type FaultGen interface {
 	// Next draws one fault instance.
 	Next() Fault
-	// Kinds returns the kinds this generator draws from.
-	Kinds() []catalog.FaultKind
 }
 
 // Spec is a target's static catalog: the vocabulary one kind of managed

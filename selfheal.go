@@ -387,7 +387,7 @@ func WithEventSink(s EventSink) Option {
 // every n episodes in one batch (n=1: once per episode) instead of one
 // synopsis update per attempt. On a shared fleet knowledge base that means
 // one writer-lock acquisition, one model refit and one snapshot republish
-// per flush — the write path that keeps Suggest/Rank readers lock-free.
+// per flush — the write path that keeps Suggest/RankK readers lock-free.
 // Zero (the default) keeps the paper's immediate per-attempt learning.
 // Identical between a System and a fleet of one, so batched fleets remain
 // reproducible by sequential replay.
@@ -414,7 +414,7 @@ func WithWorkers(n int) Option {
 }
 
 // NewSharedSynopsis wraps base as a fleet-wide knowledge base: Suggest and
-// Rank read an immutable copy-on-write snapshot through an atomic pointer
+// RankK read an immutable copy-on-write snapshot through an atomic pointer
 // (no lock), while writers — ideally episode batches via WithLearnBatch —
 // serialize behind a mutex and republish the snapshot once per write. The
 // snapshots are clones, so base must implement Clone() Synopsis, as every
@@ -600,8 +600,8 @@ var ParseFaultKind = catalog.ParseFaultKind
 // an approach during preproduction.
 type BootstrapPlan = core.BootstrapPlan
 
-// Bootstrap and persistence functions, plus the synopsis constructors for
-// callers that assemble FixSym approaches by hand.
+// Bootstrap functions, plus the synopsis constructors for callers that
+// assemble FixSym approaches by hand.
 var (
 	// Bootstrap runs a preproduction fault-injection campaign and feeds
 	// ground-truth-labeled outcomes to the approach.
@@ -610,19 +610,6 @@ var (
 	DefaultBootstrapPlan = core.DefaultBootstrapPlan
 	// NewFixSym builds a FixSym approach over any synopsis.
 	NewFixSym = core.NewFixSym
-	// SaveSynopsis serializes a synopsis's training history (the §5.1
-	// knowledge base) as a format-v2 JSON snapshot carrying the
-	// process-wide symptom-space name table, so the file stays portable
-	// across processes that register target kinds in different orders.
-	// Prefer SaveKnowledgeBase, which also records the registered target
-	// catalogs. See KNOWLEDGE_BASES.md for the format.
-	SaveSynopsis = synopsis.Save
-	// LoadSynopsis replays a serialized history into any synopsis,
-	// remapping format-v2 point vectors by metric name into this
-	// process's symptom space. Version-1 files replay positionally and
-	// are only portable between processes that registered their target
-	// kinds in the same order.
-	LoadSynopsis = synopsis.Load
 	// Synopsis constructors.
 	NewNNSynopsis         = synopsis.NewNearestNeighbor
 	NewKMeansSynopsis     = synopsis.NewKMeans
@@ -657,21 +644,30 @@ func MergeKnowledgeBases(snaps ...*KBSnapshot) (*KBSnapshot, error) { return syn
 // and the fix catalogs of every registered target kind — the §5.1
 // knowledge base "a practitioner can use", portable to processes that
 // register their target kinds in any order. The synopsis must be able to
-// export its history (every built-in learner, the Online wrapper over an
-// exportable base, and SharedSynopsis can); otherwise an error is
-// returned, wrapping synopsis.ErrNotExportable when the history exists
-// but cannot be surrendered.
+// export its history (every built-in learner and SharedSynopsis over one
+// can); otherwise an error is returned, wrapping synopsis.ErrNotExportable
+// when the history exists but cannot be surrendered.
 func SaveKnowledgeBase(w io.Writer, s Synopsis) error {
-	return synopsis.SaveWith(w, s, synopsis.SaveOptions{Targets: TargetCatalogs()})
+	snap, err := synopsis.Capture(s, synopsis.SaveOptions{Targets: TargetCatalogs()})
+	if err != nil {
+		return err
+	}
+	return snap.Encode(w)
 }
 
 // LoadKnowledgeBase replays a saved knowledge base into any synopsis,
 // remapping format-v2 point vectors into this process's symptom space by
 // metric name — build the Systems or Fleet first so the process's own
-// targets have registered their schemas, then load. Version-1 files
-// replay positionally (see LoadSynopsis).
+// targets have registered their schemas, then load. Version-1 files carry
+// no name table and replay positionally: they rank fixes correctly only in
+// a process that registered its target kinds in the same order as the
+// writer.
 func LoadKnowledgeBase(r io.Reader, into Synopsis) error {
-	return synopsis.Load(r, into)
+	snap, err := synopsis.Decode(r)
+	if err != nil {
+		return err
+	}
+	return snap.Replay(into, nil)
 }
 
 // TargetCatalogs returns the fix catalogs of every registered target
