@@ -583,14 +583,14 @@ func benchRealWidth(b *testing.B, read func(kb selfheal.Synopsis, x []float64) s
 		kb, pts, queries := realKB(b)
 		brute := synopsis.NewBruteForceIndex(pts)
 		for _, q := range queries[:16] {
-			if got, want := read(kb, q.X), pts[brute.Nearest(q.X, 1, nil)[0].Ord].Action; got != want {
+			if got, want := read(kb, q.X), pts[brute.Nearest(q.X, 1)[0].Ord].Action; got != want {
 				b.Fatalf("indexed read answers %v, the brute scan's nearest is %v", got, want)
 			}
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			measureQueries(b, queries, func(x []float64) { read(kb, x) })
-			bruteMean, _ := timeQueries(queries, func(x []float64) { brute.Nearest(x, 1, nil) })
+			bruteMean, _ := timeQueries(queries, func(x []float64) { brute.Nearest(x, 1) })
 			b.ReportMetric(bruteMean, "brute-mean-ns")
 		}
 	})

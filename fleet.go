@@ -177,10 +177,42 @@ type FleetStats struct {
 	Escalated int
 	// CorrectFirst counts episodes healed by their very first attempt.
 	CorrectFirst int
+	// Attempts counts fix attempts over every episode.
+	Attempts int
 	// MeanTTR averages injection-through-recovery over recovered episodes.
 	MeanTTR float64
 	// MaxTTR is the worst recovered episode's TTR.
 	MaxTTR int64
+	// totalTTR sums the recovered episodes' TTRs exactly, as integers.
+	totalTTR int64
+}
+
+// Add folds one episode into the tally.
+func (s *FleetStats) Add(ep Episode) {
+	s.Episodes++
+	s.Attempts += len(ep.Attempts)
+	if ep.Detected {
+		s.Detected++
+	}
+	if ep.Latent {
+		s.Latent++
+	}
+	if ep.Withdrawn {
+		s.Withdrawn++
+	}
+	if ep.Escalated {
+		s.Escalated++
+	}
+	if ep.CorrectFirst {
+		s.CorrectFirst++
+	}
+	if ep.Recovered {
+		s.Recovered++
+		ttr := ep.TTR()
+		s.totalTTR += ttr
+		s.MeanTTR = float64(s.totalTTR) / float64(s.Recovered)
+		s.MaxTTR = max(s.MaxTTR, ttr)
+	}
 }
 
 // RecoveryRate returns recovered/detected episodes (1 when none were
@@ -297,34 +329,8 @@ func (fl *Fleet) RunCampaign(ctx context.Context, c Campaign) (*FleetResult, err
 	}
 	for _, rr := range results {
 		for _, ep := range rr.Episodes {
-			res.Stats.Episodes++
-			if ep.Detected {
-				res.Stats.Detected++
-			}
-			if ep.Latent {
-				res.Stats.Latent++
-			}
-			if ep.Withdrawn {
-				res.Stats.Withdrawn++
-			}
-			if ep.Escalated {
-				res.Stats.Escalated++
-			}
-			if ep.CorrectFirst {
-				res.Stats.CorrectFirst++
-			}
-			if ep.Recovered {
-				res.Stats.Recovered++
-				ttr := ep.TTR()
-				res.Stats.MeanTTR += float64(ttr)
-				if ttr > res.Stats.MaxTTR {
-					res.Stats.MaxTTR = ttr
-				}
-			}
+			res.Stats.Add(ep)
 		}
-	}
-	if res.Stats.Recovered > 0 {
-		res.Stats.MeanTTR /= float64(res.Stats.Recovered)
 	}
 	return res, ctx.Err()
 }

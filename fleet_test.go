@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"selfheal"
+	"selfheal/internal/core"
 )
 
 // TestFleetDeterminismUnderConcurrency is the fleet's core guarantee: 8
@@ -291,5 +292,40 @@ func TestFleetCancelledCampaign(t *testing.T) {
 	}
 	if res.Stats.Episodes != 0 {
 		t.Errorf("cancelled campaign still ran %d episodes", res.Stats.Episodes)
+	}
+}
+
+// TestFleetStatsAdd: the one episode tally counts each flag, every
+// episode's attempts, and the mean and worst TTR over recovered episodes
+// only.
+func TestFleetStatsAdd(t *testing.T) {
+	ep := func(attempts int, injected, recovered int64) selfheal.Episode {
+		return selfheal.Episode{InjectedAt: injected, RecoveredAt: recovered, Attempts: make([]core.Attempt, attempts)}
+	}
+	firstRight := ep(1, 10, 110)
+	firstRight.Detected, firstRight.Recovered, firstRight.CorrectFirst = true, true, true
+	escalated := ep(3, 0, 333)
+	escalated.Detected, escalated.Recovered, escalated.Escalated, escalated.Withdrawn = true, true, true, true
+	latent := ep(0, 5, 0)
+	latent.Latent = true
+	unhealed := ep(2, 7, 0)
+	unhealed.Detected, unhealed.Withdrawn = true, true
+
+	var s selfheal.FleetStats
+	if s.MeanTTR != 0 || s.RecoveryRate() != 1 {
+		t.Fatalf("empty tally: mean TTR %v, recovery rate %v", s.MeanTTR, s.RecoveryRate())
+	}
+	for _, e := range []selfheal.Episode{firstRight, escalated, latent, unhealed} {
+		s.Add(e)
+	}
+	got := [...]int{s.Episodes, s.Detected, s.Latent, s.Withdrawn, s.Recovered, s.Escalated, s.CorrectFirst, s.Attempts}
+	if want := [...]int{4, 3, 1, 2, 2, 1, 1, 6}; got != want {
+		t.Errorf("episodes, detected, latent, withdrawn, recovered, escalated, correct-first, attempts = %v, want %v", got, want)
+	}
+	if s.MeanTTR != 216.5 || s.MaxTTR != 333 {
+		t.Errorf("mean TTR %v, max TTR %d; want 216.5 and 333", s.MeanTTR, s.MaxTTR)
+	}
+	if r := s.RecoveryRate(); r != 2.0/3 {
+		t.Errorf("recovery rate %v, want 2/3", r)
 	}
 }

@@ -48,15 +48,15 @@ func RunHybridAblation(seed int64, episodes int) HybridAblation {
 	for _, make := range mk {
 		a := make()
 		gen := faults.NewGenerator(seed+11, LearningKinds()...)
-		var stats EpisodeStats
+		var stats selfheal.FleetStats
 		for i := 0; i < episodes; i++ {
 			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*211), selfheal.WithApproachInstance(a))
-			stats.AddEpisode(sys.HealEpisode(ctx, gen.Next()))
+			stats.Add(sys.HealEpisode(ctx, gen.Next()))
 		}
 		res.Names = append(res.Names, a.Name())
-		res.Escalated = append(res.Escalated, stats.EscalationRate())
-		res.MeanTTR = append(res.MeanTTR, stats.MeanTTR())
-		res.FirstRight = append(res.FirstRight, stats.CorrectFirstRate())
+		res.Escalated = append(res.Escalated, perDetected(stats.Escalated, stats))
+		res.MeanTTR = append(res.MeanTTR, stats.MeanTTR)
+		res.FirstRight = append(res.FirstRight, perDetected(stats.CorrectFirst, stats))
 	}
 	return res
 }
@@ -174,13 +174,13 @@ func RunConfidenceAblation(seed int64, episodes int) ConfidenceAblation {
 	ctx := context.Background()
 
 	run := func(a core.Approach) float64 {
-		var stats EpisodeStats
+		var stats selfheal.FleetStats
 		gen2 := faults.NewGenerator(seed+29, LearningKinds()...)
 		for i := 0; i < episodes; i++ {
 			sys := selfheal.MustNew(ctx, selfheal.WithSeed(seed+int64(i)*307), selfheal.WithApproachInstance(a))
-			stats.AddEpisode(sys.HealEpisode(ctx, gen2.Next()))
+			stats.Add(sys.HealEpisode(ctx, gen2.Next()))
 		}
-		return stats.MeanAttempts()
+		return perDetected(stats.Attempts, stats)
 	}
 	ranked := run(core.NewFixSym(nb))
 	unranked := run(&unrankedApproach{syn: nb})

@@ -20,7 +20,6 @@ import (
 
 	"selfheal"
 	"selfheal/internal/catalog"
-	"selfheal/internal/core"
 	"selfheal/internal/faults"
 	"selfheal/internal/synopsis"
 )
@@ -113,65 +112,12 @@ func (t *timed) RankK(x []float64, k int) []synopsis.Suggestion {
 	return r
 }
 
-// EpisodeStats aggregates healing episodes into the metrics Table 2 and
-// Figure 2 report.
-type EpisodeStats struct {
-	Detected     int
-	Recovered    int
-	CorrectFirst int
-	Escalated    int
-	Attempts     int
-	TotalTTR     int64
-}
-
-// AddEpisode folds one episode in.
-func (s *EpisodeStats) AddEpisode(ep core.Episode) {
-	if ep.Detected {
-		s.Detected++
-	}
-	if ep.Recovered {
-		s.Recovered++
-		s.TotalTTR += ep.TTR()
-	}
-	if ep.CorrectFirst {
-		s.CorrectFirst++
-	}
-	if ep.Escalated {
-		s.Escalated++
-	}
-	s.Attempts += len(ep.Attempts)
-}
-
-// CorrectFirstRate is the fraction of detected failures fixed on the first
-// attempt.
-func (s *EpisodeStats) CorrectFirstRate() float64 {
+// perDetected is n per detected failure of s (0 when none was detected):
+// the first-right, escalation and attempt rates Table 2 and the ablations
+// report.
+func perDetected(n int, s selfheal.FleetStats) float64 {
 	if s.Detected == 0 {
 		return 0
 	}
-	return float64(s.CorrectFirst) / float64(s.Detected)
-}
-
-// EscalationRate is the fraction of detected failures escalated to the
-// administrator.
-func (s *EpisodeStats) EscalationRate() float64 {
-	if s.Detected == 0 {
-		return 0
-	}
-	return float64(s.Escalated) / float64(s.Detected)
-}
-
-// MeanAttempts is the mean number of fix attempts per detected failure.
-func (s *EpisodeStats) MeanAttempts() float64 {
-	if s.Detected == 0 {
-		return 0
-	}
-	return float64(s.Attempts) / float64(s.Detected)
-}
-
-// MeanTTR is the mean time to recover in ticks over recovered episodes.
-func (s *EpisodeStats) MeanTTR() float64 {
-	if s.Recovered == 0 {
-		return 0
-	}
-	return float64(s.TotalTTR) / float64(s.Recovered)
+	return float64(n) / float64(s.Detected)
 }

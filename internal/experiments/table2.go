@@ -106,7 +106,7 @@ func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Ce
 	ctx := context.Background()
 	n := cfg.Episodes
 	gen := faults.NewGenerator(cfg.Seed+hashString(scen), scenarioKinds(scen)...)
-	var stats EpisodeStats
+	var stats selfheal.FleetStats
 	refBuilder := buildReferenceBaseline(cfg.Seed)
 
 	warmup := 0
@@ -143,13 +143,13 @@ func runScenario(cfg Table2Config, scen string, approach core.Approach) Table2Ce
 		if scen == "rare" && f.Kind() != catalog.FaultBlockContention {
 			continue
 		}
-		stats.AddEpisode(ep)
+		stats.Add(ep)
 	}
 	return Table2Cell{
-		CorrectFirst: stats.CorrectFirstRate(),
-		MeanAttempts: stats.MeanAttempts(),
-		Escalated:    stats.EscalationRate(),
-		MeanTTR:      stats.MeanTTR(),
+		CorrectFirst: perDetected(stats.CorrectFirst, stats),
+		MeanAttempts: perDetected(stats.Attempts, stats),
+		Escalated:    perDetected(stats.Escalated, stats),
+		MeanTTR:      stats.MeanTTR,
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"sort"
 	"strconv"
@@ -147,8 +146,6 @@ type Config struct {
 	RateLimit *controlplane.RateLimitConfig
 	// LogRequests turns on one structured log line per request.
 	LogRequests bool
-	// Logger receives request and panic logs (nil: process default).
-	Logger *log.Logger
 	// Drain, when non-nil, reports the node's drain state: /healthz
 	// reflects it and /kb/push refuses gossip with 503 while draining.
 	Drain Drainer
@@ -203,7 +200,7 @@ func NewServer(cfg Config) (*Server, error) {
 	// Stages the config leaves off are nil and skipped by Chain.
 	var logMW, rateMW, authMW controlplane.Middleware
 	if cfg.LogRequests {
-		logMW = controlplane.RequestLog(cfg.Logger)
+		logMW = controlplane.RequestLog(nil)
 	}
 	if cfg.RateLimit != nil {
 		rateMW = controlplane.RateLimit(*cfg.RateLimit)
@@ -212,7 +209,7 @@ func NewServer(cfg Config) (*Server, error) {
 		authMW = controlplane.Auth(cfg.Auth)
 	}
 	s.handler = controlplane.Chain(
-		controlplane.Recover(cfg.Logger),
+		controlplane.Recover(nil),
 		controlplane.CountAdmin(cfg.Admin),
 		logMW,
 		rateMW,

@@ -112,8 +112,6 @@ type GossipConfig struct {
 	// Seed makes peer sampling deterministic for tests; zero seeds from
 	// the clock.
 	Seed int64
-	// Logf, when set, receives one line per failed push. Nil is silent.
-	Logf func(format string, args ...any)
 }
 
 // NewGossiper builds a gossiper over node and registers its
@@ -411,9 +409,6 @@ func (g *Gossiper) broadcast(ctx context.Context, d *synopsis.Delta, id string, 
 			defer wg.Done()
 			if err := g.push(ctx, t, body, id, ttl); err != nil {
 				g.pushesFailed.Add(1)
-				if g.cfg.Logf != nil {
-					g.cfg.Logf("kbsync: gossip push to %s failed: %v", t, err)
-				}
 				return
 			}
 			g.pointsPushed.Add(uint64(len(d.Points)))

@@ -228,9 +228,6 @@ type Config struct {
 	// poll the hub at the same instants — the herd the jitter exists to
 	// break up.
 	Seed int64
-	// Logf, when set, receives one line per state change (peer failed,
-	// peer recovered). Nil means silent.
-	Logf func(format string, args ...any)
 	// OnStop, when set, receives the final per-peer status snapshot as
 	// Run exits on context cancellation — the operator's last look at
 	// why a peer was failing (see httpapi.Collector.RecordFinalPeers).
@@ -424,16 +421,12 @@ func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int
 	return added, nil
 }
 
-// fail records a pull failure and logs the first of a failure streak.
+// fail records a pull failure.
 func (s *Syncer) fail(p *peer, err error) error {
 	p.mu.Lock()
 	p.failures++
-	first := p.failures == 1
 	p.lastErr = err.Error()
 	p.mu.Unlock()
-	if first && s.cfg.Logf != nil {
-		s.cfg.Logf("kbsync: peer %s failed: %v (backing off)", p.url, err)
-	}
 	return err
 }
 
@@ -443,7 +436,6 @@ func (s *Syncer) fail(p *peer, err error) error {
 // resets it.
 func (s *Syncer) ok(p *peer, seq uint64, epoch, etag string, added int) {
 	p.mu.Lock()
-	recovered := p.failures > 0
 	p.failures = 0
 	p.lastErr = ""
 	if newLife := epoch != "" && epoch != p.epoch; newLife || seq >= p.seq {
@@ -458,7 +450,4 @@ func (s *Syncer) ok(p *peer, seq uint64, epoch, etag string, added int) {
 	p.pulls++
 	p.points += uint64(added)
 	p.mu.Unlock()
-	if recovered && s.cfg.Logf != nil {
-		s.cfg.Logf("kbsync: peer %s recovered (seq %d)", p.url, seq)
-	}
 }

@@ -584,10 +584,10 @@ type TickStats struct {
 	Down          bool
 }
 
-// inflation is the open-queueing latency multiplier at utilization u,
+// Inflation is the open-queueing latency multiplier at utilization u,
 // clamped so the model stays finite at saturation (admission control sheds
-// the excess).
-func inflation(u float64) float64 {
+// the excess). Both simulated engines queue by it.
+func Inflation(u float64) float64 {
 	if u < 0 {
 		u = 0
 	}
@@ -748,8 +748,8 @@ func (s *Service) Tick(arrivals []float64) TickStats {
 	dbUtil := math.Max(st.DBCPUUtil, st.ConnUtil)
 	netMS := s.cfg.NetHops * (s.cfg.NetLatencyMS + s.Net.ExtraLatencyMS)
 	gcPauseMS := gc * 60
-	webInfl, appInfl := inflation(st.WebUtil), inflation(st.AppUtil)
-	dbInfl, ioInfl := inflation(dbUtil), inflation(st.DBIOUtil)
+	webInfl, appInfl := Inflation(st.WebUtil), Inflation(st.AppUtil)
+	dbInfl, ioInfl := Inflation(dbUtil), Inflation(st.DBIOUtil)
 	var served, errors, violations, latSum, latWeight, busyThreadS float64
 	for c := range s.classes {
 		a := arrivals[c]

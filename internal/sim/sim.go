@@ -85,7 +85,7 @@ func (g *RNG) Normal(mu, sigma float64) float64 {
 // LogNormal returns a log-normal sample where mu and sigma are the
 // parameters of the underlying normal distribution.
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return expApprox(mu + sigma*g.r.NormFloat64())
+	return math.Exp(mu + sigma*g.r.NormFloat64())
 }
 
 // Uniform returns a uniform sample in [lo, hi).
@@ -106,7 +106,7 @@ func (g *RNG) Poisson(lambda float64) int {
 		return 0
 	case lambda > 30:
 		// Normal approximation with continuity correction.
-		n := g.r.NormFloat64()*sqrtApprox(lambda) + lambda + 0.5
+		n := g.r.NormFloat64()*math.Sqrt(lambda) + lambda + 0.5
 		if n < 0 {
 			return 0
 		}
@@ -155,7 +155,7 @@ func (g *RNG) poissonCDF(lambda float64) []float64 {
 
 // buildPoissonCDF computes the truncated Poisson(lambda) CDF table.
 func buildPoissonCDF(lambda float64) []float64 {
-	p := expApprox(-lambda)
+	p := math.Exp(-lambda)
 	cum := p
 	cdf := make([]float64, 1, int(lambda)+16)
 	cdf[0] = cum
@@ -192,7 +192,7 @@ func (p *PoissonStream) Sample(lambda float64) int {
 	case lambda > 30:
 		// Normal approximation with continuity correction — same branch,
 		// same draw as RNG.Poisson.
-		n := p.g.r.NormFloat64()*sqrtApprox(lambda) + lambda + 0.5
+		n := p.g.r.NormFloat64()*math.Sqrt(lambda) + lambda + 0.5
 		if n < 0 {
 			return 0
 		}
@@ -240,6 +240,3 @@ func (g *RNG) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-func expApprox(x float64) float64  { return math.Exp(x) }
-func sqrtApprox(x float64) float64 { return math.Sqrt(x) }

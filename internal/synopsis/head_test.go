@@ -77,9 +77,8 @@ func headedTrees(fi *fixIndex) int {
 // and 1e-13 apart, and all-zero vectors; the queries include stored points
 // (limit 0), and vectors shorter and longer than the trees' stride. Every
 // Suggest (with and without filters) and RankK answer must equal the
-// brute scan's bit for bit, with indexResolve the only switch, and every
-// Nearest of the exported KD index the exported brute-force index's. The
-// subtests repeat that on the stores the node boxes and class sets could
+// brute scan's bit for bit, with indexResolve the only switch, and so must
+// every fix's nearest exemplar from the group search itself. The subtests repeat that on the stores the node boxes and class sets could
 // get wrong: a class with one far exemplar, more classes than a class set
 // has bits, NaN and infinite coordinates, equal-distance twins across a
 // split, a forest of carries and the compact store a sliding window
@@ -225,7 +224,7 @@ func TestHeadedForestMatchesBruteAtRealWidth(t *testing.T) {
 	if skipped < len(big.ords)/2 {
 		t.Errorf("head rules out %d of %d rows on clustered data; expected most", skipped, len(big.ords))
 	}
-	assertIndexOracle(t, "headed-index", pts, queries[:12])
+	assertGroupOracle(t, "headed-group", s.ex, queries[:12])
 
 	t.Run("skewed-class", func(t *testing.T) { testSkewedClass(t, rng) })
 	t.Run("many-classes", func(t *testing.T) { testManyClasses(t, rng) })
@@ -260,37 +259,6 @@ func bulkThenSingles(pts []Point) *NearestNeighbor {
 	return s
 }
 
-// assertIndexOracle: the exported KD index over pts — one headed tree when
-// pts are many and wide enough — answers Nearest as the exported brute-force
-// index does, ordinal for ordinal and distance bit for bit (NaN included),
-// for bounded and unbounded k, with and without an accept filter.
-func assertIndexOracle(t *testing.T, name string, pts []Point, queries [][]float64) {
-	t.Helper()
-	kd, brute := NewKDTreeIndex(pts), NewBruteForceIndex(pts)
-	if len(pts) >= headMinRows && kd.(*kdIndex).t.head == nil {
-		t.Fatalf("%s: the KD index over %d points keeps no head", name, len(pts))
-	}
-	accepts := []func(int) bool{nil, func(ord int) bool { return ord%3 != 0 }}
-	for qi, x := range queries {
-		ks := []int{1, 3, 17}
-		if qi < 2 {
-			ks = append(ks, -1, len(pts)+1) // every point, sorted: dear, so on two queries
-		}
-		for _, k := range ks {
-			for ai, accept := range accepts {
-				got, want := kd.Nearest(x, k, accept), brute.Nearest(x, k, accept)
-				same := len(got) == len(want)
-				for i := 0; same && i < len(got); i++ {
-					same = got[i].Ord == want[i].Ord && math.Float64bits(got[i].Dist) == math.Float64bits(want[i].Dist)
-				}
-				if !same {
-					t.Fatalf("%s: Nearest(q%d, k=%d, accept %d): indexed %v, brute %v", name, qi, k, ai, got, want)
-				}
-			}
-		}
-	}
-}
-
 // testSkewedClass: one class holds a single exemplar far from everything.
 // Its bound stays loose for the whole search, so the nodes above it are
 // held to that bound while every other node is skipped on the tight bounds
@@ -315,7 +283,7 @@ func testSkewedClass(t *testing.T, rng *rand.Rand) {
 			t.Fatalf("RankK names %d fixes, want all 5 with the lone far exemplar's", len(r))
 		}
 	}
-	assertIndexOracle(t, "skewed-index", pts, queries[:6])
+	assertGroupOracle(t, "skewed-group", s.ex, queries[:6])
 }
 
 // testManyClasses: more classes than a node's class set has bits. The trees
@@ -383,7 +351,7 @@ func testNaNInf(t *testing.T, rng *rand.Rand) {
 	if r := s.RankK(queries[len(queries)-3], -1); len(r) != 0 {
 		t.Fatalf("a NaN query ranks %v; every distance from it is NaN", r)
 	}
-	assertIndexOracle(t, "nan-inf-index", pts, queries[len(queries)-5:])
+	assertGroupOracle(t, "nan-inf-group", s.ex, queries[len(queries)-5:])
 }
 
 // testSplitTwins: two exemplars of one fix at bitwise-equal distance from
@@ -462,7 +430,7 @@ func testSplitTwins(t *testing.T, rng *rand.Rand) {
 	// centre enters first (the centres sit on the split; which side that is
 	// is rounding's choice, the same for both).
 	assertOracle(t, "twins-nn", s, append(centres, pts[len(pts)-1].X, pts[len(pts)-4].X))
-	assertIndexOracle(t, "twins-index", pts, centres)
+	assertGroupOracle(t, "twins-group", s.ex, centres)
 }
 
 // testCarriesThenForget: a sliding-window learner grown one observation at

@@ -12,15 +12,15 @@ import (
 // O(n) euclidean scan per query, which is the ceiling the benchgate's
 // million-point rows pin. This file provides:
 //
-//   - Index: the pluggable build-from-points / Nearest(x, k) interface,
-//     with a KD-tree implementation and a brute-force implementation that
-//     doubles as the correctness oracle;
 //   - the exemplar store's one index: a Bentley–Saxe forest (fixIndex)
 //     whose trees tag every point with its fix class, maintained
 //     incrementally on the write path, so index (re)builds are amortized
 //     onto Add/AddBatch — which Shared serializes behind its writer lock —
 //     and never happen on the lock-free read path. Readers (snapshot
-//     clones) only ever traverse immutable trees.
+//     clones) only ever traverse immutable trees. One group search finds
+//     every class's nearest point at once;
+//   - BruteForceIndex, the linear scan k-means ranks its few centroids
+//     with, and the oracle the benchmarks hold the forest to.
 //
 // Results are byte-identical to the brute scan they replace: distances are
 // computed by the same euclidean() on the same float64s, and the winner is
@@ -29,73 +29,35 @@ import (
 // conservative (a subtree is visited whenever its axis bound ties the
 // current best) so equal-distance candidates are never pruned away.
 
-// Neighbor is one result of an Index query: the ordinal of a point in the
-// indexed set and its euclidean distance from the query vector.
+// Neighbor is one result of a Nearest query: the ordinal of a point in the
+// scanned set and its euclidean distance from the query vector.
 type Neighbor struct {
-	// Ord is the point's position in the point set the index was built
-	// over (its arrival order for incrementally-maintained indexes).
+	// Ord is the point's position in the point set.
 	Ord int
 	// Dist is euclidean(x, point.X), bitwise equal to a direct call.
 	Dist float64
 }
 
-// Index answers k-nearest-neighbor queries over a fixed set of points. An
-// index is immutable once built: queries are safe from any number of
-// goroutines concurrently. Nearest returns the accepted points nearest to
-// x, sorted ascending by (Dist, Ord); accept(ord) filters candidates
-// during the search (nil accepts everything). k < 0 returns every
-// accepted point.
-type Index interface {
-	Nearest(x []float64, k int, accept func(ord int) bool) []Neighbor
-	Len() int
-}
+// BruteForceIndex answers nearest-point queries over a fixed point set by
+// a linear scan. It is immutable: queries are safe from any number of
+// goroutines concurrently.
+type BruteForceIndex struct{ pts []Point }
 
-// NewBruteForceIndex wraps pts in a linear-scan Index — the fallback for
-// tiny sets and the oracle indexed implementations are tested against.
-func NewBruteForceIndex(pts []Point) Index { return &bruteIndex{pts: pts} }
+// NewBruteForceIndex wraps pts in a linear scan.
+func NewBruteForceIndex(pts []Point) *BruteForceIndex { return &BruteForceIndex{pts: pts} }
 
-// NewKDTreeIndex builds a KD-tree Index over pts. Build cost is
-// O(n·dim·log n); queries are sublinear on separable data and never worse
-// than the brute scan.
-func NewKDTreeIndex(pts []Point) Index {
-	ords := make([]int, len(pts))
-	for i := range ords {
-		ords[i] = i
-	}
-	return &kdIndex{t: buildKD(pts, ords)}
-}
-
-// bruteIndex is the O(n) oracle.
-type bruteIndex struct{ pts []Point }
-
-func (b *bruteIndex) Len() int { return len(b.pts) }
-
-func (b *bruteIndex) Nearest(x []float64, k int, accept func(ord int) bool) []Neighbor {
+// Nearest returns the k points nearest to x, sorted ascending by (Dist,
+// Ord); k < 0 returns every point.
+func (b *BruteForceIndex) Nearest(x []float64, k int) []Neighbor {
 	col := newCollector(k)
 	for ord := range b.pts {
-		if accept != nil && !accept(ord) {
-			continue
-		}
 		col.consider(ord, euclidean(x, b.pts[ord].X))
 	}
 	return col.nbs
 }
 
-// kdIndex adapts one KD-tree to the Index interface.
-type kdIndex struct{ t *kdtree }
-
-func (i *kdIndex) Len() int { return len(i.t.ords) }
-
-func (i *kdIndex) Nearest(x []float64, k int, accept func(ord int) bool) []Neighbor {
-	col := newCollector(k)
-	if k != 0 && len(i.t.ords) > 0 {
-		i.t.searchK(&probe{x: x}, col, accept)
-	}
-	return col.nbs
-}
-
 // collector accumulates the k best (Dist, Ord) pairs, kept sorted
-// ascending; full means worst-of-k is the prune bound.
+// ascending.
 type collector struct {
 	k   int // <0: unbounded
 	nbs []Neighbor
@@ -143,15 +105,6 @@ func (c *collector) consider(ord int, d float64) {
 		i--
 	}
 	c.nbs[i] = Neighbor{Ord: ord, Dist: d}
-}
-
-// bound returns the prune radius: the current worst kept distance, +Inf
-// while the collector still has room.
-func (c *collector) bound() float64 {
-	if c.k < 0 || len(c.nbs) < c.k {
-		return math.Inf(1)
-	}
-	return c.nbs[len(c.nbs)-1].Dist
 }
 
 // kdtree is an immutable KD-tree over a subset (ords) of a point slice.
@@ -427,10 +380,10 @@ func euclideanUnder(a, b []float64, limit float64) (float64, bool) {
 	return math.Sqrt(s), true
 }
 
-// The two searches below share one traversal. It is an explicit-stack
-// loop rather than recursion — the descend-check-pop cycle is the single
-// hottest code in a big-KB query, and the call overhead of recursing once
-// per node costs more than the arithmetic at each. Nodes wait on the stack
+// The group search below is an explicit-stack loop rather than recursion
+// — the descend-check-pop cycle is the single hottest code in a big-KB
+// query, and the call overhead of recursing once per node costs more than
+// the arithmetic at each. Nodes wait on the stack
 // (the root first); a popped node is tested against the bound known at pop
 // time and, if it may still matter, descended to its near leaf, pushing the
 // far sibling at every level. What the test is depends on the tree:
@@ -605,36 +558,6 @@ func (t *kdtree) searchGroup(pr *probe, g *groupBest, filter *ActionFilter) {
 			}
 			if d, ok := euclideanUnder(pr.x, t.row(i), g.d[tag]); ok {
 				g.consider(tag, ord, d)
-			}
-		}
-	}
-}
-
-// searchK finds the k nearest accepted points into a k-bounded collector.
-func (t *kdtree) searchK(pr *probe, col *collector, accept func(ord int) bool) {
-	var hq headQuery
-	q := t.start(pr, &hq)
-	stack := kdStack{n: 1}
-	for stack.n > 0 {
-		stack.n--
-		f := stack.frames[stack.n]
-		if t.far(f, &hq, col.bound()) {
-			continue
-		}
-		leaf := t.descend(f.node, q, &stack)
-		if leaf != f.node && t.head != nil && t.head.boxBeyond(leaf, &hq, col.bound()) {
-			continue
-		}
-		for n, i := &t.nodes[leaf], t.nodes[leaf].lo; i < n.hi; i++ {
-			if t.head != nil && t.head.beyond(i, &hq, col.bound()) {
-				continue
-			}
-			ord := t.ords[i]
-			if accept != nil && !accept(ord) {
-				continue
-			}
-			if d, ok := euclideanUnder(pr.x, t.row(i), col.bound()); ok {
-				col.consider(ord, d)
 			}
 		}
 	}

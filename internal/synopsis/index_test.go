@@ -2,8 +2,10 @@ package synopsis
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -57,28 +59,100 @@ func tieQueries(seed int64, pts []Point, n int) [][]float64 {
 	return out
 }
 
-// TestKDTreeIndexMatchesBruteForce: the Index contract — Nearest results
-// identical to the O(n) oracle for every k and filter, on tie-heavy data.
-func TestKDTreeIndexMatchesBruteForce(t *testing.T) {
+// TestGroupSearchMatchesBruteForce: the group search's contract — every
+// fix's nearest exemplar identical to the O(n) brute scan's, with and
+// without filters, on tie-heavy data and on forests of every shape a store
+// of n points takes (a bulk-loaded tree, carries and a tail).
+func TestGroupSearchMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 33, 250, 1024} {
 		pts := tiePoints(int64(n)+1, n)
-		kd, brute := NewKDTreeIndex(pts), NewBruteForceIndex(pts)
-		if kd.Len() != brute.Len() {
-			t.Fatalf("n=%d: Len %d vs %d", n, kd.Len(), brute.Len())
+		queries := tieQueries(int64(n)+2, pts, 40)
+		assertGroupOracle(t, fmt.Sprintf("n=%d", n), bulkThenSingles(pts).ex, queries)
+		// One fix: the group search is a single nearest-neighbour search,
+		// its bound that one class's best, tied by many points.
+		one := make([]Point, len(pts))
+		for i, p := range pts {
+			one[i] = p
+			one[i].Action.Fix = catalog.FixUpdateStats
 		}
-		var accepts = []func(int) bool{
-			nil,
-			func(ord int) bool { return ord%3 != 0 },
-			func(ord int) bool { return pts[ord].Action.Target != "t1" },
+		assertGroupOracle(t, fmt.Sprintf("n=%d/one-fix", n), bulkThenSingles(one).ex, queries)
+	}
+}
+
+// TestBruteForceNearestOrder: the linear scan returns the k nearest points
+// ordered by distance, then by ordinal, with NaN distances last — the order
+// k-means ranks its centroids in — for every k, on tie-heavy data.
+func TestBruteForceNearestOrder(t *testing.T) {
+	pts := tiePoints(11, 60)
+	pts[7].X = []float64{math.NaN()}
+	pts[8].X = []float64{math.NaN(), 1}
+	brute := NewBruteForceIndex(pts)
+	queries := append(tieQueries(12, pts, 20), []float64{math.NaN()})
+	for qi, x := range queries {
+		all := make([]Neighbor, len(pts))
+		for i, p := range pts {
+			all[i] = Neighbor{Ord: i, Dist: euclidean(x, p.X)}
 		}
-		for _, x := range tieQueries(int64(n)+2, pts, 40) {
-			for _, k := range []int{-1, 0, 1, 2, 5, n, n + 3} {
-				for ai, accept := range accepts {
-					got := kd.Nearest(x, k, accept)
-					want := brute.Nearest(x, k, accept)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("n=%d k=%d accept=%d x=%v: kd=%v brute=%v", n, k, ai, x, got, want)
-					}
+		// Stable: equal distances keep ordinal order.
+		sort.SliceStable(all, func(i, j int) bool {
+			a, b := all[i].Dist, all[j].Dist
+			if math.IsNaN(a) || math.IsNaN(b) {
+				return !math.IsNaN(a) && math.IsNaN(b)
+			}
+			return a < b
+		})
+		for _, k := range []int{-1, 0, 1, 2, 5, len(pts), len(pts) + 3} {
+			want := all
+			if k >= 0 && k < len(all) {
+				want = all[:k]
+			}
+			got := brute.Nearest(x, k)
+			same := len(got) == len(want)
+			for i := 0; same && i < len(got); i++ {
+				same = got[i].Ord == want[i].Ord && math.Float64bits(got[i].Dist) == math.Float64bits(want[i].Dist)
+			}
+			if !same {
+				t.Fatalf("q%d k=%d: Nearest %v, want %v", qi, k, got, want)
+			}
+		}
+	}
+}
+
+// assertGroupOracle: for every query and every fix of the store the group
+// search answers what the brute scan answers — found or not, the same
+// action, at a distance equal bit for bit (NaN included). It checks three
+// filters: none, every action on target t1, and each fix's own unfiltered
+// answer, so every search has to go past the exemplar it found first.
+func assertGroupOracle(t *testing.T, name string, ex *exemplars, queries [][]float64) {
+	t.Helper()
+	var onT1 []Action
+	for _, fix := range ex.cls.fixes {
+		onT1 = append(onT1, Action{Fix: fix, Target: "t1"})
+	}
+	for qi, x := range queries {
+		pr := &probe{x: x}
+		var first []Action
+		if g := ex.nearestPerFix(pr, nil); g != nil {
+			for tag, found := range g.found {
+				if found {
+					first = append(first, ex.all[g.ord[tag]].Action)
+				}
+			}
+		}
+		for fi, f := range []*ActionFilter{nil, ExcludeActions(onT1...), ExcludeActions(first...)} {
+			g := ex.nearestPerFix(pr, f)
+			for tag, fix := range ex.cls.fixes {
+				want, wantD, wantOK := ex.bruteNearest(x, fix, f)
+				gotOK := g != nil && g.found[tag]
+				if gotOK != wantOK {
+					t.Fatalf("%s: q%d filter %d fix %v: group found=%v, brute found=%v", name, qi, fi, fix, gotOK, wantOK)
+				}
+				if !gotOK {
+					continue
+				}
+				got, gotD := ex.all[g.ord[tag]].Action, g.d[tag]
+				if got != want || math.Float64bits(gotD) != math.Float64bits(wantD) {
+					t.Fatalf("%s: q%d filter %d fix %v: group (%v, %v), brute (%v, %v)", name, qi, fi, fix, got, gotD, want, wantD)
 				}
 			}
 		}

@@ -23,13 +23,14 @@ type KMeans struct {
 	classes   *classSet
 	ex        *exemplars
 	centroids map[catalog.FixID][]float64
-	// centIdx is the centroid search index, rebuilt by recluster on the
-	// write path: centFixes holds the fixes in ascending id order and
-	// centIdx indexes their centroids as pseudo-points, so a query's
+	// centIdx scans the centroids, rebuilt by recluster on the write
+	// path: centFixes holds the fixes in ascending id order and centIdx
+	// holds their centroids as pseudo-points in that order, so a query's
 	// (distance, ordinal) order is exactly the (score desc, fix asc)
-	// order the ranking contract requires — no post-hoc sort.
+	// order the ranking contract requires — no post-hoc sort. One
+	// centroid per fix is too few points for a tree to pay.
 	centFixes []catalog.FixID
-	centIdx   Index
+	centIdx   *BruteForceIndex
 	version   uint64
 }
 
@@ -143,18 +144,18 @@ func (s *KMeans) recluster() {
 		cents[i] = Point{X: s.centroids[fix], Action: Action{Fix: fix}}
 	}
 	s.centFixes = fixes
-	s.centIdx = NewKDTreeIndex(cents)
+	s.centIdx = NewBruteForceIndex(cents)
 	s.version++
 }
 
 // rankFixes scores fixes by centroid proximity, straight off the centroid
-// index: neighbors arrive ordered by (distance asc, fix asc), which is
+// scan: neighbors arrive ordered by (distance asc, fix asc), which is
 // precisely (score desc, fix asc) for score = 1/(1+d).
 func (s *KMeans) rankFixes(x []float64) []fixScore {
-	if s.centIdx == nil || s.centIdx.Len() == 0 {
+	if s.centIdx == nil {
 		return nil
 	}
-	nbs := s.centIdx.Nearest(x, -1, nil)
+	nbs := s.centIdx.Nearest(x, -1)
 	out := make([]fixScore, len(nbs))
 	for i, nb := range nbs {
 		out[i] = fixScore{fix: s.centFixes[nb.Ord], score: 1 / (1 + nb.Dist)}

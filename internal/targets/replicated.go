@@ -55,6 +55,10 @@ var replMixes = map[string][]float64{
 	"readheavy": {130, 10, 22},
 }
 
+// replDriftDirs is where workload drift takes each class, aligned with
+// replClasses: Read and Search grow, Write shrinks.
+var replDriftDirs = []int8{1, -1, 1}
+
 const (
 	replWebCap      = 350.0 // web-node ops/s
 	replAppCap      = 160.0 // per app replica ops/s
@@ -152,15 +156,8 @@ type Replicated struct {
 	surgeClass  int
 	surgeUntil  int64
 
-	// Workload shaping (the WorkloadShaper capability): constant scale,
-	// diurnal modulation, slow mix drift and scheduled whole-mix surges,
-	// mirroring workload.Generator's knobs for the replicated topology's
-	// own arrival loop.
-	loadScale    float64
-	diurnal      bool
-	driftPerTick float64
-	drift        float64
-	loadSurges   []workload.Surge
+	// load shapes the base mix (the WorkloadShaper capability).
+	load workload.Shaper
 
 	weights  [2]float64
 	replicas [2]*appReplica
@@ -197,8 +194,8 @@ func NewReplicated(cfg Config) (*Replicated, error) {
 		weights:          [2]float64{0.5, 0.5},
 		primaryCapFactor: 1,
 		dbCapBoost:       1,
-		loadScale:        1,
 	}
+	r.load = workload.NewShaper(r.baseRates, replDriftDirs)
 	r.FaultSet = NewFaultSet(ReplicatedName,
 		func(f replFault) error { f.inject(r); return nil },
 		func(f replFault) error { f.clear(r); return nil },
@@ -232,50 +229,12 @@ func (r *Replicated) dbCap() float64 {
 	return replPrimaryCap * r.primaryCapFactor * r.dbCapBoost
 }
 
-// inflation is the open-queueing latency multiplier, clamped at
-// saturation the same way the auction simulator clamps it.
-func replInflation(u float64) float64 {
-	if u < 0 {
-		u = 0
-	}
-	if u > 0.97 {
-		u = 0.97
-	}
-	return 1 / (1 - u)
-}
-
-// rates returns the expected per-class rates at the current tick: the
-// base mix through the workload-shaping knobs (scale, diurnal, drift,
-// scheduled surges), plus any active fault surge. With the shaping knobs
-// at their defaults this reduces to the base mix exactly. The result is
-// r.ratesBuf, overwritten by the next call.
+// rates advances the shaper to the current tick and returns the expected
+// per-class rates: the shaped base mix, plus any active fault surge. The
+// result is r.ratesBuf, overwritten by the next call.
 func (r *Replicated) rates() []float64 {
-	out := r.ratesBuf
-	copy(out, r.baseRates)
-	mod := r.loadScale
-	if r.diurnal {
-		mod *= workload.DiurnalFactor(r.now)
-	}
-	r.drift += r.driftPerTick
-	for c := range out {
-		v := out[c] * mod
-		if r.drift != 0 {
-			// Drift: read-heavy classes grow, writes shrink — the same
-			// evolution shape workload.Generator applies to the auction mix.
-			switch replClasses[c].name {
-			case "Read", "Search":
-				v *= 1 + r.drift
-			case "Write":
-				v *= 1 / (1 + r.drift)
-			}
-		}
-		for _, s := range r.loadSurges {
-			if r.now >= s.Start && r.now < s.End {
-				v *= s.Factor
-			}
-		}
-		out[c] = v
-	}
+	r.load.Advance(r.now)
+	out := r.load.RatesInto(r.now, r.ratesBuf)
 	if r.surgeFactor > 1 && r.now < r.surgeUntil {
 		out[r.surgeClass] *= r.surgeFactor
 	}
@@ -283,17 +242,17 @@ func (r *Replicated) rates() []float64 {
 }
 
 // SetLoadScale implements WorkloadShaper.
-func (r *Replicated) SetLoadScale(f float64) { r.loadScale = f }
+func (r *Replicated) SetLoadScale(f float64) { r.load.SetScale(f) }
 
 // EnableDiurnal implements WorkloadShaper.
-func (r *Replicated) EnableDiurnal() { r.diurnal = true }
+func (r *Replicated) EnableDiurnal() { r.load.EnableDiurnal() }
 
 // SetLoadDrift implements WorkloadShaper.
-func (r *Replicated) SetLoadDrift(perTick float64) { r.driftPerTick = perTick }
+func (r *Replicated) SetLoadDrift(perTick float64) { r.load.SetDrift(perTick) }
 
 // AddLoadSurge implements WorkloadShaper.
 func (r *Replicated) AddLoadSurge(start, end int64, factor float64) {
-	r.loadSurges = append(r.loadSurges, workload.Surge{Start: start, End: end, Factor: factor})
+	r.load.AddSurge(workload.Surge{Start: start, End: end, Factor: factor})
 }
 
 // Tick implements Target: advance replica lifecycles, route the tick's
@@ -456,11 +415,11 @@ func (r *Replicated) Tick() detect.Sample {
 				continue
 			}
 			share := effW[i] / liveTotal
-			appMS += share * class.appOps * replAppMSPerOp * replInflation(st.replicaUtil[i]) / rep.capacityFactor()
+			appMS += share * class.appOps * replAppMSPerOp * service.Inflation(st.replicaUtil[i]) / rep.capacityFactor()
 			failFrac += liveW * share * rep.errorRate
 		}
-		webMS := class.webOps * replWebMSPerOp * replInflation(st.webUtil)
-		dbMS := class.dbOps * replDBMSPerOp * replInflation(st.dbUtil)
+		webMS := class.webOps * replWebMSPerOp * service.Inflation(st.webUtil)
+		dbMS := class.dbOps * replDBMSPerOp * service.Inflation(st.dbUtil)
 		lat := webMS + appMS + dbMS
 
 		ok := a * (1 - failFrac) * admit

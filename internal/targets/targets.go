@@ -24,8 +24,11 @@
 // failover routing) whose faults are replica-partial and whose fixes are
 // rebalance/failover — episodes the single-image auction service cannot
 // produce; and process (internal/targets/process), which supervises a
-// real child process on wall-clock ticks. New targets register through
-// the facade's RegisterTarget; see ADDING_TARGETS.md for the walkthrough.
+// real child process on wall-clock ticks. The two simulated targets share
+// their load shaping (one workload.Shaper each) and their queueing curve
+// (service.Inflation); their topologies, faults and fixes are their own.
+// New targets register through the facade's RegisterTarget; see
+// ADDING_TARGETS.md for the walkthrough.
 package targets
 
 import (
