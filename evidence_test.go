@@ -39,6 +39,9 @@ func detectedContexts(t *testing.T, kind selfheal.TargetKind, seed int64, n int)
 		cfg.SLO = tg.Spec().SLO
 		h := core.NewTargetHarness(tg, cfg)
 		if fctx, label, ok := h.LabeledFailure(ctx, gen.Next(), 600); ok {
+			if len(fctx.Locators) == 0 {
+				t.Fatalf("%s context carries no locators: the comparison would not localise", kind)
+			}
 			out = append(out, labeledContext{fctx, label})
 		}
 	}
@@ -47,6 +50,8 @@ func detectedContexts(t *testing.T, kind selfheal.TargetKind, seed int64, n int)
 
 // declaredOnly copies fctx keeping only the optional evidence e: History
 // falls back to the Recent window, and undeclared calls and paths are nil.
+// What every context carries stays, the target's Locators among it, so
+// FixSym and the diagnosers localise alike on both sides.
 func declaredOnly(fctx *core.FailureContext, e core.Evidence) *core.FailureContext {
 	c := *fctx
 	if e&core.EvidenceHistory == 0 {

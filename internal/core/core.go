@@ -9,9 +9,14 @@
 package core
 
 import (
+	"math"
+	"slices"
+
+	"selfheal/internal/catalog"
 	"selfheal/internal/detect"
 	"selfheal/internal/metrics"
 	"selfheal/internal/synopsis"
+	"selfheal/internal/targets"
 	"selfheal/internal/trace"
 )
 
@@ -62,6 +67,72 @@ type FailureContext struct {
 	// service"), for path-based failure management (ref [8]). Nil unless
 	// the approach declares EvidencePaths.
 	Paths []trace.Path
+	// Locators are the target's locators (targets.Spec.Locators) resolved
+	// against Schema, read by Localise. Like Symptom and Recent, every
+	// context carries them.
+	Locators Locators
+}
+
+// Locators maps each targeted fix to its resolved locator.
+type Locators map[catalog.FixID]locator
+
+// locator is a targets.Locator with its metric names resolved to schema
+// columns, candidate by candidate in declared order: of[i] is the target
+// column cols[i] speaks for.
+type locator struct {
+	rule targets.LocateRule
+	cols []int
+	of   []string
+}
+
+// ResolveLocators resolves a target's locators against its schema once,
+// for every context its harness builds. Metric names the schema lacks are
+// dropped.
+func ResolveLocators(spec map[catalog.FixID]targets.Locator, schema *metrics.Schema) Locators {
+	out := make(Locators, len(spec))
+	for fix, l := range spec {
+		r := locator{rule: l.Rule}
+		for _, c := range l.Candidates {
+			for _, name := range c.Metrics {
+				if col, ok := schema.Index(name); ok {
+					r.cols = append(r.cols, col)
+					r.of = append(r.of, c.Target)
+				}
+			}
+		}
+		out[fix] = r
+	}
+	return out
+}
+
+// Localise names the target of a targeted fix from this failure's own
+// metrics, by the rule the target declares for the fix: the candidate
+// with the largest score over its metrics, the first in declared order on
+// a tie. ok is false when the target declares no locator for fix, or no
+// candidate scores above zero.
+func (c *FailureContext) Localise(fix catalog.FixID) (target string, ok bool) {
+	l := c.Locators[fix]
+	vals := c.Symptom
+	if l.rule == targets.HighestLatest {
+		if c.Recent == nil || c.Recent.Len() == 0 {
+			return "", false
+		}
+		vals = c.Recent.Row(c.Recent.Len() - 1)
+	}
+	best := 0.0
+	for i, col := range l.cols {
+		s := vals[col]
+		switch l.rule {
+		case targets.LargestAbsZ:
+			s = math.Abs(s)
+		case targets.LowestZ:
+			s = -s
+		}
+		if s > best {
+			target, best = l.of[i], s
+		}
+	}
+	return target, target != ""
 }
 
 // Features returns the vector the learning layers consume: the
@@ -213,11 +284,19 @@ func NewFixSym(syn synopsis.Synopsis) *FixSym { return &FixSym{Syn: syn} }
 func (f *FixSym) Name() string { return "fixsym-" + f.Syn.Name() }
 
 // Recommend implements Approach: query the current synopsis for the most
-// probable fix not yet attempted (Figure 3 line 9).
+// probable fix not yet attempted (Figure 3 line 9). The fix goes first to
+// the target the failure's own metrics point at (FailureContext.Localise);
+// once that has been tried, or when the fix does not localise, to the
+// target of the fix's nearest stored exemplar.
 func (f *FixSym) Recommend(ctx *FailureContext, tried []Action) (Action, float64, bool) {
 	sug, ok := f.Syn.Suggest(ctx.Features(), triedSet(tried))
 	if !ok {
 		return Action{}, 0, false
+	}
+	if target, ok := ctx.Localise(sug.Action.Fix); ok {
+		if a := (Action{Fix: sug.Action.Fix, Target: target}); !slices.Contains(tried, a) {
+			return a, sug.Confidence, true
+		}
 	}
 	return sug.Action, sug.Confidence, true
 }

@@ -92,6 +92,9 @@ type Harness struct {
 	// readRows is the most rows a direct reader of the series declared
 	// through RetainRows.
 	readRows int
+	// locators are the target's locators, resolved once against the
+	// schema and handed to every context.
+	locators Locators
 
 	// Clock paces Step: a no-op for simulator targets, a wall-period
 	// sleep for targets whose ticks are real time. Set from the config
@@ -131,6 +134,7 @@ func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 		evidence: EvidenceAll,
 		paceCtx:  context.Background(),
 	}
+	h.locators = ResolveLocators(t.Spec().Locators, h.Coll.Series().Schema())
 	h.Clock = cfg.Clock
 	if h.Clock == nil {
 		if c, ok := t.(targets.Clocked); ok {
@@ -282,6 +286,7 @@ func (h *Harness) BuildContext() *FailureContext {
 		Baseline:   h.Builder.Baseline(),
 		Recent:     recent,
 		History:    recent,
+		Locators:   h.locators,
 	}
 	if h.evidence&EvidenceHistory != 0 {
 		fctx.History = series.Tail(h.Cfg.HistoryTicks)

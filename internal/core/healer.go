@@ -225,12 +225,14 @@ func (hl *Healer) emit(ev Event) {
 }
 
 // applyAction performs one recovery action through the target and steps
-// through its settle window; apply errors (unknown fix, nonsense target)
-// surface as a zero settle so the loop's success check fails naturally.
-func (hl *Healer) applyAction(a Action) {
-	if settle, err := hl.H.Target.Apply(a); err == nil {
+// through its settle window. It returns Apply's error (unknown fix,
+// nonsense target): the target refused the action, and nothing settles.
+func (hl *Healer) applyAction(a Action) error {
+	settle, err := hl.H.Target.Apply(a)
+	if err == nil {
 		hl.H.StepN(int(settle))
 	}
+	return err
 }
 
 // RunEpisode injects f and heals the resulting failure to completion. The
@@ -358,11 +360,13 @@ func (hl *Healer) attemptLoop(ctx context.Context, ep *Episode, budget int) {
 		}
 		tried = append(tried, action)
 		att := Attempt{Action: action, Confidence: conf, AppliedAt: h.Target.Now()}
-		hl.applyAction(action)
 		// Check fix: the service must hold a full clean window (§4.1
-		// "Detecting success/failure of fixes").
-		recovered := h.RunUntilRecovered(ctx, hl.Cfg.CheckTicks)
-		if ctx.Err() != nil && !recovered {
+		// "Detecting success/failure of fixes"). An action the target
+		// refused failed at once: a recovery during a check window would
+		// credit it with something it never did.
+		refused := hl.applyAction(action) != nil
+		recovered := !refused && h.RunUntilRecovered(ctx, hl.Cfg.CheckTicks)
+		if ctx.Err() != nil && !recovered && !refused {
 			// Cancelled mid-check: the attempt's outcome is unknown, not a
 			// failure. Recording it — or worse, teaching the approach a
 			// negative label — would poison the synopsis with noise. Tell

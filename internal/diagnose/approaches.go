@@ -222,7 +222,7 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 	// problem (Example 4 and ref [1]).
 	plan := util("db.plan.slowdown")
 	if plan > 1.4 {
-		if t := worstTable(ctx, "costops"); t != "" {
+		if t, ok := ctx.Localise(catalog.FixUpdateStats); ok {
 			add(core.Action{Fix: catalog.FixUpdateStats, Target: t}, 10+plan)
 			add(core.Action{Fix: catalog.FixRebuildIndex, Target: t}, 4+plan)
 		}
@@ -245,7 +245,7 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 		add(core.Action{Fix: catalog.FixRestoreConfig}, 7)
 	}
 	if lw := util("db.lockwait.avgms"); lw > 15 {
-		if t := worstTable(ctx, "lockms"); t != "" {
+		if t, ok := ctx.Localise(catalog.FixRepartitionTable); ok {
 			add(core.Action{Fix: catalog.FixRepartitionTable, Target: t}, 8+lw/100)
 		}
 	}
@@ -268,7 +268,9 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 }
 
 // mostInflatedTable returns the table whose per-query cost grew the most
-// relative to baseline, with the growth factor.
+// relative to baseline, with the growth factor. It is not the target's
+// costops locator (ctx.Localise): cost that grew with the query count is
+// load, and only cost per query separates a lost index from it.
 func mostInflatedTable(ctx *core.FailureContext) (string, float64) {
 	best, bestInfl := "", 1.0
 	for _, name := range ctx.Schema.Names() {
@@ -336,7 +338,8 @@ func (m *ManualRules) Recommend(ctx *core.FailureContext, tried []core.Action) (
 }
 
 // worstTableByMean returns the table with the highest current-window mean
-// of the given field (manual rules read gauges, not baselines).
+// of the given field (manual rules read gauges, not baselines, so not the
+// target's z-score locator), items when none is above zero.
 func worstTableByMean(ctx *core.FailureContext, field string) string {
 	best, bestV := "items", 0.0
 	for i, name := range ctx.Schema.Names() {

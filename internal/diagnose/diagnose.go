@@ -48,13 +48,13 @@ func actionsForMetric(name string, direction float64, ctx *core.FailureContext) 
 		}
 	case name == "db.plan.slowdown":
 		if direction > 0 {
-			if t := worstTable(ctx, "costops"); t != "" {
+			if t, ok := ctx.Localise(catalog.FixUpdateStats); ok {
 				return []core.Action{{Fix: catalog.FixUpdateStats, Target: t}}
 			}
 		}
 	case name == "db.lockwait.avgms":
 		if direction > 0 {
-			if t := worstTable(ctx, "lockms"); t != "" {
+			if t, ok := ctx.Localise(catalog.FixRepartitionTable); ok {
 				return []core.Action{{Fix: catalog.FixRepartitionTable, Target: t}}
 			}
 		}
@@ -101,21 +101,6 @@ func actionsForMetric(name string, direction float64, ctx *core.FailureContext) 
 		}
 	}
 	return nil
-}
-
-// worstTable returns the table whose per-table metric of the given field
-// has the largest positive symptom z-score.
-func worstTable(ctx *core.FailureContext, field string) string {
-	best, bestZ := "", 0.0
-	for i, name := range ctx.Schema.Names() {
-		parts := metrics.ParseName(name)
-		if len(parts) == 4 && parts[0] == "db" && parts[1] == "table" && parts[3] == field {
-			if z := ctx.Symptom[i]; z > bestZ {
-				best, bestZ = parts[2], z
-			}
-		}
-	}
-	return best
 }
 
 // topCallAnomaly returns the EJB most implicated by the χ² call-matrix

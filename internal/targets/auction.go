@@ -23,6 +23,8 @@ func AuctionSpec() Spec {
 	for _, k := range catalog.FaultKinds() {
 		cands[k] = catalog.CandidateFixes(k)
 	}
+	tables := service.TableNames()
+	costops := Locator{LargestZ, PerTarget(tables, "db.table.", ".costops")}
 	return Spec{
 		Name:           AuctionName,
 		Description:    "RUBiS-style auction service: web + EJB app tier + database (the paper's Example 1)",
@@ -31,6 +33,22 @@ func AuctionSpec() Spec {
 		Tiers:          catalog.Tiers(),
 		SLO:            detect.DefaultSLO(),
 		Mixes:          []string{"bidding", "browsing"},
+		// A failing EJB's call rate moves either way (a deadlock stalls
+		// it, an exception retries it); a table's lock wait or cost per
+		// tick rises; the tier to grow is the busiest; the tier to fail
+		// over has lost nodes.
+		Locators: map[catalog.FixID]Locator{
+			catalog.FixMicrorebootEJB:   {LargestAbsZ, PerTarget(service.EJBNames(), "app.ejb.", ".calls")},
+			catalog.FixRepartitionTable: {LargestZ, PerTarget(tables, "db.table.", ".lockms")},
+			catalog.FixUpdateStats:      costops,
+			catalog.FixRebuildIndex:     costops,
+			catalog.FixProvisionTier: {HighestLatest, []Candidate{
+				{"web", []string{"web.cpu.util"}},
+				{"app", []string{"app.cpu.util"}},
+				{"db", []string{"db.cpu.util", "db.io.util", "db.conns.util"}},
+			}},
+			catalog.FixFailoverNode: {LowestZ, PerTarget([]string{"web", "app", "db"}, "", ".nodes.up")},
+		},
 	}
 }
 

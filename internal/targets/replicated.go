@@ -103,6 +103,18 @@ func ReplicatedSpec() Spec {
 		Tiers: catalog.Tiers(),
 		SLO:   detect.SLO{MaxAvgLatencyMS: 250, MaxErrorRate: 0.02, MaxViolationShare: 0.08},
 		Mixes: []string{"balanced", "readheavy"},
+		// The node to fail over is a replica that went down or a primary
+		// that lost capacity; the replica to reboot leaks or errs; the
+		// tier to grow is the busiest.
+		Locators: map[catalog.FixID]Locator{
+			catalog.FixFailoverNode: {LowestZ, append(PerTarget(replicaNames(), "app.replica.", ".up"),
+				Candidate{"db", []string{"db.primary.capfactor"}})},
+			catalog.FixRebootAppTier: {LargestZ, []Candidate{
+				{"app-0", []string{"app.replica.app-0.leak", "app.replica.app-0.errorrate"}},
+				{"app-1", []string{"app.replica.app-1.leak", "app.replica.app-1.errorrate"}},
+			}},
+			catalog.FixProvisionTier: {HighestLatest, PerTarget([]string{"app", "db"}, "", ".cpu.util")},
+		},
 	}
 }
 

@@ -95,6 +95,47 @@ type Spec struct {
 	// Mixes names the workload mixes the target understands; the first
 	// entry is the default.
 	Mixes []string
+	// Locators says, for each targeted fix, how the target's own metrics
+	// name the fix's target (FailureContext.Localise). A fix without one
+	// takes its target from the knowledge base's nearest exemplar.
+	Locators map[catalog.FixID]Locator
+}
+
+// LocateRule is how a Locator reads the metrics of its candidates.
+type LocateRule uint8
+
+// The locate rules, by what they score a metric with. Each picks the
+// candidate with the largest score over its metrics and abstains when no
+// score is above zero: no candidate is anomalous in the rule's direction.
+const (
+	LargestAbsZ   LocateRule = iota // its symptom |z|
+	LargestZ                        // its symptom z
+	HighestLatest                   // its live (latest) value
+	LowestZ                         // its symptom -z
+)
+
+// Candidate is one target a Locator can name, with the metrics that speak
+// for it.
+type Candidate struct {
+	Target  string
+	Metrics []string
+}
+
+// Locator localises one targeted fix: Rule applied to the Candidates'
+// metrics, ties going to the first candidate in declared order.
+type Locator struct {
+	Rule       LocateRule
+	Candidates []Candidate
+}
+
+// PerTarget builds one single-metric candidate per name, whose metric is
+// prefix+name+suffix.
+func PerTarget(names []string, prefix, suffix string) []Candidate {
+	out := make([]Candidate, len(names))
+	for i, n := range names {
+		out[i] = Candidate{Target: n, Metrics: []string{prefix + n + suffix}}
+	}
+	return out
 }
 
 // HasKind reports whether k is in the target's fault catalog.
