@@ -39,11 +39,13 @@ var (
 // the three programs this one replaced (compare -quick -ablations
 // -scenarios, faultstudy -n 40, fixbench -quick) printed at their own
 // default seeds; only the banner's program name was changed. It was
-// re-recorded once from this program's own output, when healing
-// behaviour changed on purpose: FixSym sends a targeted fix to the
-// target its failure context localises first, and an action the target
-// refuses fails at once (CHANGES.md lists every row that moved). It is a
-// record, not a regenerable file.
+// re-recorded from this program's own output each time healing
+// behaviour changed on purpose: once when FixSym began sending a
+// targeted fix to the target its failure context localises first, and
+// an action the target refuses began failing at once; once when the
+// hybrid became a confidence gate (FixSym when its fix holds a majority,
+// else bottleneck, then anomaly analysis). CHANGES.md lists every row
+// that moved. It is a record, not a regenerable file.
 func TestAllQuickReproducesTheRecordedOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")

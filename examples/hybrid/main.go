@@ -1,8 +1,9 @@
 // Hybrid demonstrates §5.1: no single fix-identification approach
 // dominates, and combining them masks individual weaknesses. The same
 // cold-start failure stream is healed three ways — signature-only
-// (FixSym), diagnosis-only (anomaly detection), and the hybrid — and the
-// hybrid's learned reliability weights are printed at the end.
+// (FixSym), diagnosis-only (anomaly detection), and the hybrid, which
+// takes FixSym's fix when it holds a majority of the ranked score mass
+// and diagnoses otherwise.
 package main
 
 import (

@@ -135,6 +135,12 @@ func (c *FailureContext) Localise(fix catalog.FixID) (target string, ok bool) {
 	return target, target != ""
 }
 
+// Locates reports whether the target declares target as a candidate of
+// fix's locator, with a metric its schema carries.
+func (c *FailureContext) Locates(fix catalog.FixID, target string) bool {
+	return slices.Contains(c.Locators[fix].of, target)
+}
+
 // Features returns the vector the learning layers consume: the
 // name-aligned KBSymptom when the harness built one, else the
 // schema-positional Symptom.
@@ -216,15 +222,6 @@ type Observation struct {
 // takes one writer lock per episode instead of one per attempt.
 type ObserveBatcher interface {
 	ObserveBatch(obs []Observation)
-}
-
-// ProposalAborter is implemented by approaches (Hybrid) that keep
-// per-recommendation bookkeeping awaiting the matching Observe. When an
-// episode is cancelled mid-verification that Observe never comes; the
-// healer calls AbandonProposal so the stranded bookkeeping cannot
-// misroute credit for later outcomes of the same action.
-type ProposalAborter interface {
-	AbandonProposal(action Action)
 }
 
 // Evidence is a set of the optional evidence a FailureContext can carry

@@ -75,7 +75,7 @@ func (c *countingTarget) SamplePaths() []trace.Path {
 // history block or asking for either.
 func TestRetentionFollowsTheApproach(t *testing.T) {
 	cfg := core.DefaultHarnessConfig()
-	fixsym := func() core.Approach { return core.NewFixSym(synopsis.NewNearestNeighbor()) }
+	fixsym := func() *core.FixSym { return core.NewFixSym(synopsis.NewNearestNeighbor()) }
 	for _, tc := range []struct {
 		name         string
 		approach     core.Approach

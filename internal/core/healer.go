@@ -369,12 +369,7 @@ func (hl *Healer) attemptLoop(ctx context.Context, ep *Episode, budget int) {
 		if ctx.Err() != nil && !recovered && !refused {
 			// Cancelled mid-check: the attempt's outcome is unknown, not a
 			// failure. Recording it — or worse, teaching the approach a
-			// negative label — would poison the synopsis with noise. Tell
-			// bookkeeping approaches the pending recommendation is void so
-			// a later outcome for the same action is not credited to it.
-			if ab, ok := hl.Approach.(ProposalAborter); ok {
-				ab.AbandonProposal(action)
-			}
+			// negative label — would poison the synopsis with noise.
 			break
 		}
 		att.Success = recovered

@@ -104,12 +104,17 @@ func actionsForMetric(name string, direction float64, ctx *core.FailureContext) 
 }
 
 // topCallAnomaly returns the EJB most implicated by the χ² call-matrix
-// test, if any.
+// test, if any. A callee counts as an EJB only when the target's
+// microreboot-ejb locator lists it: on a target whose callees are
+// replicas or processes, a microreboot would be refused.
 func topCallAnomaly(ctx *core.FailureContext) string {
 	if len(ctx.CallAnomalies) == 0 {
 		return ""
 	}
-	return ctx.CallCallees[ctx.CallAnomalies[0].Col]
+	if e := ctx.CallCallees[ctx.CallAnomalies[0].Col]; ctx.Locates(catalog.FixMicrorebootEJB, e) {
+		return e
+	}
+	return ""
 }
 
 // dedupe keeps the highest-scoring instance of each action.

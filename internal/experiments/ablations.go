@@ -35,13 +35,7 @@ func RunHybridAblation(seed int64, episodes int) HybridAblation {
 	mk := []func() core.Approach{
 		func() core.Approach { return core.NewFixSym(synopsis.NewNearestNeighbor()) },
 		func() core.Approach { return diagnose.NewAnomaly() },
-		func() core.Approach {
-			return core.NewHybrid(
-				core.NewFixSym(synopsis.NewNearestNeighbor()),
-				diagnose.NewAnomaly(),
-				diagnose.NewBottleneck(),
-			)
-		},
+		newHybrid,
 	}
 	ctx := context.Background()
 	res := HybridAblation{}

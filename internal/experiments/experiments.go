@@ -37,6 +37,15 @@ func inject(sys *selfheal.System, f selfheal.Fault) {
 	}
 }
 
+// newHybrid builds the registered hybrid, the approach the product ships.
+func newHybrid() selfheal.Approach {
+	a, err := selfheal.NewApproach(selfheal.ApproachHybrid)
+	if err != nil {
+		panic(err) // a built-in kind is always registered
+	}
+	return a
+}
+
 // LabeledPoint generates one ground-truth-labeled failure observation on a
 // fresh environment. ok is false when the fault never became SLO-visible.
 func LabeledPoint(seed int64, f faults.Fault) (synopsis.Point, bool) {

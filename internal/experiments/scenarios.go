@@ -35,11 +35,7 @@ func sweepLearners() []core.Approach {
 		diagnose.NewManualRules(),
 		core.NewFixSym(synopsis.NewNearestNeighbor()),
 		core.NewFixSym(synopsis.NewNaiveBayes()),
-		core.NewHybrid(
-			core.NewFixSym(synopsis.NewNearestNeighbor()),
-			diagnose.NewAnomaly(),
-			diagnose.NewBottleneck(),
-		),
+		newHybrid(),
 	}
 }
 

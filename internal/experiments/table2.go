@@ -54,11 +54,7 @@ func table2Approaches() []core.Approach {
 		diagnose.NewCorrelation(),
 		diagnose.NewBottleneck(),
 		fixsym,
-		core.NewHybrid(
-			core.NewFixSym(synopsis.NewNearestNeighbor()),
-			diagnose.NewAnomaly(),
-			diagnose.NewBottleneck(),
-		),
+		newHybrid(),
 	}
 }
 

@@ -345,7 +345,7 @@ func TestGreyStaysUndetectedUntilTip(t *testing.T) {
 
 func TestHybridApproachRunsScenarios(t *testing.T) {
 	// The diagnosis-based approaches drive the same runner unmodified.
-	hy := core.NewHybrid(core.NewFixSym(synopsis.NewNearestNeighbor()), diagnose.NewAnomaly(), diagnose.NewBottleneck())
+	hy := core.NewHybrid(core.NewFixSym(synopsis.NewNearestNeighbor()), diagnose.NewBottleneck(), diagnose.NewAnomaly())
 	sc := mustByName(t, "flapping-leak")
 	hl := newHealer(t, sc.Target, 11, hy, nil)
 	r, err := NewRunner(sc, hl)

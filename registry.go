@@ -35,7 +35,9 @@ const (
 	ApproachFixSymBayes ApproachKind = "fixsym-bayes"
 	// ApproachPathAnalysis is path-based failure management (refs [5],[8]).
 	ApproachPathAnalysis ApproachKind = "path-analysis"
-	// ApproachHybrid combines FixSym with the diagnosis approaches (§5.1).
+	// ApproachHybrid combines FixSym with the diagnosis approaches (§5.1):
+	// FixSym-NN answers when its fix holds at least half of the ranked
+	// score mass, else bottleneck analysis, then anomaly detection.
 	ApproachHybrid ApproachKind = "hybrid"
 )
 
@@ -221,8 +223,8 @@ func init() {
 		{ApproachHybrid, func() (Approach, error) {
 			return core.NewHybrid(
 				core.NewFixSym(synopsis.NewNearestNeighbor()),
-				diagnose.NewAnomaly(),
 				diagnose.NewBottleneck(),
+				diagnose.NewAnomaly(),
 			), nil
 		}},
 	}
