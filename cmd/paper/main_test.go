@@ -44,7 +44,8 @@ var (
 // targeted fix to the target its failure context localises first, and
 // an action the target refuses began failing at once; once when the
 // hybrid became a confidence gate (FixSym when its fix holds a majority,
-// else bottleneck, then anomaly analysis). CHANGES.md lists every row
+// else bottleneck, then anomaly analysis); once when each target began
+// declaring the fixes its diagnosers name. CHANGES.md lists every row
 // that moved. It is a record, not a regenerable file.
 func TestAllQuickReproducesTheRecordedOutput(t *testing.T) {
 	if testing.Short() {

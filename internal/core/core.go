@@ -9,12 +9,14 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/detect"
 	"selfheal/internal/metrics"
+	"selfheal/internal/stats"
 	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
 	"selfheal/internal/trace"
@@ -71,6 +73,9 @@ type FailureContext struct {
 	// against Schema, read by Localise. Like Symptom and Recent, every
 	// context carries them.
 	Locators Locators
+	// Diagnosis is the target's diagnosis vocabulary resolved against
+	// Schema, which every context carries too.
+	Diagnosis Diagnosis
 }
 
 // Locators maps each targeted fix to its resolved locator.
@@ -111,9 +116,14 @@ func ResolveLocators(spec map[catalog.FixID]targets.Locator, schema *metrics.Sch
 // a tie. ok is false when the target declares no locator for fix, or no
 // candidate scores above zero.
 func (c *FailureContext) Localise(fix catalog.FixID) (target string, ok bool) {
+	return c.localise(fix, c.Locators[fix].rule)
+}
+
+// localise is Localise by the given rule rather than the declared one.
+func (c *FailureContext) localise(fix catalog.FixID, rule targets.LocateRule) (target string, ok bool) {
 	l := c.Locators[fix]
 	vals := c.Symptom
-	if l.rule == targets.HighestLatest {
+	if rule == targets.HighestLatest || rule == targets.HighestMean {
 		if c.Recent == nil || c.Recent.Len() == 0 {
 			return "", false
 		}
@@ -122,11 +132,13 @@ func (c *FailureContext) Localise(fix catalog.FixID) (target string, ok bool) {
 	best := 0.0
 	for i, col := range l.cols {
 		s := vals[col]
-		switch l.rule {
+		switch rule {
 		case targets.LargestAbsZ:
 			s = math.Abs(s)
 		case targets.LowestZ:
 			s = -s
+		case targets.HighestMean:
+			s = stats.Mean(c.Recent.ColIdx(col))
 		}
 		if s > best {
 			target, best = l.of[i], s
@@ -135,10 +147,115 @@ func (c *FailureContext) Localise(fix catalog.FixID) (target string, ok bool) {
 	return target, target != ""
 }
 
-// Locates reports whether the target declares target as a candidate of
-// fix's locator, with a metric its schema carries.
-func (c *FailureContext) Locates(fix catalog.FixID, target string) bool {
-	return slices.Contains(c.Locators[fix].of, target)
+// Candidates returns the targets fix's locator can name, in order.
+func (c *FailureContext) Candidates(fix catalog.FixID) []string {
+	return slices.Compact(slices.Clone(c.Locators[fix].of))
+}
+
+// Diagnosis is a target's diagnosis vocabulary (targets.Spec.Diagnosis),
+// each rule's metric family resolved to the schema columns it matches.
+type Diagnosis struct {
+	components       []Action
+	symptoms, manual []rule
+}
+
+// rule is a targets.Symptom and the columns its family matches.
+type rule struct {
+	targets.Symptom
+	cols []int
+}
+
+// ResolveDiagnosis resolves a target's diagnosis vocabulary against its
+// schema once, for every context its harness builds.
+func ResolveDiagnosis(d targets.Diagnosis, schema *metrics.Schema) Diagnosis {
+	resolve := func(syms []targets.Symptom) []rule {
+		out := make([]rule, len(syms))
+		for i, s := range syms {
+			out[i].Symptom = s
+			for col, name := range schema.Names() {
+				if s.Matches(name) {
+					out[i].cols = append(out[i].cols, col)
+				}
+			}
+		}
+		return out
+	}
+	return Diagnosis{components: d.Components, symptoms: resolve(d.Symptoms), manual: resolve(d.Manual)}
+}
+
+// Implicated returns the fixes the target's symptom rules name when
+// column col deviates by dev (a z-score, a correlation), in preference
+// order, and whether a rule marks the column a generic saturation gauge.
+func (c *FailureContext) Implicated(col int, dev float64) (acts []Action, generic bool) {
+	callee := "" // the χ² test's strongest callee, if any
+	if len(c.CallAnomalies) > 0 {
+		callee = c.CallCallees[c.CallAnomalies[0].Col]
+	}
+	for _, r := range c.Diagnosis.symptoms {
+		if !r.Deviates(dev) || !slices.Contains(r.cols, col) {
+			continue
+		}
+		generic = generic || r.Generic
+		if a, ok := c.ComponentFix(callee); r.Callee && ok {
+			acts = append(acts, a)
+		}
+		for _, f := range r.Fixes {
+			if a, ok := c.remedy(f, col, c.Locators[f.Fix].rule); ok {
+				acts = append(acts, a)
+			}
+		}
+	}
+	return acts, generic
+}
+
+// ComponentFix returns the target's fix for a suspect component: the
+// first of its component fixes whose locator lists the component (with a
+// metric the schema carries), or that names its own target.
+func (c *FailureContext) ComponentFix(component string) (Action, bool) {
+	for _, f := range c.Diagnosis.components {
+		if f.Target != "" || slices.Contains(c.Locators[f.Fix].of, component) {
+			f.Target = cmp.Or(f.Target, component)
+			return f, true
+		}
+	}
+	return Action{}, false
+}
+
+// ManualFixes returns, rule by rule in priority order, the fixes of the
+// target's manual rules whose metric's live value is past their Limit.
+func (c *FailureContext) ManualFixes() [][]Action {
+	out := make([][]Action, len(c.Diagnosis.manual))
+	if c.Recent == nil || c.Recent.Len() == 0 {
+		return out
+	}
+	latest := c.Recent.Row(c.Recent.Len() - 1)
+	for i, r := range c.Diagnosis.manual {
+		for _, col := range r.cols {
+			if !r.Deviates(latest[col] - r.Limit) {
+				continue
+			}
+			for _, f := range r.Fixes {
+				if a, ok := c.remedy(f, col, targets.HighestMean); ok {
+					out[i] = append(out[i], a)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// remedy fills in the target of a rule's fix f that column col
+// implicates: its own, else the candidate of its locator that lists col,
+// else the locator's answer by rule. A fix with neither takes none.
+func (c *FailureContext) remedy(f Action, col int, rule targets.LocateRule) (Action, bool) {
+	l, ok := c.Locators[f.Fix]
+	if i := slices.Index(l.cols, col); f.Target == "" && ok && i >= 0 {
+		f.Target = l.of[i]
+	} else if f.Target == "" && ok {
+		f.Target, ok = c.localise(f.Fix, rule)
+		return f, ok
+	}
+	return f, true
 }
 
 // Features returns the vector the learning layers consume: the

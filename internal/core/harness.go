@@ -92,9 +92,10 @@ type Harness struct {
 	// readRows is the most rows a direct reader of the series declared
 	// through RetainRows.
 	readRows int
-	// locators are the target's locators, resolved once against the
+	// locators and diagnosis are the target's, resolved once against the
 	// schema and handed to every context.
-	locators Locators
+	locators  Locators
+	diagnosis Diagnosis
 
 	// Clock paces Step: a no-op for simulator targets, a wall-period
 	// sleep for targets whose ticks are real time. Set from the config
@@ -135,6 +136,7 @@ func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 		paceCtx:  context.Background(),
 	}
 	h.locators = ResolveLocators(t.Spec().Locators, h.Coll.Series().Schema())
+	h.diagnosis = ResolveDiagnosis(t.Spec().Diagnosis, h.Coll.Series().Schema())
 	h.Clock = cfg.Clock
 	if h.Clock == nil {
 		if c, ok := t.(targets.Clocked); ok {
@@ -287,6 +289,7 @@ func (h *Harness) BuildContext() *FailureContext {
 		Recent:     recent,
 		History:    recent,
 		Locators:   h.locators,
+		Diagnosis:  h.diagnosis,
 	}
 	if h.evidence&EvidenceHistory != 0 {
 		fctx.History = series.Tail(h.Cfg.HistoryTicks)

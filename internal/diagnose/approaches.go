@@ -5,7 +5,6 @@ import (
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/core"
-	"selfheal/internal/metrics"
 	"selfheal/internal/stats"
 )
 
@@ -42,63 +41,30 @@ func (a *Anomaly) Evidence() core.Evidence { return core.EvidenceCalls }
 func (a *Anomaly) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {
 	var cands []candidate
 	// Component-level localization first: the paper's Example 2 flow.
-	if e := topCallAnomaly(ctx); e != "" {
-		cands = append(cands, candidate{
-			action: core.Action{Fix: catalog.FixMicrorebootEJB, Target: e},
-			score:  100 + ctx.CallAnomalies[0].Score,
-		})
+	if len(ctx.CallAnomalies) > 0 {
+		if act, ok := ctx.ComponentFix(ctx.CallCallees[ctx.CallAnomalies[0].Col]); ok {
+			cands = append(cands, candidate{action: act, score: 100 + ctx.CallAnomalies[0].Score})
+		}
 	}
 	// Attribute-level anomalies, strongest deviation first. Z-scores clamp,
-	// so ties at the clamp are common; root-cause metrics (a specific
-	// buffer, table, heap or link) outrank generic saturation gauges
-	// (threads, CPU), which are usually downstream symptoms.
-	names := ctx.Schema.Names()
+	// so ties at the clamp are common; a metric that names a concrete
+	// cause (a buffer, table, heap or link) outranks a generic saturation
+	// gauge (threads, CPU), which is usually a downstream symptom.
 	for i, z := range ctx.Symptom {
 		mag := math.Abs(z)
 		if mag < a.MinZ {
 			continue
 		}
-		if isOutcomeMetric(names[i]) {
-			// Latency/error/throughput columns restate that the service is
-			// failing; they do not localize anything.
-			continue
+		acts, generic := ctx.Implicated(i, z)
+		bonus := 2.0
+		if generic {
+			bonus = 0
 		}
-		dir := 1.0
-		if z < 0 {
-			dir = -1
-		}
-		for rank, act := range actionsForMetric(names[i], dir, ctx) {
-			score := mag + specificityBonus(names[i]) - float64(rank)*0.25
-			cands = append(cands, candidate{action: act, score: score})
+		for rank, act := range acts {
+			cands = append(cands, candidate{action: act, score: mag + bonus - float64(rank)*0.25})
 		}
 	}
-	return pickUntried(dedupe(cands), tried)
-}
-
-// specificityBonus prefers metrics that name a concrete cause over generic
-// saturation gauges when both saturate the z-clamp.
-func specificityBonus(name string) float64 {
-	switch name {
-	case "app.threads.util", "web.cpu.util", "app.cpu.util", "db.cpu.util":
-		return 0
-	default:
-		return 2
-	}
-}
-
-// isOutcomeMetric reports whether a metric describes the failure itself
-// rather than a potential cause.
-func isOutcomeMetric(name string) bool {
-	switch name {
-	case "svc.throughput", "svc.errors", "svc.errorrate", "svc.latency.avg",
-		"svc.latency.p95", "svc.slo.violations", "svc.down":
-		return true
-	}
-	// Per-class outcome columns.
-	if len(name) > 8 && name[:8] == "web.req." {
-		return true
-	}
-	return false
+	return pickUntried(cands, tried)
 }
 
 // Correlation is the diagnosis-via-correlation-analysis approach (§4.3.2,
@@ -147,35 +113,30 @@ func (c *Correlation) Recommend(ctx *core.FailureContext, tried []core.Action) (
 	if fails < c.MinFailTicks {
 		return core.Action{}, 0, false
 	}
-	names := ctx.Schema.Names()
 	var cands []candidate
-	for i, name := range names {
-		if isOutcomeMetric(name) {
+	for i := range ctx.Symptom {
+		r := stats.Pearson(hist.ColIdx(i), y)
+		if math.Abs(r) < c.MinAbsR {
 			continue
 		}
-		col := hist.ColIdx(i)
-		r := stats.Pearson(col, y)
-		mag := math.Abs(r)
-		if mag < c.MinAbsR {
-			continue
-		}
-		dir := 1.0
-		if r < 0 {
-			dir = -1
-		}
-		for rank, act := range actionsForMetric(name, dir, ctx) {
-			cands = append(cands, candidate{action: act, score: mag - float64(rank)*0.05})
+		acts, _ := ctx.Implicated(i, r)
+		for rank, act := range acts {
+			cands = append(cands, candidate{action: act, score: math.Abs(r) - float64(rank)*0.05})
 		}
 	}
-	return pickUntried(dedupe(cands), tried)
+	return pickUntried(cands, tried)
 }
 
-// failureIndicator builds the 0/1 failure attribute from history outcomes.
+// failureIndicator builds the 0/1 failure attribute from history
+// outcomes; nil when the target reports no svc.* outcome columns.
 func failureIndicator(ctx *core.FailureContext) []float64 {
 	hist := ctx.History
 	lat := hist.Col("svc.latency.avg")
 	errRate := hist.Col("svc.errorrate")
 	down := hist.Col("svc.down")
+	if lat == nil || errRate == nil || down == nil {
+		return nil
+	}
 	y := make([]float64, hist.Len())
 	for t := range y {
 		if down[t] > 0.5 || lat[t] > 250 || errRate[t] > 0.02 {
@@ -191,7 +152,9 @@ func failureIndicator(ctx *core.FailureContext) []float64 {
 // this approach needs). It excels at resource saturation — including
 // saturation caused by suboptimal plans, contention or misconfiguration —
 // and abstains on failures with no resource signature (deadlocks,
-// exceptions), exactly the profile Table 2 records.
+// exceptions), exactly the profile Table 2 records. Its database
+// reasoning is Example 4's, over the auction database's own gauges; the
+// other tiers it grows are those the target's provision-tier locator lists.
 type Bottleneck struct {
 	// HotUtil is the utilization above which a resource is the bottleneck.
 	HotUtil float64
@@ -252,11 +215,10 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 	if util("app.heap.occ") > 0.8 || util("app.gc.overhead") > 0.25 {
 		add(core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 6)
 	}
-	if util("web.cpu.util") > b.HotUtil {
-		add(core.Action{Fix: catalog.FixProvisionTier, Target: "web"}, util("web.cpu.util"))
-	}
-	if util("app.cpu.util") > b.HotUtil {
-		add(core.Action{Fix: catalog.FixProvisionTier, Target: "app"}, util("app.cpu.util"))
+	for _, t := range ctx.Candidates(catalog.FixProvisionTier) {
+		if u := util(t + ".cpu.util"); t != "db" && u > b.HotUtil {
+			add(core.Action{Fix: catalog.FixProvisionTier, Target: t}, u)
+		}
 	}
 	if util("app.threads.util") > b.HotUtil && util("app.cpu.util") < 0.8 {
 		// Threads exhausted while CPU is idle: work is parked, not queued —
@@ -264,29 +226,23 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 		// restore thread capacity.
 		add(core.Action{Fix: catalog.FixRestoreConfig}, 5)
 	}
-	return pickUntried(dedupe(cands), tried)
+	return pickUntried(cands, tried)
 }
 
 // mostInflatedTable returns the table whose per-query cost grew the most
-// relative to baseline, with the growth factor. It is not the target's
-// costops locator (ctx.Localise): cost that grew with the query count is
-// load, and only cost per query separates a lost index from it.
+// relative to baseline, with the growth factor. It walks the tables the
+// rebuild-index locator lists but does not take the locator's answer
+// (ctx.Localise): cost that grew with the query count is load, and only
+// cost per query separates a lost index from it.
 func mostInflatedTable(ctx *core.FailureContext) (string, float64) {
 	best, bestInfl := "", 1.0
-	for _, name := range ctx.Schema.Names() {
-		parts := metrics.ParseName(name)
-		if len(parts) != 4 || parts[0] != "db" || parts[1] != "table" || parts[3] != "costops" {
-			continue
-		}
-		t := parts[2]
-		costCur := ctx.CurrentMean(name)
-		qCur := ctx.CurrentMean("db.table." + t + ".queries")
-		costBase := ctx.BaselineMean(name)
-		qBase := ctx.BaselineMean("db.table." + t + ".queries")
+	for _, t := range ctx.Candidates(catalog.FixRebuildIndex) {
+		cost, queries := "db.table."+t+".costops", "db.table."+t+".queries"
+		qCur, qBase, costBase := ctx.CurrentMean(queries), ctx.BaselineMean(queries), ctx.BaselineMean(cost)
 		if qCur < 1 || qBase < 1 || costBase <= 0 {
 			continue
 		}
-		infl := (costCur / qCur) / (costBase / qBase)
+		infl := (ctx.CurrentMean(cost) / qCur) / (costBase / qBase)
 		if infl > bestInfl {
 			best, bestInfl = t, infl
 		}
@@ -311,46 +267,18 @@ func (m *ManualRules) Name() string { return "manual-rules" }
 // core criticism.
 func (m *ManualRules) Observe(*core.FailureContext, core.Action, bool) {}
 
-// Recommend implements core.Approach. The rule list is fixed and ordered;
-// thresholds reference absolute values a 2007 DBA would have written down.
+// Recommend implements core.Approach. The rule list is the target's,
+// fixed and ordered; thresholds reference absolute values a 2007 DBA
+// would have written down.
 func (m *ManualRules) Recommend(ctx *core.FailureContext, tried []core.Action) (core.Action, float64, bool) {
-	// Threshold rules read the live gauges, as a rules engine would.
-	cur := func(name string) float64 { return ctx.Latest(name) }
-	var cands []candidate
-	rule := func(cond bool, a core.Action, prio float64) {
-		if cond {
-			cands = append(cands, candidate{action: a, score: prio})
+	// The target's rules fire on the live gauges, the first rule at the
+	// highest priority, above the coarse universal fallback.
+	rules := ctx.ManualFixes()
+	cands := []candidate{{action: core.Action{Fix: catalog.FixFullRestart}, score: 0.5}}
+	for i, acts := range rules {
+		for _, a := range acts {
+			cands = append(cands, candidate{action: a, score: float64(len(rules) + 1 - i)})
 		}
 	}
-	// "if the miss rate in the database buffer-cache ... exceeds 35%, then
-	// increase the cache size" (§3's example rule).
-	rule(cur("db.buffer.hitratio") < 0.65, core.Action{Fix: catalog.FixRepartitionMemory}, 9)
-	rule(cur("app.heap.occ") > 0.85, core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 8)
-	rule(cur("db.lockwait.avgms") > 40, core.Action{Fix: catalog.FixRepartitionTable, Target: worstTableByMean(ctx, "lockms")}, 7)
-	rule(cur("db.cpu.util") > 0.95, core.Action{Fix: catalog.FixProvisionTier, Target: "db"}, 6)
-	rule(cur("web.cpu.util") > 0.95, core.Action{Fix: catalog.FixProvisionTier, Target: "web"}, 5)
-	rule(cur("app.cpu.util") > 0.95, core.Action{Fix: catalog.FixProvisionTier, Target: "app"}, 4)
-	rule(cur("app.threads.util") > 0.95, core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 3)
-	rule(cur("svc.errorrate") > 0.05, core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 2)
-	// The coarse universal fallback.
-	cands = append(cands, candidate{action: core.Action{Fix: catalog.FixFullRestart}, score: 0.5})
-	return pickUntried(dedupe(cands), tried)
-}
-
-// worstTableByMean returns the table with the highest current-window mean
-// of the given field (manual rules read gauges, not baselines, so not the
-// target's z-score locator), items when none is above zero.
-func worstTableByMean(ctx *core.FailureContext, field string) string {
-	best, bestV := "items", 0.0
-	for i, name := range ctx.Schema.Names() {
-		parts := metrics.ParseName(name)
-		if len(parts) == 4 && parts[0] == "db" && parts[1] == "table" && parts[3] == field {
-			col := ctx.Recent.ColIdx(i)
-			v := stats.Mean(col)
-			if v > bestV {
-				best, bestV = parts[2], v
-			}
-		}
-	}
-	return best
+	return pickUntried(cands, tried)
 }

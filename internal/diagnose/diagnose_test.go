@@ -8,6 +8,7 @@ import (
 	"selfheal/internal/catalog"
 	"selfheal/internal/core"
 	"selfheal/internal/faults"
+	"selfheal/internal/metrics"
 	"selfheal/internal/targets"
 )
 
@@ -85,6 +86,23 @@ func TestCorrelationNeedsFailingHistory(t *testing.T) {
 	c := NewCorrelation()
 	if _, _, ok := c.Recommend(ctx, nil); ok {
 		t.Error("correlation recommended a fix with no failures in history")
+	}
+}
+
+// TestCorrelationAbstainsWithoutOutcomes: a target that reports no svc.*
+// outcome columns (the process target's metrics are proc.*) gives
+// correlation analysis no failure indicator, so it abstains rather than
+// indexing columns that are not there.
+func TestCorrelationAbstainsWithoutOutcomes(t *testing.T) {
+	schema := metrics.NewSchema([]string{"proc.svc.up", "proc.svc.alive"})
+	hist := metrics.NewSeries(schema)
+	for tick := range int64(60) {
+		v := float64(tick % 2)
+		hist.Append(tick, []float64{v, v})
+	}
+	ctx := &core.FailureContext{Symptom: []float64{-8, -8}, Schema: schema, Recent: hist, History: hist}
+	if action, _, ok := NewCorrelation().Recommend(ctx, nil); ok {
+		t.Errorf("correlation recommended %v with no outcome columns", action)
 	}
 }
 

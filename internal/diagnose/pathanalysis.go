@@ -1,7 +1,6 @@
 package diagnose
 
 import (
-	"selfheal/internal/catalog"
 	"selfheal/internal/core"
 	"selfheal/internal/trace"
 )
@@ -59,16 +58,14 @@ func (p *PathAnalysis) Recommend(ctx *core.FailureContext, tried []core.Action) 
 		if cs.Score < p.MinScore || rank > 2 {
 			break
 		}
-		cands = append(cands, candidate{
-			action: core.Action{Fix: catalog.FixMicrorebootEJB, Target: cs.Component},
-			score:  cs.Score,
-		})
+		if act, ok := ctx.ComponentFix(cs.Component); ok {
+			cands = append(cands, candidate{action: act, score: cs.Score})
+		}
 	}
 	// Second line: if components cannot be separated (everything fails
-	// everywhere), restart the application tier.
-	cands = append(cands, candidate{
-		action: core.Action{Fix: catalog.FixRebootAppTier, Target: "app"},
-		score:  0.05,
-	})
-	return pickUntried(dedupe(cands), tried)
+	// everywhere), the target's fix for no component in particular.
+	if act, ok := ctx.ComponentFix(""); ok {
+		cands = append(cands, candidate{action: act, score: 0.05})
+	}
+	return pickUntried(cands, tried)
 }

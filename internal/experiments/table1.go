@@ -50,7 +50,7 @@ func targetFor(fix catalog.FixID, f faults.Fault) string {
 	default:
 		return ""
 	}
-	if t := f.Target(); targets.AuctionValidTarget(fix, t) {
+	if t := f.Target(); targets.AuctionSpec().Declares(targets.Action{Fix: fix, Target: t}) {
 		return t
 	}
 	return fallback

@@ -2,7 +2,6 @@ package targets
 
 import (
 	"fmt"
-	"slices"
 
 	"selfheal/internal/catalog"
 	"selfheal/internal/detect"
@@ -25,6 +24,9 @@ func AuctionSpec() Spec {
 	}
 	tables := service.TableNames()
 	costops := Locator{LargestZ, PerTarget(tables, "db.table.", ".costops")}
+	fix := func(id catalog.FixID, target string) []Action { return []Action{{Fix: id, Target: target}} }
+	rebootApp := fix(catalog.FixRebootAppTier, "app")
+	provision := fix(catalog.FixProvisionTier, "")
 	return Spec{
 		Name:           AuctionName,
 		Description:    "RUBiS-style auction service: web + EJB app tier + database (the paper's Example 1)",
@@ -48,6 +50,43 @@ func AuctionSpec() Spec {
 				{"db", []string{"db.cpu.util", "db.io.util", "db.conns.util"}},
 			}},
 			catalog.FixFailoverNode: {LowestZ, PerTarget([]string{"web", "app", "db"}, "", ".nodes.up")},
+		},
+		// Example 3's "method invocations of an EJB … microreboot the
+		// EJB", a table's lock wait or cost, the tiers' saturation, and
+		// §3's threshold rules.
+		Diagnosis: Diagnosis{
+			Symptoms: []Symptom{
+				{Metric: "app.heap.*", Dir: Rising, Fixes: rebootApp},
+				{Metric: "app.gc.overhead", Dir: Rising, Fixes: rebootApp},
+				{Metric: "db.buffer.hitratio", Dir: Falling, Fixes: fix(catalog.FixRepartitionMemory, "")},
+				{Metric: "db.io.util", Dir: Rising, Fixes: fix(catalog.FixRepartitionMemory, "")},
+				{Metric: "db.conns.util", Dir: Rising, Fixes: fix(catalog.FixRestoreConfig, "")},
+				{Metric: "db.plan.slowdown", Dir: Rising, Fixes: fix(catalog.FixUpdateStats, "")},
+				{Metric: "db.lockwait.avgms", Dir: Rising, Fixes: fix(catalog.FixRepartitionTable, "")},
+				{Metric: "app.threads.util", Dir: Rising, Generic: true, Callee: true},
+				{Metric: "net.latency.ms", Dir: Rising, Fixes: fix(catalog.FixFailoverNode, "web")},
+				{Metric: "net.loss", Dir: Rising, Fixes: fix(catalog.FixFailoverNode, "web")},
+				{Metric: "*.nodes.up", Dir: Falling, Fixes: fix(catalog.FixFailoverNode, "")},
+				{Metric: "db.table.*.lockms", Dir: Rising, Fixes: fix(catalog.FixRepartitionTable, "")},
+				// A table suddenly expensive: stale stats first, damaged index
+				// second (Example 3's index observation).
+				{Metric: "db.table.*.costops", Dir: Rising, Fixes: []Action{{Fix: catalog.FixUpdateStats}, {Fix: catalog.FixRebuildIndex}}},
+				{Metric: "app.ejb.*.calls", Fixes: fix(catalog.FixMicrorebootEJB, "")},
+				{Metric: "*.cpu.util", Dir: Rising, Generic: true, Fixes: provision},
+			},
+			Components: []Action{{Fix: catalog.FixMicrorebootEJB}, {Fix: catalog.FixRebootAppTier, Target: "app"}},
+			Manual: []Symptom{
+				// "if the miss rate in the database buffer-cache ... exceeds
+				// 35%, then increase the cache size" (§3's example rule).
+				{Metric: "db.buffer.hitratio", Dir: Falling, Limit: 0.65, Fixes: fix(catalog.FixRepartitionMemory, "")},
+				{Metric: "app.heap.occ", Dir: Rising, Limit: 0.85, Fixes: rebootApp},
+				{Metric: "db.lockwait.avgms", Dir: Rising, Limit: 40, Fixes: fix(catalog.FixRepartitionTable, "")},
+				{Metric: "db.cpu.util", Dir: Rising, Limit: 0.95, Fixes: provision},
+				{Metric: "web.cpu.util", Dir: Rising, Limit: 0.95, Fixes: provision},
+				{Metric: "app.cpu.util", Dir: Rising, Limit: 0.95, Fixes: provision},
+				{Metric: "app.threads.util", Dir: Rising, Limit: 0.95, Fixes: rebootApp},
+				{Metric: "svc.errorrate", Dir: Rising, Limit: 0.05, Fixes: rebootApp},
+			},
 		},
 	}
 }
@@ -84,24 +123,6 @@ var auctionSettle = map[catalog.FixID]int64{
 	catalog.FixFailoverNode:      10,
 	catalog.FixFullRestart:       126,
 	catalog.FixNotifyAdmin:       0,
-}
-
-// AuctionValidTarget reports whether target is a sensible argument for
-// the fix on the auction target: an EJB for a microreboot, a table for
-// the table fixes, a tier for provisioning and failover, anything for the
-// fixes that take none. Unknown fixes are invalid.
-func AuctionValidTarget(id catalog.FixID, target string) bool {
-	switch id {
-	case catalog.FixMicrorebootEJB:
-		return slices.Contains(service.EJBNames(), target)
-	case catalog.FixUpdateStats, catalog.FixRepartitionTable, catalog.FixRebuildIndex:
-		return slices.Contains(service.TableNames(), target)
-	case catalog.FixProvisionTier, catalog.FixFailoverNode:
-		_, err := catalog.ParseTier(target)
-		return err == nil
-	}
-	_, ok := auctionSettle[id]
-	return ok
 }
 
 // NewAuction builds the default target at cfg. The service's internal
@@ -202,7 +223,7 @@ func (a *Auction) SamplePaths() []trace.Path {
 // target of the wrong kind (a table name for a component fix); that is an
 // error — a failed attempt — with no effect on the service.
 func (a *Auction) Apply(act Action) (int64, error) {
-	if !AuctionValidTarget(act.Fix, act.Target) {
+	if !a.spec.Declares(act) {
 		return 0, fmt.Errorf("targets: auction cannot apply %v to %q", act.Fix, act.Target)
 	}
 	svc := a.svc

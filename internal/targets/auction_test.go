@@ -2,6 +2,7 @@ package targets
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -314,26 +315,34 @@ func TestAuctionFixesActOnService(t *testing.T) {
 	}
 }
 
+// TestAuctionValidTarget pins Spec.Declares on the auction target to the
+// rule its Apply checked before the spec declared it: an EJB for a
+// microreboot, a table for the table fixes, a tier for provisioning and
+// failover, anything for the other Table 1 fixes, nothing for an unknown
+// fix — for every fix against every EJB, table and tier, "" and a bogus
+// name.
 func TestAuctionValidTarget(t *testing.T) {
-	cases := []struct {
-		fix    catalog.FixID
-		target string
-		want   bool
-	}{
-		{catalog.FixMicrorebootEJB, "ItemBean", true},
-		{catalog.FixMicrorebootEJB, "nope", false},
-		{catalog.FixUpdateStats, "items", true},
-		{catalog.FixUpdateStats, "ItemBean", false},
-		{catalog.FixProvisionTier, "db", true},
-		{catalog.FixProvisionTier, "disk", false},
-		{catalog.FixFailoverNode, "", false},
-		{catalog.FixFullRestart, "", true},
-		{catalog.FixFullRestart, "anything", true},
-		{catalog.FixNone, "", false},
+	valid := func(id catalog.FixID, target string) bool {
+		switch id {
+		case catalog.FixMicrorebootEJB:
+			return slices.Contains(service.EJBNames(), target)
+		case catalog.FixUpdateStats, catalog.FixRepartitionTable, catalog.FixRebuildIndex:
+			return slices.Contains(service.TableNames(), target)
+		case catalog.FixProvisionTier, catalog.FixFailoverNode:
+			_, err := catalog.ParseTier(target)
+			return err == nil
+		}
+		_, ok := auctionSettle[id]
+		return ok
 	}
-	for _, c := range cases {
-		if got := AuctionValidTarget(c.fix, c.target); got != c.want {
-			t.Errorf("AuctionValidTarget(%v, %q) = %v want %v", c.fix, c.target, got, c.want)
+	names := append(append(service.EJBNames(), service.TableNames()...), "web", "app", "db", "", "bogus")
+	spec := AuctionSpec()
+	for _, id := range append(catalog.FixIDs(), catalog.FixNone, catalog.FixID(99)) {
+		for _, target := range names {
+			a := Action{Fix: id, Target: target}
+			if got, want := spec.Declares(a), valid(id, target); got != want {
+				t.Errorf("Declares(%v) = %v want %v", a, got, want)
+			}
 		}
 	}
 }

@@ -1,44 +1,93 @@
-package targets
+package targets_test
 
 import (
+	"fmt"
+	"net/http"
+	"os"
 	"slices"
 	"testing"
+	"time"
+
+	"selfheal/internal/catalog"
+	"selfheal/internal/targets"
+	"selfheal/internal/targets/process"
 )
 
-// TestLocatorCandidatesAreApplicable: every target a locator can name is
-// one its own target's Apply accepts for that fix, and every metric that
-// speaks for it is one the target reports — a name it lacks would be
-// dropped silently when a harness resolves the locator.
-func TestLocatorCandidatesAreApplicable(t *testing.T) {
-	auction, err := NewAuction(Config{Seed: 1})
+// TestSpecHelperChild is not a test: it is the HTTP child the process
+// target supervises in TestLocatorCandidatesAreApplicable, re-exec'd from
+// this test binary.
+func TestSpecHelperChild(t *testing.T) {
+	if os.Getenv("SELFHEAL_SPEC_HELPER") != "1" {
+		return
+	}
+	var addr string
+	for i, a := range os.Args[:len(os.Args)-1] {
+		if a == "-addr" {
+			addr = os.Args[i+1]
+		}
+	}
+	http.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	fmt.Fprintln(os.Stderr, http.ListenAndServe(addr, nil))
+	os.Exit(1)
+}
+
+// builtinTargets returns one instance of each built-in target; the
+// process target supervises a real child, so -short leaves it out.
+func builtinTargets(t *testing.T) []targets.Target {
+	auction, err := targets.NewAuction(targets.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tg := range []Target{auction, newRepl(t, 1)} {
+	repl, err := targets.NewReplicated(targets.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []targets.Target{auction, repl}
+	if testing.Short() {
+		return out
+	}
+	proc, err := process.New(process.Config{
+		Command:    []string{os.Args[0], "-test.run=TestSpecHelperChild$", "--"},
+		Env:        []string{"SELFHEAL_SPEC_HELPER=1"},
+		TickPeriod: 10 * time.Millisecond,
+		Grace:      150 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proc.Close() })
+	return append(out, proc)
+}
+
+// TestLocatorCandidatesAreApplicable: on every built-in target, each
+// action a locator or a diagnosis rule can produce is one the spec
+// Declares and the target's Apply accepts, and each metric a locator
+// reads or a rule's family matches is one the target reports: a name it
+// lacks would be dropped silently when a harness resolves the spec, and
+// the rule would never fire.
+func TestLocatorCandidatesAreApplicable(t *testing.T) {
+	for _, tg := range builtinTargets(t) {
 		spec := tg.Spec()
-		if len(spec.Locators) == 0 {
-			t.Errorf("%s declares no locators", spec.Name)
-		}
 		var names []string
 		for _, src := range tg.Sources() {
 			names = append(names, src.MetricNames()...)
+		}
+		reports := func(r targets.Symptom) bool { return slices.ContainsFunc(names, r.Matches) }
+		check := func(a targets.Action, from string) {
+			if !spec.Declares(a) {
+				t.Errorf("%s: %s produces %v, which the spec does not declare", spec.Name, from, a)
+			}
+			if _, err := tg.Apply(a); err != nil {
+				t.Errorf("%s: %s produces %v, which Apply refuses: %v", spec.Name, from, a, err)
+			}
 		}
 		for fix, l := range spec.Locators {
 			if len(l.Candidates) < 2 {
 				t.Errorf("%s: %v locator has %d candidates, nothing to choose between", spec.Name, fix, len(l.Candidates))
 			}
 			for _, c := range l.Candidates {
-				a := Action{Fix: fix, Target: c.Target}
-				switch spec.Name {
-				case AuctionName:
-					if !AuctionValidTarget(fix, c.Target) {
-						t.Errorf("auction refuses %v", a)
-					}
-				case ReplicatedName:
-					if _, err := newRepl(t, 1).Apply(a); err != nil {
-						t.Errorf("replicated refuses %v: %v", a, err)
-					}
-				}
+				a := targets.Action{Fix: fix, Target: c.Target}
+				check(a, "a locator")
 				if len(c.Metrics) == 0 {
 					t.Errorf("%s: %v has no metrics", spec.Name, a)
 				}
@@ -46,6 +95,45 @@ func TestLocatorCandidatesAreApplicable(t *testing.T) {
 					if !slices.Contains(names, m) {
 						t.Errorf("%s: %v reads %q, which the target does not report", spec.Name, a, m)
 					}
+				}
+			}
+		}
+		// A rule's fix without a target takes each of its locator's
+		// candidates, or none.
+		produced := func(f targets.Action) []targets.Action {
+			l, ok := spec.Locators[f.Fix]
+			if f.Target != "" || !ok {
+				return []targets.Action{f}
+			}
+			var out []targets.Action
+			for _, c := range l.Candidates {
+				out = append(out, targets.Action{Fix: f.Fix, Target: c.Target})
+			}
+			return out
+		}
+		d := spec.Diagnosis
+		if len(d.Symptoms) == 0 || len(d.Manual) == 0 {
+			t.Errorf("%s declares no symptom or manual rules", spec.Name)
+		}
+		var acts []targets.Action
+		for _, r := range slices.Concat(d.Symptoms, d.Manual) {
+			if !reports(r) {
+				t.Errorf("%s: rule family %q matches no metric the target reports", spec.Name, r.Metric)
+			}
+			if r.Callee && len(d.Components) == 0 {
+				t.Errorf("%s: rule %q names a callee's fix, but the target declares no component fixes", spec.Name, r.Metric)
+			}
+			acts = append(acts, r.Fixes...)
+		}
+		acts = append(acts, d.Components...)
+		// The manual baseline's universal fallback.
+		acts = append(acts, targets.Action{Fix: catalog.FixFullRestart})
+		seen := map[targets.Action]bool{}
+		for _, f := range acts {
+			for _, a := range produced(f) {
+				if !seen[a] {
+					seen[a] = true
+					check(a, "a diagnosis rule")
 				}
 			}
 		}

@@ -125,6 +125,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// diagnosis replaces a dead child, thaws a frozen one and rolls back a
+// drifted config; the manual baseline reads the same rules.
+func diagnosis() targets.Diagnosis {
+	rules := []targets.Symptom{
+		{Metric: "proc.*.alive", Dir: targets.Falling, Limit: 0.5, Fixes: []targets.Action{{Fix: catalog.FixFailoverNode}}},
+		{Metric: "proc.*.paused", Dir: targets.Rising, Limit: 0.5, Fixes: []targets.Action{{Fix: catalog.FixMicrorebootEJB}}},
+		{Metric: "proc.*.config_drift", Dir: targets.Rising, Limit: 0.5, Fixes: []targets.Action{{Fix: catalog.FixRestoreConfig}}},
+	}
+	return targets.Diagnosis{Symptoms: rules, Manual: rules}
+}
+
 // Spec returns the process target's static catalog.
 func Spec() targets.Spec {
 	return targets.Spec{
@@ -140,9 +151,10 @@ func Spec() targets.Spec {
 			catalog.FaultDeadlock:       {catalog.FixMicrorebootEJB, catalog.FixRebootAppTier, catalog.FixFullRestart},
 			catalog.FaultOperatorConfig: {catalog.FixRestoreConfig, catalog.FixRebootAppTier, catalog.FixNotifyAdmin},
 		},
-		Tiers: []catalog.Tier{catalog.TierApp},
-		SLO:   detect.SLO{MaxAvgLatencyMS: 200, MaxErrorRate: 0.25, MaxViolationShare: 0},
-		Mixes: []string{"probe"},
+		Tiers:     []catalog.Tier{catalog.TierApp},
+		SLO:       detect.SLO{MaxAvgLatencyMS: 200, MaxErrorRate: 0.25, MaxViolationShare: 0},
+		Mixes:     []string{"probe"},
+		Diagnosis: diagnosis(),
 	}
 }
 

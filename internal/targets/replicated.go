@@ -95,7 +95,7 @@ func ReplicatedSpec() Spec {
 		},
 		CandidateFixes: map[catalog.FaultKind][]catalog.FixID{
 			catalog.FaultException:      {catalog.FixRebootAppTier, catalog.FixFailoverNode},
-			catalog.FaultAging:          {catalog.FixRebootAppTier, catalog.FixFailoverNode},
+			catalog.FaultAging:          {catalog.FixRebootAppTier, catalog.FixFailoverNode, catalog.FixFullRestart},
 			catalog.FaultBottleneck:     {catalog.FixProvisionTier},
 			catalog.FaultOperatorConfig: {catalog.FixRestoreConfig, catalog.FixNotifyAdmin},
 			catalog.FaultHardware:       {catalog.FixFailoverNode, catalog.FixNotifyAdmin},
@@ -115,6 +115,32 @@ func ReplicatedSpec() Spec {
 			}},
 			catalog.FixProvisionTier: {HighestLatest, PerTarget([]string{"app", "db"}, "", ".cpu.util")},
 		},
+		Diagnosis: replicatedDiagnosis(),
+	}
+}
+
+// replicatedDiagnosis fails over a replica that went down, restores a
+// skewed balancer and grows a saturated tier. A replica that leaks or
+// errs is replaced by a fresh image too: unlike a reboot, that leaves its
+// peer no downtime to absorb. The manual baseline reads the same rules.
+func replicatedDiagnosis() Diagnosis {
+	rule := func(metric string, dir, limit float64, fix Action) Symptom {
+		return Symptom{Metric: metric, Dir: dir, Limit: limit, Generic: fix.Fix == catalog.FixProvisionTier, Fixes: []Action{fix}}
+	}
+	rules := []Symptom{
+		rule("app.replica.*.up", Falling, 0.5, Action{Fix: catalog.FixFailoverNode}),
+		rule("lb.weight.*", Rising, 0.75, Action{Fix: catalog.FixRestoreConfig}),
+		rule("db.cpu.util", Rising, 0.95, Action{Fix: catalog.FixProvisionTier}),
+		rule("app.cpu.util", Rising, 0.95, Action{Fix: catalog.FixProvisionTier}),
+	}
+	for _, r := range replicaNames() {
+		fresh := Action{Fix: catalog.FixFailoverNode, Target: r}
+		rules = append(rules, rule("app.replica."+r+".errorrate", Rising, 0.05, fresh), rule("app.replica."+r+".leak", Rising, 0.5, fresh))
+	}
+	return Diagnosis{
+		Symptoms:   rules,
+		Components: []Action{{Fix: catalog.FixRebootAppTier}, {Fix: catalog.FixFailoverNode}},
+		Manual:     rules,
 	}
 }
 
@@ -658,8 +684,12 @@ func (r *Replicated) replicaIndex(name string) int {
 	return -1
 }
 
-// Apply implements Target: the rebalance/failover fix vocabulary.
+// Apply implements Target: the rebalance/failover fix vocabulary, on
+// the targets the spec declares.
 func (r *Replicated) Apply(a Action) (int64, error) {
+	if !r.spec.Declares(a) {
+		return 0, fmt.Errorf("targets: replicated target cannot apply %v to %q", a.Fix, a.Target)
+	}
 	switch a.Fix {
 	case catalog.FixFailoverNode:
 		if a.Target == "db" {
@@ -668,12 +698,8 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 			r.switchTicks = replSwitchTicks
 			return replSwitchTicks + 4, nil
 		}
-		i := r.replicaIndex(a.Target)
-		if i < 0 {
-			return 0, fmt.Errorf("targets: failover-node cannot target %q (want app-0, app-1 or db)", a.Target)
-		}
 		// Replace the node: a fresh replica with a clean image.
-		rep := r.replicas[i]
+		rep := r.replicas[r.replicaIndex(a.Target)]
 		rep.down = false
 		rep.rebootTicks = 0
 		rep.errorRate = 0
@@ -681,11 +707,7 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 		rep.leakLevel = 0
 		return 12, nil
 	case catalog.FixRebootAppTier:
-		i := r.replicaIndex(a.Target)
-		if i < 0 {
-			return 0, fmt.Errorf("targets: reboot-app-tier on the replicated target needs a replica (app-0 or app-1), got %q", a.Target)
-		}
-		rep := r.replicas[i]
+		rep := r.replicas[r.replicaIndex(a.Target)]
 		rep.down = true
 		rep.rebootTicks = replRebootTicks
 		rep.errorRate = 0
@@ -698,22 +720,18 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 	case catalog.FixProvisionTier:
 		// Growth stops at the auction engine's bound, relative to the
 		// configured capacity.
-		switch a.Target {
-		case "db":
+		if a.Target == "db" {
 			grow := r.last.dbUtil / 0.65
 			if !(grow >= 1.5) {
 				grow = 1.5
 			}
 			r.dbCapBoost = math.Min(r.dbCapBoost*grow, service.MaxProvisionGrowth)
 			return 16, nil
-		case "app":
-			for _, rep := range r.replicas {
-				rep.cap = math.Min(rep.cap*1.5, replAppCap*service.MaxProvisionGrowth)
-			}
-			return 16, nil
-		default:
-			return 0, fmt.Errorf("targets: provision-tier cannot target %q (want app or db)", a.Target)
 		}
+		for _, rep := range r.replicas {
+			rep.cap = math.Min(rep.cap*1.5, replAppCap*service.MaxProvisionGrowth)
+		}
+		return 16, nil
 	case catalog.FixFullRestart:
 		r.globalDownTicks = 40
 		r.weights = [2]float64{0.5, 0.5}
@@ -725,11 +743,8 @@ func (r *Replicated) Apply(a Action) (int64, error) {
 			rep.leakLevel = 0
 		}
 		return 80, nil
-	case catalog.FixNotifyAdmin:
-		return 0, nil
-	default:
-		return 0, fmt.Errorf("targets: replicated target has no fix %v", a.Fix)
 	}
+	return 0, nil // notify-admin
 }
 
 // --- Faults ---------------------------------------------------------------

@@ -33,6 +33,7 @@ package targets
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -99,6 +100,69 @@ type Spec struct {
 	// name the fix's target (FailureContext.Localise). A fix without one
 	// takes its target from the knowledge base's nearest exemplar.
 	Locators map[catalog.FixID]Locator
+	// Diagnosis is how the diagnosis approaches name the target's fixes:
+	// the service-structure knowledge of §4.3.
+	Diagnosis Diagnosis
+}
+
+// Diagnosis is a target's diagnosis vocabulary. A fix it names with no
+// Target takes one from the fix's locator, if it has one: the candidate
+// that lists the implicating metric, else the locator's own answer.
+type Diagnosis struct {
+	// Symptoms map a deviating metric to fixes (anomaly, correlation).
+	Symptoms []Symptom
+	// Components are the fixes for a suspect component (a χ² callee, a
+	// component on failed paths): the first whose locator lists it, or
+	// that has its own Target, as the answer for no component ("").
+	Components []Action
+	// Manual are the manual baseline's rules, highest priority first: a
+	// rule fires when its metric's live value is past Limit in Dir, and
+	// localises by the candidates' current-window means.
+	Manual []Symptom
+}
+
+// Symptom is one diagnosis rule: a metric of the family deviating in
+// Dir implicates Fixes, in preference order.
+type Symptom struct {
+	// Metric is the family: a metric name in which one * stands for any
+	// run of characters ("db.table.*.lockms").
+	Metric string
+	// Dir is Rising, Falling or 0 for either; Limit is a manual rule's
+	// threshold.
+	Dir, Limit float64
+	// Generic marks a saturation gauge (threads, CPU), usually a
+	// downstream symptom: a metric that names a cause outranks it.
+	Generic bool
+	// Callee stands for the component fix of the strongest χ² callee,
+	// or of none when the call matrix singles none out.
+	Callee bool
+	Fixes  []Action
+}
+
+// The directions of a Symptom: its metric rises, or it falls.
+const Rising, Falling = 1.0, -1.0
+
+// Matches reports whether the metric name is of the rule's family.
+func (s Symptom) Matches(name string) bool {
+	head, tail, wild := strings.Cut(s.Metric, "*")
+	return name == s.Metric || wild && len(name) >= len(head)+len(tail) && strings.HasPrefix(name, head) && strings.HasSuffix(name, tail)
+}
+
+// Deviates reports whether v (a z-score, a correlation, a live value
+// less the rule's Limit) deviates in the rule's direction.
+func (s Symptom) Deviates(v float64) bool { return s.Dir == 0 || s.Dir*v > 0 }
+
+// Declares reports whether a is in the target's vocabulary: its fix is
+// a candidate fix of some fault kind and, when the fix has a locator,
+// its target is one of the locator's candidates.
+func (s Spec) Declares(a Action) bool {
+	for _, fixes := range s.CandidateFixes {
+		if slices.Contains(fixes, a.Fix) {
+			l, ok := s.Locators[a.Fix]
+			return !ok || slices.ContainsFunc(l.Candidates, func(c Candidate) bool { return c.Target == a.Target })
+		}
+	}
+	return false
 }
 
 // LocateRule is how a Locator reads the metrics of its candidates.
@@ -112,6 +176,7 @@ const (
 	LargestZ                        // its symptom z
 	HighestLatest                   // its live (latest) value
 	LowestZ                         // its symptom -z
+	HighestMean                     // its current-window mean
 )
 
 // Candidate is one target a Locator can name, with the metrics that speak

@@ -124,6 +124,35 @@ func TestProcessTargetHealsThroughFacade(t *testing.T) {
 	}
 }
 
+// TestProcessTargetHealsThroughDiagnosis: anomaly analysis reads the
+// process target's own diagnosis rules, so a real crash is healed by a
+// diagnosed fix (the child's alive gauge fell: fail it over), not by
+// escalating to the administrator.
+func TestProcessTargetHealsThroughDiagnosis(t *testing.T) {
+	ctx := context.Background()
+	sys, err := selfheal.New(ctx,
+		selfheal.WithTargetInstance(newFacadeProcessTarget(t)),
+		selfheal.WithApproach(selfheal.ApproachAnomaly),
+	)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer sys.Close()
+	kind, err := selfheal.ParseFaultKind("hardware-degradation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := sys.NewFaults(3, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := sys.HealEpisode(ctx, gen.Next())
+	if !ep.Detected || !ep.Recovered || ep.Escalated || len(ep.Attempts) == 0 {
+		t.Fatalf("crash not healed by diagnosis: detected %v, recovered %v, escalated %v, %d attempts",
+			ep.Detected, ep.Recovered, ep.Escalated, len(ep.Attempts))
+	}
+}
+
 // TestFleetRejectsTargetInstance pins that one mutable target cannot be
 // shared across fleet replicas.
 func TestFleetRejectsTargetInstance(t *testing.T) {
