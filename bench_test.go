@@ -195,6 +195,21 @@ func BenchmarkTickTerms(b *testing.B) {
 	}
 }
 
+// BenchmarkArrivals measures one tick of steady-rate Poisson arrivals
+// for the bidding mix: the sampler's share of an auction tick.
+// cmd/benchgate holds it below a third of a steady TickTerms tick, so a
+// sampler that goes back to scanning its CDF tables from the start fails
+// CI.
+func BenchmarkArrivals(b *testing.B) {
+	b.Run("mix=bidding", func(b *testing.B) {
+		gen := workload.NewGenerator(workload.BiddingMix(), 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			gen.Arrivals(int64(i))
+		}
+	})
+}
+
 // BenchmarkHarnessStepAllocs pins the steady-state tick path's allocation
 // behavior per target: the call-matrix ring is preallocated once at
 // construction and refilled in place, so allocs/op stays flat no matter

@@ -4,7 +4,7 @@
 //	go test -run='^$' -bench='SynopsisSuggest|SynopsisRankK' -benchtime=1x . > bench.txt
 //	benchgate -in bench.txt
 //
-// Three kinds of ratio are pinned:
+// Four kinds of ratio are pinned:
 //
 //   - scaling: the KB-size-scaling rows (SynopsisSuggest/SynopsisRankK at
 //     size=1000 vs size=1000000) must keep the big row's query latency
@@ -20,7 +20,11 @@
 //   - tick reuse: a steady-state auction tick (TickTerms/state=steady)
 //     must cost at most 0.8× a tick whose keyed state changes every tick
 //     (state=changing), which pins the service's reuse of its state-keyed
-//     tick terms — a key that misses on every tick reads ≈1×.
+//     tick terms — a key that misses on every tick reads ≈1×;
+//   - arrival share: a tick of bidding-mix Poisson arrivals
+//     (Arrivals/mix=bidding) must cost at most 0.3× a steady-state tick,
+//     which pins the sampler's guided inversion — scanning each class's
+//     CDF table from its start reads ≈0.43 on two cores, the guide 0.15–0.26.
 //
 // Absolute throughput is not gated here: a number from one run of one
 // machine says little about another. The committed benchmark's paired
@@ -55,6 +59,7 @@ const (
 	towardLinear = "index scaling regressed toward linear"
 	headGone     = "the index no longer prunes at real width"
 	termsRebuilt = "the tick rebuilds its state-keyed terms every tick"
+	arrivalsScan = "Poisson arrivals scan their CDF tables instead of starting at the guide"
 )
 
 // ratioGates lists the pinned ratios: a million-point KB must answer
@@ -63,7 +68,8 @@ const (
 // 20,000-point KB of real-width vectors within 0.25× the brute scan
 // (three local runs read 0.16–0.19; a third of margin on top). A steady
 // tick must cost at most 0.8× a changing one (local runs on two cores read
-// 0.48–0.63).
+// 0.48–0.63), and a tick of bidding-mix arrivals at most 0.3× a steady
+// tick (0.15–0.26 on two cores; a scan from the table start reads 0.43).
 var ratioGates = []ratioGate{
 	{"SynopsisSuggest/size=1000000", "p99_ns", "SynopsisSuggest/size=1000", "p99_ns", 3, towardLinear},
 	{"SynopsisSuggest/size=1000000", "mean_ns", "SynopsisSuggest/size=1000", "mean_ns", 3, towardLinear},
@@ -72,6 +78,7 @@ var ratioGates = []ratioGate{
 	{"SynopsisSuggest/width=104/size=20000", "mean_ns", "SynopsisSuggest/width=104/size=20000", "brute_mean_ns", 0.25, headGone},
 	{"SynopsisRankK/width=104/size=20000", "mean_ns", "SynopsisRankK/width=104/size=20000", "brute_mean_ns", 0.25, headGone},
 	{"TickTerms/state=steady", "ns_per_op", "TickTerms/state=changing", "ns_per_op", 0.8, termsRebuilt},
+	{"Arrivals/mix=bidding", "ns_per_op", "TickTerms/state=steady", "ns_per_op", 0.3, arrivalsScan},
 }
 
 // gomaxprocsSuffix strips the trailing -N a parallel benchmark name

@@ -35,25 +35,7 @@ func (c *Clock) Advance(n int64) int64 {
 // simulator. It is not safe for concurrent use; each simulation owns one.
 type RNG struct {
 	r *rand.Rand
-	// poisson caches inverse-CDF tables per arrival rate, so steady-rate
-	// workloads sample exact Poisson counts with one uniform draw instead
-	// of Knuth's λ+1 draws plus an exp — the difference between arrival
-	// generation dominating the simulator tick and vanishing from it.
-	poisson      []poissonTable
-	poissonEvict int
 }
-
-// poissonTable is the cumulative distribution of a Poisson(lambda) count,
-// truncated where the remaining tail mass is negligible (< 1e-13).
-type poissonTable struct {
-	lambda float64
-	cdf    []float64 // cdf[k] = P(X <= k)
-}
-
-// poissonCacheSize bounds the per-RNG table cache. A workload mix has one
-// rate per request class (~10); diurnal or drifting mixes rebuild tables as
-// rates move, which costs no more than the Knuth loop they replace.
-const poissonCacheSize = 32
 
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
@@ -96,102 +78,38 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
 
-// Poisson returns a Poisson sample with rate lambda. Small rates sample
-// exactly by CDF inversion against a cached per-rate table (one uniform
-// draw); for large lambda it uses a normal approximation, which is accurate
-// enough for workload arrival counts and far cheaper than exact inversion.
-func (g *RNG) Poisson(lambda float64) int {
-	switch {
-	case lambda <= 0:
-		return 0
-	case lambda > 30:
-		// Normal approximation with continuity correction.
-		n := g.r.NormFloat64()*math.Sqrt(lambda) + lambda + 0.5
-		if n < 0 {
-			return 0
-		}
-		return int(n)
-	default:
-		return g.poissonInvert(lambda)
-	}
-}
-
-// poissonInvert draws X = min{k : U < P(X ≤ k)} from the cached CDF table —
-// an exact Poisson sample from a single uniform draw.
-func (g *RNG) poissonInvert(lambda float64) int {
-	cdf := g.poissonCDF(lambda)
-	u := g.r.Float64()
-	// Linear scan for the same predictability reasons as
-	// PoissonStream.Sample. Landing past the table end means u fell in the
-	// truncated tail (< 1e-13 mass); the table edge is the quantile floor.
-	for k, c := range cdf {
-		if c > u {
-			return k
-		}
-	}
-	return len(cdf)
-}
-
-// poissonCDF returns the cached CDF table for lambda, building and caching
-// it on first use. Eviction is round-robin: the cache is sized for the
-// handful of distinct per-class rates a workload mix produces, and a
-// thrashing rebuild costs no more than one Knuth-method draw did.
-func (g *RNG) poissonCDF(lambda float64) []float64 {
-	for i := range g.poisson {
-		if g.poisson[i].lambda == lambda {
-			return g.poisson[i].cdf
-		}
-	}
-	cdf := buildPoissonCDF(lambda)
-	t := poissonTable{lambda: lambda, cdf: cdf}
-	if len(g.poisson) < poissonCacheSize {
-		g.poisson = append(g.poisson, t)
-	} else {
-		g.poisson[g.poissonEvict] = t
-		g.poissonEvict = (g.poissonEvict + 1) % poissonCacheSize
-	}
-	return cdf
-}
-
-// buildPoissonCDF computes the truncated Poisson(lambda) CDF table.
-func buildPoissonCDF(lambda float64) []float64 {
-	p := math.Exp(-lambda)
-	cum := p
-	cdf := make([]float64, 1, int(lambda)+16)
-	cdf[0] = cum
-	for k := 1; 1-cum > 1e-13 && k < 4096; k++ {
-		p *= lambda / float64(k)
-		cum += p
-		cdf = append(cdf, cum)
-	}
-	return cdf
-}
-
-// PoissonStream samples Poisson counts for one recurring arrival process,
-// holding that process's CDF table directly so the steady-rate hot path
-// (one sampler per request class) skips the RNG's shared table scan.
-// Samples are drawn from — and bitwise identical to — the owning RNG's
+// PoissonStream samples Poisson counts for one recurring arrival process
+// (one per request class), holding that process's CDF table so a steady
+// rate samples an exact count from a single uniform draw instead of
+// Knuth's λ+1 draws plus an exp. Samples are drawn from the owning RNG's
 // stream: mixing PoissonStream.Sample with the RNG's other methods is safe
 // and deterministic.
 type PoissonStream struct {
 	g      *RNG
 	lambda float64
-	cdf    []float64
+	// cdf[k] = P(X <= k) for a Poisson(lambda) count, truncated where the
+	// remaining tail mass is negligible (< 1e-13).
+	cdf []float64
+	// guide[j] = min{k : cdf[k] > j/len(guide)}, len(guide) the smallest
+	// power of two ≥ len(cdf): the index table of Chen & Asau's guided
+	// inversion (Devroye, Non-Uniform Random Variate Generation, §III.2).
+	guide []int32
 }
 
 // PoissonStream returns a sampler bound to this RNG for one arrival
 // process whose rate rarely changes.
 func (g *RNG) PoissonStream() PoissonStream { return PoissonStream{g: g} }
 
-// Sample draws a Poisson(lambda) count, rebuilding the cached table only
-// when lambda changed since the previous call.
+// Sample draws a Poisson(lambda) count, rebuilding the table in place only
+// when lambda changed since the previous call. Small rates invert the CDF
+// exactly; for lambda > 30 a normal approximation is accurate enough for
+// workload arrival counts and far cheaper than exact inversion.
 func (p *PoissonStream) Sample(lambda float64) int {
 	switch {
 	case lambda <= 0:
 		return 0
 	case lambda > 30:
-		// Normal approximation with continuity correction — same branch,
-		// same draw as RNG.Poisson.
+		// Normal approximation with continuity correction.
 		n := p.g.r.NormFloat64()*math.Sqrt(lambda) + lambda + 0.5
 		if n < 0 {
 			return 0
@@ -199,18 +117,52 @@ func (p *PoissonStream) Sample(lambda float64) int {
 		return int(n)
 	}
 	if p.cdf == nil || p.lambda != lambda {
-		p.lambda, p.cdf = lambda, buildPoissonCDF(lambda)
+		p.build(lambda)
 	}
-	u := p.g.r.Float64()
-	// Linear scan, not binary search: the table has at most ~45 entries and
-	// a sequential not-taken branch predicts almost perfectly, where binary
-	// search eats log2(n) data-dependent mispredictions per draw.
-	for k, c := range p.cdf {
-		if c > u {
-			return k
+	return p.invert(p.g.r.Float64())
+}
+
+// invert returns X = min{k : cdf[k] > u} for u in [0,1). With j = ⌊u·M⌋
+// (exact: M is a power of two), every k below guide[j] has
+// cdf[k] ≤ j/M ≤ u, so the scan may start there; it examines fewer than
+// two entries per draw on average, whatever the rate. Landing past the
+// table end means u fell in the truncated tail; the table edge is the
+// quantile floor. The tests are written !(c > u), not c <= u, so a NaN
+// table (a NaN rate) scans to its end as the plain scan did.
+func (p *PoissonStream) invert(u float64) int {
+	k := int(p.guide[int(u*float64(len(p.guide)))])
+	for k < len(p.cdf) && !(p.cdf[k] > u) {
+		k++
+	}
+	return k
+}
+
+// build fills the CDF and guide tables for lambda, reusing their storage,
+// so a rate that moves every tick (diurnal load, drift) rebuilds without
+// allocating, in time linear in the table: at most 79 CDF entries and 128
+// guide entries for lambda ≤ 30.
+func (p *PoissonStream) build(lambda float64) {
+	pk := math.Exp(-lambda)
+	cum := pk
+	cdf := append(p.cdf[:0], cum)
+	for k := 1; 1-cum > 1e-13 && k < 4096; k++ {
+		pk *= lambda / float64(k)
+		cum += pk
+		cdf = append(cdf, cum)
+	}
+	m := 1
+	for m < len(cdf) {
+		m <<= 1
+	}
+	guide := p.guide[:0]
+	k := 0
+	for j := 0; j < m; j++ {
+		for k < len(cdf) && !(cdf[k] > float64(j)/float64(m)) {
+			k++
 		}
+		guide = append(guide, int32(k))
 	}
-	return len(p.cdf)
+	p.lambda, p.cdf, p.guide = lambda, cdf, guide
 }
 
 // Pick returns an index sampled proportionally to weights. Negative weights

@@ -44,19 +44,19 @@ func TestRNGDeterminism(t *testing.T) {
 
 func TestPoissonMean(t *testing.T) {
 	for _, lambda := range []float64{0.5, 4, 25, 80, 400} {
-		g := NewRNG(42)
+		s := NewRNG(42).PoissonStream()
 		n := 4000
 		sum := 0
 		for i := 0; i < n; i++ {
-			sum += g.Poisson(lambda)
+			sum += s.Sample(lambda)
 		}
 		mean := float64(sum) / float64(n)
 		if math.Abs(mean-lambda) > 4*math.Sqrt(lambda/float64(n))+0.5 {
 			t.Errorf("Poisson(%v) mean %.2f too far off", lambda, mean)
 		}
 	}
-	g := NewRNG(1)
-	if g.Poisson(0) != 0 || g.Poisson(-3) != 0 {
+	s := NewRNG(1).PoissonStream()
+	if s.Sample(0) != 0 || s.Sample(-3) != 0 {
 		t.Error("non-positive lambda should yield 0")
 	}
 }
@@ -115,7 +115,7 @@ func TestQuickDistributionDomains(t *testing.T) {
 	if err := quick.Check(func(seed int64, lam float64) bool {
 		lam = math.Mod(math.Abs(lam), 500)
 		g := NewRNG(seed)
-		if g.Poisson(lam) < 0 {
+		if s := g.PoissonStream(); s.Sample(lam) < 0 {
 			return false
 		}
 		lo, hi := -math.Abs(lam), math.Abs(lam)+1

@@ -188,12 +188,17 @@ type Proc struct {
 
 	clk *clock.Wall
 
-	now        int64
-	names      []string
-	vals       []float64
-	lastFailed bool
-	calls      [][]float64
+	now   int64
+	names []string
+	vals  []float64
+	// failed holds whether each probe of the detection window failed,
+	// the probe of tick t at t%probeWindow.
+	failed [probeWindow]bool
+	calls  [][]float64
 }
+
+// probeWindow is the detection window in ticks (HarnessTuning).
+const probeWindow = 6
 
 // New spawns and supervises the configured child, returning once it
 // answers its first healthy probe.
@@ -204,6 +209,8 @@ func New(cfg Config) (*Proc, error) {
 	}
 
 	p := &Proc{cfg: cfg, spec: Spec(), clk: clock.NewWall(cfg.TickPeriod)}
+	// A suspect on a failed probe's path is the child itself: restart it.
+	p.spec.Diagnosis.Components = []targets.Action{{Fix: catalog.FixRebootAppTier, Target: cfg.Component}}
 	p.FaultSet = targets.NewFaultSet(Name, p.inject, p.clear, p.faultCleared)
 
 	if cfg.Addr == "" {
@@ -341,7 +348,7 @@ func (p *Proc) Clock() clock.Clock { return p.clk }
 func (p *Proc) HarnessTuning() targets.HarnessTuning {
 	return targets.HarnessTuning{
 		WarmupTicks:     24,
-		WindowTicks:     6,
+		WindowTicks:     probeWindow,
 		DetectK:         3,
 		HistoryTicks:    2048,
 		CheckTicks:      30,
@@ -376,7 +383,6 @@ func (p *Proc) Tick() detect.Sample {
 	if !alive {
 		p.vals[mRefused] = 1
 		s.Errors, s.SLOViolations, s.Down = 1, 1, true
-		p.lastFailed = true
 	} else {
 		r := p.live.probe()
 		p.vals[mProbeMS] = r.latencyMS
@@ -384,13 +390,11 @@ func (p *Proc) Tick() detect.Sample {
 		switch {
 		case r.ok:
 			p.vals[mUp] = 1
-			p.lastFailed = false
 			if r.latencyMS > p.spec.SLO.MaxAvgLatencyMS {
 				s.SLOViolations = 1
 			}
 		default:
 			s.Errors, s.SLOViolations = 1, 1
-			p.lastFailed = true
 			if r.refused {
 				p.vals[mRefused] = 1
 				s.Down = true
@@ -406,6 +410,7 @@ func (p *Proc) Tick() detect.Sample {
 			p.scrapeInto()
 		}
 	}
+	p.failed[p.now%probeWindow] = s.Errors > 0
 	p.calls[0][0] = 1 // the supervisor's one probe call this tick
 	return s
 }
@@ -448,13 +453,19 @@ func (p *Proc) CallCallees() []string { return []string{p.cfg.Component} }
 // CallMatrixSupport marks the single live cell (targets.CallMatrixSupporter).
 func (p *Proc) CallMatrixSupport() [][2]int { return [][2]int{{0, 0}} }
 
-// SamplePaths reports the probe's one-hop path through the child.
+// SamplePaths reports the one-hop path through the child of each probe
+// in the detection window, oldest first.
 func (p *Proc) SamplePaths() []trace.Path {
-	return []trace.Path{{
-		Class:  "probe",
-		Hops:   []trace.Hop{{Tier: catalog.TierApp.String(), Component: p.cfg.Component, Failed: p.lastFailed}},
-		Failed: p.lastFailed,
-	}}
+	paths := make([]trace.Path, min(p.now, probeWindow))
+	for i := range paths {
+		failed := p.failed[(p.now-int64(len(paths)-1-i))%probeWindow]
+		paths[i] = trace.Path{
+			Class:  "probe",
+			Hops:   []trace.Hop{{Tier: catalog.TierApp.String(), Component: p.cfg.Component, Failed: failed}},
+			Failed: failed,
+		}
+	}
+	return paths
 }
 
 // inject performs the real injection behind f: SIGKILL for hardware

@@ -185,6 +185,8 @@ type Replicated struct {
 	spec Spec
 	rng  *sim.RNG
 	now  int64
+	// classArrivals samples each class's Poisson arrivals from rng.
+	classArrivals []sim.PoissonStream
 
 	mixName   string
 	baseRates []float64
@@ -234,6 +236,10 @@ func NewReplicated(cfg Config) (*Replicated, error) {
 		dbCapBoost:       1,
 	}
 	r.load = workload.NewShaper(r.baseRates, replDriftDirs)
+	r.classArrivals = make([]sim.PoissonStream, len(replClasses))
+	for c := range r.classArrivals {
+		r.classArrivals[c] = r.rng.PoissonStream()
+	}
 	r.FaultSet = NewFaultSet(ReplicatedName,
 		func(f replFault) error { f.inject(r); return nil },
 		func(f replFault) error { f.clear(r); return nil },
@@ -359,7 +365,7 @@ func (r *Replicated) Tick() detect.Sample {
 	rates := r.rates()
 	arrivals := r.arrivalsBuf
 	for c, rate := range rates {
-		a := float64(r.rng.Poisson(rate))
+		a := float64(r.classArrivals[c].Sample(rate))
 		n := 1 + r.rng.Normal(0, replNoiseFrac)
 		if n < 0.5 {
 			n = 0.5

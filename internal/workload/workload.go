@@ -174,8 +174,7 @@ type Generator struct {
 	rng *sim.RNG
 	buf []float64
 	// samplers holds one Poisson sampler per class, so steady per-class
-	// rates keep their CDF tables hot instead of rescanning the RNG's
-	// shared cache on every draw.
+	// rates keep their CDF tables built.
 	samplers []sim.PoissonStream
 }
 

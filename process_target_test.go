@@ -125,31 +125,36 @@ func TestProcessTargetHealsThroughFacade(t *testing.T) {
 }
 
 // TestProcessTargetHealsThroughDiagnosis: anomaly analysis reads the
-// process target's own diagnosis rules, so a real crash is healed by a
-// diagnosed fix (the child's alive gauge fell: fail it over), not by
-// escalating to the administrator.
+// process target's own diagnosis rules (the child's alive gauge fell:
+// fail it over), and path analysis the failed probes of the detection
+// window (restart the component on them), so a real crash is healed by a
+// diagnosed fix, not by escalating to the administrator.
 func TestProcessTargetHealsThroughDiagnosis(t *testing.T) {
-	ctx := context.Background()
-	sys, err := selfheal.New(ctx,
-		selfheal.WithTargetInstance(newFacadeProcessTarget(t)),
-		selfheal.WithApproach(selfheal.ApproachAnomaly),
-	)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer sys.Close()
-	kind, err := selfheal.ParseFaultKind("hardware-degradation")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := sys.NewFaults(3, kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := sys.HealEpisode(ctx, gen.Next())
-	if !ep.Detected || !ep.Recovered || ep.Escalated || len(ep.Attempts) == 0 {
-		t.Fatalf("crash not healed by diagnosis: detected %v, recovered %v, escalated %v, %d attempts",
-			ep.Detected, ep.Recovered, ep.Escalated, len(ep.Attempts))
+	for _, approach := range []selfheal.ApproachKind{selfheal.ApproachAnomaly, selfheal.ApproachPathAnalysis} {
+		t.Run(string(approach), func(t *testing.T) {
+			ctx := context.Background()
+			sys, err := selfheal.New(ctx,
+				selfheal.WithTargetInstance(newFacadeProcessTarget(t)),
+				selfheal.WithApproach(approach),
+			)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer sys.Close()
+			kind, err := selfheal.ParseFaultKind("hardware-degradation")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := sys.NewFaults(3, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep := sys.HealEpisode(ctx, gen.Next())
+			if !ep.Detected || !ep.Recovered || ep.Escalated || len(ep.Attempts) == 0 {
+				t.Fatalf("crash not healed by diagnosis: detected %v, recovered %v, escalated %v, %d attempts",
+					ep.Detected, ep.Recovered, ep.Escalated, len(ep.Attempts))
+			}
+		})
 	}
 }
 
