@@ -26,6 +26,9 @@
 //     which pins the sampler's guided inversion — scanning each class's
 //     CDF table from its start reads ≈0.43 on two cores, the guide 0.15–0.26.
 //
+// A row run more than once (-count=N) is gated on the median of its
+// samples.
+//
 // Absolute throughput is not gated here: a number from one run of one
 // machine says little about another. The committed benchmark's paired
 // parent/change comparison (benchmark/run.sh --compare) does that job.
@@ -38,6 +41,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -98,8 +102,12 @@ func metricKey(unit string) string {
 // parseBench reads `go test -bench` output: lines of the form
 //
 //	BenchmarkName/sub=x-8  1  26118192 ns/op  153.2 episodes/sec  ...
+//
+// A row that appears more than once (-count=N) keeps every sample, and
+// each of its metrics reads as the median of its samples, so one sample
+// taken while a shared runner was busy cannot decide a gate.
 func parseBench(r io.Reader) (map[string]map[string]float64, error) {
-	out := make(map[string]map[string]float64)
+	samples := make(map[string]map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -107,19 +115,65 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 			continue
 		}
 		name := strings.TrimPrefix(gomaxprocsSuffix.ReplaceAllString(fields[0], ""), "Benchmark")
-		rec := make(map[string]float64)
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
-			rec[metricKey(fields[i+1])] = v
+			if samples[name] == nil {
+				samples[name] = make(map[string][]float64)
+			}
+			key := metricKey(fields[i+1])
+			samples[name][key] = append(samples[name][key], v)
 		}
-		if len(rec) > 0 {
-			out[name] = rec
+	}
+	out := make(map[string]map[string]float64, len(samples))
+	for name, metrics := range samples {
+		out[name] = make(map[string]float64, len(metrics))
+		for key, vs := range metrics {
+			out[name][key] = median(vs)
 		}
 	}
 	return out, sc.Err()
+}
+
+// median returns the middle of vs (the mean of the middle two for an even
+// count), reordering vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// checkGates holds every ratio gate against the rows, printing each
+// checked ratio, and returns one line per broken gate.
+func checkGates(w io.Writer, rows map[string]map[string]float64) []string {
+	var fails []string
+	for _, g := range ratioGates {
+		ref, okR := rows[g.ref]
+		held, okH := rows[g.held]
+		if !okR && !okH {
+			continue // these rows are not part of this sweep
+		}
+		rv, hv := ref[g.refMetric], held[g.heldMetric]
+		if rv <= 0 || hv <= 0 {
+			fails = append(fails,
+				fmt.Sprintf("%s %s vs %s %s: missing or zero (have %.1f / %.1f)", g.held, g.heldMetric, g.ref, g.refMetric, hv, rv))
+			continue
+		}
+		ratio := hv / rv
+		fmt.Fprintf(w, "  scale %.2fx <= %gx  %s %s %.0f vs %s %s %.0f\n",
+			ratio, g.factor, g.held, g.heldMetric, hv, g.ref, g.refMetric, rv)
+		if ratio > g.factor {
+			fails = append(fails,
+				fmt.Sprintf("%s: %s %.0f is %.2fx %s %s %.0f (limit %gx) — %s",
+					g.held, g.heldMetric, hv, ratio, g.ref, g.refMetric, rv, g.factor, g.broken))
+		}
+	}
+	return fails
 }
 
 func main() {
@@ -145,32 +199,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark lines in input")
 		os.Exit(2)
 	}
-
-	var scalefails []string
-	for _, g := range ratioGates {
-		ref, okR := fresh[g.ref]
-		held, okH := fresh[g.held]
-		if !okR && !okH {
-			continue // these rows are not part of this sweep
-		}
-		rv, hv := ref[g.refMetric], held[g.heldMetric]
-		if rv <= 0 || hv <= 0 {
-			scalefails = append(scalefails,
-				fmt.Sprintf("%s %s vs %s %s: missing or zero (have %.1f / %.1f)", g.held, g.heldMetric, g.ref, g.refMetric, hv, rv))
-			continue
-		}
-		ratio := hv / rv
-		fmt.Printf("  scale %.2fx <= %gx  %s %s %.0f vs %s %s %.0f\n",
-			ratio, g.factor, g.held, g.heldMetric, hv, g.ref, g.refMetric, rv)
-		if ratio > g.factor {
-			scalefails = append(scalefails,
-				fmt.Sprintf("%s: %s %.0f is %.2fx %s %s %.0f (limit %gx) — %s",
-					g.held, g.heldMetric, hv, ratio, g.ref, g.refMetric, rv, g.factor, g.broken))
-		}
-	}
-	if len(scalefails) > 0 {
+	if fails := checkGates(os.Stdout, fresh); len(fails) > 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: ratios past their pinned factor:")
-		for _, s := range scalefails {
+		for _, s := range fails {
 			fmt.Fprintln(os.Stderr, "  "+s)
 		}
 		os.Exit(1)

@@ -15,7 +15,7 @@ import (
 func TestCompactRejectsBadRadius(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "kb.json")
-	snap := &synopsis.Snapshot{Points: []synopsis.Point{
+	snap := &synopsis.Delta{Points: []synopsis.Point{
 		{X: []float64{1, 2}, Action: synopsis.Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true},
 		{X: []float64{1, 2.1}, Action: synopsis.Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true},
 	}}

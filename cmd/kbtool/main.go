@@ -1,18 +1,16 @@
 // Command kbtool works with portable knowledge-base snapshots (the §5.1
 // knowledge base "a practitioner can use"): inspect what a file holds,
-// convert legacy positional (v1) files to the schema-carrying v2 format,
-// merge many fleets' experience into one file, diff two files, and fetch
-// the live knowledge base of a running selfheald daemon over its ops
-// plane.
+// merge many fleets' experience into one file, compact it, diff two
+// files, rank a symptom against one, and fetch the live knowledge base of
+// a running selfheald daemon over its ops plane.
 //
-//	kbtool inspect kb.json
-//	kbtool inspect -symptoms kb.json
-//	kbtool convert -targets replicated,auction -o kb2.json old-kb.json
-//	kbtool merge -o all.json fleetA.json fleetB.json fleetC.json
-//	kbtool compact -max 50000 -radius 0.5 -o small.json all.json
-//	kbtool diff fleetA.json fleetB.json
-//	kbtool fetch -o live.kb.json http://daemon-host:8701
-//	kbtool rank -x "2.5,0.1,3.0" -k 3 kb.json
+//	kbtool inspect fleetA.kb
+//	kbtool inspect -symptoms fleetA.kb
+//	kbtool merge -o all.kb fleetA.kb fleetB.kb fleetC.kb
+//	kbtool compact -max 50000 -radius 0.5 -o small.kb all.kb
+//	kbtool diff fleetA.kb fleetB.kb
+//	kbtool fetch -o live.kb http://daemon-host:8701
+//	kbtool rank -x "2.5,0.1,3.0" -k 3 all.kb
 //	kbtool top http://a:8701 http://b:8702 http://c:8703
 //
 // Exit status is script-friendly: 0 on success (for diff: the snapshots
@@ -33,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"selfheal"
 	"selfheal/internal/detect"
 	"selfheal/internal/synopsis"
 )
@@ -47,8 +44,6 @@ func main() {
 	switch os.Args[1] {
 	case "inspect":
 		err = cmdInspect(os.Args[2:])
-	case "convert":
-		err = cmdConvert(os.Args[2:])
 	case "merge":
 		err = cmdMerge(os.Args[2:])
 	case "compact":
@@ -79,19 +74,17 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: kbtool <subcommand> [flags] <file>...
 
 subcommands:
-  inspect [-symptoms] <kb.json>            summarize a snapshot
-  convert [-targets a,b] [-o out] <kb.json>  rewrite as format v2
-  merge -o <out.json> <kb.json>...         fold snapshots into one
-  compact -max n [-radius r] [-o out] <kb.json>  shrink to at most n points
-  diff <a.json> <b.json>                   compare two snapshots
-  fetch [-o out.json] <daemon-url>         pull a live daemon's KB
-  rank -x v1,v2,... [-k n] <kb.json>       top-k actions for a symptom
+  inspect [-symptoms] <file.kb>            summarize a snapshot
+  merge -o <out.kb> <file.kb>...           fold snapshots into one
+  compact -max n [-radius r] [-o out] <file.kb>  shrink to at most n points
+  diff <a.kb> <b.kb>                       compare two snapshots
+  fetch [-o out.kb] <daemon-url>           pull a live daemon's KB
+  rank -x v1,v2,... [-k n] <file.kb>       top-k actions for a symptom
   top [-token t] [-once] <daemon-url>...   live fleet view (/metrics + /events)
 
-convert attaches a symptom-space name table to a positional (v1) file;
--targets must list the writer's target kinds in the order that process
-registered them. merge and diff refuse to mix named and unnamed files.
-fetch GETs <daemon-url>/kb/snapshot from a selfheald -serve ops plane.
+merge and diff refuse to mix files with and without a symptom name
+table. fetch GETs <daemon-url>/kb/snapshot from a selfheald -serve ops
+plane.
 
 exit status: 0 success (diff: identical), 1 diff found differences,
 2 error.
@@ -99,7 +92,7 @@ exit status: 0 success (diff: identical), 1 diff found differences,
 }
 
 // decodeFile reads one snapshot from disk.
-func decodeFile(path string) (*synopsis.Snapshot, error) {
+func decodeFile(path string) (*synopsis.Delta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -113,7 +106,7 @@ func decodeFile(path string) (*synopsis.Snapshot, error) {
 }
 
 // encodeTo writes a snapshot to path, or stdout when path is empty.
-func encodeTo(path string, snap *synopsis.Snapshot) error {
+func encodeTo(path string, snap *synopsis.Delta) error {
 	if path == "" {
 		return snap.Encode(os.Stdout)
 	}
@@ -129,11 +122,11 @@ func encodeTo(path string, snap *synopsis.Snapshot) error {
 }
 
 // warnUnnamed prints the portability caveat for positional snapshots.
-func warnUnnamed(snap *synopsis.Snapshot, path string) {
+func warnUnnamed(snap *synopsis.Delta, path string) {
 	if len(snap.Symptoms) == 0 {
 		fmt.Fprintf(os.Stderr, "kbtool: warning: %s carries no symptom name table; "+
 			"its vectors are positional and rank fixes correctly only in a process that "+
-			"registered target kinds in the writer's order (convert with -targets to fix)\n", path)
+			"registered target kinds in the writer's order\n", path)
 	}
 }
 
@@ -162,9 +155,8 @@ func cmdInspect(args []string) error {
 		}
 		perFix[p.Action.String()]++
 	}
-	fmt.Printf("%s: format v%d, synopsis %q\n", path, snap.Version, snap.Synopsis)
-	fmt.Printf(" points: %d (%d successes, %d negatives), widest vector %d dims\n",
-		len(snap.Points), successes, len(snap.Points)-successes, width)
+	fmt.Printf("%s: %d points (%d successes, %d negatives), widest vector %d dims\n",
+		path, len(snap.Points), successes, len(snap.Points)-successes, width)
 	if snap.Seq > 0 {
 		fmt.Printf(" kb sequence: %d (writer's publish sequence at capture)\n", snap.Seq)
 	}
@@ -174,81 +166,10 @@ func cmdInspect(args []string) error {
 			fmt.Printf("   [%3d] %s\n", d, name)
 		}
 	}
-	for _, kind := range sortedKeys(snap.Targets) {
-		cat := snap.Targets[kind]
-		fmt.Printf(" target %q: %d fault kinds (%s)\n", kind, len(cat.FaultKinds), cat.Description)
-	}
 	for _, action := range sortedKeys(perFix) {
 		fmt.Printf("   %4d× %s\n", perFix[action], action)
 	}
 	return nil
-}
-
-func cmdConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	out := fs.String("o", "", "output file (default stdout)")
-	targetList := fs.String("targets", "", "comma-separated target kinds in the writer's registration order")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("convert wants exactly one input file")
-	}
-	snap, err := decodeFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-
-	kinds := splitList(*targetList)
-	if len(kinds) == 0 {
-		if len(snap.Symptoms) == 0 {
-			return fmt.Errorf("%s carries no symptom name table: pass -targets with the writer's target kinds in registration order", fs.Arg(0))
-		}
-		// Already named: normalize the version and re-encode.
-		snap.Version = synopsis.FormatV2
-		return encodeTo(*out, snap)
-	}
-
-	// Reconstruct the symptom space a process registering these kinds in
-	// this order would have built.
-	space := detect.NewSymptomSpace()
-	catalogs := selfheal.TargetCatalogs()
-	targets := make(map[string]selfheal.KBTargetCatalog, len(kinds))
-	for _, kind := range kinds {
-		names, err := selfheal.TargetMetricNames(selfheal.TargetKind(kind))
-		if err != nil {
-			return err
-		}
-		space.Indices(names)
-		if cat, ok := catalogs[kind]; ok {
-			targets[kind] = cat
-		}
-	}
-
-	if len(snap.Symptoms) > 0 {
-		// Re-coordinate a named file into the reconstructed layout. The
-		// file's own recorded catalogs are the writer's metadata and win
-		// over this binary's registry; -targets only adds missing kinds.
-		for i := range snap.Points {
-			snap.Points[i].X = space.Remap(snap.Symptoms, snap.Points[i].X)
-		}
-		for kind, cat := range snap.Targets {
-			targets[kind] = cat
-		}
-	} else {
-		// Positional file: the reconstructed space IS its coordinate
-		// system, by the operator's assertion via -targets.
-		for i, p := range snap.Points {
-			if len(p.X) > space.Dim() {
-				return fmt.Errorf("point %d has %d dimensions but targets %q only name %d — wrong kinds or wrong order",
-					i, len(p.X), *targetList, space.Dim())
-			}
-		}
-	}
-	snap.Version = synopsis.FormatV2
-	snap.Symptoms = space.Names()
-	if len(targets) > 0 {
-		snap.Targets = targets
-	}
-	return encodeTo(*out, snap)
 }
 
 func cmdMerge(args []string) error {
@@ -258,7 +179,7 @@ func cmdMerge(args []string) error {
 	if fs.NArg() < 1 {
 		return fmt.Errorf("merge wants at least one input file")
 	}
-	var snaps []*synopsis.Snapshot
+	var snaps []*synopsis.Delta
 	for _, path := range fs.Args() {
 		snap, err := decodeFile(path)
 		if err != nil {
@@ -271,8 +192,8 @@ func cmdMerge(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "kbtool: merged %d snapshots: %d points, %d named dimensions, %d target kinds\n",
-		len(snaps), len(merged.Points), len(merged.Symptoms), len(merged.Targets))
+	fmt.Fprintf(os.Stderr, "kbtool: merged %d snapshots: %d points, %d named dimensions\n",
+		len(snaps), len(merged.Points), len(merged.Symptoms))
 	return encodeTo(*out, merged)
 }
 
@@ -324,7 +245,7 @@ func cmdDiff(args []string) error {
 		return err
 	}
 	if (len(a.Symptoms) > 0) != (len(b.Symptoms) > 0) {
-		return fmt.Errorf("cannot diff a named against an unnamed snapshot: convert %s first",
+		return fmt.Errorf("cannot diff a named against an unnamed snapshot (%s has no name table)",
 			pick(len(a.Symptoms) == 0, fs.Arg(0), fs.Arg(1)))
 	}
 
@@ -333,11 +254,7 @@ func cmdDiff(args []string) error {
 		different = true
 		fmt.Printf(format+"\n", args...)
 	}
-	if a.Synopsis != b.Synopsis {
-		report("synopsis: %q vs %q", a.Synopsis, b.Synopsis)
-	}
 	diffNames(report, "symptom", a.Symptoms, b.Symptoms)
-	diffNames(report, "target", sortedKeys(a.Targets), sortedKeys(b.Targets))
 
 	// Points compare by canonical identity in one shared space, so two
 	// files that merely laid out the same named experience differently
@@ -401,8 +318,8 @@ func cmdFetch(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", url, err)
 	}
-	fmt.Fprintf(os.Stderr, "kbtool: fetched %d points (kb seq %d, %d named dimensions, %d target kinds) from %s\n",
-		len(snap.Points), snap.Seq, len(snap.Symptoms), len(snap.Targets), url)
+	fmt.Fprintf(os.Stderr, "kbtool: fetched %d points (kb seq %d, %d named dimensions) from %s\n",
+		len(snap.Points), snap.Seq, len(snap.Symptoms), url)
 	return encodeTo(*out, snap)
 }
 

@@ -10,10 +10,11 @@
 // experience in one knowledge base).
 //
 // The knowledge base the fleet learns survives the process: -kb-out
-// saves it as a portable format-v2 snapshot (symptom names recorded next
-// to the vectors), -kb-in preloads one saved anywhere — by this daemon,
-// a staging bootstrap, or a kbtool merge of many fleets — regardless of
-// the order in which the writer registered its target kinds.
+// saves it, atomically, as a portable binary snapshot (symptom names
+// recorded next to the vectors; see KNOWLEDGE_BASES.md), -kb-in preloads
+// one saved anywhere — by this daemon, a staging bootstrap, or a kbtool
+// merge of many fleets — regardless of the order in which the writer
+// registered its target kinds.
 //
 // With -serve and/or -peers the daemon is one node of a federated
 // knowledge plane: -serve exposes the ops endpoints (/healthz, /metrics,
@@ -38,8 +39,8 @@
 //	selfheald -episodes 20 -approach hybrid -seed 7
 //	selfheald -episodes 64 -replicas 8 -workers 4 -share -batch 1
 //	selfheald -episodes 24 -replicas 4 -target auction,replicated -share
-//	selfheald -episodes 32 -target replicated -kb-out fleetB.kb.json
-//	selfheald -episodes 32 -serve :8701 -kb-out hub.kb.json
+//	selfheald -episodes 32 -target replicated -kb-out fleetB.kb
+//	selfheald -episodes 32 -serve :8701 -kb-out hub.kb
 //	selfheald -episodes 32 -serve :8702 -peers http://hub:8701
 //	selfheald -episodes 0 -serve :8700 -peers http://a:8701,http://b:8702
 //	selfheald -episodes 0 -serve :8700 -peers http://a:8701 -gossip-fanout 3 -compact 100000
@@ -51,6 +52,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -426,15 +428,28 @@ func loadKB(path string, kb *selfheal.SharedSynopsis) (int, error) {
 	return kb.TrainingSize(), nil
 }
 
-// saveKB writes the fleet's shared synopsis as a format-v2 snapshot.
-func saveKB(path string, kb *selfheal.SharedSynopsis) error {
-	f, err := os.Create(path)
+// saveKB writes the fleet's shared synopsis as a snapshot, atomically: a
+// temporary file in path's directory is written and synced, then renamed
+// over path, so a failed or interrupted save leaves the previous file
+// whole.
+func saveKB(path string, kb selfheal.Synopsis) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := selfheal.SaveKnowledgeBase(f, kb); err != nil {
-		f.Close()
+	defer os.Remove(f.Name()) // fails harmlessly once renamed
+	err = selfheal.SaveKnowledgeBase(f, kb)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	return f.Close()
+	return os.Rename(f.Name(), path)
 }

@@ -1,17 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"selfheal"
+	"selfheal/internal/catalog"
 )
 
 // repoRoot is the module root, relative to this package.
@@ -228,3 +231,62 @@ func benchmarkDaemons(t *testing.T) [][]string {
 	})
 	return out
 }
+
+// TestSaveKBIsAtomic: -kb-out replaces the previous file only with a
+// complete snapshot. A save over an existing file leaves no temporary
+// file behind and a file that decodes; a save that cannot create its
+// temporary file, or fails while writing it, leaves the old file byte for
+// byte as it was.
+func TestSaveKBIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "fleet.kb")
+	if err := os.WriteFile(out, []byte("the previous knowledge base"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
+	kb.Add(selfheal.Point{X: []float64{1, 2}, Action: selfheal.Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true})
+	if err := saveKB(out, kb); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("the save left %d files in its directory, want 1", len(entries))
+	}
+	saved, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := selfheal.DecodeKnowledgeBase(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Points) != 1 {
+		t.Fatalf("saved snapshot holds %d points, want 1", len(snap.Points))
+	}
+
+	// A synopsis that cannot export its history fails after the
+	// temporary file exists.
+	if err := saveKB(out, unexportable{kb}); err == nil {
+		t.Fatal("a save that failed while writing reported success")
+	}
+	if got, _ := os.ReadFile(out); !bytes.Equal(got, saved) {
+		t.Error("a save that failed while writing changed the old file")
+	}
+	// A name 250 bytes long can exist; its temporary sibling, longer than
+	// any file system's name limit, cannot be created.
+	long := filepath.Join(dir, strings.Repeat("k", 250))
+	if err := os.WriteFile(long, saved, 0o644); err != nil {
+		t.Skipf("the file system refuses a 250-byte name: %v", err)
+	}
+	if err := saveKB(long, kb); err == nil {
+		t.Fatal("a save whose temporary file cannot be created reported success")
+	}
+	if got, _ := os.ReadFile(long); !bytes.Equal(got, saved) {
+		t.Error("a save that could not create its temporary file changed the old file")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Errorf("failed saves left %d files, want the 2 saved ones", len(entries))
+	}
+}
+
+// unexportable hides a synopsis's Export.
+type unexportable struct{ selfheal.Synopsis }

@@ -4,10 +4,10 @@
 // and ship it to a production healer — which then fixes its very first
 // failure without ever bothering the administrator.
 //
-// The snapshot is format v2 (see KNOWLEDGE_BASES.md): next to the training
-// points it records the symptom-space name table and the registered target
-// catalogs, so the production process may register its target kinds in any
-// order — vectors are realigned by metric name on load.
+// The snapshot is the knowledge base's delta since zero, in the binary
+// format of KNOWLEDGE_BASES.md: next to the training points it records the
+// symptom-space name table, so the production process may register its
+// target kinds in any order — vectors are realigned by metric name on load.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 
 	// 2. Persist the knowledge base (§5.1: "a knowledge-base that a
 	//    practitioner can use"). SaveKnowledgeBase records the symptom
-	//    name table and target catalogs that make the file portable.
+	//    name table that makes the file portable.
 	var kb bytes.Buffer
 	if err := selfheal.SaveKnowledgeBase(&kb, staging); err != nil {
 		log.Fatal(err)
@@ -41,8 +41,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("2. knowledge base serialized: %d bytes of JSON (format v%d, %d named symptom dimensions, %d target catalogs)\n",
-		kb.Len(), snap.Version, len(snap.Symptoms), len(snap.Targets))
+	fmt.Printf("2. knowledge base serialized: %d bytes (%d points, %d named symptom dimensions)\n",
+		kb.Len(), len(snap.Points), len(snap.Symptoms))
 
 	// 3. Production: a different learner (AdaBoost) is rebuilt from the
 	//    same history — the knowledge base is learner-agnostic, and the

@@ -321,7 +321,6 @@ func (fl *Fleet) ServeOps(ctx context.Context, spec NodeSpec) (*Ops, error) {
 			Collector: collector,
 			Syncer:    o.syncer,
 			Gossiper:  o.gossiper,
-			Catalogs:  TargetCatalogs(),
 			Broker:    broker,
 			Admin:     controlplane.NewAdmin(hooks, broker),
 			Auth: controlplane.AuthConfig{

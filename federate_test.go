@@ -108,7 +108,7 @@ func quiesce(t *testing.T, nodes ...*fedNode) int {
 }
 
 // snapshot captures a node's knowledge base in the process space.
-func (n *fedNode) snapshot(t *testing.T) *synopsis.Snapshot {
+func (n *fedNode) snapshot(t *testing.T) *synopsis.Delta {
 	t.Helper()
 	snap, err := synopsis.Capture(n.kb, synopsis.SaveOptions{})
 	if err != nil {
@@ -122,7 +122,7 @@ func (n *fedNode) snapshot(t *testing.T) *synopsis.Snapshot {
 // the nodes' snapshots, byte for byte.
 func assertRanksMatchMerge(t *testing.T, nodes ...*fedNode) {
 	t.Helper()
-	snaps := make([]*synopsis.Snapshot, len(nodes))
+	snaps := make([]*synopsis.Delta, len(nodes))
 	for i, n := range nodes {
 		snaps[i] = n.snapshot(t)
 	}

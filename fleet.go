@@ -130,23 +130,12 @@ type Campaign struct {
 	// SettleTicks is the healthy-run length between a replica's episodes;
 	// zero means 120.
 	SettleTicks int
-	// BatchSize is the scheduling granularity: how many consecutive
-	// episodes a worker heals on one replica before requeueing the replica
-	// for whichever worker is idle next (zero means 8). Smaller batches
-	// balance a skewed campaign across few workers at more requeue
-	// overhead. For isolated replicas scheduling granularity never changes
-	// outcomes — each replica's episode sequence depends only on its seeds
-	// and always runs in order on that replica — so any BatchSize
-	// reproduces the same episodes, byte for byte. A shared knowledge base
-	// is the standing exception: replicas deliberately read each other's
-	// lessons, so there — as with any shared-KB run — outcomes depend on
-	// cross-replica timing, whatever the batch size.
-	BatchSize int
 }
 
-// defaultCampaignBatch is the work-stealing granularity when
-// Campaign.BatchSize is zero.
-const defaultCampaignBatch = 8
+// campaignBatch is the work-stealing granularity: how many consecutive
+// episodes a worker heals on one replica before requeueing the replica
+// for whichever worker is idle next.
+const campaignBatch = 8
 
 // ReplicaResult is one replica's share of a campaign.
 type ReplicaResult struct {
@@ -248,13 +237,13 @@ type campaignShard struct {
 // them concurrently, at most WithWorkers replicas at a time (default: all).
 //
 // Scheduling is batched work stealing: each replica's share is healed in
-// BatchSize-episode slices, and whichever worker goes idle next steals the
-// next pending slice from any replica, so a replica with slow episodes
-// (escalations at human timescale) cannot pin a worker for its entire
-// share. For isolated replicas each episode sequence is deterministic in
-// the fleet seed and c.FaultSeed alone — batches of the same replica
-// always run in order on that replica — so worker count and batch size
-// change wall-clock time only, never outcomes. With a shared knowledge
+// slices of campaignBatch episodes, and whichever worker goes idle next
+// steals the next pending slice from any replica, so a replica with slow
+// episodes (escalations at human timescale) cannot pin a worker for its
+// entire share. For isolated replicas each episode sequence is
+// deterministic in the fleet seed and c.FaultSeed alone — batches of the
+// same replica always run in order on that replica — so the worker count
+// changes wall-clock time only, never outcomes. With a shared knowledge
 // base, outcomes additionally depend on the timing of other replicas'
 // learn flushes, which no scheduling choice can pin down. Cancelling the
 // context stops every replica at its next step; the partial result is
@@ -270,10 +259,6 @@ func (fl *Fleet) RunCampaign(ctx context.Context, c Campaign) (*FleetResult, err
 	settle := c.SettleTicks
 	if settle == 0 {
 		settle = 120
-	}
-	batch := c.BatchSize
-	if batch < 1 {
-		batch = defaultCampaignBatch
 	}
 
 	n := len(fl.replicas)
@@ -313,7 +298,7 @@ func (fl *Fleet) RunCampaign(ctx context.Context, c Campaign) (*FleetResult, err
 		go func() {
 			defer wg.Done()
 			for i := range ready {
-				if fl.runShardBatch(ctx, i, &shards[i], batch, settle) {
+				if fl.runShardBatch(ctx, i, &shards[i], settle) {
 					ready <- i
 				} else {
 					live.Done()
@@ -335,13 +320,14 @@ func (fl *Fleet) RunCampaign(ctx context.Context, c Campaign) (*FleetResult, err
 	return res, ctx.Err()
 }
 
-// runShardBatch heals up to batch episodes of replica i's remaining share
-// and reports whether the shard still has episodes left. When the shard
-// finishes (exhausted or cancelled) any learn events the replica buffered
-// under WithLearnBatch are flushed so no labels are stranded.
-func (fl *Fleet) runShardBatch(ctx context.Context, i int, sh *campaignShard, batch, settle int) bool {
+// runShardBatch heals up to campaignBatch episodes of replica i's
+// remaining share and reports whether the shard still has episodes left.
+// When the shard finishes (exhausted or cancelled) any learn events the
+// replica buffered under WithLearnBatch are flushed so no labels are
+// stranded.
+func (fl *Fleet) runShardBatch(ctx context.Context, i int, sh *campaignShard, settle int) bool {
 	sys := fl.replicas[i]
-	for e := 0; e < batch && sh.remaining > 0; e++ {
+	for e := 0; e < campaignBatch && sh.remaining > 0; e++ {
 		// A drain is a cancel that lets in-flight episodes finish: both
 		// zero the shard so the campaign winds down at the next batch
 		// boundary instead of abandoning a half-healed fault.

@@ -125,7 +125,7 @@ func TestFleetOfOneLearnBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fleet.RunCampaign(ctx, selfheal.Campaign{Episodes: episodes, BatchSize: 2})
+	res, err := fleet.RunCampaign(ctx, selfheal.Campaign{Episodes: episodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,39 +149,40 @@ func TestFleetOfOneLearnBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFleetCampaignBatchSizeInvariance: the work-stealing batch size is
-// pure scheduling — identical fleets healing the same campaign at batch
-// sizes 1 and 64 must produce identical episodes on every replica. The
-// replicas run isolated learning approaches with a mid-shard learn flush
-// (LearnBatch 2 on a 3-episode share), so outcomes genuinely depend on
-// when labels reach each synopsis: a scheduler that tied learn flushes to
-// scheduling batches instead of episode counts would diverge here.
-func TestFleetCampaignBatchSizeInvariance(t *testing.T) {
+// TestFleetCampaignWorkerInvariance: the worker count is pure scheduling
+// — identical fleets healing the same campaign with one worker and with
+// four must produce identical episodes on every replica. The replicas run
+// isolated learning approaches whose learn flushes (LearnBatch 3) fall
+// inside the scheduler's 8-episode slices of a 10-episode share, so
+// outcomes genuinely depend on when labels reach each synopsis: a
+// scheduler that tied learn flushes to its slices or to the worker that
+// ran them, instead of to episode counts, would diverge here.
+func TestFleetCampaignWorkerInvariance(t *testing.T) {
 	ctx := context.Background()
-	run := func(batch int) *selfheal.FleetResult {
+	run := func(workers int) *selfheal.FleetResult {
 		fleet, err := selfheal.NewFleet(ctx, 4,
 			selfheal.WithSeed(21),
 			selfheal.WithApproach(selfheal.ApproachFixSymNN),
-			selfheal.WithLearnBatch(2),
-			selfheal.WithWorkers(2),
+			selfheal.WithLearnBatch(3),
+			selfheal.WithWorkers(workers),
 		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := fleet.RunCampaign(ctx, selfheal.Campaign{Episodes: 12, BatchSize: batch})
+		res, err := fleet.RunCampaign(ctx, selfheal.Campaign{Episodes: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	fine, coarse := run(1), run(64)
-	for i := range fine.Replicas {
-		if !reflect.DeepEqual(fine.Replicas[i].Episodes, coarse.Replicas[i].Episodes) {
-			t.Errorf("replica %d: episodes differ between batch sizes 1 and 64", i)
+	one, four := run(1), run(4)
+	for i := range one.Replicas {
+		if !reflect.DeepEqual(one.Replicas[i].Episodes, four.Replicas[i].Episodes) {
+			t.Errorf("replica %d: episodes differ between 1 and 4 workers", i)
 		}
 	}
-	if !reflect.DeepEqual(fine.Stats, coarse.Stats) {
-		t.Errorf("stats differ between batch sizes: %+v vs %+v", fine.Stats, coarse.Stats)
+	if !reflect.DeepEqual(one.Stats, four.Stats) {
+		t.Errorf("stats differ between worker counts: %+v vs %+v", one.Stats, four.Stats)
 	}
 }
 

@@ -63,7 +63,7 @@ func (s *SymptomSpace) Dim() int {
 
 // Names returns the space's name table in dimension order: Names()[d] is
 // the metric name of dimension d. This is the schema a portable knowledge
-// base records next to its point vectors (snapshot format v2), so an
+// base records next to its point vectors (every snapshot and delta), so an
 // importing process can realign them by name no matter in which order it
 // registered its own target kinds.
 func (s *SymptomSpace) Names() []string {

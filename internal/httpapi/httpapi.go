@@ -6,7 +6,7 @@
 //	GET /metrics      — Prometheus text: episode throughput, recovery
 //	                    ratio, TTR histogram, KB size/sequence, peer sync
 //	                    state
-//	GET /kb/snapshot  — the full portable knowledge base (snapshot v2)
+//	GET /kb/snapshot  — the full portable knowledge base: the delta since 0
 //	GET /kb/delta     — ?since=seq, the observations published after seq
 //
 // /kb responses carry the knowledge base's publish sequence both as an
@@ -19,7 +19,6 @@ package httpapi
 
 import (
 	"cmp"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,7 +26,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,11 +122,6 @@ type Config struct {
 	// /metrics. Without one, pushes still apply — straight into Node,
 	// with no relay.
 	Gossiper *kbsync.Gossiper
-	// Catalogs is recorded in served snapshots, exactly as
-	// SaveKnowledgeBase records it in files (the facade passes the
-	// target registry's catalogs).
-	Catalogs map[string]synopsis.TargetCatalog
-
 	// Broker, when present, serves the live healing event stream at
 	// GET /events (SSE) and contributes subscriber/drop gauges to
 	// /metrics.
@@ -401,8 +394,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 }
 
-// handleSnapshot serves the full portable knowledge base, exactly the
-// file SaveKnowledgeBase writes — kbtool fetch's other end.
+// handleSnapshot serves the full portable knowledge base — the delta
+// since zero, the very bytes SaveKnowledgeBase writes — kbtool fetch's
+// other end.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -419,25 +413,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	snap, err := synopsis.Capture(s.cfg.Node.KB(), synopsis.SaveOptions{
-		Space:   s.cfg.Node.Space(),
-		Targets: s.cfg.Catalogs,
-	})
+	snap, err := synopsis.Capture(s.cfg.Node.KB(), synopsis.SaveOptions{Space: s.cfg.Node.Space()})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("ETag", s.etag(snap.Seq))
 	w.Header().Set("X-KB-Seq", strconv.FormatUint(snap.Seq, 10))
-	w.Header().Set("Content-Type", "application/json")
-	// A snapshot is JSON full of repeated names: gzip shrinks it 5-10×.
-	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		w.Header().Set("Content-Encoding", "gzip")
-		zw := gzip.NewWriter(w)
-		defer zw.Close()
-		snap.Encode(zw)
-		return
-	}
+	// Never content-encoded, like /kb/delta: raw float64s do not deflate.
+	w.Header().Set("Content-Type", "application/octet-stream")
 	snap.Encode(w)
 }
 
@@ -586,7 +570,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ttl = min(max(ttl, 1), maxPushTTL)
-	d, err := synopsis.DecodeDelta(body)
+	d, err := synopsis.Decode(body)
 	if err != nil {
 		reject("bad delta", err)
 		return

@@ -2,9 +2,7 @@ package httpapi
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -29,9 +27,6 @@ func newTestServer(t *testing.T) (*Server, *synopsis.Shared, *Collector) {
 	srv, err := NewServer(Config{
 		Node:      kbsync.NewNode(kb, space),
 		Collector: col,
-		Catalogs: map[string]synopsis.TargetCatalog{
-			"auction": {Description: "test", FaultKinds: []string{"deadlock"}},
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,15 +181,28 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("snapshot = %d", w.Code)
 	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("snapshot Content-Type %q", ct)
+	}
+	// The body is the very bytes Capture → Encode writes for the node's
+	// knowledge base: what -kb-out would save at this instant.
+	want, err := synopsis.Capture(kb, synopsis.SaveOptions{Space: srv.cfg.Node.Space()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := want.Encode(&file); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Body.Bytes(), file.Bytes()) {
+		t.Fatalf("/kb/snapshot served %x, Capture→Encode writes %x", w.Body.Bytes(), file.Bytes())
+	}
 	snap, err := synopsis.Decode(w.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != synopsis.FormatV2 || len(snap.Points) != 1 || snap.Seq != 1 {
+	if len(snap.Points) != 1 || snap.Seq != 1 || len(snap.Symptoms) != 2 {
 		t.Fatalf("snapshot %+v", snap)
-	}
-	if _, ok := snap.Targets["auction"]; !ok {
-		t.Fatal("snapshot lost the target catalogs")
 	}
 	// Revalidation: the ETag answers 304 until the KB changes.
 	tag := w.Header().Get("ETag")
@@ -478,8 +486,8 @@ func TestDeltaLongPollTimesOutTo304(t *testing.T) {
 // TestDeltaGzipNegotiation pins that deltas do not negotiate: whatever
 // Accept-Encoding a pull presents, the response is never content-encoded
 // and its body decodes with DecodeDelta as is (a delta is mostly raw
-// float64s, which do not deflate). The snapshot, the human-readable
-// JSON view, still compresses on request.
+// float64s, which do not deflate). The snapshot is the delta since zero
+// and is served the same way.
 func TestDeltaGzipNegotiation(t *testing.T) {
 	srv, kb, _ := newTestServer(t)
 	add(kb, 1, 2)
@@ -503,16 +511,13 @@ func TestDeltaGzipNegotiation(t *testing.T) {
 		}
 	}
 
+	plainSnap := get(t, srv, "/kb/snapshot", nil)
 	zsnap := get(t, srv, "/kb/snapshot", map[string]string{"Accept-Encoding": "gzip"})
-	if enc := zsnap.Header().Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("snapshot Content-Encoding %q, want gzip", enc)
+	if enc := zsnap.Header().Get("Content-Encoding"); enc != "" {
+		t.Fatalf("snapshot is content-encoded %q", enc)
 	}
-	zr, err := gzip.NewReader(zsnap.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := synopsis.Decode(zr); err != nil {
-		t.Fatalf("gzipped snapshot does not decode: %v", err)
+	if !bytes.Equal(zsnap.Body.Bytes(), plainSnap.Body.Bytes()) {
+		t.Fatal("Accept-Encoding gzip changed the snapshot body")
 	}
 }
 
@@ -550,10 +555,9 @@ func TestMetricsKBLogGauge(t *testing.T) {
 
 // TestConcurrentGzipResponsesMatchPlainBodies hammers /kb/delta and
 // /kb/snapshot from several goroutines at once, every request accepting
-// gzip. A snapshot must come back gzipped and gunzip to exactly the bytes
-// the same request gets uncompressed; a delta must come back raw and
-// equal, byte for byte, an encode no other response shares. Run it with
-// -race -count=10.
+// gzip. Every response must come back raw and equal, byte for byte, the
+// body the same request gets without the header: an encode no other
+// response shares. Run it with -race -count=10.
 func TestConcurrentGzipResponsesMatchPlainBodies(t *testing.T) {
 	srv, kb, _ := newTestServer(t)
 	for i := 0; i < 300; i++ {
@@ -572,24 +576,12 @@ func TestConcurrentGzipResponsesMatchPlainBodies(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p := paths[(g+i)%len(paths)]
 				w := get(t, srv, p, map[string]string{"Accept-Encoding": "gzip"})
-				body, snapshot := w.Body.Bytes(), p == "/kb/snapshot"
-				if enc := w.Header().Get("Content-Encoding"); (enc == "gzip") != snapshot {
+				if enc := w.Header().Get("Content-Encoding"); enc != "" {
 					t.Errorf("%s: Content-Encoding %q", p, enc)
 					return
 				}
-				if snapshot {
-					zr, err := gzip.NewReader(w.Body)
-					if err != nil {
-						t.Errorf("%s: %v", p, err)
-						return
-					}
-					if body, err = io.ReadAll(zr); err != nil {
-						t.Errorf("%s: %v", p, err)
-						return
-					}
-				}
-				if !bytes.Equal(body, plain[p]) {
-					t.Errorf("%s: answered %d bytes that are not the %d plain ones", p, len(body), len(plain[p]))
+				if !bytes.Equal(w.Body.Bytes(), plain[p]) {
+					t.Errorf("%s: answered %d bytes that are not the %d plain ones", p, w.Body.Len(), len(plain[p]))
 					return
 				}
 			}

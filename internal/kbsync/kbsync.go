@@ -10,7 +10,7 @@
 // (synopsis.Shared.Seq): a peer that was current at sequence s asks
 // GET /kb/delta?since=s and receives exactly the observations published
 // after s, named by the producer's symptom-space table so a
-// heterogeneous receiver remaps them exactly (the snapshot-v2 remap).
+// heterogeneous receiver remaps them exactly, as a snapshot load does.
 // Applying a delta follows synopsis.Merge semantics — points already
 // present in the receiving knowledge base, under their canonical
 // identity, are dropped — which makes application idempotent and the
@@ -117,9 +117,10 @@ func (n *Node) catchUp() {
 
 // ApplyDelta folds a peer's delta into the knowledge base with Merge
 // semantics: every vector is remapped by name into the node's space
-// (positionally when the delta is unnamed), canonicalized, and added
-// only if its canonical identity is not already present. It returns how
-// many points were new. Applying the same delta twice is identical to
+// (positionally when the delta is unnamed) and canonicalized — the step
+// Merge takes, synopsis.Delta.Canonical — and added only if its
+// canonical identity is not already present. It returns how many points
+// were new. Applying the same delta twice is identical to
 // applying it once; application order across peers does not change the
 // final canonical point set.
 //
@@ -142,19 +143,12 @@ func (n *Node) ApplyDeltaSeq(d *synopsis.Delta) (int, uint64) {
 	defer n.mu.Unlock()
 	n.catchUp()
 	var fresh []synopsis.Point
-	for _, p := range d.Points {
-		if len(d.Symptoms) > 0 {
-			p.X = n.space.Remap(d.Symptoms, p.X)
-		} else {
-			p.X = append([]float64(nil), p.X...)
+	d.Canonical(n.space, func(p synopsis.Point, key string) {
+		if _, dup := n.seen[key]; !dup {
+			n.seen[key] = struct{}{}
+			fresh = append(fresh, p)
 		}
-		key := synopsis.CanonicalKey(p)
-		if _, dup := n.seen[key]; dup {
-			continue
-		}
-		n.seen[key] = struct{}{}
-		fresh = append(fresh, p)
-	}
+	})
 	seq := n.kb.AddBatchSeq(fresh)
 	return len(fresh), seq
 }
@@ -409,7 +403,7 @@ func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int
 	default:
 		return 0, s.fail(p, fmt.Errorf("GET /kb/delta: %s", resp.Status))
 	}
-	d, err := synopsis.DecodeDelta(resp.Body)
+	d, err := synopsis.Decode(resp.Body)
 	if err != nil {
 		if ctx.Err() != nil {
 			return 0, err // cancelled mid-body; see above

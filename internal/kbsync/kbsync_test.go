@@ -84,7 +84,7 @@ func TestApplyDeltaDedupsAgainstLocalHistory(t *testing.T) {
 
 func TestApplyDeltaRemapsHeterogeneousSchemas(t *testing.T) {
 	// The peer laid the same metrics out in the opposite order — the
-	// registration-order freedom snapshot v2 exists for, now over the
+	// registration-order freedom name tables exist for, now over the
 	// wire. After remap the point must land on the receiver's own
 	// dimensions exactly.
 	node, kb := newNode("svc.lat", "svc.err")

@@ -395,18 +395,12 @@ func (m *Mesh) AwaitConverged(want int, timeout time.Duration) (time.Duration, e
 // RankingsIdentical asserts the convergence invariant over the queries:
 // every node's RankK answer is byte-identical to node 0's, and node 0's
 // is byte-identical to a fresh learner replaying the synopsis.Merge of
-// every node's snapshot — federation converged to exactly the knowledge
-// a centralized merge would hold.
+// every node's delta since zero — federation converged to exactly the
+// knowledge a centralized merge would hold.
 func (m *Mesh) RankingsIdentical(queries [][]float64, k int) error {
-	snaps := make([]*synopsis.Snapshot, len(m.Nodes))
+	snaps := make([]*synopsis.Delta, len(m.Nodes))
 	for i, n := range m.Nodes {
-		d := n.Node.Delta(0)
-		snaps[i] = &synopsis.Snapshot{
-			Version:  synopsis.FormatV2,
-			Synopsis: n.KB.Name(),
-			Symptoms: d.Symptoms,
-			Points:   d.Points,
-		}
+		snaps[i] = n.Node.Delta(0)
 	}
 	merged, err := synopsis.Merge(snaps...)
 	if err != nil {

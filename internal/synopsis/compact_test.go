@@ -132,12 +132,12 @@ func TestCompactionPreservesRankK(t *testing.T) {
 		}
 
 		schema := []string{"d0", "d1", "d2", "d3"}
-		var snaps []*Snapshot
+		var snaps []*Delta
 		stream := compactStream(rng, 600)
 		for i := 0; i < len(stream); i += 200 {
 			batch := stream[i : i+200]
 			sh.AddBatch(batch)
-			snaps = append(snaps, mkSnap("nearest-neighbor", schema, batch...))
+			snaps = append(snaps, mkSnap(schema, batch...))
 		}
 
 		queries := make([][]float64, 40)

@@ -3,46 +3,54 @@ package synopsis
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
+	"selfheal/internal/catalog"
 	"selfheal/internal/detect"
 )
 
-// A Delta is the federation increment of a knowledge base: the
-// observations one node published between two of its sequence numbers,
-// together with the node's symptom-space name table so a heterogeneous
-// peer can remap the vectors exactly (the same schema-remap snapshot
-// format v2 uses). Deltas are what /kb/delta serves and what
-// kbsync.Syncer applies; a snapshot is simply the delta since zero plus
-// the target catalogs.
+// A Delta is a knowledge base's published history between two of its
+// sequence numbers, together with the producer's symptom-space name table
+// so a heterogeneous reader can remap the vectors exactly. It is the one
+// form knowledge travels and rests in: /kb/delta serves deltas and
+// kbsync applies them, and a snapshot — what Capture builds, /kb/snapshot
+// serves and -kb-out writes — is simply the delta since zero.
 type Delta struct {
 	// Since is the sequence the delta starts after — the cursor the
-	// requesting peer presented.
+	// requesting peer presented; zero for a snapshot.
 	Since uint64
 	// Seq is the producing knowledge base's sequence after these points;
-	// the peer stores it and asks for DeltaSince(Seq) next time.
+	// the peer stores it and asks for DeltaSince(Seq) next time. Zero
+	// when the producer does not version its writes (plain learners).
 	Seq uint64
 	// Epoch identifies the producing node's process life. Sequences are
 	// only comparable within one epoch: a node that restarts gets a
 	// fresh epoch, and a consumer holding a cursor from another epoch
 	// must reset to a full pull rather than trust the number. Empty for
-	// producers that do not version their lives.
+	// producers that do not version their lives, and for snapshots.
 	Epoch string
 	// Symptoms is the producer's name table at capture time: Symptoms[d]
 	// names point-vector dimension d. Empty when the producer's symptom
-	// space is unnamed; such deltas apply positionally, with the same
-	// caveat as v1 snapshots.
+	// space is unnamed; such deltas apply positionally.
 	Symptoms []string
-	// Points is the published history increment, in arrival order.
+	// Points is the published history, in arrival order.
 	Points []Point
 }
 
 // deltaMagic opens every encoded delta: three letters and the format
-// version. Deltas are wire-only — never stored, both ends are this code
-// — so a new format replaces the version; no old reader stays behind.
+// version. It is also the stored-file format, and the rule stays the one
+// the wire always had: a new format replaces the version and the reader,
+// and no old reader stays behind. A stored file of a retired format is
+// re-saved by a binary that still reads it (KNOWLEDGE_BASES.md).
 const deltaMagic = "KBD\x02"
+
+// ErrJSONRetired is Decode's error for input that starts like a JSON
+// document: the knowledge-base file format of earlier releases, which no
+// longer has a reader.
+var ErrJSONRetired = errors.New("the JSON knowledge-base format was retired; re-save the file in the binary format (KNOWLEDGE_BASES.md)")
 
 // CaptureDelta builds the Delta of everything s published after sequence
 // since, naming the vectors from space (nil: detect.DefaultSymptomSpace).
@@ -97,14 +105,19 @@ func outcomeByte(success bool) byte {
 	return 0
 }
 
-// DecodeDelta parses a delta, rejecting a foreign magic or version,
-// unresolvable fix names, vectors wider than the name table, trailing
-// bytes, and any declared count or length the remaining bytes cannot hold
-// — checked before anything is allocated for it.
-func DecodeDelta(r io.Reader) (*Delta, error) {
+// Decode parses an encoded delta or snapshot — the one reader of
+// knowledge-base bytes — rejecting a foreign magic or version (input that
+// starts like JSON with ErrJSONRetired), unresolvable fix names, vectors
+// wider than the name table, trailing bytes, and any declared count or
+// length the remaining bytes cannot hold — checked before anything is
+// allocated for it.
+func Decode(r io.Reader) (*Delta, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("synopsis: reading delta: %w", err)
+	}
+	if bytes.HasPrefix(bytes.TrimLeft(b, " \t\r\n"), []byte("{")) {
+		return nil, fmt.Errorf("synopsis: %w", ErrJSONRetired)
 	}
 	if !bytes.HasPrefix(b, []byte(deltaMagic)) {
 		return nil, fmt.Errorf("synopsis: not a delta of version %d (it starts % x)", deltaMagic[3], b[:min(len(b), 4)])
@@ -154,9 +167,23 @@ func DecodeDelta(r io.Reader) (*Delta, error) {
 	return d, nil
 }
 
+// DecodeDelta is Decode, kept under the name the benchmark module reads
+// deltas by.
+func DecodeDelta(r io.Reader) (*Delta, error) { return Decode(r) }
+
+// fixByName resolves a serialized fix name.
+func fixByName(name string) (catalog.FixID, bool) {
+	for _, f := range catalog.FixIDs() {
+		if f.String() == name {
+			return f, true
+		}
+	}
+	return catalog.FixNone, false
+}
+
 // deltaReader consumes an encoded delta front to back. The first
 // malformed field sets err and empties the reader; every later read then
-// returns zeros, so DecodeDelta checks once per point, not per field.
+// returns zeros, so Decode checks once per point, not per field.
 type deltaReader struct {
 	b   []byte
 	err error

@@ -19,75 +19,48 @@ import (
 //     name table starts with the first snapshot's names and appends each
 //     later snapshot's previously-unseen names.
 //   - Every point vector is remapped into the union space and
-//     canonicalized (trailing zero dimensions trimmed; under the symptom
-//     space's sparse-vector convention a trimmed vector is
-//     indistinguishable from its padded form).
+//     canonicalized (see Canonical).
 //   - Points are concatenated in argument order; exact duplicates — same
 //     canonical vector, fix, fix target and success flag — keep their
 //     first occurrence only, so merging overlapping descendants of one
 //     knowledge base does not double-weight shared history.
-//   - Target catalogs are unioned by kind name, first snapshot wins on
-//     conflict.
-//   - The merged synopsis label is the common learner name, or "merged"
-//     when the inputs disagree.
 //
 // These rules make Merge associative: ((A⊕B)⊕C) and (A⊕(B⊕C)) produce
-// byte-identical snapshots.
+// byte-identical snapshots. The result carries no sequence: it is no
+// single knowledge base's version.
 //
-// Named and unnamed snapshots cannot be mixed: an unnamed (v1 or
-// empty-space v2) file's coordinates are positional, and gluing them onto
-// named dimensions would silently mis-rank fixes — exactly the failure
-// mode format v2 exists to close. Convert unnamed files first (kbtool
-// convert -targets ...). Merging only unnamed snapshots is allowed and
-// stays positional: it is correct when every writer registered target
-// kinds in the same order.
-func Merge(snaps ...*Snapshot) (*Snapshot, error) {
+// Named and unnamed snapshots cannot be mixed: an unnamed file's
+// coordinates are positional, and gluing them onto named dimensions would
+// silently mis-rank fixes — exactly the failure mode the name table exists
+// to close. Merging only unnamed snapshots is allowed and stays
+// positional: it is correct when every writer registered target kinds in
+// the same order.
+func Merge(snaps ...*Delta) (*Delta, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("synopsis: nothing to merge")
 	}
 	named := len(snaps[0].Symptoms) > 0
 	for i, s := range snaps {
 		if (len(s.Symptoms) > 0) != named {
-			return nil, fmt.Errorf("synopsis: cannot merge named and unnamed snapshots (input %d differs): convert unnamed files to format v2 with a name table first", i)
+			return nil, fmt.Errorf("synopsis: cannot merge named and unnamed snapshots (input %d differs)", i)
 		}
 	}
 
-	out := &Snapshot{Version: FormatV2, Synopsis: snaps[0].Synopsis}
+	out := &Delta{}
 	space := detect.NewSymptomSpace()
 	seen := make(map[string]bool)
 	for _, s := range snaps {
-		if s.Synopsis != out.Synopsis {
-			out.Synopsis = "merged"
-		}
 		// Register the input's whole name table, not just the names its
 		// (trimmed) points happen to cover: the union schema must carry
 		// every name any input knew, or associativity breaks on names
 		// whose only points end in zeros.
-		if named {
-			space.Indices(s.Symptoms)
-		}
-		for kind, cat := range s.Targets {
-			if out.Targets == nil {
-				out.Targets = make(map[string]TargetCatalog)
+		space.Indices(s.Symptoms)
+		s.Canonical(space, func(p Point, key string) {
+			if !seen[key] {
+				seen[key] = true
+				out.Points = append(out.Points, p)
 			}
-			if _, dup := out.Targets[kind]; !dup {
-				out.Targets[kind] = cat
-			}
-		}
-		for _, p := range s.Points {
-			if named {
-				p.X = space.Remap(s.Symptoms, p.X)
-			} else {
-				p.X = append([]float64(nil), p.X...)
-			}
-			p.X = trimZeros(p.X)
-			key := dedupKey(p)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out.Points = append(out.Points, p)
-		}
+		})
 	}
 	if named {
 		out.Symptoms = space.Names()
@@ -95,27 +68,37 @@ func Merge(snaps ...*Snapshot) (*Snapshot, error) {
 	return out, nil
 }
 
-// Keys returns the canonical identity multiset of the snapshot's points:
-// each key identifies a point by its coordinates (remapped into space
-// when the snapshot carries a name table, trimmed of trailing zeros),
-// action and outcome, mapped to its multiplicity. Two snapshots keyed
-// against one shared space hold the same experience exactly when their
-// key multisets are equal — the comparison kbtool diff runs. A nil space
-// uses a fresh private one (fine for a single snapshot or for unnamed
-// ones, whose coordinates are positional).
-func (snap *Snapshot) Keys(space *detect.SymptomSpace) map[string]int {
+// Keys returns the canonical identity multiset of the delta's points
+// (see Canonical), each key mapped to its multiplicity. Two snapshots
+// keyed against one shared space hold the same experience exactly when
+// their key multisets are equal — the comparison kbtool diff runs. A nil
+// space uses a fresh private one (fine for a single snapshot or for
+// unnamed ones, whose coordinates are positional).
+func (d *Delta) Keys(space *detect.SymptomSpace) map[string]int {
 	if space == nil {
 		space = detect.NewSymptomSpace()
 	}
-	out := make(map[string]int, len(snap.Points))
-	for _, p := range snap.Points {
-		if len(snap.Symptoms) > 0 {
-			p.X = space.Remap(snap.Symptoms, p.X)
+	out := make(map[string]int, len(d.Points))
+	d.Canonical(space, func(_ Point, key string) { out[key]++ })
+	return out
+}
+
+// Canonical visits the delta's points in order, each remapped by name
+// into space (copied as it is when the delta is unnamed) and trimmed of
+// trailing zero dimensions, together with its CanonicalKey. It is the one
+// step Merge, Keys and federation's delta application share, so the three
+// agree on what "the same point" means. A visited vector is the caller's
+// to keep.
+func (d *Delta) Canonical(space *detect.SymptomSpace, visit func(p Point, key string)) {
+	for _, p := range d.Points {
+		if len(d.Symptoms) > 0 {
+			p.X = space.Remap(d.Symptoms, p.X)
+		} else {
+			p.X = append([]float64(nil), p.X...)
 		}
 		p.X = trimZeros(p.X)
-		out[dedupKey(p)]++
+		visit(p, dedupKey(p))
 	}
-	return out
 }
 
 // CanonicalKey returns the canonical identity of a point: its

@@ -3,7 +3,6 @@ package synopsis
 import (
 	"bytes"
 	"errors"
-	"os"
 	"reflect"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 
 // mkSnap builds a named snapshot over the given schema with points laid
 // out in a private space registering exactly that schema.
-func mkSnap(name string, schema []string, points ...Point) *Snapshot {
-	return &Snapshot{Version: FormatV2, Synopsis: name, Symptoms: schema, Points: points}
+func mkSnap(schema []string, points ...Point) *Delta {
+	return &Delta{Symptoms: schema, Points: points}
 }
 
 func pt(x []float64, fix catalog.FixID, target string) Point {
@@ -22,10 +21,10 @@ func pt(x []float64, fix catalog.FixID, target string) Point {
 }
 
 func TestMergeUnionsSchemasAndSums(t *testing.T) {
-	a := mkSnap("nearest-neighbor", []string{"svc.lat", "a.one"},
+	a := mkSnap([]string{"svc.lat", "a.one"},
 		pt([]float64{1, 2}, catalog.FixUpdateStats, "items"),
 		pt([]float64{3, 4}, catalog.FixMicrorebootEJB, "ItemBean"))
-	b := mkSnap("nearest-neighbor", []string{"svc.lat", "b.one"},
+	b := mkSnap([]string{"svc.lat", "b.one"},
 		pt([]float64{5, 6}, catalog.FixFailoverNode, "db"))
 
 	m, err := Merge(a, b)
@@ -50,9 +49,6 @@ func TestMergeUnionsSchemasAndSums(t *testing.T) {
 	if nn.TrainingSize() != 3 {
 		t.Fatalf("replayed TrainingSize %d, want 3", nn.TrainingSize())
 	}
-	if m.Synopsis != "nearest-neighbor" {
-		t.Errorf("common learner name lost: %q", m.Synopsis)
-	}
 }
 
 func TestMergeDedupsExactDuplicates(t *testing.T) {
@@ -60,9 +56,9 @@ func TestMergeDedupsExactDuplicates(t *testing.T) {
 	// b's (err, lat). After remap both describe the identical point, so
 	// the merge keeps one copy — overlapping descendants of one KB do
 	// not double-weight shared history.
-	a := mkSnap("nn", []string{"svc.lat", "svc.err"},
+	a := mkSnap([]string{"svc.lat", "svc.err"},
 		pt([]float64{1, 2}, catalog.FixUpdateStats, "items"))
-	b := mkSnap("nn", []string{"svc.err", "svc.lat"},
+	b := mkSnap([]string{"svc.err", "svc.lat"},
 		pt([]float64{2, 1}, catalog.FixUpdateStats, "items"),
 		pt([]float64{9, 9}, catalog.FixFullRestart, ""))
 
@@ -77,7 +73,7 @@ func TestMergeDedupsExactDuplicates(t *testing.T) {
 	// duplicate of a success.
 	neg := pt([]float64{1, 2}, catalog.FixUpdateStats, "items")
 	neg.Success = false
-	c := mkSnap("nn", []string{"svc.lat", "svc.err"}, neg)
+	c := mkSnap([]string{"svc.lat", "svc.err"}, neg)
 	m2, err := Merge(a, c)
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +84,14 @@ func TestMergeDedupsExactDuplicates(t *testing.T) {
 }
 
 func TestMergeAssociative(t *testing.T) {
-	a := mkSnap("nn", []string{"svc.lat", "a.one"},
+	a := mkSnap([]string{"svc.lat", "a.one"},
 		pt([]float64{1, 2}, catalog.FixUpdateStats, "items"))
-	b := mkSnap("nn", []string{"svc.lat", "b.one", "b.two"},
+	b := mkSnap([]string{"svc.lat", "b.one", "b.two"},
 		pt([]float64{3, 4, 0.5}, catalog.FixMicrorebootEJB, "ItemBean"),
 		// Same action and same svc.lat as a's point, but the anomaly
 		// sits on b.one, a different named dimension — not a duplicate.
 		pt([]float64{1, 2}, catalog.FixUpdateStats, "items"))
-	c := mkSnap("k-means", []string{"c.one", "svc.lat"},
+	c := mkSnap([]string{"c.one", "svc.lat"},
 		pt([]float64{7, 1}, catalog.FixFailoverNode, "db"))
 
 	ab, err := Merge(a, b)
@@ -123,10 +119,7 @@ func TestMergeAssociative(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(lbuf.Bytes(), rbuf.Bytes()) {
-		t.Fatalf("merge is not associative:\n(a+b)+c: %s\na+(b+c): %s", lbuf.String(), rbuf.String())
-	}
-	if left.Synopsis != "merged" {
-		t.Errorf("mixed learner names should merge to %q, got %q", "merged", left.Synopsis)
+		t.Fatalf("merge is not associative:\n(a+b)+c: %x\na+(b+c): %x", lbuf.Bytes(), rbuf.Bytes())
 	}
 }
 
@@ -135,11 +128,11 @@ func TestMergeAssociative(t *testing.T) {
 // it from every vector) must still survive into the union table, or
 // regrouped merges disagree on the schema.
 func TestMergeAssociativeWithTrailingZeroNames(t *testing.T) {
-	a := mkSnap("nn", []string{"a.one", "a.tailzero"},
+	a := mkSnap([]string{"a.one", "a.tailzero"},
 		pt([]float64{1, 0}, catalog.FixUpdateStats, "items"))
-	b := mkSnap("nn", []string{"a.one"},
+	b := mkSnap([]string{"a.one"},
 		pt([]float64{2}, catalog.FixUpdateStats, "items"))
-	c := mkSnap("nn", []string{"c.one"},
+	c := mkSnap([]string{"c.one"},
 		pt([]float64{5}, catalog.FixFullRestart, ""))
 
 	ab, err := Merge(a, b)
@@ -166,7 +159,7 @@ func TestMergeAssociativeWithTrailingZeroNames(t *testing.T) {
 	}
 	// A snapshot with a name table but no points still contributes its
 	// schema to the union.
-	empty := mkSnap("nn", []string{"d.only"})
+	empty := mkSnap([]string{"d.only"})
 	m, err := Merge(b, empty)
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +170,8 @@ func TestMergeAssociativeWithTrailingZeroNames(t *testing.T) {
 }
 
 func TestMergeRefusesMixedNamedUnnamed(t *testing.T) {
-	named := mkSnap("nn", []string{"svc.lat"}, pt([]float64{1}, catalog.FixUpdateStats, "items"))
-	unnamed := &Snapshot{Version: FormatV1, Synopsis: "nn",
-		Points: []Point{pt([]float64{1}, catalog.FixUpdateStats, "items")}}
+	named := mkSnap([]string{"svc.lat"}, pt([]float64{1}, catalog.FixUpdateStats, "items"))
+	unnamed := &Delta{Points: []Point{pt([]float64{1}, catalog.FixUpdateStats, "items")}}
 	if _, err := Merge(named, unnamed); err == nil {
 		t.Error("merging named with unnamed snapshots accepted")
 	}
@@ -196,47 +188,9 @@ func TestMergeRefusesMixedNamedUnnamed(t *testing.T) {
 	}
 }
 
-// TestLoadV1Fixture pins the v1 compatibility contract: a committed
-// version-1 file (no name table) still loads, replaying its vectors
-// positionally exactly as the original implementation did.
-func TestLoadV1Fixture(t *testing.T) {
-	f, err := os.Open("testdata/v1.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	snap, err := Decode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version != FormatV1 || len(snap.Symptoms) != 0 {
-		t.Fatalf("fixture decoded as v%d with %d names", snap.Version, len(snap.Symptoms))
-	}
-
-	nn := NewNearestNeighbor()
-	nn.UseNegatives = true
-	// Replay into a deliberately non-empty space: positional vectors must
-	// ignore it entirely.
-	space := detect.NewSymptomSpace()
-	space.Indices([]string{"unrelated.metric"})
-	if err := snap.Replay(nn, space); err != nil {
-		t.Fatal(err)
-	}
-	if nn.TrainingSize() != 3 {
-		t.Fatalf("TrainingSize %d, want 3 successes", nn.TrainingSize())
-	}
-	if len(nn.negatives) != 1 {
-		t.Fatalf("%d negatives, want 1", len(nn.negatives))
-	}
-	sug, ok := nn.Suggest([]float64{4.2, 0.1, 0, 1.4}, nil)
-	if !ok || sug.Action.Fix != catalog.FixUpdateStats || sug.Action.Target != "items" {
-		t.Fatalf("v1 replay suggests %v (ok=%v), want update-statistics(items)", sug, ok)
-	}
-}
-
 // TestSaveUnnamedSpaceStaysPositional: a process that never registered
-// metric names (pure-vector users) writes v2 files without a name table,
-// which load with the historical positional semantics.
+// metric names (pure-vector users) writes files without a name table,
+// which load positionally.
 func TestSaveUnnamedSpaceStaysPositional(t *testing.T) {
 	nn := NewNearestNeighbor()
 	nn.Add(pt([]float64{1, 2, 3}, catalog.FixUpdateStats, "items"))

@@ -2,11 +2,19 @@ package synopsis
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"selfheal/internal/catalog"
+	"selfheal/internal/detect"
 	"selfheal/internal/sim"
 )
 
@@ -89,8 +97,12 @@ func TestSaveNegativesRoundTrip(t *testing.T) {
 	if err := save(&buf, nn, SaveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"success": false`) {
-		t.Error("negative observation not serialized")
+	snap, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Points) != 2 || snap.Points[1].Success {
+		t.Fatalf("negative observation not serialized: %+v", snap.Points)
 	}
 	back := NewNearestNeighbor()
 	back.UseNegatives = true
@@ -103,14 +115,123 @@ func TestSaveNegativesRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Decode(strings.NewReader("not json")); err == nil {
+	if _, err := Decode(strings.NewReader("not a knowledge base")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Decode(strings.NewReader(`{"version":9,"points":[]}`)); err == nil {
+	if _, err := Decode(strings.NewReader("KBD\x09\x00\x00\x00\x00\x00")); err == nil {
 		t.Error("future version accepted")
 	}
-	bad := `{"version":1,"points":[{"x":[1],"fix":"no-such-fix","success":true}]}`
-	if _, err := Decode(strings.NewReader(bad)); err == nil {
+	bad := handEncode(&Delta{})
+	bad.b = bad.b[:len(bad.b)-1]
+	bad.count(1)
+	bad.point("no-such-fix", Point{X: []float64{1}, Success: true})
+	if _, err := Decode(bytes.NewReader(bad.b)); err == nil {
 		t.Error("unknown fix accepted")
+	}
+}
+
+// TestDecodeRefusesJSON: the JSON files earlier releases wrote have no
+// reader left, and say so by name rather than as a bad magic.
+func TestDecodeRefusesJSON(t *testing.T) {
+	for _, in := range []string{
+		`{"version":2,"synopsis":"nearest-neighbor","symptoms":["svc.latency"],"points":[]}`,
+		"\n {\"version\":1,\"points\":[]}",
+	} {
+		_, err := Decode(strings.NewReader(in))
+		if !errors.Is(err, ErrJSONRetired) {
+			t.Errorf("Decode(%.20q) = %v, want ErrJSONRetired", in, err)
+		}
+	}
+}
+
+// TestEncodeGolden pins the encoded bytes of a fixed delta, so the stored
+// files and the federation wire cannot drift: testdata/delta.golden.hex
+// was written by the codec before snapshots became deltas, and every
+// later encoder must reproduce it and read it back.
+func TestEncodeGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/delta.golden.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Delta{
+		Since:    300,
+		Seq:      70000,
+		Epoch:    "5eed",
+		Symptoms: []string{"svc.latency", "app.threads.util", "db.cpu"},
+		Points: []Point{
+			{X: []float64{1.5, -0.25, 3}, Action: Action{Fix: catalog.FixUpdateStats, Target: "items"}, Success: true},
+			{X: []float64{0, math.Inf(1)}, Action: Action{Fix: catalog.FixMicrorebootEJB, Target: "ItemBean"}, Success: false},
+			{Action: Action{Fix: catalog.FixFullRestart}, Success: true},
+		},
+	}
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoding drifted from the golden:\n got %x\nwant %x", buf.Bytes(), want)
+	}
+	back, err := Decode(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, d) {
+		t.Fatalf("golden decodes to %+v\nwant %+v", back, d)
+	}
+}
+
+// TestSnapshotRanksLikeItsSource: Capture → Encode → Decode → Replay into
+// a fresh nearest-neighbour learner answers RankK exactly as the source
+// knowledge base does, on 1,000 queries of real width, for a plain shared
+// knowledge base and for one compacted (near-duplicate merge and a cap)
+// before it is saved.
+func TestSnapshotRanksLikeItsSource(t *testing.T) {
+	space := detect.NewSymptomSpace()
+	for d := 0; d < 104; d++ {
+		space.Indices([]string{fmt.Sprintf("m%03d", d)})
+	}
+	for _, compacted := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(49))
+		pts := clusteredPoints(rng, 3000)
+		for i := 7; i < len(pts); i += 11 {
+			pts[i].Success = false
+		}
+		src := NewShared(NewNearestNeighbor())
+		src.AddBatch(pts[:2000])
+		for _, p := range pts[2000:] {
+			src.Add(p)
+		}
+		if compacted {
+			if err := src.EnableCompaction(Compaction{MaxPoints: 1000, MergeRadius: 0.2}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := src.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := save(&buf, src, SaveOptions{Space: space}); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewNearestNeighbor()
+		if err := snap.Replay(fresh, space); err != nil {
+			t.Fatal(err)
+		}
+		if fresh.TrainingSize() != src.TrainingSize() {
+			t.Fatalf("compacted=%v: replayed %d points, source trains on %d", compacted, fresh.TrainingSize(), src.TrainingSize())
+		}
+		for i, q := range jitteredQueries(rng, pts, 1000) {
+			if got, want := fresh.RankK(q, 3), src.RankK(q, 3); !reflect.DeepEqual(got, want) {
+				t.Fatalf("compacted=%v, query %d: replayed RankK %v, source %v", compacted, i, got, want)
+			}
+		}
 	}
 }

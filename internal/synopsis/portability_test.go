@@ -1,6 +1,6 @@
 package synopsis_test
 
-// Portability acceptance tests for snapshot format v2: a knowledge base
+// Portability acceptance tests for snapshot name tables: a knowledge base
 // saved by a process that registered its target kinds in one order must
 // rank fixes identically in a process that registered them in another —
 // the ROADMAP's heterogeneous-fleet portability item. The "processes"

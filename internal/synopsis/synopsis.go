@@ -146,8 +146,9 @@ type Cloner interface {
 // length is simply a metric the producing schema did not measure — zero,
 // "no anomaly". Every learner reads coordinates through this helper so a
 // vector and its zero-padded (or zero-truncated) form are fully
-// interchangeable; that equivalence is what makes remapped knowledge-base
-// points (snapshot format v2) behave identically to natively-built ones.
+// interchangeable; that equivalence is what makes knowledge-base points
+// remapped through a snapshot's name table behave identically to
+// natively-built ones.
 func feature(x []float64, d int) float64 {
 	if d < len(x) {
 		return x[d]

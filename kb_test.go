@@ -1,7 +1,6 @@
 package selfheal_test
 
-// Facade-level acceptance tests for portable knowledge bases (snapshot
-// format v2): experience built per-target-kind in separate synopses,
+// Facade-level acceptance tests for portable knowledge bases: experience built per-target-kind in separate synopses,
 // saved through SaveKnowledgeBase, merged with MergeKnowledgeBases (the
 // API kbtool merge is a thin wrapper over), and loaded into a fresh
 // process-side synopsis must heal both kinds end-to-end without
@@ -104,28 +103,6 @@ func TestMergedKnowledgeBaseHealsBothKinds(t *testing.T) {
 		if !ep.Recovered || ep.Escalated {
 			t.Errorf("%s: %v healed from merged KB: recovered=%v escalated=%v attempts=%d",
 				tc.kind, tc.fault.Kind(), ep.Recovered, ep.Escalated, len(ep.Attempts))
-		}
-	}
-}
-
-func TestSaveKnowledgeBaseRecordsCatalogs(t *testing.T) {
-	syn := selfheal.NewNNSynopsis()
-	var buf bytes.Buffer
-	if err := selfheal.SaveKnowledgeBase(&buf, syn); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := selfheal.DecodeKnowledgeBase(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range selfheal.TargetKinds() {
-		cat, ok := snap.Targets[string(kind)]
-		if !ok {
-			t.Errorf("snapshot missing catalog for registered target %q", kind)
-			continue
-		}
-		if len(cat.FaultKinds) == 0 || len(cat.CandidateFixes) == 0 {
-			t.Errorf("target %q catalog incomplete: %+v", kind, cat)
 		}
 	}
 }

@@ -617,38 +617,32 @@ var (
 	NewNaiveBayesSynopsis = synopsis.NewNaiveBayes
 )
 
-// Portable knowledge-base snapshots (format v2). See KNOWLEDGE_BASES.md.
-type (
-	// KBSnapshot is a decoded knowledge-base file: a synopsis's training
-	// history plus the symptom-space name table and target catalogs that
-	// make it portable across processes.
-	KBSnapshot = synopsis.Snapshot
-	// KBTargetCatalog records one target kind's fault kinds and
-	// candidate fixes inside a snapshot.
-	KBTargetCatalog = synopsis.TargetCatalog
-)
+// KBSnapshot is a decoded knowledge-base file: a synopsis's training
+// history plus the symptom-space name table that makes it portable across
+// processes — the knowledge base's delta since zero. See
+// KNOWLEDGE_BASES.md.
+type KBSnapshot = synopsis.Delta
 
 // DecodeKnowledgeBase parses a knowledge-base snapshot without replaying
 // it into a synopsis — the raw material for inspection, merging and
-// conversion (cmd/kbtool is a thin wrapper over it).
+// diffing (cmd/kbtool is a thin wrapper over it).
 func DecodeKnowledgeBase(r io.Reader) (*KBSnapshot, error) { return synopsis.Decode(r) }
 
 // MergeKnowledgeBases folds N snapshots into one: symptom schemas are
-// unioned by metric name, points are remapped into the union space and
-// deduplicated, and target catalogs are unioned. See synopsis.Merge for
-// the full rules; the operation is associative.
+// unioned by metric name, and points are remapped into the union space
+// and deduplicated. See synopsis.Merge for the full rules; the operation
+// is associative.
 func MergeKnowledgeBases(snaps ...*KBSnapshot) (*KBSnapshot, error) { return synopsis.Merge(snaps...) }
 
 // SaveKnowledgeBase serializes a synopsis's training history as a
-// format-v2 snapshot carrying this process's symptom-space name table
-// and the fix catalogs of every registered target kind — the §5.1
+// snapshot carrying this process's symptom-space name table — the §5.1
 // knowledge base "a practitioner can use", portable to processes that
 // register their target kinds in any order. The synopsis must be able to
 // export its history (every built-in learner and SharedSynopsis over one
 // can); otherwise an error is returned, wrapping synopsis.ErrNotExportable
 // when the history exists but cannot be surrendered.
 func SaveKnowledgeBase(w io.Writer, s Synopsis) error {
-	snap, err := synopsis.Capture(s, synopsis.SaveOptions{Targets: TargetCatalogs()})
+	snap, err := synopsis.Capture(s, synopsis.SaveOptions{})
 	if err != nil {
 		return err
 	}
@@ -656,58 +650,14 @@ func SaveKnowledgeBase(w io.Writer, s Synopsis) error {
 }
 
 // LoadKnowledgeBase replays a saved knowledge base into any synopsis,
-// remapping format-v2 point vectors into this process's symptom space by
-// metric name — build the Systems or Fleet first so the process's own
-// targets have registered their schemas, then load. Version-1 files carry
-// no name table and replay positionally: they rank fixes correctly only in
-// a process that registered its target kinds in the same order as the
-// writer.
+// remapping point vectors into this process's symptom space by metric
+// name — build the Systems or Fleet first so the process's own targets
+// have registered their schemas, then load. A file saved from an unnamed
+// symptom space replays positionally.
 func LoadKnowledgeBase(r io.Reader, into Synopsis) error {
 	snap, err := synopsis.Decode(r)
 	if err != nil {
 		return err
 	}
 	return snap.Replay(into, nil)
-}
-
-// TargetCatalogs returns the fix catalogs of every registered target
-// kind in snapshot form — what SaveKnowledgeBase records so a knowledge
-// base names the vocabulary its experience covers.
-func TargetCatalogs() map[string]KBTargetCatalog {
-	out := make(map[string]KBTargetCatalog)
-	for _, kind := range TargetKinds() {
-		spec, ok := TargetSpecFor(kind)
-		if !ok {
-			continue
-		}
-		cat := KBTargetCatalog{
-			Description:    spec.Description,
-			CandidateFixes: make(map[string][]string, len(spec.CandidateFixes)),
-		}
-		for _, k := range spec.FaultKinds {
-			cat.FaultKinds = append(cat.FaultKinds, k.String())
-			for _, f := range spec.CandidateFixes[k] {
-				cat.CandidateFixes[k.String()] = append(cat.CandidateFixes[k.String()], f.String())
-			}
-		}
-		out[spec.Name] = cat
-	}
-	return out
-}
-
-// TargetMetricNames returns a registered target kind's metric-schema
-// names in the target's own schema order — the names its harness
-// registers into the process symptom space at warmup. kbtool convert
-// uses them to reconstruct the symptom space a v1 writer had, given the
-// order in which that writer registered its target kinds.
-func TargetMetricNames(kind TargetKind) ([]string, error) {
-	t, err := NewTarget(kind, TargetConfig{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, src := range t.Sources() {
-		names = append(names, src.MetricNames()...)
-	}
-	return names, nil
 }
