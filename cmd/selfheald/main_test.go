@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -263,8 +264,8 @@ func TestSaveKBIsAtomic(t *testing.T) {
 		t.Fatalf("saved snapshot holds %d points, want 1", len(snap.Points))
 	}
 
-	// A synopsis that cannot export its history fails after the
-	// temporary file exists.
+	// A synopsis whose Export fails fails the save after the temporary
+	// file exists.
 	if err := saveKB(out, unexportable{kb}); err == nil {
 		t.Fatal("a save that failed while writing reported success")
 	}
@@ -288,5 +289,9 @@ func TestSaveKBIsAtomic(t *testing.T) {
 	}
 }
 
-// unexportable hides a synopsis's Export.
+// unexportable is a synopsis whose Export fails.
 type unexportable struct{ selfheal.Synopsis }
+
+func (unexportable) Export() ([]selfheal.Point, error) {
+	return nil, errors.New("history unavailable")
+}

@@ -422,11 +422,11 @@ func (f *FixSym) Observe(ctx *FailureContext, action Action, success bool) {
 }
 
 // ObserveBatch implements ObserveBatcher: the whole batch reaches the
-// synopsis through one AddBatch when it supports batching.
+// synopsis through one AddBatch.
 func (f *FixSym) ObserveBatch(obs []Observation) {
 	pts := make([]synopsis.Point, len(obs))
 	for i, o := range obs {
 		pts[i] = synopsis.Point{X: o.Ctx.Features(), Action: o.Action, Success: o.Success}
 	}
-	synopsis.AddAll(f.Syn, pts)
+	f.Syn.AddBatch(pts)
 }

@@ -33,12 +33,6 @@ type HarnessConfig struct {
 	// RetainRows asks for), and the wait is bounded all the same.
 	HistoryTicks int
 	SLO          detect.SLO
-	// Clock paces the tick loop. Nil means: the target's own clock when
-	// it implements targets.Clocked (a supervisor of real processes
-	// ticks on wall time), the logical clock otherwise — which is a
-	// no-op, so every simulator campaign is byte-identical to the
-	// pre-Clock harness (pinned by TestLogicalClockByteIdentical).
-	Clock clock.Clock
 }
 
 // DefaultHarnessConfig returns the standard experiment environment.
@@ -97,9 +91,9 @@ type Harness struct {
 	locators  Locators
 	diagnosis Diagnosis
 
-	// Clock paces Step: a no-op for simulator targets, a wall-period
-	// sleep for targets whose ticks are real time. Set from the config
-	// (or the target's own clock) at construction; never nil.
+	// Clock paces Step: the target's own clock when it is
+	// targets.Clocked (a supervisor of real processes ticks on wall
+	// time), else the logical clock, a no-op. Never nil.
 	Clock clock.Clock
 	// paceCtx bounds the current pacing sleeps so a cancelled episode
 	// stops between ticks instead of finishing a wall-clock sleep.
@@ -137,29 +131,11 @@ func NewTargetHarness(t targets.Target, cfg HarnessConfig) *Harness {
 	}
 	h.locators = ResolveLocators(t.Spec().Locators, h.Coll.Series().Schema())
 	h.diagnosis = ResolveDiagnosis(t.Spec().Diagnosis, h.Coll.Series().Schema())
-	h.Clock = cfg.Clock
-	if h.Clock == nil {
-		if c, ok := t.(targets.Clocked); ok {
-			h.Clock = c.Clock()
-		}
+	h.Clock = clock.Logical{}
+	if c, ok := t.(targets.Clocked); ok {
+		h.Clock = c.Clock()
 	}
-	if h.Clock == nil {
-		h.Clock = clock.Logical{}
-	}
-	if s, ok := t.(targets.CallMatrixSupporter); ok {
-		h.support = s.CallMatrixSupport()
-	}
-	if h.support == nil {
-		// The target does not report its call topology: every cell may
-		// be nonzero.
-		rows, cols := t.CallMatrixRows(), len(t.CallCallees())
-		h.support = make([][2]int, 0, rows*cols)
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				h.support = append(h.support, [2]int{r, c})
-			}
-		}
-	}
+	h.support = t.CallMatrixSupport()
 	w := len(h.support)
 	backing := make([]float64, cfg.WindowTicks*w)
 	h.ring = make([][]float64, cfg.WindowTicks)

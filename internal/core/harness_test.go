@@ -2,14 +2,12 @@ package core_test
 
 import (
 	"context"
-	"reflect"
 	"runtime"
 	"testing"
 
 	"selfheal/internal/core"
 	"selfheal/internal/detect"
 	"selfheal/internal/diagnose"
-	"selfheal/internal/faults"
 	"selfheal/internal/service"
 	"selfheal/internal/synopsis"
 	"selfheal/internal/targets"
@@ -180,45 +178,5 @@ func fixSymEpisodes(t *testing.T, hl *core.Healer, tg *countingTarget) {
 	t.Logf("fixsym: %d B allocated per episode, %d of %d detected", perEpisode, detected, episodes)
 	if perEpisode > 40<<10 {
 		t.Errorf("fixsym: %d B allocated per episode, bound is 40 KB", perEpisode)
-	}
-}
-
-// opaqueTarget shows the harness the Target interface and nothing else:
-// the wrapped target's optional capabilities, CallMatrixSupport among
-// them, are hidden.
-type opaqueTarget struct{ targets.Target }
-
-// TestDerivedCallSupportMatchesReported: a target that does not report its
-// call topology gets the full rows×cols support, and the χ² localization
-// and the symptom vector come out exactly as they do for the same target
-// reporting its sparse support — the cells outside the support only ever
-// hold zeros.
-func TestDerivedCallSupportMatchesReported(t *testing.T) {
-	run := func(hide bool) *core.FailureContext {
-		a, err := targets.NewAuction(targets.Config{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tg targets.Target = a
-		if hide {
-			tg = opaqueTarget{a}
-		}
-		h := core.NewTargetHarness(tg, core.DefaultHarnessConfig())
-		h.StepN(200) // grow the call baseline
-		fctx, _, ok := h.LabeledFailure(context.Background(), faults.NewDeadlock("ItemBean"), 200)
-		if !ok {
-			t.Fatal("deadlock not detected")
-		}
-		return fctx
-	}
-	reported, derived := run(false), run(true)
-	if len(reported.CallAnomalies) == 0 {
-		t.Fatal("no call-matrix anomalies for the deadlocked component")
-	}
-	if !reflect.DeepEqual(reported.CallAnomalies, derived.CallAnomalies) {
-		t.Errorf("call anomalies differ:\n reported support: %v\n derived support:  %v", reported.CallAnomalies, derived.CallAnomalies)
-	}
-	if !reflect.DeepEqual(reported.Symptom, derived.Symptom) {
-		t.Errorf("symptom vectors differ:\n reported support: %v\n derived support:  %v", reported.Symptom, derived.Symptom)
 	}
 }

@@ -81,7 +81,7 @@ type Episode struct {
 	Recovered bool
 	// Withdrawn reports that the fault was still live when the episode
 	// ended — undetected, unrecovered, or masked by a recovery that left
-	// its cause in place — and the target's FaultClearer withdrew it.
+	// its cause in place — and the target's ClearFault withdrew it.
 	Withdrawn bool
 	// CorrectFirst reports whether the first attempt succeeded.
 	CorrectFirst bool
@@ -237,7 +237,7 @@ func (hl *Healer) applyAction(a Action) error {
 
 // RunEpisode injects f and heals the resulting failure to completion. The
 // episode owns its fault: when it returns, f is gone — healed, or
-// withdrawn through the target's FaultClearer (see withdraw) — so the
+// withdrawn through the target's ClearFault (see withdraw) — so the
 // next episode starts from a clean slate. The context cancels the
 // episode: on cancellation or deadline the loop stops stepping, reaps,
 // and returns the episode as observed so far, its fault still in place.
@@ -291,17 +291,15 @@ func (hl *Healer) RunEpisode(ctx context.Context, f Fault) Episode {
 }
 
 // withdraw clears the episode's fault when it is still live at the
-// episode's end and the target is a FaultClearer: one outage is counted
-// once, not again by every later episode on the replica. A cancelled
-// episode withdraws nothing — a real target's clearing does I/O that
-// must not run during shutdown.
+// episode's end: one outage is counted once, not again by every later
+// episode on the replica. A cancelled episode withdraws nothing — a real
+// target's clearing does I/O that must not run during shutdown.
 func (hl *Healer) withdraw(ctx context.Context, ep *Episode) {
-	c, ok := hl.H.Target.(targets.FaultClearer)
-	if !ok || ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return
 	}
 	if _, live := hl.H.Target.CorrectFix(); live {
-		ep.Withdrawn = c.ClearFault(ep.Fault) == nil
+		ep.Withdrawn = hl.H.Target.ClearFault(ep.Fault) == nil
 	}
 }
 

@@ -54,6 +54,7 @@ func (s *stubSynopsis) Suggest([]float64, *synopsis.ActionFilter) (synopsis.Sugg
 }
 func (s *stubSynopsis) RankK([]float64, int) []synopsis.Suggestion { return nil }
 func (s *stubSynopsis) TrainingSize() int                          { return len(s.added) }
+func (s *stubSynopsis) Export() ([]synopsis.Point, error)          { return s.added, nil }
 
 func dummyCtx() *core.FailureContext {
 	h := core.NewHarness(core.DefaultHarnessConfig())

@@ -98,12 +98,19 @@ type timed struct {
 	elapsed time.Duration
 }
 
-func (t *timed) Name() string      { return t.inner.Name() }
-func (t *timed) TrainingSize() int { return t.inner.TrainingSize() }
+func (t *timed) Name() string                      { return t.inner.Name() }
+func (t *timed) TrainingSize() int                 { return t.inner.TrainingSize() }
+func (t *timed) Export() ([]synopsis.Point, error) { return t.inner.Export() }
 
 func (t *timed) Add(p synopsis.Point) {
 	start := time.Now()
 	t.inner.Add(p)
+	t.elapsed += time.Since(start)
+}
+
+func (t *timed) AddBatch(ps []synopsis.Point) {
+	start := time.Now()
+	t.inner.AddBatch(ps)
 	t.elapsed += time.Since(start)
 }
 

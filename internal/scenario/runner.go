@@ -27,8 +27,6 @@ type Runner struct {
 	hl *core.Healer
 
 	spec    targets.Spec
-	maker   targets.FaultMaker
-	clearer targets.FaultClearer // nil unless some event needs it
 	partial targets.PartialInjector
 	shaper  targets.WorkloadShaper
 
@@ -60,9 +58,9 @@ type evState struct {
 // runner. Validation is strict and early: the scenario must be
 // internally consistent (Validate), written for this target kind (or
 // kind-agnostic), use only fault kinds in the target's catalog, and the
-// target must implement every capability the script exercises —
-// FaultMaker for any event, WorkloadShaper for workload directives,
-// FaultClearer for flapping events, PartialInjector for grey severity.
+// target must implement every optional capability the script exercises
+// — WorkloadShaper for workload directives, PartialInjector for grey
+// severity.
 // Every event's fault is constructed here, deterministically, so bad
 // components fail now rather than mid-run.
 func NewRunner(sc *Scenario, hl *core.Healer) (*Runner, error) {
@@ -82,13 +80,6 @@ func NewRunner(sc *Scenario, hl *core.Healer) (*Runner, error) {
 		}
 		r.shaper = shaper
 	}
-	if len(sc.Events) > 0 {
-		maker, ok := t.(targets.FaultMaker)
-		if !ok {
-			return nil, fmt.Errorf("scenario %q has fault events but target %q does not implement FaultMaker", sc.Name, spec.Name)
-		}
-		r.maker = maker
-	}
 	for _, ev := range sc.Events {
 		kind, err := catalog.ParseFaultKind(ev.Fault.Kind)
 		if err != nil {
@@ -96,13 +87,6 @@ func NewRunner(sc *Scenario, hl *core.Healer) (*Runner, error) {
 		}
 		if err := spec.ValidateKinds([]catalog.FaultKind{kind}); err != nil {
 			return nil, fmt.Errorf("scenario %q event %q: %w", sc.Name, ev.Name, err)
-		}
-		if ev.Flap != nil && r.clearer == nil {
-			clearer, ok := t.(targets.FaultClearer)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q event %q flaps but target %q does not implement FaultClearer", sc.Name, ev.Name, spec.Name)
-			}
-			r.clearer = clearer
 		}
 		if grey(ev.Fault.Severity) && r.partial == nil {
 			partial, ok := t.(targets.PartialInjector)
@@ -112,7 +96,7 @@ func NewRunner(sc *Scenario, hl *core.Healer) (*Runner, error) {
 			}
 			r.partial = partial
 		}
-		f, err := r.maker.MakeFault(kind, ev.Fault.Component, ev.Fault.Magnitude, ev.Fault.Duration)
+		f, err := t.MakeFault(kind, ev.Fault.Component, ev.Fault.Magnitude, ev.Fault.Duration)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q event %q: %w", sc.Name, ev.Name, err)
 		}
@@ -346,7 +330,7 @@ func (r *Runner) fire(s *evState, tick int64) {
 // clear ends a flap on-phase: revert the fault's effect, reap the
 // cleared entry, and schedule the next on-phase while cycles remain.
 func (r *Runner) clear(s *evState, tick int64) {
-	if err := r.clearer.ClearFault(s.fault); err != nil {
+	if err := r.hl.H.Target.ClearFault(s.fault); err != nil {
 		r.hookErr = fmt.Errorf("scenario %q event %q clear at tick %d: %w", r.sc.Name, s.ev.Name, tick, err)
 		s.offAt = -1
 		return

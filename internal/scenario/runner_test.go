@@ -57,13 +57,6 @@ func (r *recordSink) Emit(ev core.Event) {
 		ev.Kind, ev.Tick, ev.Episode, ev.Label, ev.Severity, ev.Attempt, ev.Success, ev.Action, ev.TTR, fault))
 }
 
-// noClearer is a target without the FaultClearer capability that still
-// makes scenario faults.
-type noClearer struct {
-	targets.Target
-	targets.FaultMaker
-}
-
 func TestRunnerCapabilityValidation(t *testing.T) {
 	// Grey severity on the auction target: no PartialInjector.
 	grey := New("g").Horizon(500).
@@ -72,18 +65,9 @@ func TestRunnerCapabilityValidation(t *testing.T) {
 	if _, err := NewRunner(grey, hl); err == nil {
 		t.Fatal("grey scenario accepted on a target without PartialInjector")
 	}
-	// Flapping on a target without FaultClearer: the auction target with
-	// that capability hidden and its FaultMaker kept.
+	// Every target clears faults, so a flapping scenario runs on auction.
 	flap := New("f").Horizon(500).
 		Flapping(10, "a", FaultSpec{Kind: "aging"}, 50, 50, 2).MustBuild()
-	auction, err := targets.NewAuction(targets.Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRunner(flap, healerFor(noClearer{auction, auction}, 1, nnApproach(), nil)); err == nil {
-		t.Fatal("flapping scenario accepted on a target without FaultClearer")
-	}
-	// The auction target itself clears faults, so the same scenario runs.
 	r, err := NewRunner(flap, newHealer(t, targets.AuctionName, 1, nnApproach(), nil))
 	if err != nil {
 		t.Fatalf("flapping scenario refused on auction: %v", err)

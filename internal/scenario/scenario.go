@@ -97,17 +97,17 @@ type Event struct {
 	// reference it.
 	Name string `json:"name"`
 	// Fault is the declarative fault spec handed to the target's
-	// FaultMaker.
+	// MakeFault.
 	Fault FaultSpec `json:"fault"`
 	// Trigger says when the event fires.
 	Trigger Trigger `json:"trigger"`
 	// Flap duty-cycles the fault: inject, clear after OnTicks, re-inject
-	// after OffTicks, for Cycles cycles (0 = until the horizon). Requires
-	// a target with the FaultClearer capability.
+	// after OffTicks, for Cycles cycles (0 = until the horizon); the
+	// target's ClearFault does the clearing.
 	Flap *Flap `json:"flap,omitempty"`
 }
 
-// FaultSpec declares a fault for FaultMaker construction.
+// FaultSpec declares a fault for the target's MakeFault.
 type FaultSpec struct {
 	// Kind is the canonical catalog kind name (catalog.FaultKind.String).
 	Kind string `json:"kind"`

@@ -31,7 +31,7 @@ type AdaBoost struct {
 	version uint64
 }
 
-// Version implements versioned.
+// Version implements Learner.
 func (s *AdaBoost) Version() uint64 { return s.version }
 
 // treeNode is a node of a weak decision tree.
@@ -81,7 +81,7 @@ func (s *AdaBoost) Add(p Point) {
 	s.Retrain()
 }
 
-// AddBatch implements Batcher: the batch's successes are appended and the
+// AddBatch implements Synopsis: the batch's successes are appended and the
 // ensemble refit once — the refit is AdaBoost's whole learning cost
 // (Table 3), so an episode-sized batch divides it by the episode's label
 // count.
@@ -101,7 +101,7 @@ func (s *AdaBoost) AddBatch(ps []Point) {
 	}
 }
 
-// Clone implements Cloner. Trees are immutable once built and can be
+// Clone implements Learner. Trees are immutable once built and can be
 // shared, but the trees/alphas slice headers must be fresh copies: Retrain
 // truncates and reuses the receiver's backing arrays in place.
 func (s *AdaBoost) Clone() Synopsis {
@@ -119,7 +119,7 @@ func (s *AdaBoost) Clone() Synopsis {
 	}
 }
 
-// Reset implements Resetter: back to empty, keeping the ensemble knobs.
+// Reset implements Learner: back to empty, keeping the ensemble knobs.
 func (s *AdaBoost) Reset() {
 	s.classes = newClassSet()
 	s.ex = newExemplars()

@@ -35,17 +35,17 @@ func streamPoints(seed int64, n int) []Point {
 }
 
 // learnersUnderTest builds one fresh instance of every built-in learner.
-func learnersUnderTest() map[string]func() Synopsis {
-	return map[string]func() Synopsis{
-		"nn": func() Synopsis { return NewNearestNeighbor() },
-		"nn-negatives": func() Synopsis {
+func learnersUnderTest() map[string]func() Learner {
+	return map[string]func() Learner{
+		"nn": func() Learner { return NewNearestNeighbor() },
+		"nn-negatives": func() Learner {
 			s := NewNearestNeighbor()
 			s.UseNegatives = true
 			return s
 		},
-		"kmeans":   func() Synopsis { return NewKMeans() },
-		"adaboost": func() Synopsis { return NewAdaBoost(12) },
-		"bayes":    func() Synopsis { return NewNaiveBayes() },
+		"kmeans":   func() Learner { return NewKMeans() },
+		"adaboost": func() Learner { return NewAdaBoost(12) },
+		"bayes":    func() Learner { return NewNaiveBayes() },
 	}
 }
 
@@ -62,15 +62,12 @@ func TestAddBatchMatchesSequentialAdd(t *testing.T) {
 				seq.Add(p)
 			}
 			bat := fresh()
-			if _, ok := bat.(Batcher); !ok {
-				t.Fatalf("%s does not implement Batcher", bat.Name())
-			}
 			for lo := 0; lo < len(pts); lo += 7 {
 				hi := lo + 7
 				if hi > len(pts) {
 					hi = len(pts)
 				}
-				AddAll(bat, pts[lo:hi])
+				bat.AddBatch(pts[lo:hi])
 			}
 			if seq.TrainingSize() != bat.TrainingSize() {
 				t.Fatalf("TrainingSize: sequential %d, batched %d", seq.TrainingSize(), bat.TrainingSize())
@@ -102,11 +99,7 @@ func TestCloneIsIndependent(t *testing.T) {
 			for _, p := range before {
 				orig.Add(p)
 			}
-			cl, ok := orig.(Cloner)
-			if !ok {
-				t.Fatalf("%s does not implement Cloner", orig.Name())
-			}
-			snap := cl.Clone()
+			snap := orig.Clone()
 			if snap == nil {
 				t.Fatalf("%s Clone returned nil", orig.Name())
 			}

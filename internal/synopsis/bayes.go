@@ -19,7 +19,7 @@ type NaiveBayes struct {
 	version uint64
 }
 
-// Version implements versioned.
+// Version implements Learner.
 func (s *NaiveBayes) Version() uint64 { return s.version }
 
 // NewNaiveBayes returns an empty Gaussian NB synopsis.
@@ -76,7 +76,7 @@ func (s *NaiveBayes) grow(dim int) {
 	s.dim = dim
 }
 
-// AddBatch implements Batcher. The Welford update is already incremental,
+// AddBatch implements Synopsis. The Welford update is already incremental,
 // so batching only saves the per-call overhead.
 func (s *NaiveBayes) AddBatch(ps []Point) {
 	for _, p := range ps {
@@ -84,7 +84,7 @@ func (s *NaiveBayes) AddBatch(ps []Point) {
 	}
 }
 
-// Clone implements Cloner. The per-class running moments are updated in
+// Clone implements Learner. The per-class running moments are updated in
 // place by Add, so they are deep-copied; the exemplar points are shared.
 func (s *NaiveBayes) Clone() Synopsis {
 	c := &NaiveBayes{
@@ -104,7 +104,7 @@ func (s *NaiveBayes) Clone() Synopsis {
 	return c
 }
 
-// Reset implements Resetter: back to empty.
+// Reset implements Learner: back to empty.
 func (s *NaiveBayes) Reset() {
 	s.classes = newClassSet()
 	s.ex = newExemplars()

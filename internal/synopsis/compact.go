@@ -51,15 +51,6 @@ type Compaction struct {
 	MinPerAction int
 }
 
-// Resetter is implemented by learners that can drop their model and
-// training history, returning to empty while keeping their configuration
-// (UseNegatives, ensemble size, window, ...). Compaction rebuilds a
-// learner by Reset + replaying the compacted history.
-type Resetter interface {
-	// Reset restores the empty, just-constructed state.
-	Reset()
-}
-
 // compactTargetDivisor sets the hysteresis: a cap-triggered compaction
 // shrinks to 3/4 of MaxPoints so the next quarter-cap of writes is free.
 const compactTargetDivisor = 4

@@ -265,19 +265,10 @@ func TestSharedChangedAndOnPublish(t *testing.T) {
 	}
 }
 
-// unresettable is a learner Shared accepts — it clones — but cannot compact:
-// it has no Reset.
-type unresettable struct{ opaque }
-
-func (u unresettable) Clone() Synopsis { return unresettable{opaque{u.s.(Cloner).Clone()}} }
-
-// TestEnableCompactionValidation pins the error cases: bases without
-// Reset, merge radii that are not finite distances, and configurations
-// that could never hold their own cap.
+// TestEnableCompactionValidation pins the error cases: merge radii that
+// are not finite distances, and configurations that could never hold
+// their own cap.
 func TestEnableCompactionValidation(t *testing.T) {
-	if err := NewShared(unresettable{opaque{NewNearestNeighbor()}}).EnableCompaction(Compaction{}); err == nil {
-		t.Fatal("EnableCompaction accepted a base without Reset")
-	}
 	sh := NewShared(NewNearestNeighbor())
 	for _, bad := range []Compaction{
 		{MergeRadius: -1},
@@ -402,12 +393,12 @@ func TestCompactionBoundedCampaign(t *testing.T) {
 // keeping the learner consistent (TrainingSize matches a fresh replay of
 // the survivors).
 func TestCompactionAllLearners(t *testing.T) {
-	builders := map[string]func() Synopsis{
-		"nn":       func() Synopsis { return NewNearestNeighbor() },
-		"nn-neg":   func() Synopsis { return &NearestNeighbor{UseNegatives: true, ex: newExemplars()} },
-		"kmeans":   func() Synopsis { return NewKMeans() },
-		"adaboost": func() Synopsis { return NewAdaBoost(5) },
-		"bayes":    func() Synopsis { return NewNaiveBayes() },
+	builders := map[string]func() Learner{
+		"nn":       func() Learner { return NewNearestNeighbor() },
+		"nn-neg":   func() Learner { return &NearestNeighbor{UseNegatives: true, ex: newExemplars()} },
+		"kmeans":   func() Learner { return NewKMeans() },
+		"adaboost": func() Learner { return NewAdaBoost(5) },
+		"bayes":    func() Learner { return NewNaiveBayes() },
 	}
 	rng := rand.New(rand.NewSource(99))
 	stream := compactStream(rng, 400)
@@ -431,7 +422,7 @@ func TestCompactionAllLearners(t *testing.T) {
 			}
 			survivors, _ := sh.DeltaSince(0)
 			fresh := build()
-			AddAll(fresh, survivors)
+			fresh.AddBatch(survivors)
 			if got, want := sh.TrainingSize(), fresh.TrainingSize(); got != want {
 				t.Fatalf("compacted TrainingSize %d, fresh replay of survivors %d", got, want)
 			}

@@ -241,7 +241,7 @@ func assertOracle(t *testing.T, name string, s Synopsis, queries [][]float64) {
 // window: a nearest neighbor that forgot all but its 24 latest successes.
 func TestIndexedLearnersMatchBruteOracle(t *testing.T) {
 	learners := learnersUnderTest()
-	learners["online"] = func() Synopsis { return NewNearestNeighbor() }
+	learners["online"] = func() Learner { return NewNearestNeighbor() }
 	for name, fresh := range learners {
 		for _, seed := range []int64{3, 17} {
 			for _, n := range []int{25, 300, 1500} {
@@ -251,7 +251,7 @@ func TestIndexedLearnersMatchBruteOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/seed=%d/n=%d", name, seed, n), func(t *testing.T) {
 					pts := tiePoints(seed, n)
 					s := fresh()
-					AddAll(s, pts)
+					s.AddBatch(pts)
 					if name == "online" {
 						s.(*NearestNeighbor).Forget(24)
 					}
@@ -270,9 +270,9 @@ func TestMergedAndDeltaKBsMatchBruteOracle(t *testing.T) {
 
 	t.Run("post-merge", func(t *testing.T) {
 		a := NewNearestNeighbor()
-		AddAll(a, ptsA)
+		a.AddBatch(ptsA)
 		b := NewNearestNeighbor()
-		AddAll(b, ptsB)
+		b.AddBatch(ptsB)
 		snapA, err := Capture(a, SaveOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +308,7 @@ func TestMergedAndDeltaKBsMatchBruteOracle(t *testing.T) {
 			if len(delta) == 0 {
 				break
 			}
-			AddAll(dst, delta)
+			dst.AddBatch(delta)
 			cursor = seq
 		}
 		if got, want := dst.TrainingSize(), successCount(ptsA); got != want {

@@ -49,7 +49,7 @@ func (s *KMeans) Name() string { return "k-means" }
 // TrainingSize implements Synopsis.
 func (s *KMeans) TrainingSize() int { return s.ex.n }
 
-// Version implements versioned.
+// Version implements Learner.
 func (s *KMeans) Version() uint64 { return s.version }
 
 // Add implements Synopsis. Unsuccessful attempts are ignored — this
@@ -63,7 +63,7 @@ func (s *KMeans) Add(p Point) {
 	s.recluster()
 }
 
-// AddBatch implements Batcher: the batch's successes are folded with a
+// AddBatch implements Synopsis: the batch's successes are folded with a
 // single reclustering pass at the end, instead of one per point.
 func (s *KMeans) AddBatch(ps []Point) {
 	changed := false
@@ -80,7 +80,7 @@ func (s *KMeans) AddBatch(ps []Point) {
 	}
 }
 
-// Clone implements Cloner. Centroids, the fix list, and the centroid index
+// Clone implements Learner. Centroids, the fix list, and the centroid index
 // are replaced wholesale by recluster, never mutated in place, so they can
 // all be shared.
 func (s *KMeans) Clone() Synopsis {
@@ -98,7 +98,7 @@ func (s *KMeans) Clone() Synopsis {
 	}
 }
 
-// Reset implements Resetter: back to empty.
+// Reset implements Learner: back to empty.
 func (s *KMeans) Reset() {
 	s.classes = newClassSet()
 	s.ex = newExemplars()

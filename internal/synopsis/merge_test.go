@@ -2,7 +2,6 @@ package synopsis
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -224,28 +223,4 @@ func TestSaveRejectsOverWideVectors(t *testing.T) {
 	if _, err := Capture(nn, SaveOptions{Space: space}); err == nil {
 		t.Error("3-dim vector accepted against a 2-name table")
 	}
-}
-
-// TestSharedExportError: a Shared knowledge base over a base without
-// Export must fail loudly instead of silently exporting an empty history
-// that a later save would persist as data loss.
-func TestSharedExportError(t *testing.T) {
-	sh := NewShared(&noExportBase{NewNearestNeighbor()})
-	sh.Add(pt([]float64{1}, catalog.FixUpdateStats, "items"))
-	if _, err := sh.Export(); !errors.Is(err, ErrNotExportable) {
-		t.Fatalf("Export error = %v, want ErrNotExportable", err)
-	}
-	if _, err := Capture(sh, SaveOptions{}); !errors.Is(err, ErrNotExportable) {
-		t.Fatalf("Capture error = %v, want ErrNotExportable", err)
-	}
-}
-
-// noExportBase hides the embedded learner's Export while keeping
-// Synopsis and Cloner.
-type noExportBase struct{ *NearestNeighbor }
-
-func (b *noExportBase) Export() {} // different signature: not an Exporter
-
-func (b *noExportBase) Clone() Synopsis {
-	return &noExportBase{b.NearestNeighbor.Clone().(*NearestNeighbor)}
 }

@@ -51,14 +51,14 @@ func (s *NearestNeighbor) Add(p Point) {
 	}
 }
 
-// Version implements versioned.
+// Version implements Learner.
 func (s *NearestNeighbor) Version() uint64 { return s.version }
 
 // bulkLoadMin is the smallest success count AddBatch treats as a bulk
 // load rather than a run of incremental inserts.
 const bulkLoadMin = 128
 
-// AddBatch implements Batcher. Small batches — an episode's flushed
+// AddBatch implements Synopsis. Small batches — an episode's flushed
 // learn events — fold point by point into the Bentley–Saxe forest. A
 // batch that dominates the store (a knowledge-base snapshot load, a
 // federation catch-up, a merge) is bulk-loaded instead: points are
@@ -94,7 +94,7 @@ func (s *NearestNeighbor) AddBatch(ps []Point) {
 	s.ex.reindex()
 }
 
-// Clone implements Cloner: an independent copy sharing the immutable
+// Clone implements Learner: an independent copy sharing the immutable
 // exemplar points.
 func (s *NearestNeighbor) Clone() Synopsis {
 	var negByFix map[catalog.FixID][]Point
@@ -113,7 +113,7 @@ func (s *NearestNeighbor) Clone() Synopsis {
 	}
 }
 
-// Reset implements Resetter: back to empty, keeping UseNegatives.
+// Reset implements Learner: back to empty, keeping UseNegatives.
 func (s *NearestNeighbor) Reset() {
 	s.ex = newExemplars()
 	s.negatives = nil

@@ -1,7 +1,6 @@
 package synopsis
 
 import (
-	"errors"
 	"fmt"
 
 	"selfheal/internal/detect"
@@ -28,31 +27,6 @@ import (
 // is replayed positionally: it is only portable between processes that
 // construct their target kinds in the same order.
 
-// ErrNotExportable reports a synopsis that implements Exporter but cannot
-// currently surrender its training history — e.g. a Shared knowledge base
-// over a base learner with no Export. Callers that persist knowledge bases
-// should treat it as "saving would silently write an empty history".
-var ErrNotExportable = errors.New("training history is not exportable")
-
-// Exporter is implemented by synopses that can surrender their training
-// observations. A non-nil error (typically wrapping ErrNotExportable)
-// means the history exists but cannot be produced; persistence must fail
-// loudly rather than write an empty knowledge base.
-type Exporter interface {
-	// Export returns a copy of the training observations in arrival
-	// order (negatives last for learners that keep them).
-	Export() ([]Point, error)
-}
-
-// Sequenced is implemented by knowledge bases that version their writes
-// with a monotonic publish sequence (Shared). Capture records the
-// sequence in the snapshot so tooling and federation peers can tell how
-// current a file is.
-type Sequenced interface {
-	// Seq returns the current publish sequence.
-	Seq() uint64
-}
-
 // SaveOptions parameterizes Capture.
 type SaveOptions struct {
 	// Space supplies the symptom-space name table recorded in the
@@ -62,26 +36,21 @@ type SaveOptions struct {
 }
 
 // Capture builds the snapshot of a live synopsis — the delta since zero:
-// its training history in Export's order, the publish sequence (zero for
-// learners that do not version their writes) and the symptom-space name
+// its training history in Export's order, the publish sequence (a Shared
+// knowledge base's; zero for a bare learner) and the symptom-space name
 // table (o.Space, by default the process-wide detect.DefaultSymptomSpace),
 // so the file Encode writes stays portable across processes that register
-// target kinds in different orders. Synopses whose history cannot be
-// exported (see Exporter) return an error.
+// target kinds in different orders. An Export error is returned.
 func Capture(s Synopsis, o SaveOptions) (*Delta, error) {
-	ex, ok := s.(Exporter)
-	if !ok {
-		return nil, fmt.Errorf("synopsis: %s cannot export its training data", s.Name())
-	}
 	// Read the sequence before exporting: against racing writers the
 	// captured seq may then undersell the exported history (a peer
 	// re-fetches a point it already has, and dedup drops it), but it can
 	// never oversell it (which would lose points for good).
 	var seq uint64
-	if sq, ok := s.(Sequenced); ok {
-		seq = sq.Seq()
+	if sh, ok := s.(*Shared); ok {
+		seq = sh.Seq()
 	}
-	pts, err := ex.Export()
+	pts, err := s.Export()
 	if err != nil {
 		return nil, fmt.Errorf("synopsis: exporting %s: %w", s.Name(), err)
 	}
@@ -102,14 +71,14 @@ func Capture(s Synopsis, o SaveOptions) (*Delta, error) {
 }
 
 // Replay folds the delta's points into a synopsis (which need not be the
-// learner that produced them) in one batch, through AddBatch when the
-// learner supports it, so refitting models pay one refit for the whole
-// file. When the delta carries a name table, every vector is remapped by
-// metric name into space (nil: detect.DefaultSymptomSpace) first, so the
-// writer's target-registration order does not matter. A delta without a
-// name table replays positionally: it ranks fixes correctly only in a
-// process that registered its target kinds in the same order as the
-// writer (single-kind processes always agree).
+// learner that produced them) in one AddBatch, so refitting models pay
+// one refit for the whole file. When the delta carries a name table,
+// every vector is remapped by metric name into space (nil:
+// detect.DefaultSymptomSpace) first, so the writer's target-registration
+// order does not matter. A delta without a name table replays
+// positionally: it ranks fixes correctly only in a process that
+// registered its target kinds in the same order as the writer
+// (single-kind processes always agree).
 func (d *Delta) Replay(into Synopsis, space *detect.SymptomSpace) error {
 	pts := d.Points
 	if len(d.Symptoms) > 0 {
@@ -122,21 +91,21 @@ func (d *Delta) Replay(into Synopsis, space *detect.SymptomSpace) error {
 			pts[i] = p
 		}
 	}
-	AddAll(into, pts)
+	into.AddBatch(pts)
 	return nil
 }
 
-// Export implements Exporter: successes in arrival order, then negatives.
+// Export implements Synopsis: successes in arrival order, then negatives.
 func (s *NearestNeighbor) Export() ([]Point, error) {
 	out := append([]Point(nil), s.ex.all...)
 	return append(out, s.negatives...), nil
 }
 
-// Export implements Exporter.
+// Export implements Synopsis.
 func (s *KMeans) Export() ([]Point, error) { return append([]Point(nil), s.ex.all...), nil }
 
-// Export implements Exporter.
+// Export implements Synopsis.
 func (s *AdaBoost) Export() ([]Point, error) { return append([]Point(nil), s.points...), nil }
 
-// Export implements Exporter.
+// Export implements Synopsis.
 func (s *NaiveBayes) Export() ([]Point, error) { return append([]Point(nil), s.ex.all...), nil }

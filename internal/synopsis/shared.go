@@ -17,15 +17,14 @@ import (
 // lock; writers serialize behind a mutex, fold their points into the
 // authoritative base — a whole batch at a time through AddBatch — and
 // republish a fresh snapshot once per write. Snapshots are structural
-// clones (Cloner): cheap copies sharing the immutable training points.
-// Updates remain coordinate-wise and serialized, the regime in which
-// concurrent learners over a shared model are known to behave (cyclic
-// block-coordinate descent); batching coarsens the coordinate steps
-// without changing that discipline.
+// clones (Learner.Clone): cheap copies sharing the immutable training
+// points. Updates remain coordinate-wise and serialized, the regime in
+// which concurrent learners over a shared model are known to behave
+// (cyclic block-coordinate descent); batching coarsens the coordinate
+// steps without changing that discipline.
 //
 // A reader may act on a snapshot that is one write behind — exactly the
-// staleness any replica already tolerates between its own episodes. The
-// base synopsis must therefore be a Cloner, as every built-in learner is.
+// staleness any replica already tolerates between its own episodes.
 //
 // Every write also advances a monotonic publish sequence and appends its
 // observations to an arrival log, so a federation peer that was current
@@ -37,7 +36,7 @@ import (
 type Shared struct {
 	name string
 	mu   sync.Mutex // serializes writers; guards base and the delta log
-	base Synopsis
+	base Learner
 	// snap is the published read snapshot, never nil.
 	snap atomic.Pointer[Synopsis]
 
@@ -68,10 +67,8 @@ type Shared struct {
 }
 
 // NewShared wraps base for concurrent use. The base must no longer be used
-// directly while the wrapper is live. It panics when base cannot be cloned
-// (it is no Cloner, or its Clone returns nil): reads are served from clones
-// and from nothing else.
-func NewShared(base Synopsis) *Shared {
+// directly while the wrapper is live.
+func NewShared(base Learner) *Shared {
 	s := &Shared{name: "shared-" + base.Name(), base: base}
 	s.republish()
 	return s
@@ -80,38 +77,11 @@ func NewShared(base Synopsis) *Shared {
 // reader returns the published snapshot, safe to read with no lock.
 func (s *Shared) reader() Synopsis { return *s.snap.Load() }
 
-// versioned is implemented by learners that count their effective
-// mutations: a write that changes nothing the read path can observe (a
-// failed attempt folded into a learner that discards failures) leaves the
-// version unchanged. Shared uses it to skip snapshot clones for no-op
-// writes — the fix for the shared-vs-isolated inversion at low replica
-// counts, where per-write structural clones used to outweigh the shared
-// knowledge base's benefit.
-type versioned interface {
-	Version() uint64
-}
-
 // republish installs a fresh snapshot of the base. Callers hold s.mu (or,
 // in NewShared, the only reference).
 func (s *Shared) republish() {
-	var sn Synopsis
-	if c, ok := s.base.(Cloner); ok {
-		sn = c.Clone()
-	}
-	if sn == nil {
-		panic(fmt.Sprintf("synopsis: Shared: %s cannot be cloned (no Cloner, or Clone returned nil), and reads are served from clones", s.base.Name()))
-	}
+	sn := s.base.Clone()
 	s.snap.Store(&sn)
-}
-
-// version returns the base's effective-mutation counter; ok is false for
-// bases that do not track one (every write must then republish).
-func (s *Shared) version() (uint64, bool) {
-	v, ok := s.base.(versioned)
-	if !ok {
-		return 0, false
-	}
-	return v.Version(), true
 }
 
 // Name implements Synopsis. The name is fixed at construction; no lock.
@@ -119,13 +89,13 @@ func (s *Shared) Name() string { return s.name }
 
 // Add implements Synopsis: one observation, one snapshot republish. The
 // observation is always logged for federation, but the clone+republish is
-// skipped when it did not change the learner's effective state.
+// skipped when it did not change the learner's Version.
 func (s *Shared) Add(p Point) {
 	s.mu.Lock()
-	before, tracked := s.version()
+	before := s.base.Version()
 	s.base.Add(p)
 	s.log(p)
-	if after, _ := s.version(); !tracked || after != before {
+	if s.base.Version() != before {
 		s.republish()
 	}
 	s.maybeCompactLocked()
@@ -136,7 +106,7 @@ func (s *Shared) Add(p Point) {
 	}
 }
 
-// AddBatch implements Batcher: the whole batch is applied to the base
+// AddBatch implements Synopsis: the whole batch is applied to the base
 // under one lock acquisition and the snapshot republished once — the write
 // path the fleet's per-episode learn flush rides. The batch advances the
 // publish sequence by one, however many points it carries.
@@ -150,10 +120,10 @@ func (s *Shared) AddBatchSeq(ps []Point) uint64 {
 		return s.seq.Load()
 	}
 	s.mu.Lock()
-	before, tracked := s.version()
-	AddAll(s.base, ps)
+	before := s.base.Version()
+	s.base.AddBatch(ps)
 	s.log(ps...)
-	if after, _ := s.version(); !tracked || after != before {
+	if s.base.Version() != before {
 		s.republish()
 	}
 	s.maybeCompactLocked()
@@ -202,15 +172,11 @@ func (s *Shared) OnPublish(fn func(seq uint64)) {
 }
 
 // EnableCompaction switches the knowledge base to bounded-memory mode
-// (see Compaction). The base learner must support Reset — all built-in
-// learners do — because compaction retrains it from the compacted
-// history.
+// (see Compaction): compaction Resets the base learner and retrains it
+// from the compacted history.
 func (s *Shared) EnableCompaction(cfg Compaction) error {
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	if _, ok := s.base.(Resetter); !ok {
-		return fmt.Errorf("synopsis: %s: base %s cannot be compacted: no Reset", s.name, s.base.Name())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,8 +208,8 @@ func (s *Shared) compactLocked(target int) int {
 	if dropped == 0 {
 		return 0
 	}
-	s.base.(Resetter).Reset()
-	AddAll(s.base, kept)
+	s.base.Reset()
+	s.base.AddBatch(kept)
 	seq := s.seq.Load() + 1
 	s.seq.Store(seq)
 	s.logPts = kept
@@ -349,13 +315,5 @@ func (s *Shared) TrainingSize() int {
 	return s.reader().TrainingSize()
 }
 
-// Export implements Exporter when the wrapped synopsis does, so a shared
-// knowledge base can still be persisted with Capture. A base without Export
-// yields an error wrapping ErrNotExportable.
-func (s *Shared) Export() ([]Point, error) {
-	r := s.reader()
-	if ex, ok := r.(Exporter); ok {
-		return ex.Export()
-	}
-	return nil, fmt.Errorf("synopsis: %s: base %s: %w", s.name, r.Name(), ErrNotExportable)
-}
+// Export implements Synopsis, exporting the current snapshot.
+func (s *Shared) Export() ([]Point, error) { return s.reader().Export() }

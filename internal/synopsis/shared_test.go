@@ -1,7 +1,8 @@
 package synopsis
 
 import (
-	"strings"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -112,44 +113,6 @@ func TestSharedReadersDuringBatchedWrites(t *testing.T) {
 	}
 }
 
-// opaque hides everything but the Synopsis interface: a learner that
-// cannot be cloned.
-type opaque struct{ s Synopsis }
-
-func (o opaque) Name() string { return o.s.Name() }
-func (o opaque) Add(p Point)  { o.s.Add(p) }
-func (o opaque) Suggest(x []float64, filter *ActionFilter) (Suggestion, bool) {
-	return o.s.Suggest(x, filter)
-}
-func (o opaque) RankK(x []float64, k int) []Suggestion { return o.s.RankK(x, k) }
-func (o opaque) TrainingSize() int                     { return o.s.TrainingSize() }
-
-// nilClone is a Cloner whose Clone gives up.
-type nilClone struct{ opaque }
-
-func (nilClone) Clone() Synopsis { return nil }
-
-// TestSharedRejectsNonCloner: Shared serves reads from clones and has no
-// other mode, so a base that cannot be cloned — no Clone at all, or a
-// Clone that gives up — is refused at construction, by name.
-func TestSharedRejectsNonCloner(t *testing.T) {
-	for name, base := range map[string]Synopsis{
-		"no-clone":  opaque{s: NewNearestNeighbor()},
-		"nil-clone": nilClone{opaque{s: NewNearestNeighbor()}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, base.Name()) || !strings.Contains(msg, "cannot be cloned") {
-					t.Errorf("NewShared(%s) panicked with %q, want a message naming it and the reason", base.Name(), msg)
-				}
-			}()
-			NewShared(base)
-			t.Errorf("NewShared(%s) accepted a base that cannot be cloned", base.Name())
-		})
-	}
-}
-
 // TestSharedIsTransparent verifies the wrapper changes nothing but the
 // name: a Shared NN and a bare NN fed the same points agree on every
 // suggestion.
@@ -174,5 +137,54 @@ func TestSharedIsTransparent(t *testing.T) {
 	}
 	if sh.Name() != "shared-"+bare.Name() {
 		t.Errorf("Name = %q", sh.Name())
+	}
+}
+
+// TestVersionGuardsTheReadPath pins the contract Shared skips its snapshot
+// clone on: a write that leaves a learner's Version unchanged leaves every
+// read unchanged too, through Add and through AddBatch alike, and Reset
+// always moves Version.
+func TestVersionGuardsTheReadPath(t *testing.T) {
+	probes := streamPoints(12, 10)
+	for name, fresh := range learnersUnderTest() {
+		t.Run(name, func(t *testing.T) {
+			s := fresh()
+			ranks := func() [][]Suggestion {
+				out := make([][]Suggestion, len(probes))
+				for i, pr := range probes {
+					out[i] = s.RankK(pr.X, -1)
+				}
+				return out
+			}
+			kept := 0
+			write := func(what string, w func()) {
+				v, before := s.Version(), ranks()
+				w()
+				if s.Version() != v {
+					return
+				}
+				kept++
+				if got := ranks(); !reflect.DeepEqual(got, before) {
+					t.Fatalf("%s kept Version %d but moved RankK:\n before %v\n after  %v", what, v, before, got)
+				}
+			}
+			for i, p := range streamPoints(11, 100) {
+				write(fmt.Sprintf("Add #%d", i), func() { s.Add(p) })
+			}
+			for i, p := range streamPoints(13, 100) {
+				write(fmt.Sprintf("AddBatch #%d", i), func() { s.AddBatch([]Point{p}) })
+			}
+			t.Logf("%d of 200 writes kept Version", kept)
+			v := s.Version()
+			s.Reset()
+			if s.Version() == v {
+				t.Errorf("Reset kept Version %d", v)
+			}
+			v = s.Version()
+			s.Reset()
+			if s.Version() == v {
+				t.Errorf("Reset of an empty learner kept Version %d", v)
+			}
+		})
 	}
 }

@@ -88,28 +88,46 @@ type Synopsis interface {
 	RankK(x []float64, k int) []Suggestion
 	// TrainingSize returns the number of successful observations held.
 	TrainingSize() int
-}
-
-// Batcher is implemented by synopses that can fold many observations in
-// one step. For learners that refit after every observation (AdaBoost's
-// ensemble, KMeans' reclustering) a batch pays the refit cost once instead
-// of once per point, which is what makes flushing a whole episode's learn
-// events at a time worthwhile.
-type Batcher interface {
 	// AddBatch folds every point in one step, refitting once at the end.
+	// For learners that refit after every observation (AdaBoost's
+	// ensemble, KMeans' reclustering) a batch pays the refit cost once
+	// instead of once per point, which is what makes flushing a whole
+	// episode's learn events at a time worthwhile.
 	AddBatch(ps []Point)
+	// Export returns a copy of the training observations in arrival
+	// order (negatives last for learners that keep them). A non-nil
+	// error means the history exists but cannot be produced; persistence
+	// must fail loudly rather than write an empty knowledge base.
+	Export() ([]Point, error)
 }
 
-// AddAll folds ps into s, through AddBatch when s supports it.
-func AddAll(s Synopsis, ps []Point) {
-	if b, ok := s.(Batcher); ok {
-		b.AddBatch(ps)
-		return
-	}
-	for _, p := range ps {
-		s.Add(p)
-	}
+// Learner is a synopsis that owns its model and can back a Shared
+// knowledge base: every built-in learner is one.
+type Learner interface {
+	Synopsis
+	// Clone returns an independent copy sharing immutable internals with
+	// the original. Reads on the clone (Suggest, RankK, TrainingSize,
+	// Export) remain correct no matter what is later Added to the
+	// original, and vice versa; Shared serves its lock-free reads from
+	// clones.
+	Clone() Synopsis
+	// Reset restores the empty, just-constructed state, keeping the
+	// learner's configuration (UseNegatives, ensemble size, ...).
+	// Compaction rebuilds a learner by Reset and a replay of the
+	// compacted history.
+	Reset()
+	// Version counts effective mutations: a write that changes nothing
+	// the read path can observe (a failed attempt folded into a learner
+	// that discards failures) leaves it unchanged, and Reset always
+	// moves it. Shared skips the snapshot clone of a write that leaves
+	// it unchanged — the fix for the shared-vs-isolated inversion at low
+	// replica counts, where per-write structural clones used to outweigh
+	// the shared knowledge base's benefit.
+	Version() uint64
 }
+
+// AddAll folds ps into s in one batch.
+func AddAll(s Synopsis, ps []Point) { s.AddBatch(ps) }
 
 // Accuracy returns the fraction of test points whose suggested fix class
 // matches the point's labeled fix. This is the y-axis of the paper's
@@ -127,17 +145,6 @@ func Accuracy(s Synopsis, test []Point) float64 {
 		}
 	}
 	return float64(correct) / float64(len(test))
-}
-
-// Cloner is implemented by synopses that can produce an independent copy
-// sharing immutable internals with the original. The contract: reads on
-// the clone (Suggest, RankK, TrainingSize, Export) remain correct no matter
-// what is later Added to the original, and vice versa. Shared uses clones
-// as lock-free read snapshots; every built-in learner implements it.
-type Cloner interface {
-	// Clone returns the independent read snapshot, or nil when the
-	// synopsis cannot be cloned; Shared refuses such a synopsis.
-	Clone() Synopsis
 }
 
 // feature reads coordinate d of x under the space's sparse-vector

@@ -133,36 +133,32 @@ func TestAuctionClearFaultLeavesOthers(t *testing.T) {
 // withdrawn and reaped is left alone by a second ClearFault, even once a
 // later fault of the same kind has broken the same state again.
 func TestClearWithdrawnLeavesOthers(t *testing.T) {
-	type clearer interface {
-		Target
-		FaultClearer
-	}
 	cases := []struct {
 		name       string
-		target     func() (clearer, error)
+		target     func() (Target, error)
 		old, fresh Fault
 		// live reports whether fresh's effect is still on the target.
-		live func(tg clearer, fresh Fault) bool
+		live func(tg Target, fresh Fault) bool
 	}{
 		{
 			name:   "auction/deadlock",
-			target: func() (clearer, error) { return NewAuction(Config{Seed: 3}) },
+			target: func() (Target, error) { return NewAuction(Config{Seed: 3}) },
 			old:    faults.NewDeadlock("ItemBean"), fresh: faults.NewDeadlock("ItemBean"),
-			live: func(tg clearer, fresh Fault) bool {
+			live: func(tg Target, fresh Fault) bool {
 				return !fresh.(faults.Fault).Cleared(auctionEnv(tg.(*Auction)))
 			},
 		},
 		{
 			name:   "replicated/primary-degraded",
-			target: func() (clearer, error) { return NewReplicated(Config{Seed: 3}) },
+			target: func() (Target, error) { return NewReplicated(Config{Seed: 3}) },
 			old:    NewPrimaryDegraded(0.3), fresh: NewPrimaryDegraded(0.3),
-			live: func(tg clearer, _ Fault) bool { return tg.(*Replicated).primaryCapFactor == 0.3 },
+			live: func(tg Target, _ Fault) bool { return tg.(*Replicated).primaryCapFactor == 0.3 },
 		},
 		{
 			name:   "replicated/search-surge",
-			target: func() (clearer, error) { return NewReplicated(Config{Seed: 3}) },
+			target: func() (Target, error) { return NewReplicated(Config{Seed: 3}) },
 			old:    NewSearchSurge(4, 100000), fresh: NewSearchSurge(4, 100000),
-			live: func(tg clearer, _ Fault) bool {
+			live: func(tg Target, _ Fault) bool {
 				r := tg.(*Replicated)
 				return r.surgeUntil > r.now
 			},

@@ -6,8 +6,8 @@ import (
 )
 
 // FaultSet is a target's active-fault set: the bookkeeping behind
-// Target.Inject, Reap and CorrectFix and behind FaultClearer, written once
-// for every target. A target builds it from three mechanics of its own —
+// Target.Inject, Reap, CorrectFix and ClearFault, written once for every
+// target. A target builds it from three mechanics of its own —
 // apply a fault's effect, withdraw it, and report whether it is gone from
 // the live state — and embeds the set to get the four methods. One rule
 // holds for every target:

@@ -1,6 +1,7 @@
 package targets_test
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"selfheal/internal/catalog"
+	"selfheal/internal/core"
 	"selfheal/internal/targets"
 	"selfheal/internal/targets/process"
 )
@@ -137,5 +139,40 @@ func TestLocatorCandidatesAreApplicable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFailoverToStandbyStopsLocatingTheDB: once failover-node(db) has
+// promoted the standby, db.primary.capfactor reads the serving node's
+// capacity factor, so a later episode's failover-node locator does not
+// send the database back to the degraded primary.
+func TestFailoverToStandbyStopsLocatingTheDB(t *testing.T) {
+	ctx := context.Background()
+	repl, err := targets.NewReplicated(targets.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.NewTargetHarness(repl, core.DefaultHarnessConfig())
+	if _, _, ok := h.LabeledFailure(ctx, targets.NewPrimaryDegraded(0.25), 300); !ok {
+		t.Fatal("degraded primary not detected")
+	}
+	settle, err := repl.Apply(targets.Action{Fix: catalog.FixFailoverNode, Target: "db"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.StepN(int(settle))
+	series := h.Coll.Series()
+	if got := series.Row(series.Len() - 1)[series.Schema().MustIndex("db.primary.capfactor")]; got != 1 {
+		t.Errorf("db.primary.capfactor reads %v with the standby serving, want 1", got)
+	}
+	if !h.RunUntilRecovered(ctx, 300) {
+		t.Fatal("service not recovered on the standby")
+	}
+	fctx, _, ok := h.LabeledFailure(ctx, targets.NewReplicaLeak("app-1", 0.02), 600)
+	if !ok {
+		t.Fatal("replica leak not detected")
+	}
+	if target, ok := fctx.Localise(catalog.FixFailoverNode); ok && target == "db" {
+		t.Error("a replica leak on the standby localises failover-node to db")
 	}
 }

@@ -28,7 +28,7 @@ func TestCancelMidEpisodeReapsChildren(t *testing.T) {
 	}
 	defer func() { _ = p.Close() }()
 
-	tun := p.HarnessTuning()
+	tun := p.Spec().Cadence
 	hcfg := core.DefaultHarnessConfig()
 	hcfg.WarmupTicks = tun.WarmupTicks
 	hcfg.WindowTicks = tun.WindowTicks

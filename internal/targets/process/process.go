@@ -12,7 +12,7 @@
 // restart under an exponential-backoff policy, kill-and-respawn
 // failover, config rollback, full restart). Ticks cost wall time: the
 // target implements targets.Clocked with a wall clock at its tick
-// period, and targets.Tuner to shrink the monitoring cadence from
+// period, and its Spec's Cadence shrinks the monitoring cadence from
 // simulator scale (240-tick warmups) to something that fits real
 // seconds. Unlike the simulator targets, a supervised process is NOT
 // deterministic in Config.Seed — real scheduling and real sockets see
@@ -155,6 +155,18 @@ func Spec() targets.Spec {
 		SLO:       detect.SLO{MaxAvgLatencyMS: 200, MaxErrorRate: 0.25, MaxViolationShare: 0},
 		Mixes:     []string{"probe"},
 		Diagnosis: diagnosis(),
+		// Wall-clock scale: at the default 50ms tick the 24-tick warmup
+		// is ~1.2s, detection fires after 3 bad probes in a 6-probe
+		// window, and an escalated episode's 40-tick admin delay is ~2s.
+		Cadence: targets.HarnessTuning{
+			WarmupTicks:     24,
+			WindowTicks:     probeWindow,
+			DetectK:         3,
+			HistoryTicks:    2048,
+			CheckTicks:      30,
+			AdminDelayTicks: 40,
+			EpisodeBudget:   900,
+		},
 	}
 }
 
@@ -197,7 +209,7 @@ type Proc struct {
 	calls  [][]float64
 }
 
-// probeWindow is the detection window in ticks (HarnessTuning).
+// probeWindow is the detection window in ticks (Spec's Cadence).
 const probeWindow = 6
 
 // New spawns and supervises the configured child, returning once it
@@ -340,22 +352,6 @@ func (p *Proc) Now() int64 { return p.now }
 // Clock returns the wall clock that paces this target's ticks
 // (targets.Clocked).
 func (p *Proc) Clock() clock.Clock { return p.clk }
-
-// HarnessTuning shrinks the monitoring cadence to wall-clock scale
-// (targets.Tuner): at the default 50ms tick the 24-tick warmup is
-// ~1.2s, detection fires after 3 bad probes in a 6-probe window, and
-// an escalated episode's 40-tick admin delay is ~2s.
-func (p *Proc) HarnessTuning() targets.HarnessTuning {
-	return targets.HarnessTuning{
-		WarmupTicks:     24,
-		WindowTicks:     probeWindow,
-		DetectK:         3,
-		HistoryTicks:    2048,
-		CheckTicks:      30,
-		AdminDelayTicks: 40,
-		EpisodeBudget:   900,
-	}
-}
 
 // Tick advances one supervision round: pace is the harness's job (via
 // the wall clock); Tick itself probes the child once and reports what

@@ -572,12 +572,15 @@ func (r *Replicated) ReadMetrics(dst []float64) {
 	st := &r.last
 	i := 0
 	put := func(v float64) { dst[i] = v; i++ }
-	down, standby := 0.0, 0.0
+	down, standby, capFactor := 0.0, 0.0, r.primaryCapFactor
 	if st.down {
 		down = 1
 	}
 	if r.usingStandby {
-		standby = 1
+		// db.primary.capfactor is the serving node's: the standby's is
+		// 1, so after a failover the failover-node locator does not name
+		// db for a degraded primary that no longer serves.
+		standby, capFactor = 1, 1
 	}
 	errRate := 0.0
 	if st.arrivals > 0 {
@@ -593,7 +596,7 @@ func (r *Replicated) ReadMetrics(dst []float64) {
 	put((st.replicaUtil[0] + st.replicaUtil[1]) / 2)
 	put(st.dbUtil)
 	put(standby)
-	put(r.primaryCapFactor)
+	put(capFactor)
 	for idx, rep := range r.replicas {
 		up := 1.0
 		if rep.down {

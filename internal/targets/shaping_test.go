@@ -97,14 +97,14 @@ func shapeFault(tick int64, tg Target) error {
 	name := tg.Spec().Name
 	switch tick {
 	case 900:
-		f, err := tg.(FaultMaker).MakeFault(catalog.FaultBottleneck, "", 0, 600)
+		f, err := tg.MakeFault(catalog.FaultBottleneck, "", 0, 600)
 		if err != nil {
 			return err
 		}
 		shapingFault[name] = f
 		return tg.Inject(f)
 	case 1300:
-		return tg.(FaultClearer).ClearFault(shapingFault[name])
+		return tg.ClearFault(shapingFault[name])
 	}
 	return nil
 }

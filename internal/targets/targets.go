@@ -103,6 +103,9 @@ type Spec struct {
 	// Diagnosis is how the diagnosis approaches name the target's fixes:
 	// the service-structure knowledge of §4.3.
 	Diagnosis Diagnosis
+	// Cadence overrides the harness/healer cadence defaults; its zero
+	// fields keep them.
+	Cadence HarnessTuning
 }
 
 // Diagnosis is a target's diagnosis vocabulary. A fix it names with no
@@ -292,8 +295,8 @@ type Target interface {
 	// constructors). Faults built for another target kind are rejected.
 	Inject(f Fault) error
 	// Reap drops faults whose effects are gone from the live state. A
-	// fault still live stays active until it clears, is healed, or a
-	// FaultClearer withdraws it.
+	// fault still live stays active until it clears, is healed, or
+	// ClearFault withdraws it.
 	Reap()
 	// CorrectFix plays the administrator of Figure 3 lines 19–20: the
 	// ground-truth fix for the first still-active fault, diagnosed from
@@ -308,19 +311,26 @@ type Target interface {
 	// given kinds (the whole catalog when empty), validating every kind
 	// against the spec.
 	NewFaults(seed int64, kinds ...catalog.FaultKind) (FaultGen, error)
+
+	// The scenario engine builds its scripted faults with MakeFault and
+	// quiets a flapping fault with ClearFault; the healer's RunEpisode
+	// also withdraws the fault its episode injected, so the next episode
+	// starts clean. A target gets ClearFault from the FaultSet it
+	// embeds. The harness retains only the call-matrix cells
+	// CallMatrixSupport names.
+	FaultMaker
+	FaultClearer
+	CallMatrixSupporter
 }
 
 // Optional target capabilities. A Target advertises each by implementing
 // the interface; callers type-assert and degrade (or refuse the feature)
-// when the assertion fails. The scenario engine (internal/scenario) is
-// the main consumer: its workload directives need a WorkloadShaper, its
-// declarative fault specs a FaultMaker, its flapping faults a
-// FaultClearer, and its grey failures a PartialInjector. The healer
-// needs a FaultClearer too: RunEpisode withdraws the fault its episode
-// injected before returning, so the next episode starts clean. Every
-// built-in target implements FaultMaker, and gets FaultClearer from the
-// FaultSet it embeds; the auction and replicated targets also implement
-// WorkloadShaper, and the replicated target PartialInjector.
+// when the assertion fails. The scenario engine (internal/scenario)
+// needs a WorkloadShaper for its workload directives and a
+// PartialInjector for its grey failures; the auction and replicated
+// targets implement WorkloadShaper, and the replicated target
+// PartialInjector. The harness paces a Clocked target with its own
+// clock, and the facade closes a target that is an io.Closer.
 
 // WorkloadShaper reshapes a target's offered load at runtime: constant
 // scaling, the ±25% diurnal modulation, slow mix drift, and scheduled
@@ -368,7 +378,6 @@ type FaultClearer interface {
 // empty (a component calls a handful of the callees), and the monitoring
 // loop retains and accumulates a matrix every tick; a harness that knows
 // the support copies and folds ~10% of the cells and skips the rest.
-// Targets whose topology can change at runtime must not implement this.
 type CallMatrixSupporter interface {
 	// CallMatrixSupport returns the (row, col) pairs that may hold
 	// nonzero values. The result must be stable for the target's
@@ -391,16 +400,18 @@ type PartialInjector interface {
 // harness adopts the target's clock and paces every Step with it;
 // targets that do not implement Clocked run under the logical clock,
 // byte-identical to the pre-Clock harness. The returned clock must be
-// owned by this target instance (clocks are stateful and unsynchronized).
+// non-nil and owned by this target instance (clocks are stateful and
+// unsynchronized).
 type Clocked interface {
 	Clock() clock.Clock
 }
 
-// HarnessTuning overrides the monitoring/healing cadence defaults for
-// targets whose ticks cost real time. The stock defaults assume free
-// simulated ticks (240-tick warmups, 600-tick admin delays); at 50 ms a
-// tick those are minutes of wall time per episode. Zero-valued fields
-// keep the harness default, so a target overrides only what it must.
+// HarnessTuning (Spec.Cadence) overrides the monitoring/healing cadence
+// defaults for targets whose ticks cost real time. The stock defaults
+// assume free simulated ticks (240-tick warmups, 600-tick admin delays);
+// at 50 ms a tick those are minutes of wall time per episode. Zero-valued
+// fields keep the harness default, so a target overrides only what it
+// must.
 type HarnessTuning struct {
 	// WarmupTicks is the healthy run that freezes the baseline.
 	WarmupTicks int
@@ -418,11 +429,4 @@ type HarnessTuning struct {
 	AdminDelayTicks int
 	// EpisodeBudget bounds one episode's total ticks.
 	EpisodeBudget int
-}
-
-// Tuner is implemented by targets that need non-default harness/healer
-// cadence (typically wall-clock targets, alongside Clocked). The facade
-// applies the tuning when it builds the system around the target.
-type Tuner interface {
-	HarnessTuning() HarnessTuning
 }

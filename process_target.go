@@ -16,9 +16,9 @@ import (
 // SIGSTOP freeze, config-file corruption) and whose fixes are real
 // actions (thaw, graceful restart, kill-and-respawn failover, config
 // rollback). The target implements Clocked, so its harness ticks on
-// wall time, and Tuner, so the monitoring cadence shrinks to wall-clock
-// scale. Unlike the simulator targets it is not deterministic in the
-// seed: real processes are not replayable.
+// wall time, and its spec's Cadence shrinks the monitoring cadence to
+// wall-clock scale. Unlike the simulator targets it is not
+// deterministic in the seed: real processes are not replayable.
 const TargetProcess TargetKind = process.Name
 
 // ProcessCommandEnv names the child command the process target

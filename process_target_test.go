@@ -83,7 +83,7 @@ func newFacadeProcessTarget(t *testing.T) selfheal.Target {
 }
 
 // TestProcessTargetHealsThroughFacade drives the whole stack — facade,
-// wall-clock harness with Tuner cadence, Figure 3 loop — against a real
+// wall-clock harness at the target's Spec cadence, Figure 3 loop — against a real
 // supervised child: a real SIGKILL is detected from failed probes and
 // healed by a real respawn.
 func TestProcessTargetHealsThroughFacade(t *testing.T) {
@@ -100,10 +100,10 @@ func TestProcessTargetHealsThroughFacade(t *testing.T) {
 	}
 	defer sys.Close()
 
-	// The facade must have adopted the target's Tuner cadence, not the
+	// The facade must have adopted the target's Spec cadence, not the
 	// simulator-scale defaults (240-tick warmups).
 	if sys.Harness.Cfg.WarmupTicks != 24 || sys.Harness.Cfg.WindowTicks != 6 {
-		t.Fatalf("tuner cadence not applied: warmup=%d window=%d",
+		t.Fatalf("spec cadence not applied: warmup=%d window=%d",
 			sys.Harness.Cfg.WarmupTicks, sys.Harness.Cfg.WindowTicks)
 	}
 

@@ -39,10 +39,10 @@ type (
 	LoadSurge = scenario.Surge
 )
 
-// Optional target capabilities the scenario engine drives. A Target
-// implements the ones it can support; NewRunner/RunScenario reject a
-// scenario whose script needs a capability its target lacks. See
-// ADDING_TARGETS.md.
+// Target capabilities the scenario engine drives. Every Target is a
+// FaultMaker and a FaultClearer; WorkloadShaper and PartialInjector are
+// optional, and NewRunner/RunScenario reject a scenario whose script
+// needs one its target lacks. See ADDING_TARGETS.md.
 type (
 	// WorkloadShaper moves the offered load: scale, diurnal modulation,
 	// drift, scheduled surges.

@@ -95,6 +95,10 @@ type (
 	Evidence = core.Evidence
 	// Synopsis is a learned symptom→fix model (§5.2).
 	Synopsis = synopsis.Synopsis
+	// Learner is a synopsis that owns its model — Clone, Reset and
+	// Version on top of Synopsis — and so can back a SharedSynopsis.
+	// Every built-in synopsis is one.
+	Learner = synopsis.Learner
 	// Point is one synopsis training observation: a symptom vector, the
 	// action attempted against it, and whether the action worked.
 	Point = synopsis.Point
@@ -417,9 +421,9 @@ func WithWorkers(n int) Option {
 // RankK read an immutable copy-on-write snapshot through an atomic pointer
 // (no lock), while writers — ideally episode batches via WithLearnBatch —
 // serialize behind a mutex and republish the snapshot once per write. The
-// snapshots are clones, so base must implement Clone() Synopsis, as every
-// built-in synopsis does; NewSharedSynopsis panics on one that does not.
-func NewSharedSynopsis(base Synopsis) *SharedSynopsis { return synopsis.NewShared(base) }
+// snapshots are base's clones, and a write that leaves base's Version
+// unchanged publishes none.
+func NewSharedSynopsis(base Learner) *SharedSynopsis { return synopsis.NewShared(base) }
 
 // System is one managed-system target with a healing loop attached.
 type System struct {
@@ -468,35 +472,34 @@ func newSystem(cfg *config, kind TargetKind, seed int64, sink EventSink) (*Syste
 	}
 	hcfg := core.DefaultHarnessConfig()
 	hcfg.Seed = seed
-	hcfg.SLO = t.Spec().SLO
+	spec := t.Spec()
+	hcfg.SLO = spec.SLO
 	hlcfg := core.DefaultHealerConfig()
-	// A Tuner target (typically wall-clock, alongside Clocked) overrides
-	// the simulator-scale cadence defaults before the user's explicit
-	// options do: at 50ms a tick, a 240-tick warmup or 600-tick admin
-	// delay is minutes of wall time per episode.
-	if tn, ok := t.(targets.Tuner); ok {
-		tun := tn.HarnessTuning()
-		if tun.WarmupTicks > 0 {
-			hcfg.WarmupTicks = tun.WarmupTicks
-		}
-		if tun.WindowTicks > 0 {
-			hcfg.WindowTicks = tun.WindowTicks
-		}
-		if tun.DetectK > 0 {
-			hcfg.DetectK = tun.DetectK
-		}
-		if tun.HistoryTicks > 0 {
-			hcfg.HistoryTicks = tun.HistoryTicks
-		}
-		if tun.CheckTicks > 0 {
-			hlcfg.CheckTicks = tun.CheckTicks
-		}
-		if tun.AdminDelayTicks > 0 {
-			hlcfg.AdminDelayTicks = tun.AdminDelayTicks
-		}
-		if tun.EpisodeBudget > 0 {
-			hlcfg.EpisodeBudget = tun.EpisodeBudget
-		}
+	// The target's cadence (typically a wall-clock target's) overrides
+	// the simulator-scale defaults before the user's explicit options do:
+	// at 50ms a tick, a 240-tick warmup or 600-tick admin delay is
+	// minutes of wall time per episode.
+	tun := spec.Cadence
+	if tun.WarmupTicks > 0 {
+		hcfg.WarmupTicks = tun.WarmupTicks
+	}
+	if tun.WindowTicks > 0 {
+		hcfg.WindowTicks = tun.WindowTicks
+	}
+	if tun.DetectK > 0 {
+		hcfg.DetectK = tun.DetectK
+	}
+	if tun.HistoryTicks > 0 {
+		hcfg.HistoryTicks = tun.HistoryTicks
+	}
+	if tun.CheckTicks > 0 {
+		hlcfg.CheckTicks = tun.CheckTicks
+	}
+	if tun.AdminDelayTicks > 0 {
+		hlcfg.AdminDelayTicks = tun.AdminDelayTicks
+	}
+	if tun.EpisodeBudget > 0 {
+		hlcfg.EpisodeBudget = tun.EpisodeBudget
 	}
 	h := core.NewTargetHarness(t, hcfg)
 	if cfg.adminDelayTicks > 0 {
@@ -637,10 +640,8 @@ func MergeKnowledgeBases(snaps ...*KBSnapshot) (*KBSnapshot, error) { return syn
 // SaveKnowledgeBase serializes a synopsis's training history as a
 // snapshot carrying this process's symptom-space name table — the §5.1
 // knowledge base "a practitioner can use", portable to processes that
-// register their target kinds in any order. The synopsis must be able to
-// export its history (every built-in learner and SharedSynopsis over one
-// can); otherwise an error is returned, wrapping synopsis.ErrNotExportable
-// when the history exists but cannot be surrendered.
+// register their target kinds in any order. The history is the
+// synopsis's Export; its error is returned, and nothing is written.
 func SaveKnowledgeBase(w io.Writer, s Synopsis) error {
 	snap, err := synopsis.Capture(s, synopsis.SaveOptions{})
 	if err != nil {
