@@ -705,15 +705,14 @@ func BenchmarkDeltaSince(b *testing.B) {
 
 // BenchmarkMeshPropagation measures the federation headline at fleet
 // scale: the wall-clock latency from one node learning a fix to every
-// node in a gossiping mesh being able to Suggest it. Reported as
+// node in a pull mesh being able to Suggest it. Reported as
 // propagation_ms next to the usual ns/op (which also includes the
 // convergence polling).
 func BenchmarkMeshPropagation(b *testing.B) {
 	for _, nodes := range []int{10, 50} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			m, err := meshtest.New(meshtest.Options{
-				Nodes: nodes, Topology: meshtest.Random, Degree: 6, Fanout: 3, TTL: 6,
-				PullPeers: 2, Seed: 63,
+				Nodes: nodes, Topology: meshtest.Random, Degree: 2, Seed: 63,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -736,12 +735,13 @@ func BenchmarkMeshPropagation(b *testing.B) {
 }
 
 // BenchmarkMeshCompactionMemory measures the bounded-memory guarantee
-// under federation: 8 gossiping nodes ingest a stream far beyond their
-// cap; the row reports the largest arrival log any node ever held.
+// under federation: 8 nodes pulling each other ingest a stream far
+// beyond their cap; the row reports the largest arrival log any node
+// ever held.
 func BenchmarkMeshCompactionMemory(b *testing.B) {
 	const maxPoints = 256
 	m, err := meshtest.New(meshtest.Options{
-		Nodes: 8, Topology: meshtest.Full, Fanout: 3, TTL: 3,
+		Nodes: 8, Topology: meshtest.Full,
 		Compaction: &selfheal.Compaction{MaxPoints: maxPoints, MergeRadius: 0.5},
 		Seed:       65,
 	})

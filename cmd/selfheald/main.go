@@ -27,14 +27,13 @@
 // the campaign context is cancelled, the partial result is reported
 // truthfully, and -kb-out is still written.
 //
-// -gossip-fanout adds the push plane on top: every publish is pushed to
-// that many sampled peers immediately (POST /kb/push), so new fixes
-// spread in milliseconds while the parked polls repair anything a
-// dropped push missed. -compact bounds the knowledge base's memory, compacting
+// A parked poll is answered the moment its peer publishes, and a pull
+// that brought news is followed at once, so new fixes spread in
+// milliseconds. -compact bounds the knowledge base's memory, compacting
 // (dedup, near-duplicate merge within -compact-radius, oldest-first
 // eviction) whenever the cap is exceeded. The ops flags (-serve, -peers,
-// -gossip-fanout, -auth-token, -admin-token, -rate-limit, -request-log)
-// are the fields of the node's selfheal.NodeSpec.
+// -auth-token, -admin-token, -rate-limit, -request-log) are the fields
+// of the node's selfheal.NodeSpec.
 //
 //	selfheald -episodes 20 -approach hybrid -seed 7
 //	selfheald -episodes 64 -replicas 8 -workers 4 -share -batch 1
@@ -43,7 +42,7 @@
 //	selfheald -episodes 32 -serve :8701 -kb-out hub.kb
 //	selfheald -episodes 32 -serve :8702 -peers http://hub:8701
 //	selfheald -episodes 0 -serve :8700 -peers http://a:8701,http://b:8702
-//	selfheald -episodes 0 -serve :8700 -peers http://a:8701 -gossip-fanout 3 -compact 100000
+//	selfheald -episodes 0 -serve :8700 -peers http://a:8701 -compact 100000
 package main
 
 import (
@@ -166,7 +165,9 @@ func parseFlags(args []string) (*settings, error) {
 		s.spec.Peers = splitList(v)
 		return nil
 	})
-	fs.IntVar(&s.spec.GossipFanout, "gossip-fanout", 0, "push every knowledge-base publish to this many peers sampled from -peers (0 = pull-only federation)")
+	// The push plane this flag configured is gone; the committed
+	// benchmark's daemons still pass it, so it parses and does nothing.
+	fs.Int("gossip-fanout", 0, "ignored: knowledge moves by parked pulls alone; accepted so existing command lines still parse")
 	fs.IntVar(&s.compact.MaxPoints, "compact", 0, "bound the shared knowledge base to this many points, compacting when exceeded (0 = unbounded; implies -share)")
 	fs.Float64Var(&s.compact.MergeRadius, "compact-radius", 0, "merge near-duplicate observations within this euclidean distance when compacting")
 	fs.StringVar(&s.scenario, "scenario", "", "run a scripted adversarial scenario instead of the random campaign: a library name ("+strings.Join(selfheal.ScenarioNames(), ", ")+") or a JSON file path")

@@ -25,7 +25,7 @@ const repoRoot = "../../"
 // field, and the campaign settings keep their defaults beside it.
 func TestParseFlagsBindsNodeSpec(t *testing.T) {
 	s, err := parseFlags([]string{
-		"-serve", "127.0.0.1:8701", "-peers", " http://a:1, ,http://b:2 ", "-gossip-fanout", "2",
+		"-serve", "127.0.0.1:8701", "-peers", " http://a:1, ,http://b:2 ",
 		"-auth-token", "r", "-admin-token", "w", "-rate-limit", "2.5", "-request-log",
 		"-compact", "100", "-compact-radius", "0.5",
 	})
@@ -33,13 +33,12 @@ func TestParseFlagsBindsNodeSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := selfheal.NodeSpec{
-		Serve:        "127.0.0.1:8701",
-		Peers:        []string{"http://a:1", "http://b:2"},
-		GossipFanout: 2,
-		AuthToken:    "r",
-		AdminToken:   "w",
-		RateLimit:    2.5,
-		RequestLog:   true,
+		Serve:      "127.0.0.1:8701",
+		Peers:      []string{"http://a:1", "http://b:2"},
+		AuthToken:  "r",
+		AdminToken: "w",
+		RateLimit:  2.5,
+		RequestLog: true,
 	}
 	if !reflect.DeepEqual(s.spec, want) {
 		t.Fatalf("spec %+v, want %+v", s.spec, want)
@@ -53,8 +52,23 @@ func TestParseFlagsBindsNodeSpec(t *testing.T) {
 	if s, err := parseFlags([]string{"-target", "auction"}); err != nil || !s.targetSet {
 		t.Fatalf("explicit -target not recorded: %v", err)
 	}
-	if _, err := parseFlags([]string{"-gossip-fanout", "many"}); err == nil {
-		t.Fatal("malformed -gossip-fanout accepted")
+}
+
+// TestGossipFanoutFlagIsIgnored: -gossip-fanout configured a push plane
+// that no longer exists. The benchmark's two daemons still pass
+// "-gossip-fanout 1", so the flag must keep parsing and change nothing.
+func TestGossipFanoutFlagIsIgnored(t *testing.T) {
+	args := []string{"-serve", "127.0.0.1:8702", "-peers", "http://a:1"}
+	want, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseFlags(append(args, "-gossip-fanout", "1"))
+	if err != nil {
+		t.Fatalf("-gossip-fanout 1 no longer parses: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("-gossip-fanout 1 changed the settings: %+v, want %+v", got, want)
 	}
 }
 
@@ -94,8 +108,6 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 				got = s.spec.Serve
 			case "-peers":
 				got = strings.Join(s.spec.Peers, ",")
-			case "-gossip-fanout":
-				got = strconv.Itoa(s.spec.GossipFanout)
 			case "-auth-token":
 				got = s.spec.AuthToken
 			case "-admin-token":
@@ -111,7 +123,7 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 			}
 		}
 	}
-	for _, flag := range []string{"-serve", "-peers", "-gossip-fanout", "-admin-token", "-rate-limit"} {
+	for _, flag := range []string{"-serve", "-peers", "-admin-token", "-rate-limit"} {
 		if seen[flag] == 0 {
 			t.Errorf("no documented invocation passes %s", flag)
 		}

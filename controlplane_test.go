@@ -251,7 +251,7 @@ func TestFreezeLearningStopsKBGrowth(t *testing.T) {
 }
 
 // TestDrainStopsWork: after POST /admin/drain, campaigns start no new
-// episodes, /healthz reports drained, gossip pushes are refused, and the
+// episodes, /healthz reports drained, pushed deltas are refused, and the
 // audit trail records the verb.
 func TestDrainStopsWork(t *testing.T) {
 	fleet, _, ops := opsFleet(t, 2, selfheal.NodeSpec{AdminToken: "adm"})
@@ -417,8 +417,8 @@ func TestRateLimitedOpsPlane(t *testing.T) {
 }
 
 // TestServeOpsCloseLeaksNoGoroutines: a node serving and a node pulling
-// from it with gossip on, carrying a live /events subscriber and a
-// parked /kb/delta long-poll, return to the goroutine count from before
+// from it, carrying a live /events subscriber and a parked /kb/delta
+// long-poll, return to the goroutine count from before
 // ServeOps once both Ops and both fleets are closed. It also pins that
 // episodes run after ServeOps are counted on /metrics, which needs the
 // replicas' event sinks re-pointed at the ops plane.
@@ -432,7 +432,7 @@ func TestServeOpsCloseLeaksNoGoroutines(t *testing.T) {
 		}
 		return fleet, kb
 	}
-	fleetA, _ := newFleet(81)
+	fleetA, kbA := newFleet(81)
 	fleetB, kbB := newFleet(82)
 	client := &http.Client{Transport: &http.Transport{}}
 	base := runtime.NumGoroutine()
@@ -442,9 +442,8 @@ func TestServeOpsCloseLeaksNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	opsB, err := fleetB.ServeOps(ctx, selfheal.NodeSpec{
-		Serve:        "127.0.0.1:0",
-		Peers:        []string{opsA.URL()},
-		GossipFanout: 1,
+		Serve: "127.0.0.1:0",
+		Peers: []string{opsA.URL()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,20 +472,18 @@ func TestServeOpsCloseLeaksNoGoroutines(t *testing.T) {
 	if _, err := fleetA.RunCampaign(ctx, selfheal.Campaign{Episodes: episodes}); err != nil {
 		t.Fatal(err)
 	}
-	// A point learned on B reaches A by push.
-	kbB.Add(selfheal.Point{
+	// A point learned on A reaches B by pull.
+	kbA.Add(selfheal.Point{
 		X:       []float64{4, 1},
 		Action:  synopsis.Action{Fix: catalog.FixRebootAppTier, Target: "app"},
 		Success: true,
 	})
+	seq := kbA.Seq()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := opsB.GossipStats()
-		if st.PointsPushed > 0 && opsA.Events().Subscribers() > 0 {
-			break
-		}
+	for opsB.Peers()[0].Seq < seq || kbB.LogSize() == 0 || opsA.Events().Subscribers() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no push or no subscriber: gossip %+v, %d subscribers", st, opsA.Events().Subscribers())
+			t.Fatalf("B's cursor on A at %d of %d, B holds %d points, A has %d subscribers",
+				opsB.Peers()[0].Seq, seq, kbB.LogSize(), opsA.Events().Subscribers())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -36,13 +36,6 @@ type NodeSpec struct {
 	// Peers are the base URLs of peer ops planes (e.g.
 	// "http://host:8701") whose knowledge-base deltas this node pulls.
 	Peers []string
-	// GossipFanout turns on the push plane: every knowledge-base publish
-	// is pushed to this many peers sampled from Peers, epidemic style,
-	// so a fix learned on one node is Suggest-able fleet-wide in
-	// milliseconds whether or not anyone pulls from it. The pull syncer
-	// stays on as the anti-entropy fallback that repairs whatever a
-	// dropped push or a partition cost the epidemic. Requires Peers.
-	GossipFanout int
 	// AuthToken protects the read endpoints (/healthz, /metrics, /kb/*,
 	// /events) with a bearer token: requests must carry
 	// "Authorization: Bearer <token>" (or ?access_token=<token>, for SSE
@@ -72,29 +65,14 @@ func (s NodeSpec) check(syn Synopsis) (*SharedSynopsis, error) {
 	switch {
 	case s.Serve == "" && len(s.Peers) == 0:
 		return nil, fmt.Errorf("selfheal: NodeSpec needs Serve or Peers")
-	case s.GossipFanout < 0:
-		return nil, fmt.Errorf("selfheal: NodeSpec with negative GossipFanout %d", s.GossipFanout)
 	case !(s.RateLimit >= 0) || math.IsInf(s.RateLimit, 1):
 		return nil, fmt.Errorf("selfheal: NodeSpec.RateLimit %v is not a finite rate >= 0", s.RateLimit)
-	case s.GossipFanout > 0 && len(s.Peers) == 0:
-		return nil, fmt.Errorf("selfheal: NodeSpec.GossipFanout needs Peers")
 	}
 	kb, ok := syn.(*SharedSynopsis)
 	if !ok || kb == nil {
 		return nil, fmt.Errorf("selfheal: a federated node needs a fleet built WithSynopsis(NewSharedSynopsis(...))")
 	}
 	return kb, nil
-}
-
-// advertisedURL is the base URL peers know this node by when serveAddr
-// names one host and a fixed port, else "" (no listener, wildcard host,
-// port 0). Gossip sends it as X-KB-From so no rumor is relayed to its sender.
-func advertisedURL(serveAddr string) string {
-	host, port, err := net.SplitHostPort(serveAddr)
-	if ip := net.ParseIP(host); err != nil || host == "" || port == "0" || ip.IsUnspecified() {
-		return ""
-	}
-	return "http://" + net.JoinHostPort(host, port)
 }
 
 // KnowledgeSeq returns the publish sequence of the fleet's shared
@@ -114,18 +92,14 @@ func (fl *Fleet) KnowledgeSeq() uint64 {
 // stops only the background syncer — the listener stays bound until
 // Close so in-flight snapshot pulls can drain on the caller's terms.
 type Ops struct {
-	fleet    *Fleet
-	node     *kbsync.Node
-	broker   *controlplane.Broker
-	syncer   *kbsync.Syncer
-	gossiper *kbsync.Gossiper
-	srv      *http.Server
-	handler  *httpapi.Server
-	ln       net.Listener
-	cancel   context.CancelFunc
-	done     chan struct{} // closed when the serve goroutine exits
-	sync     chan struct{} // closed when the syncer goroutine exits
-	gossip   chan struct{} // closed when the gossip goroutine exits
+	broker  *controlplane.Broker
+	syncer  *kbsync.Syncer
+	srv     *http.Server
+	handler *httpapi.Server
+	ln      net.Listener
+	cancel  context.CancelFunc
+	done    chan struct{} // closed when the serve goroutine exits
+	sync    chan struct{} // closed when the syncer goroutine exits
 }
 
 // Addr returns the listener's address ("" for a pull-only node), with
@@ -168,30 +142,10 @@ func (o *Ops) Peers() []kbsync.PeerStatus {
 	return o.syncer.Peers()
 }
 
-// GossipStats snapshots the push plane's counters; ok is false when
-// gossip is not configured (NodeSpec.GossipFanout zero).
-func (o *Ops) GossipStats() (kbsync.GossipStats, bool) {
-	if o.gossiper == nil {
-		return kbsync.GossipStats{}, false
-	}
-	return o.gossiper.Stats(), true
-}
-
 // Events returns the node's live event broker — the same stream
 // GET /events serves, for in-process subscribers (kbtool top's tests,
 // embedding programs). Never nil on an Ops returned by ServeOps.
 func (o *Ops) Events() *EventBroker { return o.broker }
-
-// Drain puts the node into drain: campaigns stop starting episodes
-// (Fleet.Drain), the gossip push plane pauses both directions, and
-// /healthz reports "draining" until in-flight episodes finish, then
-// "drained". POST /admin/drain acts through the same path.
-func (o *Ops) Drain() {
-	o.fleet.Drain()
-	if o.gossiper != nil {
-		o.gossiper.SetPaused(true)
-	}
-}
 
 // Close shuts the ops plane down: parked long-polls and /events streams
 // are released immediately, the syncer stops, and the HTTP server
@@ -216,19 +170,15 @@ func (o *Ops) Close(ctx context.Context) error {
 	if o.sync != nil {
 		<-o.sync
 	}
-	if o.gossip != nil {
-		<-o.gossip
-	}
 	return err
 }
 
 // ServeOps starts the node spec declares on this fleet: it binds the
 // listener, serves the ops endpoints, and starts the background peer
-// syncer and, with a gossip fanout, the push plane. Every precondition
-// is checked here: Serve or Peers set, a fanout only with peers, no
-// negative values, and a fleet built over NewSharedSynopsis. The
-// returned Ops reports the bound address and shuts everything down on
-// Close; cancelling ctx stops the syncer too.
+// syncer. Every precondition is checked here: Serve or Peers set, a
+// finite non-negative rate limit, and a fleet built over
+// NewSharedSynopsis. The returned Ops reports the bound address and
+// shuts everything down on Close; cancelling ctx stops the syncer too.
 //
 // ServeOps re-points every replica's event sink so /metrics and
 // /events see the healing, ahead of the fleet's WithEventSink consumer;
@@ -242,7 +192,7 @@ func (fl *Fleet) ServeOps(ctx context.Context, spec NodeSpec) (*Ops, error) {
 	broker := controlplane.NewBroker(0)
 	node := kbsync.NewNode(kb, nil)
 	runCtx, cancel := context.WithCancel(ctx)
-	o := &Ops{fleet: fl, node: node, broker: broker, cancel: cancel}
+	o := &Ops{broker: broker, cancel: cancel}
 
 	// Every knowledge-base publish becomes a kb-publish event on the
 	// live stream, so an /events subscriber (or kbtool top) sees the
@@ -254,24 +204,6 @@ func (fl *Fleet) ServeOps(ctx context.Context, spec NodeSpec) (*Ops, error) {
 			Label:   fmt.Sprintf("seq %d", seq),
 		})
 	})
-
-	if spec.GossipFanout > 0 {
-		gsp, err := kbsync.NewGossiper(node, kbsync.GossipConfig{
-			Peers:  spec.Peers,
-			Self:   advertisedURL(spec.Serve),
-			Fanout: spec.GossipFanout,
-		})
-		if err != nil {
-			o.Close(ctx)
-			return nil, err
-		}
-		o.gossiper = gsp
-		o.gossip = make(chan struct{})
-		go func() {
-			defer close(o.gossip)
-			gsp.Run(runCtx)
-		}()
-	}
 
 	if len(spec.Peers) > 0 {
 		// Seed is deliberately left zero (clock-seeded): the campaign
@@ -304,7 +236,7 @@ func (fl *Fleet) ServeOps(ctx context.Context, spec NodeSpec) (*Ops, error) {
 			Compact:        kb.Compact,
 			FreezeLearning: fl.FreezeLearning,
 			LearningFrozen: fl.LearningFrozen,
-			Drain:          o.Drain,
+			Drain:          fl.Drain,
 			DrainStatus: func() (bool, int64) {
 				return fl.Draining(), fl.ActiveEpisodes()
 			},
@@ -320,7 +252,6 @@ func (fl *Fleet) ServeOps(ctx context.Context, spec NodeSpec) (*Ops, error) {
 			Node:      node,
 			Collector: collector,
 			Syncer:    o.syncer,
-			Gossiper:  o.gossiper,
 			Broker:    broker,
 			Admin:     controlplane.NewAdmin(hooks, broker),
 			Auth: controlplane.AuthConfig{

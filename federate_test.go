@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -394,7 +393,6 @@ func TestFederationOptionValidation(t *testing.T) {
 		{Serve: "127.0.0.1:0", RateLimit: -1},
 		{Serve: "127.0.0.1:0", RateLimit: math.NaN()},
 		{Serve: "127.0.0.1:0", RateLimit: math.Inf(1)},
-		{Peers: []string{"http://localhost:1"}, GossipFanout: -1},
 	} {
 		if ops, err := fl.ServeOps(ctx, bad); err == nil {
 			ops.Close(ctx)
@@ -403,31 +401,13 @@ func TestFederationOptionValidation(t *testing.T) {
 	}
 }
 
-// TestServeOpsGossipAndCompaction exercises the push plane and the
-// memory bound through the facade only: node B gossips and its
-// knowledge base compacts, node A just serves. A point
-// added on B must arrive at A via push — A pulls from nobody —
-// and B's arrival log must stay under the compaction cap no matter how
-// much it learns.
-func TestServeOpsGossipAndCompaction(t *testing.T) {
+// TestServeOpsPullAndCompaction exercises the pull plane and the memory
+// bound through the facade only: node B serves and its knowledge base
+// compacts, node A pulls from B. A point added on B must arrive at A by
+// pull, and B's arrival log must stay under the compaction cap no matter
+// how much it learns while A keeps pulling it.
+func TestServeOpsPullAndCompaction(t *testing.T) {
 	ctx := context.Background()
-	kbA := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
-	fleetA, err := selfheal.NewFleet(ctx, 1,
-		selfheal.WithSeed(61),
-		selfheal.WithTargets(selfheal.TargetAuction),
-		selfheal.WithSynopsis(kbA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opsA, err := fleetA.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opsA.Close(ctx)
-	if _, ok := opsA.GossipStats(); ok {
-		t.Fatal("node without a gossip fanout reports gossip stats")
-	}
-
 	const maxPoints = 48
 	kbB := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
 	if err := kbB.EnableCompaction(selfheal.Compaction{MaxPoints: maxPoints, MergeRadius: 0.25}); err != nil {
@@ -440,13 +420,27 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsB, err := fleetB.ServeOps(ctx, selfheal.NodeSpec{Peers: []string{opsA.URL()}, GossipFanout: 2})
+	opsB, err := fleetB.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer opsB.Close(ctx)
 
-	// One publish on B becomes Suggest-able on A by push alone.
+	kbA := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
+	fleetA, err := selfheal.NewFleet(ctx, 1,
+		selfheal.WithSeed(61),
+		selfheal.WithTargets(selfheal.TargetAuction),
+		selfheal.WithSynopsis(kbA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opsA, err := fleetA.ServeOps(ctx, selfheal.NodeSpec{Peers: []string{opsB.URL()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opsA.Close(ctx)
+
+	// One publish on B becomes Suggest-able on A by pull alone.
 	kbB.Add(selfheal.Point{
 		X:       []float64{4, 1},
 		Action:  synopsis.Action{Fix: catalog.FixRebootAppTier, Target: "app"},
@@ -455,26 +449,12 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for kbA.LogSize() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("pushed point never reached the serving peer")
+			t.Fatal("published point never reached the pulling peer")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if kbA.TrainingSize() == 0 {
-		t.Fatal("pushed point arrived but trained nothing")
-	}
-	st, ok := opsB.GossipStats()
-	if !ok {
-		t.Fatal("gossiping node reports no gossip stats")
-	}
-	// The pushed point lands on A before B's gossiper tallies the push
-	// (counters update after the HTTP round-trip returns), so poll the
-	// stats rather than asserting the instant A has the point.
-	for st.RumorsOrigin == 0 || st.PointsPushed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("gossip stats show no pushes: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-		st, _ = opsB.GossipStats()
+		t.Fatal("pulled point arrived but trained nothing")
 	}
 
 	// The arrival log stays bounded under sustained learning, and the
@@ -494,91 +474,5 @@ func TestServeOpsGossipAndCompaction(t *testing.T) {
 	}
 	if _, ok := kbB.Suggest([]float64{3, 4}, nil); !ok {
 		t.Fatal("compacted KB cannot suggest")
-	}
-}
-
-// TestServeOpsGossipDoesNotEchoToSender: two gossiping nodes serving on
-// fixed loopback ports advertise themselves (X-KB-From is derived from
-// NodeSpec.Serve), so a rumor's receiver does not relay it straight back
-// to the node it came from. A push returns only after the receiver has
-// finished relaying, so once A has pushed every point any echo would
-// already be counted.
-func TestServeOpsGossipDoesNotEchoToSender(t *testing.T) {
-	ctx := context.Background()
-	// Two free fixed ports (":0" cannot be advertised before it is
-	// bound), both held until both are chosen so they differ.
-	var addrs [2]string
-	var held [2]net.Listener
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i], held[i] = ln.Addr().String(), ln
-	}
-	for _, ln := range held {
-		ln.Close()
-	}
-	serve := func(i int) (*selfheal.SharedSynopsis, *selfheal.Ops) {
-		kb := selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())
-		fleet, err := selfheal.NewFleet(ctx, 1,
-			selfheal.WithSeed(int64(70+i)),
-			selfheal.WithTargets(selfheal.TargetAuction),
-			selfheal.WithSynopsis(kb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops, err := fleet.ServeOps(ctx, selfheal.NodeSpec{
-			Serve:        addrs[i],
-			Peers:        []string{"http://" + addrs[1-i]},
-			GossipFanout: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ops.Close(ctx) })
-		return kb, ops
-	}
-	kbA, opsA := serve(0)
-	kbB, opsB := serve(1)
-
-	const publishes = 20
-	for i := 0; i < publishes; i++ {
-		kbA.Add(selfheal.Point{
-			X:       []float64{float64(i + 1), 1},
-			Action:  synopsis.Action{Fix: catalog.FixRebootAppTier, Target: "app"},
-			Success: true,
-		})
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	stA, _ := opsA.GossipStats()
-	for stA.PointsPushed < publishes || kbB.LogSize() < publishes {
-		if time.Now().After(deadline) {
-			t.Fatalf("A pushed %d of %d points, B holds %d: %+v", stA.PointsPushed, publishes, kbB.LogSize(), stA)
-		}
-		time.Sleep(5 * time.Millisecond)
-		stA, _ = opsA.GossipStats()
-	}
-	stB, _ := opsB.GossipStats()
-	if stA.RumorsDuplicate != 0 {
-		t.Errorf("%d of A's own rumors came back to it: %+v", stA.RumorsDuplicate, stA)
-	}
-	if stB.RumorsRelayed != 0 || stB.RumorsReceived == 0 {
-		t.Errorf("B received %d rumors and relayed %d; its only peer is their sender: %+v", stB.RumorsReceived, stB.RumorsRelayed, stB)
-	}
-}
-
-// TestServeOpsGossipNeedsPeers pins the ServeOps-time contract for the
-// push plane.
-func TestServeOpsGossipNeedsPeers(t *testing.T) {
-	ctx := context.Background()
-	fl, err := selfheal.NewFleet(ctx, 1,
-		selfheal.WithSynopsis(selfheal.NewSharedSynopsis(selfheal.NewNNSynopsis())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops, err := fl.ServeOps(ctx, selfheal.NodeSpec{Serve: "127.0.0.1:0", GossipFanout: 3}); err == nil {
-		ops.Close(ctx)
-		t.Error("GossipFanout without Peers accepted at ServeOps")
 	}
 }

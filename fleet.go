@@ -27,7 +27,7 @@ type Fleet struct {
 	// Healer shares (FreezeLearning / POST /admin/learning).
 	gate *core.Gate
 	// draining is set by Drain: campaigns stop starting episodes, the
-	// ops plane refuses gossip pushes, and /healthz reports the state.
+	// ops plane refuses pushed deltas, and /healthz reports the state.
 	draining atomic.Bool
 	// active counts episodes currently being healed, so an operator can
 	// watch a drain finish (drained = draining && active == 0).
@@ -362,7 +362,7 @@ func (fl *Fleet) LearningFrozen() bool { return fl.gate.Frozen() }
 
 // Drain puts the fleet into drain: running campaigns stop starting new
 // episodes at their next batch boundary, in-flight episodes finish, and
-// a federated node's ops plane refuses gossip pushes and reports
+// a federated node's ops plane refuses pushed deltas and reports
 // "draining"/"drained" on /healthz. Idempotent; there is no undrain —
 // a drain precedes shutdown.
 func (fl *Fleet) Drain() { fl.draining.Store(true) }

@@ -35,7 +35,7 @@ type AdminHooks struct {
 	FreezeLearning func(freeze bool) bool
 	// LearningFrozen reports the gate's current state. Required.
 	LearningFrozen func() bool
-	// Drain puts the node into drain: stop accepting gossip pushes and
+	// Drain puts the node into drain: stop accepting pushed deltas and
 	// starting episodes, finish what is in flight. Idempotent. Required.
 	Drain func()
 	// DrainStatus reports whether a drain was requested and how many

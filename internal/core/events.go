@@ -40,7 +40,7 @@ const (
 	// any one replica.
 	EventAdmin EventKind = "admin"
 	// EventKBPublish marks a knowledge-base publish — local learning, a
-	// pulled delta, or a gossip push landing. Label carries the publish
+	// pulled delta, or a pushed delta landing. Label carries the publish
 	// sequence; it is the stream's view of knowledge-plane motion.
 	EventKBPublish EventKind = "kb-publish"
 )

@@ -111,7 +111,7 @@ func TestAdminAuthOverServer(t *testing.T) {
 }
 
 // TestHealthzAndPushWhileDraining: /healthz reports draining then
-// drained, and gossip pushes are refused with 503.
+// drained, and pushed deltas are refused with 503.
 func TestHealthzAndPushWhileDraining(t *testing.T) {
 	drain := &stubDrain{draining: true, active: 2}
 	srv, _ := newControlServer(t, controlplane.AuthConfig{}, drain)

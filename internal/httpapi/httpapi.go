@@ -18,7 +18,6 @@
 package httpapi
 
 import (
-	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -117,11 +116,6 @@ type Config struct {
 	// Syncer, when the daemon also pulls peers, contributes per-peer
 	// sync gauges to /metrics and /healthz.
 	Syncer *kbsync.Syncer
-	// Gossiper, when the daemon gossips, receives POST /kb/push bodies
-	// (applying and relaying them) and contributes gossip counters to
-	// /metrics. Without one, pushes still apply — straight into Node,
-	// with no relay.
-	Gossiper *kbsync.Gossiper
 	// Broker, when present, serves the live healing event stream at
 	// GET /events (SSE) and contributes subscriber/drop gauges to
 	// /metrics.
@@ -140,7 +134,7 @@ type Config struct {
 	// LogRequests turns on one structured log line per request.
 	LogRequests bool
 	// Drain, when non-nil, reports the node's drain state: /healthz
-	// reflects it and /kb/push refuses gossip with 503 while draining.
+	// reflects it and /kb/push refuses deltas with 503 while draining.
 	Drain Drainer
 }
 
@@ -291,7 +285,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 		float64(s.cfg.Node.KB().LogSize()))
 	gauge("selfheal_kb_seq", "knowledge-base publish sequence",
 		float64(s.cfg.Node.Seq()))
-	counter("selfheal_kb_pushes_rejected_total", "pushes refused as oversized, undecodable or with a malformed TTL",
+	counter("selfheal_kb_pushes_rejected_total", "pushes refused as oversized or undecodable",
 		float64(s.pushesRejected.Load()))
 
 	if b := s.cfg.Broker; b != nil {
@@ -315,17 +309,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 		gauge("selfheal_draining", "1 while a drain has been requested", draining)
 		gauge("selfheal_active_episodes", "episodes currently in flight", float64(d.ActiveEpisodes()))
-	}
-
-	if g := s.cfg.Gossiper; g != nil {
-		st := g.Stats()
-		counter("selfheal_gossip_rumors_origin_total", "rumors this node originated", float64(st.RumorsOrigin))
-		counter("selfheal_gossip_rumors_relayed_total", "received rumors relayed onward", float64(st.RumorsRelayed))
-		counter("selfheal_gossip_rumors_received_total", "pushes accepted for application", float64(st.RumorsReceived))
-		counter("selfheal_gossip_rumors_duplicate_total", "pushes dropped by the rumor-id cache", float64(st.RumorsDuplicate))
-		counter("selfheal_gossip_pushes_failed_total", "individual gossip POSTs that failed", float64(st.PushesFailed))
-		counter("selfheal_gossip_points_pushed_total", "observations pushed to peers", float64(st.PointsPushed))
-		counter("selfheal_gossip_points_received_total", "observations applied from pushes", float64(st.PointsReceived))
 	}
 
 	if c := s.cfg.Collector; c != nil {
@@ -463,8 +446,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	// ?wait= turns a would-be 304 into a long poll: the request parks
 	// until a publish beats the cursor or the wait elapses (then the
-	// normal logic below answers 304 after all). Foreign-epoch pulls
-	// never park — they have a full history to fetch right now.
+	// normal logic below answers after all). A puller naming its own
+	// epoch in ?from= also sleeps through publishes of points it sent
+	// (kbsync.Node.Echoes). Foreign-epoch pulls never park — they have a
+	// full history to fetch right now.
+	from := r.URL.Query().Get("from")
+	news := func() bool { return since < s.cfg.Node.Seq() && !s.cfg.Node.Echoes(since, from) }
 	if raw := r.URL.Query().Get("wait"); raw != "" && sameLife {
 		wait, err := time.ParseDuration(raw)
 		if err != nil {
@@ -477,12 +464,12 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		deadline := time.NewTimer(wait)
 		defer deadline.Stop()
 	park:
-		for since >= s.cfg.Node.Seq() {
+		for !news() {
 			// Take the channel BEFORE re-checking the sequence: a
 			// publish in the gap closes the taken channel, so the wait
 			// below cannot miss it.
 			ch := s.cfg.Node.KB().Changed()
-			if since < s.cfg.Node.Seq() {
+			if news() {
 				break
 			}
 			select {
@@ -520,72 +507,38 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	d.Encode(w)
 }
 
-// What one push may claim: about 9,000 real-width points (a sender with
-// more, say a first push after a preload, is refused and repaired by the
-// pull plane) and a hop budget past any fleet diameter gossip is meant for.
-const (
-	maxPushBytes = 8 << 20
-	maxPushTTL   = 64
-)
+// maxPushBytes is what one push may claim: about 9,000 real-width points.
+// A sender with more, say a first push after a preload, is refused; the
+// pull plane carries that much.
+const maxPushBytes = 8 << 20
 
-// handlePush accepts one gossip push: a delta body (whatever Content-Type
-// labels it: there is one format) with the rumor id, hop TTL, and sender
-// URL in X-KB-Rumor / X-KB-TTL / X-KB-From. With a Gossiper configured
-// the push runs the full rumor protocol — id dedup before the body is
-// even decoded, apply, relay; without one it just applies to the node,
-// which is what a one-shot script wants. The TTL is clamped to
-// [1, maxPushTTL]; an oversized or undecodable body, or a TTL that is not
-// a number, is refused and counted.
+// handlePush accepts one delta and applies it to the node, one hop: the
+// body (whatever Content-Type labels it: there is one format) lands with
+// Merge semantics and is relayed nowhere — peers that pull from this
+// node see the new points on their next pull. Headers beyond the body
+// are ignored. An oversized or undecodable body is refused and counted.
 func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	if d := s.cfg.Drain; d != nil && d.Draining() {
-		// A draining node stops accepting new knowledge; peers fall back
-		// to pulling from the rest of the mesh.
+		// A draining node stops accepting new knowledge; senders fall
+		// back to the rest of the mesh.
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxPushBytes)
-	g, id := s.cfg.Gossiper, r.Header.Get("X-KB-Rumor")
-	if g != nil && g.Seen(id) {
-		// A re-delivery: drain the body so the connection is reusable,
-		// and skip the decode.
-		io.Copy(io.Discard, body)
-		s.writePushed(w, 0)
-		return
-	}
-	reject := func(msg string, err error) {
+	d, err := synopsis.Decode(http.MaxBytesReader(w, r.Body, maxPushBytes))
+	if err != nil {
 		s.pushesRejected.Add(1)
 		code := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		http.Error(w, msg+": "+err.Error(), code)
-	}
-	ttl, err := strconv.Atoi(cmp.Or(r.Header.Get("X-KB-TTL"), "1"))
-	if err != nil {
-		reject("bad ttl", err)
+		http.Error(w, "bad delta: "+err.Error(), code)
 		return
 	}
-	ttl = min(max(ttl, 1), maxPushTTL)
-	d, err := synopsis.Decode(body)
-	if err != nil {
-		reject("bad delta", err)
-		return
-	}
-	var added int
-	if g != nil {
-		added = g.Receive(d, id, ttl, r.Header.Get("X-KB-From"))
-	} else {
-		added = s.cfg.Node.ApplyDelta(d)
-	}
-	s.writePushed(w, added)
-}
-
-// writePushed answers a push with how many of its points were new.
-func (s *Server) writePushed(w http.ResponseWriter, added int) {
+	added := s.cfg.Node.ApplyDelta(d)
 	w.Header().Set("X-KB-Seq", strconv.FormatUint(s.cfg.Node.Seq(), 10))
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"added\":%d}\n", added)

@@ -3,22 +3,24 @@
 // converge at runtime, extending §5.1's portability argument from files
 // a human carries to a protocol the fleet runs itself.
 //
-// Knowledge moves by two mechanisms: the Gossiper pushes every publish
-// to a few sampled peers, and the Syncer keeps one long-poll parked on
-// each peer as the anti-entropy repair for whatever a push missed. Both
-// carry deltas versioned by the producer's publish sequence
-// (synopsis.Shared.Seq): a peer that was current at sequence s asks
-// GET /kb/delta?since=s and receives exactly the observations published
-// after s, named by the producer's symptom-space table so a
-// heterogeneous receiver remaps them exactly, as a snapshot load does.
+// Knowledge moves by one mechanism: the Syncer keeps one long-poll
+// parked on each peer, the peer answers it the moment it publishes, and
+// a pull that brought news is followed at once. A poll names its puller,
+// so the peer sleeps through publishes of points that puller sent
+// (Node.Echoes). Deltas are versioned by
+// the producer's publish sequence (synopsis.Shared.Seq): a peer that was
+// current at sequence s asks GET /kb/delta?since=s and receives exactly
+// the observations published after s, named by the producer's
+// symptom-space table so a heterogeneous receiver remaps them exactly,
+// as a snapshot load does.
 // Applying a delta follows synopsis.Merge semantics — points already
 // present in the receiving knowledge base, under their canonical
 // identity, are dropped — which makes application idempotent and the
 // whole plane convergent: in any connected topology (hub/spoke, chain,
-// full mesh), under any poll order, every node's knowledge base settles
-// on the same canonical point set as one big synopsis.Merge of all
-// nodes' snapshots, because applied foreign points re-enter each node's
-// own delta log and relay transitively.
+// ring, full mesh), under any poll order, every node's knowledge base
+// settles on the same canonical point set as one big synopsis.Merge of
+// all nodes' snapshots, because applied foreign points re-enter each
+// node's own delta log and relay transitively.
 package kbsync
 
 import (
@@ -34,6 +36,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"selfheal/internal/detect"
@@ -56,6 +59,16 @@ type Node struct {
 	// as of sequence scanned.
 	seen    map[string]struct{}
 	scanned uint64
+	// echo is the latest run of consecutive publishes that each applied
+	// a delta pulled from one peer life; see Echoes.
+	echo atomic.Pointer[echoRun]
+}
+
+// echoRun says every publish in [start, end] applied a delta from the
+// node whose epoch is from.
+type echoRun struct {
+	from       string
+	start, end uint64
 }
 
 // NewNode makes kb a federation participant whose vectors live in space
@@ -130,15 +143,6 @@ func (n *Node) catchUp() {
 // point level) and disappears from every exported snapshot at the next
 // Merge.
 func (n *Node) ApplyDelta(d *synopsis.Delta) int {
-	added, _ := n.ApplyDeltaSeq(d)
-	return added
-}
-
-// ApplyDeltaSeq is ApplyDelta also reporting the local publish sequence
-// the application landed at (the current sequence when nothing was new)
-// — the cursor a gossiper advances past points it is about to relay
-// anyway.
-func (n *Node) ApplyDeltaSeq(d *synopsis.Delta) (int, uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.catchUp()
@@ -149,8 +153,39 @@ func (n *Node) ApplyDeltaSeq(d *synopsis.Delta) (int, uint64) {
 			fresh = append(fresh, p)
 		}
 	})
-	seq := n.kb.AddBatchSeq(fresh)
-	return len(fresh), seq
+	if len(fresh) > 0 {
+		n.noteEcho(d.Epoch)
+		n.kb.AddBatch(fresh)
+	}
+	return len(fresh)
+}
+
+// noteEcho records, just before a batch publishes, that the next publish
+// carries points from the node whose epoch is from — first, so a parked
+// poll the publish wakes already sees it. If another writer publishes
+// in between, the batch lands past the run's end, which then trails the
+// sequence for good: Echoes never answers from that run again, and no
+// later batch extends it. Callers hold n.mu.
+func (n *Node) noteEcho(from string) {
+	next := n.kb.Seq() + 1
+	run := &echoRun{from: from, start: next, end: next}
+	if prev := n.echo.Load(); prev != nil && prev.from == from && prev.end+1 == next {
+		run.start = prev.start
+	}
+	n.echo.Store(run)
+}
+
+// Echoes reports whether every publish after since applied points
+// pulled from the node whose epoch is from, so that node already holds
+// them all: its parked poll need not wake for them. On a two-node fleet
+// whose daemons pull each other, every point B applies from A would
+// otherwise wake A's poll on B only to hand A its own points back.
+// Nothing is withheld: once the poll wakes, or its wait ends, it fetches
+// everything after since, echoes included.
+func (n *Node) Echoes(since uint64, from string) bool {
+	run := n.echo.Load()
+	return from != "" && run != nil && run.from == from &&
+		run.start <= since+1 && run.end == n.kb.Seq() && since < run.end
 }
 
 // PeerStatus is one peer's sync state, as /metrics reports it.
@@ -186,19 +221,20 @@ type peer struct {
 }
 
 // The background loop's cadence is fixed, not configured: cadence is set
-// by publishes (the peer parks each pull until it has news), so the only
-// timers left are how long a pull may stay parked, how soon after one
-// returns the next may leave, and where failure backoff stops.
+// by publishes (the peer parks each pull until it has news, and a pull
+// that brought news is followed at once), so the only timers left are
+// how long a pull may stay parked and how the wait after an empty or
+// failed pull grows.
 const (
 	// pollWait is the ?wait= every background pull carries: below the
 	// default client timeout and the server's 30s park cap, so neither
 	// end kills a parked poll. An idle fleet holds one open request per
 	// peer and renews it this often.
 	pollWait = 8 * time.Second
-	// minGap is the least time between a pull returning and the next one
-	// leaving. A busy peer releases every parked poll at every publish;
-	// without the gap each gossip push would also be pulled, one point at
-	// a time. It is also where failure backoff starts.
+	// minGap is the first backoff step: the wait after a healthy peer
+	// answered without news (a parked poll timing out, or a closing peer
+	// answering 304 at once, which must not be spun on). Each
+	// consecutive failure doubles it.
 	minGap = 500 * time.Millisecond
 	// defaultMaxBackoff caps failure backoff when Config.MaxBackoff is unset.
 	defaultMaxBackoff = 30 * time.Second
@@ -295,10 +331,11 @@ func (s *Syncer) Peers() []PeerStatus {
 
 // Run long-polls every peer until ctx is cancelled: one goroutine per
 // peer, each pull parked by the peer until it publishes (or the wait
-// elapses), the next leaving no sooner than minGap after the last
-// returned, and failures backing off exponentially from minGap up to
-// MaxBackoff. On cancellation the final per-peer statuses are flushed
-// to OnStop.
+// elapses). A pull that moved the cursor is followed at once, so
+// publishes made while it was in flight ride the next one together: at
+// most one request per peer per round trip. An empty or failed pull
+// waits out backoff first. On cancellation the final per-peer statuses
+// are flushed to OnStop.
 func (s *Syncer) Run(ctx context.Context) {
 	var wg sync.WaitGroup
 	for i, p := range s.peers {
@@ -306,15 +343,14 @@ func (s *Syncer) Run(ctx context.Context) {
 		go func(i int, p *peer) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(s.cfg.Seed + int64(i)))
-			var delay time.Duration // the first pull leaves at once
-			for {
+			for ctx.Err() == nil {
+				if _, news, _ := s.syncPeer(ctx, p, s.wait); news {
+					continue
+				}
 				select {
 				case <-ctx.Done():
-					return
-				case <-time.After(delay):
+				case <-time.After(jitter(rng, s.backoff(p))):
 				}
-				s.syncPeer(ctx, p, s.wait)
-				delay = jitter(rng, s.backoff(p))
 			}
 		}(i, p)
 	}
@@ -329,9 +365,9 @@ func jitter(rng *rand.Rand, d time.Duration) time.Duration {
 	return d + time.Duration(rng.Int63n(int64(d)/2+1))
 }
 
-// backoff returns the delay before p's next background pull:
-// minGap×2^failures — minGap itself while p is healthy — capped at
-// MaxBackoff.
+// backoff returns the delay before p's next background pull after one
+// that brought no news: minGap×2^failures — minGap itself while p is
+// healthy — capped at MaxBackoff.
 func (s *Syncer) backoff(p *peer) time.Duration {
 	p.mu.Lock()
 	n := p.failures
@@ -349,7 +385,7 @@ func (s *Syncer) SyncOnce(ctx context.Context) (int, error) {
 	added := 0
 	var errs []error
 	for _, p := range s.peers {
-		n, err := s.syncPeer(ctx, p, 0)
+		n, _, err := s.syncPeer(ctx, p, 0)
 		added += n
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", p.url, err))
@@ -359,16 +395,20 @@ func (s *Syncer) SyncOnce(ctx context.Context) (int, error) {
 }
 
 // syncPeer performs one conditional pull from p, parked by the peer for
-// up to wait when it has nothing new, and applies the result. The
-// request carries the epoch the cursor came from, so a peer that
-// restarted (new epoch, incomparable sequence numbering) answers with
-// its full history instead of a silently misaligned tail.
-func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int, error) {
+// up to wait when it has nothing new, and applies the result. It reports
+// how many points were new and whether the pull moved p's cursor — news
+// worth pulling again for at once. The request carries the epoch the
+// cursor came from, so a peer that restarted (new epoch, incomparable
+// sequence numbering) answers with its full history instead of a
+// silently misaligned tail. It also carries this node's own epoch, so a
+// parked poll sleeps through the peer's publishes of points it pulled
+// from this node (Node.Echoes).
+func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int, bool, error) {
 	p.mu.Lock()
 	since, epoch, etag := p.seq, p.epoch, p.etag
 	p.mu.Unlock()
 
-	q := "/kb/delta?since=" + strconv.FormatUint(since, 10)
+	q := "/kb/delta?since=" + strconv.FormatUint(since, 10) + "&from=" + s.node.epoch
 	if epoch != "" {
 		q += "&epoch=" + url.QueryEscape(epoch)
 	}
@@ -377,7 +417,7 @@ func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url+q, nil)
 	if err != nil {
-		return 0, s.fail(p, err)
+		return 0, false, s.fail(p, err)
 	}
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
@@ -389,30 +429,29 @@ func (s *Syncer) syncPeer(ctx context.Context, p *peer, wait time.Duration) (int
 			// request mid-flight. That is not the peer's fault: keep
 			// the last real status so the final OnStop flush reports
 			// why a peer was failing, not an artifact of stopping.
-			return 0, err
+			return 0, false, err
 		}
-		return 0, s.fail(p, err)
+		return 0, false, s.fail(p, err)
 	}
 	defer resp.Body.Close()
 
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		s.ok(p, since, epoch, etag, 0)
-		return 0, nil
+		return 0, false, nil
 	case http.StatusOK:
 	default:
-		return 0, s.fail(p, fmt.Errorf("GET /kb/delta: %s", resp.Status))
+		return 0, false, s.fail(p, fmt.Errorf("GET /kb/delta: %s", resp.Status))
 	}
 	d, err := synopsis.Decode(resp.Body)
 	if err != nil {
 		if ctx.Err() != nil {
-			return 0, err // cancelled mid-body; see above
+			return 0, false, err // cancelled mid-body; see above
 		}
-		return 0, s.fail(p, err)
+		return 0, false, s.fail(p, err)
 	}
 	added := s.node.ApplyDelta(d)
-	s.ok(p, d.Seq, d.Epoch, resp.Header.Get("ETag"), added)
-	return added, nil
+	return added, s.ok(p, d.Seq, d.Epoch, resp.Header.Get("ETag"), added), nil
 }
 
 // fail records a pull failure.
@@ -424,24 +463,32 @@ func (s *Syncer) fail(p *peer, err error) error {
 	return err
 }
 
-// ok records a successful pull. Two pulls of one peer can be in flight
-// at once (SyncOnce beside Run's parked poll) and land in either order,
-// so within a peer life the cursor only moves forward; a new epoch
-// resets it.
-func (s *Syncer) ok(p *peer, seq uint64, epoch, etag string, added int) {
+// ok records a successful pull and reports whether it brought news worth
+// pulling again for at once: the cursor moved within the peer's life, or
+// the peer's first life was learned. Two pulls of one peer can be in
+// flight at once (SyncOnce beside Run's parked poll) and land in either
+// order, so within a peer life the cursor only moves forward; a new epoch
+// resets it. A switch from one known life to another is not news: a peer
+// that restarted is pulled again after one backoff step, and two daemons
+// answering behind one address cannot spin the loop.
+func (s *Syncer) ok(p *peer, seq uint64, epoch, etag string, added int) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.failures = 0
 	p.lastErr = ""
-	if newLife := epoch != "" && epoch != p.epoch; newLife || seq >= p.seq {
-		p.seq = seq
-		if newLife {
-			p.epoch = epoch
-		}
-		if etag != "" {
-			p.etag = etag
-		}
-	}
 	p.pulls++
 	p.points += uint64(added)
-	p.mu.Unlock()
+	newLife := epoch != "" && epoch != p.epoch
+	if !newLife && seq <= p.seq {
+		return false
+	}
+	firstLife := p.epoch == ""
+	p.seq = seq
+	if newLife {
+		p.epoch = epoch
+	}
+	if etag != "" {
+		p.etag = etag
+	}
+	return !newLife || firstLife
 }

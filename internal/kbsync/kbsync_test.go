@@ -475,3 +475,170 @@ func TestSyncerOnStopFlushesFinalPeers(t *testing.T) {
 		t.Fatal("OnStop never fired after Run cancellation")
 	}
 }
+
+// awaitLog waits until kb's arrival log holds n points and returns how
+// long that took.
+func awaitLog(t *testing.T, kb *synopsis.Shared, n int) time.Duration {
+	t.Helper()
+	start := time.Now()
+	for kb.LogSize() < n {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("log holds %d points after 10s, want %d", kb.LogSize(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return time.Since(start)
+}
+
+// TestSyncerFollowsNewsAtOnce: a pull that brought news is followed at
+// once by the next parked poll, so publishes spaced closer than the
+// first backoff step each arrive in a round trip, not after a gap.
+func TestSyncerFollowsNewsAtOnce(t *testing.T) {
+	nodeA, kbA := newNode("m.a")
+	nodeB, kbB := newNode("m.a")
+	reqs := newDeltaLog()
+	srvA := httptest.NewServer(reqs.wrap(mustServer(t, nodeA)))
+	t.Cleanup(srvA.Close)
+	s, err := kbsync.NewSyncer(nodeB, kbsync.Config{Peers: []string{srvA.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSyncer(t, s)
+	reqs.next(t) // parked
+
+	for i := 1; i <= 5; i++ {
+		kbA.Add(pt([]float64{float64(i)}, catalog.FixUpdateStats, "items"))
+		if lat := awaitLog(t, kbB, i); lat > 200*time.Millisecond {
+			t.Fatalf("publish %d took %v to apply, want well under the 500ms backoff step", i, lat)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// pollsInASecond runs a syncer against peer for about a second, once it
+// holds want points, and returns how many requests peer saw.
+func pollsInASecond(t *testing.T, peer http.Handler, want int) int64 {
+	t.Helper()
+	var n atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.Add(1)
+		peer.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	node, kb := newNode("m.a")
+	s, err := kbsync.NewSyncer(node, kbsync.Config{Peers: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSyncer(t, s)
+	awaitLog(t, kb, want)
+	time.Sleep(time.Second)
+	return n.Load()
+}
+
+// TestSyncerDoesNotSpinOnAClosingPeer: a peer that is shutting down
+// answers every parked poll 304 at once; the syncer waits out a backoff
+// step after each instead of re-polling in a loop.
+func TestSyncerDoesNotSpinOnAClosingPeer(t *testing.T) {
+	node, kb := newNode("m.a")
+	kb.Add(pt([]float64{1}, catalog.FixUpdateStats, "items"))
+	api := mustServer(t, node)
+	api.Close()
+	if got := pollsInASecond(t, api, 1); got > 4 {
+		t.Fatalf("%d requests in about 1s to a peer answering 304 at once, want <= 4", got)
+	}
+}
+
+// TestSyncerDoesNotSpinBetweenTwoLives: two daemons answering behind one
+// address hand the puller a new epoch on every pull, each with its full
+// history; the syncer waits out a backoff step after each switch.
+func TestSyncerDoesNotSpinBetweenTwoLives(t *testing.T) {
+	var apis [2]*httpapi.Server
+	for i := range apis {
+		node, kb := newNode("m.a")
+		kb.Add(pt([]float64{float64(i)}, catalog.FixUpdateStats, "items"))
+		apis[i] = mustServer(t, node)
+	}
+	var next atomic.Int64
+	alternate := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		apis[next.Add(1)%2].ServeHTTP(w, r)
+	})
+	if got := pollsInASecond(t, alternate, 2); got > 5 {
+		t.Fatalf("%d requests in about 1s to a peer switching lives, want <= 5", got)
+	}
+}
+
+// TestSyncerCoalescesPublishes: publishes made while a pull is in
+// flight ride the next pull together, so a burst costs fewer pulls than
+// publishes and still converges.
+func TestSyncerCoalescesPublishes(t *testing.T) {
+	const publishes = 1000
+	nodeA, kbA := newNode("m.a")
+	nodeB, kbB := newNode("m.a")
+	api := mustServer(t, nodeA)
+	var arrived atomic.Int64
+	srvA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived.Add(1)
+		api.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srvA.Close)
+	s, err := kbsync.NewSyncer(nodeB, kbsync.Config{Peers: []string{srvA.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSyncer(t, s)
+	for arrived.Load() == 0 { // the first poll is parked before the burst
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < publishes; i++ {
+		kbA.Add(pt([]float64{float64(i)}, catalog.FixUpdateStats, "items"))
+	}
+	awaitLog(t, kbB, publishes)
+	if pulls := s.Peers()[0].Pulls; pulls >= publishes {
+		t.Fatalf("%d pulls for %d publishes; publishes during a pull must coalesce", pulls, publishes)
+	}
+	t.Logf("%d publishes, %d pulls", publishes, s.Peers()[0].Pulls)
+}
+
+// TestSyncerSleepsThroughEchoes: two nodes pulling each other. Every
+// point B applies from A is a publish on B, but A's parked poll on B
+// sleeps through it because A sent that point; news B learns itself
+// still wakes A at once.
+func TestSyncerSleepsThroughEchoes(t *testing.T) {
+	const publishes = 50
+	nodeA, kbA := newNode("m.a")
+	nodeB, kbB := newNode("m.a")
+	var toB atomic.Int64 // A's requests to B
+	apiA, apiB := mustServer(t, nodeA), mustServer(t, nodeB)
+	srvA := httptest.NewServer(apiA)
+	t.Cleanup(srvA.Close)
+	srvB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		toB.Add(1)
+		apiB.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srvB.Close)
+	for _, pair := range []struct {
+		node *kbsync.Node
+		peer string
+	}{{nodeA, srvB.URL}, {nodeB, srvA.URL}} {
+		s, err := kbsync.NewSyncer(pair.node, kbsync.Config{Peers: []string{pair.peer}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSyncer(t, s)
+	}
+	for toB.Load() == 0 { // A's first poll is parked on B
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i <= publishes; i++ {
+		kbA.Add(pt([]float64{float64(i)}, catalog.FixUpdateStats, "items"))
+		awaitLog(t, kbB, i)
+	}
+	if got := toB.Load(); got > 2 {
+		t.Fatalf("A pulled B %d times while B applied %d of A's publishes, want <= 2", got, publishes)
+	}
+	kbB.Add(pt([]float64{-1}, catalog.FixUpdateStats, "items"))
+	if lat := awaitLog(t, kbA, publishes+1); lat > 200*time.Millisecond {
+		t.Fatalf("B's own point took %v to reach A, want well under the 500ms backoff step", lat)
+	}
+}

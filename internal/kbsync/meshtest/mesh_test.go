@@ -54,10 +54,9 @@ func await(t *testing.T, m *Mesh, want int, timeout time.Duration) time.Duration
 // TestFiftyNodeMeshSubSecondPropagation is the paper's federation claim
 // at fleet scale: a fix learned on one of 50 nodes is Suggest-able on
 // all 50 in under a second, and the converged rankings are byte-for-byte
-// what a centralized merge of everyone's snapshot would answer. The
-// long-poll pull plane rides along exactly as deployed — gossip covers
-// the fleet in milliseconds, parked pulls catch any node the epidemic
-// missed.
+// what a centralized merge of everyone's snapshot would answer. Each
+// node keeps a long-poll parked on two peers, exactly as deployed, and
+// a publish releases the polls parked on it at once.
 func TestFiftyNodeMeshSubSecondPropagation(t *testing.T) {
 	// 50 real HTTP servers pacing on wall clock; the acceptance run is
 	// the full (non-short) suite CI executes under -race.
@@ -65,8 +64,7 @@ func TestFiftyNodeMeshSubSecondPropagation(t *testing.T) {
 		t.Skip("wall-clock 50-node mesh; skipped with -short")
 	}
 	m, err := New(Options{
-		Nodes: 50, Topology: Random, Degree: 6, Fanout: 3, TTL: 6,
-		PullPeers: 2, Seed: 42,
+		Nodes: 50, Topology: Random, Degree: 2, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +92,11 @@ func TestFiftyNodeMeshSubSecondPropagation(t *testing.T) {
 	}
 }
 
-// TestRingMeshConvergesOnTTL drives the harshest topology: out-degree 1,
-// so knowledge must relay across the full 25-hop diameter on TTL alone.
-func TestRingMeshConvergesOnTTL(t *testing.T) {
-	m, err := New(Options{Nodes: 25, Topology: Ring, Fanout: 1, Seed: 7})
+// TestRingMeshConvergesByPull drives the harshest topology: each node
+// pulls only its successor, so knowledge must relay across the full
+// 25-node diameter, one parked pull per hop.
+func TestRingMeshConvergesByPull(t *testing.T) {
+	m, err := New(Options{Nodes: 25, Topology: Ring, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +111,11 @@ func TestRingMeshConvergesOnTTL(t *testing.T) {
 	}
 }
 
-// TestLossyMeshHealsByPull drops 40% of gossip pushes; the long-poll
-// pull plane must repair whatever the epidemic loses.
+// TestLossyMeshHealsByPull loses 40% of /kb/delta responses; the pulls
+// that follow must repair whatever a lost one carried.
 func TestLossyMeshHealsByPull(t *testing.T) {
 	m, err := New(Options{
-		Nodes: 20, Topology: Random, Degree: 4, Fanout: 2, TTL: 4,
-		DropRate: 0.4, PullPeers: 3, Seed: 11,
+		Nodes: 20, Topology: Random, Degree: 4, DropRate: 0.4, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,17 +130,16 @@ func TestLossyMeshHealsByPull(t *testing.T) {
 	if err := m.RankingsIdentical(meshQueries(10), 3); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("pushes dropped by the network: %d", m.Dropped())
+	t.Logf("responses dropped by the network: %d", m.Dropped())
 }
 
 // TestPartitionedMeshHealsOnRejoin cuts the mesh in half, lets each side
-// learn its own fixes, then heals the cut: the pull plane carries the
-// knowledge across, gossip spreads it within each half, and the whole
-// fleet converges to the centralized-merge ranking.
+// learn its own fixes, then heals the cut: the pulls across it carry
+// the knowledge over, each half's ring spreads it, and the whole fleet
+// converges to the centralized-merge ranking.
 func TestPartitionedMeshHealsOnRejoin(t *testing.T) {
 	m, err := New(Options{
-		Nodes: 20, Topology: Partitioned, Fanout: 3, TTL: 5,
-		PullPeers: 4, Seed: 23,
+		Nodes: 20, Topology: Partitioned, Degree: 4, Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +186,7 @@ func TestPartitionedMeshHealsOnRejoin(t *testing.T) {
 // converges byte-identically.
 func TestMeshSurvivesChurn(t *testing.T) {
 	m, err := New(Options{
-		Nodes: 16, Topology: Random, Degree: 4, Fanout: 2, TTL: 5,
-		PullPeers: 3, Seed: 31,
+		Nodes: 16, Topology: Random, Degree: 4, Seed: 31,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,13 +229,13 @@ func TestMeshSurvivesChurn(t *testing.T) {
 	}
 }
 
-// TestCompactedMeshStaysBounded runs a gossiping mesh whose nodes all
-// cap their KB memory: a stream of observations much larger than the cap
+// TestCompactedMeshStaysBounded runs a mesh whose nodes all pull each
+// other and cap their KB memory: a stream of observations much larger than the cap
 // federates freely while no node's arrival log ever exceeds the cap.
 func TestCompactedMeshStaysBounded(t *testing.T) {
 	const maxPoints = 120
 	m, err := New(Options{
-		Nodes: 8, Topology: Full, Fanout: 3, TTL: 3,
+		Nodes: 8, Topology: Full,
 		Compaction: &synopsis.Compaction{MaxPoints: maxPoints, MergeRadius: 0.5},
 		Seed:       47,
 	})

@@ -1,8 +1,8 @@
 // Package meshtest is an in-process federation mesh: N selfheal nodes,
 // each a real knowledge base behind a real HTTP ops plane, wired
-// together with the two mechanisms a daemon runs — the gossip push plane
-// and (when PullPeers > 0) the long-poll pull plane — over loopback
-// httptest servers. Tests and benchmarks use it
+// together with the one mechanism a daemon runs — a Syncer keeping one
+// long-poll parked on each of its pull peers — over loopback httptest
+// servers. Tests and benchmarks use it
 // to measure what the paper's federated-healing story actually promises
 // — that a fix learned on one node becomes Suggest-able fleet-wide in
 // sub-second time — and to prove the convergence invariant end to end:
@@ -12,8 +12,9 @@
 // The mesh models failure at the network layer so the nodes under test
 // stay honest production code: a down node answers 503 to everything, a
 // partition rejects cross-group requests (each node's HTTP client stamps
-// its group on the wire), and DropRate rejects that fraction of gossip
-// pushes — the pull plane must repair whatever the epidemic loses.
+// its group on the wire), and DropRate loses that fraction of /kb/delta
+// responses — the pulls that follow must repair whatever a lost one
+// carried.
 package meshtest
 
 import (
@@ -34,21 +35,23 @@ import (
 	"selfheal/internal/synopsis"
 )
 
-// Topology names the shape of the gossip graph.
+// Topology names the shape of the pull graph: whom each node keeps a
+// long-poll parked on.
 type Topology int
 
 const (
-	// Full gives every gossiper every other node as a potential peer
-	// (the partial view still bounds who it actually talks to).
+	// Full has every node pull every other node.
 	Full Topology = iota
-	// Random gives each node Degree random out-neighbors.
+	// Random has each node pull its ring successor plus Degree-1 random
+	// peers. The successor edges form a covering cycle, so every node's
+	// knowledge has a path to every other node; the random edges cut the
+	// hop count.
 	Random
-	// Ring gives each node only its successor; propagation must cross
-	// the whole diameter on relay TTL, the harshest honest topology.
+	// Ring has each node pull only its successor: knowledge must relay
+	// across the whole diameter, the harshest honest topology.
 	Ring
-	// Partitioned splits the mesh into two halves whose gossip graphs
-	// never cross; while Partition(true) is also set, even pull-plane
-	// requests are rejected across the cut.
+	// Partitioned makes each half its own pull ring, plus Degree-1 peers
+	// across the cut, which Partition(true) blocks.
 	Partitioned
 )
 
@@ -56,35 +59,28 @@ const (
 type Options struct {
 	// Nodes is the mesh size. Required.
 	Nodes int
-	// Topology shapes the gossip graph (default Full).
+	// Topology shapes the pull graph (default Full).
 	Topology Topology
-	// Degree is Random's out-degree (default 5).
+	// Degree is how many peers each node pulls under Random and
+	// Partitioned (default 5).
 	Degree int
-	// Fanout and TTL are passed to every gossiper (gossip defaults
-	// apply when zero, except Ring which defaults TTL to Nodes).
-	Fanout, TTL int
-	// DropRate rejects this fraction of /kb/push deliveries with a 503,
-	// modeling lossy gossip transport.
+	// DropRate loses this fraction of /kb/delta responses: the request
+	// is served, parking included, and the answer replaced by a 503.
 	DropRate float64
-	// PullPeers, when positive, gives every node a pull-plane Syncer over
-	// its ring successor plus PullPeers-1 random peers. Zero disables the
-	// pull plane.
-	PullPeers int
 	// Compaction, when set, bounds every node's KB memory.
 	Compaction *synopsis.Compaction
-	// Seed makes topology wiring, gossip sampling, and drop decisions
+	// Seed makes topology wiring, poll jitter, and drop decisions
 	// deterministic (default 1).
 	Seed int64
 }
 
 // Node is one mesh participant.
 type Node struct {
-	Node     *kbsync.Node
-	KB       *synopsis.Shared
-	Gossiper *kbsync.Gossiper
-	Syncer   *kbsync.Syncer
-	URL      string
-	Group    int // partition half: 0 or 1
+	Node   *kbsync.Node
+	KB     *synopsis.Shared
+	Syncer *kbsync.Syncer
+	URL    string
+	Group  int // partition half: 0 or 1
 
 	down      atomic.Bool
 	runCancel context.CancelFunc
@@ -123,17 +119,14 @@ func (t groupTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(r)
 }
 
-// New assembles (but does not start) a mesh. Call Start to run the
-// gossip/pull loops and Close when done.
+// New assembles (but does not start) a mesh. Call Start to run the pull
+// loops and Close when done.
 func New(opts Options) (*Mesh, error) {
 	if opts.Nodes < 2 {
 		return nil, fmt.Errorf("meshtest: need at least 2 nodes, got %d", opts.Nodes)
 	}
 	if opts.Degree <= 0 {
 		opts.Degree = 5
-	}
-	if opts.TTL <= 0 && opts.Topology == Ring {
-		opts.TTL = opts.Nodes
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -177,38 +170,23 @@ func New(opts Options) (*Mesh, error) {
 	}
 
 	for i, n := range m.Nodes {
-		// What a harness must inject — its transport, seeds, its own URL
-		// and a test-scale backoff cap — is all that differs from how
-		// selfheal.Fleet.ServeOps builds the same two loops.
-		client := &http.Client{
-			Timeout:   10 * time.Second,
-			Transport: groupTransport{group: strconv.Itoa(n.Group), base: http.DefaultTransport},
-		}
-		gsp, err := kbsync.NewGossiper(n.Node, kbsync.GossipConfig{
-			Peers:  m.gossipPeers(i, wiring),
-			Self:   n.URL,
-			Fanout: opts.Fanout,
-			TTL:    opts.TTL,
-			Client: client,
-			Seed:   opts.Seed + int64(i)*7919,
+		// What a harness must inject — its transport, seeds and a
+		// test-scale backoff cap — is all that differs from how
+		// selfheal.Fleet.ServeOps builds the same loop.
+		sy, err := kbsync.NewSyncer(n.Node, kbsync.Config{
+			Peers:      m.pullPeers(i, wiring),
+			MaxBackoff: 2 * time.Second,
+			Client: &http.Client{
+				Timeout:   10 * time.Second,
+				Transport: groupTransport{group: strconv.Itoa(n.Group), base: http.DefaultTransport},
+			},
+			Seed: opts.Seed + int64(i)*104729,
 		})
 		if err != nil {
 			return nil, err
 		}
-		n.Gossiper = gsp
-		if opts.PullPeers > 0 {
-			sy, err := kbsync.NewSyncer(n.Node, kbsync.Config{
-				Peers:      m.pullPeers(i, wiring),
-				MaxBackoff: 2 * time.Second,
-				Client:     client,
-				Seed:       opts.Seed + int64(i)*104729,
-			})
-			if err != nil {
-				return nil, err
-			}
-			n.Syncer = sy
-		}
-		api, err := httpapi.NewServer(httpapi.Config{Node: n.Node, Gossiper: gsp, Syncer: n.Syncer})
+		n.Syncer = sy
+		api, err := httpapi.NewServer(httpapi.Config{Node: n.Node, Syncer: sy})
 		if err != nil {
 			return nil, err
 		}
@@ -218,64 +196,56 @@ func New(opts Options) (*Mesh, error) {
 	return m, nil
 }
 
-// gossipPeers wires node i's gossip out-neighbors per the topology.
-func (m *Mesh) gossipPeers(i int, rng *rand.Rand) []string {
+// pullPeers wires node i's pull peers per the topology.
+func (m *Mesh) pullPeers(i int, rng *rand.Rand) []string {
 	n := m.Opts.Nodes
-	var out []string
 	switch m.Opts.Topology {
 	case Ring:
-		out = append(out, m.Nodes[(i+1)%n].URL)
+		return []string{m.Nodes[(i+1)%n].URL}
 	case Random:
-		for _, j := range rng.Perm(n) {
-			if j == i {
-				continue
-			}
-			out = append(out, m.Nodes[j].URL)
-			if len(out) == m.Opts.Degree {
-				break
-			}
-		}
+		return m.withRandom(m.Nodes[(i+1)%n], rng, func(j int) bool { return j != i })
 	case Partitioned:
+		// The successor within i's own half, then peers across the cut.
+		var half []*Node
+		k := 0
 		for j, other := range m.Nodes {
-			if j != i && other.Group == m.Nodes[i].Group {
-				out = append(out, other.URL)
+			if j == i {
+				k = len(half)
+			}
+			if other.Group == m.Nodes[i].Group {
+				half = append(half, other)
 			}
 		}
+		next := half[(k+1)%len(half)]
+		return m.withRandom(next, rng, func(j int) bool { return m.Nodes[j].Group != m.Nodes[i].Group })
 	default: // Full
+		var out []string
 		for j, other := range m.Nodes {
 			if j != i {
 				out = append(out, other.URL)
 			}
 		}
+		return out
 	}
-	return out
 }
 
-// pullPeers wires node i's anti-entropy pull peers: its ring successor
-// plus PullPeers-1 random nodes from the whole mesh. The successor edges
-// form a covering cycle, so every node's knowledge has a path to every
-// other node through pulls alone — without that anchor a node whose
-// origin pushes were all dropped could strand a point forever (nobody
-// randomly pulls from it). The random edges keep repair latency low and
-// give a partitioned gossip graph (blockable, then healable) cross-cut
-// pull edges.
-func (m *Mesh) pullPeers(i int, rng *rand.Rand) []string {
-	n := m.Opts.Nodes
-	out := []string{m.Nodes[(i+1)%n].URL}
-	for _, j := range rng.Perm(n) {
-		if len(out) == m.Opts.PullPeers {
+// withRandom returns first's URL plus Degree-1 random nodes that eligible
+// admits, first excluded.
+func (m *Mesh) withRandom(first *Node, rng *rand.Rand, eligible func(j int) bool) []string {
+	out := []string{first.URL}
+	for _, j := range rng.Perm(m.Opts.Nodes) {
+		if len(out) == m.Opts.Degree {
 			break
 		}
-		if j == i || j == (i+1)%n {
-			continue
+		if eligible(j) && m.Nodes[j] != first {
+			out = append(out, m.Nodes[j].URL)
 		}
-		out = append(out, m.Nodes[j].URL)
 	}
 	return out
 }
 
 // serve is the per-node network layer: down nodes, the partition, and
-// push drops all manifest here as 503s, before the real handler runs.
+// dropped responses all manifest here as 503s.
 func (m *Mesh) serve(i int, api http.Handler, w http.ResponseWriter, r *http.Request) {
 	n := m.Nodes[i]
 	if n.down.Load() {
@@ -288,20 +258,21 @@ func (m *Mesh) serve(i int, api http.Handler, w http.ResponseWriter, r *http.Req
 			return
 		}
 	}
-	if m.Opts.DropRate > 0 && r.URL.Path == "/kb/push" {
+	if m.Opts.DropRate > 0 && r.URL.Path == "/kb/delta" {
 		m.dropMu.Lock()
 		drop := m.dropRng.Float64() < m.Opts.DropRate
 		m.dropMu.Unlock()
 		if drop {
+			api.ServeHTTP(httptest.NewRecorder(), r)
 			m.dropped.Add(1)
-			http.Error(w, "push dropped", http.StatusServiceUnavailable)
+			http.Error(w, "response dropped", http.StatusServiceUnavailable)
 			return
 		}
 	}
 	api.ServeHTTP(w, r)
 }
 
-// Start launches every node's gossip (and pull, when configured) loop.
+// Start launches every node's pull loop.
 func (m *Mesh) Start() {
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 	for _, n := range m.Nodes {
@@ -309,7 +280,7 @@ func (m *Mesh) Start() {
 	}
 }
 
-// startNode runs one node's loops under its own cancel, so churn can
+// startNode runs one node's pull loop under its own cancel, so churn can
 // stop a single node the way a crash would.
 func (m *Mesh) startNode(n *Node) {
 	ctx, cancel := context.WithCancel(m.ctx)
@@ -317,15 +288,8 @@ func (m *Mesh) startNode(n *Node) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		n.Gossiper.Run(ctx)
+		n.Syncer.Run(ctx)
 	}()
-	if n.Syncer != nil {
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			n.Syncer.Run(ctx)
-		}()
-	}
 }
 
 // Close stops the loops and the servers.
@@ -342,8 +306,8 @@ func (m *Mesh) Close() {
 // Partition blocks (or unblocks) all cross-group requests.
 func (m *Mesh) Partition(active bool) { m.partitioned.Store(active) }
 
-// SetDown crashes node i — its server answers 503 and its own gossip
-// and pull loops stop — or revives it with fresh loops.
+// SetDown crashes node i — its server answers 503 and its pull loop
+// stops — or revives it with a fresh loop.
 func (m *Mesh) SetDown(i int, down bool) {
 	n := m.Nodes[i]
 	if down {
@@ -358,7 +322,7 @@ func (m *Mesh) SetDown(i int, down bool) {
 	m.startNode(n)
 }
 
-// Dropped reports how many pushes the network layer rejected.
+// Dropped reports how many /kb/delta responses the network layer lost.
 func (m *Mesh) Dropped() uint64 { return m.dropped.Load() }
 
 // Publish adds p to node i's knowledge base — the moment a local healing

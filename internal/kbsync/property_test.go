@@ -106,7 +106,7 @@ func TestPropertyApplyDeltaIdempotent(t *testing.T) {
 		for _, d := range randDeltas(rng, 1+rng.Intn(20)) {
 			first := node.ApplyDelta(d)
 			size, seq := kb.LogSize(), kb.Seq()
-			// Re-delivery (a retried poll, a duplicate gossip push)
+			// Re-delivery (a retried poll, a duplicate push)
 			// adds nothing and publishes nothing — any number of times.
 			for rep := 0; rep < 1+rng.Intn(3); rep++ {
 				if again := node.ApplyDelta(d); again != 0 {

@@ -3,7 +3,7 @@ package synopsis
 // Fuzz targets for the one format knowledge travels and rests in: the
 // binary delta, which is also every snapshot file. The decoder faces
 // bytes from the network and from disk — kbtool fetch, /kb/delta pulls,
-// gossip pushes, -kb-in — so beyond "no panics" both targets check the
+// POST /kb/push, -kb-in — so beyond "no panics" both targets check the
 // decoder's contract: anything accepted re-encodes to the same bytes,
 // respects the name-table width invariant, and applies to a live
 // knowledge base without crashing it; anything shaped like the retired
@@ -105,7 +105,7 @@ func checkDecode(t *testing.T, data []byte) {
 		t.Fatalf("accepted %x\nbut it re-encodes as %x", data, buf.Bytes())
 	}
 	// Accepted points must be appliable to a live shared KB — the exact
-	// path a gossip push or long-poll pull takes — and replay into a
+	// path a long-poll pull or a pushed delta takes — and replay into a
 	// learner, the path -kb-in takes.
 	kb := NewShared(NewNearestNeighbor())
 	kb.AddBatch(d.Points)

@@ -58,8 +58,8 @@ type Shared struct {
 
 	// watch is closed and replaced on every publish: Changed hands it to
 	// long-poll waiters, who re-check the sequence once it closes. hooks
-	// are the push-side of federation (a gossiper's push-on-publish) and
-	// run after the lock is released, so a hook may freely call back into
+	// observe every publish (the ops plane's kb-publish event) and run
+	// after the lock is released, so a hook may freely call back into
 	// DeltaSince. compact, when set, bounds the arrival log.
 	watch   chan struct{}
 	hooks   []func(seq uint64)
@@ -109,15 +109,11 @@ func (s *Shared) Add(p Point) {
 // AddBatch implements Synopsis: the whole batch is applied to the base
 // under one lock acquisition and the snapshot republished once — the write
 // path the fleet's per-episode learn flush rides. The batch advances the
-// publish sequence by one, however many points it carries.
-func (s *Shared) AddBatch(ps []Point) { s.AddBatchSeq(ps) }
-
-// AddBatchSeq is AddBatch reporting the publish sequence the batch landed
-// at — what a federation applier records as "covered up to here". An
-// empty batch publishes nothing and returns the current sequence.
-func (s *Shared) AddBatchSeq(ps []Point) uint64 {
+// publish sequence by one, however many points it carries; an empty
+// batch publishes nothing.
+func (s *Shared) AddBatch(ps []Point) {
 	if len(ps) == 0 {
-		return s.seq.Load()
+		return
 	}
 	s.mu.Lock()
 	before := s.base.Version()
@@ -132,7 +128,6 @@ func (s *Shared) AddBatchSeq(ps []Point) uint64 {
 	for _, fn := range hooks {
 		fn(seq)
 	}
-	return seq
 }
 
 // notifyLocked wakes every Changed waiter and captures the publish hooks
@@ -161,7 +156,7 @@ func (s *Shared) Changed() <-chan struct{} {
 }
 
 // OnPublish registers fn to run after every publish with the sequence it
-// produced — the hook a gossiper hangs its push-on-publish from. Hooks
+// produced — the hook the ops plane turns into a kb-publish event. Hooks
 // run synchronously on the writer's goroutine but outside the knowledge
 // base's lock, so they may call DeltaSince; they must not write back into
 // the knowledge base on the same goroutine or they will recurse.
