@@ -77,6 +77,7 @@ subcommands:
   inspect [-symptoms] <file.kb>            summarize a snapshot
   merge -o <out.kb> <file.kb>...           fold snapshots into one
   compact -max n [-radius r] [-o out] <file.kb>  shrink to at most n points
+                                           (each action keeps its last success)
   diff <a.kb> <b.kb>                       compare two snapshots
   fetch [-o out.kb] <daemon-url>           pull a live daemon's KB
   rank -x v1,v2,... [-k n] <file.kb>       top-k actions for a symptom
@@ -200,14 +201,14 @@ func cmdMerge(args []string) error {
 // cmdCompact shrinks a snapshot with the same pipeline a live
 // knowledge base's bounded-memory mode runs: exact-duplicate collapse,
 // near-duplicate merge within -radius, then oldest-first failures-first
-// eviction down to -max. The survivors rank identically to replaying
-// them fresh, so a compacted file stays a faithful knowledge base.
+// eviction down to -max that keeps each action's last success. The
+// survivors rank identically to replaying them fresh, so a compacted file
+// stays a faithful knowledge base.
 func cmdCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	out := fs.String("o", "", "output file (default stdout)")
 	max := fs.Int("max", 0, "maximum points to keep (required)")
 	radius := fs.Float64("radius", 0, "merge near-duplicates within this euclidean distance (0: exact duplicates only)")
-	minPer := fs.Int("min-per-action", 1, "never evict below this many successes per distinct action")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("compact wants exactly one input file")
@@ -215,7 +216,7 @@ func cmdCompact(args []string) error {
 	if *max <= 0 {
 		return fmt.Errorf("compact needs -max > 0")
 	}
-	cfg := synopsis.Compaction{MaxPoints: *max, MergeRadius: *radius, MinPerAction: *minPer}
+	cfg := synopsis.Compaction{MaxPoints: *max, MergeRadius: *radius}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

@@ -106,9 +106,6 @@ func Auth(cfg AuthConfig) Middleware {
 type RateLimitConfig struct {
 	// RPS is the sustained request rate each remote host is allowed.
 	RPS float64
-	// Burst is the bucket depth (0 means 2×RPS, at least 1): how many
-	// requests a quiet remote may fire back to back.
-	Burst int
 }
 
 // rlBucket is one remote's token bucket.
@@ -129,11 +126,9 @@ type limiter struct {
 	now func() time.Time // test seam
 }
 
-// burst resolves the configured bucket depth.
+// burst is the bucket depth, 2×RPS and at least 1: how many requests
+// a quiet remote may fire back to back.
 func (l *limiter) burst() int {
-	if l.cfg.Burst > 0 {
-		return l.cfg.Burst
-	}
 	if b := int(2 * l.cfg.RPS); b > 1 {
 		return b
 	}

@@ -78,11 +78,11 @@ func TestAuthQueryFallback(t *testing.T) {
 	}
 }
 
-// TestRateLimit: the bucket admits the burst, then 429s with Retry-After,
+// TestRateLimit: the bucket admits the burst (2 at 1 RPS), then 429s with Retry-After,
 // and refills with simulated time.
 func TestRateLimit(t *testing.T) {
 	now := time.Unix(1000, 0)
-	l := &limiter{cfg: RateLimitConfig{RPS: 1, Burst: 2}, by: make(map[string]*rlBucket), now: func() time.Time { return now }}
+	l := &limiter{cfg: RateLimitConfig{RPS: 1}, by: make(map[string]*rlBucket), now: func() time.Time { return now }}
 	mw := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !l.allow(remoteKey(r)) {
@@ -121,7 +121,7 @@ func TestRateLimit(t *testing.T) {
 	}
 }
 
-// TestRateLimitDefaultBurst: Burst 0 means 2×RPS, at least 1.
+// TestRateLimitDefaultBurst: the bucket depth is 2×RPS, at least 1.
 func TestRateLimitDefaultBurst(t *testing.T) {
 	l := &limiter{cfg: RateLimitConfig{RPS: 5}}
 	if got := l.burst(); got != 10 {

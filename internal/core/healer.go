@@ -12,11 +12,12 @@ import (
 // fault mechanics live with the target that manufactured the fault.
 type Fault = targets.Fault
 
+// threshold is Figure 3's THRESHOLD: failed attempts before escalating
+// to the general costly fix (full restart + administrator).
+const threshold = 4
+
 // HealerConfig parameterizes the Figure 3 loop.
 type HealerConfig struct {
-	// Threshold is the paper's THRESHOLD: failed attempts before escalating
-	// to the general costly fix (full restart + administrator).
-	Threshold int
 	// CheckTicks bounds how long after a fix settles the loop waits for a
 	// clean SLO window before declaring the attempt failed.
 	CheckTicks int
@@ -42,7 +43,6 @@ type HealerConfig struct {
 // timescale.
 func DefaultHealerConfig() HealerConfig {
 	return HealerConfig{
-		Threshold:       4,
 		CheckTicks:      40,
 		AdminDelayTicks: 600,
 		EpisodeBudget:   6000,
@@ -347,7 +347,7 @@ func (hl *Healer) attemptLoop(ctx context.Context, ep *Episode, budget int) {
 		if h.Target.Now()-ep.InjectedAt > int64(budget) {
 			break
 		}
-		if count >= hl.Cfg.Threshold {
+		if count >= threshold {
 			hl.escalate(ctx, fctx, ep)
 			break
 		}

@@ -17,14 +17,14 @@ import (
 // Its strength (per Table 2) is handling failures never seen before; its
 // weakness is needing fine-grained (invasive) data such as per-EJB call
 // counts, and baseline quality.
-type Anomaly struct {
-	// MinZ is the z-score magnitude below which a metric is not considered
-	// anomalous.
-	MinZ float64
-}
+type Anomaly struct{}
+
+// anomalyMinZ is the z-score magnitude below which a metric is not
+// considered anomalous.
+const anomalyMinZ = 2.5
 
 // NewAnomaly returns the anomaly-detection approach.
-func NewAnomaly() *Anomaly { return &Anomaly{MinZ: 2.5} }
+func NewAnomaly() *Anomaly { return &Anomaly{} }
 
 // Name implements core.Approach.
 func (a *Anomaly) Name() string { return "anomaly-detection" }
@@ -52,7 +52,7 @@ func (a *Anomaly) Recommend(ctx *core.FailureContext, tried []core.Action) (core
 	// gauge (threads, CPU), which is usually a downstream symptom.
 	for i, z := range ctx.Symptom {
 		mag := math.Abs(z)
-		if mag < a.MinZ {
+		if mag < anomalyMinZ {
 			continue
 		}
 		acts, generic := ctx.Implicated(i, z)
@@ -72,16 +72,20 @@ func (a *Anomaly) Recommend(ctx *core.FailureContext, tried []core.Action) (core
 // over recent history implicate the fix. It is simple and efficient but —
 // as Table 2 notes — needs enough historical records relating the
 // attribute to failure, so it degrades on novel and rare failures.
-type Correlation struct {
-	// MinAbsR is the minimum |Pearson r| to implicate an attribute.
-	MinAbsR float64
-	// MinFailTicks is the minimum number of failing ticks required in the
-	// history before correlations are considered meaningful.
-	MinFailTicks int
-}
+type Correlation struct{}
+
+const (
+	// correlationMinAbsR is the minimum |Pearson r| to implicate an
+	// attribute.
+	correlationMinAbsR = 0.35
+	// correlationMinFailTicks is the minimum number of failing ticks
+	// required in the history before correlations are considered
+	// meaningful.
+	correlationMinFailTicks = 8
+)
 
 // NewCorrelation returns the correlation-analysis approach.
-func NewCorrelation() *Correlation { return &Correlation{MinAbsR: 0.35, MinFailTicks: 8} }
+func NewCorrelation() *Correlation { return &Correlation{} }
 
 // Name implements core.Approach.
 func (c *Correlation) Name() string { return "correlation-analysis" }
@@ -110,13 +114,13 @@ func (c *Correlation) Recommend(ctx *core.FailureContext, tried []core.Action) (
 			fails++
 		}
 	}
-	if fails < c.MinFailTicks {
+	if fails < correlationMinFailTicks {
 		return core.Action{}, 0, false
 	}
 	var cands []candidate
 	for i := range ctx.Symptom {
 		r := stats.Pearson(hist.ColIdx(i), y)
-		if math.Abs(r) < c.MinAbsR {
+		if math.Abs(r) < correlationMinAbsR {
 			continue
 		}
 		acts, _ := ctx.Implicated(i, r)
@@ -155,13 +159,13 @@ func failureIndicator(ctx *core.FailureContext) []float64 {
 // exceptions), exactly the profile Table 2 records. Its database
 // reasoning is Example 4's, over the auction database's own gauges; the
 // other tiers it grows are those the target's provision-tier locator lists.
-type Bottleneck struct {
-	// HotUtil is the utilization above which a resource is the bottleneck.
-	HotUtil float64
-}
+type Bottleneck struct{}
+
+// hotUtil is the utilization above which a resource is the bottleneck.
+const hotUtil = 0.9
 
 // NewBottleneck returns the bottleneck-analysis approach.
-func NewBottleneck() *Bottleneck { return &Bottleneck{HotUtil: 0.9} }
+func NewBottleneck() *Bottleneck { return &Bottleneck{} }
 
 // Name implements core.Approach.
 func (b *Bottleneck) Name() string { return "bottleneck-analysis" }
@@ -189,7 +193,7 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 			add(core.Action{Fix: catalog.FixUpdateStats, Target: t}, 10+plan)
 			add(core.Action{Fix: catalog.FixRebuildIndex, Target: t}, 4+plan)
 		}
-	} else if util("db.cpu.util") > b.HotUtil {
+	} else if util("db.cpu.util") > hotUtil {
 		// CPU hot with a good plan: either genuine volume (queries grew
 		// proportionally — provision) or per-query cost inflation on one
 		// table (an index went missing — rebuild). The ratio of cost to
@@ -203,7 +207,7 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 	if util("db.io.util") > 0.6 || ctx.ZScore("db.buffer.hitratio") < -3 {
 		add(core.Action{Fix: catalog.FixRepartitionMemory}, 6+util("db.io.util"))
 	}
-	if util("db.conns.util") > b.HotUtil && util("db.cpu.util") < 0.8 {
+	if util("db.conns.util") > hotUtil && util("db.cpu.util") < 0.8 {
 		// Connection-limited but CPU idle: the pool is misconfigured.
 		add(core.Action{Fix: catalog.FixRestoreConfig}, 7)
 	}
@@ -216,11 +220,11 @@ func (b *Bottleneck) Recommend(ctx *core.FailureContext, tried []core.Action) (c
 		add(core.Action{Fix: catalog.FixRebootAppTier, Target: "app"}, 6)
 	}
 	for _, t := range ctx.Candidates(catalog.FixProvisionTier) {
-		if u := util(t + ".cpu.util"); t != "db" && u > b.HotUtil {
+		if u := util(t + ".cpu.util"); t != "db" && u > hotUtil {
 			add(core.Action{Fix: catalog.FixProvisionTier, Target: t}, u)
 		}
 	}
-	if util("app.threads.util") > b.HotUtil && util("app.cpu.util") < 0.8 {
+	if util("app.threads.util") > hotUtil && util("app.cpu.util") < 0.8 {
 		// Threads exhausted while CPU is idle: work is parked, not queued —
 		// a hang, not a capacity problem. Bottleneck analysis can only
 		// restore thread capacity.

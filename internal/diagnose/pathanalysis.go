@@ -15,18 +15,19 @@ import (
 // Like the other diagnosis approaches it needs invasive instrumentation —
 // per-request path tracing through every tier — which is precisely the
 // data-requirements weakness Table 2 records for fine-grained diagnosis.
-type PathAnalysis struct {
-	// MinFailedPaths is the minimum number of failed paths before the
+type PathAnalysis struct{}
+
+const (
+	// pathMinFailedPaths is the minimum number of failed paths before the
 	// inference is trusted.
-	MinFailedPaths int
-	// MinScore is the minimum failure-association score for a suspect.
-	MinScore float64
-}
+	pathMinFailedPaths = 3
+	// pathMinScore is the minimum failure-association score for a
+	// suspect.
+	pathMinScore = 0.15
+)
 
 // NewPathAnalysis returns the path-based approach.
-func NewPathAnalysis() *PathAnalysis {
-	return &PathAnalysis{MinFailedPaths: 3, MinScore: 0.15}
-}
+func NewPathAnalysis() *PathAnalysis { return &PathAnalysis{} }
 
 // Name implements core.Approach.
 func (p *PathAnalysis) Name() string { return "path-analysis" }
@@ -48,14 +49,14 @@ func (p *PathAnalysis) Recommend(ctx *core.FailureContext, tried []core.Action) 
 		fpi.Add(path)
 	}
 	failed, _ := fpi.Paths()
-	if failed < p.MinFailedPaths {
+	if failed < pathMinFailedPaths {
 		// Failures without path signatures (pure performance problems)
 		// are outside this approach's reach.
 		return core.Action{}, 0, false
 	}
 	var cands []candidate
 	for rank, cs := range fpi.Ranked() {
-		if cs.Score < p.MinScore || rank > 2 {
+		if cs.Score < pathMinScore || rank > 2 {
 			break
 		}
 		if act, ok := ctx.ComponentFix(cs.Component); ok {

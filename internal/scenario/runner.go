@@ -19,10 +19,6 @@ import (
 // is the point. Failures are healed with Healer.HealDetected: the
 // scenario owns injection, the healer owns recovery.
 type Runner struct {
-	// MaxEpisodes bounds healing episodes per run as a runaway guard
-	// when a scripted regime keeps the SLO red permanently (default 64).
-	MaxEpisodes int
-
 	sc *Scenario
 	hl *core.Healer
 
@@ -36,6 +32,10 @@ type Runner struct {
 	stats   Stats
 	hookErr error
 }
+
+// maxEpisodes bounds healing episodes per run as a runaway guard when a
+// scripted regime keeps the SLO red permanently.
+const maxEpisodes = 64
 
 // evState is one event's runtime state.
 type evState struct {
@@ -72,7 +72,7 @@ func NewRunner(sc *Scenario, hl *core.Healer) (*Runner, error) {
 	if sc.Target != "" && sc.Target != spec.Name {
 		return nil, fmt.Errorf("scenario %q is written for target %q, not %q", sc.Name, sc.Target, spec.Name)
 	}
-	r := &Runner{MaxEpisodes: 64, sc: sc, hl: hl, spec: spec, byName: make(map[string]*evState)}
+	r := &Runner{sc: sc, hl: hl, spec: spec, byName: make(map[string]*evState)}
 	if !sc.Workload.empty() {
 		shaper, ok := t.(targets.WorkloadShaper)
 		if !ok {
@@ -154,7 +154,7 @@ func (r *Runner) Run(ctx context.Context) (*Stats, error) {
 			break
 		}
 		h.Step()
-		if h.Monitor.Failing() && r.stats.Episodes < r.MaxEpisodes {
+		if h.Monitor.Failing() && r.stats.Episodes < maxEpisodes {
 			ep := r.hl.HealDetected(ctx)
 			r.record(ep)
 		}

@@ -26,9 +26,9 @@ import (
 //   - With MaxPoints > 0 the KB holds at most MaxPoints observations at
 //     every externally-observable moment: a write that pushes the log
 //     past the cap compacts before it returns. Eviction is oldest-first,
-//     failures before successes, and never drops a fix's last
-//     MinPerAction successful exemplars — the bounded-memory mode must
-//     not forget the only exemplar that makes a fix suggestible.
+//     failures before successes, and never drops a fix's last successful
+//     exemplar — the bounded-memory mode must not forget the only
+//     exemplar that makes a fix suggestible.
 //
 // Compaction is one publish: the sequence advances and the arrival log is
 // rewritten as the surviving set under the new sequence, so a federation
@@ -38,38 +38,27 @@ import (
 type Compaction struct {
 	// MaxPoints caps the retained observations (0: no cap; compaction
 	// runs only on explicit Compact calls). The cap is honored whenever
-	// it is reachable: it must leave room for MinPerAction successful
-	// exemplars of every distinct action, or EnableCompaction refuses
-	// configurations that could never hold it (MaxPoints < MinPerAction).
+	// it leaves room for one successful exemplar of every distinct
+	// action; past that, each action's last success stays.
 	MaxPoints int
 	// MergeRadius merges near-duplicate observations of one action and
 	// outcome (L2 distance in canonical coordinates). 0 merges exact
 	// duplicates only — the identity-preserving mode.
 	MergeRadius float64
-	// MinPerAction floors the successful exemplars kept per action under
-	// cap eviction (default 1).
-	MinPerAction int
 }
 
 // compactTargetDivisor sets the hysteresis: a cap-triggered compaction
 // shrinks to 3/4 of MaxPoints so the next quarter-cap of writes is free.
 const compactTargetDivisor = 4
 
-// Validate normalizes the configuration and rejects one no compaction
-// can honor: a merge radius that is not a finite distance ≥ 0, a negative
-// cap, or a cap below MinPerAction.
-func (c *Compaction) Validate() error {
-	if c.MinPerAction <= 0 {
-		c.MinPerAction = 1
-	}
+// Validate rejects a configuration no compaction can honor: a merge
+// radius that is not a finite distance ≥ 0, or a negative cap.
+func (c Compaction) Validate() error {
 	if !(c.MergeRadius >= 0) || math.IsInf(c.MergeRadius, 1) {
 		return fmt.Errorf("synopsis: compaction merge radius %v is not a finite distance >= 0", c.MergeRadius)
 	}
 	if c.MaxPoints < 0 {
 		return fmt.Errorf("synopsis: negative compaction cap %d", c.MaxPoints)
-	}
-	if c.MaxPoints > 0 && c.MaxPoints < c.MinPerAction {
-		return fmt.Errorf("synopsis: compaction cap %d cannot hold %d exemplars per action", c.MaxPoints, c.MinPerAction)
 	}
 	return nil
 }
@@ -98,12 +87,9 @@ func cellKey(x []float64, radius float64) string {
 // within cfg.MergeRadius of a kept point of the same class are dropped,
 // and — when target > 0 and the survivors still exceed it — the oldest
 // points are evicted (failures first, then successes whose action retains
-// more than cfg.MinPerAction exemplars) down to target. The result
-// preserves arrival order and is deterministic in the input order.
+// another success) down to target. The result preserves arrival order and
+// is deterministic in the input order.
 func CompactPoints(ps []Point, cfg Compaction, target int) []Point {
-	if cfg.MinPerAction <= 0 {
-		cfg.MinPerAction = 1
-	}
 	seen := make(map[string]struct{}, len(ps))
 	// cells maps merge class -> grid cell -> kept canonical vectors.
 	var cells map[string]map[string][][]float64
@@ -143,13 +129,13 @@ func CompactPoints(ps []Point, cfg Compaction, target int) []Point {
 	if target <= 0 || len(kept) <= target {
 		return kept
 	}
-	return evictOldest(kept, target, cfg.MinPerAction)
+	return evictOldest(kept, target)
 }
 
 // evictOldest drops points oldest-first until len <= target: failures go
-// first, then successes whose action still has more than minPerAction
-// exemplars among the survivors. Arrival order is preserved.
-func evictOldest(kept []Point, target, minPerAction int) []Point {
+// first, then successes whose action still has another success among the
+// survivors. Arrival order is preserved.
+func evictOldest(kept []Point, target int) []Point {
 	drop := make([]bool, len(kept))
 	over := len(kept) - target
 	for i := 0; i < len(kept) && over > 0; i++ {
@@ -170,7 +156,7 @@ func evictOldest(kept []Point, target, minPerAction int) []Point {
 				continue
 			}
 			ak := kept[i].Action.Key()
-			if perAction[ak] <= minPerAction {
+			if perAction[ak] <= 1 {
 				continue
 			}
 			perAction[ak]--

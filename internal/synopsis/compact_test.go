@@ -46,8 +46,7 @@ func TestCompactPointsMergeRadius(t *testing.T) {
 }
 
 // TestCompactPointsEviction pins cap eviction: failures evict first,
-// then the oldest successes, and no action's successes drop below
-// MinPerAction.
+// then the oldest successes, and no action loses its last success.
 func TestCompactPointsEviction(t *testing.T) {
 	var ps []Point
 	for i := 0; i < 4; i++ {
@@ -60,7 +59,7 @@ func TestCompactPointsEviction(t *testing.T) {
 	}
 	ps = append(ps, pt([]float64{99, 2}, catalog.FixFullRestart, ""))
 
-	kept := CompactPoints(ps, Compaction{MinPerAction: 2}, 5)
+	kept := CompactPoints(ps, Compaction{}, 5)
 	if len(kept) != 5 {
 		t.Fatalf("kept %d points, want 5", len(kept))
 	}
@@ -83,14 +82,22 @@ func TestCompactPointsEviction(t *testing.T) {
 		t.Fatalf("eviction was not oldest-first: first survivor %v", kept[0])
 	}
 
-	// The MinPerAction floor wins over the target when they conflict.
-	kept = CompactPoints(ps, Compaction{MinPerAction: 3}, 2)
+	// The one-exemplar floor wins over a target below the number of
+	// distinct actions: each action keeps exactly its newest success.
+	kept = CompactPoints(ps, Compaction{}, 1)
 	perAction = map[string]int{}
 	for _, p := range kept {
+		if !p.Success {
+			t.Fatalf("a failure survived a below-floor target: %v", p)
+		}
 		perAction[p.Action.Key()]++
 	}
-	if perAction[Action{Fix: catalog.FixUpdateStats, Target: "items"}.Key()] != 3 {
-		t.Fatalf("floor not honored: %v", perAction)
+	if len(kept) != 2 || perAction[Action{Fix: catalog.FixUpdateStats, Target: "items"}.Key()] != 1 ||
+		perAction[Action{Fix: catalog.FixFullRestart}.Key()] != 1 {
+		t.Fatalf("floor not honored: kept %d, %v", len(kept), perAction)
+	}
+	if kept[0].X[0] != 5 {
+		t.Fatalf("the floor kept %v, not the crowded action's newest success", kept[0])
 	}
 }
 
@@ -266,8 +273,7 @@ func TestSharedChangedAndOnPublish(t *testing.T) {
 }
 
 // TestEnableCompactionValidation pins the error cases: merge radii that
-// are not finite distances, and configurations that could never hold
-// their own cap.
+// are not finite distances, and a negative cap.
 func TestEnableCompactionValidation(t *testing.T) {
 	sh := NewShared(NewNearestNeighbor())
 	for _, bad := range []Compaction{
@@ -276,7 +282,6 @@ func TestEnableCompactionValidation(t *testing.T) {
 		{MergeRadius: math.Inf(1)},
 		{MergeRadius: math.Inf(-1)},
 		{MaxPoints: -5},
-		{MaxPoints: 2, MinPerAction: 3},
 	} {
 		if err := sh.EnableCompaction(bad); err == nil {
 			t.Fatalf("EnableCompaction accepted %+v", bad)

@@ -82,7 +82,6 @@ func (t *tailBuffer) String() string {
 type managed struct {
 	argv   []string
 	env    []string
-	dir    string
 	grace  time.Duration
 	policy Backoff
 
@@ -98,16 +97,12 @@ type managed struct {
 	stopped  bool          // SIGSTOP sent and no SIGCONT yet (fallback for no /proc)
 }
 
-func newManaged(argv, env []string, dir string, grace time.Duration, policy Backoff) *managed {
-	if grace <= 0 {
-		grace = 300 * time.Millisecond
-	}
+func newManaged(argv, env []string, grace time.Duration, policy Backoff) *managed {
 	return &managed{
 		argv:   argv,
 		env:    env,
-		dir:    dir,
 		grace:  grace,
-		policy: policy.withDefaults(),
+		policy: policy,
 		out:    newTailBuffer(8 << 10),
 		errOut: newTailBuffer(8 << 10),
 	}
@@ -123,7 +118,6 @@ func (m *managed) start() error {
 	}
 	cmd := exec.Command(m.argv[0], m.argv[1:]...)
 	cmd.Env = append(os.Environ(), m.env...)
-	cmd.Dir = m.dir
 	cmd.Stdout = m.out
 	cmd.Stderr = m.errOut
 	if err := cmd.Start(); err != nil {

@@ -1,14 +1,11 @@
 package process
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -31,9 +28,6 @@ type prober struct {
 }
 
 func newProber(url string, timeout time.Duration) *prober {
-	if timeout <= 0 {
-		timeout = 250 * time.Millisecond
-	}
 	return &prober{
 		url: url,
 		client: &http.Client{
@@ -77,41 +71,4 @@ func isTimeout(err error) bool {
 		return true
 	}
 	return errors.Is(err, os.ErrDeadlineExceeded)
-}
-
-// scrape GETs a /metrics-style endpoint and parses "name value" lines
-// (comments and malformed lines skipped) into dst for the names it
-// carries. Missing names keep their dst zero value; scrape failures
-// (process down, endpoint absent) leave dst untouched.
-func (p *prober) scrape(dst map[string]float64) {
-	resp, err := p.client.Get(p.url)
-	if err != nil {
-		return
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	sc := bufio.NewScanner(io.LimitReader(resp.Body, 1<<20))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			continue
-		}
-		if _, want := dst[fields[0]]; !want {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			continue
-		}
-		dst[fields[0]] = v
-	}
 }

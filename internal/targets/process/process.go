@@ -25,7 +25,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"syscall"
 	"time"
 
@@ -41,57 +41,39 @@ import (
 // Name is the registered target kind.
 const Name = "process"
 
-// DefaultGoodConfig is the known-good config written when Config.
-// GoodConfig is empty — the format cmd/crashyd reads.
-var DefaultGoodConfig = []byte("{\"latency_ms\": 2, \"fail_rate\": 0}\n")
+// goodConfig is the known-good config the target writes for its child,
+// in the format cmd/crashyd reads.
+var goodConfig = []byte("{\"latency_ms\": 2, \"fail_rate\": 0}\n")
 
-// DefaultCorruptConfig is what operator-config corruption writes when
-// Config.CorruptConfig is empty: truncated JSON, the classic fat-
-// fingered edit.
-var DefaultCorruptConfig = []byte("{\"latency_ms\": 2, \"fail_rate\":\n")
+// corruptConfig is what operator-config corruption writes: truncated
+// JSON, the classic fat-fingered edit.
+var corruptConfig = []byte("{\"latency_ms\": 2, \"fail_rate\":\n")
+
+const (
+	// healthPath is the liveness endpoint probed every tick.
+	healthPath = "/healthz"
+	// startTimeout bounds the wait for the first healthy probe at
+	// construction.
+	startTimeout = 5 * time.Second
+)
 
 // Config parameterizes one supervised process.
 type Config struct {
 	// Component labels the process in metrics, paths and fix targets
 	// (default "svc").
 	Component string
-	// Command is the child's argv. The tokens {addr} and {config} are
-	// substituted with the listen address and config path; when a token
-	// appears nowhere, "-addr <addr>" / "-config <path>" flags are
-	// appended instead, so a plain binary name works out of the box.
+	// Command is the child's argv. The target appends "-addr <addr>
+	// -config <path>": a free 127.0.0.1 port and a config file the
+	// target owns, the flags cmd/crashyd reads.
 	Command []string
 	// Env is extra environment for the child (KEY=VALUE).
 	Env []string
-	// Dir is the child's working directory ("" = inherit).
-	Dir string
-	// Addr is the address the child serves on ("" = allocate a free
-	// 127.0.0.1 port).
-	Addr string
-	// HealthPath is the liveness endpoint probed every tick (default
-	// "/healthz").
-	HealthPath string
-	// MetricsPath, when set, names a /metrics-style endpoint scraped
-	// every tick for the gauges in ScrapeKeys ("name value" lines).
-	MetricsPath string
-	// ScrapeKeys declares which scraped gauges become metric dimensions.
-	ScrapeKeys []string
-	// ConfigPath is the child's config file, the thing operator-config
-	// faults corrupt and FixRestoreConfig rolls back ("" = a temp file
-	// owned by the target).
-	ConfigPath string
-	// GoodConfig is the known-good config content (nil = DefaultGoodConfig).
-	GoodConfig []byte
-	// CorruptConfig is what corruption writes (nil = DefaultCorruptConfig).
-	CorruptConfig []byte
 	// TickPeriod paces the harness: one tick, one probe (default 50ms).
 	TickPeriod time.Duration
 	// ProbeTimeout bounds each health probe (default 250ms). It is also
 	// the latency a frozen process "costs" per tick, so keep it a small
 	// multiple of TickPeriod.
 	ProbeTimeout time.Duration
-	// StartTimeout bounds the wait for the first healthy probe at
-	// construction (default 5s).
-	StartTimeout time.Duration
 	// Grace is the SIGTERM→SIGKILL window on graceful stops (default 300ms).
 	Grace time.Duration
 	// Backoff is the crash-loop respawn policy (zero fields = DefaultBackoff).
@@ -104,24 +86,16 @@ func (c Config) withDefaults() Config {
 	if c.Component == "" {
 		c.Component = "svc"
 	}
-	if c.HealthPath == "" {
-		c.HealthPath = "/healthz"
-	}
-	if c.GoodConfig == nil {
-		c.GoodConfig = DefaultGoodConfig
-	}
-	if c.CorruptConfig == nil {
-		c.CorruptConfig = DefaultCorruptConfig
-	}
 	if c.TickPeriod <= 0 {
 		c.TickPeriod = 50 * time.Millisecond
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 250 * time.Millisecond
 	}
-	if c.StartTimeout <= 0 {
-		c.StartTimeout = 5 * time.Second
+	if c.Grace <= 0 {
+		c.Grace = 300 * time.Millisecond
 	}
+	c.Backoff = c.Backoff.withDefaults()
 	return c
 }
 
@@ -181,7 +155,7 @@ const (
 	mPaused
 	mConfigDrift
 	mRestarts
-	numBuiltinMetrics
+	numMetrics
 )
 
 // Proc is the supervisor target instance. It is not safe for
@@ -193,10 +167,9 @@ type Proc struct {
 	spec  targets.Spec
 	child *managed
 	live  *prober // health endpoint
-	stats *prober // metrics endpoint (nil when unused)
 
-	ownsDir   string // temp dir to remove on Close ("" when caller-owned)
-	configTmp bool
+	dir        string // temp dir holding the config, removed on Close
+	configPath string
 
 	clk *clock.Wall
 
@@ -225,43 +198,26 @@ func New(cfg Config) (*Proc, error) {
 	p.spec.Diagnosis.Components = []targets.Action{{Fix: catalog.FixRebootAppTier, Target: cfg.Component}}
 	p.FaultSet = targets.NewFaultSet(Name, p.inject, p.clear, p.faultCleared)
 
-	if cfg.Addr == "" {
-		addr, err := freeAddr()
-		if err != nil {
-			return nil, err
-		}
-		p.cfg.Addr = addr
+	addr, err := freeAddr()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ConfigPath == "" {
-		dir, err := os.MkdirTemp("", "selfheal-process-")
-		if err != nil {
-			return nil, fmt.Errorf("process: temp config dir: %w", err)
-		}
-		p.ownsDir = dir
-		p.cfg.ConfigPath = filepath.Join(dir, "config.json")
-		p.configTmp = true
+	if p.dir, err = os.MkdirTemp("", "selfheal-process-"); err != nil {
+		return nil, fmt.Errorf("process: temp config dir: %w", err)
 	}
-	if _, err := os.Stat(p.cfg.ConfigPath); err != nil || p.configTmp {
-		if err := os.WriteFile(p.cfg.ConfigPath, p.cfg.GoodConfig, 0o644); err != nil {
-			p.cleanup()
-			return nil, fmt.Errorf("process: write config: %w", err)
-		}
+	p.configPath = filepath.Join(p.dir, "config.json")
+	if err := os.WriteFile(p.configPath, goodConfig, 0o644); err != nil {
+		p.cleanup()
+		return nil, fmt.Errorf("process: write config: %w", err)
 	}
 
-	argv := expandCommand(p.cfg.Command, p.cfg.Addr, p.cfg.ConfigPath)
-	p.child = newManaged(argv, p.cfg.Env, p.cfg.Dir, p.cfg.Grace, p.cfg.Backoff)
-	p.live = newProber("http://"+p.cfg.Addr+p.cfg.HealthPath, p.cfg.ProbeTimeout)
-	if p.cfg.MetricsPath != "" && len(p.cfg.ScrapeKeys) > 0 {
-		p.stats = newProber("http://"+p.cfg.Addr+p.cfg.MetricsPath, p.cfg.ProbeTimeout)
-	}
+	argv := append(slices.Clone(cfg.Command), "-addr", addr, "-config", p.configPath)
+	p.child = newManaged(argv, cfg.Env, cfg.Grace, cfg.Backoff)
+	p.live = newProber("http://"+addr+healthPath, cfg.ProbeTimeout)
 
-	p.names = make([]string, 0, numBuiltinMetrics+len(p.cfg.ScrapeKeys))
-	prefix := "proc." + p.cfg.Component + "."
+	prefix := "proc." + cfg.Component + "."
 	for _, n := range []string{"up", "probe_ms", "refused", "timeout", "http_5xx", "alive", "paused", "config_drift", "restarts"} {
 		p.names = append(p.names, prefix+n)
-	}
-	for _, k := range p.cfg.ScrapeKeys {
-		p.names = append(p.names, prefix+k)
 	}
 	p.vals = make([]float64, len(p.names))
 	p.calls = [][]float64{{0}}
@@ -279,7 +235,7 @@ func New(cfg Config) (*Proc, error) {
 }
 
 func (p *Proc) awaitHealthy() error {
-	deadline := time.Now().Add(p.cfg.StartTimeout)
+	deadline := time.Now().Add(startTimeout)
 	for {
 		if p.live.probe().ok {
 			return nil
@@ -290,7 +246,7 @@ func (p *Proc) awaitHealthy() error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("process: no healthy probe from %s within %v; stderr tail:\n%s",
-				p.live.url, p.cfg.StartTimeout, p.child.errOut.String())
+				p.live.url, startTimeout, p.child.errOut.String())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -306,39 +262,7 @@ func freeAddr() (string, error) {
 	return addr, nil
 }
 
-// expandCommand substitutes {addr}/{config} tokens, appending flags for
-// tokens that appear nowhere.
-func expandCommand(command []string, addr, configPath string) []string {
-	argv := make([]string, len(command))
-	sawAddr, sawConfig := false, false
-	for i, a := range command {
-		if strings.Contains(a, "{addr}") {
-			sawAddr = true
-			a = strings.ReplaceAll(a, "{addr}", addr)
-		}
-		if strings.Contains(a, "{config}") {
-			sawConfig = true
-			a = strings.ReplaceAll(a, "{config}", configPath)
-		}
-		argv[i] = a
-	}
-	if !sawAddr {
-		argv = append(argv, "-addr", addr)
-	}
-	if !sawConfig {
-		argv = append(argv, "-config", configPath)
-	}
-	return argv
-}
-
-func (p *Proc) cleanup() {
-	if p.ownsDir != "" {
-		_ = os.RemoveAll(p.ownsDir)
-	}
-}
-
-// Addr returns the child's listen address.
-func (p *Proc) Addr() string { return p.cfg.Addr }
+func (p *Proc) cleanup() { _ = os.RemoveAll(p.dir) }
 
 // Pid returns the live child's pid (0 when dead).
 func (p *Proc) Pid() int { return p.child.pid() }
@@ -402,29 +326,15 @@ func (p *Proc) Tick() detect.Sample {
 				p.vals[m5xx] = 1
 			}
 		}
-		if p.stats != nil && p.vals[mUp] == 1 {
-			p.scrapeInto()
-		}
 	}
 	p.failed[p.now%probeWindow] = s.Errors > 0
 	p.calls[0][0] = 1 // the supervisor's one probe call this tick
 	return s
 }
 
-func (p *Proc) scrapeInto() {
-	want := make(map[string]float64, len(p.cfg.ScrapeKeys))
-	for _, k := range p.cfg.ScrapeKeys {
-		want[k] = 0
-	}
-	p.stats.scrape(want)
-	for i, k := range p.cfg.ScrapeKeys {
-		p.vals[numBuiltinMetrics+i] = want[k]
-	}
-}
-
 func (p *Proc) configGood() bool {
-	raw, err := os.ReadFile(p.cfg.ConfigPath)
-	return err == nil && bytes.Equal(raw, p.cfg.GoodConfig)
+	raw, err := os.ReadFile(p.configPath)
+	return err == nil && bytes.Equal(raw, goodConfig)
 }
 
 // MetricNames implements metrics.Source.
@@ -433,8 +343,8 @@ func (p *Proc) MetricNames() []string { return p.names }
 // ReadMetrics implements metrics.Source.
 func (p *Proc) ReadMetrics(dst []float64) { copy(dst, p.vals) }
 
-// Sources returns the supervisor's synthesized probe metrics (plus any
-// scraped gauges) as the target's one metric source.
+// Sources returns the supervisor's synthesized probe metrics as the
+// target's one metric source.
 func (p *Proc) Sources() []metrics.Source { return []metrics.Source{p} }
 
 // CallMatrix is the 1×1 supervisor→child probe matrix.
@@ -481,7 +391,7 @@ func (p *Proc) inject(f *fault) error {
 			time.Sleep(2 * time.Millisecond)
 		}
 	case catalog.FaultOperatorConfig:
-		if err := os.WriteFile(p.cfg.ConfigPath, p.cfg.CorruptConfig, 0o644); err != nil {
+		if err := os.WriteFile(p.configPath, corruptConfig, 0o644); err != nil {
 			return fmt.Errorf("process: corrupt config: %w", err)
 		}
 	default:
@@ -518,7 +428,7 @@ func (p *Proc) clear(f *fault) error {
 			return p.child.signal(syscall.SIGCONT)
 		}
 	case catalog.FaultOperatorConfig:
-		return os.WriteFile(p.cfg.ConfigPath, p.cfg.GoodConfig, 0o644)
+		return os.WriteFile(p.configPath, goodConfig, 0o644)
 	}
 	return nil
 }
@@ -551,14 +461,14 @@ func (p *Proc) Apply(a targets.Action) (int64, error) {
 		}
 		return boot, nil
 	case catalog.FixRestoreConfig:
-		if err := os.WriteFile(p.cfg.ConfigPath, p.cfg.GoodConfig, 0o644); err != nil {
+		if err := os.WriteFile(p.configPath, goodConfig, 0o644); err != nil {
 			return 0, fmt.Errorf("process: restore config: %w", err)
 		}
 		return p.ticksFor(100 * time.Millisecond), nil
 	case catalog.FixFullRestart:
 		// Operator-grade reset: config back to known-good, backoff ladder
 		// to rest, fresh child.
-		if err := os.WriteFile(p.cfg.ConfigPath, p.cfg.GoodConfig, 0o644); err != nil {
+		if err := os.WriteFile(p.configPath, goodConfig, 0o644); err != nil {
 			return 0, fmt.Errorf("process: restore config: %w", err)
 		}
 		p.child.stop()

@@ -1,11 +1,15 @@
 package process
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"syscall"
 	"testing"
 	"time"
@@ -67,9 +71,6 @@ func TestHelperProcess(t *testing.T) {
 			}
 		}
 		fmt.Fprintln(w, "ok")
-	})
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "requests_total 1")
 	})
 	if err := http.ListenAndServe(addr, nil); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -139,8 +140,41 @@ func TestSuperviseHealthy(t *testing.T) {
 		t.Fatalf("healthy child metrics up=%v alive=%v", p.vals[mUp], p.vals[mAlive])
 	}
 	names := p.MetricNames()
-	if len(names) != numBuiltinMetrics || names[mUp] != "proc.svc.up" {
+	if len(names) != numMetrics || names[mUp] != "proc.svc.up" {
 		t.Fatalf("metric names: %v", names)
+	}
+}
+
+// TestChildCommandLine pins the one command-line convention: the child
+// runs Command followed by "-addr 127.0.0.1:<port> -config <path>", the
+// config file holds the known-good bytes, and Close removes it.
+func TestChildCommandLine(t *testing.T) {
+	p := newHelperProc(t)
+	argv := p.child.argv
+	n := len(helperCommand())
+	if len(argv) != n+4 || !slices.Equal(argv[:n], helperCommand()) {
+		t.Fatalf("child argv %q does not start with Command %q plus four flag words", argv, helperCommand())
+	}
+	flags := argv[n:]
+	if flags[0] != "-addr" || flags[2] != "-config" || flags[3] != p.configPath {
+		t.Fatalf("child flags %q, want -addr <addr> -config %s", flags, p.configPath)
+	}
+	host, port, err := net.SplitHostPort(flags[1])
+	if err != nil || host != "127.0.0.1" {
+		t.Fatalf("child address %q is not a loopback host:port (%v)", flags[1], err)
+	}
+	if n, err := strconv.Atoi(port); err != nil || n <= 0 {
+		t.Fatalf("child address %q has no port", flags[1])
+	}
+	raw, err := os.ReadFile(p.configPath)
+	if err != nil || !bytes.Equal(raw, goodConfig) {
+		t.Fatalf("config file holds %q (%v), want the known-good bytes %q", raw, err, goodConfig)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := os.Stat(p.configPath); !os.IsNotExist(err) {
+		t.Fatalf("config file survived Close: %v", err)
 	}
 }
 
@@ -261,7 +295,7 @@ func TestConfigCorruptionRollback(t *testing.T) {
 func TestFullRestartResetsBackoffAndConfig(t *testing.T) {
 	p := newHelperProc(t)
 	// Corrupt config AND climb the backoff ladder.
-	if err := os.WriteFile(p.cfg.ConfigPath, p.cfg.CorruptConfig, 0o644); err != nil {
+	if err := os.WriteFile(p.configPath, corruptConfig, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_ = p.child.respawn()
@@ -319,7 +353,7 @@ func TestNewFaultsValidatesKinds(t *testing.T) {
 
 func TestBackoffLadder(t *testing.T) {
 	policy := Backoff{Initial: 10 * time.Millisecond, Factor: 2, Max: 35 * time.Millisecond, ResetAfter: time.Hour}
-	m := newManaged(helperCommand("-mode", "sleep"), []string{"SELFHEAL_HELPER_PROCESS=1"}, "", 50*time.Millisecond, policy)
+	m := newManaged(helperCommand("-mode", "sleep"), []string{"SELFHEAL_HELPER_PROCESS=1"}, 50*time.Millisecond, policy)
 	if err := m.start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -360,7 +394,7 @@ func TestCloseLeavesNoChild(t *testing.T) {
 	if err := syscall.Kill(pid, 0); err != syscall.ESRCH {
 		t.Fatalf("child pid %d still signallable after Close (err=%v) — zombie or leak", pid, err)
 	}
-	if _, err := os.Stat(p.cfg.ConfigPath); !os.IsNotExist(err) {
+	if _, err := os.Stat(p.configPath); !os.IsNotExist(err) {
 		t.Fatalf("temp config not removed on Close: %v", err)
 	}
 }

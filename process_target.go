@@ -22,20 +22,22 @@ import (
 const TargetProcess TargetKind = process.Name
 
 // ProcessCommandEnv names the child command the process target
-// supervises: a shell-split argv whose {addr} and {config} tokens are
-// substituted with the listen address and config path (both appended as
-// -addr/-config flags when the tokens are absent). When unset, the
-// factory falls back to a crashyd binary found on PATH.
+// supervises: a shell-split argv to which the target always appends
+// "-addr <addr> -config <path>", a free 127.0.0.1 port and a config
+// file it owns. When unset, the factory falls back to a crashyd binary
+// found on PATH.
 const ProcessCommandEnv = "SELFHEAL_PROCESS_CMD"
 
 // NewProcessTarget builds a supervisor target instance directly from a
 // full process.Config-shaped description, for callers (tests, examples,
 // embedders) that need more than the env-configured registry factory:
-// custom commands, probe cadence, backoff policy. Pass the result to
-// WithTargetInstance.
+// a component name, child environment, probe cadence, backoff policy.
+// Pass the result to WithTargetInstance.
 func NewProcessTarget(cfg ProcessConfig) (Target, error) { return process.New(cfg) }
 
-// ProcessConfig parameterizes a supervised process; see the field docs
+// ProcessConfig parameterizes a supervised process: Component, Command
+// (the child always gets "-addr <addr> -config <path>" appended), Env,
+// TickPeriod, ProbeTimeout, Grace, Backoff and Seed; see the field docs
 // in internal/targets/process.
 type ProcessConfig = process.Config
 
